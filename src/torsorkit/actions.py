@@ -5,11 +5,16 @@ witnesses, torsor validation via the unique-transport oracle,
 transporters, trivializations, basepoint change, the transported group
 law, and normalization of right actions to left actions of the opposite
 group.
+
+Validation is exact: compatibility (g*h).x = g.(h.x) is decided by
+Light's test over a generating set of at most log2(|G|) elements h, with
+the full lexicographic scan giving the least witness on failure (see
+``groups``). Tables are checked as int arrays, once each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,6 +22,7 @@ from .errors import (
     CompatibilityViolated,
     EmptySet,
     IdentityAxiomViolated,
+    InternalError,
     MalformedTable,
     NotFree,
     NotTransitive,
@@ -24,17 +30,37 @@ from .errors import (
     RightCompatibilityViolated,
     RightIdentityViolated,
 )
-from .groups import FiniteGroup, Subgroup, build_group, opposite_group
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    _compatibility_witness,
+    _frozen_array,
+    _index_table,
+    _tuples,
+    build_group,
+    opposite_group,
+)
 from .report import Report, passing
 
 
 @dataclass(frozen=True)
 class GroupAction:
-    """act[g][x] is the image of point x under element g."""
+    """act[g][x] is the image of point x under element g.
+
+    ``array`` is ``act`` as a read-only int array, kept for the vectorized
+    checks.
+    """
 
     group: FiniteGroup
     set_size: int
     act: tuple[tuple[int, ...], ...]
+    array: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.array is None:
+            object.__setattr__(
+                self, "array", _frozen_array(self.act).reshape(self.group.order, self.set_size)
+            )
 
 
 @dataclass(frozen=True)
@@ -72,45 +98,22 @@ class BasepointChange:
     report: Report
 
 
-def _action_witness(act: np.ndarray, cayley: np.ndarray):
-    """First (g,h,x) with (g*h).x != g.(h.x), or None."""
-    n = cayley.shape[0]
-    for g in range(n):
-        lhs = act[cayley[g], :]  # [h,x] -> (g*h).x
-        rhs = act[g][act]        # [h,x] -> g.(h.x)
-        if not np.array_equal(lhs, rhs):
-            h, x = np.argwhere(lhs != rhs)[0]
-            return g, int(h), int(x)
-    return None
-
-
 def build_action(group: FiniteGroup, set_size: int, act) -> GroupAction:
     """Validate an action table exhaustively (identity and compatibility axioms)."""
     if set_size < 1:
         raise MalformedTable(f"set_size must be positive, got {set_size}", set_size=set_size)
-    rows = [list(r) for r in act]
-    if len(rows) != group.order:
-        raise MalformedTable(
-            f"expected {group.order} rows, got {len(rows)}", rows=len(rows)
-        )
-    for g, row in enumerate(rows):
-        if len(row) != set_size:
-            raise MalformedTable(f"row {g} has length {len(row)}, expected {set_size}", row=g)
-        for x, v in enumerate(row):
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not (0 <= v < set_size):
-                raise MalformedTable(f"entry [{g}][{x}] = {v!r} out of range", row=g, col=x)
-    table = tuple(tuple(int(v) for v in row) for row in rows)
-    e = group.identity
-    for x in range(set_size):
-        if table[e][x] != x:
-            raise IdentityAxiomViolated(f"identity moves point {x}", x=x)
-    bad = _action_witness(np.array(table, dtype=np.int64), np.array(group.cayley, dtype=np.int64))
+    arr = _index_table(act, group.order, set_size, set_size)
+    moved = arr[group.identity] != np.arange(set_size)
+    if moved.any():
+        x = int(np.argmax(moved))
+        raise IdentityAxiomViolated(f"identity moves point {x}", x=x)
+    bad = _compatibility_witness(arr, group.array, group.identity)
     if bad is not None:
         g, h, x = bad
         raise CompatibilityViolated(
             f"(g*h).x != g.(h.x) at (g,h,x)=({g},{h},{x})", g=g, h=h, x=x
         )
-    return GroupAction(group=group, set_size=set_size, act=table)
+    return GroupAction(group=group, set_size=set_size, act=_tuples(arr, set_size), array=arr)
 
 
 def _check_point(action: GroupAction, x: int):
@@ -132,13 +135,12 @@ def stabilizer(action: GroupAction, x: int) -> tuple[int, ...]:
 
 def is_free(action: GroupAction):
     """(True, None) or (False, (g, x)) with the lexicographically least witness."""
-    e = action.group.identity
-    for g in action.group.elements():
-        if g == e:
-            continue
-        for x in range(action.set_size):
-            if action.act[g][x] == x:
-                return False, (g, x)
+    fixed = action.array == np.arange(action.set_size)
+    fixed[action.group.identity] = False
+    first = int(np.argmax(fixed))
+    if fixed.flat[first]:
+        g, x = divmod(first, action.set_size)
+        return False, (g, x)
     return True, None
 
 
@@ -167,12 +169,11 @@ def as_torsor(action: GroupAction) -> Torsor:
         raise NotTransitive(
             f"points {wit[0]} and {wit[1]} lie in distinct orbits", x=wit[0], y=wit[1]
         )
-    n, m = action.group.order, action.set_size
-    for x in range(m):
-        counts = [0] * m
-        for g in range(n):
-            counts[action.act[g][x]] += 1
-        assert all(c == 1 for c in counts), "unique-transport oracle disagrees"
+    m = action.set_size
+    # y*m + x for every g.x = y: each (x, y) must occur exactly once
+    pairs = (np.multiply(action.array, m, dtype=np.intp) + np.arange(m)).ravel()
+    if not (np.bincount(pairs, minlength=m * m) == 1).all():
+        raise InternalError("unique-transport oracle disagrees with the free/transitive checks")
     return Torsor(action=action)
 
 
@@ -181,19 +182,22 @@ def transporter(torsor: Torsor, x: int, y: int) -> int:
     _check_point(torsor.action, x)
     _check_point(torsor.action, y)
     hits = [g for g in torsor.group.elements() if torsor.act[g][x] == y]
-    assert len(hits) == 1, f"transport from {x} to {y} is not unique: {hits}"
+    if len(hits) != 1:
+        raise InternalError(f"transport from {x} to {y} is not unique: {hits}")
     return hits[0]
 
 
 def trivialization(torsor: Torsor, x0: int) -> Trivialization:
-    """Fill both direction tables g -> g.x0 and its inverse; assert bijectivity."""
+    """Fill both direction tables g -> g.x0 and its inverse; check bijectivity."""
     _check_point(torsor.action, x0)
     to_points = tuple(torsor.act[g][x0] for g in torsor.group.elements())
     to_group = [None] * torsor.set_size
     for g, x in enumerate(to_points):
-        assert to_group[x] is None, "g -> g.x0 is not injective"
+        if to_group[x] is not None:
+            raise InternalError("g -> g.x0 is not injective")
         to_group[x] = g
-    assert None not in to_group, "g -> g.x0 is not surjective"
+    if None in to_group:
+        raise InternalError("g -> g.x0 is not surjective")
     return Trivialization(
         torsor=torsor, basepoint=x0, to_points=to_points, to_group=tuple(to_group)
     )
@@ -204,7 +208,8 @@ def basepoint_change(torsor: Torsor, x0: int, x1: int) -> BasepointChange:
     h = transporter(torsor, x0, x1)
     cay = torsor.group.cayley
     for g in torsor.group.elements():
-        assert torsor.act[g][x1] == torsor.act[cay[g][h]][x0]
+        if torsor.act[g][x1] != torsor.act[cay[g][h]][x0]:
+            raise InternalError(f"g.x1 != (g*h).x0 at g={g}")
     report = passing("basepoint-change", counts={"elements_checked": torsor.group.order})
     return BasepointChange(element=h, report=report)
 
@@ -212,15 +217,23 @@ def basepoint_change(torsor: Torsor, x0: int, x1: int) -> BasepointChange:
 def transported_group(torsor: Torsor, x0: int) -> FiniteGroup:
     """Push the group law through the basepoint bijection; identity becomes x0."""
     triv = trivialization(torsor, x0)
-    cay = torsor.group.cayley
-    m = torsor.set_size
-    table = [
-        [triv.to_points[cay[triv.to_group[x]][triv.to_group[y]]] for y in range(m)]
-        for x in range(m)
-    ]
-    out = build_group(m, table)
-    assert out.identity == x0
+    to_group = np.array(triv.to_group)
+    table = np.array(triv.to_points)[torsor.group.array[np.ix_(to_group, to_group)]]
+    out = build_group(torsor.set_size, table)
+    if out.identity != x0:
+        raise InternalError(f"transported identity is {out.identity}, not the basepoint {x0}")
     return out
+
+
+def _right_compatibility_witness(right: np.ndarray, cayley: np.ndarray):
+    """Least (x, g, h) with (x*g)*h != x*(g*h), scanning one point x at a time."""
+    for x in range(len(right)):
+        lhs = right[right[x]]     # [g,h] -> (x*g)*h
+        rhs = right[x][cayley]    # [g,h] -> x*(g*h)
+        if not np.array_equal(lhs, rhs):
+            g, h = np.argwhere(lhs != rhs)[0]
+            return x, int(g), int(h)
+    return None
 
 
 def right_action_as_left(group: FiniteGroup, set_size: int, right_table) -> GroupAction:
@@ -228,30 +241,27 @@ def right_action_as_left(group: FiniteGroup, set_size: int, right_table) -> Grou
 
     The result is a left action of opposite_group(group) with
     act[g][x] = right_table[x][g]; torsor status is preserved both ways.
+    Right compatibility (x*g)*h = x*(g*h) is exactly compatibility of that
+    left action, so build_action decides it once; only a failure pays for
+    the scan that finds the least right witness.
     """
-    rows = [list(r) for r in right_table]
+    rows = [r if isinstance(r, (list, tuple)) else list(r) for r in right_table]
     if len(rows) != set_size or any(len(r) != group.order for r in rows):
         raise MalformedTable(
             f"right table must be {set_size} x {group.order}", rows=len(rows)
         )
-    for x, row in enumerate(rows):
-        for g, v in enumerate(row):
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not (0 <= v < set_size):
-                raise MalformedTable(f"entry [{x}][{g}] = {v!r} out of range", row=x, col=g)
-    e = group.identity
-    for x in range(set_size):
-        if rows[x][e] != x:
-            raise RightIdentityViolated(f"x*e != x at point {x}", x=x)
-    cay = group.cayley
-    for x in range(set_size):
-        for g in group.elements():
-            for h in group.elements():
-                if rows[rows[x][g]][h] != rows[x][cay[g][h]]:
-                    raise RightCompatibilityViolated(
-                        f"(x*g)*h != x*(g*h) at (x,g,h)=({x},{g},{h})", x=x, g=g, h=h
-                    )
-    left = [[rows[x][g] for x in range(set_size)] for g in group.elements()]
-    return build_action(opposite_group(group), set_size, left)
+    right = _index_table(rows, set_size, group.order, set_size)
+    moved = right[:, group.identity] != np.arange(set_size)
+    if moved.any():
+        x = int(np.argmax(moved))
+        raise RightIdentityViolated(f"x*e != x at point {x}", x=x)
+    try:
+        return build_action(opposite_group(group), set_size, right.T)
+    except CompatibilityViolated:
+        x, g, h = _right_compatibility_witness(right, group.array)
+        raise RightCompatibilityViolated(
+            f"(x*g)*h != x*(g*h) at (x,g,h)=({x},{g},{h})", x=x, g=g, h=h
+        ) from None
 
 
 def left_translation_action(group: FiniteGroup) -> GroupAction:

@@ -4,7 +4,8 @@ Affine spaces as translation torsors, solution sets of linear systems as
 kernel torsors, cosets as right-subgroup torsors, and ordered bases as
 general-linear torsors. Every constructor returns a fully validated
 torsor; vectors over F_p are encoded as base-p integers so that
-lexicographic tuple order equals numeric order.
+lexicographic tuple order equals numeric order. All tables are built on
+int arrays by one mixed-radix codec (``_digits`` / ``_codes``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .actions import Torsor, as_torsor, build_action, right_action_as_left
 from .errors import (
     DimensionMismatch,
     EmptySolutionSet,
+    InternalError,
     MalformedTable,
     NotPrime,
     TooLarge,
@@ -85,6 +87,33 @@ def decode_vector(idx: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+def _digits(codes, p: int, width: int) -> np.ndarray:
+    """Base-p digits of each code along a new last axis, most significant first."""
+    return np.asarray(codes)[..., None] // p ** np.arange(width - 1, -1, -1) % p
+
+
+def _codes(digits: np.ndarray, p: int) -> np.ndarray:
+    """The inverse of ``_digits``: base-p value of the last axis."""
+    return digits @ p ** np.arange(digits.shape[-1] - 1, -1, -1)
+
+
+def _sum_codes(a: np.ndarray, b: np.ndarray, p: int, width: int) -> np.ndarray:
+    """Codes of a[i] + b[j] in F_p^width: the integer sum, less p^(k+1) where digit k carries."""
+    da, db = _digits(a, p, width), _digits(b, p, width)
+    # codes stay below the size guards (at most 4096), so int32 holds them at half the traffic
+    out = np.add.outer(a, b).astype(np.int32)
+    for k in range(width):
+        out -= (np.add.outer(da[:, k], db[:, k]) >= p) * np.int32(p ** (width - k))
+    return out
+
+
+def _positions(codes: np.ndarray, size: int) -> np.ndarray:
+    """Lookup from code to its position in ``codes``; -1 for codes not listed."""
+    pos = np.full(size, -1, dtype=np.intp)
+    pos[codes] = np.arange(len(codes))
+    return pos
+
+
 def gaussian_solve(T: PrimeFieldMatrix, w) -> LinearSolveResult:
     """Row-reduce [T|w] over F_p.
 
@@ -125,10 +154,11 @@ def gaussian_solve(T: PrimeFieldMatrix, w) -> LinearSolveResult:
         for i, c in enumerate(pivot_cols):
             sol[c] = int(aug[i, ncols]) % p
         particular = tuple(sol)
-        assert all(
+        if not all(
             sum(T.entries[i][j] * particular[j] for j in range(ncols)) % p == w[i]
             for i in range(nrows)
-        )
+        ):
+            raise InternalError("the particular solution does not solve the system")
 
     basis = []
     for f in free_cols:
@@ -136,10 +166,11 @@ def gaussian_solve(T: PrimeFieldMatrix, w) -> LinearSolveResult:
         vec[f] = 1
         for i, c in enumerate(pivot_cols):
             vec[c] = (-int(aug[i, f])) % p
-        assert all(
+        if not all(
             sum(T.entries[i][j] * vec[j] for j in range(ncols)) % p == 0
             for i in range(nrows)
-        )
+        ):
+            raise InternalError(f"kernel vector for free column {f} is not in the kernel")
         basis.append(tuple(vec))
 
     return LinearSolveResult(
@@ -149,14 +180,6 @@ def gaussian_solve(T: PrimeFieldMatrix, w) -> LinearSolveResult:
     )
 
 
-def _additive_group_table(vectors: list[tuple[int, ...]], p: int):
-    index = {v: i for i, v in enumerate(vectors)}
-    return [
-        [index[tuple((a + b) % p for a, b in zip(u, v))] for v in vectors]
-        for u in vectors
-    ]
-
-
 def affine_torsor(p: int, n: int) -> Torsor:
     """F_p^n acting on itself by translation; points share the vector encoding."""
     _require_prime(p)
@@ -164,18 +187,11 @@ def affine_torsor(p: int, n: int) -> Torsor:
         raise MalformedTable(f"dimension must be positive, got {n}", n=n)
     if p**n > AFFINE_MAX_POINTS:
         raise TooLarge(f"p^n = {p ** n} exceeds {AFFINE_MAX_POINTS}", size=p**n)
-    vectors = [decode_vector(i, p, n) for i in range(p**n)]
-    table = _additive_group_table(vectors, p)
+    vectors = np.arange(p**n)
+    table = _sum_codes(vectors, vectors, p, n)
     group = build_group(p**n, table)
     action = build_action(group, p**n, table)
     return as_torsor(action)
-
-
-def _matvec(T: PrimeFieldMatrix, vec) -> tuple[int, ...]:
-    return tuple(
-        sum(T.entries[i][j] * vec[j] for j in range(T.cols)) % T.p
-        for i in range(T.rows)
-    )
 
 
 def solution_torsor(T: PrimeFieldMatrix, w) -> Torsor:
@@ -192,24 +208,15 @@ def solution_torsor(T: PrimeFieldMatrix, w) -> Torsor:
         )
     if p**T.cols > SOLUTION_MAX_VECTORS:
         raise TooLarge(f"p^cols = {p ** T.cols} exceeds {SOLUTION_MAX_VECTORS}", size=p**T.cols)
-    zero = tuple(0 for _ in range(T.rows))
-    solutions = []
-    kernel = []
-    for i in range(p**T.cols):
-        vec = decode_vector(i, p, T.cols)
-        image = _matvec(T, vec)
-        if image == w:
-            solutions.append(vec)
-        if image == zero:
-            kernel.append(vec)
-    if not solutions:
+    size = p**T.cols
+    images = _digits(np.arange(size), p, T.cols) @ np.array(T.entries).T % p
+    solutions = np.flatnonzero((images == w).all(axis=1))
+    kernel = np.flatnonzero((images == 0).all(axis=1))
+    if not solutions.size:
         raise EmptySolutionSet("the system T(v)=w has no solution")
-    group = build_group(len(kernel), _additive_group_table(kernel, p))
-    sol_index = {v: i for i, v in enumerate(solutions)}
-    act = [
-        [sol_index[tuple((a + b) % p for a, b in zip(u, s))] for s in solutions]
-        for u in kernel
-    ]
+    kernel_pos, solution_pos = _positions(kernel, size), _positions(solutions, size)
+    group = build_group(len(kernel), kernel_pos[_sum_codes(kernel, kernel, p, T.cols)])
+    act = solution_pos[_sum_codes(kernel, solutions, p, T.cols)]
     return as_torsor(build_action(group, len(solutions), act))
 
 
@@ -232,45 +239,31 @@ def coset_torsor(group: FiniteGroup, H: Subgroup, g: int) -> Torsor:
     return as_torsor(action)
 
 
-def _det_mod_p(mat: list[list[int]], p: int) -> int:
-    m = [row[:] for row in mat]
-    n = len(m)
-    det = 1
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det = (det * m[c][c]) % p
-        inv = pow(m[c][c], p - 2, p)
-        for r in range(c + 1, n):
-            factor = (m[r][c] * inv) % p
-            if factor:
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[c])]
+def _det_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a stack of n x n matrices, by the Leibniz formula."""
+    n = mats.shape[-1]
+    rows = np.arange(n)
+    det = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        det = det + (-1) ** inversions * mats[..., rows, perm].prod(axis=-1)
     return det % p
+
+
+def _matrix_codes(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Row-major codes of every product a[i] @ b[j] over F_p."""
+    prods = np.matmul(a[:, None], b[None, :]) % p
+    return _codes(prods.reshape(len(a), len(b), -1), p)
 
 
 def general_linear_group(p: int, n: int):
     """All invertible n x n matrices over F_p in lexicographic (row-major) order."""
-    mats = []
-    for flat in itertools.product(range(p), repeat=n * n):
-        mat = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        if _det_mod_p(mat, p):
-            mats.append(tuple(tuple(row) for row in mat))
-    index = {m: i for i, m in enumerate(mats)}
-    table = []
-    for a in mats:
-        row = []
-        for b in mats:
-            prod = tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-                for i in range(n)
-            )
-            row.append(index[prod])
-        table.append(row)
-    return build_group(len(mats), table), mats
+    size = p ** (n * n)
+    everything = _digits(np.arange(size), p, n * n).reshape(size, n, n)
+    codes = np.flatnonzero(_det_mod_p(everything, p))
+    mats = everything[codes]
+    table = _positions(codes, size)[_matrix_codes(mats, mats, p)]
+    return build_group(len(mats), table), [tuple(map(tuple, m)) for m in mats.tolist()]
 
 
 def basis_torsor(p: int, n: int) -> Torsor:
@@ -278,6 +271,9 @@ def basis_torsor(p: int, n: int) -> Torsor:
 
     Bases are n-tuples of independent vectors ordered lexicographically by
     their encoded entries; matrices act componentwise on basis vectors.
+    A basis is the invertible matrix whose rows are its vectors, in the
+    same order as the group's matrices, and M sends that matrix B to
+    B @ M^T.
     """
     _require_prime(p)
     if (p, n) not in BASIS_SUPPORTED:
@@ -287,24 +283,10 @@ def basis_torsor(p: int, n: int) -> Torsor:
             n=n,
         )
     group, mats = general_linear_group(p, n)
-    all_vectors = [decode_vector(i, p, n) for i in range(p**n)]
-    bases = []
-    for combo in itertools.product(range(p**n), repeat=n):
-        mat = [list(all_vectors[i]) for i in combo]  # rows are candidate basis vectors
-        if _det_mod_p(mat, p):
-            bases.append(combo)
-    index = {b: i for i, b in enumerate(bases)}
-
-    def apply(mat, vec_idx):
-        vec = all_vectors[vec_idx]
-        image = tuple(sum(mat[i][j] * vec[j] for j in range(n)) % p for i in range(n))
-        return encode_vector(image, p)
-
-    act = [
-        [index[tuple(apply(mat, v) for v in basis)] for basis in bases]
-        for mat in mats
-    ]
-    return as_torsor(build_action(group, len(bases), act))
+    mats = np.array(mats)
+    codes = _codes(mats.reshape(len(mats), -1), p)
+    act = _positions(codes, p ** (n * n))[_matrix_codes(mats, mats.transpose(0, 2, 1), p).T]
+    return as_torsor(build_action(group, len(mats), act))
 
 
 def count_ordered_bases(p: int, n: int) -> int:

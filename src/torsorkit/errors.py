@@ -173,3 +173,12 @@ class NotASheafTorsor(TorsorError):
     def __init__(self, message: str, report=None, **data):
         super().__init__(message, **data)
         self.report = report
+
+
+class InternalError(Exception):
+    """A broken internal invariant: a bug in torsorkit, never a verdict on the input.
+
+    Deliberately not a TorsorError, so no caller can mistake it for a
+    witness. Raised explicitly instead of ``assert`` so the check also
+    runs under ``python -O``.
+    """

@@ -3,17 +3,31 @@
 Elements are dense indices 0..order-1; cayley[g][h] is the product g*h
 (row acts on the left). Names exist only in pretty-printing, never in
 the core data.
+
+Validation is exact, never sampled. Associativity is decided by Light's
+test (Clifford & Preston, *The Algebraic Theory of Semigroups* I, §1.2):
+call a *good* when (x*a)*y = x*(a*y) for all x, y; products of good
+elements are good, so the table is associative once every element of a
+generating set is good. The generating set is found greedily by closure
+under the whole table, which assumes nothing about associativity, and a
+group of order n needs at most log2(n) such generators, so the check
+costs O(n^2 log n) instead of O(n^3). The same argument, with h in
+place of a, reduces action compatibility (g*h).x = g.(h.x) to generators
+h. When the test fails, or the table is too small for it to save work,
+the full lexicographic scan runs, so every reported witness is the
+least one.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    InternalError,
     MalformedTable,
     MissingIdentity,
     MissingInverse,
@@ -25,16 +39,33 @@ from .errors import (
 )
 
 CATALOG_MAX_ORDER = 24  # the catalog stops at symmetric(4); all checks are exhaustive
+# Below this order the full scan is cheaper than finding generators for Light's test.
+LIGHT_MIN_ORDER = 24
+
+
+def _frozen_array(rows) -> np.ndarray:
+    arr = np.array(rows, dtype=np.int32)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A group of given order with precomputed identity and inverse tables."""
+    """A group of given order with precomputed identity and inverse tables.
+
+    ``array`` is ``cayley`` as a read-only int array, kept for the
+    vectorized checks.
+    """
 
     order: int
     cayley: tuple[tuple[int, ...], ...]
     identity: int
     inverse: tuple[int, ...]
+    array: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.array is None:
+            object.__setattr__(self, "array", _frozen_array(self.cayley))
 
     def mul(self, g: int, h: int) -> int:
         return self.cayley[g][h]
@@ -60,36 +91,129 @@ class Subgroup:
         return len(self.members)
 
 
-def _as_table(order: int, rows, what: str) -> tuple[tuple[int, ...], ...]:
-    if order < 1:
-        raise MalformedTable(f"{what}: order must be positive, got {order}", order=order)
-    rows = [list(r) for r in rows]
-    if len(rows) != order:
-        raise MalformedTable(
-            f"{what}: expected {order} rows, got {len(rows)}", rows=len(rows)
-        )
+def _is_index(v, bound: int) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < bound
+
+
+def _index_array(rows, height: int, width: int, bound: int) -> np.ndarray | None:
+    """A height x width table of indices in [0, bound) as a read-only int32 array, else None.
+
+    The fast path of strict index validation: cell types are checked at C
+    speed, then the range on the array. Indices fit in int32, which halves
+    the memory of every stored table and check buffer.
+    """
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind not in "iu" or rows.shape != (height, width):
+            return None
+        arr = rows
+    else:
+        if len(rows) != height or any(len(r) != width for r in rows):
+            return None
+        types = set(map(type, itertools.chain.from_iterable(rows)))
+        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+            return None
+        try:
+            arr = np.array(rows, dtype=np.intp).reshape(height, width)
+        except OverflowError:
+            return None
+    if arr.size and (arr.min() < 0 or arr.max() >= bound):
+        return None
+    arr = np.array(arr, dtype=np.int32, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
+def _index_table(rows, height: int, width: int, bound: int, prefix: str = "") -> np.ndarray:
+    """Validate a table of indices in [0, bound) and return it as a read-only int array.
+
+    On any bad row or cell the row-major scan reruns and raises
+    MalformedTable at the first one, so the witness does not depend on
+    the fast path.
+    """
+    if not isinstance(rows, np.ndarray):
+        rows = [r if isinstance(r, (list, tuple)) else list(r) for r in rows]
+    arr = _index_array(rows, height, width, bound)
+    if arr is not None:
+        return arr
+    if isinstance(rows, np.ndarray):
+        rows = [list(r) for r in rows]
+    if len(rows) != height:
+        raise MalformedTable(f"{prefix}expected {height} rows, got {len(rows)}", rows=len(rows))
     for i, row in enumerate(rows):
-        if len(row) != order:
-            raise MalformedTable(
-                f"{what}: row {i} has length {len(row)}, expected {order}", row=i
-            )
+        if len(row) != width:
+            raise MalformedTable(f"{prefix}row {i} has length {len(row)}, expected {width}", row=i)
         for j, v in enumerate(row):
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not (0 <= v < order):
-                raise MalformedTable(
-                    f"{what}: entry [{i}][{j}] = {v!r} out of range", row=i, col=j
-                )
-    return tuple(tuple(int(v) for v in row) for row in rows)
+            if not _is_index(v, bound):
+                raise MalformedTable(f"{prefix}entry [{i}][{j}] = {v!r} out of range", row=i, col=j)
+    raise InternalError("the fast index check rejected a table the scan accepts")
 
 
-def _associativity_witness(cayley: np.ndarray):
-    """First (g,h,k) with (g*h)*k != g*(h*k), or None. Row-at-a-time to bound memory."""
-    n = cayley.shape[0]
+def _tuples(arr: np.ndarray, bound: int) -> tuple[tuple[int, ...], ...]:
+    """A validated table as nested tuples, sharing one int object per value, not one per cell.
+
+    Built only once every check has passed, so a rejected table never pays for it.
+    """
+    return tuple(map(tuple, np.array(range(bound), dtype=object)[arr].tolist()))
+
+
+def _generators(cayley: np.ndarray, identity: int) -> list[int] | None:
+    """A greedy generating set of the table, or None past floor(log2 n) generators.
+
+    Each generator is the least element outside the closure of the
+    identity and the generators before it, closure taken under the whole
+    table. In a group each generator at least doubles that closure, so
+    needing more means the table is no group, and Light's test would not
+    save work on it.
+    """
+    n = len(cayley)
+    inside = np.zeros(n, dtype=bool)
+    inside[identity] = True
+    gens = []
+    while not inside.all():
+        if len(gens) == n.bit_length() - 1:
+            return None
+        fresh = np.flatnonzero(~inside)[:1]
+        gens.append(int(fresh[0]))
+        inside[fresh] = True
+        while fresh.size:
+            members = np.flatnonzero(inside)
+            new = np.zeros(n, dtype=bool)
+            new[cayley[fresh[:, None], members]] = True
+            new[cayley[members[:, None], fresh]] = True
+            new &= ~inside
+            inside |= new
+            fresh = np.flatnonzero(new)
+    return gens
+
+
+def _compatibility_witness(act: np.ndarray, cayley: np.ndarray, identity: int):
+    """Least (g, h, x) with (g*h).x != g.(h.x), or None.
+
+    With ``act = cayley`` this is the associativity witness (g*h)*k !=
+    g*(h*k): associativity is the compatibility of the regular action.
+    The identity must already act trivially. From LIGHT_MIN_ORDER on,
+    Light's test checks h over a generating set only; the row-at-a-time
+    lexicographic scan runs below that order and whenever the test fails.
+    """
+    n = len(cayley)
+    if n >= LIGHT_MIN_ORDER:
+        gens = _generators(cayley, identity)
+        if gens is not None:
+            # reused buffers: two fresh n x m arrays per generator cost more than the gathers
+            lhs, rhs = np.empty_like(act), np.empty_like(act)
+            for h in gens:
+                np.take(act, cayley[:, h], axis=0, out=lhs)  # [g,x] -> (g*h).x
+                np.take(act, act[h], axis=1, out=rhs)        # [g,x] -> g.(h.x)
+                if not np.array_equal(lhs, rhs):
+                    break
+            else:
+                return None
     for g in range(n):
-        lhs = cayley[cayley[g], :]   # [h,k] -> (g*h)*k
-        rhs = cayley[g][cayley]      # [h,k] -> g*(h*k)
+        lhs = act[cayley[g], :]  # [h,x] -> (g*h).x
+        rhs = act[g][act]        # [h,x] -> g.(h.x)
         if not np.array_equal(lhs, rhs):
-            h, k = np.argwhere(lhs != rhs)[0]
-            return g, int(h), int(k)
+            h, x = np.argwhere(lhs != rhs)[0]
+            return g, int(h), int(x)
     return None
 
 
@@ -99,31 +223,29 @@ def build_group(order: int, cayley) -> FiniteGroup:
     Checks run in order: shape/range, identity existence, associativity,
     inverse existence. The first violated axiom is reported with a witness.
     """
-    table = _as_table(order, cayley, "cayley")
-    identity = None
-    for e in range(order):
-        if all(table[e][g] == g and table[g][e] == g for g in range(order)):
-            identity = e
-            break
-    if identity is None:
+    if order < 1:
+        raise MalformedTable(f"cayley: order must be positive, got {order}", order=order)
+    arr = _index_table(cayley, order, order, order, "cayley: ")
+    points = np.arange(order)
+    two_sided = (arr == points).all(axis=1) & (arr == points[:, None]).all(axis=0)
+    if not two_sided.any():
         raise NoIdentity("no two-sided identity element")
-    arr = np.array(table, dtype=np.int64)
-    bad = _associativity_witness(arr)
+    identity = int(np.argmax(two_sided))
+    bad = _compatibility_witness(arr, arr, identity)
     if bad is not None:
         g, h, k = bad
         raise NonAssociative(
             f"(g*h)*k != g*(h*k) at (g,h,k)=({g},{h},{k})", g=g, h=h, k=k
         )
-    inverse = []
-    for g in range(order):
-        inv = next(
-            (h for h in range(order) if table[g][h] == identity and table[h][g] == identity),
-            None,
-        )
-        if inv is None:
-            raise NoInverse(f"element {g} has no inverse", element=g)
-        inverse.append(inv)
-    return FiniteGroup(order=order, cayley=table, identity=identity, inverse=tuple(inverse))
+    hits = (arr == identity) & (arr.T == identity)
+    has_inverse = hits.any(axis=1)
+    if not has_inverse.all():
+        g = int(np.argmin(has_inverse))
+        raise NoInverse(f"element {g} has no inverse", element=g)
+    inverse = tuple(np.argmax(hits, axis=1).tolist())
+    return FiniteGroup(
+        order=order, cayley=_tuples(arr, order), identity=identity, inverse=inverse, array=arr
+    )
 
 
 def _cyclic_table(n: int):
@@ -177,12 +299,13 @@ def catalog_names() -> list[str]:
 
 def build_subgroup(parent: FiniteGroup, members) -> Subgroup:
     """Validate a member list as a subgroup of ``parent``."""
-    members = sorted(set(int(m) for m in members))
+    members = list(members)
     if not members:
         raise MalformedTable("subgroup must be nonempty")
-    for m in members:
-        if not 0 <= m < parent.order:
-            raise MalformedTable(f"member {m} out of range", element=m)
+    if _index_array([members], 1, len(members), parent.order) is None:
+        i, m = next((i, m) for i, m in enumerate(members) if not _is_index(m, parent.order))
+        raise MalformedTable(f"member [{i}] = {m!r} out of range", index=i, element=m)
+    members = sorted({int(m) for m in members})
     member_set = set(members)
     if parent.identity not in member_set:
         raise MissingIdentity("identity element is not a member", identity=parent.identity)
@@ -218,7 +341,7 @@ def trivial_subgroup(parent: FiniteGroup) -> Subgroup:
 
 def opposite_group(g: FiniteGroup) -> FiniteGroup:
     """Transpose the Cayley table; identity and inverses are unchanged."""
-    table = tuple(tuple(g.cayley[h][k] for h in g.elements()) for k in g.elements())
-    out = build_group(g.order, table)
-    assert out.identity == g.identity and out.inverse == g.inverse
+    out = build_group(g.order, g.array.T)
+    if out.identity != g.identity or out.inverse != g.inverse:
+        raise InternalError("the opposite group changed the identity or inverses")
     return out

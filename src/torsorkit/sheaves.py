@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import GroupAction, Torsor, _action_witness
+from .actions import GroupAction, Torsor
 from .errors import (
     CoverIncomplete,
     MalformedTable,
@@ -32,7 +32,7 @@ from .errors import (
     TripleViolation,
     UnknownOpen,
 )
-from .groups import FiniteGroup, build_group
+from .groups import FiniteGroup, _compatibility_witness, build_group
 from .report import Report, failing, passing
 from .spaces import FiniteSpace, connected_components, point_space, pseudocircle
 
@@ -350,8 +350,8 @@ def _action_structure_witnesses(action: SheafAction) -> list[dict]:
             out.append({"axiom": "action-identity", "open": u, "x": bad_x})
             continue
         if fs.sizes[u]:
-            bad = _action_witness(
-                np.array(table, dtype=np.int64), np.array(grp.cayley, dtype=np.int64)
+            bad = _compatibility_witness(
+                np.array(table, dtype=np.int32), grp.array, grp.identity
             )
             if bad is not None:
                 g, h, x = bad

@@ -1,5 +1,10 @@
 """Actions, orbits, torsor validation, transporters, trivializations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +147,33 @@ def test_as_torsor_empty_set(z2):
     action = GroupAction(group=z2, set_size=0, act=((), ()))
     with pytest.raises(EmptySet):
         tk.as_torsor(action)
+
+
+def test_unique_transport_oracle_survives_python_O():
+    # free and transitive, yet g3 sends both 1 and 3 to 2 and 0: no valid action does that,
+    # so only the oracle can catch it, and it must still raise under -O
+    code = """
+import torsorkit as tk
+from torsorkit.actions import GroupAction
+from torsorkit.errors import InternalError
+z4 = tk.catalog_group("cyclic(4)")
+act = ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 2, 1, 0))
+try:
+    tk.as_torsor(GroupAction(group=z4, set_size=4, act=act))
+except InternalError as err:
+    print("InternalError:", err)
+"""
+    src = str(Path(tk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("InternalError: unique-transport oracle")
+
+
+def test_internal_error_is_not_a_verdict():
+    assert not issubclass(tk.errors.InternalError, tk.errors.TorsorError)
 
 
 def test_transporter_translation(z3):

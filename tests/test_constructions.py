@@ -161,6 +161,13 @@ def test_solution_torsor_empty():
         tk.solution_torsor(T, [1])
 
 
+def test_solution_torsor_order_1024():
+    # 2^11 vectors, a kernel of order 1024: validation is O(n^2 log n), so this is quick
+    t = tk.solution_torsor(tk.prime_field_matrix(2, [[1] * 11]), [1])
+    assert t.group.order == t.set_size == 1024
+    assert len(t.group.cayley) == 1024
+
+
 def test_solution_torsor_too_large():
     T = tk.prime_field_matrix(2, [[1] * 13])
     with pytest.raises(TooLarge):

@@ -119,6 +119,15 @@ def test_subgroup_not_closed_witness(s3):
     assert exc.value.data["product"] == 4
 
 
+@pytest.mark.parametrize("bad", [2.9, 2.0, "2", True, None, 6, -1])
+def test_subgroup_member_must_be_an_index(s3, bad):
+    # nothing is coerced: 2.9 used to pass as member 2
+    with pytest.raises(MalformedTable) as exc:
+        tk.build_subgroup(s3, [0, bad])
+    assert exc.value.data["index"] == 1
+    assert exc.value.data["element"] is bad
+
+
 def test_subgroup_missing_identity(s3):
     with pytest.raises(MissingIdentity):
         tk.build_subgroup(s3, [2])

@@ -1,0 +1,553 @@
+"""Brute-force oracles for the table validators and the F_p table builders.
+
+The validators vectorize every check and decide associativity and action
+compatibility by Light's test over a generating set, falling back to the
+lexicographic scan. The plain loops here decide the same axioms cell by
+cell, in the same order, and must give the same verdict with the same
+witness: the first bad row or cell, the least identity-axiom point, the
+lexicographically least (g, h, k) or (g, h, x), the least element without
+an inverse, the least (g, x) fixed by a non-identity element. Orders from
+LIGHT_MIN_ORDER on take the Light path; smaller ones take the scan.
+
+The pure-Python table builders below are the reference for the
+vectorized mixed-radix codec in ``constructions``; they must agree cell
+for cell.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import torsorkit as tk
+from torsorkit import errors
+from torsorkit.groups import LIGHT_MIN_ORDER
+
+ORACLE = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+# ---------------------------------------------------------------- reference validators
+
+
+def _is_index(v, bound):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < bound
+
+
+def ref_malformed(rows, height, width, bound):
+    """Witness data of the first bad row or cell in row-major order, or None."""
+    if len(rows) != height:
+        return {"rows": len(rows)}
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            return {"row": i}
+        for j, v in enumerate(row):
+            if not _is_index(v, bound):
+                return {"row": i, "col": j}
+    return None
+
+
+def ref_compatibility(act, cayley):
+    """Lexicographically least (g, h, x) with (g*h).x != g.(h.x): the plain n^3 scan."""
+    n, m = len(cayley), len(act[0])
+    for g in range(n):
+        for h in range(n):
+            for x in range(m):
+                if act[cayley[g][h]][x] != act[g][act[h][x]]:
+                    return g, h, x
+    return None
+
+
+def ref_group_verdict(order, rows):
+    """(error class or None, witness data) in build_group's order of checks."""
+    bad = ref_malformed(rows, order, order, order)
+    if bad is not None:
+        return errors.MalformedTable, bad
+    e = next(
+        (e for e in range(order) if all(rows[e][g] == g == rows[g][e] for g in range(order))),
+        None,
+    )
+    if e is None:
+        return errors.NoIdentity, {}
+    bad = ref_compatibility(rows, rows)
+    if bad is not None:
+        return errors.NonAssociative, dict(zip("ghk", bad))
+    inverse = []
+    for g in range(order):
+        inv = next((h for h in range(order) if rows[g][h] == e == rows[h][g]), None)
+        if inv is None:
+            return errors.NoInverse, {"element": g}
+        inverse.append(inv)
+    return None, {"identity": e, "inverse": tuple(inverse)}
+
+
+def ref_action_verdict(group, set_size, rows):
+    bad = ref_malformed(rows, group.order, set_size, set_size)
+    if bad is not None:
+        return errors.MalformedTable, bad
+    x = next((x for x in range(set_size) if rows[group.identity][x] != x), None)
+    if x is not None:
+        return errors.IdentityAxiomViolated, {"x": x}
+    bad = ref_compatibility(rows, group.cayley)
+    if bad is not None:
+        return errors.CompatibilityViolated, dict(zip("ghx", bad))
+    return None, {}
+
+
+def ref_is_free(action):
+    e = action.group.identity
+    for g in range(action.group.order):
+        for x in range(action.set_size):
+            if g != e and action.act[g][x] == x:
+                return False, (g, x)
+    return True, None
+
+
+def group_verdict(order, rows):
+    try:
+        g = tk.build_group(order, rows)
+    except errors.TorsorError as err:
+        return type(err), err.data
+    assert g.cayley == tuple(tuple(r) for r in rows)
+    assert all(type(v) is int for r in g.cayley for v in r)
+    return None, {"identity": g.identity, "inverse": g.inverse}
+
+
+def action_verdict(group, set_size, rows):
+    try:
+        action = tk.build_action(group, set_size, rows)
+    except errors.TorsorError as err:
+        return type(err), err.data
+    assert action.act == tuple(tuple(r) for r in rows)
+    return None, {}
+
+
+# ---------------------------------------------------------------- table sources
+
+
+def product(a, b):
+    """Cayley table of the direct product, (x, y) encoded as x * |b| + y."""
+    m = len(b)
+    return [
+        [a[i // m][j // m] * m + b[i % m][j % m] for j in range(len(a) * m)]
+        for i in range(len(a) * m)
+    ]
+
+
+def relabel(table, perm):
+    """The isomorphic table with element x renamed perm[x]."""
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            out[perm[a]][perm[b]] = perm[v]
+    return out
+
+
+def swap(table, row, c1, c2):
+    out = [list(r) for r in table]
+    out[row][c1], out[row][c2] = out[row][c2], out[row][c1]
+    return out
+
+
+def max_monoid(k):
+    """({0..k-1}, max): associative with identity 0, and no element but 0 is invertible."""
+    return [[max(a, b) for b in range(k)] for a in range(k)]
+
+
+# order 1 is left out: a swap needs two distinct cells in a row
+GROUPS = [g.cayley for g in map(tk.catalog_group, tk.catalog_names()) if g.order > 1]
+BASES = GROUPS + [max_monoid(2), max_monoid(3)]
+
+
+@st.composite
+def associative_tables(draw, bases=BASES, max_order=48):
+    """A relabeled product of up to four catalog groups or max-monoids.
+
+    Half of the draws aim at order LIGHT_MIN_ORDER or more, so both the
+    Light path and the plain scan are sampled.
+    """
+    target = draw(st.sampled_from([1, LIGHT_MIN_ORDER]))
+    table = draw(st.sampled_from(bases))
+    for _ in range(3):
+        fits = [b for b in bases if len(table) * len(b) <= max_order]
+        if not fits or (len(table) >= target and draw(st.booleans())):
+            break
+        table = product(table, draw(st.sampled_from(fits)))
+    return relabel(table, draw(st.permutations(range(len(table)))))
+
+
+@st.composite
+def corrupted_tables(draw):
+    """Group and monoid tables, half of them with two cells of one row swapped."""
+    table = draw(associative_tables())
+    n = len(table)
+    if draw(st.booleans()):
+        row = draw(st.integers(0, n - 1))
+        c1, c2 = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        table = swap(table, row, c1, c2)
+    return table
+
+
+@st.composite
+def latin_loops(draw):
+    """A group table with one intercalate switched: a Latin square with an identity, rarely a group.
+
+    An intercalate is a 2 x 2 subsquare a b / b a; exchanging its symbols
+    keeps every row and column a permutation. One that avoids the identity's
+    row and column keeps the identity too.
+    """
+    table = draw(associative_tables(bases=GROUPS))
+    n = len(table)
+    e = table.index(list(range(n)))
+    where = [{v: c for c, v in enumerate(row)} for row in table]
+    quads = [
+        (r1, r2, c1, c2)
+        for r1, r2 in itertools.combinations(range(n), 2)
+        for c1 in range(n)
+        for c2 in [where[r1][table[r2][c1]]]
+        if table[r2][c2] == table[r1][c1] and e not in (r1, r2, c1, c2)
+    ]
+    if quads:
+        r1, r2, c1, c2 = draw(st.sampled_from(quads))
+        table = swap(swap(table, r1, c1, c2), r2, c1, c2)
+    return table
+
+
+@st.composite
+def identity_tables(draw):
+    """An arbitrary small table whose row and column e are the identity's."""
+    n = draw(st.integers(1, 5))
+    e = draw(st.integers(0, n - 1))
+    table = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    for x in range(n):
+        table[e][x] = table[x][e] = x
+    return table
+
+
+CELLS = st.one_of(
+    st.integers(-2, 6),
+    st.integers(-2, 6).map(np.int64),
+    st.sampled_from([True, False, 1.0, 2.9, "0", None, 2**70]),
+)
+
+
+@st.composite
+def malformed_rows(draw, height, width):
+    """Mostly well-shaped rows of mostly valid cells, with ragged rows and odd cells mixed in."""
+    rows = []
+    for _ in range(draw(st.sampled_from([height] * 4 + [height - 1, height + 1]))):
+        length = draw(st.sampled_from([width] * 6 + [width - 1, width + 1]))
+        valid = st.integers(0, width - 1)
+        rows.append([
+            draw(st.one_of(valid, CELLS) if draw(st.booleans()) else valid)
+            for _ in range(max(length, 0))
+        ])
+    return rows
+
+
+# ---------------------------------------------------------------- group verdicts
+
+
+@ORACLE
+@given(corrupted_tables())
+def test_group_verdicts_match_the_n3_scan(table):
+    assert group_verdict(len(table), table) == ref_group_verdict(len(table), table)
+
+
+@ORACLE
+@given(latin_loops())
+def test_latin_square_verdicts_match_the_n3_scan(table):
+    assert group_verdict(len(table), table) == ref_group_verdict(len(table), table)
+
+
+@ORACLE
+@given(identity_tables())
+def test_arbitrary_table_verdicts_match_the_n3_scan(table):
+    assert group_verdict(len(table), table) == ref_group_verdict(len(table), table)
+
+
+@ORACLE
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), malformed_rows(n, n))))
+def test_malformed_group_tables_report_the_first_bad_cell(case):
+    n, rows = case
+    assert group_verdict(n, rows) == ref_group_verdict(n, rows)
+
+
+def _elementary_abelian(k):
+    return [[a ^ b for b in range(2**k)] for a in range(2**k)]
+
+
+@pytest.mark.parametrize("table", [
+    # six generators, Light passes
+    _elementary_abelian(6),
+    # Light fails, the scan finds the witness
+    swap(_elementary_abelian(6), 37, 5, 50),
+    swap(_elementary_abelian(6), 63, 0, 63),
+    # Light passes, then an element has no inverse
+    product(tk.catalog_group("cyclic(12)").cayley, max_monoid(2)),
+    # more generators than a group could need: the scan decides
+    max_monoid(30),
+    swap(product(tk.catalog_group("symmetric(4)").cayley, max_monoid(3)), 70, 1, 2),
+])
+def test_verdicts_past_the_light_threshold(table):
+    assert len(table) >= LIGHT_MIN_ORDER
+    assert group_verdict(len(table), table) == ref_group_verdict(len(table), table)
+
+
+@pytest.mark.parametrize("cell", [True, False, np.True_, 1.0, "1", None, 2**70, -1, 3])
+def test_fast_path_rejects_every_non_index_cell(cell):
+    # each bad value stands in an otherwise valid cyclic(3) table, also as the only bad cell
+    rows = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    rows[1][2] = cell
+    assert group_verdict(3, rows) == (errors.MalformedTable, {"row": 1, "col": 2})
+    assert action_verdict(tk.catalog_group("cyclic(3)"), 3, rows) == (
+        errors.MalformedTable, {"row": 1, "col": 2}
+    )
+
+
+# ---------------------------------------------------------------- action verdicts
+
+
+@st.composite
+def actions(draw):
+    """(group, set_size, table): left multiplication on 1-2 relabeled copies, often corrupted."""
+    cayley = draw(associative_tables(bases=GROUPS, max_order=36))
+    group = tk.build_group(len(cayley), cayley)
+    n, copies = group.order, draw(st.integers(1, 2))
+    m = n * copies
+    perm = draw(st.permutations(range(m)))
+    table = [[0] * m for _ in range(n)]
+    for g in range(n):
+        for pt in range(m):
+            table[g][perm[pt]] = perm[group.cayley[g][pt % n] + n * (pt // n)]
+    if draw(st.booleans()):
+        row = draw(st.integers(0, n - 1))
+        c1, c2 = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        table = swap(table, row, c1, c2)
+    return group, m, table
+
+
+@ORACLE
+@given(actions())
+def test_action_verdicts_match_the_n3_scan(case):
+    group, m, table = case
+    assert action_verdict(group, m, table) == ref_action_verdict(group, m, table)
+
+
+def ref_right_verdict(group, set_size, rows):
+    """Right identity, then the least (x, g, h) with (x*g)*h != x*(g*h)."""
+    x = next((x for x in range(set_size) if rows[x][group.identity] != x), None)
+    if x is not None:
+        return errors.RightIdentityViolated, {"x": x}
+    for x in range(set_size):
+        for g in range(group.order):
+            for h in range(group.order):
+                if rows[rows[x][g]][h] != rows[x][group.cayley[g][h]]:
+                    return errors.RightCompatibilityViolated, {"x": x, "g": g, "h": h}
+    return None, {}
+
+
+@ORACLE
+@given(actions())
+def test_right_action_verdicts_match_the_n3_scan(case):
+    # a left action of G read as [point][element] is a right action of the opposite group
+    group, m, left = case
+    op = tk.opposite_group(group)
+    rows = [[left[g][x] for g in range(group.order)] for x in range(m)]
+    try:
+        action = tk.right_action_as_left(op, m, rows)
+    except errors.TorsorError as err:
+        got = type(err), err.data
+    else:
+        got = None, {}
+        assert action.act == tuple(map(tuple, left))
+    assert got == ref_right_verdict(op, m, rows)
+
+
+@ORACLE
+@given(
+    st.sampled_from(["cyclic(2)", "cyclic(3)", "klein_four", "symmetric(3)"]).flatmap(
+        lambda name: st.tuples(
+            st.just(tk.catalog_group(name)),
+            st.integers(1, 4).flatmap(
+                lambda m: st.tuples(st.just(m), malformed_rows(tk.catalog_group(name).order, m))
+            ),
+        )
+    )
+)
+def test_malformed_action_tables_report_the_first_bad_cell(case):
+    group, (m, rows) = case
+    assert action_verdict(group, m, rows) == ref_action_verdict(group, m, rows)
+
+
+@ORACLE
+@given(st.sampled_from(GROUPS), st.data())
+def test_small_arbitrary_action_verdicts_match(cayley, data):
+    group = tk.build_group(len(cayley), cayley)
+    m = data.draw(st.integers(1, 4))
+    rows = [[data.draw(st.integers(0, m - 1)) for _ in range(m)] for _ in range(group.order)]
+    if data.draw(st.booleans()):
+        rows[group.identity] = list(range(m))
+    assert action_verdict(group, m, rows) == ref_action_verdict(group, m, rows)
+
+
+@ORACLE
+@given(associative_tables(bases=GROUPS), st.booleans())
+def test_is_free_matches_the_scan(cayley, conjugate):
+    # conjugation fixes the identity and every centralizer: never free unless trivial;
+    # left multiplication is always free
+    group = tk.build_group(len(cayley), cayley)
+    n = group.order
+    if conjugate:
+        table = [[cayley[cayley[g][x]][group.inverse[g]] for x in range(n)] for g in range(n)]
+    else:
+        table = cayley
+    action = tk.build_action(group, n, table)
+    assert tk.is_free(action) == ref_is_free(action)
+    free, wit = ref_is_free(action)
+    if free:
+        assert tk.as_torsor(action).set_size == n
+    else:
+        with pytest.raises(errors.NotFree) as exc:
+            tk.as_torsor(action)
+        assert (exc.value.data["g"], exc.value.data["x"]) == wit
+
+
+# ---------------------------------------------------------------- reference table builders
+
+
+def ref_decode(idx, p, n):
+    digits = []
+    for _ in range(n):
+        digits.append(idx % p)
+        idx //= p
+    return tuple(reversed(digits))
+
+
+def ref_encode(vec, p):
+    out = 0
+    for v in vec:
+        out = out * p + v
+    return out
+
+
+def ref_additive_table(vectors, p):
+    index = {v: i for i, v in enumerate(vectors)}
+    return [
+        [index[tuple((a + b) % p for a, b in zip(u, v))] for v in vectors]
+        for u in vectors
+    ]
+
+
+def ref_solution_tables(p, rows, w):
+    """(kernel table, action table) by brute force, or None when there is no solution."""
+    cols = len(rows[0])
+    solutions, kernel = [], []
+    for i in range(p**cols):
+        vec = ref_decode(i, p, cols)
+        image = tuple(sum(r[j] * vec[j] for j in range(cols)) % p for r in rows)
+        if image == tuple(v % p for v in w):
+            solutions.append(vec)
+        if not any(image):
+            kernel.append(vec)
+    if not solutions:
+        return None
+    sol_index = {v: i for i, v in enumerate(solutions)}
+    act = [
+        [sol_index[tuple((a + b) % p for a, b in zip(u, s))] for s in solutions]
+        for u in kernel
+    ]
+    return ref_additive_table(kernel, p), act
+
+
+def ref_det(mat, p):
+    m = [row[:] for row in mat]
+    n = len(m)
+    det = 1
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det = (det * m[c][c]) % p
+        inv = pow(m[c][c], p - 2, p)
+        for r in range(c + 1, n):
+            factor = (m[r][c] * inv) % p
+            if factor:
+                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[c])]
+    return det % p
+
+
+def ref_general_linear(p, n):
+    mats = []
+    for flat in itertools.product(range(p), repeat=n * n):
+        mat = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+        if ref_det(mat, p):
+            mats.append(tuple(tuple(row) for row in mat))
+    index = {m: i for i, m in enumerate(mats)}
+    table = [
+        [
+            index[tuple(
+                tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
+                for i in range(n)
+            )]
+            for b in mats
+        ]
+        for a in mats
+    ]
+    return table, mats
+
+
+def ref_basis_action(p, n, mats):
+    vectors = [ref_decode(i, p, n) for i in range(p**n)]
+    bases = [
+        combo
+        for combo in itertools.product(range(p**n), repeat=n)
+        if ref_det([list(vectors[i]) for i in combo], p)
+    ]
+    index = {b: i for i, b in enumerate(bases)}
+
+    def apply(mat, v):
+        vec = vectors[v]
+        return ref_encode(tuple(sum(mat[i][j] * vec[j] for j in range(n)) % p for i in range(n)), p)
+
+    return [[index[tuple(apply(mat, v) for v in basis)] for basis in bases] for mat in mats]
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 3), (5, 2), (7, 2), (13, 2)])
+def test_affine_tables_match_reference(p, n):
+    t = tk.affine_torsor(p, n)
+    table = ref_additive_table([ref_decode(i, p, n) for i in range(p**n)], p)
+    assert t.group.cayley == tuple(map(tuple, table))
+    assert t.act == t.group.cayley
+
+
+@ORACLE
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_solution_tables_match_reference(p, data):
+    cols = data.draw(st.integers(1, {2: 6, 3: 4, 5: 3}[p]))
+    nrows = data.draw(st.integers(1, 3))
+    rows = [[data.draw(st.integers(0, p - 1)) for _ in range(cols)] for _ in range(nrows)]
+    w = [data.draw(st.integers(0, p - 1)) for _ in range(nrows)]
+    ref = ref_solution_tables(p, rows, w)
+    T = tk.prime_field_matrix(p, rows)
+    if ref is None:
+        with pytest.raises(errors.EmptySolutionSet):
+            tk.solution_torsor(T, w)
+        return
+    t = tk.solution_torsor(T, w)
+    assert t.group.cayley == tuple(map(tuple, ref[0]))
+    assert t.act == tuple(map(tuple, ref[1]))
+
+
+@pytest.mark.parametrize("p,n", sorted(tk.constructions.BASIS_SUPPORTED))
+def test_general_linear_and_basis_tables_match_reference(p, n):
+    table, mats = ref_general_linear(p, n)
+    group, got = tk.general_linear_group(p, n)
+    assert got == mats
+    assert group.cayley == tuple(map(tuple, table))
+    assert tk.basis_torsor(p, n).act == tuple(map(tuple, ref_basis_action(p, n, mats)))
