@@ -266,7 +266,8 @@ def right_action_as_left(group: FiniteGroup, set_size: int, right_table) -> Grou
 
 def left_translation_action(group: FiniteGroup) -> GroupAction:
     """The group acting on itself by left multiplication."""
-    return build_action(group, group.order, group.cayley)
+    # no second check: the identity row and compatibility are the group's identity and associativity
+    return GroupAction(group=group, set_size=group.order, act=group.cayley, array=group.array)
 
 
 def coset_action(group: FiniteGroup, sub: Subgroup) -> GroupAction:

@@ -30,16 +30,15 @@ from .constructions import (
     prime_field_matrix,
     solution_torsor,
 )
-from .errors import TorsorError
+from .errors import NotASheafTorsor, TorsorError
 from .groups import catalog_group
 from .jsonio import SchemaError, canonical_json
 from .report import Report, failing, passing
 from .sheaves import (
     as_sheaf_torsor,
+    global_sections,
     glue_from_cocycle,
     is_sheaf,
-    is_sheaf_of_groups,
-    is_sheaf_torsor,
     pseudocircle_descent_datum,
     sections,
 )
@@ -121,28 +120,13 @@ def _check_report(kind: str, obj) -> Report:
         counts["global_sections"] = sheaf.sizes[sheaf.space.whole_index]
         return Report("sheaf", rep.verdict, rep.witnesses, counts)
     if kind == "sheaf-torsor":
-        if isinstance(obj, dict) and "transition" in obj:
-            datum = jsonio.descent_from_obj(obj)
-            torsor = glue_from_cocycle(datum)
-            return passing(
-                "sheaf-torsor",
-                counts={
-                    "global_sections": torsor.sets.sizes[torsor.space.whole_index],
-                    "cover": len(datum.cover),
-                },
-            )
-        action = jsonio.sheaf_action_from_obj(obj)
-        for rep in (
-            is_sheaf(action.sets),
-            is_sheaf_of_groups(action.groups),
-            is_sheaf_torsor(action),
-        ):
-            if not rep.passed:
-                return Report("sheaf-torsor", "fail", rep.witnesses, dict(rep.counts))
-        return passing(
-            "sheaf-torsor",
-            counts={"global_sections": action.sets.sizes[action.sets.space.whole_index]},
-        )
+        try:
+            torsor, counts = _sheaf_torsor_from_obj(obj)
+        except NotASheafTorsor as err:
+            rep = err.report
+            return Report("sheaf-torsor", "fail", rep.witnesses, rep.counts)
+        counts["global_sections"] = len(global_sections(torsor))
+        return passing("sheaf-torsor", counts=counts)
     raise SchemaError(f"unknown check kind {kind!r}")
 
 
@@ -159,11 +143,19 @@ def _torsor_from_file(path):
     return as_torsor(jsonio.action_from_obj(jsonio.load_json(path)))
 
 
-def _sheaf_torsor_from_file(path):
-    obj = jsonio.load_json(path)
+def _sheaf_torsor_from_obj(obj):
+    """A validated sheaf torsor from a descent datum or a sheaf action, plus its extra counts.
+
+    Both paths end in as_sheaf_torsor, which raises NotASheafTorsor with the failing report.
+    """
     if isinstance(obj, dict) and "transition" in obj:
-        return glue_from_cocycle(jsonio.descent_from_obj(obj))
-    return as_sheaf_torsor(jsonio.sheaf_action_from_obj(obj))
+        datum = jsonio.descent_from_obj(obj)
+        return glue_from_cocycle(datum), {"cover": len(datum.cover)}
+    return as_sheaf_torsor(jsonio.sheaf_action_from_obj(obj)), {}
+
+
+def _sheaf_torsor_from_file(path):
+    return _sheaf_torsor_from_obj(jsonio.load_json(path))[0]
 
 
 def _query_report(args) -> Report:

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
+    InternalError,
     MalformedTable,
     Mismatch,
     MissingEdgeValue,
@@ -330,7 +331,8 @@ def equivalence_classes(nerve: Nerve, group: FiniteGroup) -> list[CocycleClass]:
         if key in seen:
             continue
         orbit = {apply_coboundary(c, h).edge_values() for h in cochains}
-        assert orbit <= valid and key in orbit
+        if not (orbit <= valid and key in orbit):
+            raise InternalError("a coboundary orbit leaves the valid cocycles")
         seen.update(orbit)
         classes.append(
             CocycleClass(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Torsor, as_torsor, build_action, right_action_as_left
+from .actions import Torsor, as_torsor, build_action, left_translation_action, right_action_as_left
 from .errors import (
     DimensionMismatch,
     EmptySolutionSet,
@@ -188,10 +188,8 @@ def affine_torsor(p: int, n: int) -> Torsor:
     if p**n > AFFINE_MAX_POINTS:
         raise TooLarge(f"p^n = {p ** n} exceeds {AFFINE_MAX_POINTS}", size=p**n)
     vectors = np.arange(p**n)
-    table = _sum_codes(vectors, vectors, p, n)
-    group = build_group(p**n, table)
-    action = build_action(group, p**n, table)
-    return as_torsor(action)
+    group = build_group(p**n, _sum_codes(vectors, vectors, p, n))
+    return as_torsor(left_translation_action(group))
 
 
 def solution_torsor(T: PrimeFieldMatrix, w) -> Torsor:

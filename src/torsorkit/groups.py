@@ -91,8 +91,12 @@ class Subgroup:
         return len(self.members)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _is_index(v, bound: int) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < bound
+    return _is_int(v) and 0 <= v < bound
 
 
 def _index_array(rows, height: int, width: int, bound: int) -> np.ndarray | None:

@@ -12,7 +12,8 @@ import json
 
 from .actions import GroupAction, build_action
 from .cocycles import Nerve, NerveCocycle, build_nerve, check_cocycle
-from .groups import FiniteGroup, Subgroup, build_group, build_subgroup, catalog_group
+from .errors import MalformedTable
+from .groups import FiniteGroup, Subgroup, _is_int, build_group, build_subgroup, catalog_group
 from .sheaves import (
     DescentDatum,
     SheafAction,
@@ -39,6 +40,15 @@ def _expect(obj, key, kind, what):
     if kind is not None and not isinstance(val, kind):
         raise SchemaError(f"{what}: key {key!r} has wrong type")
     return val
+
+
+def _int_cells(cells, what, **where) -> tuple[int, ...]:
+    """Table cells as ints, else MalformedTable; the sheaf checks witness their range."""
+    for col, x in enumerate(cells):
+        if not _is_int(x):
+            where["col"] = col
+            raise MalformedTable(f"{what} {where}: {x!r} is not an integer", **where)
+    return tuple(int(x) for x in cells)
 
 
 def _int_list_list(val, what):
@@ -165,7 +175,7 @@ def _restrict_from_obj(obj, what) -> dict:
         u, v = _parse_pair_key(key, f"{what}.restrict")
         if not isinstance(table, list):
             raise SchemaError(f"{what}: restriction {key!r} must be a list")
-        out[(u, v)] = tuple(int(x) for x in table)
+        out[(u, v)] = _int_cells(table, f"{what}.restrict", key=key)
     return out
 
 
@@ -210,7 +220,10 @@ def sheaf_action_from_obj(obj) -> SheafAction:
         table = act_raw.get(str(u))
         if table is None:
             raise SchemaError(f"sheaf-action: missing action table for open {u}")
-        act.append(tuple(tuple(int(x) for x in row) for row in table))
+        act.append(tuple(
+            _int_cells(cells, "sheaf-action.act", key=str(u), row=r)
+            for r, cells in enumerate(table)
+        ))
     return SheafAction(
         groups=SheafOfGroups(sets=g_sets, groups=tuple(groups)),
         sets=f_sets,

@@ -22,7 +22,7 @@ from .errors import (
     TooLarge,
 )
 
-MAX_OPENS = 64  # the sheaf gluing check is exponential in cover count
+MAX_OPENS = 64  # desk scale: sheaf functoriality checks every chain of three opens
 
 
 @dataclass(frozen=True)

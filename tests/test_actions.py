@@ -149,6 +149,17 @@ def test_as_torsor_empty_set(z2):
         tk.as_torsor(action)
 
 
+def run_optimized(code):
+    """Run code under python -O with torsorkit importable; return its stdout."""
+    src = str(Path(tk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def test_unique_transport_oracle_survives_python_O():
     # free and transitive, yet g3 sends both 1 and 3 to 2 and 0: no valid action does that,
     # so only the oracle can catch it, and it must still raise under -O
@@ -163,13 +174,25 @@ try:
 except InternalError as err:
     print("InternalError:", err)
 """
-    src = str(Path(tk.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("InternalError: unique-transport oracle")
+    assert run_optimized(code).startswith("InternalError: unique-transport oracle")
+
+
+def test_local_transporter_check_survives_python_O():
+    # a SheafTorsor built around an unvalidated trivial action: both elements of
+    # cyclic(2) carry the one point to itself, so the transporter is not unique
+    code = """
+import torsorkit as tk
+from torsorkit.actions import GroupAction
+from torsorkit.errors import InternalError
+from torsorkit.sheaves import SheafTorsor
+z2 = tk.catalog_group("cyclic(2)")
+torsor = SheafTorsor(tk.lift_point_action(GroupAction(group=z2, set_size=1, act=((0,), (0,)))))
+try:
+    tk.extract_cocycle(torsor, [1, 1], [0, 0])
+except InternalError as err:
+    print("InternalError:", err)
+"""
+    assert run_optimized(code).startswith("InternalError: local transporter not unique")
 
 
 def test_internal_error_is_not_a_verdict():

@@ -128,6 +128,56 @@ def test_check_explicit_sheaf_action_file(tmp_path, z3):
     assert json.loads(out)["counts"]["global_sections"] == 3
 
 
+def test_failing_sheaf_torsor_check_reports_as_sheaf_torsor_witnesses(tmp_path, z2):
+    import torsorkit as tk
+    from torsorkit import jsonio
+    from torsorkit.errors import NotASheafTorsor
+
+    glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1))
+    obj = jsonio.sheaf_action_to_obj(glued.action)
+    row = obj["act"][str(glued.space.index_of((0, 1, 2)))][1]
+    row.reverse()  # the non-identity element now fixes both sections of the arc
+    path = tmp_path / "corrupt.json"
+    path.write_text(jsonio.canonical_json(obj))
+    code, out, _ = run_cli(["check", "sheaf-torsor", str(path), "--json"])
+    assert code == 1
+    with pytest.raises(NotASheafTorsor) as err:
+        tk.as_sheaf_torsor(jsonio.sheaf_action_from_obj(obj))
+    assert json.loads(out)["witnesses"] == [dict(w) for w in err.value.report.witnesses]
+
+
+@pytest.mark.parametrize("cell,witness", [
+    (0.9, {"axiom": "malformed-table", "key": "1,0", "col": 0}),
+    ("0", {"axiom": "malformed-table", "key": "1,0", "col": 0}),
+    (True, {"axiom": "malformed-table", "key": "1,0", "col": 0}),
+    (-1, {"axiom": "restriction-range", "u": 1, "v": 0}),
+])
+def test_restriction_cells_must_be_integers(tmp_path, cell, witness):
+    obj = json.loads((DATA / "sheaf_const_z2.json").read_text())
+    obj["restrict"]["1,0"][0] = cell
+    path = tmp_path / "sheaf.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run_cli(["check", "sheaf", str(path), "--json"])
+    assert code == 1
+    assert json.loads(out)["witnesses"] == [witness]
+
+
+@pytest.mark.parametrize("cell", [0.9, "0", True])
+def test_sheaf_action_cells_must_be_integers(tmp_path, z3, cell):
+    import torsorkit as tk
+    from torsorkit import jsonio
+
+    obj = jsonio.sheaf_action_to_obj(tk.lift_point_action(tk.left_translation_action(z3)))
+    obj["act"]["1"][2][1] = cell
+    path = tmp_path / "lifted.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run_cli(["check", "sheaf-torsor", str(path), "--json"])
+    assert code == 1
+    assert json.loads(out)["witnesses"] == [
+        {"axiom": "malformed-table", "key": "1", "row": 2, "col": 1}
+    ]
+
+
 def test_malformed_json_is_input_error():
     code, out, err = run_cli(["check", "group", str(DATA / "malformed.json")])
     assert code == 2

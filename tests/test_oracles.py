@@ -12,6 +12,9 @@ LIGHT_MIN_ORDER on take the Light path; smaller ones take the scan.
 The pure-Python table builders below are the reference for the
 vectorized mixed-radix codec in ``constructions``; they must agree cell
 for cell.
+
+``is_sheaf`` decides gluing on the minimal-open cover of each open; the
+reference below tries every cover, and the verdicts must agree.
 """
 
 import itertools
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 import torsorkit as tk
 from torsorkit import errors
 from torsorkit.groups import LIGHT_MIN_ORDER
+from torsorkit.sheaves import SheafOfSets
 
 ORACLE = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -551,3 +555,137 @@ def test_general_linear_and_basis_tables_match_reference(p, n):
     assert got == mats
     assert group.cayley == tuple(map(tuple, table))
     assert tk.basis_torsor(p, n).act == tuple(map(tuple, ref_basis_action(p, n, mats)))
+
+
+# ---------------------------------------------------------------- sheaf gluing
+
+
+def ref_is_sheaf(sheaf):
+    """Locality and gluing over every cover of every open, for a functorial presheaf.
+
+    Each cover is reduced to its maximal antichain, which has the same
+    compatible families, and each antichain is decided once.
+    """
+    space = sheaf.space
+    opens = [frozenset(o) for o in space.opens]
+    for u, target in enumerate(opens):
+        if not target:
+            if sheaf.sizes[u] != 1:
+                return False
+            continue
+        candidates = [v for v, o in enumerate(opens) if o and o <= target]
+        checked = set()
+        for mask in range(1, 2 ** len(candidates)):
+            members = [candidates[i] for i in range(len(candidates)) if mask >> i & 1]
+            if frozenset().union(*(opens[m] for m in members)) != target:
+                continue
+            cover = tuple(m for m in members if not any(opens[m] < opens[n] for n in members))
+            if cover in checked:
+                continue
+            checked.add(cover)
+            for family in itertools.product(*(sheaf.sections(m) for m in cover)):
+                compatible = all(
+                    sheaf.restrict_section(a, fa, w) == sheaf.restrict_section(b, fb, w)
+                    for (a, fa), (b, fb) in itertools.combinations(zip(cover, family), 2)
+                    for w in [space.open_index[opens[a] & opens[b]]]
+                )
+                if compatible and gluings(sheaf, u, cover, family) != 1:
+                    return False
+    return True
+
+
+def gluings(sheaf, u, cover, family):
+    return sum(
+        all(sheaf.restrict_section(u, s, m) == f for m, f in zip(cover, family))
+        for s in sheaf.sections(u)
+    )
+
+
+def presheaf(space, sections, restrict):
+    """A SheafOfSets from hashable sections per open and a restriction function."""
+    index = [{s: i for i, s in enumerate(secs)} for secs in sections]
+    table = {
+        (u, v): tuple(index[v][restrict(s, u, v)] for s in sections[u])
+        for u, ou in enumerate(space.opens)
+        for v, ov in enumerate(space.opens)
+        if u != v and set(ov) <= set(ou)
+    }
+    return SheafOfSets(space=space, sizes=tuple(map(len, sections)), restrict=table)
+
+
+@st.composite
+def small_spaces(draw):
+    """The topology generated by one drawn open around each of at most 4 points."""
+    n = draw(st.integers(1, 4))
+    return tk.close_under_ops(
+        n, [{x} | draw(st.frozensets(st.integers(0, n - 1))) for x in range(n)]
+    )
+
+
+@st.composite
+def function_presheaves(draw):
+    """Sets of functions U -> {0, 1}, closed under restriction: gluing may fail, locality holds.
+
+    A function on U is the tuple of its values on U's sorted points. Each
+    open keeps all functions or a drawn subset, plus every restriction of
+    the functions kept on larger opens.
+    """
+    space = draw(small_spaces())
+
+    def restrict(f, u, v):
+        values = dict(zip(space.opens[u], f))
+        return tuple(values[p] for p in space.opens[v])
+
+    kept = [set() for _ in space.opens]
+    for u in reversed(range(len(space.opens))):  # larger opens first
+        every = list(itertools.product(range(2), repeat=len(space.opens[u])))
+        if draw(st.booleans()):
+            kept[u].update(every)
+        else:
+            mask = draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
+            kept[u].update(f for f, keep in zip(every, mask) if keep)
+        for v, ov in enumerate(space.opens):
+            if v != u and set(ov) <= set(space.opens[u]):
+                kept[v].update(restrict(f, u, v) for f in kept[u])
+    kept[space.empty_index].add(())
+    return space, [sorted(k) for k in kept], restrict
+
+
+@st.composite
+def presheaves(draw):
+    """Function presheaves, half of them with a tag bit on the opens containing a drawn open.
+
+    A tagged open holds (f, bit); restriction keeps the bit between tagged
+    opens and drops it into untagged ones, which is functorial because the
+    set is up-closed, and breaks locality on any tagged open that some
+    untagged opens cover.
+    """
+    space, sections, restrict = draw(function_presheaves())
+    if draw(st.booleans()):
+        opens = [frozenset(o) for o in space.opens]
+        seed = opens[draw(st.sampled_from(range(len(opens) - 1, 0, -1)))]
+        tagged = {u for u, o in enumerate(opens) if seed <= o}
+        sections = [
+            [(f, bit) for f in secs for bit in (0, 1)] if u in tagged else [(f, 0) for f in secs]
+            for u, secs in enumerate(sections)
+        ]
+        base = restrict
+
+        def restrict(s, u, v):
+            return base(s[0], u, v), s[1] if v in tagged else 0
+
+    return presheaf(space, sections, restrict)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(presheaves())
+def test_is_sheaf_matches_the_all_covers_reference(sheaf):
+    rep = tk.is_sheaf(sheaf)
+    assert rep.passed == ref_is_sheaf(sheaf)
+    for w in rep.witnesses:
+        assert w["axiom"] == "gluing"
+        space, cover, family = sheaf.space, w["cover"], w["family"]
+        for (a, fa), (b, fb) in itertools.combinations(zip(cover, family), 2):
+            m = space.intersection_index(a, b)
+            assert sheaf.restrict_section(a, fa, m) == sheaf.restrict_section(b, fb, m)
+        assert w["gluings"] == gluings(sheaf, w["open"], cover, family) != 1

@@ -64,6 +64,15 @@ def test_constant_sheaf_restriction_is_hom(psc, s3):
     assert tk.is_sheaf_of_groups(gs).passed
 
 
+def test_constant_sheaf_on_the_discrete_5_point_space(z2):
+    # 32 opens, 31 of them nonempty inside the whole space: gluing is decided
+    # on the minimal cover, not on the 2^31 subsets of sub-opens
+    space = tk.close_under_ops(5, [(x,) for x in range(5)])
+    rep = tk.is_sheaf(tk.constant_group_sheaf(space, z2).sets)
+    assert rep.passed
+    assert rep.counts["opens"] == 32
+
+
 def test_constant_presheaf_fails_gluing(psc, z2):
     # constant values (not locally constant): 2 sections on every nonempty open
     sizes = tuple(1 if not o else 2 for o in psc.opens)
