@@ -35,9 +35,10 @@ back = tk.apply_coboundary(
 print("\nnonabelian coboundary round trip restores the cocycle:",
       back.g == cs.g)
 
-# Exhaustive classification at desk scale. Over Z/2 the circle has two
-# classes (holonomy 0 or 1); over symmetric(3) one class per conjugacy
-# class of the holonomy; the full triangle forces triviality.
+# Classification at desk scale: the gauge is fixed on a spanning tree, so
+# only the non-tree edge values are enumerated, up to conjugation. Over Z/2
+# the circle has two classes (holonomy 0 or 1); over symmetric(3) one class
+# per conjugacy class of the holonomy; the full triangle forces triviality.
 for name, nerve, group in (
     ("circle / Z2", circle, z2),
     ("circle / S3", circle, s3),

@@ -4,8 +4,16 @@ A nerve records which pairwise and triple overlaps of an abstract cover
 are nonempty; a cocycle assigns one group element to each edge (the
 values for reversed edges and self-pairs are derived, so only the triple
 identity carries content). Triviality and equivalence are decided by
-spanning-tree propagation, with holonomy around closed paths as the
-obstruction diagnostic on cycle nerves.
+propagation along one breadth-first spanning forest, with holonomy
+around closed paths as the obstruction diagnostic on cycle nerves.
+
+Classification fixes the gauge on that forest: every cocycle is
+h . g0 for exactly one cochain h that is the identity at each root and
+one cocycle g0 that is the identity on every tree edge. The gauge-fixed
+cocycles are enumerated over the non-tree edges alone, and two of them
+are equivalent exactly when a conjugation at the roots moves one to the
+other (for a nerve without triples that quotient is Hom(pi_1, G)/G,
+Serre, *Cohomologie galoisienne*, I §5).
 """
 
 from __future__ import annotations
@@ -14,6 +22,9 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
+from .constructions import _codes, _digits
 from .errors import (
     InternalError,
     MalformedTable,
@@ -25,9 +36,11 @@ from .errors import (
     TripleViolation,
     TripleWithoutEdge,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _is_int
 
-CLASS_ENUM_MAX = 4096  # exhaustive classification is a test oracle, not a feature
+# Bounds |G|^edges, the cocycle candidates of enumerate_cocycles. Gauge-fixed
+# classification never does more work than that many candidates.
+CLASS_ENUM_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -81,20 +94,33 @@ class CocycleClass:
     members: tuple[tuple[int, ...], ...]  # edge-value tuples, lexicographically sorted
 
 
+def _sorted_ints(values, size: int, what: str, **where) -> list[int]:
+    """``values`` as sorted ints, else MalformedTable naming ``where`` (no bools, no floats)."""
+    values = list(values)
+    if len(values) != size:
+        raise MalformedTable(f"{what} {values!r} needs {size} entries", **where)
+    for pos, v in enumerate(values):
+        if not _is_int(v):
+            raise MalformedTable(
+                f"{what} {values!r}: entry {pos} = {v!r} is not an integer", position=pos, **where
+            )
+    return sorted(int(v) for v in values)
+
+
 def build_nerve(num_opens: int, edges, triples=()) -> Nerve:
     if num_opens < 1:
         raise MalformedTable(f"num_opens must be positive, got {num_opens}")
     edge_set = set()
-    for e in edges:
-        i, j = sorted(int(v) for v in e)
+    for idx, e in enumerate(edges):
+        i, j = _sorted_ints(e, 2, "edge", edge=idx)
         if i == j:
             raise MalformedTable(f"self-pair ({i},{j}) is not an edge", i=i, j=j)
         if not (0 <= i and j < num_opens):
             raise MalformedTable(f"edge ({i},{j}) out of range", i=i, j=j)
         edge_set.add((i, j))
     triple_set = set()
-    for t in triples:
-        i, j, k = sorted(int(v) for v in t)
+    for idx, t in enumerate(triples):
+        i, j, k = _sorted_ints(t, 3, "triple", triple=idx)
         if len({i, j, k}) != 3:
             raise MalformedTable(f"triple ({i},{j},{k}) has repeats", i=i, j=j, k=k)
         if not (0 <= i and k < num_opens):
@@ -120,12 +146,15 @@ def check_cocycle(nerve: Nerve, group: FiniteGroup, assignments) -> NerveCocycle
     The identity is checked in every ordering of every listed triple,
     using the derived inverses for reversed edges.
     """
+    edge_set = set(nerve.edges)
     values = {}
     for key, val in dict(assignments).items():
-        i, j = sorted(int(v) for v in key)
-        if (i, j) not in set(nerve.edges):
+        i, j = _sorted_ints(key, 2, "edge key", edge=str(key))
+        if (i, j) not in edge_set:
             raise Mismatch(f"assignment on non-edge ({i},{j})", i=i, j=j)
-        if not 0 <= int(val) < group.order:
+        if not _is_int(val):
+            raise MalformedTable(f"value {val!r} on edge ({i},{j}) is not an integer", i=i, j=j)
+        if not 0 <= val < group.order:
             raise MalformedTable(f"value {val} out of range on edge ({i},{j})", i=i, j=j)
         values[(i, j)] = int(val)
     for e in nerve.edges:
@@ -143,6 +172,10 @@ def check_cocycle(nerve: Nerve, group: FiniteGroup, assignments) -> NerveCocycle
 
 
 def make_cochain(nerve: Nerve, group: FiniteGroup, h) -> Cochain:
+    h = tuple(h)
+    for pos, v in enumerate(h):
+        if not _is_int(v):
+            raise MalformedTable(f"cochain entry {pos} = {v!r} is not an integer", position=pos)
     h = tuple(int(v) for v in h)
     if len(h) != nerve.num_opens:
         raise MalformedTable(
@@ -169,47 +202,50 @@ def apply_coboundary(c: NerveCocycle, h: Cochain) -> NerveCocycle:
     return check_cocycle(c.nerve, grp, new)
 
 
-def _components(nerve: Nerve) -> list[list[int]]:
-    adj = {i: [] for i in range(nerve.num_opens)}
-    for i, j in nerve.edges:
+@dataclass(frozen=True)
+class _Component:
+    root: int                          # the least open of the component
+    opens: tuple[int, ...]             # breadth-first order from the root
+    tree: tuple[tuple[int, int], ...]  # (parent, child) in breadth-first order
+    cotree: tuple[tuple[int, int], ...]  # the other edges, in nerve edge order
+
+
+def _spanning_forest(nerve: Nerve) -> list[_Component]:
+    """One breadth-first spanning tree per connected component, ascending neighbours.
+
+    Components come in the order of their least opens; an open on no
+    edge is a component of its own with an empty tree.
+    """
+    adj = [[] for _ in range(nerve.num_opens)]
+    for i, j in nerve.edges:  # sorted edges leave every list ascending
         adj[i].append(j)
         adj[j].append(i)
-    seen = [False] * nerve.num_opens
-    comps = []
+    comp_of = [-1] * nerve.num_opens
+    found = []
     for root in range(nerve.num_opens):
-        if seen[root]:
+        if comp_of[root] >= 0:
             continue
-        comp = []
+        comp_of[root] = len(found)
+        opens, tree = [], []
         queue = deque([root])
-        seen[root] = True
         while queue:
             u = queue.popleft()
-            comp.append(u)
-            for v in sorted(adj[u]):
-                if not seen[v]:
-                    seen[v] = True
+            opens.append(u)
+            for v in adj[u]:
+                if comp_of[v] < 0:
+                    comp_of[v] = comp_of[root]
+                    tree.append((u, v))
                     queue.append(v)
-        comps.append(comp)
-    return comps
-
-
-def _bfs_tree(nerve: Nerve, root: int) -> list[tuple[int, int]]:
-    """Tree edges (parent, child) in breadth-first order, ascending neighbors."""
-    adj = {i: [] for i in range(nerve.num_opens)}
-    for i, j in nerve.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {root}
-    order = []
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(adj[u]):
-            if v not in seen:
-                seen.add(v)
-                order.append((u, v))
-                queue.append(v)
-    return order
+        found.append((root, opens, tree))
+    tree_edges = {(min(e), max(e)) for _, _, tree in found for e in tree}
+    cotrees = [[] for _ in found]
+    for e in nerve.edges:
+        if e not in tree_edges:
+            cotrees[comp_of[e[0]]].append(e)
+    return [
+        _Component(root, tuple(opens), tuple(tree), tuple(cotree))
+        for (root, opens, tree), cotree in zip(found, cotrees)
+    ]
 
 
 def find_trivialization(c: NerveCocycle):
@@ -222,10 +258,8 @@ def find_trivialization(c: NerveCocycle):
     """
     grp = c.group
     h = [grp.identity] * c.nerve.num_opens
-    for comp in _components(c.nerve):
-        root = comp[0]
-        h[root] = grp.identity
-        for u, v in _bfs_tree(c.nerve, root):
+    for comp in _spanning_forest(c.nerve):
+        for u, v in comp.tree:
             h[v] = grp.mul(c.value(v, u), h[u])
     for i, j in c.nerve.edges:
         if c.g[(i, j)] != grp.mul(h[i], grp.inv(h[j])):
@@ -236,34 +270,33 @@ def find_trivialization(c: NerveCocycle):
 def are_equivalent(c1: NerveCocycle, c2: NerveCocycle):
     """A cochain h with c2_ij = h_i * c1_ij * h_j^-1, or NotEquivalent.
 
-    Propagation along a spanning tree per component, with the root value
-    enumerated over all group elements; the first witness wins.
+    Per component, the tree edges force h_v = A_v * r * B_v for the root
+    value r, with A_v and B_v transported once from the root; tree edges
+    then hold for every r, so each r in element order is tested on the
+    non-tree edges alone and the first that passes wins.
     """
     _require_same(c1, c2.nerve, c2.group)
     grp = c1.group
+    mul, inv = grp.mul, grp.inv
     h = [grp.identity] * c1.nerve.num_opens
-    for comp in _components(c1.nerve):
-        root = comp[0]
-        tree = _bfs_tree(c1.nerve, root)
-        comp_edges = [
-            (i, j) for (i, j) in c1.nerve.edges if i in comp
-        ]
-        found = False
+    for comp in _spanning_forest(c1.nerve):
+        a = {comp.root: grp.identity}
+        b = {comp.root: grp.identity}
+        for u, v in comp.tree:
+            # solve c2(u,v) = h_u * c1(u,v) * h_v^-1 for h_v
+            a[v] = mul(c2.value(v, u), a[u])
+            b[v] = mul(b[u], c1.value(u, v))
         for r in grp.elements():
-            h[root] = r
-            for u, v in tree:
-                # solve c2(u,v) = h_u * c1(u,v) * h_v^-1 for h_v
-                h[v] = grp.mul(
-                    grp.mul(c2.value(v, u), h[u]), c1.value(u, v)
-                )
             if all(
-                c2.g[(i, j)] == grp.mul(grp.mul(h[i], c1.g[(i, j)]), grp.inv(h[j]))
-                for (i, j) in comp_edges
+                c2.g[(i, j)]
+                == mul(mul(mul(a[i], mul(r, b[i])), c1.g[(i, j)]), inv(mul(a[j], mul(r, b[j]))))
+                for (i, j) in comp.cotree
             ):
-                found = True
                 break
-        if not found:
+        else:
             return NotEquivalent()
+        for v in comp.opens:
+            h[v] = mul(a[v], mul(r, b[v]))
     return make_cochain(c1.nerve, grp, h)
 
 
@@ -300,11 +333,15 @@ def all_cochains(nerve: Nerve, group: FiniteGroup):
         yield make_cochain(nerve, group, h)
 
 
-def enumerate_cocycles(nerve: Nerve, group: FiniteGroup):
-    """All valid cocycles in lexicographic edge-value order."""
+def _guard_candidates(nerve: Nerve, group: FiniteGroup) -> None:
     total = group.order ** len(nerve.edges)
     if total > CLASS_ENUM_MAX:
         raise TooLarge(f"{total} cocycle candidates exceed {CLASS_ENUM_MAX}", size=total)
+
+
+def enumerate_cocycles(nerve: Nerve, group: FiniteGroup):
+    """All valid cocycles in lexicographic edge-value order."""
+    _guard_candidates(nerve, group)
     out = []
     for combo in itertools.product(group.elements(), repeat=len(nerve.edges)):
         assignment = dict(zip(nerve.edges, combo))
@@ -315,30 +352,78 @@ def enumerate_cocycles(nerve: Nerve, group: FiniteGroup):
     return out
 
 
+def _gauge_fixed_cocycles(nerve: Nerve, group: FiniteGroup, pos, free) -> list[tuple[int, ...]]:
+    """Edge-value tuples of the valid cocycles that are the identity off the positions ``free``."""
+    cay, e = group.cayley, group.identity
+    # with i < j < k, g_ij * g_jk = g_ik is the triple identity in every ordering
+    triples = [(pos[(i, j)], pos[(j, k)], pos[(i, k)]) for i, j, k in nerve.triples]
+    out = []
+    g = [e] * len(nerve.edges)
+    for combo in itertools.product(group.elements(), repeat=len(free)):
+        for p, x in zip(free, combo):
+            g[p] = x
+        if all(cay[g[ij]][g[jk]] == g[ik] for ij, jk, ik in triples):
+            out.append(tuple(g))
+    return out
+
+
 def equivalence_classes(nerve: Nerve, group: FiniteGroup) -> list[CocycleClass]:
     """Partition all valid cocycles into coboundary-equivalence classes.
 
-    Classes are found by closing each unseen cocycle under the full
-    cochain action; representatives are lexicographically least.
+    Gauge fixing on the spanning forest: the map (g0, h) -> h . g0 is a
+    bijection from (valid cocycles that are the identity on tree edges)
+    x (cochains that are the identity at every root) onto the valid
+    cocycles. The gauge-fixed cocycles split into orbits under
+    conjugation by one root element per component, and each orbit times
+    all root-fixed cochains is one class, applied by Cayley-table lookups.
+    Members are sorted; the representative is the least one, and classes
+    come in the order of their representatives. Raises TooLarge when the
+    |G|^edges candidates exceed CLASS_ENUM_MAX, which also bounds the work.
     """
-    cocycles = enumerate_cocycles(nerve, group)
-    valid = {c.edge_values() for c in cocycles}
+    _guard_candidates(nerve, group)
+    cay, inv, n = group.cayley, group.inverse, group.order
+    comps = [c for c in _spanning_forest(nerve) if c.tree]
+    pos = {edge: p for p, edge in enumerate(nerve.edges)}
+    # conjugation at a root changes only its component's non-tree edges
+    conj_positions = [[pos[x] for x in c.cotree] for c in comps if c.cotree]
+    gauge_fixed = _gauge_fixed_cocycles(nerve, group, pos, sum(conj_positions, []))
+
+    # every cochain that is the identity at the roots, one row each: h_i and h_j^-1 per edge
+    free = [v for c in comps for v in c.opens[1:]]
+    h = np.full((n ** len(free), nerve.num_opens), group.identity)
+    h[:, free] = _digits(np.arange(len(h)), n, len(free))
+    tails, heads = np.array(nerve.edges, dtype=np.intp).reshape(-1, 2).T
+    left = h[:, tails]
+    right = np.asarray(inv)[h[:, heads]]
+
     seen = set()
-    classes = []
-    cochains = list(all_cochains(nerve, group))
-    for c in cocycles:
-        key = c.edge_values()
-        if key in seen:
+    classes, codes = [], []
+    for g0 in gauge_fixed:
+        if g0 in seen:
             continue
-        orbit = {apply_coboundary(c, h).edge_values() for h in cochains}
-        if not (orbit <= valid and key in orbit):
-            raise InternalError("a coboundary orbit leaves the valid cocycles")
-        seen.update(orbit)
-        classes.append(
-            CocycleClass(
-                representative=c,
-                size=len(orbit),
-                members=tuple(sorted(orbit)),
-            )
-        )
+        orbit = {g0}
+        for positions in conj_positions:
+            moved = set()
+            for g in orbit:
+                for r in group.elements():
+                    row, r_inv = cay[r], inv[r]
+                    x = list(g)
+                    for p in positions:
+                        x[p] = cay[row[g[p]]][r_inv]
+                    moved.add(tuple(x))
+            orbit = moved
+        seen |= orbit
+        values = np.concatenate([group.array[group.array[left, g], right] for g in orbit])
+        code = _codes(values, n)
+        codes.append(code)
+        members = tuple(map(tuple, values[np.argsort(code)].tolist()))
+        rep = check_cocycle(nerve, group, dict(zip(nerve.edges, members[0])))
+        classes.append(CocycleClass(representative=rep, size=len(members), members=members))
+
+    total = sum(c.size for c in classes)
+    if len(seen) != len(gauge_fixed) or total != len(gauge_fixed) * len(h):
+        raise InternalError("conjugation orbits leave the gauge-fixed cocycles")
+    if len(np.unique(np.concatenate(codes))) != total:
+        raise InternalError("two coboundary classes share a cocycle")
+    classes.sort(key=lambda c: c.members[0])
     return classes

@@ -44,6 +44,8 @@ def _expect(obj, key, kind, what):
 
 def _int_cells(cells, what, **where) -> tuple[int, ...]:
     """Table cells as ints, else MalformedTable; the sheaf checks witness their range."""
+    if not isinstance(cells, list):
+        raise MalformedTable(f"{what} {where}: {cells!r} is not a list", **where)
     for col, x in enumerate(cells):
         if not _is_int(x):
             where["col"] = col
@@ -220,6 +222,8 @@ def sheaf_action_from_obj(obj) -> SheafAction:
         table = act_raw.get(str(u))
         if table is None:
             raise SchemaError(f"sheaf-action: missing action table for open {u}")
+        if not isinstance(table, list):
+            raise SchemaError(f"sheaf-action: action table for open {u} must be a list")
         act.append(tuple(
             _int_cells(cells, "sheaf-action.act", key=str(u), row=r)
             for r, cells in enumerate(table)

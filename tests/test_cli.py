@@ -208,3 +208,44 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert res2.returncode == 0
     assert "PASS" in res2.stdout
+
+
+def test_sheaf_action_rows_must_be_lists(tmp_path, z3):
+    import torsorkit as tk
+    from torsorkit import jsonio
+
+    obj = jsonio.sheaf_action_to_obj(tk.lift_point_action(tk.left_translation_action(z3)))
+    obj["act"]["1"][2] = 5
+    path = tmp_path / "lifted.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["check", "sheaf-torsor", str(path), "--json"])
+    assert code == 1
+    assert json.loads(out)["witnesses"] == [{"axiom": "malformed-table", "key": "1", "row": 2}]
+    assert err == ""
+
+
+def _set_edge(obj):
+    obj["nerve"]["edges"][1] = [0, 1.7]
+
+
+def _set_triple(obj):
+    obj["nerve"]["triples"] = [[0, 1, 2.5]]
+
+
+def _set_value(obj):
+    obj["g"]["0,2"] = True
+
+
+@pytest.mark.parametrize("corrupt,witness", [
+    (_set_edge, {"axiom": "malformed-table", "edge": 1, "position": 1}),
+    (_set_triple, {"axiom": "malformed-table", "triple": 0, "position": 2}),
+    (_set_value, {"axiom": "malformed-table", "i": 0, "j": 2}),
+])
+def test_cocycle_file_entries_must_be_integers(tmp_path, corrupt, witness):
+    obj = json.loads((DATA / "cocycle_c3_z2.json").read_text())
+    corrupt(obj)
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run_cli(["check", "cocycle", str(path), "--json"])
+    assert code == 1
+    assert json.loads(out)["witnesses"] == [witness]

@@ -359,3 +359,61 @@ def test_classes_guard(c3):
     big = tk.catalog_group("symmetric(4)")
     with pytest.raises(TooLarge):
         tk.equivalence_classes(c3, big)  # 24^3 candidates
+
+
+@pytest.mark.parametrize("edge,position", [((0, 1.7), 1), ((True, 1), 0), (("0", 1), 0)])
+def test_build_nerve_rejects_non_integer_edges(edge, position):
+    with pytest.raises(MalformedTable) as exc:
+        tk.build_nerve(3, [(0, 2), edge])
+    assert exc.value.data == {"edge": 1, "position": position}
+
+
+def test_build_nerve_rejects_non_integer_triples_and_short_edges():
+    with pytest.raises(MalformedTable) as exc:
+        tk.build_nerve(3, C3_EDGES, [(0, 1, 2.0)])
+    assert exc.value.data == {"triple": 0, "position": 2}
+    with pytest.raises(MalformedTable) as exc:
+        tk.build_nerve(3, [(0,)])
+    assert exc.value.data == {"edge": 0}
+
+
+@pytest.mark.parametrize("value", [0.9, True, 1.0, "1"])
+def test_check_cocycle_rejects_non_integer_values(c3, z2, value):
+    with pytest.raises(MalformedTable) as exc:
+        tk.check_cocycle(c3, z2, {(0, 1): 0, (0, 2): value, (1, 2): 0})
+    assert exc.value.data == {"i": 0, "j": 2}
+
+
+def test_check_cocycle_rejects_non_integer_keys(c3, z2):
+    with pytest.raises(MalformedTable) as exc:
+        tk.check_cocycle(c3, z2, {(0, 1): 0, (0, 2.0): 1, (1, 2): 0})
+    assert exc.value.data["position"] == 1
+
+
+def test_check_cocycle_accepts_numpy_integers(c3, z2):
+    import numpy as np
+
+    c = tk.check_cocycle(c3, z2, {(np.int64(0), 1): np.int32(1), (0, 2): 0, (1, 2): 0})
+    assert c.edge_values() == (1, 0, 0)
+    assert all(type(v) is int for v in c.edge_values())
+
+
+@pytest.mark.parametrize("value", [0.5, True, None])
+def test_make_cochain_rejects_non_integer_entries(c3, z2, value):
+    with pytest.raises(MalformedTable) as exc:
+        tk.make_cochain(c3, z2, [0, value, 0])
+    assert exc.value.data == {"position": 1}
+
+
+def test_classes_of_a_six_edge_matching_in_under_a_second():
+    import time
+
+    nerve = tk.build_nerve(12, [(2 * i, 2 * i + 1) for i in range(6)])
+    start = time.perf_counter()
+    classes = tk.equivalence_classes(nerve, tk.catalog_group("cyclic(4)"))
+    assert time.perf_counter() - start < 1.0
+    assert [c.size for c in classes] == [4096]
+    assert classes[0].members == tuple(itertools.product(range(4), repeat=6))
+    with pytest.raises(TooLarge) as exc:
+        tk.equivalence_classes(tk.build_nerve(3, C3_EDGES), tk.catalog_group("symmetric(4)"))
+    assert exc.value.data["size"] == 24**3

@@ -15,6 +15,10 @@ for cell.
 
 ``is_sheaf`` decides gluing on the minimal-open cover of each open; the
 reference below tries every cover, and the verdicts must agree.
+
+``equivalence_classes`` fixes the gauge on a spanning forest; the
+reference closes each cocycle's orbit under every cochain, and the
+classes must agree in representatives, sizes, members and order.
 """
 
 import itertools
@@ -689,3 +693,108 @@ def test_is_sheaf_matches_the_all_covers_reference(sheaf):
             m = space.intersection_index(a, b)
             assert sheaf.restrict_section(a, fa, m) == sheaf.restrict_section(b, fb, m)
         assert w["gluings"] == gluings(sheaf, w["open"], cover, family) != 1
+
+
+# ---------------------------------------------------------------- cocycle classification
+
+
+def ref_equivalence_classes(nerve, group):
+    """Close each unseen cocycle under the full cochain action, in lexicographic order.
+
+    Representatives are lexicographically least, so classes come in the
+    order of their representatives.
+    """
+    cocycles = tk.enumerate_cocycles(nerve, group)
+    valid = {c.edge_values() for c in cocycles}
+    seen = set()
+    classes = []
+    cochains = list(tk.all_cochains(nerve, group))
+    for c in cocycles:
+        key = c.edge_values()
+        if key in seen:
+            continue
+        orbit = {tk.apply_coboundary(c, h).edge_values() for h in cochains}
+        assert orbit <= valid and key in orbit
+        seen.update(orbit)
+        classes.append((key, len(orbit), tuple(sorted(orbit))))
+    return classes
+
+
+def classes_as_tuples(classes):
+    return [(c.representative.edge_values(), c.size, c.members) for c in classes]
+
+
+@st.composite
+def classified_nerves(draw):
+    """A group and a nerve: random edges, any triples their edges allow.
+
+    Edges are drawn independently, so nerves come with several components
+    and isolated opens. The number of opens is at most 6 for cyclic(2),
+    where class order first differs from the order in which the gauge-fixed
+    cocycles are found, 5 for orders 3 and 4 and 4 for symmetric(3), which
+    keeps the reference's |G|^opens cochains per class few.
+    """
+    name = draw(st.sampled_from(["cyclic(2)", "cyclic(3)", "klein_four", "cyclic(4)", "symmetric(3)"]))
+    group = tk.catalog_group(name)
+    n = draw(st.integers(1, {2: 6, 3: 5, 4: 5, 6: 4}[group.order]))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [p for p in pairs if draw(st.booleans())]
+    allowed = [
+        t for t in itertools.combinations(range(n), 3)
+        if all(p in edges for p in itertools.combinations(t, 2))
+    ]
+    triples = [t for t in allowed if draw(st.booleans())]
+    return tk.build_nerve(n, edges, triples), group
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(classified_nerves())
+def test_equivalence_classes_match_the_orbit_closure(case):
+    nerve, group = case
+    if group.order ** len(nerve.edges) > tk.cocycles.CLASS_ENUM_MAX:
+        with pytest.raises(errors.TooLarge) as exc:
+            tk.equivalence_classes(nerve, group)
+        assert exc.value.data["size"] == group.order ** len(nerve.edges)
+        return
+    assert classes_as_tuples(tk.equivalence_classes(nerve, group)) == ref_equivalence_classes(
+        nerve, group
+    )
+
+
+def _cycle(k):
+    return tk.build_nerve(k, [(i, (i + 1) % k) for i in range(k)])
+
+
+def _simplex(k):
+    return tk.build_nerve(
+        k, itertools.combinations(range(k), 2), itertools.combinations(range(k), 3)
+    )
+
+
+def _matching(k):
+    return tk.build_nerve(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+
+
+# the (group, nerve) pairs that bench/workloads.py classifies
+BENCH_NERVES = {
+    "cycle3": _cycle(3), "cycle4": _cycle(4), "cycle5": _cycle(5), "triangle": _simplex(3),
+    "K4": _simplex(4), "match2": _matching(2), "match3": _matching(3),
+}
+BENCH_CLASSIFY = [
+    ("cyclic(3)", "cycle3"), ("cyclic(4)", "cycle4"), ("cyclic(5)", "cycle4"), ("cyclic(6)", "cycle4"),
+    ("symmetric(3)", "cycle4"), ("cyclic(2)", "cycle5"), ("klein_four", "cycle5"), ("cyclic(4)", "cycle5"),
+    ("cyclic(8)", "cycle3"), ("cyclic(5)", "cycle5"),
+    ("cyclic(4)", "triangle"), ("cyclic(8)", "triangle"), ("symmetric(3)", "triangle"),
+    ("klein_four", "K4"), ("cyclic(4)", "K4"), ("cyclic(3)", "K4"),
+    ("cyclic(3)", "match3"), ("cyclic(4)", "match3"), ("klein_four", "match3"), ("symmetric(3)", "match2"),
+    ("cyclic(5)", "match3"), ("symmetric(3)", "match3"), ("cyclic(8)", "match2"), ("cyclic(7)", "match2"),
+    ("cyclic(7)", "cycle4"),
+]
+
+
+@pytest.mark.parametrize("name,shape", BENCH_CLASSIFY)
+def test_benchmark_classifications_match_the_orbit_closure(name, shape):
+    nerve, group = BENCH_NERVES[shape], tk.catalog_group(name)
+    assert classes_as_tuples(tk.equivalence_classes(nerve, group)) == ref_equivalence_classes(
+        nerve, group
+    )
