@@ -109,7 +109,7 @@ def _sum_codes(a: np.ndarray, b: np.ndarray, p: int, width: int) -> np.ndarray:
 
 def _positions(codes: np.ndarray, size: int) -> np.ndarray:
     """Lookup from code to its position in ``codes``; -1 for codes not listed."""
-    pos = np.full(size, -1, dtype=np.intp)
+    pos = np.full(size, -1, dtype=np.int32)
     pos[codes] = np.arange(len(codes))
     return pos
 

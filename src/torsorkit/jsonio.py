@@ -269,7 +269,7 @@ def descent_from_obj(obj) -> DescentDatum:
     raw = _expect(obj, "transition", dict, "descent")
     transition = {}
     for key, val in raw.items():
-        if not isinstance(val, int):
+        if not _is_int(val):
             raise SchemaError(f"descent: transition value on {key!r} must be an integer")
         transition[_parse_pair_key(key, "descent.transition")] = val
     gs = constant_group_sheaf(space, group)

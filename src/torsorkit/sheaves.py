@@ -14,6 +14,16 @@ the left of the chart coordinate (g_ij . s_j = s_i) while the group acts
 on the right through inversion (a . (s_i) = (s_i . a^-1)), the unique
 choice that commutes with the transitions and still satisfies the left
 action axioms for nonabelian groups.
+
+Arrays inside, tuples outside: the public fields (section counts,
+restriction and action tables) are tuples of Python ints, which is what
+jsonio writes and callers read. The work runs on int arrays. The constant
+sheaf builds G^c with the mixed-radix codec of ``constructions``; each
+axiom is one gather-and-compare per inclusion or per open, whose first
+mismatch in row-major order is the witness the cell-by-cell loops would
+find first; compatible families are enumerated one cover member at a time
+as a boolean mask over (prefix, section), in lexicographic order, and
+found again by code lookup.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import GroupAction, Torsor
+from .constructions import _codes, _digits, _positions
 from .errors import (
     CoverIncomplete,
     InternalError,
@@ -35,7 +46,14 @@ from .errors import (
     TripleViolation,
     UnknownOpen,
 )
-from .groups import FiniteGroup, _compatibility_witness, build_group
+from .groups import (
+    FiniteGroup,
+    _compatibility_witness,
+    _index_array,
+    _is_int,
+    _tuples,
+    build_group,
+)
 from .report import Report, failing, passing
 from .spaces import FiniteSpace, connected_components, point_space, pseudocircle
 
@@ -123,78 +141,86 @@ class DescentDatum:
 
 
 def _proper_pairs(space: FiniteSpace):
-    for u, ou in enumerate(space.opens):
-        su = frozenset(ou)
-        for v, ov in enumerate(space.opens):
-            if v != u and frozenset(ov) <= su:
-                yield u, v
+    for u, below in enumerate(space.subopens):
+        for v in below:
+            yield u, v
+
+
+def _guard_sections(group: FiniteGroup, count: int) -> int:
+    """|G|^count, the sections of an open with ``count`` components, within the guard."""
+    size = group.order ** count
+    if size > CONSTANT_SECTIONS_MAX:
+        raise TooLarge(f"{size} sections on one open exceed {CONSTANT_SECTIONS_MAX}", size=size)
+    return size
 
 
 def constant_section_id(group: FiniteGroup, values) -> int:
     """Index of a component-value tuple in the constant sheaf's enumeration."""
-    idx = 0
-    for v in values:
-        idx = idx * group.order + v
-    return idx
+    _guard_sections(group, len(values))
+    return int(_codes(np.asarray(values, dtype=np.intp), group.order))
 
 
 def constant_section_tuple(group: FiniteGroup, count: int, idx: int) -> tuple[int, ...]:
-    vals = []
-    for _ in range(count):
-        vals.append(idx % group.order)
-        idx //= group.order
-    return tuple(reversed(vals))
+    _guard_sections(group, count)
+    return tuple(_digits(idx, group.order, count).tolist())
 
 
 def constant_group_sheaf(space: FiniteSpace, group: FiniteGroup) -> SheafOfGroups:
     """Locally constant functions into the group, with pointwise group law.
 
     G(U) is the set of functions from the components of U to the group,
-    enumerated lexicographically; restriction refines components.
+    enumerated lexicographically; restriction refines components. A
+    section is the mixed-radix code of its component values, so G(U) is
+    G^c for c components, built once per c.
     """
     comps = [connected_components(space, o) for o in space.opens]
-    sizes = []
+    sizes = [_guard_sections(group, len(c)) for c in comps]
+    n = group.order
+    values = {}  # component count -> the value tuple of every section, one row each
+    powers = {}
     for c in comps:
-        size = group.order ** len(c)
-        if size > CONSTANT_SECTIONS_MAX:
-            raise TooLarge(f"{size} sections on one open exceed {CONSTANT_SECTIONS_MAX}", size=size)
-        sizes.append(size)
-    groups = []
-    for u, c in enumerate(comps):
-        tuples = list(itertools.product(group.elements(), repeat=len(c)))
-        table = [
-            [
-                constant_section_id(group, [group.mul(a, b) for a, b in zip(s, t)])
-                for t in tuples
-            ]
-            for s in tuples
-        ]
-        groups.append(build_group(sizes[u], table))
+        if len(c) not in powers:
+            vals = values[len(c)] = _digits(np.arange(n ** len(c)), n, len(c))
+            table = _codes(group.array[vals[:, None], vals[None, :]], n)
+            powers[len(c)] = build_group(n ** len(c), table)
     restrict = {}
     for u, v in _proper_pairs(space):
-        comp_map = []
-        for comp_v in comps[v]:
-            holder = next(i for i, cu in enumerate(comps[u]) if comp_v[0] in cu)
-            comp_map.append(holder)
-        table = []
-        for idx in range(sizes[u]):
-            vals = constant_section_tuple(group, len(comps[u]), idx)
-            table.append(constant_section_id(group, [vals[m] for m in comp_map]))
-        restrict[(u, v)] = tuple(table)
+        holder = [next(i for i, cu in enumerate(comps[u]) if cv[0] in cu) for cv in comps[v]]
+        restrict[(u, v)] = tuple(_codes(values[len(comps[u])][:, holder], n).tolist())
     sets = SheafOfSets(space=space, sizes=tuple(sizes), restrict=restrict)
-    return SheafOfGroups(sets=sets, groups=tuple(groups))
+    return SheafOfGroups(sets=sets, groups=tuple(powers[len(c)] for c in comps))
 
 
-def _structural_witnesses(sheaf: SheafOfSets) -> list[dict]:
-    out = []
+def _arrays(restrict: dict) -> dict:
+    return {key: np.asarray(table, dtype=np.int32) for key, table in restrict.items()}
+
+
+def _table(arrays: dict, sizes, u: int, v: int) -> np.ndarray:
+    """The restriction from open u to open v as an int array; the identity when u == v."""
+    return np.arange(sizes[u]) if u == v else arrays[(u, v)]
+
+
+def _first(bad: np.ndarray):
+    """Row-major index tuple of the first True cell, or None."""
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+
+
+def _structure(sheaf: SheafOfSets) -> tuple[list[dict], dict]:
+    """Structural witnesses, and the restriction tables as int arrays when there are none."""
+    out, arrays = [], {}
     for u, v in _proper_pairs(sheaf.space):
         table = sheaf.restrict.get((u, v))
         if table is None or len(table) != sheaf.sizes[u]:
             out.append({"axiom": "restriction-table", "u": u, "v": v})
             continue
-        if any(not 0 <= s < sheaf.sizes[v] for s in table):
+        arr = _index_array([table], 1, sheaf.sizes[u], sheaf.sizes[v])
+        if arr is None:
             out.append({"axiom": "restriction-range", "u": u, "v": v})
-    return out
+            continue
+        arrays[(u, v)] = arr[0]
+    return out, arrays
 
 
 def _minimal_cover(space: FiniteSpace, u: int) -> tuple[int, ...]:
@@ -205,51 +231,54 @@ def _minimal_cover(space: FiniteSpace, u: int) -> tuple[int, ...]:
     return tuple(m for m in members if not any(sets[m] < sets[n] for n in members))
 
 
-def _compatible_families(sheaf: SheafOfSets, members: tuple[int, ...]):
-    """Backtracking enumeration of families agreeing on pairwise overlaps."""
-    space = sheaf.space
-    inter = {
-        (a, b): space.intersection_index(a, b)
-        for a in members for b in members if a < b
-    }
+def _compatible_families(sizes, agree: dict):
+    """Families (f_0, ..., f_k-1) with left[f_i] == right[f_j] for each agree[(i, j)] = (left, right).
 
-    def extend(assigned):
-        pos = len(assigned)
-        if pos == len(members):
-            yield tuple(assigned)
-            return
-        m = members[pos]
-        for s in sheaf.sections(m):
-            ok = True
-            for q, f in zip(members, assigned):
-                a, b = min(q, m), max(q, m)
-                w = inter[(a, b)]
-                if sheaf.restrict_section(m, s, w) != sheaf.restrict_section(q, f, w):
-                    ok = False
-                    break
-            if ok:
-                yield from extend(assigned + [s])
+    Returns the families as rows in lexicographic order, and per member
+    the lookup from (prefix row, section) code to the extended family's
+    row, for ``_locate``. Built one member at a time like backtracking, so
+    the work is that of the compatible prefixes, not of the whole product.
+    """
+    rows = np.zeros((1, 0), dtype=np.intp)
+    lookups = []
+    for j, n in enumerate(sizes):
+        ok = np.ones((len(rows), n), dtype=bool)
+        for i in range(j):
+            left, right = agree[(i, j)]
+            ok &= left[rows[:, i], None] == right
+        kept = np.flatnonzero(ok)  # C order: prefixes ascending, then sections
+        # n more misses at the end: _locate sends a prefix already missed (-1) to [-n, 0)
+        lookups.append(_positions(kept, ok.size + n))
+        rows = np.column_stack([rows[kept // n], kept % n])
+    return rows, lookups
 
-    yield from extend([])
+
+def _locate(lookups, sizes, columns) -> np.ndarray:
+    """The family row of each tuple (columns[0][..], ..., columns[k-1][..]), -1 where it is none.
+
+    The columns hold the family entries and share one shape, which the result takes.
+    """
+    found = np.zeros(np.shape(columns[0]), dtype=np.int32)
+    for pos, n, col in zip(lookups, sizes, columns):
+        found *= n
+        found += col
+        np.take(pos, found, out=found)
+    return found
 
 
 def is_sheaf(sheaf: SheafOfSets) -> Report:
     """Exact functoriality, locality, and gluing check on minimal covers, with witnesses."""
-    witnesses = _structural_witnesses(sheaf)
+    witnesses, arrays = _structure(sheaf)
     if witnesses:
         return failing("sheaf", witnesses)
     space = sheaf.space
     for u, v in _proper_pairs(space):
-        for w, ow in enumerate(space.opens):
-            if w in (u, v) or not frozenset(ow) <= frozenset(space.opens[v]):
-                continue
-            for s in sheaf.sections(u):
-                via = sheaf.restrict_section(v, sheaf.restrict_section(u, s, v), w)
-                if via != sheaf.restrict_section(u, s, w):
-                    witnesses.append(
-                        {"axiom": "functoriality", "u": u, "v": v, "w": w, "section": s}
-                    )
-                    break
+        for w in space.subopens[v]:
+            bad = _first(arrays[(v, w)][arrays[(u, v)]] != arrays[(u, w)])
+            if bad is not None:
+                witnesses.append(
+                    {"axiom": "functoriality", "u": u, "v": v, "w": w, "section": bad[0]}
+                )
     for u, target in enumerate(space.opens):
         if not target:
             if sheaf.sizes[u] != 1:
@@ -258,25 +287,25 @@ def is_sheaf(sheaf: SheafOfSets) -> Report:
                 )
             continue
         cover = _minimal_cover(space, u)
-        for family in _compatible_families(sheaf, cover):
-            gluers = [
-                s for s in sheaf.sections(u)
-                if all(
-                    sheaf.restrict_section(u, s, m) == f
-                    for m, f in zip(cover, family)
-                )
-            ]
-            if len(gluers) != 1:
-                witnesses.append(
-                    {
-                        "axiom": "gluing",
-                        "open": u,
-                        "cover": list(cover),
-                        "family": list(family),
-                        "gluings": len(gluers),
-                    }
-                )
-                break
+        sizes = [sheaf.sizes[m] for m in cover]
+        agree = {}
+        for i, j in itertools.combinations(range(len(cover)), 2):
+            w = space.intersection_index(cover[i], cover[j])
+            agree[(i, j)] = (arrays[(cover[i], w)], arrays[(cover[j], w)])
+        families, lookups = _compatible_families(sizes, agree)
+        found = _locate(lookups, sizes, [_table(arrays, sheaf.sizes, u, m) for m in cover])
+        gluings = np.bincount(found[found >= 0], minlength=len(families))
+        bad = _first(gluings != 1)
+        if bad is not None:
+            witnesses.append(
+                {
+                    "axiom": "gluing",
+                    "open": u,
+                    "cover": list(cover),
+                    "family": families[bad[0]].tolist(),
+                    "gluings": int(gluings[bad[0]]),
+                }
+            )
     if witnesses:
         return failing("sheaf", witnesses)
     return passing("sheaf", counts={"opens": len(space.opens)})
@@ -290,74 +319,57 @@ def is_sheaf_of_groups(gs: SheafOfGroups) -> Report:
         if grp.order != gs.sets.sizes[u]:
             witnesses.append({"axiom": "group-order", "open": u})
     if not witnesses:
+        arrays = _arrays(gs.sets.restrict)
         for u, v in _proper_pairs(gs.space):
-            grp_u, grp_v = gs.groups[u], gs.groups[v]
-            done = False
-            for s in gs.sections(u):
-                for t in gs.sections(u):
-                    lhs = gs.restrict_section(u, grp_u.mul(s, t), v)
-                    rhs = grp_v.mul(
-                        gs.restrict_section(u, s, v), gs.restrict_section(u, t, v)
-                    )
-                    if lhs != rhs:
-                        witnesses.append(
-                            {"axiom": "restriction-hom", "u": u, "v": v, "s": s, "t": t}
-                        )
-                        done = True
-                        break
-                if done:
-                    break
+            r = arrays[(u, v)]
+            # [s, t] -> (s*t)|v against s|v * t|v
+            bad = _first(r[gs.groups[u].array] != gs.groups[v].array[r[:, None], r])
+            if bad is not None:
+                s, t = bad
+                witnesses.append({"axiom": "restriction-hom", "u": u, "v": v, "s": s, "t": t})
     if witnesses:
         return failing("sheaf-of-groups", witnesses)
     return passing("sheaf-of-groups", counts={"opens": len(gs.space.opens)})
 
 
-def _action_structure_witnesses(action: SheafAction) -> list[dict]:
-    out = []
+def _action_structure_witnesses(action: SheafAction) -> tuple[list[dict], list]:
+    """Witnesses of the action axioms per open and along restrictions, and the act tables as int arrays."""
+    out, tables = [], []
     gs, fs = action.groups, action.sets
     space = fs.space
     for u in range(len(space.opens)):
-        grp = gs.groups[u]
+        grp, size = gs.groups[u], fs.sizes[u]
         table = action.act[u]
-        if len(table) != grp.order or any(len(r) != fs.sizes[u] for r in table):
+        if len(table) != grp.order or any(len(r) != size for r in table):
             out.append({"axiom": "action-table", "open": u})
             continue
-        if any(not 0 <= x < fs.sizes[u] for r in table for x in r):
+        arr = _index_array(table, grp.order, size, size)
+        if arr is None:
             out.append({"axiom": "action-range", "open": u})
             continue
-        bad_x = next(
-            (x for x in range(fs.sizes[u]) if table[grp.identity][x] != x), None
-        )
-        if bad_x is not None:
-            out.append({"axiom": "action-identity", "open": u, "x": bad_x})
+        tables.append(arr)
+        moved = _first(arr[grp.identity] != np.arange(size))
+        if moved is not None:
+            out.append({"axiom": "action-identity", "open": u, "x": moved[0]})
             continue
-        if fs.sizes[u]:
-            bad = _compatibility_witness(
-                np.array(table, dtype=np.int32), grp.array, grp.identity
-            )
+        if size:
+            bad = _compatibility_witness(arr, grp.array, grp.identity)
             if bad is not None:
                 g, h, x = bad
                 out.append(
                     {"axiom": "action-compatibility", "open": u, "g": g, "h": h, "x": x}
                 )
     if out:
-        return out
+        return out, tables
+    g_arrays, f_arrays = _arrays(gs.sets.restrict), _arrays(fs.restrict)
     for u, v in _proper_pairs(space):
-        done = False
-        for a in gs.sections(u):
-            ra = gs.restrict_section(u, a, v)
-            for s in fs.sections(u):
-                lhs = fs.restrict_section(u, action.act[u][a][s], v)
-                rhs = action.act[v][ra][fs.restrict_section(u, s, v)]
-                if lhs != rhs:
-                    out.append(
-                        {"axiom": "action-restriction", "u": u, "v": v, "g": a, "s": s}
-                    )
-                    done = True
-                    break
-            if done:
-                break
-    return out
+        rg, rf = g_arrays[(u, v)], f_arrays[(u, v)]
+        # [a, s] -> (a.s)|v against a|v . s|v
+        bad = _first(rf[tables[u]] != tables[v][rg[:, None], rf])
+        if bad is not None:
+            a, s = bad
+            out.append({"axiom": "action-restriction", "u": u, "v": v, "g": a, "s": s})
+    return out, tables
 
 
 def is_sheaf_torsor(action: SheafAction) -> Report:
@@ -370,45 +382,46 @@ def is_sheaf_torsor(action: SheafAction) -> Report:
     refine every cover of a finite space, so this decides the existential
     cover quantifiers exactly (a smaller minimal open is decided as U itself).
     """
-    witnesses = _action_structure_witnesses(action)
+    witnesses, tables = _action_structure_witnesses(action)
     if witnesses:
         return failing("sheaf-torsor", witnesses)
-    gs, fs = action.groups, action.sets
+    fs = action.sets
     space = fs.space
     for x in range(space.num_points):
         m = space.minimal_open[x]
         if fs.sizes[m] < 1:
             witnesses.append({"axiom": "locally-nonempty", "point": x, "open": m})
+    arrays = _arrays(fs.restrict)
+    transports = {}  # per minimal open m: [x, y] -> the number of a in G(m) with a.x = y
     for u, target in enumerate(space.opens):
         if not target:
             continue
         for m in _minimal_cover(space, u):
-            table = np.array(action.act[m], dtype=np.int64).reshape(
-                gs.sets.sizes[m], fs.sizes[m]
-            )
-            counts = {}
-            bad = None
-            for s in fs.sections(u):
-                rs = fs.restrict_section(u, s, m)
-                if rs not in counts:
-                    counts[rs] = np.bincount(table[:, rs], minlength=fs.sizes[m])
-                for t in fs.sections(u):
-                    rt = fs.restrict_section(u, t, m)
-                    c = int(counts[rs][rt])
-                    if c != 1:
-                        bad = {
-                            "axiom": "local-transport",
-                            "open": u,
-                            "s": s,
-                            "t": t,
-                            "min_open": m,
-                            "transports": c,
-                        }
-                        break
-                if bad:
-                    break
-            if bad:
-                witnesses.append(bad)
+            n = fs.sizes[m]
+            if m not in transports:
+                codes = np.arange(n) * n + tables[m]
+                transports[m] = np.bincount(codes.ravel(), minlength=n * n).reshape(n, n)
+            # the counts depend on the restrictions only: index by the distinct ones
+            r = _table(arrays, fs.sizes, u, m)
+            seen = np.flatnonzero(np.bincount(r, minlength=n))
+            where = _positions(seen, n)[r]
+            counts = transports[m][seen[:, None], seen]
+            bad_rows = (counts != 1).any(axis=1)[where]
+            bad = _first(bad_rows)
+            if bad is not None:
+                s = bad[0]
+                row = counts[where[s]][where]
+                t = _first(row != 1)[0]
+                witnesses.append(
+                    {
+                        "axiom": "local-transport",
+                        "open": u,
+                        "s": s,
+                        "t": t,
+                        "min_open": m,
+                        "transports": int(row[t]),
+                    }
+                )
     if witnesses:
         return failing("sheaf-torsor", witnesses)
     counts = {"global_sections": fs.sizes[space.whole_index]}
@@ -437,15 +450,23 @@ def global_sections(torsor: SheafTorsor) -> list[int]:
     return sections(torsor, torsor.space.whole_index)
 
 
+def _cover(space: FiniteSpace, cover) -> tuple[int, ...]:
+    """Cover open indices, strictly: MalformedTable names a non-integer entry."""
+    cover = tuple(cover)
+    for pos, c in enumerate(cover):
+        if not _is_int(c):
+            raise MalformedTable(f"cover entry {pos} = {c!r} is not an integer", index=pos)
+        if not 0 <= c < len(space.opens):
+            raise UnknownOpen(f"cover open {c} out of range", open=int(c))
+    return tuple(int(c) for c in cover)
+
+
 def build_descent_datum(gs: SheafOfGroups, cover, transition) -> DescentDatum:
     """Validate cover completeness and the sheaf-level cocycle identities."""
     space = gs.space
-    cover = tuple(int(c) for c in cover)
+    cover = _cover(space, cover)
     if not cover:
         raise CoverIncomplete("empty cover")
-    for c in cover:
-        if not 0 <= c < len(space.opens):
-            raise UnknownOpen(f"cover open {c} out of range", open=c)
     union = frozenset(p for c in cover for p in space.opens[c])
     if union != frozenset(range(space.num_points)):
         raise CoverIncomplete(
@@ -454,11 +475,16 @@ def build_descent_datum(gs: SheafOfGroups, cover, transition) -> DescentDatum:
     k = len(cover)
     values = {}
     for key, val in dict(transition).items():
+        key = tuple(key)
+        if len(key) != 2 or not all(map(_is_int, key)):
+            raise MalformedTable(f"transition key {key!r} is not a pair of integers", key=str(key))
         i, j = (int(v) for v in key)
         if not 0 <= i < j < k:
             raise Mismatch(f"transition key ({i},{j}) must satisfy 0 <= i < j < {k}", i=i, j=j)
         w = space.intersection_index(cover[i], cover[j])
-        if not 0 <= int(val) < gs.sets.sizes[w]:
+        if not _is_int(val):
+            raise MalformedTable(f"transition value {val!r} on pair ({i},{j}) is not an integer", i=i, j=j)
+        if not 0 <= val < gs.sets.sizes[w]:
             raise MalformedTable(f"transition value {val} out of range on pair ({i},{j})", i=i, j=j)
         values[(i, j)] = int(val)
     for i in range(k):
@@ -492,81 +518,65 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
     F(U) is the set of chart families (s_i in G(U n U_i)) satisfying
     s_i = g_ij . s_j on overlaps, with componentwise restriction; the
     group acts through the right of the chart coordinate by a^-1.
+    Families are numbered in lexicographic order.
     """
     gs = datum.groups
     space = gs.space
+    sizes = gs.sets.sizes
+    arrays = _arrays(gs.sets.restrict)
     cover = datum.cover
     k = len(cover)
     charts = [
         [space.intersection_index(u, cover[i]) for i in range(k)]
         for u in range(len(space.opens))
     ]
-    pair_open = {
-        (i, j): space.intersection_index(cover[i], cover[j])
-        for i in range(k) for j in range(k)
-    }
 
-    families = []
-    fam_index = []
-    for u in range(len(space.opens)):
-        chart = charts[u]
+    families, lookups = [], []
+    for chart in charts:
         total = 1
         for c in chart:
-            total *= gs.sets.sizes[c]
+            total *= sizes[c]
         if total > FAMILY_CANDIDATE_MAX:
             raise TooLarge(f"{total} family candidates exceed {FAMILY_CANDIDATE_MAX}", size=total)
-        fams = []
-        for combo in itertools.product(*(gs.sections(c) for c in chart)):
-            ok = True
-            for i in range(k):
-                for j in range(i + 1, k):
-                    w = space.intersection_index(chart[i], chart[j])
-                    g_ij = gs.restrict_section(pair_open[(i, j)], datum.value(i, j), w)
-                    lhs = gs.restrict_section(chart[i], combo[i], w)
-                    rhs = gs.groups[w].mul(
-                        g_ij, gs.restrict_section(chart[j], combo[j], w)
-                    )
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                fams.append(combo)
-        families.append(fams)
-        fam_index.append({f: n for n, f in enumerate(fams)})
+        agree = {}
+        for i, j in itertools.combinations(range(k), 2):
+            w = space.intersection_index(chart[i], chart[j])
+            pair = space.intersection_index(cover[i], cover[j])
+            g_ij = _table(arrays, sizes, pair, w)[datum.value(i, j)]
+            # s_i|w = g_ij * s_j|w
+            agree[(i, j)] = (
+                _table(arrays, sizes, chart[i], w),
+                gs.groups[w].array[g_ij][_table(arrays, sizes, chart[j], w)],
+            )
+        rows, lookup = _compatible_families([sizes[c] for c in chart], agree)
+        families.append(rows)
+        lookups.append(lookup)
+
+    def locate(u, columns):
+        found = _locate(lookups[u], [sizes[c] for c in charts[u]], columns)
+        if (found < 0).any():
+            raise InternalError(f"a chart family on open {u} has no image family")
+        return found
 
     restrict = {}
     for u, v in _proper_pairs(space):
-        table = []
-        for fam in families[u]:
-            image = tuple(
-                gs.restrict_section(charts[u][i], fam[i], charts[v][i])
-                for i in range(k)
-            )
-            table.append(fam_index[v][image])
-        restrict[(u, v)] = tuple(table)
+        columns = [
+            _table(arrays, sizes, charts[u][i], charts[v][i])[families[u][:, i]] for i in range(k)
+        ]
+        restrict[(u, v)] = tuple(locate(v, columns).tolist())
     sets = SheafOfSets(
         space=space, sizes=tuple(len(f) for f in families), restrict=restrict
     )
 
     act = []
-    for u in range(len(space.opens)):
-        chart = charts[u]
-        rows = []
-        for a in gs.sections(u):
-            row = []
-            for fam in families[u]:
-                image = tuple(
-                    gs.groups[chart[i]].mul(
-                        fam[i],
-                        gs.groups[chart[i]].inv(gs.restrict_section(u, a, chart[i])),
-                    )
-                    for i in range(k)
-                )
-                row.append(fam_index[u][image])
-            rows.append(tuple(row))
-        act.append(tuple(rows))
+    for u, chart in enumerate(charts):
+        fams = families[u]
+        columns = []
+        for i, c in enumerate(chart):
+            grp = gs.groups[c]
+            inverse = np.asarray(grp.inverse)[_table(arrays, sizes, u, c)]
+            columns.append(grp.array[fams[:, i], inverse[:, None]])  # [a, f] -> f_i * (a|c)^-1
+        act.append(_tuples(locate(u, columns), len(fams)))
 
     action = SheafAction(groups=gs, sets=sets, act=tuple(act))
     return as_sheaf_torsor(action)
@@ -577,18 +587,21 @@ def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
     gs = torsor.groups
     fs = torsor.sets
     space = torsor.space
-    cover = tuple(int(c) for c in cover)
+    cover = _cover(space, cover)
     union = frozenset(p for c in cover for p in space.opens[c])
     if union != frozenset(range(space.num_points)):
         raise CoverIncomplete("chosen cover does not cover the space")
-    chosen = tuple(int(s) for s in chosen)
+    chosen = tuple(chosen)
     if len(chosen) != len(cover):
         raise Mismatch(f"{len(chosen)} sections for {len(cover)} cover opens")
     for i, c in enumerate(cover):
         if fs.sizes[c] == 0:
             raise NoLocalSection(f"no local section over cover open {i}", index=i)
+        if not _is_int(chosen[i]):
+            raise MalformedTable(f"chosen section {chosen[i]!r} at {i} is not an integer", index=i)
         if not 0 <= chosen[i] < fs.sizes[c]:
             raise MalformedTable(f"chosen section {chosen[i]} out of range at {i}", index=i)
+    chosen = tuple(int(s) for s in chosen)
     transition = {}
     for i in range(len(cover)):
         for j in range(i + 1, len(cover)):

@@ -44,6 +44,12 @@ class FiniteSpace:
             out.append(self.open_index[meet])
         return tuple(out)
 
+    @cached_property
+    def subopens(self) -> tuple[tuple[int, ...], ...]:
+        """For each open, the indices of the opens strictly inside it, ascending."""
+        sets = [frozenset(o) for o in self.opens]
+        return tuple(tuple(v for v, ov in enumerate(sets) if ov < ou) for ou in sets)
+
     def index_of(self, points) -> int:
         key = frozenset(points)
         if key not in self.open_index:

@@ -249,3 +249,24 @@ def test_cocycle_file_entries_must_be_integers(tmp_path, corrupt, witness):
     code, out, _ = run_cli(["check", "cocycle", str(path), "--json"])
     assert code == 1
     assert json.loads(out)["witnesses"] == [witness]
+
+
+@pytest.mark.parametrize("field,value,axiom", [
+    ("cover", [4.5, 5], "malformed-table"),
+    ("transition", {"0,1": True}, "schema"),
+])
+def test_descent_file_entries_must_be_integers(tmp_path, z2, field, value, axiom):
+    import torsorkit as tk
+    from torsorkit import jsonio
+
+    datum = tk.pseudocircle_descent_datum(z2, 1)
+    obj = jsonio.descent_to_obj(datum.groups.space, z2, datum)
+    obj[field] = value
+    path = tmp_path / "descent.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["check", "sheaf-torsor", str(path), "--json"])
+    if axiom == "schema":
+        assert code == 2 and out == "" and "transition value" in err
+        return
+    assert code == 1
+    assert json.loads(out)["witnesses"] == [{"axiom": axiom, "index": 0}]

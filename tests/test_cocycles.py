@@ -417,3 +417,59 @@ def test_classes_of_a_six_edge_matching_in_under_a_second():
     with pytest.raises(TooLarge) as exc:
         tk.equivalence_classes(tk.build_nerve(3, C3_EDGES), tk.catalog_group("symmetric(4)"))
     assert exc.value.data["size"] == 24**3
+
+
+def ref_triple_witness(nerve, group, g):
+    """The first triple ordering that breaks the identity, trying every ordering of each triple."""
+    def value(a, b):
+        if a == b:
+            return group.identity
+        return g[(a, b)] if a < b else group.inv(g[(b, a)])
+
+    for t in nerve.triples:
+        for a, b, c in itertools.permutations(t):
+            if group.mul(value(a, b), value(b, c)) != value(a, c):
+                return a, b, c
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["cyclic(2)", "cyclic(3)", "klein_four", "symmetric(3)"]),
+    st.integers(3, 5),
+    st.data(),
+)
+def test_check_cocycle_witness_matches_every_ordering(name, n, data):
+    group = tk.catalog_group(name)
+    edges = list(itertools.combinations(range(n), 2))
+    triples = [t for t in itertools.combinations(range(n), 3) if data.draw(st.booleans())]
+    nerve = tk.build_nerve(n, edges, triples)
+    g = {e: data.draw(st.integers(0, group.order - 1)) for e in edges}
+    want = ref_triple_witness(nerve, group, g)
+    if want is None:
+        assert tk.check_cocycle(nerve, group, g).g == g
+        return
+    with pytest.raises(TripleViolation) as exc:
+        tk.check_cocycle(nerve, group, g)
+    assert (exc.value.data["i"], exc.value.data["j"], exc.value.data["k"]) == want
+
+
+@pytest.mark.parametrize("path,position", [
+    ([0, 1.9, 2, 0], 1),
+    ([0, True, 2, 0], 1),
+    ([0, 1, 2, 0.0], 3),
+    (["0", 1, 2, 0], 0),
+    ([0, 1, 5, 0], 2),
+])
+def test_holonomy_rejects_non_integer_path_entries(c3, s3, path, position):
+    c = cocycle(c3, s3, 3, 5, 2)
+    with pytest.raises(NotAPath) as exc:
+        tk.holonomy(c, path)
+    assert exc.value.data == {"position": position}
+
+
+def test_holonomy_accepts_numpy_integers(c3, s3):
+    import numpy as np
+
+    c = cocycle(c3, s3, 3, 5, 2)
+    assert tk.holonomy(c, [np.int64(0), 1, np.int32(2), 0]) == tk.holonomy(c, [0, 1, 2, 0])

@@ -25,7 +25,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import torsorkit as tk
@@ -693,6 +693,510 @@ def test_is_sheaf_matches_the_all_covers_reference(sheaf):
             m = space.intersection_index(a, b)
             assert sheaf.restrict_section(a, fa, m) == sheaf.restrict_section(b, fb, m)
         assert w["gluings"] == gluings(sheaf, w["open"], cover, family) != 1
+
+
+# ---------------------------------------------------------------- the sheaf layer, cell by cell
+#
+# The pure-Python sheaf layer as it was before the int-array rewrite: the
+# constant sheaf, the descent glue and the three validators. Sizes, tables,
+# verdicts and witnesses of the library must match these exactly.
+
+
+def _ref_restrict(sheaf, u, s, v):
+    return s if u == v else sheaf.restrict[(u, v)][s]
+
+
+def _ref_proper_pairs(space):
+    for u, ou in enumerate(space.opens):
+        for v, ov in enumerate(space.opens):
+            if v != u and frozenset(ov) <= frozenset(ou):
+                yield u, v
+
+
+def _ref_minimal_cover(space, u):
+    members = sorted({space.minimal_open[x] for x in space.opens[u]})
+    sets = {m: frozenset(space.opens[m]) for m in members}
+    return tuple(m for m in members if not any(sets[m] < sets[n] for n in members))
+
+
+def _ref_families(sheaf, members):
+    """Backtracking enumeration of the families agreeing on pairwise overlaps."""
+    space = sheaf.space
+
+    def extend(assigned):
+        if len(assigned) == len(members):
+            yield tuple(assigned)
+            return
+        m = members[len(assigned)]
+        for s in range(sheaf.sizes[m]):
+            if all(
+                _ref_restrict(sheaf, m, s, w) == _ref_restrict(sheaf, q, f, w)
+                for q, f in zip(members, assigned)
+                for w in [space.intersection_index(q, m)]
+            ):
+                yield from extend(assigned + [s])
+
+    yield from extend([])
+
+
+def ref_constant_group_sheaf(space, group):
+    """(sizes, group tables, restriction tables) by tuple arithmetic."""
+    comps = [tk.connected_components(space, o) for o in space.opens]
+    sizes = [group.order ** len(c) for c in comps]
+    if max(sizes) > tk.sheaves.CONSTANT_SECTIONS_MAX:
+        return errors.TooLarge
+    code = lambda vals: sum(v * group.order ** (len(vals) - 1 - i) for i, v in enumerate(vals))  # noqa: E731
+    tables = []
+    for c in comps:
+        tuples = list(itertools.product(range(group.order), repeat=len(c)))
+        tables.append(tuple(
+            tuple(code([group.cayley[a][b] for a, b in zip(s, t)]) for t in tuples) for s in tuples
+        ))
+    restrict = {}
+    for u, v in _ref_proper_pairs(space):
+        holder = [next(i for i, cu in enumerate(comps[u]) if cv[0] in cu) for cv in comps[v]]
+        tuples = itertools.product(range(group.order), repeat=len(comps[u]))
+        restrict[(u, v)] = tuple(code([vals[m] for m in holder]) for vals in tuples)
+    return tuple(sizes), tuple(tables), restrict
+
+
+def ref_sheaf_witnesses(sheaf):
+    space = sheaf.space
+    out = []
+    for u, v in _ref_proper_pairs(space):
+        table = sheaf.restrict.get((u, v))
+        if table is None or len(table) != sheaf.sizes[u]:
+            out.append({"axiom": "restriction-table", "u": u, "v": v})
+        elif any(not 0 <= s < sheaf.sizes[v] for s in table):
+            out.append({"axiom": "restriction-range", "u": u, "v": v})
+    if out:
+        return out
+    for u, v in _ref_proper_pairs(space):
+        for w, ow in enumerate(space.opens):
+            if w in (u, v) or not frozenset(ow) <= frozenset(space.opens[v]):
+                continue
+            for s in range(sheaf.sizes[u]):
+                via = _ref_restrict(sheaf, v, _ref_restrict(sheaf, u, s, v), w)
+                if via != _ref_restrict(sheaf, u, s, w):
+                    out.append({"axiom": "functoriality", "u": u, "v": v, "w": w, "section": s})
+                    break
+    for u, target in enumerate(space.opens):
+        if not target:
+            if sheaf.sizes[u] != 1:
+                out.append({"axiom": "empty-sections", "open": u, "sections": sheaf.sizes[u]})
+            continue
+        cover = _ref_minimal_cover(space, u)
+        for family in _ref_families(sheaf, cover):
+            n = gluings(sheaf, u, cover, family)
+            if n != 1:
+                out.append({
+                    "axiom": "gluing", "open": u, "cover": list(cover), "family": list(family),
+                    "gluings": n,
+                })
+                break
+    return out
+
+
+def ref_group_sheaf_witnesses(gs):
+    out = ref_sheaf_witnesses(gs.sets)
+    out += [{"axiom": "group-order", "open": u} for u, g in enumerate(gs.groups) if g.order != gs.sets.sizes[u]]
+    if out:
+        return out
+    for u, v in _ref_proper_pairs(gs.space):
+        gu, gv = gs.groups[u], gs.groups[v]
+        hits = (
+            (s, t)
+            for s in range(gu.order)
+            for t in range(gu.order)
+            if _ref_restrict(gs.sets, u, gu.mul(s, t), v)
+            != gv.mul(_ref_restrict(gs.sets, u, s, v), _ref_restrict(gs.sets, u, t, v))
+        )
+        bad = next(hits, None)
+        if bad is not None:
+            out.append({"axiom": "restriction-hom", "u": u, "v": v, "s": bad[0], "t": bad[1]})
+    return out
+
+
+def ref_torsor_witnesses(action):
+    gs, fs = action.groups, action.sets
+    space = fs.space
+    out = []
+    for u in range(len(space.opens)):
+        grp, size, table = gs.groups[u], fs.sizes[u], action.act[u]
+        if len(table) != grp.order or any(len(r) != size for r in table):
+            out.append({"axiom": "action-table", "open": u})
+        elif any(not _is_index(x, size) for r in table for x in r):
+            out.append({"axiom": "action-range", "open": u})
+        elif any(table[grp.identity][x] != x for x in range(size)):
+            x = next(x for x in range(size) if table[grp.identity][x] != x)
+            out.append({"axiom": "action-identity", "open": u, "x": x})
+        elif size and ref_compatibility(table, grp.cayley) is not None:
+            g, h, x = ref_compatibility(table, grp.cayley)
+            out.append({"axiom": "action-compatibility", "open": u, "g": g, "h": h, "x": x})
+    if out:
+        return out
+    for u, v in _ref_proper_pairs(space):
+        hits = (
+            (a, s)
+            for a in range(gs.sets.sizes[u])
+            for s in range(fs.sizes[u])
+            if _ref_restrict(fs, u, action.act[u][a][s], v)
+            != action.act[v][_ref_restrict(gs.sets, u, a, v)][_ref_restrict(fs, u, s, v)]
+        )
+        bad = next(hits, None)
+        if bad is not None:
+            out.append({"axiom": "action-restriction", "u": u, "v": v, "g": bad[0], "s": bad[1]})
+    if out:
+        return out
+    for x in range(space.num_points):
+        m = space.minimal_open[x]
+        if fs.sizes[m] < 1:
+            out.append({"axiom": "locally-nonempty", "point": x, "open": m})
+    for u, target in enumerate(space.opens):
+        if not target:
+            continue
+        for m in _ref_minimal_cover(space, u):
+            pairs = (
+                (s, t, c)
+                for s in range(fs.sizes[u])
+                for t in range(fs.sizes[u])
+                for c in [sum(
+                    action.act[m][a][_ref_restrict(fs, u, s, m)] == _ref_restrict(fs, u, t, m)
+                    for a in range(gs.sets.sizes[m])
+                )]
+                if c != 1
+            )
+            bad = next(pairs, None)
+            if bad is not None:
+                s, t, c = bad
+                out.append({
+                    "axiom": "local-transport", "open": u, "s": s, "t": t, "min_open": m,
+                    "transports": c,
+                })
+    return out
+
+
+def ref_glue(datum):
+    """(sizes, restriction tables, action tables) of the glued sheaf, by tuple arithmetic."""
+    gs, cover = datum.groups, datum.cover
+    space = gs.space
+    k = len(cover)
+    charts = [[space.intersection_index(u, c) for c in cover] for u in range(len(space.opens))]
+    families = []
+    for chart in charts:
+        total = 1
+        for c in chart:
+            total *= gs.sets.sizes[c]
+        if total > tk.sheaves.FAMILY_CANDIDATE_MAX:
+            return errors.TooLarge
+        fams = []
+        for combo in itertools.product(*(range(gs.sets.sizes[c]) for c in chart)):
+            ok = True
+            for i, j in itertools.combinations(range(k), 2):
+                w = space.intersection_index(chart[i], chart[j])
+                pair = space.intersection_index(cover[i], cover[j])
+                g_ij = _ref_restrict(gs.sets, pair, datum.value(i, j), w)
+                lhs = _ref_restrict(gs.sets, chart[i], combo[i], w)
+                rhs = gs.groups[w].mul(g_ij, _ref_restrict(gs.sets, chart[j], combo[j], w))
+                ok = ok and lhs == rhs
+            if ok:
+                fams.append(combo)
+        families.append(fams)
+    index = [{f: n for n, f in enumerate(fams)} for fams in families]
+    restrict = {
+        (u, v): tuple(
+            index[v][tuple(_ref_restrict(gs.sets, charts[u][i], f[i], charts[v][i]) for i in range(k))]
+            for f in families[u]
+        )
+        for u, v in _ref_proper_pairs(space)
+    }
+    act = []
+    for u, chart in enumerate(charts):
+        act.append(tuple(
+            tuple(
+                index[u][tuple(
+                    gs.groups[c].mul(f[i], gs.groups[c].inv(_ref_restrict(gs.sets, u, a, c)))
+                    for i, c in enumerate(chart)
+                )]
+                for f in families[u]
+            )
+            for a in range(gs.sets.sizes[u])
+        ))
+    return tuple(len(f) for f in families), restrict, tuple(act)
+
+
+def _report(rep):
+    return rep.passed, [dict(w) for w in rep.witnesses]
+
+
+def assert_validators_match(action):
+    """Every validator against its reference on one sheaf action."""
+    sheaf = ref_sheaf_witnesses(action.sets)
+    groups = ref_group_sheaf_witnesses(action.groups)
+    torsor = ref_torsor_witnesses(action)
+    assert _report(tk.is_sheaf(action.sets)) == (not sheaf, sheaf)
+    assert _report(tk.is_sheaf_of_groups(action.groups)) == (not groups, groups)
+    assert _report(tk.is_sheaf_torsor(action)) == (not torsor, torsor)
+
+
+SMALL_GROUPS = [n for n in tk.catalog_names() if tk.catalog_group(n).order <= 6]
+
+
+def three_arm():
+    """Four points; three arms {0, i} glued at the common point 0."""
+    return tk.close_under_ops(4, [(0, 1), (0, 2), (0, 3)])
+
+
+@st.composite
+def descent_data(draw):
+    """A constant group sheaf on a small space (or the three-arm space), a cover and transitions.
+
+    Transitions are drawn freely; when they break a triple identity, the
+    coboundary of a drawn cochain (always a cocycle) replaces them.
+    """
+    space = draw(st.one_of(small_spaces(), st.just(three_arm())))
+    group = tk.catalog_group(draw(st.sampled_from(SMALL_GROUPS)))
+    try:
+        gs = tk.constant_group_sheaf(space, group)
+    except errors.TooLarge:
+        return space, group, None
+    nonempty = [u for u, o in enumerate(space.opens) if o]
+    cover = draw(st.lists(st.sampled_from(nonempty), min_size=1, max_size=3))
+    for x in range(space.num_points):
+        if not any(x in space.opens[c] for c in cover):
+            cover.append(space.minimal_open[x])
+    pairs = list(itertools.combinations(range(len(cover)), 2))
+    overlap = {p: space.intersection_index(cover[p[0]], cover[p[1]]) for p in pairs}
+    drawn = {p: draw(st.integers(0, gs.sets.sizes[overlap[p]] - 1)) for p in pairs}
+    try:
+        return space, group, tk.build_descent_datum(gs, cover, drawn)
+    except errors.TripleViolation:
+        pass
+    h = [draw(st.integers(0, gs.sets.sizes[c] - 1)) for c in cover]
+    coboundary = {}
+    for i, j in pairs:
+        w, grp = overlap[(i, j)], gs.groups[overlap[(i, j)]]
+        hi, hj = (gs.restrict_section(cover[n], h[n], w) for n in (i, j))
+        coboundary[(i, j)] = grp.mul(hi, grp.inv(hj))
+    return space, group, tk.build_descent_datum(gs, cover, coboundary)
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_spaces())
+def test_constant_group_sheaf_matches_reference(name, space):
+    group = tk.catalog_group(name)
+    want = ref_constant_group_sheaf(space, group)
+    if want is errors.TooLarge:
+        with pytest.raises(errors.TooLarge):
+            tk.constant_group_sheaf(space, group)
+        return
+    gs = tk.constant_group_sheaf(space, group)
+    assert (gs.sets.sizes, tuple(g.cayley for g in gs.groups), gs.sets.restrict) == want
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(descent_data())
+def test_glue_matches_reference(case):
+    space, group, datum = case
+    if datum is None:
+        return
+    want = ref_glue(datum)
+    if want is errors.TooLarge:
+        with pytest.raises(errors.TooLarge):
+            tk.glue_from_cocycle(datum)
+        return
+    torsor = tk.glue_from_cocycle(datum)
+    assert (torsor.sets.sizes, torsor.sets.restrict, torsor.action.act) == want
+    assert_validators_match(torsor.action)
+
+
+@pytest.mark.parametrize("name", [n for n in tk.catalog_names() if tk.catalog_group(n).order <= 12])
+def test_benchmark_pseudocircle_glues_match_reference(name):
+    group = tk.catalog_group(name)
+    for twist in sorted({group.identity, group.order - 1}):
+        torsor = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(group, twist))
+        want = ref_glue(tk.pseudocircle_descent_datum(group, twist))
+        assert (torsor.sets.sizes, torsor.sets.restrict, torsor.action.act) == want
+
+
+def _with_restriction(sheaf, key, table):
+    return SheafOfSets(space=sheaf.space, sizes=sheaf.sizes, restrict={**sheaf.restrict, key: table})
+
+
+@st.composite
+def corrupted_restrictions(draw, sheaf, hows=("cell", "cell", "cell", "range", "short", "missing")):
+    """One restriction table with a cell changed (in or out of range), shortened or missing."""
+    key = draw(st.sampled_from(sorted(sheaf.restrict)))
+    table = list(sheaf.restrict[key])
+    how = draw(st.sampled_from(hows))
+    if how == "missing":
+        return SheafOfSets(
+            space=sheaf.space, sizes=sheaf.sizes,
+            restrict={k: t for k, t in sheaf.restrict.items() if k != key},
+        )
+    if how == "short" or not table:
+        return _with_restriction(sheaf, key, tuple(table[:-1]))
+    row = draw(st.integers(0, len(table) - 1))
+    bound = sheaf.sizes[key[1]]
+    table[row] = bound if how == "range" else draw(st.integers(0, max(bound - 1, 0)))
+    return _with_restriction(sheaf, key, tuple(table))
+
+
+@st.composite
+def corrupted_actions(draw):
+    """A glued torsor with one action, restriction or group table changed."""
+    _, _, datum = draw(descent_data())
+    assume(datum is not None and ref_glue(datum) is not errors.TooLarge)
+    action = tk.glue_from_cocycle(datum).action
+    gs, fs = action.groups, action.sets
+    how = draw(st.sampled_from(["swap", "swap", "cell", "row", "conjugate", "conjugate", "sets", "groups", "relabel"]))
+    act = [list(map(list, t)) for t in action.act]
+    if how == "conjugate":
+        # a valid action on one open, its points renamed: only the restrictions can notice
+        u = draw(st.sampled_from([u for u in range(len(act)) if fs.sizes[u] >= 2] or [0]))
+        perm = draw(st.permutations(range(fs.sizes[u])))
+        back = {y: x for x, y in enumerate(perm)}
+        act[u] = [[perm[row[back[x]]] for x in range(len(row))] for row in act[u]]
+        act = tuple(tuple(map(tuple, t)) for t in act)
+        return tk.SheafAction(groups=gs, sets=fs, act=act)
+    if how in ("swap", "cell", "row"):
+        opens = [u for u in range(len(act)) if fs.sizes[u] >= 1 and gs.sets.sizes[u] >= 1]
+        u = draw(st.sampled_from(opens))
+        g = draw(st.integers(0, len(act[u]) - 1))
+        row = act[u][g]
+        if how == "swap":
+            x, y = draw(st.integers(0, len(row) - 1)), draw(st.integers(0, len(row) - 1))
+            row[x], row[y] = row[y], row[x]
+        elif how == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.integers(0, len(row)))
+        else:
+            row.pop()
+        act = tuple(tuple(map(tuple, t)) for t in act)
+        return tk.SheafAction(groups=gs, sets=fs, act=act)
+    if how == "sets":
+        assume(any(fs.restrict.values()))
+        sets = draw(corrupted_restrictions(fs, hows=("cell",)))
+        return tk.SheafAction(groups=gs, sets=sets, act=action.act)
+    # a group of G(u) relabeled by a permutation, or replaced by one of another order
+    u = draw(st.sampled_from(range(len(gs.groups))))
+    grp = gs.groups[u]
+    if how == "groups":
+        other = draw(st.sampled_from(SMALL_GROUPS))
+        replaced = tk.catalog_group(other)
+    else:
+        perm = draw(st.permutations(range(grp.order)))
+        replaced = tk.build_group(grp.order, relabel(grp.cayley, perm))
+    groups = gs.groups[:u] + (replaced,) + gs.groups[u + 1:]
+    return tk.SheafAction(groups=tk.SheafOfGroups(sets=gs.sets, groups=groups), sets=fs, act=action.act)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(corrupted_actions())
+def test_validators_match_reference_on_corrupted_torsors(action):
+    assert_validators_match(action)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_spaces(), st.sampled_from(SMALL_GROUPS), st.data())
+def test_is_sheaf_matches_reference_on_corrupted_restrictions(space, name, data):
+    try:
+        gs = tk.constant_group_sheaf(space, tk.catalog_group(name))
+    except errors.TooLarge:
+        return
+    assume(gs.sets.restrict)
+    sheaf = data.draw(corrupted_restrictions(gs.sets))
+    want = ref_sheaf_witnesses(sheaf)
+    assert _report(tk.is_sheaf(sheaf)) == (not want, want)
+    if all(len(t) == sheaf.sizes[u] for (u, _), t in sheaf.restrict.items()):
+        groups = tk.SheafOfGroups(sets=sheaf, groups=gs.groups)
+        want = ref_group_sheaf_witnesses(groups)
+        assert _report(tk.is_sheaf_of_groups(groups)) == (not want, want)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(presheaves())
+def test_is_sheaf_matches_reference_on_presheaves(sheaf):
+    want = ref_sheaf_witnesses(sheaf)
+    assert _report(tk.is_sheaf(sheaf)) == (not want, want)
+
+
+def _cyclic_subgroup(group, g):
+    members, x = {group.identity}, g
+    while x not in members:
+        members.add(x)
+        x = group.mul(x, g)
+    return tk.build_subgroup(group, members)
+
+
+@st.composite
+def coset_unions(draw):
+    """A group acting on a relabeled disjoint union of 1-3 coset spaces: free or transitive, or neither."""
+    group = tk.catalog_group(draw(st.sampled_from(SMALL_GROUPS)))
+    orbits = [
+        tk.coset_action(group, _cyclic_subgroup(group, draw(st.integers(0, group.order - 1))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    offsets = list(itertools.accumulate([0] + [o.set_size for o in orbits]))
+    size = offsets[-1]
+    perm = draw(st.permutations(range(size)))
+    table = [[0] * size for _ in range(group.order)]
+    for orbit, base in zip(orbits, offsets):
+        for g in range(group.order):
+            for x in range(orbit.set_size):
+                table[g][perm[base + x]] = perm[base + orbit.act[g][x]]
+    return tk.build_action(group, size, table)
+
+
+def doubled(action):
+    """Two copies of each F(U), acted on and restricted copy by copy: never transitive."""
+    fs = action.sets
+    n = fs.sizes
+    restrict = {
+        (u, v): tuple(t) + tuple(x + n[v] for x in t) for (u, v), t in fs.restrict.items()
+    }
+    act = tuple(
+        tuple(tuple(row) + tuple(x + n[u] for x in row) for row in table)
+        for u, table in enumerate(action.act)
+    )
+    sets = SheafOfSets(space=fs.space, sizes=tuple(2 * k for k in n), restrict=restrict)
+    return tk.SheafAction(groups=action.groups, sets=sets, act=act)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(coset_unions())
+def test_is_sheaf_torsor_matches_reference_on_lifted_actions(action):
+    lifted = tk.lift_point_action(action)
+    want = ref_torsor_witnesses(lifted)
+    assert _report(tk.is_sheaf_torsor(lifted)) == (not want, want)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(descent_data())
+def test_is_sheaf_torsor_matches_reference_on_doubled_torsors(case):
+    _, _, datum = case
+    assume(datum is not None and ref_glue(datum) is not errors.TooLarge)
+    action = doubled(tk.glue_from_cocycle(datum).action)
+    want = ref_torsor_witnesses(action)
+    assert _report(tk.is_sheaf_torsor(action)) == (not want, want)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_spaces(), st.sampled_from(SMALL_GROUPS), st.data())
+def test_is_sheaf_of_groups_matches_reference_on_relabeled_groups(space, name, data):
+    try:
+        gs = tk.constant_group_sheaf(space, tk.catalog_group(name))
+    except errors.TooLarge:
+        return
+    u = data.draw(st.sampled_from(range(len(gs.groups))))
+    grp = gs.groups[u]
+    # the identity stays put, so the first bad (s, t) is not always the diagonal (e, e)
+    moved = data.draw(st.permutations([g for g in grp.elements() if g != grp.identity]))
+    perm = [grp.identity if g == grp.identity else moved.pop() for g in grp.elements()]
+    relabeled = tk.build_group(len(perm), relabel(grp.cayley, perm))
+    groups = tk.SheafOfGroups(sets=gs.sets, groups=gs.groups[:u] + (relabeled,) + gs.groups[u + 1:])
+    want = ref_group_sheaf_witnesses(groups)
+    assert _report(tk.is_sheaf_of_groups(groups)) == (not want, want)
 
 
 # ---------------------------------------------------------------- cocycle classification

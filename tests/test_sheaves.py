@@ -7,6 +7,7 @@ import pytest
 import torsorkit as tk
 from torsorkit.errors import (
     CoverIncomplete,
+    MalformedTable,
     NoLocalSection,
     NotASheafTorsor,
     TripleViolation,
@@ -309,3 +310,39 @@ def test_glued_action_axioms_nonabelian(three_arm, s3):
         for b in grp.elements():
             for s in range(torsor.sets.sizes[whole]):
                 assert act[grp.mul(a, b)][s] == act[a][act[b][s]]
+
+
+@pytest.mark.parametrize("cover,transition,data", [
+    ([4.7, 5], {(0, 1): 0}, {"index": 0}),
+    ([4, True], {(0, 1): 0}, {"index": 1}),
+    ([4, 5], {(0, 1.2): 0}, {"key": "(0, 1.2)"}),
+    ([4, 5], {(0, 1): 3.9}, {"i": 0, "j": 1}),
+    ([4, 5], {(0, 1): True}, {"i": 0, "j": 1}),
+])
+def test_descent_datum_inputs_must_be_integers(psc, z2, cover, transition, data):
+    gs = tk.constant_group_sheaf(psc, z2)
+    with pytest.raises(MalformedTable) as exc:
+        tk.build_descent_datum(gs, cover, transition)
+    assert exc.value.data == data
+
+
+def test_descent_datum_accepts_numpy_integers(psc, z2):
+    import numpy as np
+
+    gs = tk.constant_group_sheaf(psc, z2)
+    datum = tk.build_descent_datum(gs, [np.int64(4), 5], {(np.int32(0), 1): np.int64(1)})
+    assert datum.cover == (4, 5) and datum.transition == {(0, 1): 1}
+    assert all(type(c) is int for c in datum.cover)
+
+
+@pytest.mark.parametrize("cover,chosen,data", [
+    ([4, 5], [0.5, 1], {"index": 0}),
+    ([4, 5], [0, 1.7], {"index": 1}),
+    ([4, 5], [0, False], {"index": 1}),
+    ([4.0, 5], [0, 1], {"index": 0}),
+])
+def test_extract_cocycle_inputs_must_be_integers(psc, z2, cover, chosen, data):
+    torsor = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1))
+    with pytest.raises(MalformedTable) as exc:
+        tk.extract_cocycle(torsor, cover, chosen)
+    assert exc.value.data == data
