@@ -34,12 +34,10 @@ from .cocycles import (
     NerveCocycle,
     NotEquivalent,
     NotTrivial,
-    all_cochains,
     apply_coboundary,
     are_equivalent,
     build_nerve,
     check_cocycle,
-    enumerate_cocycles,
     equivalence_classes,
     find_trivialization,
     holonomy,

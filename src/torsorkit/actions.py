@@ -271,29 +271,19 @@ def left_translation_action(group: FiniteGroup) -> GroupAction:
 
 
 def coset_action(group: FiniteGroup, sub: Subgroup) -> GroupAction:
-    """Left multiplication on left cosets of the subgroup.
-
-    Cosets are indexed by discovery order over ascending representatives,
-    so coset 0 always contains the smallest element of the identity coset.
-    """
-    coset_of = [None] * group.order
-    cosets = []
-    for g in group.elements():
-        if coset_of[g] is not None:
-            continue
-        members = sorted(group.cayley[g][h] for h in sub.members)
-        for m in members:
-            coset_of[m] = len(cosets)
-        cosets.append(tuple(members))
-    table = [
-        [coset_of[group.cayley[g][c[0]]] for c in cosets]
-        for g in group.elements()
-    ]
-    return build_action(group, len(cosets), table)
+    """Left multiplication on left cosets of the subgroup, indexed as in coset_list."""
+    coset_of = np.empty(group.order, dtype=np.intp)
+    cosets = coset_list(group, sub)
+    for i, members in enumerate(cosets):
+        coset_of[list(members)] = i
+    return build_action(group, len(cosets), coset_of[group.array[:, [c[0] for c in cosets]]])
 
 
 def coset_list(group: FiniteGroup, sub: Subgroup) -> list[tuple[int, ...]]:
-    """The left cosets in the same order used by coset_action."""
+    """The left cosets, sorted, in discovery order over ascending representatives.
+
+    Coset 0 always contains the smallest element of the identity coset.
+    """
     seen = set()
     cosets = []
     for g in group.elements():

@@ -257,6 +257,13 @@ def cmd_query(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    try:
+        return _generate(args)
+    except TorsorError as err:
+        return _emit(failing(args.family, [err.witness()]), False)
+
+
+def _generate(args) -> int:
     family = args.family
     params = args.params
     if family == "affine":
@@ -280,7 +287,7 @@ def cmd_generate(args) -> int:
             raise SchemaError("generate coset takes: problem-file")
         obj = jsonio.load_json(params[0])
         sub = jsonio.subgroup_from_obj(obj)
-        torsor = coset_torsor(sub.parent, sub, int(obj.get("g", sub.parent.identity)))
+        torsor = coset_torsor(sub.parent, sub, obj.get("g", sub.parent.identity))
         jsonio.dump_json(args.out, jsonio.action_to_obj(torsor.action))
         print(f"generated coset torsor: {torsor.set_size} points")
         return 0

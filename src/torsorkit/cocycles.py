@@ -38,8 +38,8 @@ from .errors import (
 )
 from .groups import FiniteGroup, _is_int
 
-# Bounds |G|^edges, the cocycle candidates of enumerate_cocycles. Gauge-fixed
-# classification never does more work than that many candidates.
+# Bounds |G|^edges, the edge assignments. equivalence_classes lists every valid one
+# and finds them by gauge fixing, with less work than trying each assignment.
 CLASS_ENUM_MAX = 4096
 
 
@@ -324,34 +324,10 @@ def holonomy(c: NerveCocycle, cycle_path) -> int:
     return acc
 
 
-def all_cochains(nerve: Nerve, group: FiniteGroup):
-    """Every cochain, identity outside edge-incident opens (others act trivially)."""
-    incident = sorted({i for e in nerve.edges for i in e})
-    base = [group.identity] * nerve.num_opens
-    for combo in itertools.product(group.elements(), repeat=len(incident)):
-        h = list(base)
-        for pos, val in zip(incident, combo):
-            h[pos] = val
-        yield make_cochain(nerve, group, h)
-
-
 def _guard_candidates(nerve: Nerve, group: FiniteGroup) -> None:
     total = group.order ** len(nerve.edges)
     if total > CLASS_ENUM_MAX:
         raise TooLarge(f"{total} cocycle candidates exceed {CLASS_ENUM_MAX}", size=total)
-
-
-def enumerate_cocycles(nerve: Nerve, group: FiniteGroup):
-    """All valid cocycles in lexicographic edge-value order."""
-    _guard_candidates(nerve, group)
-    out = []
-    for combo in itertools.product(group.elements(), repeat=len(nerve.edges)):
-        assignment = dict(zip(nerve.edges, combo))
-        try:
-            out.append(check_cocycle(nerve, group, assignment))
-        except TripleViolation:
-            continue
-    return out
 
 
 def _gauge_fixed_cocycles(nerve: Nerve, group: FiniteGroup, pos, free) -> list[tuple[int, ...]]:

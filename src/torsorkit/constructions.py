@@ -10,7 +10,6 @@ int arrays by one mixed-radix codec (``_digits`` / ``_codes``).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
     NotPrime,
     TooLarge,
 )
-from .groups import FiniteGroup, Subgroup, build_group, subgroup_as_group
+from .groups import FiniteGroup, Subgroup, _is_index, _is_int, build_group, subgroup_as_group
 
 AFFINE_MAX_POINTS = 256
 SOLUTION_MAX_VECTORS = 4096
@@ -38,6 +37,8 @@ def is_prime(p: int) -> bool:
 
 
 def _require_prime(p: int):
+    if not _is_int(p):
+        raise MalformedTable(f"p = {p!r} is not an integer", p=p)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime", p=p)
 
@@ -59,8 +60,26 @@ class LinearSolveResult:
     kernel_size: int
 
 
+def _residues(values, p: int, what: str, **where) -> tuple[int, ...]:
+    """Integer entries reduced mod p; MalformedTable names the first non-integer."""
+    values = tuple(values)
+    for i, v in enumerate(values):
+        if not _is_int(v):
+            raise MalformedTable(f"{what} entry {i} = {v!r} is not an integer", **where, index=i)
+    return tuple(int(v) % p for v in values)
+
+
+def _rhs(T: PrimeFieldMatrix, w) -> tuple[int, ...]:
+    w = _residues(w, T.p, "rhs")
+    if len(w) != T.rows:
+        raise DimensionMismatch(
+            f"rhs length {len(w)} != {T.rows} rows", got=len(w), expected=T.rows
+        )
+    return w
+
+
 def prime_field_matrix(p: int, entries) -> PrimeFieldMatrix:
-    """Reduce the entries mod a validated prime and fix the shape."""
+    """Reduce the integer entries mod a validated prime and fix the shape."""
     _require_prime(p)
     rows = [list(r) for r in entries]
     if not rows or not rows[0]:
@@ -68,23 +87,16 @@ def prime_field_matrix(p: int, entries) -> PrimeFieldMatrix:
     cols = len(rows[0])
     if any(len(r) != cols for r in rows):
         raise MalformedTable("ragged matrix rows")
-    reduced = tuple(tuple(int(v) % p for v in r) for r in rows)
+    reduced = tuple(_residues(r, p, f"row {i}", row=i) for i, r in enumerate(rows))
     return PrimeFieldMatrix(p=p, rows=len(rows), cols=cols, entries=reduced)
 
 
 def encode_vector(vec, p: int) -> int:
-    out = 0
-    for v in vec:
-        out = out * p + v
-    return out
+    return int(_codes(np.asarray(vec, dtype=np.int64), p))
 
 
 def decode_vector(idx: int, p: int, n: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(n):
-        digits.append(idx % p)
-        idx //= p
-    return tuple(reversed(digits))
+    return tuple(_digits(idx, p, n).tolist())
 
 
 def _digits(codes, p: int, width: int) -> np.ndarray:
@@ -114,68 +126,69 @@ def _positions(codes: np.ndarray, size: int) -> np.ndarray:
     return pos
 
 
+def _row_reduce(mats, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms mod p of a stack of matrices, and each one's pivot columns.
+
+    Gauss-Jordan elimination on the whole stack at once, column by column:
+    the pivot is the first row at or below the current rank with a nonzero
+    entry, swapped up and scaled to 1. A matrix has full rank exactly when
+    every row gets a pivot.
+    """
+    a = np.array(mats, dtype=np.int64) % p
+    *batch, rows, cols = a.shape
+    a = a.reshape(-1, rows, cols)
+    rank = np.zeros(len(a), dtype=np.intp)
+    pivots = np.zeros((len(a), cols), dtype=bool)
+    for c in range(cols):
+        candidates = (a[:, :, c] != 0) & (np.arange(rows) >= rank[:, None])
+        live = np.flatnonzero(candidates.any(axis=1))
+        r, src = rank[live], candidates[live].argmax(axis=1)
+        a[live, src], a[live, r] = a[live, r], a[live, src]
+        values, where = np.unique(a[live, r, c], return_inverse=True)
+        inverse = np.array([pow(v, -1, p) for v in values.tolist()], dtype=np.int64)
+        a[live, r] = a[live, r] * inverse[where][:, None] % p
+        factor = a[live, :, c]
+        factor[np.arange(len(live)), r] = 0
+        a[live] = (a[live] - factor[:, :, None] * a[live, r][:, None, :]) % p
+        pivots[live, c] = True
+        rank[live] += 1
+    return a.reshape(*batch, rows, cols), pivots.reshape(*batch, cols)
+
+
 def gaussian_solve(T: PrimeFieldMatrix, w) -> LinearSolveResult:
     """Row-reduce [T|w] over F_p.
 
     The particular solution sets all free variables to zero; the kernel
     basis has one vector per free column, ordered by ascending column, so
-    the pivot pattern is strictly increasing.
+    the pivot pattern is strictly increasing. A pivot in the w column
+    means the system is inconsistent.
     """
     p = T.p
-    w = [int(v) % p for v in w]
-    if len(w) != T.rows:
-        raise DimensionMismatch(
-            f"rhs length {len(w)} != {T.rows} rows", got=len(w), expected=T.rows
-        )
-    aug = np.array([list(r) + [wv] for r, wv in zip(T.entries, w)], dtype=np.int64)
-    nrows, ncols = T.rows, T.cols
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i, c] % p), None)
-        if pivot is None:
-            continue
-        aug[[r, pivot]] = aug[[pivot, r]]
-        inv = pow(int(aug[r, c]), p - 2, p)
-        aug[r] = (aug[r] * inv) % p
-        for i in range(nrows):
-            if i != r and aug[i, c] % p:
-                aug[i] = (aug[i] - aug[i, c] * aug[r]) % p
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    consistent = not any(aug[i, ncols] % p for i in range(r, nrows))
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    w = _rhs(T, w)
+    entries = np.array(T.entries)
+    aug, pivots = _row_reduce(np.column_stack([entries, w]), p)
+    pivot_cols, free_cols = np.flatnonzero(pivots[:-1]), np.flatnonzero(~pivots[:-1])
+    rank = len(pivot_cols)
 
     particular = None
-    if consistent:
-        sol = [0] * ncols
-        for i, c in enumerate(pivot_cols):
-            sol[c] = int(aug[i, ncols]) % p
-        particular = tuple(sol)
-        if not all(
-            sum(T.entries[i][j] * particular[j] for j in range(ncols)) % p == w[i]
-            for i in range(nrows)
-        ):
+    if not pivots[-1]:
+        sol = np.zeros(T.cols, dtype=np.int64)
+        sol[pivot_cols] = aug[:rank, -1]
+        if ((entries @ sol - w) % p).any():
             raise InternalError("the particular solution does not solve the system")
+        particular = tuple(sol.tolist())
 
-    basis = []
-    for f in free_cols:
-        vec = [0] * ncols
-        vec[f] = 1
-        for i, c in enumerate(pivot_cols):
-            vec[c] = (-int(aug[i, f])) % p
-        if not all(
-            sum(T.entries[i][j] * vec[j] for j in range(ncols)) % p == 0
-            for i in range(nrows)
-        ):
-            raise InternalError(f"kernel vector for free column {f} is not in the kernel")
-        basis.append(tuple(vec))
+    basis = np.zeros((len(free_cols), T.cols), dtype=np.int64)
+    basis[np.arange(len(free_cols)), free_cols] = 1
+    basis[:, pivot_cols] = -aug[:rank, free_cols].T % p
+    bad = (basis @ entries.T % p).any(axis=1)
+    if bad.any():
+        f = free_cols[np.argmax(bad)]
+        raise InternalError(f"kernel vector for free column {f} is not in the kernel")
 
     return LinearSolveResult(
         particular=particular,
-        kernel_basis=tuple(basis),
+        kernel_basis=tuple(map(tuple, basis.tolist())),
         kernel_size=p ** len(basis),
     )
 
@@ -199,11 +212,7 @@ def solution_torsor(T: PrimeFieldMatrix, w) -> Torsor:
     F_p^cols, independent of gaussian_solve.
     """
     p = T.p
-    w = tuple(int(v) % p for v in w)
-    if len(w) != T.rows:
-        raise DimensionMismatch(
-            f"rhs length {len(w)} != {T.rows} rows", got=len(w), expected=T.rows
-        )
+    w = _rhs(T, w)
     if p**T.cols > SOLUTION_MAX_VECTORS:
         raise TooLarge(f"p^cols = {p ** T.cols} exceeds {SOLUTION_MAX_VECTORS}", size=p**T.cols)
     size = p**T.cols
@@ -224,8 +233,8 @@ def coset_torsor(group: FiniteGroup, H: Subgroup, g: int) -> Torsor:
     The right action is normalized through right_action_as_left, so the
     acting group is opposite(H) reindexed to 0..|H|-1.
     """
-    if not 0 <= g < group.order:
-        raise MalformedTable(f"coset representative {g} out of range", element=g)
+    if not _is_index(g, group.order):
+        raise MalformedTable(f"coset representative {g!r} out of range", element=g)
     points = sorted({group.cayley[g][h] for h in H.members})
     index = {x: i for i, x in enumerate(points)}
     hgrp = subgroup_as_group(H)
@@ -235,17 +244,6 @@ def coset_torsor(group: FiniteGroup, H: Subgroup, g: int) -> Torsor:
     ]
     action = right_action_as_left(hgrp, len(points), right)
     return as_torsor(action)
-
-
-def _det_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a stack of n x n matrices, by the Leibniz formula."""
-    n = mats.shape[-1]
-    rows = np.arange(n)
-    det = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        det = det + (-1) ** inversions * mats[..., rows, perm].prod(axis=-1)
-    return det % p
 
 
 def _matrix_codes(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -258,7 +256,7 @@ def general_linear_group(p: int, n: int):
     """All invertible n x n matrices over F_p in lexicographic (row-major) order."""
     size = p ** (n * n)
     everything = _digits(np.arange(size), p, n * n).reshape(size, n, n)
-    codes = np.flatnonzero(_det_mod_p(everything, p))
+    codes = np.flatnonzero(_row_reduce(everything, p)[1].all(axis=1))
     mats = everything[codes]
     table = _positions(codes, size)[_matrix_codes(mats, mats, p)]
     return build_group(len(mats), table), [tuple(map(tuple, m)) for m in mats.tolist()]

@@ -311,6 +311,15 @@ def is_sheaf(sheaf: SheafOfSets) -> Report:
     return passing("sheaf", counts={"opens": len(space.opens)})
 
 
+def _restriction_failures(space: FiniteSpace, tables, g_arrays: dict, f_arrays: dict):
+    """(u, v, a, s) for each inclusion whose first [a, s] has (a.s)|v != a|v . s|v, in pair order."""
+    for u, v in _proper_pairs(space):
+        rg, rf = g_arrays[(u, v)], f_arrays[(u, v)]
+        bad = _first(rf[tables[u]] != tables[v][rg[:, None], rf])
+        if bad is not None:
+            yield u, v, *bad
+
+
 def is_sheaf_of_groups(gs: SheafOfGroups) -> Report:
     """Underlying sheaf axioms plus homomorphic restrictions."""
     base = is_sheaf(gs.sets)
@@ -319,14 +328,10 @@ def is_sheaf_of_groups(gs: SheafOfGroups) -> Report:
         if grp.order != gs.sets.sizes[u]:
             witnesses.append({"axiom": "group-order", "open": u})
     if not witnesses:
+        # restriction is a homomorphism: the regular actions of the G(U) commute with it
         arrays = _arrays(gs.sets.restrict)
-        for u, v in _proper_pairs(gs.space):
-            r = arrays[(u, v)]
-            # [s, t] -> (s*t)|v against s|v * t|v
-            bad = _first(r[gs.groups[u].array] != gs.groups[v].array[r[:, None], r])
-            if bad is not None:
-                s, t = bad
-                witnesses.append({"axiom": "restriction-hom", "u": u, "v": v, "s": s, "t": t})
+        for u, v, s, t in _restriction_failures(gs.space, [g.array for g in gs.groups], arrays, arrays):
+            witnesses.append({"axiom": "restriction-hom", "u": u, "v": v, "s": s, "t": t})
     if witnesses:
         return failing("sheaf-of-groups", witnesses)
     return passing("sheaf-of-groups", counts={"opens": len(gs.space.opens)})
@@ -362,13 +367,8 @@ def _action_structure_witnesses(action: SheafAction) -> tuple[list[dict], list]:
     if out:
         return out, tables
     g_arrays, f_arrays = _arrays(gs.sets.restrict), _arrays(fs.restrict)
-    for u, v in _proper_pairs(space):
-        rg, rf = g_arrays[(u, v)], f_arrays[(u, v)]
-        # [a, s] -> (a.s)|v against a|v . s|v
-        bad = _first(rf[tables[u]] != tables[v][rg[:, None], rf])
-        if bad is not None:
-            a, s = bad
-            out.append({"axiom": "action-restriction", "u": u, "v": v, "g": a, "s": s})
+    for u, v, a, s in _restriction_failures(space, tables, g_arrays, f_arrays):
+        out.append({"axiom": "action-restriction", "u": u, "v": v, "g": a, "s": s})
     return out, tables
 
 
@@ -380,7 +380,9 @@ def is_sheaf_torsor(action: SheafAction) -> Report:
     of sections of F(U), and every m in the minimal cover of U, exactly one
     section of G(m) transports one restriction to the other. Minimal opens
     refine every cover of a finite space, so this decides the existential
-    cover quantifiers exactly (a smaller minimal open is decided as U itself).
+    cover quantifiers exactly. A failing pair on U restricts to a failing
+    pair on m, so condition 2 is decided once per minimal open m, with s
+    and t ranging over F(m).
     """
     witnesses, tables = _action_structure_witnesses(action)
     if witnesses:
@@ -391,37 +393,23 @@ def is_sheaf_torsor(action: SheafAction) -> Report:
         m = space.minimal_open[x]
         if fs.sizes[m] < 1:
             witnesses.append({"axiom": "locally-nonempty", "point": x, "open": m})
-    arrays = _arrays(fs.restrict)
-    transports = {}  # per minimal open m: [x, y] -> the number of a in G(m) with a.x = y
-    for u, target in enumerate(space.opens):
-        if not target:
-            continue
-        for m in _minimal_cover(space, u):
-            n = fs.sizes[m]
-            if m not in transports:
-                codes = np.arange(n) * n + tables[m]
-                transports[m] = np.bincount(codes.ravel(), minlength=n * n).reshape(n, n)
-            # the counts depend on the restrictions only: index by the distinct ones
-            r = _table(arrays, fs.sizes, u, m)
-            seen = np.flatnonzero(np.bincount(r, minlength=n))
-            where = _positions(seen, n)[r]
-            counts = transports[m][seen[:, None], seen]
-            bad_rows = (counts != 1).any(axis=1)[where]
-            bad = _first(bad_rows)
-            if bad is not None:
-                s = bad[0]
-                row = counts[where[s]][where]
-                t = _first(row != 1)[0]
-                witnesses.append(
-                    {
-                        "axiom": "local-transport",
-                        "open": u,
-                        "s": s,
-                        "t": t,
-                        "min_open": m,
-                        "transports": int(row[t]),
-                    }
-                )
+    for m in sorted(set(space.minimal_open)):
+        n = fs.sizes[m]
+        # [s, t] -> the number of a in G(m) with a.s = t
+        transports = np.bincount((np.arange(n) * n + tables[m]).ravel(), minlength=n * n).reshape(n, n)
+        bad = _first(transports != 1)
+        if bad is not None:
+            s, t = bad
+            witnesses.append(
+                {
+                    "axiom": "local-transport",
+                    "open": m,
+                    "s": s,
+                    "t": t,
+                    "min_open": m,
+                    "transports": int(transports[s, t]),
+                }
+            )
     if witnesses:
         return failing("sheaf-torsor", witnesses)
     counts = {"global_sections": fs.sizes[space.whole_index]}
@@ -491,25 +479,21 @@ def build_descent_datum(gs: SheafOfGroups, cover, transition) -> DescentDatum:
         for j in range(i + 1, k):
             if (i, j) not in values:
                 raise Mismatch(f"missing transition for pair ({i},{j})", i=i, j=j)
-    datum = DescentDatum(groups=gs, cover=cover, transition=values)
-    for a, b, c in itertools.permutations(range(k), 3):
+    # with a < b < c, g_ab * g_bc = g_ac is the triple identity in every ordering
+    for a, b, c in itertools.combinations(range(k), 3):
         w_ab = space.intersection_index(cover[a], cover[b])
         w_bc = space.intersection_index(cover[b], cover[c])
         w_ac = space.intersection_index(cover[a], cover[c])
-        w = space.open_index[
-            frozenset(space.opens[w_ab]) & frozenset(space.opens[cover[c]])
-        ]
-        grp = gs.groups[w]
-        lhs = grp.mul(
-            gs.restrict_section(w_ab, datum.value(a, b), w),
-            gs.restrict_section(w_bc, datum.value(b, c), w),
+        w = space.intersection_index(w_ab, cover[c])
+        lhs = gs.groups[w].mul(
+            gs.restrict_section(w_ab, values[(a, b)], w),
+            gs.restrict_section(w_bc, values[(b, c)], w),
         )
-        rhs = gs.restrict_section(w_ac, datum.value(a, c), w)
-        if lhs != rhs:
+        if lhs != gs.restrict_section(w_ac, values[(a, c)], w):
             raise TripleViolation(
                 f"cocycle identity fails on cover triple ({a},{b},{c})", i=a, j=b, k=c
             )
-    return datum
+    return DescentDatum(groups=gs, cover=cover, transition=values)
 
 
 def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:

@@ -21,6 +21,7 @@ from .errors import (
     PointOutOfRange,
     TooLarge,
 )
+from .groups import _is_int
 
 MAX_OPENS = 64  # desk scale: sheaf functoriality checks every chain of three opens
 
@@ -68,8 +69,17 @@ class FiniteSpace:
         return len(self.opens) - 1
 
 
+def _int_points(points, where: str) -> set[int]:
+    """The points as Python ints; MalformedTable names the first one that is not an integer."""
+    points = list(points)
+    for p in points:
+        if not _is_int(p):
+            raise MalformedTable(f"{where}: point {p!r} is not an integer", point=p)
+    return {int(p) for p in points}
+
+
 def _canonical(opens) -> list[tuple[int, ...]]:
-    dedup = {tuple(sorted(set(int(p) for p in o))) for o in opens}
+    dedup = {tuple(sorted(_int_points(o, f"open {i}"))) for i, o in enumerate(opens)}
     return sorted(dedup, key=lambda o: (len(o), o))
 
 
@@ -110,7 +120,7 @@ def build_space(num_points: int, opens) -> FiniteSpace:
 def close_under_ops(num_points: int, generators) -> FiniteSpace:
     """Generate a topology from a family of opens by closing under union/intersection."""
     sets = {frozenset(), frozenset(range(num_points))}
-    sets.update(frozenset(int(p) for p in g) for g in generators)
+    sets.update(frozenset(_int_points(g, f"generator {i}")) for i, g in enumerate(generators))
     changed = True
     while changed:
         changed = False
@@ -131,7 +141,7 @@ def connected_components(space: FiniteSpace, subset) -> tuple[tuple[int, ...], .
     subspace; in a finite space this union-find closure is exactly
     topological connectivity.
     """
-    points = sorted(set(int(p) for p in subset))
+    points = sorted(_int_points(subset, "subset"))
     for p in points:
         if not 0 <= p < space.num_points:
             raise PointOutOfRange(f"point {p} out of range", point=p)

@@ -270,3 +270,27 @@ def test_descent_file_entries_must_be_integers(tmp_path, z2, field, value, axiom
         return
     assert code == 1
     assert json.loads(out)["witnesses"] == [{"axiom": axiom, "index": 0}]
+
+
+@pytest.mark.parametrize("g", [2.9, "2", True])
+def test_generate_coset_representative_must_be_an_integer(tmp_path, g):
+    problem = json.loads((DATA / "coset_problem.json").read_text())
+    problem["g"] = g
+    path = tmp_path / "coset.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run_cli(["generate", "coset", str(path), "-o", str(tmp_path / "out.json")])
+    assert code == 1
+    assert "witness malformed-table" in out and err == ""
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_generate_reports_size_guard_without_traceback(tmp_path):
+    res = subprocess.run(
+        [sys.executable, "-m", "torsorkit", "generate", "affine", "2", "9",
+         "-o", str(tmp_path / "x.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stdout == "affine: FAIL\n  witness size-guard: size=512\n"

@@ -19,6 +19,8 @@ from torsorkit.errors import (
     TripleWithoutEdge,
 )
 
+from cocycle_oracles import enumerate_cocycles
+
 C3_EDGES = [(0, 1), (0, 2), (1, 2)]
 
 
@@ -204,7 +206,7 @@ def test_find_trivialization_witness_substitutes(c3, s3):
 
 def test_find_trivialization_matches_oracle_everywhere(c3, z2, z3):
     for grp in (z2, z3):
-        for c in tk.enumerate_cocycles(c3, grp):
+        for c in enumerate_cocycles(c3, grp):
             decided = not isinstance(tk.find_trivialization(c), NotTrivial)
             assert decided == brute_force_trivial(c)
 
@@ -236,7 +238,7 @@ def test_are_not_equivalent(c3, z2):
 
 
 def test_are_equivalent_agrees_with_oracle(c3, z3):
-    cocycles = tk.enumerate_cocycles(c3, z3)
+    cocycles = enumerate_cocycles(c3, z3)
     for a in cocycles[:9]:
         for b in cocycles[:9]:
             decided = not isinstance(tk.are_equivalent(a, b), NotEquivalent)
@@ -244,7 +246,7 @@ def test_are_equivalent_agrees_with_oracle(c3, z3):
 
 
 def test_equivalence_is_an_equivalence_relation(c3, z2):
-    cocycles = tk.enumerate_cocycles(c3, z2)
+    cocycles = enumerate_cocycles(c3, z2)
     for a in cocycles:
         assert not isinstance(tk.are_equivalent(a, a), NotEquivalent)
         for b in cocycles:
@@ -264,7 +266,7 @@ def test_trivialization_iff_equivalent_to_identity(c3, triangle, z2, z3):
         identity = tk.check_cocycle(
             nerve, grp, {e: grp.identity for e in nerve.edges}
         )
-        for c in tk.enumerate_cocycles(nerve, grp):
+        for c in enumerate_cocycles(nerve, grp):
             direct = tk.find_trivialization(c)
             via_equiv = tk.are_equivalent(c, identity)
             assert isinstance(direct, NotTrivial) == isinstance(via_equiv, NotEquivalent)
@@ -279,7 +281,7 @@ def test_trivialization_iff_equivalent_to_identity(c3, triangle, z2, z3):
 
 def test_cycle_nerve_equivalence_is_holonomy_conjugacy(c3, s3):
     # on a cycle nerve, classes are exactly conjugacy classes of the holonomy
-    cocycles = tk.enumerate_cocycles(c3, s3)
+    cocycles = enumerate_cocycles(c3, s3)
     sample = cocycles[::17] + cocycles[:4]
     for a in sample:
         for b in sample:
@@ -347,7 +349,7 @@ def test_classes_representative_is_lex_least(c3, z2):
 
 def test_classes_match_pairwise_oracle(c3, z2):
     classes = tk.equivalence_classes(c3, z2)
-    cocycles = {c.edge_values(): c for c in tk.enumerate_cocycles(c3, z2)}
+    cocycles = {c.edge_values(): c for c in enumerate_cocycles(c3, z2)}
     for cls in classes:
         rep = cocycles[cls.representative.edge_values()]
         for key, other in cocycles.items():

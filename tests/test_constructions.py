@@ -8,6 +8,7 @@ import torsorkit as tk
 from torsorkit.errors import (
     DimensionMismatch,
     EmptySolutionSet,
+    MalformedTable,
     NotPrime,
     TooLarge,
 )
@@ -271,3 +272,24 @@ def test_every_constructor_output_is_validated(s3):
     ]
     for t in outs:
         assert tk.as_torsor(t.action).set_size == t.set_size
+
+
+@pytest.mark.parametrize("p", [3.0, "3", True])
+def test_prime_must_be_an_integer(p):
+    with pytest.raises(MalformedTable):
+        tk.prime_field_matrix(p, [[1, 1]])
+
+
+@pytest.mark.parametrize("entry", [1.5, "1", True])
+def test_matrix_entries_must_be_integers(entry):
+    with pytest.raises(MalformedTable) as exc:
+        tk.prime_field_matrix(3, [[1, 1], [0, entry]])
+    assert exc.value.data == {"row": 1, "index": 1}
+
+
+@pytest.mark.parametrize("solve", [tk.gaussian_solve, tk.solution_torsor])
+@pytest.mark.parametrize("rhs", [[1.9], ["1"], [False]])
+def test_rhs_entries_must_be_integers(solve, rhs):
+    with pytest.raises(MalformedTable) as exc:
+        solve(tk.prime_field_matrix(3, [[1, 1]]), rhs)
+    assert exc.value.data == {"index": 0}

@@ -346,3 +346,17 @@ def test_extract_cocycle_inputs_must_be_integers(psc, z2, cover, chosen, data):
     with pytest.raises(MalformedTable) as exc:
         tk.extract_cocycle(torsor, cover, chosen)
     assert exc.value.data == data
+
+
+def test_local_transport_is_decided_once_per_minimal_open(z2):
+    # the trivial action fails on {0} and {1}; the whole space fails only through them
+    space = tk.close_under_ops(2, [(0,), (1,)])
+    gs = tk.constant_group_sheaf(space, z2)
+    act = tuple(
+        tuple(tuple(gs.sets.sections(u)) for _ in gs.sections(u)) for u in range(len(space.opens))
+    )
+    rep = tk.is_sheaf_torsor(tk.SheafAction(groups=gs, sets=gs.sets, act=act))
+    assert [(w["axiom"], w["open"], w["min_open"]) for w in rep.witnesses] == [
+        ("local-transport", 1, 1),
+        ("local-transport", 2, 2),
+    ]

@@ -4,6 +4,7 @@ import pytest
 
 import torsorkit as tk
 from torsorkit.errors import (
+    MalformedTable,
     MissingEmpty,
     MissingWhole,
     NotClosedUnderIntersection,
@@ -107,3 +108,18 @@ def test_index_helpers(psc):
     assert psc.opens[psc.intersection_index(u, v)] == (0, 1)
     assert psc.opens[psc.empty_index] == ()
     assert psc.opens[psc.whole_index] == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("point", ["0", 0.9, True])
+def test_build_space_rejects_non_integer_points(point):
+    with pytest.raises(MalformedTable) as exc:
+        tk.build_space(2, [[], [point], [0, 1]])
+    assert exc.value.data == {"point": point}
+    with pytest.raises(MalformedTable):
+        tk.close_under_ops(2, [[point]])
+
+
+@pytest.mark.parametrize("subset", [[0.5, 2], ["0", 2]])
+def test_connected_components_rejects_non_integer_points(psc, subset):
+    with pytest.raises(MalformedTable):
+        tk.connected_components(psc, subset)
