@@ -34,6 +34,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _compatibility_witness,
+    _first,
     _frozen_array,
     _index_table,
     _tuples,
@@ -103,10 +104,9 @@ def build_action(group: FiniteGroup, set_size: int, act) -> GroupAction:
     if set_size < 1:
         raise MalformedTable(f"set_size must be positive, got {set_size}", set_size=set_size)
     arr = _index_table(act, group.order, set_size, set_size)
-    moved = arr[group.identity] != np.arange(set_size)
-    if moved.any():
-        x = int(np.argmax(moved))
-        raise IdentityAxiomViolated(f"identity moves point {x}", x=x)
+    moved = _first(arr[group.identity] != np.arange(set_size))
+    if moved is not None:
+        raise IdentityAxiomViolated(f"identity moves point {moved[0]}", x=moved[0])
     bad = _compatibility_witness(arr, group.array, group.identity)
     if bad is not None:
         g, h, x = bad
@@ -137,11 +137,8 @@ def is_free(action: GroupAction):
     """(True, None) or (False, (g, x)) with the lexicographically least witness."""
     fixed = action.array == np.arange(action.set_size)
     fixed[action.group.identity] = False
-    first = int(np.argmax(fixed))
-    if fixed.flat[first]:
-        g, x = divmod(first, action.set_size)
-        return False, (g, x)
-    return True, None
+    bad = _first(fixed)
+    return (True, None) if bad is None else (False, bad)
 
 
 def is_transitive(action: GroupAction):
@@ -230,9 +227,9 @@ def _right_compatibility_witness(right: np.ndarray, cayley: np.ndarray):
     for x in range(len(right)):
         lhs = right[right[x]]     # [g,h] -> (x*g)*h
         rhs = right[x][cayley]    # [g,h] -> x*(g*h)
-        if not np.array_equal(lhs, rhs):
-            g, h = np.argwhere(lhs != rhs)[0]
-            return x, int(g), int(h)
+        bad = _first(lhs != rhs)
+        if bad is not None:
+            return x, *bad
     return None
 
 
@@ -251,10 +248,9 @@ def right_action_as_left(group: FiniteGroup, set_size: int, right_table) -> Grou
             f"right table must be {set_size} x {group.order}", rows=len(rows)
         )
     right = _index_table(rows, set_size, group.order, set_size)
-    moved = right[:, group.identity] != np.arange(set_size)
-    if moved.any():
-        x = int(np.argmax(moved))
-        raise RightIdentityViolated(f"x*e != x at point {x}", x=x)
+    moved = _first(right[:, group.identity] != np.arange(set_size))
+    if moved is not None:
+        raise RightIdentityViolated(f"x*e != x at point {moved[0]}", x=moved[0])
     try:
         return build_action(opposite_group(group), set_size, right.T)
     except CompatibilityViolated:

@@ -84,6 +84,14 @@ def _emit(report: Report, as_json: bool) -> int:
     return 0 if report.passed else 1
 
 
+def _int_param(value: str, name: str) -> int:
+    """A command-line parameter as an int, else SchemaError naming the parameter."""
+    try:
+        return int(value)
+    except ValueError:
+        raise SchemaError(f"parameter {name}: {value!r} is not an integer") from None
+
+
 def _check_report(kind: str, obj) -> Report:
     if kind == "group":
         g = jsonio.group_from_obj(obj)
@@ -171,29 +179,23 @@ def _query_report(args) -> Report:
 
     if name == "transporter":
         want(2)
-        t = _torsor_from_file(path)
-        g = transporter(t, int(params[0]), int(params[1]))
-        return passing(
-            "transporter",
-            counts={"element": g, "x": int(params[0]), "y": int(params[1])},
-        )
+        x, y = _int_param(params[0], "x"), _int_param(params[1], "y")
+        g = transporter(_torsor_from_file(path), x, y)
+        return passing("transporter", counts={"element": g, "x": x, "y": y})
     if name == "orbit":
         want(1)
-        action = jsonio.action_from_obj(jsonio.load_json(path))
-        orb = orbit(action, int(params[0]))
-        return passing("orbit", counts={"x": int(params[0]), "orbit": list(orb), "size": len(orb)})
+        x = _int_param(params[0], "x")
+        orb = orbit(jsonio.action_from_obj(jsonio.load_json(path)), x)
+        return passing("orbit", counts={"x": x, "orbit": list(orb), "size": len(orb)})
     if name == "stabilizer":
         want(1)
-        action = jsonio.action_from_obj(jsonio.load_json(path))
-        stab = stabilizer(action, int(params[0]))
-        return passing(
-            "stabilizer",
-            counts={"x": int(params[0]), "stabilizer": list(stab), "size": len(stab)},
-        )
+        x = _int_param(params[0], "x")
+        stab = stabilizer(jsonio.action_from_obj(jsonio.load_json(path)), x)
+        return passing("stabilizer", counts={"x": x, "stabilizer": list(stab), "size": len(stab)})
     if name == "trivialize":
         want(1)
-        t = _torsor_from_file(path)
-        triv = trivialization(t, int(params[0]))
+        x0 = _int_param(params[0], "basepoint")
+        triv = trivialization(_torsor_from_file(path), x0)
         return passing(
             "trivialize",
             counts={
@@ -204,8 +206,8 @@ def _query_report(args) -> Report:
         )
     if name == "transported-group":
         want(1)
-        t = _torsor_from_file(path)
-        grp = transported_group(t, int(params[0]))
+        x0 = _int_param(params[0], "basepoint")
+        grp = transported_group(_torsor_from_file(path), x0)
         return passing(
             "transported-group",
             counts={
@@ -216,9 +218,8 @@ def _query_report(args) -> Report:
         )
     if name == "holonomy":
         want(1)
-        c = jsonio.cocycle_from_obj(jsonio.load_json(path))
-        path_indices = [int(v) for v in params[0].split(",")]
-        g = holonomy(c, path_indices)
+        path_indices = [_int_param(v, "path") for v in params[0].split(",")]
+        g = holonomy(jsonio.cocycle_from_obj(jsonio.load_json(path)), path_indices)
         return passing("holonomy", counts={"element": g, "path": path_indices})
     if name == "global-sections":
         want(0)
@@ -227,15 +228,14 @@ def _query_report(args) -> Report:
         return passing("global-sections", counts={"global_sections": n})
     if name == "sections":
         want(1)
-        t = _sheaf_torsor_from_file(path)
-        u = int(params[0])
-        n = len(sections(t, u))
+        u = _int_param(params[0], "open")
+        n = len(sections(_sheaf_torsor_from_file(path), u))
         return passing("sections", counts={"open": u, "sections": n})
     if name == "classes":
         want(0)
         obj = jsonio.load_json(path)
-        nerve = jsonio.nerve_from_obj(obj.get("nerve", {}))
-        group = jsonio.group_from_obj(obj.get("group"))
+        nerve = jsonio.nerve_from_obj(jsonio._expect(obj, "nerve", dict, "classes"))
+        group = jsonio.group_from_obj(jsonio._expect(obj, "group", None, "classes"))
         classes = equivalence_classes(nerve, group)
         return passing(
             "classes",
@@ -269,7 +269,7 @@ def _generate(args) -> int:
     if family == "affine":
         if len(params) != 2:
             raise SchemaError("generate affine takes: p n")
-        torsor = affine_torsor(int(params[0]), int(params[1]))
+        torsor = affine_torsor(_int_param(params[0], "p"), _int_param(params[1], "n"))
         jsonio.dump_json(args.out, jsonio.action_to_obj(torsor.action))
         print(f"generated affine torsor: {torsor.set_size} points")
         return 0
@@ -277,8 +277,9 @@ def _generate(args) -> int:
         if len(params) != 1:
             raise SchemaError("generate solution takes: problem-file")
         obj = jsonio.load_json(params[0])
-        T = prime_field_matrix(obj["p"], obj["T"])
-        torsor = solution_torsor(T, obj["w"])
+        p = jsonio._expect(obj, "p", int, "solution")
+        rows = jsonio._int_list_list(jsonio._expect(obj, "T", list, "solution"), "solution.T")
+        torsor = solution_torsor(prime_field_matrix(p, rows), jsonio._expect(obj, "w", list, "solution"))
         jsonio.dump_json(args.out, jsonio.action_to_obj(torsor.action))
         print(f"generated solution torsor: {torsor.set_size} points")
         return 0
@@ -294,7 +295,7 @@ def _generate(args) -> int:
     if family == "bases":
         if len(params) != 2:
             raise SchemaError("generate bases takes: p n")
-        torsor = basis_torsor(int(params[0]), int(params[1]))
+        torsor = basis_torsor(_int_param(params[0], "p"), _int_param(params[1], "n"))
         jsonio.dump_json(args.out, jsonio.action_to_obj(torsor.action))
         print(f"generated basis torsor: {torsor.set_size} points")
         return 0
@@ -346,7 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, json.JSONDecodeError, OSError, KeyError, ValueError, TypeError) as err:
+    except (SchemaError, json.JSONDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

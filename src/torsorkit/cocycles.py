@@ -3,17 +3,21 @@
 A nerve records which pairwise and triple overlaps of an abstract cover
 are nonempty; a cocycle assigns one group element to each edge (the
 values for reversed edges and self-pairs are derived, so only the triple
-identity carries content). Triviality and equivalence are decided by
-propagation along one breadth-first spanning forest, with holonomy
-around closed paths as the obstruction diagnostic on cycle nerves.
+identity carries content). Holonomy around closed paths is the
+obstruction diagnostic on cycle nerves.
 
-Classification fixes the gauge on that forest: every cocycle is
+Triviality, equivalence and classification rest on one propagation
+along one breadth-first spanning forest: from the identity at each
+root, h_v = g_vu * h_u down every tree edge (u, v). So every cocycle is
 h . g0 for exactly one cochain h that is the identity at each root and
-one cocycle g0 that is the identity on every tree edge. The gauge-fixed
-cocycles are enumerated over the non-tree edges alone, and two of them
-are equivalent exactly when a conjugation at the roots moves one to the
-other (for a nerve without triples that quotient is Hom(pi_1, G)/G,
-Serre, *Cohomologie galoisienne*, I §5).
+one cocycle g0 = h_i^-1 * g_ij * h_j that is the identity on every tree
+edge. A cocycle is trivial when its g0 is the identity everywhere, and
+two cocycles are equivalent when one root element per component
+conjugates the g0 of one into that of the other. Classification
+enumerates the gauge-fixed g0 over the non-tree edges alone and splits
+them into orbits under conjugation at the roots (for a nerve without
+triples that quotient is Hom(pi_1, G)/G, Serre, *Cohomologie
+galoisienne*, I §5).
 """
 
 from __future__ import annotations
@@ -246,6 +250,16 @@ def _spanning_forest(nerve: Nerve) -> list[_Component]:
     ]
 
 
+def _propagate(c: NerveCocycle, forest: list[_Component]) -> list[int]:
+    """h with h = e at each root and g_uv = h_u * h_v^-1 on every tree edge (u, v)."""
+    grp = c.group
+    h = [grp.identity] * c.nerve.num_opens
+    for comp in forest:
+        for u, v in comp.tree:
+            h[v] = grp.mul(c.value(v, u), h[u])
+    return h
+
+
 def find_trivialization(c: NerveCocycle):
     """A cochain h with g_ij = h_i * h_j^-1 on every edge, or NotTrivial.
 
@@ -255,10 +269,7 @@ def find_trivialization(c: NerveCocycle):
     right translation, which does not affect solvability.
     """
     grp = c.group
-    h = [grp.identity] * c.nerve.num_opens
-    for comp in _spanning_forest(c.nerve):
-        for u, v in comp.tree:
-            h[v] = grp.mul(c.value(v, u), h[u])
+    h = _propagate(c, _spanning_forest(c.nerve))
     for i, j in c.nerve.edges:
         if c.g[(i, j)] != grp.mul(h[i], grp.inv(h[j])):
             return NotTrivial(violating_edge=(i, j))
@@ -268,33 +279,29 @@ def find_trivialization(c: NerveCocycle):
 def are_equivalent(c1: NerveCocycle, c2: NerveCocycle):
     """A cochain h with c2_ij = h_i * c1_ij * h_j^-1, or NotEquivalent.
 
-    Per component, the tree edges force h_v = A_v * r * B_v for the root
-    value r, with A_v and B_v transported once from the root; tree edges
-    then hold for every r, so each r in element order is tested on the
-    non-tree edges alone and the first that passes wins.
+    With the propagations h1, h2 of c1, c2 on one forest, f = h_i^-1 *
+    g_ij * h_j is the identity on tree edges, so the tree edges force
+    h_v = h2_v * r * h1_v^-1 for one r per component, and the non-tree
+    edges hold exactly when r * f1 * r^-1 = f2 on each. The first r in
+    element order that passes wins.
     """
     _require_same(c1, c2.nerve, c2.group)
     grp = c1.group
     mul, inv = grp.mul, grp.inv
+    forest = _spanning_forest(c1.nerve)
+    h1, h2 = _propagate(c1, forest), _propagate(c2, forest)
     h = [grp.identity] * c1.nerve.num_opens
-    for comp in _spanning_forest(c1.nerve):
-        a = {comp.root: grp.identity}
-        b = {comp.root: grp.identity}
-        for u, v in comp.tree:
-            # solve c2(u,v) = h_u * c1(u,v) * h_v^-1 for h_v
-            a[v] = mul(c2.value(v, u), a[u])
-            b[v] = mul(b[u], c1.value(u, v))
+    for comp in forest:
+        f1 = [mul(mul(inv(h1[i]), c1.g[(i, j)]), h1[j]) for i, j in comp.cotree]
+        f2 = [mul(mul(inv(h2[i]), c2.g[(i, j)]), h2[j]) for i, j in comp.cotree]
         for r in grp.elements():
-            if all(
-                c2.g[(i, j)]
-                == mul(mul(mul(a[i], mul(r, b[i])), c1.g[(i, j)]), inv(mul(a[j], mul(r, b[j]))))
-                for (i, j) in comp.cotree
-            ):
+            r_inv = inv(r)
+            if all(mul(mul(r, a), r_inv) == b for a, b in zip(f1, f2)):
                 break
         else:
             return NotEquivalent()
         for v in comp.opens:
-            h[v] = mul(a[v], mul(r, b[v]))
+            h[v] = mul(mul(h2[v], r), inv(h1[v]))
     return make_cochain(c1.nerve, grp, h)
 
 

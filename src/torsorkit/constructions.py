@@ -23,7 +23,7 @@ from .errors import (
     NotPrime,
     TooLarge,
 )
-from .groups import FiniteGroup, Subgroup, _is_index, _is_int, build_group, subgroup_as_group
+from .groups import FiniteGroup, Subgroup, _first, _is_index, _is_int, build_group, subgroup_as_group
 
 AFFINE_MAX_POINTS = 256
 SOLUTION_MAX_VECTORS = 4096
@@ -181,10 +181,9 @@ def gaussian_solve(T: PrimeFieldMatrix, w) -> LinearSolveResult:
     basis = np.zeros((len(free_cols), T.cols), dtype=np.int64)
     basis[np.arange(len(free_cols)), free_cols] = 1
     basis[:, pivot_cols] = -aug[:rank, free_cols].T % p
-    bad = (basis @ entries.T % p).any(axis=1)
-    if bad.any():
-        f = free_cols[np.argmax(bad)]
-        raise InternalError(f"kernel vector for free column {f} is not in the kernel")
+    bad = _first((basis @ entries.T % p).any(axis=1))
+    if bad is not None:
+        raise InternalError(f"kernel vector for free column {free_cols[bad[0]]} is not in the kernel")
 
     return LinearSolveResult(
         particular=particular,

@@ -91,6 +91,13 @@ class Subgroup:
         return len(self.members)
 
 
+def _first(bad: np.ndarray):
+    """Row-major index tuple of the first True cell, or None: the least witness."""
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+
+
 def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
@@ -215,9 +222,9 @@ def _compatibility_witness(act: np.ndarray, cayley: np.ndarray, identity: int):
     for g in range(n):
         lhs = act[cayley[g], :]  # [h,x] -> (g*h).x
         rhs = act[g][act]        # [h,x] -> g.(h.x)
-        if not np.array_equal(lhs, rhs):
-            h, x = np.argwhere(lhs != rhs)[0]
-            return g, int(h), int(x)
+        bad = _first(lhs != rhs)
+        if bad is not None:
+            return g, *bad
     return None
 
 
@@ -232,9 +239,10 @@ def build_group(order: int, cayley) -> FiniteGroup:
     arr = _index_table(cayley, order, order, order, "cayley: ")
     points = np.arange(order)
     two_sided = (arr == points).all(axis=1) & (arr == points[:, None]).all(axis=0)
-    if not two_sided.any():
+    found = _first(two_sided)
+    if found is None:
         raise NoIdentity("no two-sided identity element")
-    identity = int(np.argmax(two_sided))
+    identity = found[0]
     bad = _compatibility_witness(arr, arr, identity)
     if bad is not None:
         g, h, k = bad
@@ -242,10 +250,9 @@ def build_group(order: int, cayley) -> FiniteGroup:
             f"(g*h)*k != g*(h*k) at (g,h,k)=({g},{h},{k})", g=g, h=h, k=k
         )
     hits = (arr == identity) & (arr.T == identity)
-    has_inverse = hits.any(axis=1)
-    if not has_inverse.all():
-        g = int(np.argmin(has_inverse))
-        raise NoInverse(f"element {g} has no inverse", element=g)
+    missing = _first(~hits.any(axis=1))
+    if missing is not None:
+        raise NoInverse(f"element {missing[0]} has no inverse", element=missing[0])
     inverse = tuple(np.argmax(hits, axis=1).tolist())
     return FiniteGroup(
         order=order, cayley=_tuples(arr, order), identity=identity, inverse=inverse, array=arr

@@ -213,7 +213,7 @@ def sheaf_action_from_obj(obj) -> SheafAction:
         table = cayley_raw.get(str(u))
         if table is None:
             raise SchemaError(f"sheaf-action: missing group table for open {u}")
-        groups.append(build_group(g_sets.sizes[u], table))
+        groups.append(build_group(g_sets.sizes[u], _int_list_list(table, f"sheaf-action.groups.cayley.{u}")))
     sraw = _expect(obj, "sets", dict, "sheaf-action")
     f_sets = sets_sheaf_from_obj(sraw, space=space)
     act_raw = _expect(obj, "act", dict, "sheaf-action")

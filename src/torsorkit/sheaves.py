@@ -49,6 +49,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     _compatibility_witness,
+    _first,
     _index_array,
     _is_int,
     _tuples,
@@ -171,18 +172,17 @@ def constant_group_sheaf(space: FiniteSpace, group: FiniteGroup) -> SheafOfGroup
     G(U) is the set of functions from the components of U to the group,
     enumerated lexicographically; restriction refines components. A
     section is the mixed-radix code of its component values, so G(U) is
-    G^c for c components, built once per c.
+    G^c for c components, built once per c; G^1 is the group itself.
     """
     comps = [connected_components(space, o) for o in space.opens]
     sizes = [_guard_sections(group, len(c)) for c in comps]
     n = group.order
-    values = {}  # component count -> the value tuple of every section, one row each
-    powers = {}
-    for c in comps:
-        if len(c) not in powers:
-            vals = values[len(c)] = _digits(np.arange(n ** len(c)), n, len(c))
-            table = _codes(group.array[vals[:, None], vals[None, :]], n)
-            powers[len(c)] = build_group(n ** len(c), table)
+    # component count -> the value tuple of every section, one row each
+    values = {k: _digits(np.arange(n ** k), n, k) for k in {len(c) for c in comps}}
+    powers = {
+        k: group if k == 1 else build_group(n ** k, _codes(group.array[v[:, None], v[None, :]], n))
+        for k, v in values.items()
+    }
     restrict = {}
     for u, v in _proper_pairs(space):
         holder = [next(i for i, cu in enumerate(comps[u]) if cv[0] in cu) for cv in comps[v]]
@@ -195,16 +195,25 @@ def _arrays(restrict: dict) -> dict:
     return {key: np.asarray(table, dtype=np.int32) for key, table in restrict.items()}
 
 
+def _restriction_arrays(name: str, space: FiniteSpace, restrict: dict, sizes) -> tuple[list[dict], dict]:
+    """Witnesses of missing, misshapen or out-of-range restriction tables, and the tables as int arrays.
+
+    A cheap screen, for ``is_sheaf_torsor`` run on sheaves nothing has
+    checked; ``is_sheaf`` also checks the type of every cell.
+    """
+    out, arrays = [], _arrays(restrict)
+    for u, v in _proper_pairs(space):
+        arr = arrays.get((u, v))
+        if arr is None or arr.shape != (sizes[u],):
+            out.append({"axiom": "restriction-table", "sheaf": name, "u": u, "v": v})
+        elif arr.size and (arr.min() < 0 or arr.max() >= sizes[v]):
+            out.append({"axiom": "restriction-range", "sheaf": name, "u": u, "v": v})
+    return out, arrays
+
+
 def _table(arrays: dict, sizes, u: int, v: int) -> np.ndarray:
     """The restriction from open u to open v as an int array; the identity when u == v."""
     return np.arange(sizes[u]) if u == v else arrays[(u, v)]
-
-
-def _first(bad: np.ndarray):
-    """Row-major index tuple of the first True cell, or None."""
-    if not bad.any():
-        return None
-    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
 
 
 def _structure(sheaf: SheafOfSets) -> tuple[list[dict], dict]:
@@ -366,7 +375,11 @@ def _action_structure_witnesses(action: SheafAction) -> tuple[list[dict], list]:
                 )
     if out:
         return out, tables
-    g_arrays, f_arrays = _arrays(gs.sets.restrict), _arrays(fs.restrict)
+    g_out, g_arrays = _restriction_arrays("groups", space, gs.sets.restrict, [g.order for g in gs.groups])
+    f_out, f_arrays = _restriction_arrays("sets", space, fs.restrict, fs.sizes)
+    out = g_out + f_out
+    if out:
+        return out, tables
     for u, v, a, s in _restriction_failures(space, tables, g_arrays, f_arrays):
         out.append({"axiom": "action-restriction", "u": u, "v": v, "g": a, "s": s})
     return out, tables
@@ -417,8 +430,12 @@ def is_sheaf_torsor(action: SheafAction) -> Report:
 
 
 def as_sheaf_torsor(action: SheafAction) -> SheafTorsor:
-    """Validate all sheaf and torsor axioms; raise with the report on failure."""
-    for rep in (is_sheaf(action.sets), is_sheaf_of_groups(action.groups), is_sheaf_torsor(action)):
+    """Validate all sheaf and torsor axioms in order; raise with the first failing report.
+
+    Each check reads only tables the checks before it have validated.
+    """
+    for check, arg in ((is_sheaf, action.sets), (is_sheaf_of_groups, action.groups), (is_sheaf_torsor, action)):
+        rep = check(arg)
         if not rep.passed:
             raise NotASheafTorsor(
                 f"{rep.check} failed: {rep.witnesses[0]}", report=rep
@@ -439,27 +456,24 @@ def global_sections(torsor: SheafTorsor) -> list[int]:
 
 
 def _cover(space: FiniteSpace, cover) -> tuple[int, ...]:
-    """Cover open indices, strictly: MalformedTable names a non-integer entry."""
+    """Cover open indices, strictly: MalformedTable names a non-integer entry, CoverIncomplete missed points."""
     cover = tuple(cover)
     for pos, c in enumerate(cover):
         if not _is_int(c):
             raise MalformedTable(f"cover entry {pos} = {c!r} is not an integer", index=pos)
         if not 0 <= c < len(space.opens):
             raise UnknownOpen(f"cover open {c} out of range", open=int(c))
-    return tuple(int(c) for c in cover)
+    cover = tuple(int(c) for c in cover)
+    missed = set(range(space.num_points)).difference(*(space.opens[c] for c in cover))
+    if missed:
+        raise CoverIncomplete(f"cover misses points {sorted(missed)}")
+    return cover
 
 
 def build_descent_datum(gs: SheafOfGroups, cover, transition) -> DescentDatum:
     """Validate cover completeness and the sheaf-level cocycle identities."""
     space = gs.space
     cover = _cover(space, cover)
-    if not cover:
-        raise CoverIncomplete("empty cover")
-    union = frozenset(p for c in cover for p in space.opens[c])
-    if union != frozenset(range(space.num_points)):
-        raise CoverIncomplete(
-            f"cover misses points {sorted(set(range(space.num_points)) - union)}"
-        )
     k = len(cover)
     values = {}
     for key, val in dict(transition).items():
@@ -572,9 +586,6 @@ def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
     fs = torsor.sets
     space = torsor.space
     cover = _cover(space, cover)
-    union = frozenset(p for c in cover for p in space.opens[c])
-    if union != frozenset(range(space.num_points)):
-        raise CoverIncomplete("chosen cover does not cover the space")
     chosen = tuple(chosen)
     if len(chosen) != len(cover):
         raise Mismatch(f"{len(chosen)} sections for {len(cover)} cover opens")

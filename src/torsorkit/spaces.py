@@ -94,11 +94,11 @@ def build_space(num_points: int, opens) -> FiniteSpace:
                 raise PointOutOfRange(f"point {p} out of range", point=p)
     if len(canon) > MAX_OPENS:
         raise TooLarge(f"{len(canon)} opens exceed {MAX_OPENS}", size=len(canon))
-    whole = tuple(range(num_points))
     present = {frozenset(o) for o in canon}
     if frozenset() not in present:
         raise MissingEmpty("the empty set is not an open")
-    if frozenset(whole) not in present:
+    # every open lies in range(num_points), so only the whole set has num_points points
+    if max(map(len, present)) != num_points:
         raise MissingWhole("the whole point set is not an open")
     for i, a in enumerate(canon):
         for b in canon[i + 1 :]:

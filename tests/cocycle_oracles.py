@@ -1,13 +1,16 @@
 """Brute-force cocycle enumerators, the oracles for gauge-fixed classification.
 
 The library classifies cocycles without trying every edge assignment;
-these helpers do try every one, so tests can compare against them.
+these helpers do try every one, so tests can compare against them. The
+``find_trivialization`` and ``are_equivalent`` below are the earlier
+implementations, each with its own tree propagation, kept so the shared
+propagation can be compared against them output for output.
 """
 
 import itertools
 
 import torsorkit as tk
-from torsorkit.cocycles import _guard_candidates
+from torsorkit.cocycles import NotEquivalent, NotTrivial, _guard_candidates, _require_same, _spanning_forest
 from torsorkit.errors import TripleViolation
 
 
@@ -33,3 +36,47 @@ def enumerate_cocycles(nerve, group):
         except TripleViolation:
             continue
     return out
+
+
+def find_trivialization(c):
+    """A cochain h with g_ij = h_i * h_j^-1 on every edge, or NotTrivial (its own propagation)."""
+    grp = c.group
+    h = [grp.identity] * c.nerve.num_opens
+    for comp in _spanning_forest(c.nerve):
+        for u, v in comp.tree:
+            h[v] = grp.mul(c.value(v, u), h[u])
+    for i, j in c.nerve.edges:
+        if c.g[(i, j)] != grp.mul(h[i], grp.inv(h[j])):
+            return NotTrivial(violating_edge=(i, j))
+    return tk.make_cochain(c.nerve, grp, h)
+
+
+def are_equivalent(c1, c2):
+    """A cochain h with c2_ij = h_i * c1_ij * h_j^-1, or NotEquivalent.
+
+    Per component h_v = A_v * r * B_v, with A and B transported from the
+    root and the first root value r in element order that passes every
+    non-tree edge.
+    """
+    _require_same(c1, c2.nerve, c2.group)
+    grp = c1.group
+    mul, inv = grp.mul, grp.inv
+    h = [grp.identity] * c1.nerve.num_opens
+    for comp in _spanning_forest(c1.nerve):
+        a = {comp.root: grp.identity}
+        b = {comp.root: grp.identity}
+        for u, v in comp.tree:
+            a[v] = mul(c2.value(v, u), a[u])
+            b[v] = mul(b[u], c1.value(u, v))
+        for r in grp.elements():
+            if all(
+                c2.g[(i, j)]
+                == mul(mul(mul(a[i], mul(r, b[i])), c1.g[(i, j)]), inv(mul(a[j], mul(r, b[j]))))
+                for (i, j) in comp.cotree
+            ):
+                break
+        else:
+            return NotEquivalent()
+        for v in comp.opens:
+            h[v] = mul(a[v], mul(r, b[v]))
+    return tk.make_cochain(c1.nerve, grp, h)

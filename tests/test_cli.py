@@ -294,3 +294,70 @@ def test_generate_reports_size_guard_without_traceback(tmp_path):
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert res.stdout == "affine: FAIL\n  witness size-guard: size=512\n"
+
+
+@pytest.mark.parametrize("sheaf,table,axiom", [
+    ("sets", None, "restriction-table"),
+    ("groups", None, "restriction-table"),
+    ("sets", [0, 2], "restriction-range"),
+    ("groups", [0, 2], "restriction-range"),
+])
+def test_check_sheaf_torsor_reports_a_bad_restriction_table(tmp_path, sheaf, table, axiom):
+    obj = json.loads((DATA / "sheaf_action_psc_twisted.json").read_text())
+    key = "4,1"  # the arc {0,1,2} onto the point {0}
+    if table is None:
+        del obj[sheaf]["restrict"][key]
+    else:
+        obj[sheaf]["restrict"][key] = table
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["check", "sheaf-torsor", str(path), "--json"])
+    assert (code, err) == (1, "")
+    rep = json.loads(out)
+    assert rep["check"] == "sheaf-torsor"
+    assert rep["witnesses"] == [{"axiom": axiom, "u": 4, "v": 1}]
+
+
+def test_query_classes_rejects_a_file_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli(["query", "classes", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: classes: missing key 'nerve'\n"
+
+
+@pytest.mark.parametrize("problem,message", [
+    ({"p": 3, "T": 5, "w": [1]}, "solution: key 'T' has wrong type"),
+    ({"p": 3, "T": [1], "w": [1]}, "solution.T: expected a list of lists"),
+    ({"p": 3, "T": [[1]], "w": 1}, "solution: key 'w' has wrong type"),
+    ({"p": "3", "T": [[1]], "w": [1]}, "solution: key 'p' has wrong type"),
+    ([1, 2], "solution: missing key 'p'"),
+])
+def test_generate_solution_schema_errors_name_the_field(tmp_path, problem, message):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run_cli(["generate", "solution", str(path), "-o", str(tmp_path / "out.json")])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["query", "transporter", "1", "y", "{gen}/affine_3_1.json"], "y"),
+    (["query", "orbit", "1.5", "{gen}/affine_3_1.json"], "x"),
+    (["query", "holonomy", "0,,2,0", str(DATA / "cocycle_c3_z2.json")], "path"),
+    (["query", "sections", "arc", "{gen}/psc_twisted.json"], "open"),
+    (["generate", "affine", "3", "two", "-o", "{gen}/unused.json"], "n"),
+])
+def test_non_integer_parameters_are_schema_errors(gen_dir, argv, name):
+    code, out, err = run_cli([a.format(gen=gen_dir) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: parameter {name}: ")
+
+
+@pytest.mark.parametrize("table", [5, [[0, 1], 1], "01"])
+def test_sheaf_action_group_tables_must_be_lists_of_lists(tmp_path, table):
+    obj = json.loads((DATA / "sheaf_action_psc_twisted.json").read_text())
+    obj["groups"]["cayley"]["1"] = table
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["check", "sheaf-torsor", str(path)])
+    assert (code, out, err) == (2, "", "error: sheaf-action.groups.cayley.1: expected a list of lists\n")

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torsorkit as tk
@@ -19,6 +19,7 @@ from torsorkit.errors import (
     TripleWithoutEdge,
 )
 
+import cocycle_oracles
 from cocycle_oracles import enumerate_cocycles
 
 C3_EDGES = [(0, 1), (0, 2), (1, 2)]
@@ -475,3 +476,68 @@ def test_holonomy_accepts_numpy_integers(c3, s3):
 
     c = cocycle(c3, s3, 3, 5, 2)
     assert tk.holonomy(c, [np.int64(0), 1, np.int32(2), 0]) == tk.holonomy(c, [0, 1, 2, 0])
+
+
+ORACLE_GROUPS = ["cyclic(2)", "cyclic(3)", "cyclic(4)", "klein_four", "symmetric(3)"]
+
+
+@st.composite
+def cocycle_pairs(draw):
+    """Two cocycles on one nerve with triples, several components and isolated opens.
+
+    Edges join opens in the same one of up to three blocks. Each edge value is
+    k_i * k_j^-1 for a drawn cochain k or a free draw, so triangles often
+    close; the triples are some of the triangles on which both cocycles
+    close. Half the pairs are related by a random coboundary.
+    """
+    group = tk.catalog_group(draw(st.sampled_from(ORACLE_GROUPS)))
+    rnd = draw(st.randoms(use_true_random=True))
+    n = rnd.randint(1, 8)
+    element = lambda: rnd.randrange(group.order)  # noqa: E731
+    blocks = rnd.randint(1, 3)
+    block = [rnd.randrange(blocks) for _ in range(n)]
+    edges = [
+        (i, j)
+        for i, j in itertools.combinations(range(n), 2)
+        if block[i] == block[j] and rnd.random() < 0.9
+    ]
+
+    def values():
+        k = [element() for _ in range(n)]
+        return {
+            (i, j): group.mul(k[i], group.inv(k[j])) if rnd.random() < 0.8 else element()
+            for i, j in edges
+        }
+
+    v1, v2 = values(), values()
+    closed = [
+        (i, j, k)
+        for i, j, k in itertools.combinations(range(n), 3)
+        if all(e in v1 for e in ((i, j), (j, k), (i, k)))
+        and all(group.mul(v[(i, j)], v[(j, k)]) == v[(i, k)] for v in (v1, v2))
+    ]
+    nerve = tk.build_nerve(n, edges, [t for t in closed if rnd.random() < 0.7])
+    c1 = tk.check_cocycle(nerve, group, v1)
+    if draw(st.booleans()):
+        h = tk.make_cochain(nerve, group, [element() for _ in range(n)])
+        return c1, tk.apply_coboundary(c1, h)
+    return c1, tk.check_cocycle(nerve, group, v2)
+
+
+def _conjugated_k4_pair():
+    """K4 over symmetric(3), conjugated by a 3-cycle at every open: one root value r works, not its inverse."""
+    s3 = tk.catalog_group("symmetric(3)")
+    nerve = tk.build_nerve(4, list(itertools.combinations(range(4), 2)))
+    c1 = tk.check_cocycle(nerve, s3, {(0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 2): 3, (1, 3): 1, (2, 3): 2})
+    return c1, tk.apply_coboundary(c1, tk.make_cochain(nerve, s3, [3] * 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=cocycle_pairs())
+@example(pair=_conjugated_k4_pair())
+def test_shared_propagation_matches_the_separate_implementations(pair):
+    c1, c2 = pair
+    for c in (c1, c2):
+        assert tk.find_trivialization(c) == cocycle_oracles.find_trivialization(c)
+    assert tk.are_equivalent(c1, c2) == cocycle_oracles.are_equivalent(c1, c2)
+    assert tk.are_equivalent(c2, c1) == cocycle_oracles.are_equivalent(c2, c1)

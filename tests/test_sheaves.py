@@ -13,7 +13,7 @@ from torsorkit.errors import (
     TripleViolation,
     UnknownOpen,
 )
-from torsorkit.sheaves import SheafOfSets
+from torsorkit.sheaves import SheafAction, SheafOfGroups, SheafOfSets
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +182,12 @@ def test_descent_datum_triple_violation(three_arm, s3):
 
 def test_descent_datum_cover_incomplete(psc, z2):
     gs = tk.constant_group_sheaf(psc, z2)
-    with pytest.raises(CoverIncomplete):
-        tk.build_descent_datum(gs, [psc.index_of((0, 1, 2))], {})
+    for cover in ([psc.index_of((0, 1, 2))], []):
+        with pytest.raises(CoverIncomplete, match="cover misses points"):
+            tk.build_descent_datum(gs, cover, {})
+    torsor = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 0))
+    with pytest.raises(CoverIncomplete, match=r"cover misses points \[3\]"):
+        tk.extract_cocycle(torsor, [psc.index_of((0, 1, 2))], [0])
 
 
 def test_sections_unknown_open(psc, z2):
@@ -360,3 +364,73 @@ def test_local_transport_is_decided_once_per_minimal_open(z2):
         ("local-transport", 1, 1),
         ("local-transport", 2, 2),
     ]
+
+
+def _glued_action_with(restrict_of, key, table):
+    """The twisted pseudocircle action with one restriction table of G or F replaced (None deletes it)."""
+    glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(tk.catalog_group("cyclic(2)"), 1))
+    action = glued.action
+    sheaf = action.groups.sets if restrict_of == "groups" else action.sets
+    restrict = dict(sheaf.restrict)
+    if table is None:
+        del restrict[key]
+    else:
+        restrict[key] = table
+    changed = SheafOfSets(space=sheaf.space, sizes=sheaf.sizes, restrict=restrict)
+    if restrict_of == "groups":
+        return SheafAction(groups=SheafOfGroups(sets=changed, groups=action.groups.groups), sets=action.sets, act=action.act)
+    return SheafAction(groups=action.groups, sets=changed, act=action.act)
+
+
+@pytest.mark.parametrize("restrict_of,table,axiom", [
+    ("sets", None, "restriction-table"),
+    ("groups", None, "restriction-table"),
+    ("sets", (0,), "restriction-table"),
+    ("sets", (0, 2), "restriction-range"),
+    ("groups", (-1, 0), "restriction-range"),
+])
+def test_is_sheaf_torsor_witnesses_bad_restriction_tables(psc, restrict_of, table, axiom):
+    key = (psc.index_of((0, 1, 2)), psc.index_of((0,)))
+    rep = tk.is_sheaf_torsor(_glued_action_with(restrict_of, key, table))
+    assert not rep.passed
+    assert rep.witnesses == ({"axiom": axiom, "sheaf": restrict_of, "u": key[0], "v": key[1]},)
+
+
+def test_as_sheaf_torsor_stops_at_the_first_failing_check(psc):
+    key = (psc.index_of((0, 1, 2)), psc.index_of((0,)))
+    with pytest.raises(NotASheafTorsor) as err:
+        tk.as_sheaf_torsor(_glued_action_with("sets", key, None))
+    assert err.value.report.check == "sheaf"
+    assert err.value.report.witnesses == ({"axiom": "restriction-table", "u": key[0], "v": key[1]},)
+
+
+def test_glue_rejects_a_hand_built_group_sheaf_with_a_corrupted_restriction(psc, z2):
+    gs = tk.constant_group_sheaf(psc, z2)
+    key = (psc.whole_index, psc.index_of((0, 1)))
+    restrict = dict(gs.sets.restrict)
+    restrict[key] = (restrict[key][1],) + restrict[key][1:]
+    corrupt = SheafOfGroups(
+        sets=SheafOfSets(space=psc, sizes=gs.sets.sizes, restrict=restrict), groups=gs.groups
+    )
+    cover = (psc.index_of((0, 1, 2)), psc.index_of((0, 1, 3)))
+    datum = tk.build_descent_datum(corrupt, cover, {(0, 1): tk.constant_section_id(z2, (0, 1))})
+    with pytest.raises(NotASheafTorsor) as err:
+        tk.glue_from_cocycle(datum)
+    assert err.value.report.check == "sheaf-of-groups"
+
+
+def test_constant_sheaf_reuses_the_group_on_one_component_opens(psc, z2, monkeypatch):
+    import torsorkit.sheaves as sheaves
+
+    built = []
+    real = sheaves.build_group
+
+    def counting(order, table):
+        built.append(order)
+        return real(order, table)
+
+    monkeypatch.setattr(sheaves, "build_group", counting)
+    gs = tk.constant_group_sheaf(psc, z2)
+    assert sorted(built) == [1, 4]  # the empty open (no components) and the two-point open
+    one = [u for u, o in enumerate(psc.opens) if len(tk.connected_components(psc, o)) == 1]
+    assert len(one) == 5 and all(gs.groups[u] is z2 for u in one)

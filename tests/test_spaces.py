@@ -64,6 +64,11 @@ def test_missing_empty_and_whole():
         tk.build_space(2, [(), (0,)])
 
 
+def test_missing_whole_is_decided_without_listing_the_points():
+    with pytest.raises(MissingWhole):
+        tk.build_space(10**30, [(), (0,)])
+
+
 def test_too_many_opens():
     import itertools
 
