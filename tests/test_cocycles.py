@@ -493,7 +493,10 @@ def cocycle_pairs(draw):
     group = tk.catalog_group(draw(st.sampled_from(ORACLE_GROUPS)))
     rnd = draw(st.randoms(use_true_random=True))
     n = rnd.randint(1, 8)
-    element = lambda: rnd.randrange(group.order)  # noqa: E731
+
+    def element():
+        return rnd.randrange(group.order)
+
     blocks = rnd.randint(1, 3)
     block = [rnd.randrange(blocks) for _ in range(n)]
     edges = [

@@ -1,6 +1,7 @@
 """Sheaf axioms, sheaf torsors, descent gluing, and the pseudocircle twist."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,7 @@ from torsorkit.errors import (
     TripleViolation,
     UnknownOpen,
 )
-from torsorkit.sheaves import SheafAction, SheafOfGroups, SheafOfSets
+from torsorkit.sheaves import SheafOfSets
 
 
 @pytest.fixture(scope="module")
@@ -376,10 +377,10 @@ def _glued_action_with(restrict_of, key, table):
         del restrict[key]
     else:
         restrict[key] = table
-    changed = SheafOfSets(space=sheaf.space, sizes=sheaf.sizes, restrict=restrict)
+    changed = replace(sheaf, restrict=restrict)
     if restrict_of == "groups":
-        return SheafAction(groups=SheafOfGroups(sets=changed, groups=action.groups.groups), sets=action.sets, act=action.act)
-    return SheafAction(groups=action.groups, sets=changed, act=action.act)
+        return replace(action, groups=replace(action.groups, sets=changed))
+    return replace(action, sets=changed)
 
 
 @pytest.mark.parametrize("restrict_of,table,axiom", [
@@ -409,9 +410,7 @@ def test_glue_rejects_a_hand_built_group_sheaf_with_a_corrupted_restriction(psc,
     key = (psc.whole_index, psc.index_of((0, 1)))
     restrict = dict(gs.sets.restrict)
     restrict[key] = (restrict[key][1],) + restrict[key][1:]
-    corrupt = SheafOfGroups(
-        sets=SheafOfSets(space=psc, sizes=gs.sets.sizes, restrict=restrict), groups=gs.groups
-    )
+    corrupt = replace(gs, sets=replace(gs.sets, restrict=restrict))
     cover = (psc.index_of((0, 1, 2)), psc.index_of((0, 1, 3)))
     datum = tk.build_descent_datum(corrupt, cover, {(0, 1): tk.constant_section_id(z2, (0, 1))})
     with pytest.raises(NotASheafTorsor) as err:
