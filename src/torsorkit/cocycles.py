@@ -215,31 +215,33 @@ class _Component:
 def _spanning_forest(nerve: Nerve) -> list[_Component]:
     """One breadth-first spanning tree per connected component, ascending neighbours.
 
-    Components come in the order of their least opens; an open on no
-    edge is a component of its own with an empty tree.
+    Components come in the order of their least opens. Only the opens on
+    an edge are visited: an open on no edge would be a component with an
+    empty tree, which constrains nothing, so the work follows the edges,
+    not ``num_opens``.
     """
-    adj = [[] for _ in range(nerve.num_opens)]
+    adj = {}
     for i, j in nerve.edges:  # sorted edges leave every list ascending
-        adj[i].append(j)
-        adj[j].append(i)
-    comp_of = [-1] * nerve.num_opens
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    comp_of, tree_edges = {}, set()
     found = []
-    for root in range(nerve.num_opens):
-        if comp_of[root] >= 0:
+    for root, _ in nerve.edges:  # sorted edges reach each component first at its least open
+        if root in comp_of:
             continue
-        comp_of[root] = len(found)
+        comp = comp_of[root] = len(found)
         opens, tree = [], []
         queue = deque([root])
         while queue:
             u = queue.popleft()
             opens.append(u)
             for v in adj[u]:
-                if comp_of[v] < 0:
-                    comp_of[v] = comp_of[root]
+                if v not in comp_of:
+                    comp_of[v] = comp
                     tree.append((u, v))
+                    tree_edges.add((u, v) if u < v else (v, u))
                     queue.append(v)
         found.append((root, opens, tree))
-    tree_edges = {(min(e), max(e)) for _, _, tree in found for e in tree}
     cotrees = [[] for _ in found]
     for e in nerve.edges:
         if e not in tree_edges:
@@ -367,17 +369,19 @@ def equivalence_classes(nerve: Nerve, group: FiniteGroup) -> list[CocycleClass]:
     """
     _guard_candidates(nerve, group)
     cay, inv, n = group.cayley, group.inverse, group.order
-    comps = [c for c in _spanning_forest(nerve) if c.tree]
+    comps = _spanning_forest(nerve)
     pos = {edge: p for p, edge in enumerate(nerve.edges)}
     # conjugation at a root changes only its component's non-tree edges
     conj_positions = [[pos[x] for x in c.cotree] for c in comps if c.cotree]
     gauge_fixed = _gauge_fixed_cocycles(nerve, group, pos, sum(conj_positions, []))
 
-    # every cochain that is the identity at the roots, one row each: h_i and h_j^-1 per edge
-    free = [v for c in comps for v in c.opens[1:]]
-    h = np.full((n ** len(free), nerve.num_opens), group.identity)
+    # every cochain that is the identity at the roots, one row each and one column per open
+    # on an edge (the others never enter a class): h_i and h_j^-1 per edge
+    column = {v: p for p, v in enumerate(v for c in comps for v in c.opens)}
+    free = [column[v] for c in comps for v in c.opens[1:]]
+    h = np.full((n ** len(free), len(column)), group.identity)
     h[:, free] = _digits(np.arange(len(h)), n, len(free))
-    tails, heads = np.array(nerve.edges, dtype=np.intp).reshape(-1, 2).T
+    tails, heads = np.array([(column[i], column[j]) for i, j in nerve.edges], dtype=np.intp).reshape(-1, 2).T
     left = h[:, tails]
     right = np.asarray(inv)[h[:, heads]]
 

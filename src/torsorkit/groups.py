@@ -54,7 +54,9 @@ class FiniteGroup:
     """A group of given order with precomputed identity and inverse tables.
 
     ``array`` is ``cayley`` as a read-only int array, kept for the
-    vectorized checks.
+    vectorized checks. ``constant_sheaves`` holds the decided constant
+    sheaves of this group by space, filled by
+    ``sheaves.constant_group_sheaf``; it dies with the group.
     """
 
     order: int
@@ -62,6 +64,7 @@ class FiniteGroup:
     identity: int
     inverse: tuple[int, ...]
     array: np.ndarray = field(default=None, repr=False, compare=False)
+    constant_sheaves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.array is None:

@@ -29,7 +29,9 @@ found again by code lookup.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,6 +63,9 @@ from .spaces import FiniteSpace, connected_components, point_space, pseudocircle
 CONSTANT_SECTIONS_MAX = 512    # per-open section count for constant sheaves
 FAMILY_CANDIDATE_MAX = 65536   # descent family candidates per open
 
+# held while a group's constant sheaf cache is read or filled, so each is decided once
+_CONSTANT_SHEAVES_LOCK = threading.Lock()
+
 
 @dataclass(frozen=True)
 class SheafOfSets:
@@ -76,11 +81,24 @@ class SheafOfSets:
     def restrict_section(self, u: int, s: int, v: int) -> int:
         return s if u == v else self.restrict[(u, v)][s]
 
+    def __reduce__(self):
+        # a read-only mapping does not pickle: pickle a copy and make it read-only again
+        if isinstance(self.restrict, MappingProxyType):
+            return _read_only_sets, (self.space, self.sizes, dict(self.restrict))
+        return SheafOfSets, (self.space, self.sizes, self.restrict)
+
+
+def _read_only_sets(space: FiniteSpace, sizes: tuple[int, ...], restrict: dict) -> SheafOfSets:
+    return SheafOfSets(space=space, sizes=sizes, restrict=MappingProxyType(restrict))
+
 
 @dataclass(frozen=True)
 class SheafOfGroups:
+    """``decided`` marks a read-only sheaf that passed is_sheaf_of_groups; only this module sets it."""
+
     sets: SheafOfSets
     groups: tuple[FiniteGroup, ...]
+    decided: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def space(self) -> FiniteSpace:
@@ -173,7 +191,23 @@ def constant_group_sheaf(space: FiniteSpace, group: FiniteGroup) -> SheafOfGroup
     enumerated lexicographically; restriction refines components. A
     section is the mixed-radix code of its component values, so G(U) is
     G^c for c components, built once per c; G^1 is the group itself.
+
+    Each sheaf is built and decided once per space and group object, then
+    kept read-only in ``group.constant_sheaves``: equal spaces get the
+    same sheaf, which as_sheaf_torsor does not decide again.
     """
+    with _CONSTANT_SHEAVES_LOCK:
+        gs = group.constant_sheaves.get(space)
+        if gs is None:
+            gs = _constant_group_sheaf(space, group)
+            rep = is_sheaf_of_groups(gs)
+            if not rep.passed:
+                raise InternalError(f"the constant sheaf fails {rep.check}: {rep.witnesses[0]}")
+            gs = group.constant_sheaves[space] = _frozen(gs)
+    return gs
+
+
+def _constant_group_sheaf(space: FiniteSpace, group: FiniteGroup) -> SheafOfGroups:
     comps = [connected_components(space, o) for o in space.opens]
     sizes = [_guard_sections(group, len(c)) for c in comps]
     n = group.order
@@ -346,6 +380,24 @@ def is_sheaf_of_groups(gs: SheafOfGroups) -> Report:
     return passing("sheaf-of-groups", counts={"opens": len(gs.space.opens)})
 
 
+def _require(rep: Report) -> None:
+    if not rep.passed:
+        raise NotASheafTorsor(f"{rep.check} failed: {rep.witnesses[0]}", report=rep)
+
+
+def _frozen(gs: SheafOfGroups) -> SheafOfGroups:
+    """A read-only copy of ``gs``, which passed is_sheaf_of_groups, marked decided.
+
+    The copy holds the tables that were decided, one per inclusion, as
+    tuples in a read-only mapping, so no caller can change it after the
+    decision the mark records.
+    """
+    restrict = {pair: tuple(gs.sets.restrict[pair]) for pair in _proper_pairs(gs.space)}
+    out = SheafOfGroups(sets=_read_only_sets(gs.space, tuple(gs.sets.sizes), restrict), groups=tuple(gs.groups))
+    object.__setattr__(out, "decided", True)
+    return out
+
+
 def _action_structure_witnesses(action: SheafAction) -> tuple[list[dict], list]:
     """Witnesses of the action axioms per open and along restrictions, and the act tables as int arrays."""
     out, tables = [], []
@@ -433,13 +485,13 @@ def as_sheaf_torsor(action: SheafAction) -> SheafTorsor:
     """Validate all sheaf and torsor axioms in order; raise with the first failing report.
 
     Each check reads only tables the checks before it have validated.
+    G is not decided again when it is marked decided (read-only, built by
+    constant_group_sheaf or glue_from_cocycle); F and the action always are.
     """
-    for check, arg in ((is_sheaf, action.sets), (is_sheaf_of_groups, action.groups), (is_sheaf_torsor, action)):
-        rep = check(arg)
-        if not rep.passed:
-            raise NotASheafTorsor(
-                f"{rep.check} failed: {rep.witnesses[0]}", report=rep
-            )
+    _require(is_sheaf(action.sets))
+    if not action.groups.decided:
+        _require(is_sheaf_of_groups(action.groups))
+    _require(is_sheaf_torsor(action))
     return SheafTorsor(action=action)
 
 
@@ -516,9 +568,14 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
     F(U) is the set of chart families (s_i in G(U n U_i)) satisfying
     s_i = g_ij . s_j on overlaps, with componentwise restriction; the
     group acts through the right of the chart coordinate by a^-1.
-    Families are numbered in lexicographic order.
+    Families are numbered in lexicographic order. A G that is not marked
+    decided is decided first (NotASheafTorsor when it fails), and the
+    torsor keeps a read-only copy of it.
     """
     gs = datum.groups
+    if not gs.decided:
+        _require(is_sheaf_of_groups(gs))
+        gs = _frozen(gs)
     space = gs.space
     sizes = gs.sets.sizes
     arrays = _arrays(gs.sets.restrict)

@@ -326,6 +326,20 @@ def test_query_classes_rejects_a_file_that_is_not_an_object(tmp_path):
     assert err == "error: classes: missing key 'nerve'\n"
 
 
+@pytest.mark.parametrize("opens", [10**6, 10**21])
+def test_query_classes_work_follows_the_edges_not_the_open_count(tmp_path, opens):
+    # opens on no edge never enter a class, so the answer is the 3-open one and costs no more
+    obj = json.loads((DATA / "cocycle_c3_z2.json").read_text())
+    assert obj["nerve"]["opens"] == 3
+    obj["nerve"]["opens"] = opens
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps(obj))
+    for flags in ([], ["--json"]):
+        want = run_cli(["query", "classes", str(DATA / "cocycle_c3_z2.json"), *flags])
+        assert want[0] == 0
+        assert run_cli(["query", "classes", str(path), *flags]) == want
+
+
 @pytest.mark.parametrize("problem,message", [
     ({"p": 3, "T": 5, "w": [1]}, "solution: key 'T' has wrong type"),
     ({"p": 3, "T": [1], "w": [1]}, "solution.T: expected a list of lists"),

@@ -2,6 +2,7 @@
 
 import itertools
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 
@@ -418,9 +419,10 @@ def test_glue_rejects_a_hand_built_group_sheaf_with_a_corrupted_restriction(psc,
     assert err.value.report.check == "sheaf-of-groups"
 
 
-def test_constant_sheaf_reuses_the_group_on_one_component_opens(psc, z2, monkeypatch):
+def test_constant_sheaf_reuses_the_group_on_one_component_opens(psc, monkeypatch):
     import torsorkit.sheaves as sheaves
 
+    z2 = tk.catalog_group("cyclic(2)")  # fresh: the session fixture's sheaves are cached already
     built = []
     real = sheaves.build_group
 
@@ -433,3 +435,164 @@ def test_constant_sheaf_reuses_the_group_on_one_component_opens(psc, z2, monkeyp
     assert sorted(built) == [1, 4]  # the empty open (no components) and the two-point open
     one = [u for u, o in enumerate(psc.opens) if len(tk.connected_components(psc, o)) == 1]
     assert len(one) == 5 and all(gs.groups[u] is z2 for u in one)
+
+
+def _hand_built(gs, restrict=None):
+    """A value-equal copy of ``gs`` built by hand, with plain-dict restrictions, not marked decided."""
+    restrict = dict(gs.sets.restrict) if restrict is None else restrict
+    return tk.SheafOfGroups(sets=SheafOfSets(space=gs.space, sizes=gs.sets.sizes, restrict=restrict), groups=gs.groups)
+
+
+def _counting(monkeypatch, name):
+    """Replace a sheaves function with one that records its calls; returns the record."""
+    import torsorkit.sheaves as sheaves
+
+    calls, real = [], getattr(sheaves, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sheaves, name, counted)
+    return calls
+
+
+def test_glue_decides_a_hand_built_group_sheaf_before_gluing(psc, z3, monkeypatch):
+    gs = tk.constant_group_sheaf(psc, z3)
+    cover = (psc.index_of((0, 1, 2)), psc.index_of((0, 1, 3)))
+    transition = {(0, 1): tk.constant_section_id(z3, (0, 1))}
+    decided = _counting(monkeypatch, "is_sheaf_of_groups")
+    corruptions = 0
+    for key, table in gs.sets.restrict.items():
+        for s, good in enumerate(table):
+            for bad in set(range(gs.sets.sizes[key[1]])) - {good}:
+                restrict = dict(gs.sets.restrict)
+                restrict[key] = table[:s] + (bad,) + table[s + 1:]
+                datum = tk.build_descent_datum(_hand_built(gs, restrict), cover, transition)
+                decided.clear()
+                with pytest.raises(NotASheafTorsor) as err:
+                    tk.glue_from_cocycle(datum)
+                assert err.value.report.check == "sheaf-of-groups"
+                assert len(decided) == 1
+                corruptions += 1
+    assert corruptions == 156
+
+
+def test_constant_sheaf_is_cached_per_space_on_its_group():
+    group = tk.catalog_group("cyclic(3)")
+    first = tk.constant_group_sheaf(tk.pseudocircle(), group)
+    assert tk.constant_group_sheaf(tk.pseudocircle(), group) is first
+    assert first.decided and list(group.constant_sheaves) == [tk.pseudocircle()]
+    tk.constant_group_sheaf(tk.point_space(), group)
+    assert len(group.constant_sheaves) == 2
+    # an equal group is another object with its own cache
+    other = tk.catalog_group("cyclic(3)")
+    assert other == group and tk.constant_group_sheaf(tk.pseudocircle(), other) is not first
+
+
+def test_cached_constant_sheaf_is_read_only(psc, z2):
+    gs = tk.constant_group_sheaf(psc, z2)
+    key = next(iter(gs.sets.restrict))
+    with pytest.raises(TypeError):
+        gs.sets.restrict[key] = gs.sets.restrict[key]
+    with pytest.raises(TypeError):
+        del gs.sets.restrict[key]
+    assert all(isinstance(table, tuple) for table in gs.sets.restrict.values())
+
+
+def test_cached_sheaves_pickle_and_copy_read_only(psc):
+    import copy
+    import pickle
+
+    group = tk.catalog_group("cyclic(2)")
+    torsor = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(group, 1))
+    for clone in (pickle.loads(pickle.dumps(torsor)), copy.deepcopy(torsor)):
+        assert clone == torsor and clone.groups.decided
+        assert isinstance(clone.groups.sets.restrict, MappingProxyType)
+        assert clone.groups is next(iter(clone.groups.groups[-1].constant_sheaves.values()))
+    for clone in (pickle.loads(pickle.dumps(group)), copy.deepcopy(group)):
+        assert clone == group and tk.constant_group_sheaf(psc, clone).groups[-1] is clone
+
+
+def test_value_equal_group_sheaves_are_decided_again(psc, z2, monkeypatch):
+    gs = tk.constant_group_sheaf(psc, z2)
+    cover = (psc.index_of((0, 1, 2)), psc.index_of((0, 1, 3)))
+    transition = {(0, 1): tk.constant_section_id(z2, (0, 1))}
+    decided = _counting(monkeypatch, "is_sheaf_of_groups")
+    cached = tk.glue_from_cocycle(tk.build_descent_datum(gs, cover, transition))
+    assert decided == [] and cached.groups is gs
+    for copy in (_hand_built(gs), replace(gs), replace(gs, sets=replace(gs.sets))):
+        assert copy == gs and not copy.decided
+        decided.clear()
+        torsor = tk.glue_from_cocycle(tk.build_descent_datum(copy, cover, transition))
+        assert decided == [(copy,)]
+        assert torsor.groups == gs and torsor.groups.decided and torsor.sets == cached.sets
+        decided.clear()
+        tk.as_sheaf_torsor(replace(cached.action, groups=copy))
+        assert decided == [(copy,)]
+    # the kept copy holds the decided tables only, not a key no check reads
+    extra = _hand_built(gs, {**gs.sets.restrict, "note": 5})
+    assert tk.glue_from_cocycle(tk.build_descent_datum(extra, cover, transition)).groups == gs
+
+
+def test_as_sheaf_torsor_rejects_a_corrupted_hand_built_copy_of_a_cached_sheaf(psc, z2):
+    glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1))
+    gs = glued.groups
+    key = (psc.whole_index, psc.index_of((0, 1)))
+    restrict = dict(gs.sets.restrict)
+    restrict[key] = (restrict[key][1],) + restrict[key][1:]
+    with pytest.raises(NotASheafTorsor) as err:
+        tk.as_sheaf_torsor(replace(glued.action, groups=_hand_built(gs, restrict)))
+    assert err.value.report.check == "sheaf-of-groups"
+
+
+def test_public_checks_still_decide_a_cached_sheaf(psc, z2, monkeypatch):
+    gs = tk.constant_group_sheaf(psc, z2)
+    decided = _counting(monkeypatch, "is_sheaf")  # what is_sheaf_of_groups runs first
+    for _ in range(2):
+        assert tk.is_sheaf_of_groups(gs).passed
+    assert decided == [(gs.sets,), (gs.sets,)]
+
+
+def test_threads_gluing_on_one_group_share_one_decided_sheaf(monkeypatch):
+    import sys
+    import threading
+
+    decided = _counting(monkeypatch, "is_sheaf_of_groups")
+
+    def race(group):
+        """8 threads glue the trivial and a twisted datum on ``group`` at once; their torsors by twist."""
+        results, errors = [], []
+        start = threading.Barrier(8)
+
+        def glue():
+            try:
+                start.wait(timeout=60)
+                for twist in (0, 3):
+                    results.append((twist, tk.glue_from_cocycle(tk.pseudocircle_descent_datum(group, twist))))
+            except Exception as err:  # a thread would swallow it
+                errors.append(err)
+
+        threads = [threading.Thread(target=glue) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(results) == 16
+        return results
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            group = tk.catalog_group("symmetric(3)")  # fresh, so the cache starts empty
+            decided.clear()
+            results = race(group)
+            assert len(decided) == 1 and len(group.constant_sheaves) == 1
+            assert len({id(torsor.groups) for _, torsor in results}) == 1
+            first = dict(results)
+            assert all(torsor == first[twist] for twist, torsor in results)
+            assert [first[t].sets.sizes[-1] for t in (0, 3)] == [6, 0]
+    finally:
+        sys.setswitchinterval(interval)
