@@ -150,6 +150,12 @@ def is_transitive(action: GroupAction):
     return False, (0, missing)
 
 
+def _transports(act: np.ndarray) -> np.ndarray:
+    """[x, y] -> the number of g with g.x = y, for an action table act[g][x]."""
+    n = act.shape[1]
+    return np.bincount((np.arange(n) * n + act).ravel(), minlength=n * n).reshape(n, n)
+
+
 def as_torsor(action: GroupAction) -> Torsor:
     """Validate nonempty + free + transitive, then re-verify by unique transport.
 
@@ -166,10 +172,7 @@ def as_torsor(action: GroupAction) -> Torsor:
         raise NotTransitive(
             f"points {wit[0]} and {wit[1]} lie in distinct orbits", x=wit[0], y=wit[1]
         )
-    m = action.set_size
-    # y*m + x for every g.x = y: each (x, y) must occur exactly once
-    pairs = (np.multiply(action.array, m, dtype=np.intp) + np.arange(m)).ravel()
-    if not (np.bincount(pairs, minlength=m * m) == 1).all():
+    if not (_transports(action.array) == 1).all():
         raise InternalError("unique-transport oracle disagrees with the free/transitive checks")
     return Torsor(action=action)
 
@@ -242,12 +245,7 @@ def right_action_as_left(group: FiniteGroup, set_size: int, right_table) -> Grou
     left action, so build_action decides it once; only a failure pays for
     the scan that finds the least right witness.
     """
-    rows = [r if isinstance(r, (list, tuple)) else list(r) for r in right_table]
-    if len(rows) != set_size or any(len(r) != group.order for r in rows):
-        raise MalformedTable(
-            f"right table must be {set_size} x {group.order}", rows=len(rows)
-        )
-    right = _index_table(rows, set_size, group.order, set_size)
+    right = _index_table(right_table, set_size, group.order, set_size)
     moved = _first(right[:, group.identity] != np.arange(set_size))
     if moved is not None:
         raise RightIdentityViolated(f"x*e != x at point {moved[0]}", x=moved[0])

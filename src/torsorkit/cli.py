@@ -266,39 +266,6 @@ def cmd_generate(args) -> int:
 def _generate(args) -> int:
     family = args.family
     params = args.params
-    if family == "affine":
-        if len(params) != 2:
-            raise SchemaError("generate affine takes: p n")
-        torsor = affine_torsor(_int_param(params[0], "p"), _int_param(params[1], "n"))
-        jsonio.dump_json(args.out, jsonio.action_to_obj(torsor.action))
-        print(f"generated affine torsor: {torsor.set_size} points")
-        return 0
-    if family == "solution":
-        if len(params) != 1:
-            raise SchemaError("generate solution takes: problem-file")
-        obj = jsonio.load_json(params[0])
-        p = jsonio._expect(obj, "p", int, "solution")
-        rows = jsonio._int_list_list(jsonio._expect(obj, "T", list, "solution"), "solution.T")
-        torsor = solution_torsor(prime_field_matrix(p, rows), jsonio._expect(obj, "w", list, "solution"))
-        jsonio.dump_json(args.out, jsonio.action_to_obj(torsor.action))
-        print(f"generated solution torsor: {torsor.set_size} points")
-        return 0
-    if family == "coset":
-        if len(params) != 1:
-            raise SchemaError("generate coset takes: problem-file")
-        obj = jsonio.load_json(params[0])
-        sub = jsonio.subgroup_from_obj(obj)
-        torsor = coset_torsor(sub.parent, sub, obj.get("g", sub.parent.identity))
-        jsonio.dump_json(args.out, jsonio.action_to_obj(torsor.action))
-        print(f"generated coset torsor: {torsor.set_size} points")
-        return 0
-    if family == "bases":
-        if len(params) != 2:
-            raise SchemaError("generate bases takes: p n")
-        torsor = basis_torsor(_int_param(params[0], "p"), _int_param(params[1], "n"))
-        jsonio.dump_json(args.out, jsonio.action_to_obj(torsor.action))
-        print(f"generated basis torsor: {torsor.set_size} points")
-        return 0
     if family == "pseudocircle-torsor":
         if len(params) != 1 or params[0] not in ("trivial", "twisted"):
             raise SchemaError("generate pseudocircle-torsor takes: trivial|twisted")
@@ -311,7 +278,27 @@ def _generate(args) -> int:
         n = len(sections(glue_from_cocycle(datum), datum.groups.space.whole_index))
         print(f"generated pseudocircle descent datum ({params[0]}): {n} global sections")
         return 0
-    raise SchemaError(f"unknown family {family!r}")
+    if family in ("affine", "bases"):
+        if len(params) != 2:
+            raise SchemaError(f"generate {family} takes: p n")
+        build = affine_torsor if family == "affine" else basis_torsor
+        torsor = build(_int_param(params[0], "p"), _int_param(params[1], "n"))
+    elif family in ("solution", "coset"):
+        if len(params) != 1:
+            raise SchemaError(f"generate {family} takes: problem-file")
+        obj = jsonio.load_json(params[0])
+        if family == "solution":
+            p = jsonio._expect(obj, "p", int, "solution")
+            rows = jsonio._int_list_list(jsonio._expect(obj, "T", list, "solution"), "solution.T")
+            torsor = solution_torsor(prime_field_matrix(p, rows), jsonio._expect(obj, "w", list, "solution"))
+        else:
+            sub = jsonio.subgroup_from_obj(obj)
+            torsor = coset_torsor(sub.parent, sub, obj.get("g", sub.parent.identity))
+    else:
+        raise SchemaError(f"unknown family {family!r}")
+    jsonio.dump_json(args.out, jsonio.action_to_obj(torsor.action))
+    print(f"generated {'basis' if family == 'bases' else family} torsor: {torsor.set_size} points")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

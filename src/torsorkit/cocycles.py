@@ -98,8 +98,8 @@ class CocycleClass:
     members: tuple[tuple[int, ...], ...]  # edge-value tuples, lexicographically sorted
 
 
-def _sorted_ints(values, size: int, what: str, **where) -> list[int]:
-    """``values`` as sorted ints, else MalformedTable naming ``where`` (no bools, no floats)."""
+def _ints(values, size: int, what: str, **where) -> list[int]:
+    """``values`` as ints, in order, else MalformedTable naming ``where`` (no bools, no floats)."""
     values = list(values)
     if len(values) != size:
         raise MalformedTable(f"{what} {values!r} needs {size} entries", **where)
@@ -108,7 +108,7 @@ def _sorted_ints(values, size: int, what: str, **where) -> list[int]:
             raise MalformedTable(
                 f"{what} {values!r}: entry {pos} = {v!r} is not an integer", position=pos, **where
             )
-    return sorted(int(v) for v in values)
+    return [int(v) for v in values]
 
 
 def build_nerve(num_opens: int, edges, triples=()) -> Nerve:
@@ -116,7 +116,7 @@ def build_nerve(num_opens: int, edges, triples=()) -> Nerve:
         raise MalformedTable(f"num_opens must be positive, got {num_opens}")
     edge_set = set()
     for idx, e in enumerate(edges):
-        i, j = _sorted_ints(e, 2, "edge", edge=idx)
+        i, j = sorted(_ints(e, 2, "edge", edge=idx))
         if i == j:
             raise MalformedTable(f"self-pair ({i},{j}) is not an edge", i=i, j=j)
         if not (0 <= i and j < num_opens):
@@ -124,7 +124,7 @@ def build_nerve(num_opens: int, edges, triples=()) -> Nerve:
         edge_set.add((i, j))
     triple_set = set()
     for idx, t in enumerate(triples):
-        i, j, k = _sorted_ints(t, 3, "triple", triple=idx)
+        i, j, k = sorted(_ints(t, 3, "triple", triple=idx))
         if len({i, j, k}) != 3:
             raise MalformedTable(f"triple ({i},{j},{k}) has repeats", i=i, j=j, k=k)
         if not (0 <= i and k < num_opens):
@@ -155,7 +155,9 @@ def check_cocycle(nerve: Nerve, group: FiniteGroup, assignments) -> NerveCocycle
     edge_set = set(nerve.edges)
     values = {}
     for key, val in dict(assignments).items():
-        i, j = _sorted_ints(key, 2, "edge key", edge=str(key))
+        i, j = _ints(key, 2, "edge key", edge=str(key))
+        if i > j:
+            raise Mismatch(f"edge key ({i},{j}) must satisfy i < j", i=i, j=j)
         if (i, j) not in edge_set:
             raise Mismatch(f"assignment on non-edge ({i},{j})", i=i, j=j)
         if not _is_int(val):

@@ -79,10 +79,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def is_abelian(self) -> bool:
-        c = self.cayley
-        return all(c[g][h] == c[h][g] for g in self.elements() for h in self.elements())
-
 
 @dataclass(frozen=True)
 class Subgroup:

@@ -17,13 +17,16 @@ action axioms for nonabelian groups.
 
 Arrays inside, tuples outside: the public fields (section counts,
 restriction and action tables) are tuples of Python ints, which is what
-jsonio writes and callers read. The work runs on int arrays. The constant
-sheaf builds G^c with the mixed-radix codec of ``constructions``; each
-axiom is one gather-and-compare per inclusion or per open, whose first
-mismatch in row-major order is the witness the cell-by-cell loops would
-find first; compatible families are enumerated one cover member at a time
-as a boolean mask over (prefix, section), in lexicographic order, and
-found again by code lookup.
+jsonio writes and callers read. The work runs on int arrays, which one
+strict reader makes from the restriction tables, checking the type and
+range of every cell. A decided group sheaf keeps the arrays it was
+decided on, so gluing and the torsor check do not read its tables again.
+The constant sheaf builds G^c with the mixed-radix codec of
+``constructions``; each axiom is one gather-and-compare per inclusion or
+per open, whose first mismatch in row-major order is the least witness;
+compatible families are enumerated one cover member at a time as a
+boolean mask over (prefix, section), in lexicographic order, and found
+again by code lookup.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .actions import GroupAction, Torsor
+from .actions import GroupAction, Torsor, _transports
 from .constructions import _codes, _digits, _positions
 from .errors import (
     CoverIncomplete,
@@ -94,15 +97,28 @@ def _read_only_sets(space: FiniteSpace, sizes: tuple[int, ...], restrict: dict) 
 
 @dataclass(frozen=True)
 class SheafOfGroups:
-    """``decided`` marks a read-only sheaf that passed is_sheaf_of_groups; only this module sets it."""
+    """``arrays`` holds the read-only int tables, by inclusion, that a read-only sheaf passed
+    is_sheaf_of_groups on; only this module sets it, and ``decided`` means it is set."""
 
     sets: SheafOfSets
     groups: tuple[FiniteGroup, ...]
-    decided: bool = field(default=False, init=False, repr=False, compare=False)
+    arrays: MappingProxyType | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def decided(self) -> bool:
+        return self.arrays is not None
 
     @property
     def space(self) -> FiniteSpace:
         return self.sets.space
+
+    def __getstate__(self):
+        # a read-only mapping does not pickle: a decided sheaf reads its decided tables again on load
+        return self.sets, self.groups, self.decided
+
+    def __setstate__(self, state):
+        fresh = SheafOfGroups(sets=state[0], groups=state[1])
+        self.__dict__.update((_frozen(fresh) if state[2] else fresh).__dict__)
 
     def sections(self, u: int) -> range:
         return self.sets.sections(u)
@@ -225,42 +241,24 @@ def _constant_group_sheaf(space: FiniteSpace, group: FiniteGroup) -> SheafOfGrou
     return SheafOfGroups(sets=sets, groups=tuple(powers[len(c)] for c in comps))
 
 
-def _arrays(restrict: dict) -> dict:
-    return {key: np.asarray(table, dtype=np.int32) for key, table in restrict.items()}
-
-
-def _restriction_arrays(name: str, space: FiniteSpace, restrict: dict, sizes) -> tuple[list[dict], dict]:
-    """Witnesses of missing, misshapen or out-of-range restriction tables, and the tables as int arrays.
-
-    A cheap screen, for ``is_sheaf_torsor`` run on sheaves nothing has
-    checked; ``is_sheaf`` also checks the type of every cell.
-    """
-    out, arrays = [], _arrays(restrict)
-    for u, v in _proper_pairs(space):
-        arr = arrays.get((u, v))
-        if arr is None or arr.shape != (sizes[u],):
-            out.append({"axiom": "restriction-table", "sheaf": name, "u": u, "v": v})
-        elif arr.size and (arr.min() < 0 or arr.max() >= sizes[v]):
-            out.append({"axiom": "restriction-range", "sheaf": name, "u": u, "v": v})
-    return out, arrays
-
-
 def _table(arrays: dict, sizes, u: int, v: int) -> np.ndarray:
     """The restriction from open u to open v as an int array; the identity when u == v."""
     return np.arange(sizes[u]) if u == v else arrays[(u, v)]
 
 
-def _structure(sheaf: SheafOfSets) -> tuple[list[dict], dict]:
-    """Structural witnesses, and the restriction tables as int arrays when there are none."""
+def _structure(space: FiniteSpace, restrict, sizes, **tag) -> tuple[list[dict], dict]:
+    """Witnesses of missing, misshapen, ill-typed or out-of-range restriction tables, each tagged
+    with ``tag``, and the passing tables as read-only int arrays. The one reader of restriction
+    tables: it reads the proper inclusions only, never a key no check reads."""
     out, arrays = [], {}
-    for u, v in _proper_pairs(sheaf.space):
-        table = sheaf.restrict.get((u, v))
-        if table is None or len(table) != sheaf.sizes[u]:
-            out.append({"axiom": "restriction-table", "u": u, "v": v})
+    for u, v in _proper_pairs(space):
+        table = restrict.get((u, v))
+        if not hasattr(table, "__len__") or len(table) != sizes[u]:
+            out.append({"axiom": "restriction-table", **tag, "u": u, "v": v})
             continue
-        arr = _index_array([table], 1, sheaf.sizes[u], sheaf.sizes[v])
+        arr = _index_array([table], 1, sizes[u], sizes[v])
         if arr is None:
-            out.append({"axiom": "restriction-range", "u": u, "v": v})
+            out.append({"axiom": "restriction-range", **tag, "u": u, "v": v})
             continue
         arrays[(u, v)] = arr[0]
     return out, arrays
@@ -311,7 +309,7 @@ def _locate(lookups, sizes, columns) -> np.ndarray:
 
 def is_sheaf(sheaf: SheafOfSets) -> Report:
     """Exact functoriality, locality, and gluing check on minimal covers, with witnesses."""
-    witnesses, arrays = _structure(sheaf)
+    witnesses, arrays = _structure(sheaf.space, sheaf.restrict, sheaf.sizes)
     if witnesses:
         return failing("sheaf", witnesses)
     space = sheaf.space
@@ -372,7 +370,7 @@ def is_sheaf_of_groups(gs: SheafOfGroups) -> Report:
             witnesses.append({"axiom": "group-order", "open": u})
     if not witnesses:
         # restriction is a homomorphism: the regular actions of the G(U) commute with it
-        arrays = _arrays(gs.sets.restrict)
+        arrays = _structure(gs.space, gs.sets.restrict, gs.sets.sizes)[1]
         for u, v, s, t in _restriction_failures(gs.space, [g.array for g in gs.groups], arrays, arrays):
             witnesses.append({"axiom": "restriction-hom", "u": u, "v": v, "s": s, "t": t})
     if witnesses:
@@ -386,15 +384,12 @@ def _require(rep: Report) -> None:
 
 
 def _frozen(gs: SheafOfGroups) -> SheafOfGroups:
-    """A read-only copy of ``gs``, which passed is_sheaf_of_groups, marked decided.
-
-    The copy holds the tables that were decided, one per inclusion, as
-    tuples in a read-only mapping, so no caller can change it after the
-    decision the mark records.
-    """
-    restrict = {pair: tuple(gs.sets.restrict[pair]) for pair in _proper_pairs(gs.space)}
+    """A read-only copy of ``gs``, which passed is_sheaf_of_groups: only the decided tables, one per
+    inclusion, as the int arrays they were decided on and as tuples of Python ints."""
+    arrays = _structure(gs.space, gs.sets.restrict, gs.sets.sizes)[1]
+    restrict = {pair: tuple(arr.tolist()) for pair, arr in arrays.items()}
     out = SheafOfGroups(sets=_read_only_sets(gs.space, tuple(gs.sets.sizes), restrict), groups=tuple(gs.groups))
-    object.__setattr__(out, "decided", True)
+    object.__setattr__(out, "arrays", MappingProxyType(arrays))
     return out
 
 
@@ -427,8 +422,9 @@ def _action_structure_witnesses(action: SheafAction) -> tuple[list[dict], list]:
                 )
     if out:
         return out, tables
-    g_out, g_arrays = _restriction_arrays("groups", space, gs.sets.restrict, [g.order for g in gs.groups])
-    f_out, f_arrays = _restriction_arrays("sets", space, fs.restrict, fs.sizes)
+    orders = [g.order for g in gs.groups]
+    g_out, g_arrays = ([], gs.arrays) if gs.decided else _structure(space, gs.sets.restrict, orders, sheaf="groups")
+    f_out, f_arrays = _structure(space, fs.restrict, fs.sizes, sheaf="sets")
     out = g_out + f_out
     if out:
         return out, tables
@@ -459,9 +455,7 @@ def is_sheaf_torsor(action: SheafAction) -> Report:
         if fs.sizes[m] < 1:
             witnesses.append({"axiom": "locally-nonempty", "point": x, "open": m})
     for m in sorted(set(space.minimal_open)):
-        n = fs.sizes[m]
-        # [s, t] -> the number of a in G(m) with a.s = t
-        transports = np.bincount((np.arange(n) * n + tables[m]).ravel(), minlength=n * n).reshape(n, n)
+        transports = _transports(tables[m])  # [s, t] -> the number of a in G(m) with a.s = t
         bad = _first(transports != 1)
         if bad is not None:
             s, t = bad
@@ -485,8 +479,8 @@ def as_sheaf_torsor(action: SheafAction) -> SheafTorsor:
     """Validate all sheaf and torsor axioms in order; raise with the first failing report.
 
     Each check reads only tables the checks before it have validated.
-    G is not decided again when it is marked decided (read-only, built by
-    constant_group_sheaf or glue_from_cocycle); F and the action always are.
+    A decided G (read-only, built by constant_group_sheaf or
+    glue_from_cocycle) is not decided again; F and the action always are.
     """
     _require(is_sheaf(action.sets))
     if not action.groups.decided:
@@ -568,9 +562,9 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
     F(U) is the set of chart families (s_i in G(U n U_i)) satisfying
     s_i = g_ij . s_j on overlaps, with componentwise restriction; the
     group acts through the right of the chart coordinate by a^-1.
-    Families are numbered in lexicographic order. A G that is not marked
-    decided is decided first (NotASheafTorsor when it fails), and the
-    torsor keeps a read-only copy of it.
+    Families are numbered in lexicographic order. A G that is not decided
+    is decided first (NotASheafTorsor when it fails), and the torsor keeps
+    a read-only copy of it; gluing reads G's decided arrays.
     """
     gs = datum.groups
     if not gs.decided:
@@ -578,7 +572,7 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
         gs = _frozen(gs)
     space = gs.space
     sizes = gs.sets.sizes
-    arrays = _arrays(gs.sets.restrict)
+    arrays = gs.arrays
     cover = datum.cover
     k = len(cover)
     charts = [
@@ -670,18 +664,13 @@ def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
 def lift_point_action(action: GroupAction) -> SheafAction:
     """Present an ordinary action as a sheaf action on the one-point space."""
     space = point_space()
-    f_sets = SheafOfSets(
-        space=space,
-        sizes=(1, action.set_size),
-        restrict={(1, 0): tuple(0 for _ in range(action.set_size))},
-    )
-    g_sets = SheafOfSets(
-        space=space,
-        sizes=(1, action.group.order),
-        restrict={(1, 0): tuple(0 for _ in range(action.group.order))},
-    )
-    gs = SheafOfGroups(sets=g_sets, groups=(build_group(1, [[0]]), action.group))
-    return SheafAction(groups=gs, sets=f_sets, act=(((0,),), action.act))
+
+    def sheaf(size: int) -> SheafOfSets:
+        """One section on the empty open (index 0), ``size`` on the point (index 1)."""
+        return SheafOfSets(space=space, sizes=(1, size), restrict={(1, 0): (0,) * size})
+
+    gs = SheafOfGroups(sets=sheaf(action.group.order), groups=(build_group(1, [[0]]), action.group))
+    return SheafAction(groups=gs, sets=sheaf(action.set_size), act=(((0,),), action.act))
 
 
 def lift_point_torsor(torsor: Torsor) -> SheafTorsor:

@@ -287,6 +287,15 @@ def test_right_identity_violated(z2):
         tk.right_action_as_left(z2, 2, [[1, 0], [0, 1]])
 
 
+def test_right_table_shape_errors_name_the_bad_row(z2):
+    with pytest.raises(MalformedTable) as exc:
+        tk.right_action_as_left(z2, 2, [[0, 1], [1]])
+    assert exc.value.data == {"row": 1}
+    with pytest.raises(MalformedTable) as exc:
+        tk.right_action_as_left(z2, 2, [[0, 1]])
+    assert exc.value.data == {"rows": 1}
+
+
 def test_right_compatibility_violated(s3):
     right = [[s3.cayley[x][g] for g in range(6)] for x in range(6)]
     right[1][2] = (right[1][2] + 1) % 6

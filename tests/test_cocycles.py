@@ -107,6 +107,17 @@ def test_check_cocycle_missing_and_extra(c3, z2):
         tk.check_cocycle(c3, z2, {(0, 1): 0, (0, 2): 1, (1, 2): 0, (0, 3): 0})
 
 
+def test_check_cocycle_rejects_reversed_keys(c3, z3):
+    # (1, 0): 1 means g_01 = 2, so reading it as g_01 = 1 would be wrong; it must be refused
+    with pytest.raises(Mismatch) as exc:
+        tk.check_cocycle(c3, z3, {(1, 0): 1, (0, 2): 0, (1, 2): 0})
+    assert exc.value.data == {"i": 1, "j": 0}
+    # both orders of one edge: neither wins silently
+    with pytest.raises(Mismatch) as exc:
+        tk.check_cocycle(c3, z3, {(0, 1): 2, (1, 0): 1, (0, 2): 0, (1, 2): 0})
+    assert exc.value.data == {"i": 1, "j": 0}
+
+
 def test_check_cocycle_nonabelian_orderings(triangle, s3):
     # g02 must equal g01*g12 for the triple identity to hold in all orderings
     g01, g12 = 3, 2

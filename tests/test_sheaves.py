@@ -390,6 +390,12 @@ def _glued_action_with(restrict_of, key, table):
     ("sets", (0,), "restriction-table"),
     ("sets", (0, 2), "restriction-range"),
     ("groups", (-1, 0), "restriction-range"),
+    ("groups", 5, "restriction-table"),
+    # both true tables are (0, 1): these cells would truncate to it, and True would read as 1
+    ("sets", (0.5, 1.5), "restriction-range"),
+    ("groups", (0.5, 1.5), "restriction-range"),
+    ("sets", (0, True), "restriction-range"),
+    ("groups", (0, True), "restriction-range"),
 ])
 def test_is_sheaf_torsor_witnesses_bad_restriction_tables(psc, restrict_of, table, axiom):
     key = (psc.index_of((0, 1, 2)), psc.index_of((0,)))
@@ -449,9 +455,9 @@ def _counting(monkeypatch, name):
 
     calls, real = [], getattr(sheaves, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(sheaves, name, counted)
     return calls
@@ -596,3 +602,46 @@ def test_threads_gluing_on_one_group_share_one_decided_sheaf(monkeypatch):
             assert [first[t].sets.sizes[-1] for t in (0, 3)] == [6, 0]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_restriction_key_no_check_reads_is_ignored(psc, z2):
+    gs = tk.constant_group_sheaf(psc, z2)
+    extra = _hand_built(gs, {**gs.sets.restrict, "note": None})
+    assert tk.is_sheaf_of_groups(extra).passed
+    cover = (psc.index_of((0, 1, 2)), psc.index_of((0, 1, 3)))
+    torsor = tk.glue_from_cocycle(tk.build_descent_datum(extra, cover, {(0, 1): tk.constant_section_id(z2, (0, 1))}))
+    assert torsor.groups == gs and "note" not in torsor.groups.sets.restrict
+    assert tk.is_sheaf_torsor(replace(torsor.action, groups=extra)).passed
+    # the extra key does not hide a bad table either
+    key = (psc.whole_index, psc.index_of((0, 1)))
+    corrupt = _hand_built(gs, {**gs.sets.restrict, "note": None, key: (0.5,) * len(gs.sets.restrict[key])})
+    witness = {"axiom": "restriction-range", "u": key[0], "v": key[1]}
+    assert tk.is_sheaf_of_groups(corrupt).witnesses == (witness,)
+    assert tk.is_sheaf_torsor(replace(torsor.action, groups=corrupt)).witnesses == ({**witness, "sheaf": "groups"},)
+
+
+def test_decided_sheaf_keeps_read_only_arrays_equal_to_its_tables(psc, z3):
+    import copy
+    import pickle
+
+    gs = tk.constant_group_sheaf(psc, z3)
+    assert _hand_built(gs).arrays is None and not replace(gs).decided
+    for kept in (gs, pickle.loads(pickle.dumps(gs)), copy.deepcopy(gs)):
+        assert kept.decided and set(kept.arrays) == set(kept.sets.restrict)
+        for pair, arr in kept.arrays.items():
+            assert arr.tolist() == list(kept.sets.restrict[pair])
+            assert all(type(c) is int for c in kept.sets.restrict[pair])
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        with pytest.raises(TypeError):
+            kept.arrays[pair] = arr
+
+
+def test_glue_over_a_cached_constant_sheaf_reads_only_the_glued_tables(z2, monkeypatch):
+    datum = tk.pseudocircle_descent_datum(z2, 1)
+    assert datum.groups.decided
+    reads = _counting(monkeypatch, "_structure")
+    torsor = tk.glue_from_cocycle(datum)
+    assert torsor.groups is datum.groups
+    # is_sheaf and is_sheaf_torsor read F; nothing reads G's tables again
+    assert reads and all(args[1] is torsor.sets.restrict for args in reads)
