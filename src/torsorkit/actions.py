@@ -37,6 +37,7 @@ from .groups import (
     _first,
     _frozen_array,
     _index_table,
+    _read_only_on_load,
     _tuples,
     build_group,
     opposite_group,
@@ -62,6 +63,8 @@ class GroupAction:
             object.__setattr__(
                 self, "array", _frozen_array(self.act).reshape(self.group.order, self.set_size)
             )
+
+    __setstate__ = _read_only_on_load
 
 
 @dataclass(frozen=True)

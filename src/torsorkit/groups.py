@@ -49,6 +49,12 @@ def _frozen_array(rows) -> np.ndarray:
     return arr
 
 
+def _read_only_on_load(self, state: dict) -> None:
+    """``__setstate__`` of a class with an ``array`` field: pickle and deepcopy drop its read-only flag."""
+    self.__dict__.update(state)
+    self.array.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A group of given order with precomputed identity and inverse tables.
@@ -69,6 +75,8 @@ class FiniteGroup:
     def __post_init__(self):
         if self.array is None:
             object.__setattr__(self, "array", _frozen_array(self.cayley))
+
+    __setstate__ = _read_only_on_load
 
     def mul(self, g: int, h: int) -> int:
         return self.cayley[g][h]

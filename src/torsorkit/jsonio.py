@@ -37,7 +37,7 @@ def _expect(obj, key, kind, what):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{what}: missing key {key!r}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and not (_is_int(val) if kind is int else isinstance(val, kind)):
         raise SchemaError(f"{what}: key {key!r} has wrong type")
     return val
 
@@ -164,7 +164,7 @@ def _sizes_from_obj(obj, num_opens: int, what) -> tuple[int, ...]:
     sizes = []
     for u in range(num_opens):
         val = raw.get(str(u))
-        if not isinstance(val, int) or val < 0:
+        if not _is_int(val) or val < 0:
             raise SchemaError(f"{what}: bad section count for open {u}")
         sizes.append(val)
     return tuple(sizes)

@@ -17,23 +17,25 @@ action axioms for nonabelian groups.
 
 Arrays inside, tuples outside: the public fields (section counts,
 restriction and action tables) are tuples of Python ints, which is what
-jsonio writes and callers read. The work runs on int arrays, which one
-strict reader makes from the restriction tables, checking the type and
-range of every cell. A decided group sheaf keeps the arrays it was
-decided on, so gluing and the torsor check do not read its tables again.
-The constant sheaf builds G^c with the mixed-radix codec of
-``constructions``; each axiom is one gather-and-compare per inclusion or
-per open, whose first mismatch in row-major order is the least witness;
-compatible families are enumerated one cover member at a time as a
-boolean mask over (prefix, section), in lexicographic order, and found
-again by code lookup.
+jsonio writes and callers read; the work runs on int arrays. Sheaves are
+read-only once built and keep what is computed from them: a sheaf of
+sets reads its restriction tables once, checking the type and range of
+every cell, and a sheaf of groups is decided at most once for gluing and
+as_sheaf_torsor. The constant sheaf builds G^c with the mixed-radix
+codec of ``constructions``; each axiom is one gather-and-compare per
+inclusion or per open, whose first mismatch in row-major order is the
+least witness; compatible families are enumerated one cover member at a
+time as a boolean mask over (prefix, section), in lexicographic order,
+and found again by code lookup.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -72,11 +74,21 @@ _CONSTANT_SHEAVES_LOCK = threading.Lock()
 
 @dataclass(frozen=True)
 class SheafOfSets:
-    """sections(U) = range(sizes[u]); restrict maps stored for proper inclusions."""
+    """sections(U) = range(sizes[u]); restrict maps stored for proper inclusions, kept read-only
+    (list tables become tuples) so that the one strict read of the tables, ``_read``, stays true."""
 
     space: FiniteSpace
     sizes: tuple[int, ...]
-    restrict: dict
+    restrict: Mapping
+
+    def __post_init__(self):
+        tables = {key: tuple(t) if isinstance(t, list) else t for key, t in self.restrict.items()}
+        object.__setattr__(self, "sizes", tuple(self.sizes))
+        object.__setattr__(self, "restrict", MappingProxyType(tables))
+
+    @cached_property
+    def _read(self) -> tuple[tuple[dict, ...], dict]:
+        return _structure(self.space, self.restrict, self.sizes)
 
     def sections(self, u: int) -> range:
         return range(self.sizes[u])
@@ -85,40 +97,28 @@ class SheafOfSets:
         return s if u == v else self.restrict[(u, v)][s]
 
     def __reduce__(self):
-        # a read-only mapping does not pickle: pickle a copy and make it read-only again
-        if isinstance(self.restrict, MappingProxyType):
-            return _read_only_sets, (self.space, self.sizes, dict(self.restrict))
-        return SheafOfSets, (self.space, self.sizes, self.restrict)
-
-
-def _read_only_sets(space: FiniteSpace, sizes: tuple[int, ...], restrict: dict) -> SheafOfSets:
-    return SheafOfSets(space=space, sizes=sizes, restrict=MappingProxyType(restrict))
+        # a read-only mapping does not pickle; the copy reads its tables again
+        return SheafOfSets, (self.space, self.sizes, dict(self.restrict))
 
 
 @dataclass(frozen=True)
 class SheafOfGroups:
-    """``arrays`` holds the read-only int tables, by inclusion, that a read-only sheaf passed
-    is_sheaf_of_groups on; only this module sets it, and ``decided`` means it is set."""
+    """A sheaf of sets with a group on each open. ``_verdict`` is its is_sheaf_of_groups report,
+    decided once for gluing and as_sheaf_torsor; is_sheaf_of_groups itself decides on every call."""
 
     sets: SheafOfSets
     groups: tuple[FiniteGroup, ...]
-    arrays: MappingProxyType | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def decided(self) -> bool:
-        return self.arrays is not None
+    def __post_init__(self):
+        object.__setattr__(self, "groups", tuple(self.groups))
 
     @property
     def space(self) -> FiniteSpace:
         return self.sets.space
 
-    def __getstate__(self):
-        # a read-only mapping does not pickle: a decided sheaf reads its decided tables again on load
-        return self.sets, self.groups, self.decided
-
-    def __setstate__(self, state):
-        fresh = SheafOfGroups(sets=state[0], groups=state[1])
-        self.__dict__.update((_frozen(fresh) if state[2] else fresh).__dict__)
+    @cached_property
+    def _verdict(self) -> Report:
+        return is_sheaf_of_groups(self)
 
     def sections(self, u: int) -> range:
         return self.sets.sections(u)
@@ -209,17 +209,17 @@ def constant_group_sheaf(space: FiniteSpace, group: FiniteGroup) -> SheafOfGroup
     G^c for c components, built once per c; G^1 is the group itself.
 
     Each sheaf is built and decided once per space and group object, then
-    kept read-only in ``group.constant_sheaves``: equal spaces get the
-    same sheaf, which as_sheaf_torsor does not decide again.
+    kept in ``group.constant_sheaves``: equal spaces get the same sheaf,
+    whose verdict gluing and as_sheaf_torsor read.
     """
     with _CONSTANT_SHEAVES_LOCK:
         gs = group.constant_sheaves.get(space)
         if gs is None:
             gs = _constant_group_sheaf(space, group)
-            rep = is_sheaf_of_groups(gs)
+            rep = gs._verdict
             if not rep.passed:
                 raise InternalError(f"the constant sheaf fails {rep.check}: {rep.witnesses[0]}")
-            gs = group.constant_sheaves[space] = _frozen(gs)
+            group.constant_sheaves[space] = gs
     return gs
 
 
@@ -246,22 +246,22 @@ def _table(arrays: dict, sizes, u: int, v: int) -> np.ndarray:
     return np.arange(sizes[u]) if u == v else arrays[(u, v)]
 
 
-def _structure(space: FiniteSpace, restrict, sizes, **tag) -> tuple[list[dict], dict]:
-    """Witnesses of missing, misshapen, ill-typed or out-of-range restriction tables, each tagged
-    with ``tag``, and the passing tables as read-only int arrays. The one reader of restriction
-    tables: it reads the proper inclusions only, never a key no check reads."""
+def _structure(space: FiniteSpace, restrict, sizes) -> tuple[tuple[dict, ...], dict]:
+    """Witnesses of missing, misshapen, ill-typed or out-of-range restriction tables, and the
+    passing tables as read-only int arrays. The one reader of restriction tables, run once per
+    sheaf by ``SheafOfSets._read``: it reads the proper inclusions only, never a key no check reads."""
     out, arrays = [], {}
     for u, v in _proper_pairs(space):
         table = restrict.get((u, v))
         if not hasattr(table, "__len__") or len(table) != sizes[u]:
-            out.append({"axiom": "restriction-table", **tag, "u": u, "v": v})
+            out.append({"axiom": "restriction-table", "u": u, "v": v})
             continue
         arr = _index_array([table], 1, sizes[u], sizes[v])
         if arr is None:
-            out.append({"axiom": "restriction-range", **tag, "u": u, "v": v})
+            out.append({"axiom": "restriction-range", "u": u, "v": v})
             continue
         arrays[(u, v)] = arr[0]
-    return out, arrays
+    return tuple(out), arrays
 
 
 def _minimal_cover(space: FiniteSpace, u: int) -> tuple[int, ...]:
@@ -309,10 +309,10 @@ def _locate(lookups, sizes, columns) -> np.ndarray:
 
 def is_sheaf(sheaf: SheafOfSets) -> Report:
     """Exact functoriality, locality, and gluing check on minimal covers, with witnesses."""
-    witnesses, arrays = _structure(sheaf.space, sheaf.restrict, sheaf.sizes)
+    witnesses, arrays = sheaf._read
     if witnesses:
         return failing("sheaf", witnesses)
-    space = sheaf.space
+    witnesses, space = [], sheaf.space
     for u, v in _proper_pairs(space):
         for w in space.subopens[v]:
             bad = _first(arrays[(v, w)][arrays[(u, v)]] != arrays[(u, w)])
@@ -361,16 +361,18 @@ def _restriction_failures(space: FiniteSpace, tables, g_arrays: dict, f_arrays: 
             yield u, v, *bad
 
 
+def _group_orders(gs: SheafOfGroups) -> list[dict]:
+    """A witness for each open whose group's order is not its section count."""
+    sizes = gs.sets.sizes
+    return [{"axiom": "group-order", "open": u} for u, g in enumerate(gs.groups) if g.order != sizes[u]]
+
+
 def is_sheaf_of_groups(gs: SheafOfGroups) -> Report:
     """Underlying sheaf axioms plus homomorphic restrictions."""
-    base = is_sheaf(gs.sets)
-    witnesses = list(base.witnesses)
-    for u, grp in enumerate(gs.groups):
-        if grp.order != gs.sets.sizes[u]:
-            witnesses.append({"axiom": "group-order", "open": u})
+    witnesses = list(is_sheaf(gs.sets).witnesses) + _group_orders(gs)
     if not witnesses:
         # restriction is a homomorphism: the regular actions of the G(U) commute with it
-        arrays = _structure(gs.space, gs.sets.restrict, gs.sets.sizes)[1]
+        arrays = gs.sets._read[1]
         for u, v, s, t in _restriction_failures(gs.space, [g.array for g in gs.groups], arrays, arrays):
             witnesses.append({"axiom": "restriction-hom", "u": u, "v": v, "s": s, "t": t})
     if witnesses:
@@ -381,16 +383,6 @@ def is_sheaf_of_groups(gs: SheafOfGroups) -> Report:
 def _require(rep: Report) -> None:
     if not rep.passed:
         raise NotASheafTorsor(f"{rep.check} failed: {rep.witnesses[0]}", report=rep)
-
-
-def _frozen(gs: SheafOfGroups) -> SheafOfGroups:
-    """A read-only copy of ``gs``, which passed is_sheaf_of_groups: only the decided tables, one per
-    inclusion, as the int arrays they were decided on and as tuples of Python ints."""
-    arrays = _structure(gs.space, gs.sets.restrict, gs.sets.sizes)[1]
-    restrict = {pair: tuple(arr.tolist()) for pair, arr in arrays.items()}
-    out = SheafOfGroups(sets=_read_only_sets(gs.space, tuple(gs.sets.sizes), restrict), groups=tuple(gs.groups))
-    object.__setattr__(out, "arrays", MappingProxyType(arrays))
-    return out
 
 
 def _action_structure_witnesses(action: SheafAction) -> tuple[list[dict], list]:
@@ -422,13 +414,12 @@ def _action_structure_witnesses(action: SheafAction) -> tuple[list[dict], list]:
                 )
     if out:
         return out, tables
-    orders = [g.order for g in gs.groups]
-    g_out, g_arrays = ([], gs.arrays) if gs.decided else _structure(space, gs.sets.restrict, orders, sheaf="groups")
-    f_out, f_arrays = _structure(space, fs.restrict, fs.sizes, sheaf="sets")
-    out = g_out + f_out
+    # G's tables are read against its section counts, the action tables against its group orders
+    tagged = (("groups", _group_orders(gs) + list(gs.sets._read[0])), ("sets", fs._read[0]))
+    out = [{"axiom": w["axiom"], "sheaf": name, **w} for name, bad in tagged for w in bad]
     if out:
         return out, tables
-    for u, v, a, s in _restriction_failures(space, tables, g_arrays, f_arrays):
+    for u, v, a, s in _restriction_failures(space, tables, gs.sets._read[1], fs._read[1]):
         out.append({"axiom": "action-restriction", "u": u, "v": v, "g": a, "s": s})
     return out, tables
 
@@ -479,12 +470,12 @@ def as_sheaf_torsor(action: SheafAction) -> SheafTorsor:
     """Validate all sheaf and torsor axioms in order; raise with the first failing report.
 
     Each check reads only tables the checks before it have validated.
-    A decided G (read-only, built by constant_group_sheaf or
-    glue_from_cocycle) is not decided again; F and the action always are.
+    G is decided at most once per object (its cached ``_verdict``, which
+    constant_group_sheaf and glue_from_cocycle also read); F and the
+    action are decided on every call.
     """
     _require(is_sheaf(action.sets))
-    if not action.groups.decided:
-        _require(is_sheaf_of_groups(action.groups))
+    _require(action.groups._verdict)
     _require(is_sheaf_torsor(action))
     return SheafTorsor(action=action)
 
@@ -562,17 +553,15 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
     F(U) is the set of chart families (s_i in G(U n U_i)) satisfying
     s_i = g_ij . s_j on overlaps, with componentwise restriction; the
     group acts through the right of the chart coordinate by a^-1.
-    Families are numbered in lexicographic order. A G that is not decided
-    is decided first (NotASheafTorsor when it fails), and the torsor keeps
-    a read-only copy of it; gluing reads G's decided arrays.
+    Families are numbered in lexicographic order. G is decided first
+    (NotASheafTorsor when it fails; its verdict is kept on it), and the
+    torsor keeps G itself; gluing reads the tables G was decided on.
     """
     gs = datum.groups
-    if not gs.decided:
-        _require(is_sheaf_of_groups(gs))
-        gs = _frozen(gs)
+    _require(gs._verdict)
     space = gs.space
     sizes = gs.sets.sizes
-    arrays = gs.arrays
+    arrays = gs.sets._read[1]
     cover = datum.cover
     k = len(cover)
     charts = [

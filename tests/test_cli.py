@@ -396,3 +396,23 @@ def test_sheaf_action_group_tables_must_be_lists_of_lists(tmp_path, table):
     path.write_text(json.dumps(obj))
     code, out, err = run_cli(["check", "sheaf-torsor", str(path)])
     assert (code, out, err) == (2, "", "error: sheaf-action.groups.cayley.1: expected a list of lists\n")
+
+
+def _boolean_order():
+    return {"order": True, "cayley": [[0]]}
+
+
+def _boolean_count():
+    obj = json.loads((DATA / "sheaf_const_z2.json").read_text())
+    obj["sections"]["0"] = True  # read as 1, the empty open's count, the sheaf would pass
+    return obj
+
+
+@pytest.mark.parametrize("verb,build,message", [
+    ("group", _boolean_order, "group: key 'order' has wrong type"),
+    ("sheaf", _boolean_count, "sheaf: bad section count for open 0"),
+])
+def test_json_booleans_are_not_integers(tmp_path, verb, build, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(build()))
+    assert run_cli(["check", verb, str(path)]) == (2, "", f"error: {message}\n")

@@ -18,8 +18,8 @@ from test_cli import DATA, GENERATE_CASES, REPORT_CASES, run_cli
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
-    # small: no guard bounds a nerve's open count, so `query classes` on a huge
-    # "opens" allocates per open and exhausts memory instead of failing
+    # small: the guards bound inputs, not work, so a huge "p" in a solution
+    # problem can spend minutes in trial division before any guard fails
     | st.integers(-3, 12)
     | st.floats(-3, 12, allow_nan=False)
     | st.text(max_size=3),

@@ -166,3 +166,21 @@ def test_opposite_is_involution():
     for name in tk.catalog_names():
         g = tk.catalog_group(name)
         assert tk.opposite_group(tk.opposite_group(g)) == g
+
+
+def test_arrays_stay_read_only_through_pickle_and_deepcopy(psc):
+    import copy
+    import pickle
+
+    group = tk.catalog_group("cyclic(3)")
+    gs = tk.constant_group_sheaf(psc, group)
+    action = tk.left_translation_action(group)
+    for obj, table in ((group, group.cayley), (action, action.act)):
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert clone == obj
+            with pytest.raises(ValueError):
+                clone.array[0, 0] = 2
+            assert clone.array.tolist() == [list(row) for row in table]
+    # the constant sheaf cache travels with the group
+    clone = pickle.loads(pickle.dumps(group))
+    assert clone.constant_sheaves[psc] == gs and tk.constant_group_sheaf(psc, clone).groups[-1] is clone

@@ -837,6 +837,13 @@ def ref_torsor_witnesses(action):
             out.append({"axiom": "action-compatibility", "open": u, "g": g, "h": h, "x": x})
     if out:
         return out
+    out = [
+        {"axiom": "group-order", "sheaf": "groups", "open": u}
+        for u, g in enumerate(gs.groups)
+        if g.order != gs.sets.sizes[u]
+    ]
+    if out:
+        return out
     for u, v in _ref_proper_pairs(space):
         hits = (
             (a, s)

@@ -444,7 +444,7 @@ def test_constant_sheaf_reuses_the_group_on_one_component_opens(psc, monkeypatch
 
 
 def _hand_built(gs, restrict=None):
-    """A value-equal copy of ``gs`` built by hand, with plain-dict restrictions, not marked decided."""
+    """A value-equal copy of ``gs`` built by hand: a new object, so nothing is decided or read yet."""
     restrict = dict(gs.sets.restrict) if restrict is None else restrict
     return tk.SheafOfGroups(sets=SheafOfSets(space=gs.space, sizes=gs.sets.sizes, restrict=restrict), groups=gs.groups)
 
@@ -488,7 +488,7 @@ def test_constant_sheaf_is_cached_per_space_on_its_group():
     group = tk.catalog_group("cyclic(3)")
     first = tk.constant_group_sheaf(tk.pseudocircle(), group)
     assert tk.constant_group_sheaf(tk.pseudocircle(), group) is first
-    assert first.decided and list(group.constant_sheaves) == [tk.pseudocircle()]
+    assert vars(first)["_verdict"].passed and list(group.constant_sheaves) == [tk.pseudocircle()]
     tk.constant_group_sheaf(tk.point_space(), group)
     assert len(group.constant_sheaves) == 2
     # an equal group is another object with its own cache
@@ -496,26 +496,44 @@ def test_constant_sheaf_is_cached_per_space_on_its_group():
     assert other == group and tk.constant_group_sheaf(tk.pseudocircle(), other) is not first
 
 
-def test_cached_constant_sheaf_is_read_only(psc, z2):
+def test_every_sheaf_is_read_only(psc, z2):
     gs = tk.constant_group_sheaf(psc, z2)
-    key = next(iter(gs.sets.restrict))
-    with pytest.raises(TypeError):
-        gs.sets.restrict[key] = gs.sets.restrict[key]
-    with pytest.raises(TypeError):
-        del gs.sets.restrict[key]
-    assert all(isinstance(table, tuple) for table in gs.sets.restrict.values())
+    tables = {key: list(table) for key, table in gs.sets.restrict.items()}
+    hand = SheafOfSets(space=psc, sizes=list(gs.sets.sizes), restrict=tables)
+    for sheaf in (gs.sets, hand):
+        key = next(iter(sheaf.restrict))
+        with pytest.raises(TypeError):
+            sheaf.restrict[key] = sheaf.restrict[key]
+        with pytest.raises(TypeError):
+            del sheaf.restrict[key]
+        assert all(isinstance(table, tuple) for table in sheaf.restrict.values())
+        assert sheaf == gs.sets and isinstance(sheaf.sizes, tuple)
+    # the sheaf keeps a copy: changing the mapping it was built from changes nothing
+    tables[key][0] = 1 - tables[key][0]
+    tables["note"] = None
+    assert hand == gs.sets and tk.is_sheaf(hand).passed
+    groups = list(gs.groups)
+    copy = tk.SheafOfGroups(sets=hand, groups=groups)
+    groups.pop()
+    assert copy == gs and tk.is_sheaf_of_groups(copy).passed
 
 
-def test_cached_sheaves_pickle_and_copy_read_only(psc):
+def test_cached_sheaves_pickle_and_copy_read_only(psc, monkeypatch):
     import copy
     import pickle
 
     group = tk.catalog_group("cyclic(2)")
     torsor = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(group, 1))
     for clone in (pickle.loads(pickle.dumps(torsor)), copy.deepcopy(torsor)):
-        assert clone == torsor and clone.groups.decided
-        assert isinstance(clone.groups.sets.restrict, MappingProxyType)
+        assert clone == torsor
+        for sheaf in (clone.sets, clone.groups.sets):
+            # a copy reads its tables again, once
+            assert isinstance(sheaf.restrict, MappingProxyType) and "_read" not in vars(sheaf)
         assert clone.groups is next(iter(clone.groups.groups[-1].constant_sheaves.values()))
+        reads = _counting(monkeypatch, "_structure")
+        for _ in range(2):
+            assert tk.as_sheaf_torsor(clone.action) == torsor
+        assert [args[1] for args in reads] == [clone.sets.restrict, clone.groups.sets.restrict]
     for clone in (pickle.loads(pickle.dumps(group)), copy.deepcopy(group)):
         assert clone == group and tk.constant_group_sheaf(psc, clone).groups[-1] is clone
 
@@ -528,17 +546,18 @@ def test_value_equal_group_sheaves_are_decided_again(psc, z2, monkeypatch):
     cached = tk.glue_from_cocycle(tk.build_descent_datum(gs, cover, transition))
     assert decided == [] and cached.groups is gs
     for copy in (_hand_built(gs), replace(gs), replace(gs, sets=replace(gs.sets))):
-        assert copy == gs and not copy.decided
-        decided.clear()
-        torsor = tk.glue_from_cocycle(tk.build_descent_datum(copy, cover, transition))
-        assert decided == [(copy,)]
-        assert torsor.groups == gs and torsor.groups.decided and torsor.sets == cached.sets
+        assert copy == gs
         decided.clear()
         tk.as_sheaf_torsor(replace(cached.action, groups=copy))
         assert decided == [(copy,)]
-    # the kept copy holds the decided tables only, not a key no check reads
-    extra = _hand_built(gs, {**gs.sets.restrict, "note": 5})
-    assert tk.glue_from_cocycle(tk.build_descent_datum(extra, cover, transition)).groups == gs
+    for copy in (_hand_built(gs), replace(gs), replace(gs, sets=replace(gs.sets))):
+        decided.clear()
+        torsor = tk.glue_from_cocycle(tk.build_descent_datum(copy, cover, transition))
+        assert torsor.groups is copy and torsor.sets == cached.sets
+        # the torsor keeps G with its verdict: deciding it again costs nothing
+        tk.as_sheaf_torsor(torsor.action)
+        tk.as_sheaf_torsor(replace(cached.action, groups=copy))
+        assert decided == [(copy,)]
 
 
 def test_as_sheaf_torsor_rejects_a_corrupted_hand_built_copy_of_a_cached_sheaf(psc, z2):
@@ -609,8 +628,11 @@ def test_a_restriction_key_no_check_reads_is_ignored(psc, z2):
     extra = _hand_built(gs, {**gs.sets.restrict, "note": None})
     assert tk.is_sheaf_of_groups(extra).passed
     cover = (psc.index_of((0, 1, 2)), psc.index_of((0, 1, 3)))
-    torsor = tk.glue_from_cocycle(tk.build_descent_datum(extra, cover, {(0, 1): tk.constant_section_id(z2, (0, 1))}))
-    assert torsor.groups == gs and "note" not in torsor.groups.sets.restrict
+    transition = {(0, 1): tk.constant_section_id(z2, (0, 1))}
+    torsor = tk.glue_from_cocycle(tk.build_descent_datum(extra, cover, transition))
+    assert torsor.groups is extra and "note" in torsor.groups.sets.restrict
+    plain = tk.glue_from_cocycle(tk.build_descent_datum(gs, cover, transition))
+    assert (torsor.sets, torsor.action.act) == (plain.sets, plain.action.act)
     assert tk.is_sheaf_torsor(replace(torsor.action, groups=extra)).passed
     # the extra key does not hide a bad table either
     key = (psc.whole_index, psc.index_of((0, 1)))
@@ -620,28 +642,55 @@ def test_a_restriction_key_no_check_reads_is_ignored(psc, z2):
     assert tk.is_sheaf_torsor(replace(torsor.action, groups=corrupt)).witnesses == ({**witness, "sheaf": "groups"},)
 
 
-def test_decided_sheaf_keeps_read_only_arrays_equal_to_its_tables(psc, z3):
+def test_a_sheaf_reads_its_tables_once_as_read_only_arrays_equal_to_them(psc, z3, monkeypatch):
     import copy
     import pickle
 
     gs = tk.constant_group_sheaf(psc, z3)
-    assert _hand_built(gs).arrays is None and not replace(gs).decided
-    for kept in (gs, pickle.loads(pickle.dumps(gs)), copy.deepcopy(gs)):
-        assert kept.decided and set(kept.arrays) == set(kept.sets.restrict)
-        for pair, arr in kept.arrays.items():
+    hand = _hand_built(gs, {key: list(table) for key, table in gs.sets.restrict.items()})
+    reads = _counting(monkeypatch, "_structure")
+    for kept in (gs, hand, pickle.loads(pickle.dumps(gs)), copy.deepcopy(gs)):
+        reads.clear()
+        for _ in range(2):
+            assert tk.is_sheaf_of_groups(kept).passed
+        assert len(reads) == (kept is not gs)  # the cached sheaf was read when it was decided
+        witnesses, arrays = kept.sets._read
+        assert witnesses == () and set(arrays) == set(kept.sets.restrict)
+        for pair, arr in arrays.items():
             assert arr.tolist() == list(kept.sets.restrict[pair])
             assert all(type(c) is int for c in kept.sets.restrict[pair])
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
-        with pytest.raises(TypeError):
-            kept.arrays[pair] = arr
 
 
 def test_glue_over_a_cached_constant_sheaf_reads_only_the_glued_tables(z2, monkeypatch):
     datum = tk.pseudocircle_descent_datum(z2, 1)
-    assert datum.groups.decided
     reads = _counting(monkeypatch, "_structure")
     torsor = tk.glue_from_cocycle(datum)
     assert torsor.groups is datum.groups
-    # is_sheaf and is_sheaf_torsor read F; nothing reads G's tables again
-    assert reads and all(args[1] is torsor.sets.restrict for args in reads)
+    # is_sheaf and is_sheaf_torsor share one read of F; nothing reads G's tables again
+    assert [args[1] for args in reads] == [torsor.sets.restrict]
+
+
+def test_a_lift_reads_each_of_its_two_sheaves_once(z3, monkeypatch):
+    torsor = tk.as_torsor(tk.left_translation_action(z3))
+    reads = _counting(monkeypatch, "_structure")
+    decided = _counting(monkeypatch, "is_sheaf_of_groups")
+    lifted = tk.lift_point_torsor(torsor)
+    assert [args[1] for args in reads] == [lifted.groups.sets.restrict, lifted.sets.restrict]
+    assert decided == [(lifted.groups,)]
+
+
+def test_is_sheaf_torsor_witnesses_a_group_of_the_wrong_order(psc, z2):
+    # the empty open has one section in G: a group of order 2 there is no sheaf of groups
+    glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1)).action
+    empty = psc.empty_index
+    groups = glued.groups.groups[:empty] + (z2,) + glued.groups.groups[empty + 1:]
+    act = glued.act[:empty] + (((0,), (0,)),) + glued.act[empty + 1:]
+    action = replace(glued, groups=tk.SheafOfGroups(sets=glued.groups.sets, groups=groups), act=act)
+    witness = {"axiom": "group-order", "open": empty}
+    assert tk.is_sheaf_torsor(action).witnesses == ({**witness, "sheaf": "groups"},)
+    assert tk.is_sheaf_of_groups(action.groups).witnesses == (witness,)
+    with pytest.raises(NotASheafTorsor) as err:
+        tk.as_sheaf_torsor(action)
+    assert err.value.report.check == "sheaf-of-groups"
