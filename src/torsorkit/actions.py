@@ -37,9 +37,10 @@ from .groups import (
     _first,
     _frozen_array,
     _index_table,
+    _positions,
     _read_only_on_load,
+    _transport,
     _tuples,
-    build_group,
     opposite_group,
 )
 from .report import Report, passing
@@ -191,19 +192,13 @@ def transporter(torsor: Torsor, x: int, y: int) -> int:
 
 
 def trivialization(torsor: Torsor, x0: int) -> Trivialization:
-    """Fill both direction tables g -> g.x0 and its inverse; check bijectivity."""
+    """Fill both direction tables g -> g.x0 and its inverse from one lookup; check bijectivity."""
     _check_point(torsor.action, x0)
-    to_points = tuple(torsor.act[g][x0] for g in torsor.group.elements())
-    to_group = [None] * torsor.set_size
-    for g, x in enumerate(to_points):
-        if to_group[x] is not None:
-            raise InternalError("g -> g.x0 is not injective")
-        to_group[x] = g
-    if None in to_group:
-        raise InternalError("g -> g.x0 is not surjective")
-    return Trivialization(
-        torsor=torsor, basepoint=x0, to_points=to_points, to_group=tuple(to_group)
-    )
+    to_points = torsor.action.array[:, x0]
+    to_group = _positions(to_points, torsor.set_size)
+    if len(to_points) != torsor.set_size or (to_group < 0).any():
+        raise InternalError("g -> g.x0 is not a bijection")
+    return Trivialization(torsor, x0, tuple(to_points.tolist()), tuple(to_group.tolist()))
 
 
 def basepoint_change(torsor: Torsor, x0: int, x1: int) -> BasepointChange:
@@ -218,11 +213,8 @@ def basepoint_change(torsor: Torsor, x0: int, x1: int) -> BasepointChange:
 
 
 def transported_group(torsor: Torsor, x0: int) -> FiniteGroup:
-    """Push the group law through the basepoint bijection; identity becomes x0."""
-    triv = trivialization(torsor, x0)
-    to_group = np.array(triv.to_group)
-    table = np.array(triv.to_points)[torsor.group.array[np.ix_(to_group, to_group)]]
-    out = build_group(torsor.set_size, table)
+    """Carry the group law along the basepoint bijection g -> g.x0 (``_transport``); identity becomes x0."""
+    out = _transport(torsor.group, trivialization(torsor, x0).to_group)
     if out.identity != x0:
         raise InternalError(f"transported identity is {out.identity}, not the basepoint {x0}")
     return out
@@ -265,6 +257,16 @@ def left_translation_action(group: FiniteGroup) -> GroupAction:
     """The group acting on itself by left multiplication."""
     # no second check: the identity row and compatibility are the group's identity and associativity
     return GroupAction(group=group, set_size=group.order, act=group.cayley, array=group.array)
+
+
+def _regular_at(group: FiniteGroup, points) -> GroupAction:
+    """The group acting on itself with element k renamed points[k] = k.x0, carried, not decided again."""
+    points = np.asarray(points, dtype=np.int32)
+    if not np.array_equal(np.sort(points), np.arange(group.order)):
+        raise InternalError("the points of a regular action are not a renaming of the group")
+    arr = points[group.array[:, np.argsort(points)]]  # act[g][points[k]] = points[g*k]
+    arr.flags.writeable = False
+    return GroupAction(group=group, set_size=group.order, act=_tuples(arr, group.order), array=arr)
 
 
 def coset_action(group: FiniteGroup, sub: Subgroup) -> GroupAction:

@@ -2,10 +2,11 @@
 
 Affine spaces as translation torsors, solution sets of linear systems as
 kernel torsors, cosets as right-subgroup torsors, and ordered bases as
-general-linear torsors. Every constructor returns a fully validated
-torsor; vectors over F_p are encoded as base-p integers so that
-lexicographic tuple order equals numeric order. All tables are built on
-int arrays by one mixed-radix codec (``_digits`` / ``_codes``).
+general-linear torsors. A group built from scratch (F_p^n, a kernel, GL_n)
+is decided once; every other law and action is carried from it, the action
+as the group acting on itself renamed by k -> k.x0, and as_torsor re-checks
+each output. Vectors over F_p are base-p integers, so lexicographic order
+is numeric order; one codec (``_digits`` / ``_codes``) builds every table.
 """
 
 from __future__ import annotations
@@ -14,16 +15,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Torsor, as_torsor, build_action, left_translation_action, right_action_as_left
+from .actions import Torsor, _regular_at, as_torsor, left_translation_action
 from .errors import (
     DimensionMismatch,
     EmptySolutionSet,
     InternalError,
     MalformedTable,
+    Mismatch,
     NotPrime,
     TooLarge,
 )
-from .groups import FiniteGroup, Subgroup, _first, _is_index, _is_int, build_group, subgroup_as_group
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    _first,
+    _is_index,
+    _is_int,
+    _positions,
+    build_group,
+    opposite_group,
+    subgroup_as_group,
+)
 
 AFFINE_MAX_POINTS = 256
 SOLUTION_MAX_VECTORS = 4096
@@ -117,13 +129,6 @@ def _sum_codes(a: np.ndarray, b: np.ndarray, p: int, width: int) -> np.ndarray:
     for k in range(width):
         out -= (np.add.outer(da[:, k], db[:, k]) >= p) * np.int32(p ** (width - k))
     return out
-
-
-def _positions(codes: np.ndarray, size: int) -> np.ndarray:
-    """Lookup from code to its position in ``codes``; -1 for codes not listed."""
-    pos = np.full(size, -1, dtype=np.int32)
-    pos[codes] = np.arange(len(codes))
-    return pos
 
 
 def _row_reduce(mats, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,33 +227,22 @@ def solution_torsor(T: PrimeFieldMatrix, w) -> Torsor:
         raise EmptySolutionSet("the system T(v)=w has no solution")
     kernel_pos, solution_pos = _positions(kernel, size), _positions(solutions, size)
     group = build_group(len(kernel), kernel_pos[_sum_codes(kernel, kernel, p, T.cols)])
-    act = solution_pos[_sum_codes(kernel, solutions, p, T.cols)]
-    return as_torsor(build_action(group, len(solutions), act))
+    points = solution_pos[_sum_codes(kernel, solutions[:1], p, T.cols)[:, 0]]  # k -> k + least solution
+    return as_torsor(_regular_at(group, points))
 
 
 def coset_torsor(group: FiniteGroup, H: Subgroup, g: int) -> Torsor:
     """The left coset gH as a torsor under H acting by right multiplication.
 
-    The right action is normalized through right_action_as_left, so the
-    acting group is opposite(H) reindexed to 0..|H|-1.
+    That is opposite(H) acting on itself, h_k renamed the position of g*h_k in the sorted coset.
     """
     if not _is_index(g, group.order):
         raise MalformedTable(f"coset representative {g!r} out of range", element=g)
-    points = sorted({group.cayley[g][h] for h in H.members})
-    index = {x: i for i, x in enumerate(points)}
-    hgrp = subgroup_as_group(H)
-    right = [
-        [index[group.cayley[x][H.members[j]]] for j in range(len(H.members))]
-        for x in points
-    ]
-    action = right_action_as_left(hgrp, len(points), right)
-    return as_torsor(action)
-
-
-def _matrix_codes(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Row-major codes of every product a[i] @ b[j] over F_p."""
-    prods = np.matmul(a[:, None], b[None, :]) % p
-    return _codes(prods.reshape(len(a), len(b), -1), p)
+    if H.parent != group:
+        raise Mismatch("the subgroup is not a subgroup of this group")
+    acting = opposite_group(subgroup_as_group(H))
+    coset = group.array[g, list(H.members)]
+    return as_torsor(_regular_at(acting, np.searchsorted(np.sort(coset), coset)))
 
 
 def general_linear_group(p: int, n: int):
@@ -257,7 +251,8 @@ def general_linear_group(p: int, n: int):
     everything = _digits(np.arange(size), p, n * n).reshape(size, n, n)
     codes = np.flatnonzero(_row_reduce(everything, p)[1].all(axis=1))
     mats = everything[codes]
-    table = _positions(codes, size)[_matrix_codes(mats, mats, p)]
+    prods = np.matmul(mats[:, None], mats[None, :]) % p
+    table = _positions(codes, size)[_codes(prods.reshape(len(mats), len(mats), -1), p)]
     return build_group(len(mats), table), [tuple(map(tuple, m)) for m in mats.tolist()]
 
 
@@ -266,9 +261,9 @@ def basis_torsor(p: int, n: int) -> Torsor:
 
     Bases are n-tuples of independent vectors ordered lexicographically by
     their encoded entries; matrices act componentwise on basis vectors.
-    A basis is the invertible matrix whose rows are its vectors, in the
-    same order as the group's matrices, and M sends that matrix B to
-    B @ M^T.
+    A basis is the invertible matrix B whose rows are its vectors, and M
+    sends B to B @ M^T, so the transposes (M @ B^T)^T make the action the
+    group acting on itself with M renamed the position of M^T.
     """
     _require_prime(p)
     if (p, n) not in BASIS_SUPPORTED:
@@ -280,8 +275,8 @@ def basis_torsor(p: int, n: int) -> Torsor:
     group, mats = general_linear_group(p, n)
     mats = np.array(mats)
     codes = _codes(mats.reshape(len(mats), -1), p)
-    act = _positions(codes, p ** (n * n))[_matrix_codes(mats, mats.transpose(0, 2, 1), p).T]
-    return as_torsor(build_action(group, len(mats), act))
+    points = _positions(codes, p ** (n * n))[_codes(mats.transpose(0, 2, 1).reshape(len(mats), -1), p)]
+    return as_torsor(_regular_at(group, points))
 
 
 def count_ordered_bases(p: int, n: int) -> int:

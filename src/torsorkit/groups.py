@@ -166,6 +166,13 @@ def _index_table(rows, height: int, width: int, bound: int, prefix: str = "") ->
     raise InternalError("the fast index check rejected a table the scan accepts")
 
 
+def _positions(codes: np.ndarray, size: int) -> np.ndarray:
+    """Lookup from code to its position in ``codes``; -1 for codes not listed."""
+    pos = np.full(size, -1, dtype=np.int32)
+    pos[codes] = np.arange(len(codes))
+    return pos
+
+
 def _tuples(arr: np.ndarray, bound: int) -> tuple[tuple[int, ...], ...]:
     """A validated table as nested tuples, sharing one int object per value, not one per cell.
 
@@ -327,15 +334,11 @@ def build_subgroup(parent: FiniteGroup, members) -> Subgroup:
     member_set = set(members)
     if parent.identity not in member_set:
         raise MissingIdentity("identity element is not a member", identity=parent.identity)
-    for a in members:
-        for b in members:
-            if parent.cayley[a][b] not in member_set:
-                raise NotClosed(
-                    f"product of ({a},{b}) = {parent.cayley[a][b]} is not a member",
-                    a=a,
-                    b=b,
-                    product=parent.cayley[a][b],
-                )
+    bad = _first(~np.isin(parent.array[np.ix_(members, members)], members))
+    if bad is not None:
+        a, b = members[bad[0]], members[bad[1]]
+        product = parent.cayley[a][b]
+        raise NotClosed(f"product of ({a},{b}) = {product} is not a member", a=a, b=b, product=product)
     # unreachable once closure holds on a finite group; kept as defense
     for a in members:
         if parent.inverse[a] not in member_set:
@@ -343,14 +346,25 @@ def build_subgroup(parent: FiniteGroup, members) -> Subgroup:
     return Subgroup(parent=parent, members=tuple(members))
 
 
+def _transport(group: FiniteGroup, members) -> FiniteGroup:
+    """The law of ``group`` on its distinct, product-closed ``members``, with members[i] renamed i:
+    transport of structure, so nothing is decided again and the identity and inverses are carried."""
+    members, n = np.asarray(members, dtype=np.intp), len(members)
+    pos = _positions(members, group.order)
+    arr = pos[group.array[np.ix_(members, members)]]
+    if (pos[members] != np.arange(n)).any() or (arr < 0).any():
+        raise InternalError("a renaming repeats a member or leaves the members")
+    arr.flags.writeable = False
+    identity, inverse = int(pos[group.identity]), tuple(pos[np.take(group.inverse, members)].tolist())
+    return FiniteGroup(order=n, cayley=_tuples(arr, n), identity=identity, inverse=inverse, array=arr)
+
+
 def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
-    """Reindex a subgroup's members to 0..|H|-1 and return it as a group."""
-    idx = {m: i for i, m in enumerate(sub.members)}
-    table = [
-        [idx[sub.parent.cayley[a][b]] for b in sub.members]
-        for a in sub.members
-    ]
-    return build_group(len(sub.members), table)
+    """Members renamed 0..|H|-1 by ``_transport``, after build_subgroup's checks and one for repeats."""
+    if len(build_subgroup(sub.parent, sub.members).members) < len(sub.members):
+        i, m = next((i, m) for i, m in enumerate(sub.members) if m in sub.members[:i])
+        raise MalformedTable(f"member [{i}] = {m!r} is repeated", index=i, element=m)
+    return _transport(sub.parent, sub.members)
 
 
 def trivial_subgroup(parent: FiniteGroup) -> Subgroup:
@@ -358,8 +372,8 @@ def trivial_subgroup(parent: FiniteGroup) -> Subgroup:
 
 
 def opposite_group(g: FiniteGroup) -> FiniteGroup:
-    """Transpose the Cayley table; identity and inverses are unchanged."""
-    out = build_group(g.order, g.array.T)
+    """The transpose, carried along the isomorphism a -> a^-1 from G^op to G; identity and inverses stay."""
+    out = _transport(g, g.inverse)
     if out.identity != g.identity or out.inverse != g.inverse:
         raise InternalError("the opposite group changed the identity or inverses")
     return out

@@ -41,7 +41,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .actions import GroupAction, Torsor, _transports
-from .constructions import _codes, _digits, _positions
+from .constructions import _codes, _digits
 from .errors import (
     CoverIncomplete,
     InternalError,
@@ -59,6 +59,7 @@ from .groups import (
     _first,
     _index_array,
     _is_int,
+    _positions,
     _tuples,
     build_group,
 )
@@ -651,15 +652,11 @@ def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
 
 
 def lift_point_action(action: GroupAction) -> SheafAction:
-    """Present an ordinary action as a sheaf action on the one-point space."""
-    space = point_space()
-
-    def sheaf(size: int) -> SheafOfSets:
-        """One section on the empty open (index 0), ``size`` on the point (index 1)."""
-        return SheafOfSets(space=space, sizes=(1, size), restrict={(1, 0): (0,) * size})
-
-    gs = SheafOfGroups(sets=sheaf(action.group.order), groups=(build_group(1, [[0]]), action.group))
-    return SheafAction(groups=gs, sets=sheaf(action.set_size), act=(((0,),), action.act))
+    """Present an ordinary action as a sheaf action on the one-point space, under the constant sheaf G."""
+    gs = constant_group_sheaf(point_space(), action.group)
+    # one section on the empty open (index 0), the points on the point (index 1)
+    sets = SheafOfSets(space=gs.space, sizes=(1, action.set_size), restrict={(1, 0): (0,) * action.set_size})
+    return SheafAction(groups=gs, sets=sets, act=(((0,),), action.act))
 
 
 def lift_point_torsor(torsor: Torsor) -> SheafTorsor:

@@ -5,10 +5,12 @@ import itertools
 import pytest
 
 import torsorkit as tk
+from torsorkit.actions import _regular_at
 from torsorkit.errors import (
     DimensionMismatch,
     EmptySolutionSet,
     MalformedTable,
+    Mismatch,
     NotPrime,
     TooLarge,
 )
@@ -208,6 +210,17 @@ def test_coset_torsor_trivial_subgroup(s3):
         assert tk.coset_torsor(s3, H, g).set_size == 1
 
 
+@pytest.mark.parametrize("group,parent,members", [
+    ("symmetric(4)", "cyclic(4)", [0, 1, 2, 3]),  # members in range: read as elements of S4
+    ("cyclic(4)", "symmetric(3)", [0, 3, 4]),     # members out of range for C4
+    ("symmetric(4)", "symmetric(3)", [0, 1]),     # silently read as elements of S4
+])
+def test_coset_torsor_rejects_a_subgroup_of_another_group(group, parent, members):
+    H = tk.build_subgroup(tk.catalog_group(parent), members)
+    with pytest.raises(Mismatch):
+        tk.coset_torsor(tk.catalog_group(group), H, 0)
+
+
 def test_cosets_partition_the_group(s3):
     for members in ([0, 1], [0, 2], [0, 5], [0, 3, 4]):
         H = tk.build_subgroup(s3, members)
@@ -262,16 +275,30 @@ def test_basis_torsor_guards():
         tk.basis_torsor(4, 2)
 
 
-def test_every_constructor_output_is_validated(s3):
-    # each family re-validates through as_torsor on its own action
-    outs = [
+def _constructor_outputs(s3):
+    return [
         tk.affine_torsor(2, 2),
         tk.solution_torsor(tk.prime_field_matrix(3, [[1, 1]]), [1]),
         tk.coset_torsor(s3, tk.build_subgroup(s3, [0, 2]), 5),
         tk.basis_torsor(2, 2),
     ]
-    for t in outs:
+
+
+def test_every_constructor_output_is_validated(s3):
+    # each family re-validates through as_torsor on its own action, and its carried
+    # group and action tables pass the validators that decide outside input
+    for t in _constructor_outputs(s3):
         assert tk.as_torsor(t.action).set_size == t.set_size
+        assert tk.build_group(t.group.order, t.group.cayley) == t.group
+        assert tk.build_action(t.group, t.set_size, t.act).act == t.act
+
+
+def test_every_constructor_is_the_regular_action_at_each_basepoint(s3):
+    # choosing x0 identifies the torsor with its group acting on itself through g -> g.x0
+    more = [tk.basis_torsor(3, 2), tk.coset_torsor(s3, tk.build_subgroup(s3, [0, 3, 4]), 1)]
+    for t in _constructor_outputs(s3) + more:
+        for x0 in range(t.set_size):
+            assert _regular_at(t.group, tk.trivialization(t, x0).to_points).act == t.act
 
 
 @pytest.mark.parametrize("p", [3.0, "3", True])

@@ -6,6 +6,7 @@ import pytest
 
 import torsorkit as tk
 from torsorkit.errors import (
+    InternalError,
     MalformedTable,
     MissingIdentity,
     NoIdentity,
@@ -133,22 +134,57 @@ def test_subgroup_missing_identity(s3):
         tk.build_subgroup(s3, [2])
 
 
+@pytest.mark.parametrize("members", [(0, 1, 2), (2, 0, 1)])
+def test_hand_built_subgroup_not_closed(s3, members):
+    # (0,2,1)*(1,0,2) = (2,0,1), element 4: the least pair by value, as build_subgroup reports it
+    with pytest.raises(NotClosed) as exc:
+        tk.subgroup_as_group(tk.Subgroup(s3, members))
+    assert exc.value.data == {"a": 1, "b": 2, "product": 4}
+
+
+@pytest.mark.parametrize(
+    "members,index", [((0, 9), 1), ((0, 0), 1), ((0, -1), 1), ((2.0, 0), 0), ((0, 2, 2), 2)]
+)
+def test_hand_built_subgroup_bad_member(s3, members, index):
+    with pytest.raises(MalformedTable) as exc:
+        tk.subgroup_as_group(tk.Subgroup(s3, members))
+    assert exc.value.data == {"index": index, "element": members[index]}
+
+
+def test_hand_built_subgroup_empty(s3):
+    with pytest.raises(MalformedTable):
+        tk.subgroup_as_group(tk.Subgroup(s3, ()))
+
+
+def test_transport_rejects_a_bad_internal_renaming(s3):
+    from torsorkit.groups import _transport
+
+    for members in [(0, 0), (0, 1, 2)]:
+        with pytest.raises(InternalError):
+            _transport(s3, members)
+
+
 def test_trivial_subgroup(z3):
     sub = tk.trivial_subgroup(z3)
     assert sub.members == (z3.identity,)
 
 
 def test_subgroup_validation_is_exhaustive(s3):
-    # every actual subgroup of S3 validates; every non-subgroup subset fails
+    # every actual subgroup of S3 validates; every non-subgroup subset fails, a product
+    # outside it at the least pair found by the plain loop
     for r in range(1, 7):
         for members in itertools.combinations(range(6), r):
-            closed = all(s3.cayley[a][b] in members for a in members for b in members)
-            is_subgroup = closed and 0 in members
-            if is_subgroup:
+            open_pairs = [(a, b) for a in members for b in members if s3.cayley[a][b] not in members]
+            if not open_pairs and 0 in members:
                 tk.build_subgroup(s3, members)
-            else:
-                with pytest.raises((NotClosed, MissingIdentity)):
+            elif 0 not in members:
+                with pytest.raises(MissingIdentity):
                     tk.build_subgroup(s3, members)
+            else:
+                with pytest.raises(NotClosed) as exc:
+                    tk.build_subgroup(s3, members)
+                a, b = open_pairs[0]
+                assert exc.value.data == {"a": a, "b": b, "product": s3.cayley[a][b]}
 
 
 def test_opposite_abelian_is_identity(z3):

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 import torsorkit as tk
 from torsorkit import errors
-from torsorkit.groups import LIGHT_MIN_ORDER
+from torsorkit.groups import LIGHT_MIN_ORDER, _transport
 from torsorkit.sheaves import SheafOfSets
 
 from cocycle_oracles import all_cochains, enumerate_cocycles
@@ -561,6 +561,44 @@ def test_general_linear_and_basis_tables_match_reference(p, n):
     assert got == mats
     assert group.cayley == tuple(map(tuple, table))
     assert tk.basis_torsor(p, n).act == tuple(map(tuple, ref_basis_action(p, n, mats)))
+
+
+# ---------------------------------------------------------------- renamings
+
+CATALOG = [tk.catalog_group(name) for name in tk.catalog_names()]  # orders up to 24
+
+
+def ref_renamed(group, members):
+    """build_group on the law of ``group`` over ``members`` with members[i] renamed i."""
+    index = {m: i for i, m in enumerate(members)}
+    return tk.build_group(len(members), [[index[group.cayley[a][b]] for b in members] for a in members])
+
+
+def ref_closure(group, gens):
+    """The subgroup generated by ``gens``: the identity and gens, multiplied until nothing new appears."""
+    members = {group.identity, *gens}
+    while True:
+        more = {group.cayley[a][b] for a in members for b in members} - members
+        if not more:
+            return sorted(members)
+        members |= more
+
+
+@ORACLE
+@given(st.sampled_from(CATALOG), st.data())
+def test_transport_along_a_permutation_matches_build_group(group, data):
+    perm = data.draw(st.permutations(range(group.order)))
+    assert _transport(group, perm) == ref_renamed(group, perm)
+
+
+@ORACLE
+@given(st.sampled_from(CATALOG), st.data())
+def test_transport_onto_a_subgroup_matches_build_group(group, data):
+    gens = data.draw(st.lists(st.integers(0, group.order - 1), max_size=3))
+    members = data.draw(st.permutations(ref_closure(group, gens)))
+    want = ref_renamed(group, members)
+    assert _transport(group, members) == want
+    assert tk.subgroup_as_group(tk.Subgroup(group, tuple(members))) == want
 
 
 # ---------------------------------------------------------------- sheaf gluing
