@@ -652,11 +652,15 @@ def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
 
 
 def lift_point_action(action: GroupAction) -> SheafAction:
-    """Present an ordinary action as a sheaf action on the one-point space, under the constant sheaf G."""
-    gs = constant_group_sheaf(point_space(), action.group)
-    # one section on the empty open (index 0), the points on the point (index 1)
-    sets = SheafOfSets(space=gs.space, sizes=(1, action.set_size), restrict={(1, 0): (0,) * action.set_size})
-    return SheafAction(groups=gs, sets=sets, act=(((0,),), action.act))
+    """Present an ordinary action as a sheaf action on the one-point space, for a group of any order."""
+    space = point_space()
+
+    def sheaf(size: int) -> SheafOfSets:
+        """One section on the empty open (index 0), ``size`` on the point (index 1)."""
+        return SheafOfSets(space=space, sizes=(1, size), restrict={(1, 0): (0,) * size})
+
+    gs = SheafOfGroups(sets=sheaf(action.group.order), groups=(build_group(1, [[0]]), action.group))
+    return SheafAction(groups=gs, sets=sheaf(action.set_size), act=(((0,),), action.act))
 
 
 def lift_point_torsor(torsor: Torsor) -> SheafTorsor:

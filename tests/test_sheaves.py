@@ -278,6 +278,15 @@ def test_lift_point_torsor_for_constructions(s3):
         assert tk.is_sheaf_torsor(lifted.action).passed
 
 
+def test_a_group_past_the_constant_sheaf_guard_still_lifts():
+    # on the one point G is the group itself: no |G|^k table, so CONSTANT_SECTIONS_MAX does not apply
+    torsor = tk.solution_torsor(tk.prime_field_matrix(2, [[1] * 11]), [1])
+    assert torsor.group.order == 1024 > tk.sheaves.CONSTANT_SECTIONS_MAX
+    lifted = tk.lift_point_torsor(torsor)
+    assert lifted.groups.groups[lifted.space.whole_index] is torsor.group
+    assert lifted.action.act[lifted.space.whole_index] == torsor.act
+
+
 def test_lift_broken_actions_fail(z2, s3):
     trivial = tk.build_action(z2, 2, [[0, 1], [0, 1]])
     rep = tk.is_sheaf_torsor(tk.lift_point_action(trivial))
@@ -672,16 +681,13 @@ def test_glue_over_a_cached_constant_sheaf_reads_only_the_glued_tables(z2, monke
     assert [args[1] for args in reads] == [torsor.sets.restrict]
 
 
-def test_a_lift_reads_each_of_its_two_sheaves_once(monkeypatch):
-    # F is read once per lift; G is the group's cached constant sheaf, read and decided once per group
-    torsor = tk.as_torsor(tk.left_translation_action(tk.catalog_group("cyclic(3)")))
+def test_a_lift_reads_each_of_its_two_sheaves_once(z3, monkeypatch):
+    torsor = tk.as_torsor(tk.left_translation_action(z3))
     reads = _counting(monkeypatch, "_structure")
     decided = _counting(monkeypatch, "is_sheaf_of_groups")
-    first, second = tk.lift_point_torsor(torsor), tk.lift_point_torsor(torsor)
-    assert first.groups is second.groups is tk.constant_group_sheaf(tk.point_space(), torsor.group)
-    restricts = [first.groups.sets.restrict, first.sets.restrict, second.sets.restrict]
-    assert [args[1] for args in reads] == restricts
-    assert decided == [(first.groups,)]
+    lifted = tk.lift_point_torsor(torsor)
+    assert [args[1] for args in reads] == [lifted.groups.sets.restrict, lifted.sets.restrict]
+    assert decided == [(lifted.groups,)]
 
 
 def test_is_sheaf_torsor_witnesses_a_group_of_the_wrong_order(psc, z2):
