@@ -55,6 +55,15 @@ def _require_prime(p: int):
         raise NotPrime(f"{p} is not prime", p=p)
 
 
+def _guard_power(p: int, n: int, bound: int, what: str) -> int:
+    """p^n within ``bound``, else TooLarge; past n = bound.bit_length() it names p and n, never forming p^n."""
+    if n > bound.bit_length():
+        raise TooLarge(f"{what} = {p}^{n} exceeds {bound}", p=p, n=n)
+    if p**n > bound:
+        raise TooLarge(f"{what} = {p ** n} exceeds {bound}", size=p**n)
+    return p**n
+
+
 @dataclass(frozen=True)
 class PrimeFieldMatrix:
     p: int
@@ -202,10 +211,9 @@ def affine_torsor(p: int, n: int) -> Torsor:
     _require_prime(p)
     if n < 1:
         raise MalformedTable(f"dimension must be positive, got {n}", n=n)
-    if p**n > AFFINE_MAX_POINTS:
-        raise TooLarge(f"p^n = {p ** n} exceeds {AFFINE_MAX_POINTS}", size=p**n)
-    vectors = np.arange(p**n)
-    group = build_group(p**n, _sum_codes(vectors, vectors, p, n))
+    size = _guard_power(p, n, AFFINE_MAX_POINTS, "p^n")
+    vectors = np.arange(size)
+    group = build_group(size, _sum_codes(vectors, vectors, p, n))
     return as_torsor(left_translation_action(group))
 
 
@@ -217,9 +225,7 @@ def solution_torsor(T: PrimeFieldMatrix, w) -> Torsor:
     """
     p = T.p
     w = _rhs(T, w)
-    if p**T.cols > SOLUTION_MAX_VECTORS:
-        raise TooLarge(f"p^cols = {p ** T.cols} exceeds {SOLUTION_MAX_VECTORS}", size=p**T.cols)
-    size = p**T.cols
+    size = _guard_power(p, T.cols, SOLUTION_MAX_VECTORS, "p^cols")
     images = _digits(np.arange(size), p, T.cols) @ np.array(T.entries).T % p
     solutions = np.flatnonzero((images == w).all(axis=1))
     kernel = np.flatnonzero((images == 0).all(axis=1))

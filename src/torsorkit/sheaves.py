@@ -64,7 +64,7 @@ from .groups import (
     build_group,
 )
 from .report import Report, failing, passing
-from .spaces import FiniteSpace, connected_components, point_space, pseudocircle
+from .spaces import FiniteSpace, point_space, pseudocircle
 
 CONSTANT_SECTIONS_MAX = 512    # per-open section count for constant sheaves
 FAMILY_CANDIDATE_MAX = 65536   # descent family candidates per open
@@ -183,9 +183,10 @@ def _proper_pairs(space: FiniteSpace):
 
 
 def _guard_sections(group: FiniteGroup, count: int) -> int:
-    """|G|^count, the sections of an open with ``count`` components, within the guard."""
+    """|G|^count, the sections of an open with ``count`` components, within the guard from 2 components
+    on: G^0 and G^1 build no table, so a group of any order has a constant sheaf on a connected space."""
     size = group.order ** count
-    if size > CONSTANT_SECTIONS_MAX:
+    if count >= 2 and size > CONSTANT_SECTIONS_MAX:
         raise TooLarge(f"{size} sections on one open exceed {CONSTANT_SECTIONS_MAX}", size=size)
     return size
 
@@ -225,7 +226,7 @@ def constant_group_sheaf(space: FiniteSpace, group: FiniteGroup) -> SheafOfGroup
 
 
 def _constant_group_sheaf(space: FiniteSpace, group: FiniteGroup) -> SheafOfGroups:
-    comps = [connected_components(space, o) for o in space.opens]
+    comps = space.components
     sizes = [_guard_sections(group, len(c)) for c in comps]
     n = group.order
     # component count -> the value tuple of every section, one row each
@@ -266,11 +267,11 @@ def _structure(space: FiniteSpace, restrict, sizes) -> tuple[tuple[dict, ...], d
 
 
 def _minimal_cover(space: FiniteSpace, u: int) -> tuple[int, ...]:
-    """The maximal minimal opens U_x for x in open u, ascending."""
-    members = sorted({space.minimal_open[x] for x in space.opens[u]})
-    sets = {m: frozenset(space.opens[m]) for m in members}
-    # a U_x inside another member adds nothing: compatibility already fixes its section
-    return tuple(m for m in members if not any(sets[m] < sets[n] for n in members))
+    """U_x for the maximal points x of open u (no y in u has U_x < U_y), as open indices ascending."""
+    points, minimal = space.opens[u], space.minimal
+    # a U_x inside another U_y adds nothing: compatibility already fixes its section
+    maximal = [x for x in points if not any(minimal[x] < minimal[y] for y in points)]
+    return tuple(sorted({space.minimal_open[x] for x in maximal}))
 
 
 def _compatible_families(sizes, agree: dict):
@@ -442,8 +443,7 @@ def is_sheaf_torsor(action: SheafAction) -> Report:
         return failing("sheaf-torsor", witnesses)
     fs = action.sets
     space = fs.space
-    for x in range(space.num_points):
-        m = space.minimal_open[x]
+    for x, m in enumerate(space.minimal_open):
         if fs.sizes[m] < 1:
             witnesses.append({"axiom": "locally-nonempty", "point": x, "open": m})
     for m in sorted(set(space.minimal_open)):
@@ -652,15 +652,12 @@ def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
 
 
 def lift_point_action(action: GroupAction) -> SheafAction:
-    """Present an ordinary action as a sheaf action on the one-point space, for a group of any order."""
-    space = point_space()
-
-    def sheaf(size: int) -> SheafOfSets:
-        """One section on the empty open (index 0), ``size`` on the point (index 1)."""
-        return SheafOfSets(space=space, sizes=(1, size), restrict={(1, 0): (0,) * size})
-
-    gs = SheafOfGroups(sets=sheaf(action.group.order), groups=(build_group(1, [[0]]), action.group))
-    return SheafAction(groups=gs, sets=sheaf(action.set_size), act=(((0,),), action.act))
+    """Present an ordinary action as a sheaf action on the one-point space, for a group of any order;
+    G is the group's constant sheaf there, built and decided once per group."""
+    space, size = point_space(), action.set_size
+    # one section on the empty open (index 0), ``size`` on the point (index 1)
+    sets = SheafOfSets(space=space, sizes=(1, size), restrict={(1, 0): (0,) * size})
+    return SheafAction(groups=constant_group_sheaf(space, action.group), sets=sets, act=(((0,),), action.act))
 
 
 def lift_point_torsor(torsor: Torsor) -> SheafTorsor:

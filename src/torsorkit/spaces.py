@@ -1,10 +1,12 @@
-"""Finite topological spaces stored as explicit open-set lists.
+"""Finite topological spaces, read off their specialisation preorder.
 
-Opens are canonical sorted tuples, deduplicated and ordered by size then
-lexicographically, so open indices are stable across runs. Every point
-has a minimal open neighborhood (the intersection of all opens
-containing it), which drives both connectivity and the sheaf-level
-decision procedures.
+Opens are stored as canonical sorted tuples, deduplicated and ordered by
+size then lexicographically, so open indices are stable across runs.
+Each point x has a least open U_x (``FiniteSpace.minimal``), and the
+opens are exactly the unions of the U_x: a finite space is its
+specialisation preorder, y <= x iff y in U_x (Alexandroff 1937; Barmak,
+*Algebraic Topology of Finite Topological Spaces*, 2011). Generating a
+topology, connectivity and the sheaf-level decisions all read the U_x.
 """
 
 from __future__ import annotations
@@ -36,14 +38,24 @@ class FiniteSpace:
         return {frozenset(o): i for i, o in enumerate(self.opens)}
 
     @cached_property
+    def minimal(self) -> tuple[frozenset[int], ...]:
+        """For each point x, U_x: the intersection of the opens that contain x. That is an open, and
+        every other open containing x is larger, so it is the first in canonical order to contain x."""
+        meets = {}
+        for o in self.open_index:  # the opens in canonical order, so minimal_open finds each by identity
+            for x in o:
+                meets.setdefault(x, o)
+        return tuple(meets[x] for x in range(self.num_points))
+
+    @cached_property
     def minimal_open(self) -> tuple[int, ...]:
         """For each point, the index of its minimal open neighborhood."""
-        out = []
-        for x in range(self.num_points):
-            containing = [set(o) for o in self.opens if x in o]
-            meet = frozenset(set.intersection(*containing))
-            out.append(self.open_index[meet])
-        return tuple(out)
+        return tuple(self.open_index[m] for m in self.minimal)
+
+    @cached_property
+    def components(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """For each open, its connected components, as ``connected_components`` orders them."""
+        return tuple(connected_components(self, o) for o in self.opens)
 
     @cached_property
     def subopens(self) -> tuple[tuple[int, ...], ...]:
@@ -112,61 +124,45 @@ def build_space(num_points: int, opens) -> FiniteSpace:
                     a=list(a),
                     b=list(b),
                 )
-    space = FiniteSpace(num_points=num_points, opens=tuple(canon))
-    space.minimal_open  # force the cache; existence is guaranteed by closure
-    return space
+    return FiniteSpace(num_points=num_points, opens=tuple(canon))
 
 
 def close_under_ops(num_points: int, generators) -> FiniteSpace:
-    """Generate a topology from a family of opens by closing under union/intersection."""
-    sets = {frozenset(), frozenset(range(num_points))}
-    sets.update(frozenset(_int_points(g, f"generator {i}")) for i, g in enumerate(generators))
-    changed = True
-    while changed:
-        changed = False
-        current = list(sets)
-        for i, a in enumerate(current):
-            for b in current[i + 1 :]:
-                for c in (a | b, a & b):
-                    if c not in sets:
-                        sets.add(c)
-                        changed = True
-    return build_space(num_points, [tuple(sorted(s)) for s in sets])
+    """The topology a family of opens generates: the unions of the meets U_x of the members of the family
+    and the whole set that contain x, for each point x they hold (out of range too, for build_space)."""
+    family = [frozenset(range(num_points))]
+    family += [frozenset(_int_points(g, f"generator {i}")) for i, g in enumerate(generators)]
+    # points in the same members share their meet: take it once per membership pattern
+    patterns = {tuple(x in s for s in family) for x in frozenset().union(*family)}
+    meets = {frozenset.intersection(*(s for s, inside in zip(family, p) if inside)) for p in patterns}
+    opens = {frozenset()}
+    for m in meets:
+        opens |= {o | m for o in opens}
+    return build_space(num_points, [tuple(sorted(o)) for o in opens])
 
 
 def connected_components(space: FiniteSpace, subset) -> tuple[tuple[int, ...], ...]:
     """Components of the subspace topology, ordered by least point.
 
-    Two points are merged when both lie in a common minimal open of the
-    subspace; in a finite space this union-find closure is exactly
+    Each grows from its least point along comparability inside the subset
+    (y in U_x or x in U_y); in a finite space that closure is exactly
     topological connectivity.
     """
     points = sorted(_int_points(subset, "subset"))
     for p in points:
         if not 0 <= p < space.num_points:
             raise PointOutOfRange(f"point {p} out of range", point=p)
-    parent = {p: p for p in points}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    member_set = set(points)
+    minimal, left, out = space.minimal, set(points), []
     for x in points:
-        m_sub = [p for p in space.opens[space.minimal_open[x]] if p in member_set]
-        for y in m_sub:
-            union(x, y)
-    groups: dict[int, list[int]] = {}
-    for p in points:
-        groups.setdefault(find(p), []).append(p)
-    return tuple(tuple(sorted(groups[r])) for r in sorted(groups))
+        if x in left:
+            left.remove(x)
+            component = [x]
+            for y in component:  # the list grows as it is read: a breadth-first search
+                near = [z for z in left if z in minimal[y] or y in minimal[z]]
+                left.difference_update(near)
+                component += near
+            out.append(tuple(sorted(component)))
+    return tuple(out)
 
 
 def pseudocircle() -> FiniteSpace:

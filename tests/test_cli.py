@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -315,6 +316,16 @@ def test_generate_reports_size_guard_without_traceback(tmp_path):
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert res.stdout == "affine: FAIL\n  witness size-guard: size=512\n"
+
+
+@pytest.mark.parametrize("p,n", [("3", "1000000000"), ("1000000007", "500")])
+def test_generate_affine_past_the_guard_fails_at_once(tmp_path, p, n):
+    # the guard never forms p^n here: it would take minutes, or not print past 4300 digits
+    start = time.perf_counter()
+    code, out, err = run_cli(["generate", "affine", p, n, "-o", str(tmp_path / "x.json")])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, f"affine: FAIL\n  witness size-guard: n={n} p={p}\n", "")
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("sheaf,table,axiom", [

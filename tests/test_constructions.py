@@ -144,6 +144,18 @@ def test_affine_torsor_guards():
         tk.affine_torsor(2, 9)
 
 
+@pytest.mark.parametrize("p,n,data", [
+    (2, 9, {"size": 512}),  # n = AFFINE_MAX_POINTS.bit_length(): the power is formed and named
+    (3, 10**9, {"p": 3, "n": 10**9}),  # past it p^n >= 2^n is past the guard too, and is never formed
+    (1000000007, 500, {"p": 1000000007, "n": 500}),  # a 4500-digit p^n would not even print
+])
+def test_affine_guard_decides_from_the_exponent_first(p, n, data):
+    with pytest.raises(TooLarge) as exc:
+        tk.affine_torsor(p, n)
+    assert exc.value.data == data
+    assert "exceeds 256" in str(exc.value)
+
+
 def test_solution_torsor_line_in_f3():
     T = tk.prime_field_matrix(3, [[1, 1]])
     t = tk.solution_torsor(T, [1])
@@ -175,6 +187,18 @@ def test_solution_torsor_too_large():
     T = tk.prime_field_matrix(2, [[1] * 13])
     with pytest.raises(TooLarge):
         tk.solution_torsor(T, [1])
+
+
+@pytest.mark.parametrize("p,cols,data", [
+    (2, 13, {"size": 2**13}),
+    (2, 14, {"p": 2, "n": 14}),
+    (1000000007, 500, {"p": 1000000007, "n": 500}),
+])
+def test_solution_guard_decides_from_the_exponent_first(p, cols, data):
+    with pytest.raises(TooLarge) as exc:
+        tk.solution_torsor(tk.prime_field_matrix(p, [[1] * cols]), [1])
+    assert exc.value.data == data
+    assert "exceeds 4096" in str(exc.value)
 
 
 @pytest.mark.parametrize("p,rows,w", [

@@ -13,6 +13,12 @@ The pure-Python table builders below are the reference for the
 vectorized mixed-radix codec in ``constructions``; they must agree cell
 for cell.
 
+``close_under_ops`` lists the unions of the minimal opens U_x; the
+reference is the fixed-point union/intersection closure, and the spaces
+or witnesses must be equal. ``connected_components`` grows along the
+preorder; the reference is the definition (no split into two disjoint,
+nonempty, relatively open parts).
+
 ``is_sheaf`` decides gluing on the minimal-open cover of each open; the
 reference below tries every cover, and the verdicts must agree.
 
@@ -601,6 +607,88 @@ def test_transport_onto_a_subgroup_matches_build_group(group, data):
     assert tk.subgroup_as_group(tk.Subgroup(group, tuple(members))) == want
 
 
+# ---------------------------------------------------------------- finite spaces
+
+
+def ref_close_under_ops(num_points, generators):
+    """The fixed-point closure under pairwise union and intersection, then build_space."""
+    sets = {frozenset(), frozenset(range(num_points))} | {frozenset(g) for g in generators}
+    changed = True
+    while changed:
+        changed = False
+        current = list(sets)
+        for i, a in enumerate(current):
+            for b in current[i + 1 :]:
+                for c in (a | b, a & b):
+                    if c not in sets:
+                        sets.add(c)
+                        changed = True
+    return tk.build_space(num_points, [tuple(sorted(s)) for s in sets])
+
+
+def outcome(build, *args):
+    """The built value, or the error class and witness data it raised."""
+    try:
+        return build(*args)
+    except errors.TorsorError as err:
+        return type(err), err.data
+
+
+@st.composite
+def generator_families(draw):
+    """Generators on at most 5 points, with repeated points and opens and points out of range."""
+    n = draw(st.integers(0, 5))
+    points = st.integers(-1, n + 1) if n == 0 or draw(st.booleans()) else st.integers(0, n - 1)
+    gens = draw(st.lists(st.lists(points, max_size=n + 2), max_size=7))
+    repeats = draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else []
+    return n, gens + repeats
+
+
+@ORACLE
+@given(generator_families())
+def test_close_under_ops_matches_the_fixed_point_closure(case):
+    # a relation on the points may generate up to 2^7 opens: TooLarge names the exact count
+    n, gens = case
+    assert outcome(tk.close_under_ops, n, gens) == outcome(ref_close_under_ops, n, gens)
+
+
+def ref_is_connected(space, subset):
+    """No split of the subset into two disjoint, nonempty parts, each open in the subspace."""
+    relative = {frozenset(o) & subset for o in space.opens}
+    return not any(part and part != subset and subset - part in relative for part in relative)
+
+
+@st.composite
+def spaces_and_subsets(draw):
+    """A topology generated on at most 5 points, and a subset of its points."""
+    n = draw(st.integers(1, 5))
+    space = tk.close_under_ops(n, draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=6)))
+    return space, draw(st.frozensets(st.integers(0, n - 1)))
+
+
+@ORACLE
+@given(spaces_and_subsets())
+def test_connected_components_match_the_definition(case):
+    space, subset = case
+    comps = tk.connected_components(space, subset)
+    assert sorted(p for c in comps for p in c) == sorted(subset)
+    assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+    relative = {frozenset(o) & subset for o in space.opens}
+    for c in map(frozenset, comps):
+        # connected, and open (so closed) in the subset: no connected part of it is larger
+        assert ref_is_connected(space, c) and c in relative
+
+
+@ORACLE
+@given(spaces_and_subsets())
+def test_minimal_opens_and_components_are_read_off_the_opens(case):
+    space, _ = case
+    for x, m in enumerate(space.minimal):
+        assert m == frozenset.intersection(*(frozenset(o) for o in space.opens if x in o))
+        assert space.opens[space.minimal_open[x]] == tuple(sorted(m))
+    assert space.components == tuple(tk.connected_components(space, o) for o in space.opens)
+
+
 # ---------------------------------------------------------------- sheaf gluing
 
 
@@ -783,7 +871,8 @@ def ref_constant_group_sheaf(space, group):
     """(sizes, group tables, restriction tables) by tuple arithmetic."""
     comps = [tk.connected_components(space, o) for o in space.opens]
     sizes = [group.order ** len(c) for c in comps]
-    if max(sizes) > tk.sheaves.CONSTANT_SECTIONS_MAX:
+    # the guard bounds the G^k tables built for k >= 2 components
+    if any(s > tk.sheaves.CONSTANT_SECTIONS_MAX for s, c in zip(sizes, comps) if len(c) >= 2):
         return errors.TooLarge
     code = lambda vals: sum(v * group.order ** (len(vals) - 1 - i) for i, v in enumerate(vals))  # noqa: E731
     tables = []

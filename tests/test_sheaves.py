@@ -12,6 +12,7 @@ from torsorkit.errors import (
     MalformedTable,
     NoLocalSection,
     NotASheafTorsor,
+    TooLarge,
     TripleViolation,
     UnknownOpen,
 )
@@ -452,6 +453,20 @@ def test_constant_sheaf_reuses_the_group_on_one_component_opens(psc, monkeypatch
     assert len(one) == 5 and all(gs.groups[u] is z2 for u in one)
 
 
+def test_a_second_constant_sheaf_reject_on_one_space_finds_no_components(monkeypatch):
+    import torsorkit.spaces as spaces
+
+    discrete3 = tk.close_under_ops(3, [(0,), (1,), (2,)])
+    big = tk.catalog_group("cyclic(9)")
+    calls, real = [], spaces.connected_components
+    monkeypatch.setattr(spaces, "connected_components", lambda *args: calls.append(args) or real(*args))
+    for _ in range(2):
+        with pytest.raises(TooLarge) as exc:
+            tk.constant_group_sheaf(discrete3, big)
+        assert exc.value.data == {"size": 9**3}
+        assert len(calls) == len(discrete3.opens)  # found once, kept on the space
+
+
 def _hand_built(gs, restrict=None):
     """A value-equal copy of ``gs`` built by hand: a new object, so nothing is decided or read yet."""
     restrict = dict(gs.sets.restrict) if restrict is None else restrict
@@ -681,13 +696,16 @@ def test_glue_over_a_cached_constant_sheaf_reads_only_the_glued_tables(z2, monke
     assert [args[1] for args in reads] == [torsor.sets.restrict]
 
 
-def test_a_lift_reads_each_of_its_two_sheaves_once(z3, monkeypatch):
+def test_a_lift_reads_each_of_its_two_sheaves_once(monkeypatch):
+    # F is read once per lift; G is the group's constant sheaf on the point, read and decided once per group
+    z3 = tk.catalog_group("cyclic(3)")  # fresh: the session fixture's sheaves are cached already
     torsor = tk.as_torsor(tk.left_translation_action(z3))
     reads = _counting(monkeypatch, "_structure")
     decided = _counting(monkeypatch, "is_sheaf_of_groups")
-    lifted = tk.lift_point_torsor(torsor)
-    assert [args[1] for args in reads] == [lifted.groups.sets.restrict, lifted.sets.restrict]
-    assert decided == [(lifted.groups,)]
+    first, second = tk.lift_point_torsor(torsor), tk.lift_point_torsor(torsor)
+    assert second.groups is first.groups is tk.constant_group_sheaf(tk.point_space(), z3)
+    assert [args[1] for args in reads] == [first.groups.sets.restrict, first.sets.restrict, second.sets.restrict]
+    assert decided == [(first.groups,)]
 
 
 def test_is_sheaf_torsor_witnesses_a_group_of_the_wrong_order(psc, z2):

@@ -1,5 +1,7 @@
 """Finite topologies, minimal opens, connectivity, the pseudocircle."""
 
+import time
+
 import pytest
 
 import torsorkit as tk
@@ -80,6 +82,15 @@ def test_too_many_opens():
     ]
     with pytest.raises(TooLarge):
         tk.build_space(points, opens)  # discrete topology: 128 opens
+
+
+def test_thirteen_discrete_points_give_their_exact_open_count_at_once():
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as exc:
+        tk.close_under_ops(13, [(i,) for i in range(13)])
+    assert exc.value.data == {"size": 2**13}
+    # unions of the 13 minimal opens: well under 1 s, where a union/intersection fixed point took 87 s
+    assert time.perf_counter() - start < 10
 
 
 def test_components_overlap(psc):

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "torsorkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "torsorkit"
 
 
 def test_library_has_no_assert_statements():
@@ -17,3 +18,11 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_python_file_parses_as_the_oldest_supported_python():
+    """``requires-python = ">=3.10"``: no syntax newer than 3.10 in src, tests, bench or demos."""
+    files = sorted(p for top in ("src", "tests", "bench", "demos") for p in (ROOT / top).rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
