@@ -7,10 +7,11 @@ identity carries content). Holonomy around closed paths is the
 obstruction diagnostic on cycle nerves.
 
 Triviality, equivalence and classification rest on one propagation
-along one breadth-first spanning forest: from the identity at each
-root, h_v = g_vu * h_u down every tree edge (u, v). So every cocycle is
-h . g0 for exactly one cochain h that is the identity at each root and
-one cocycle g0 = h_i^-1 * g_ij * h_j that is the identity on every tree
+along one breadth-first spanning forest, computed once per nerve and
+kept on it (``Nerve.forest``): from the identity at each root,
+h_v = g_vu * h_u down every tree edge (u, v). So every cocycle is h . g0
+for exactly one cochain h that is the identity at each root and one
+cocycle g0 = h_i^-1 * g_ij * h_j that is the identity on every tree
 edge. A cocycle is trivial when its g0 is the identity everywhere, and
 two cocycles are equivalent when one root element per component
 conjugates the g0 of one into that of the other. Classification
@@ -25,6 +26,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,9 +51,20 @@ CLASS_ENUM_MAX = 4096
 
 @dataclass(frozen=True)
 class Nerve:
+    """The opens, edges and triples of a cover; read-only, so what is derived from it is kept on it."""
+
     num_opens: int
     edges: tuple[tuple[int, int], ...]      # (i, j) with i < j, sorted
     triples: tuple[tuple[int, int, int], ...]  # (i, j, k) with i < j < k, sorted
+
+    @cached_property
+    def edge_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.edges)
+
+    @cached_property
+    def forest(self) -> tuple[_Component, ...]:
+        """The breadth-first spanning forest (``_spanning_forest``), found once per nerve."""
+        return _spanning_forest(self)
 
 
 @dataclass(frozen=True)
@@ -152,7 +165,7 @@ def check_cocycle(nerve: Nerve, group: FiniteGroup, assignments) -> NerveCocycle
     rearranged, so it fails in some ordering exactly when it fails in
     this one.
     """
-    edge_set = set(nerve.edges)
+    edge_set = nerve.edge_set
     values = {}
     for key, val in dict(assignments).items():
         i, j = _ints(key, 2, "edge key", edge=str(key))
@@ -214,7 +227,7 @@ class _Component:
     cotree: tuple[tuple[int, int], ...]  # the other edges, in nerve edge order
 
 
-def _spanning_forest(nerve: Nerve) -> list[_Component]:
+def _spanning_forest(nerve: Nerve) -> tuple[_Component, ...]:
     """One breadth-first spanning tree per connected component, ascending neighbours.
 
     Components come in the order of their least opens. Only the opens on
@@ -248,13 +261,13 @@ def _spanning_forest(nerve: Nerve) -> list[_Component]:
     for e in nerve.edges:
         if e not in tree_edges:
             cotrees[comp_of[e[0]]].append(e)
-    return [
+    return tuple(
         _Component(root, tuple(opens), tuple(tree), tuple(cotree))
         for (root, opens, tree), cotree in zip(found, cotrees)
-    ]
+    )
 
 
-def _propagate(c: NerveCocycle, forest: list[_Component]) -> list[int]:
+def _propagate(c: NerveCocycle, forest: tuple[_Component, ...]) -> list[int]:
     """h with h = e at each root and g_uv = h_u * h_v^-1 on every tree edge (u, v)."""
     grp = c.group
     h = [grp.identity] * c.nerve.num_opens
@@ -273,7 +286,7 @@ def find_trivialization(c: NerveCocycle):
     right translation, which does not affect solvability.
     """
     grp = c.group
-    h = _propagate(c, _spanning_forest(c.nerve))
+    h = _propagate(c, c.nerve.forest)
     for i, j in c.nerve.edges:
         if c.g[(i, j)] != grp.mul(h[i], grp.inv(h[j])):
             return NotTrivial(violating_edge=(i, j))
@@ -292,7 +305,7 @@ def are_equivalent(c1: NerveCocycle, c2: NerveCocycle):
     _require_same(c1, c2.nerve, c2.group)
     grp = c1.group
     mul, inv = grp.mul, grp.inv
-    forest = _spanning_forest(c1.nerve)
+    forest = c1.nerve.forest
     h1, h2 = _propagate(c1, forest), _propagate(c2, forest)
     h = [grp.identity] * c1.nerve.num_opens
     for comp in forest:
@@ -326,7 +339,7 @@ def holonomy(c: NerveCocycle, cycle_path) -> int:
             start=path[0],
             end=path[-1],
         )
-    edge_set = set(c.nerve.edges)
+    edge_set = c.nerve.edge_set
     acc = c.group.identity
     for a, b in zip(path, path[1:]):
         if a == b or tuple(sorted((a, b))) not in edge_set:
@@ -371,7 +384,7 @@ def equivalence_classes(nerve: Nerve, group: FiniteGroup) -> list[CocycleClass]:
     """
     _guard_candidates(nerve, group)
     cay, inv, n = group.cayley, group.inverse, group.order
-    comps = _spanning_forest(nerve)
+    comps = nerve.forest
     pos = {edge: p for p, edge in enumerate(nerve.edges)}
     # conjugation at a root changes only its component's non-tree edges
     conj_positions = [[pos[x] for x in c.cotree] for c in comps if c.cotree]

@@ -11,6 +11,7 @@ is numeric order; one codec (``_digits`` / ``_codes``) builds every table.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,45 @@ AFFINE_MAX_POINTS = 256
 SOLUTION_MAX_VECTORS = 4096
 BASIS_SUPPORTED = {(2, 2), (3, 2), (2, 3)}
 
+# The first 13 primes, and the least odd composite that passes the strong probable-prime test to
+# every one of them as a base (Sorenson & Webster, Math. Comp. 86, 2017): below it the test is exact.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BASES_EXACT_BELOW = 3317044064679887385961981
+
 
 def is_prime(p: int) -> bool:
+    """Decide primality by the strong probable-prime (Miller-Rabin) test to the bases 2, 3, ..., 41.
+
+    Exact, not probabilistic, below 3 317 044 064 679 887 385 961 981;
+    from there on TooLarge names p and that bound. Thirteen modular
+    powers, so any p in range is decided in microseconds.
+    """
+    p = operator.index(p)
     if p < 2:
         return False
-    return all(p % d for d in range(2, int(p**0.5) + 1))
+    if p >= _PRIME_BASES_EXACT_BELOW:
+        raise TooLarge(
+            f"primality of {p} is decided only below {_PRIME_BASES_EXACT_BELOW}",
+            p=p,
+            bound=_PRIME_BASES_EXACT_BELOW,
+        )
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _PRIME_BASES:
+        x = pow(a, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _require_prime(p: int):

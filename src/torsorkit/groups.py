@@ -15,7 +15,8 @@ costs O(n^2 log n) instead of O(n^3). The same argument, with h in
 place of a, reduces action compatibility (g*h).x = g.(h.x) to generators
 h. When the test fails, or the table is too small for it to save work,
 the full lexicographic scan runs, so every reported witness is the
-least one.
+least one. A group keeps its generating set (``FiniteGroup.generators``),
+so every action of it is decided without searching again.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +79,12 @@ class FiniteGroup:
             object.__setattr__(self, "array", _frozen_array(self.cayley))
 
     __setstate__ = _read_only_on_load
+
+    @cached_property
+    def generators(self) -> tuple[int, ...] | None:
+        """The generating set of Light's test (``_light_generators``), found once per group;
+        ``build_group`` hands over the set it found while deciding associativity."""
+        return _light_generators(self.array, self.identity)
 
     def mul(self, g: int, h: int) -> int:
         return self.cayley[g][h]
@@ -181,7 +189,7 @@ def _tuples(arr: np.ndarray, bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, np.array(range(bound), dtype=object)[arr].tolist()))
 
 
-def _generators(cayley: np.ndarray, identity: int) -> list[int] | None:
+def _generators(cayley: np.ndarray, identity: int) -> tuple[int, ...] | None:
     """A greedy generating set of the table, or None past floor(log2 n) generators.
 
     Each generator is the least element outside the closure of the
@@ -208,32 +216,35 @@ def _generators(cayley: np.ndarray, identity: int) -> list[int] | None:
             new &= ~inside
             inside |= new
             fresh = np.flatnonzero(new)
-    return gens
+    return tuple(gens)
 
 
-def _compatibility_witness(act: np.ndarray, cayley: np.ndarray, identity: int):
+def _light_generators(cayley: np.ndarray, identity: int) -> tuple[int, ...] | None:
+    """``_generators`` from LIGHT_MIN_ORDER on; None below it, where the scan is cheaper than the search."""
+    return _generators(cayley, identity) if len(cayley) >= LIGHT_MIN_ORDER else None
+
+
+def _compatibility_witness(act: np.ndarray, cayley: np.ndarray, gens: tuple[int, ...] | None):
     """Least (g, h, x) with (g*h).x != g.(h.x), or None.
 
     With ``act = cayley`` this is the associativity witness (g*h)*k !=
     g*(h*k): associativity is the compatibility of the regular action.
-    The identity must already act trivially. From LIGHT_MIN_ORDER on,
-    Light's test checks h over a generating set only; the row-at-a-time
-    lexicographic scan runs below that order and whenever the test fails.
+    The identity must already act trivially. ``gens`` is the table's
+    ``_light_generators``: Light's test checks h over them only, and the
+    row-at-a-time lexicographic scan runs when they are None and whenever
+    the test fails.
     """
-    n = len(cayley)
-    if n >= LIGHT_MIN_ORDER:
-        gens = _generators(cayley, identity)
-        if gens is not None:
-            # reused buffers: two fresh n x m arrays per generator cost more than the gathers
-            lhs, rhs = np.empty_like(act), np.empty_like(act)
-            for h in gens:
-                np.take(act, cayley[:, h], axis=0, out=lhs)  # [g,x] -> (g*h).x
-                np.take(act, act[h], axis=1, out=rhs)        # [g,x] -> g.(h.x)
-                if not np.array_equal(lhs, rhs):
-                    break
-            else:
-                return None
-    for g in range(n):
+    if gens is not None:
+        # reused buffers: two fresh n x m arrays per generator cost more than the gathers
+        lhs, rhs = np.empty_like(act), np.empty_like(act)
+        for h in gens:
+            np.take(act, cayley[:, h], axis=0, out=lhs)  # [g,x] -> (g*h).x
+            np.take(act, act[h], axis=1, out=rhs)        # [g,x] -> g.(h.x)
+            if not np.array_equal(lhs, rhs):
+                break
+        else:
+            return None
+    for g in range(len(cayley)):
         lhs = act[cayley[g], :]  # [h,x] -> (g*h).x
         rhs = act[g][act]        # [h,x] -> g.(h.x)
         bad = _first(lhs != rhs)
@@ -257,7 +268,8 @@ def build_group(order: int, cayley) -> FiniteGroup:
     if found is None:
         raise NoIdentity("no two-sided identity element")
     identity = found[0]
-    bad = _compatibility_witness(arr, arr, identity)
+    gens = _light_generators(arr, identity)
+    bad = _compatibility_witness(arr, arr, gens)
     if bad is not None:
         g, h, k = bad
         raise NonAssociative(
@@ -268,9 +280,11 @@ def build_group(order: int, cayley) -> FiniteGroup:
     if missing is not None:
         raise NoInverse(f"element {missing[0]} has no inverse", element=missing[0])
     inverse = tuple(np.argmax(hits, axis=1).tolist())
-    return FiniteGroup(
+    group = FiniteGroup(
         order=order, cayley=_tuples(arr, order), identity=identity, inverse=inverse, array=arr
     )
+    vars(group)["generators"] = gens  # the group's table is the one just searched
+    return group
 
 
 def _cyclic_table(n: int):

@@ -408,7 +408,7 @@ def _action_structure_witnesses(action: SheafAction) -> tuple[list[dict], list]:
             out.append({"axiom": "action-identity", "open": u, "x": moved[0]})
             continue
         if size:
-            bad = _compatibility_witness(arr, grp.array, grp.identity)
+            bad = _compatibility_witness(arr, grp.array, grp.generators)
             if bad is not None:
                 g, h, x = bad
                 out.append(

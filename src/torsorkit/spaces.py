@@ -170,8 +170,13 @@ def pseudocircle() -> FiniteSpace:
 
     Points 0,1 are the open points; 2,3 are the closed points whose minimal
     neighborhoods {0,1,2} and {0,1,3} form the standard two-arc cover.
+    Every call returns the same read-only space, so what it derives once
+    (minimal opens, components) serves every caller.
     """
-    return close_under_ops(4, [(0,), (1,), (0, 1, 2), (0, 1, 3)])
+    return _PSEUDOCIRCLE
+
+
+_PSEUDOCIRCLE = close_under_ops(4, [(0,), (1,), (0, 1, 2), (0, 1, 3)])
 
 
 def point_space() -> FiniteSpace:

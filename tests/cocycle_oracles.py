@@ -4,14 +4,47 @@ The library classifies cocycles without trying every edge assignment;
 these helpers do try every one, so tests can compare against them. The
 ``find_trivialization`` and ``are_equivalent`` below are the earlier
 implementations, each with its own tree propagation, kept so the shared
-propagation can be compared against them output for output.
+propagation can be compared against them output for output. They walk
+``reference_forest``, a breadth-first search written from scratch, which
+is also the oracle for the forest each nerve keeps.
 """
 
 import itertools
 
 import torsorkit as tk
-from torsorkit.cocycles import NotEquivalent, NotTrivial, _guard_candidates, _require_same, _spanning_forest
+from torsorkit.cocycles import NotEquivalent, NotTrivial, _Component, _guard_candidates, _require_same
 from torsorkit.errors import TripleViolation
+
+
+def reference_forest(nerve):
+    """One breadth-first tree per component of the edge graph, rooted at its least open.
+
+    Neighbours are visited in ascending order and components come in the
+    order of their roots; each component's other edges keep the nerve's
+    edge order. Opens on no edge form no component.
+    """
+    neighbours = {}
+    for i, j in nerve.edges:
+        neighbours.setdefault(i, set()).add(j)
+        neighbours.setdefault(j, set()).add(i)
+    placed, forest = set(), []
+    for root in sorted(neighbours):
+        if root in placed:
+            continue
+        placed.add(root)
+        opens, tree, head = [root], [], 0
+        while head < len(opens):
+            u = opens[head]
+            head += 1
+            for v in sorted(neighbours[u]):
+                if v not in placed:
+                    placed.add(v)
+                    opens.append(v)
+                    tree.append((u, v))
+        in_tree = {frozenset(e) for e in tree}
+        cotree = [e for e in nerve.edges if e[0] in opens and frozenset(e) not in in_tree]
+        forest.append(_Component(root, tuple(opens), tuple(tree), tuple(cotree)))
+    return tuple(forest)
 
 
 def all_cochains(nerve, group):
@@ -42,7 +75,7 @@ def find_trivialization(c):
     """A cochain h with g_ij = h_i * h_j^-1 on every edge, or NotTrivial (its own propagation)."""
     grp = c.group
     h = [grp.identity] * c.nerve.num_opens
-    for comp in _spanning_forest(c.nerve):
+    for comp in reference_forest(c.nerve):
         for u, v in comp.tree:
             h[v] = grp.mul(c.value(v, u), h[u])
     for i, j in c.nerve.edges:
@@ -62,7 +95,7 @@ def are_equivalent(c1, c2):
     grp = c1.group
     mul, inv = grp.mul, grp.inv
     h = [grp.identity] * c1.nerve.num_opens
-    for comp in _spanning_forest(c1.nerve):
+    for comp in reference_forest(c1.nerve):
         a = {comp.root: grp.identity}
         b = {comp.root: grp.identity}
         for u, v in comp.tree:

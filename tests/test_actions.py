@@ -341,3 +341,92 @@ def test_transporter_identities_property(name, seed, data):
     assert group.mul(
         tk.transporter(torsor, y, z), tk.transporter(torsor, x, y)
     ) == tk.transporter(torsor, x, z)
+
+
+# ---------------------------------------------------------------- the generating set kept on the group
+
+
+def _order_256_groups():
+    xor = tk.build_group(256, [[a ^ b for b in range(256)] for a in range(256)])
+    z16_squared = tk.build_group(
+        256, [[(a + b) % 16 + 16 * ((a // 16 + b // 16) % 16) for b in range(256)] for a in range(256)]
+    )
+    return xor, z16_squared
+
+
+def _cold(group):
+    """A value-equal group object whose generating set is not found yet."""
+    from torsorkit.groups import FiniteGroup
+
+    cold = FiniteGroup(order=group.order, cayley=group.cayley, identity=group.identity, inverse=group.inverse)
+    assert cold == group and "generators" not in vars(cold)
+    return cold
+
+
+def _witness(group, size, table):
+    try:
+        tk.build_action(group, size, table)
+    except CompatibilityViolated as exc:
+        return exc.data
+    return None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_corrupted_order_256_actions_get_the_least_witness_cold_and_warm(seed):
+    import random
+
+    import numpy as np
+
+    from torsorkit.groups import _compatibility_witness
+
+    rng = random.Random(seed)
+    warm = _order_256_groups()[seed % 2]
+    assert warm.generators is not None and "generators" in vars(warm)
+    # the regular action, or the quotient action on 16 points through the low coordinate
+    size = 256 if seed < 6 else 16
+    table = [[warm.cayley[g][x] % size for x in range(size)] for g in range(256)]
+    for _ in range(1 + seed % 3):
+        g = rng.choice([g for g in range(256) if g != warm.identity])
+        x1, x2 = rng.sample(range(size), 2)
+        table[g][x1], table[g][x2] = table[g][x2], table[g][x1]
+    scan = _compatibility_witness(np.array(table), warm.array, None)
+    want = None if scan is None else dict(zip("ghx", scan))
+    cold = _cold(warm)
+    assert _witness(cold, size, table) == want
+    assert cold.generators == warm.generators
+    assert _witness(warm, size, table) == want
+
+
+def test_a_second_build_action_on_one_group_does_not_search_for_generators(monkeypatch):
+    import torsorkit.groups as groups
+
+    s4 = _cold(tk.catalog_group("symmetric(4)"))
+    calls, real = [], groups._generators
+    monkeypatch.setattr(groups, "_generators", lambda *args: calls.append(args) or real(*args))
+    for _ in range(2):
+        tk.build_action(s4, s4.order, s4.cayley)
+    assert len(calls) == 1
+    # build_group hands the set it found to the group it returns
+    built = tk.build_group(s4.order, s4.cayley)
+    tk.build_action(built, built.order, built.cayley)
+    tk.build_action(built, 1, [[0]] * built.order)
+    assert len(calls) == 2 and built.generators == s4.generators
+    # below LIGHT_MIN_ORDER no group searches: the scan is cheaper
+    s3 = tk.build_group(6, tk.catalog_group("symmetric(3)").cayley)
+    tk.build_action(s3, 6, s3.cayley)
+    assert len(calls) == 2 and s3.generators is None
+
+
+def test_a_group_with_a_warm_generating_set_survives_pickle_and_deepcopy():
+    import copy
+    import pickle
+
+    group = _order_256_groups()[1]
+    broken = [list(row) for row in group.cayley]
+    broken[5][0], broken[5][1] = broken[5][1], broken[5][0]
+    want = _witness(group, 256, broken)
+    assert want is not None
+    for clone in (pickle.loads(pickle.dumps(group)), copy.deepcopy(group)):
+        assert clone == group and vars(clone)["generators"] == group.generators
+        assert tk.build_action(clone, 256, group.cayley).act == group.cayley
+        assert _witness(clone, 256, broken) == want

@@ -427,3 +427,12 @@ def test_json_booleans_are_not_integers(tmp_path, verb, build, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(build()))
     assert run_cli(["check", verb, str(path)]) == (2, "", f"error: {message}\n")
+
+
+def test_generate_bases_with_a_large_prime_fails_at_once_on_the_size_guard(tmp_path):
+    # primality of 10^18 + 3 is decided before BASIS_SUPPORTED; trial division took over 30 s
+    start = time.perf_counter()
+    code, out, err = run_cli(["generate", "bases", "1000000000000000003", "2", "-o", str(tmp_path / "x.json")])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "bases: FAIL\n  witness size-guard: n=2 p=1000000000000000003\n", "")
+    assert not (tmp_path / "x.json").exists()

@@ -555,3 +555,110 @@ def test_shared_propagation_matches_the_separate_implementations(pair):
         assert tk.find_trivialization(c) == cocycle_oracles.find_trivialization(c)
     assert tk.are_equivalent(c1, c2) == cocycle_oracles.are_equivalent(c1, c2)
     assert tk.are_equivalent(c2, c1) == cocycle_oracles.are_equivalent(c2, c1)
+
+
+# ---------------------------------------------------------------- the forest kept on the nerve
+
+
+@st.composite
+def nerves(draw):
+    """Nerves on up to 10 opens: any edge set, so several components, isolated opens and cycles occur."""
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return tk.build_nerve(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nerves())
+def test_the_kept_forest_is_the_breadth_first_forest(nerve):
+    assert nerve.forest == cocycle_oracles.reference_forest(nerve)
+    assert nerve.edge_set == frozenset(nerve.edges)
+
+
+def _fresh(c, nerve):
+    """``c`` on a value-equal nerve object."""
+    return tk.check_cocycle(nerve, c.group, c.g)
+
+
+def _fundamental_cycles(nerve):
+    """For each non-tree edge (i, j), the closed path root ... i, j ... root along the tree."""
+    paths = []
+    for comp in cocycle_oracles.reference_forest(nerve):
+        parent = {v: u for u, v in comp.tree}
+
+        def to_root(v):
+            out = [v]
+            while out[-1] != comp.root:
+                out.append(parent[out[-1]])
+            return out
+
+        for i, j in comp.cotree:
+            paths.append(to_root(i)[::-1] + to_root(j))
+    return paths
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TooLarge as exc:
+        return TooLarge, exc.data
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=cocycle_pairs())
+def test_queries_agree_on_a_warm_and_on_a_fresh_nerve(pair):
+    c1, c2 = pair
+    warm = c1.nerve
+    for c in (c1, c2):
+        tk.find_trivialization(c)
+    assert "forest" in vars(warm)
+    fresh = tk.build_nerve(warm.num_opens, warm.edges, warm.triples)
+    assert fresh == warm and fresh is not warm and "forest" not in vars(fresh)
+    f1, f2 = _fresh(c1, fresh), _fresh(c2, fresh)
+    assert tk.are_equivalent(f1, f2) == tk.are_equivalent(c1, c2)
+    assert tk.are_equivalent(f2, f1) == tk.are_equivalent(c2, c1)
+    for c, f in ((c1, f1), (c2, f2)):
+        assert tk.find_trivialization(f) == tk.find_trivialization(c)
+        for path in _fundamental_cycles(warm):
+            assert tk.holonomy(f, path) == tk.holonomy(c, path)
+    fresh = tk.build_nerve(warm.num_opens, warm.edges, warm.triples)
+    assert _outcome(tk.equivalence_classes, fresh, c1.group) == _outcome(tk.equivalence_classes, warm, c1.group)
+
+
+def test_a_second_query_on_one_nerve_does_not_rebuild_the_forest(monkeypatch, s3):
+    import torsorkit.cocycles as cocycles
+
+    calls, real = [], cocycles._spanning_forest
+    monkeypatch.setattr(cocycles, "_spanning_forest", lambda nerve: calls.append(nerve) or real(nerve))
+    nerve = tk.build_nerve(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+    c = tk.check_cocycle(nerve, s3, {e: 3 if e == (0, 1) else s3.identity for e in nerve.edges})
+    moved = tk.apply_coboundary(c, tk.make_cochain(nerve, s3, [s3.identity, 3, 2, 5, 1]))
+    assert isinstance(tk.find_trivialization(c), NotTrivial)
+    assert isinstance(tk.find_trivialization(moved), NotTrivial)
+    assert isinstance(tk.are_equivalent(c, moved), tk.Cochain)
+    # the cochain is the identity at the base point 0, so it leaves the holonomy there alone
+    assert tk.holonomy(c, [0, 1, 2, 3, 0]) == tk.holonomy(moved, [0, 1, 2, 3, 0]) == 3
+    small = tk.build_nerve(3, [(0, 1), (1, 2), (0, 2)])
+    tk.equivalence_classes(small, s3)
+    tk.equivalence_classes(small, s3)
+    assert calls == [nerve, small]
+
+
+def test_a_nerve_with_warm_caches_survives_pickle_and_deepcopy(s3):
+    import copy
+    import pickle
+
+    nerve = tk.build_nerve(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c = tk.check_cocycle(nerve, s3, {(0, 1): 3, (1, 2): 1, (2, 3): 0, (0, 3): 2})
+    want = tk.find_trivialization(c)
+    assert {"forest", "edge_set"} <= set(vars(nerve))
+    for clone in (pickle.loads(pickle.dumps(nerve)), copy.deepcopy(nerve)):
+        assert clone == nerve and hash(clone) == hash(nerve)
+        assert vars(clone)["forest"] == nerve.forest and vars(clone)["edge_set"] == nerve.edge_set
+        moved = tk.check_cocycle(clone, s3, c.g)
+        assert tk.find_trivialization(moved) == want
+        assert tk.holonomy(moved, [0, 1, 2, 3, 0]) == tk.holonomy(c, [0, 1, 2, 3, 0])
+        assert tk.equivalence_classes(clone, tk.catalog_group("cyclic(2)")) == tk.equivalence_classes(
+            nerve, tk.catalog_group("cyclic(2)")
+        )

@@ -344,3 +344,34 @@ def test_rhs_entries_must_be_integers(solve, rhs):
     with pytest.raises(MalformedTable) as exc:
         solve(tk.prime_field_matrix(3, [[1, 1]]), rhs)
     assert exc.value.data == {"index": 0}
+
+
+def _trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+def test_is_prime_equals_trial_division_below_ten_to_the_fifth():
+    assert [p for p in range(-3, 10**5) if tk.is_prime(p)] == [p for p in range(-3, 10**5) if _trial_division(p)]
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,       # ... to the first 9 prime bases, 2 to 23
+    318665857834031151167461,  # ... to the first 12 prime bases, 2 to 37
+])
+def test_is_prime_reports_strong_pseudoprimes_composite(n):
+    assert not tk.is_prime(n)
+
+
+def test_is_prime_decides_large_primes_and_stops_at_its_bound():
+    import numpy as np
+
+    bound = 3317044064679887385961981  # the least strong pseudoprime to the first 13 prime bases
+    assert tk.is_prime(10**18 + 3) and tk.is_prime(2**61 - 1) and tk.is_prime(np.int64(2**31 - 1))
+    assert not tk.is_prime((2**31 - 1) * (2**19 - 1))
+    for n in (bound, bound + 2, 10**100):
+        with pytest.raises(TooLarge) as exc:
+            tk.is_prime(n)
+        assert exc.value.data == {"p": n, "bound": bound}
+    with pytest.raises(TypeError):
+        tk.is_prime(7.0)

@@ -467,6 +467,21 @@ def test_a_second_constant_sheaf_reject_on_one_space_finds_no_components(monkeyp
         assert len(calls) == len(discrete3.opens)  # found once, kept on the space
 
 
+def test_the_pseudocircle_reject_finds_no_components_again(monkeypatch):
+    import torsorkit.spaces as spaces
+
+    assert tk.pseudocircle() is tk.pseudocircle()  # one shared space, which keeps its components
+    s4 = tk.catalog_group("symmetric(4)")
+    calls, real = [], spaces.connected_components
+    for patched in (False, True, True):
+        if patched:
+            monkeypatch.setattr(spaces, "connected_components", lambda *args: calls.append(args) or real(*args))
+        with pytest.raises(TooLarge) as exc:
+            tk.pseudocircle_descent_datum(s4, s4.identity)
+        assert exc.value.data == {"size": 24**2}
+    assert calls == []  # the first reject found them on the shared space
+
+
 def _hand_built(gs, restrict=None):
     """A value-equal copy of ``gs`` built by hand: a new object, so nothing is decided or read yet."""
     restrict = dict(gs.sets.restrict) if restrict is None else restrict
