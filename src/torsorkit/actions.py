@@ -37,6 +37,8 @@ from .groups import (
     _first,
     _frozen_array,
     _index_table,
+    _is_index,
+    _is_int,
     _positions,
     _read_only_on_load,
     _transport,
@@ -105,8 +107,8 @@ class BasepointChange:
 
 def build_action(group: FiniteGroup, set_size: int, act) -> GroupAction:
     """Validate an action table exhaustively (identity and compatibility axioms)."""
-    if set_size < 1:
-        raise MalformedTable(f"set_size must be positive, got {set_size}", set_size=set_size)
+    if not _is_int(set_size) or set_size < 1:
+        raise MalformedTable(f"set_size must be a positive integer, got {set_size!r}", set_size=set_size)
     arr = _index_table(act, group.order, set_size, set_size)
     moved = _first(arr[group.identity] != np.arange(set_size))
     if moved is not None:
@@ -121,8 +123,8 @@ def build_action(group: FiniteGroup, set_size: int, act) -> GroupAction:
 
 
 def _check_point(action: GroupAction, x: int):
-    if not 0 <= x < action.set_size:
-        raise PointOutOfRange(f"point {x} out of range [0,{action.set_size})", point=x)
+    if not _is_index(x, action.set_size):
+        raise PointOutOfRange(f"point {x!r} out of range [0,{action.set_size})", point=x)
 
 
 def orbit(action: GroupAction, x: int) -> tuple[int, ...]:
@@ -182,13 +184,10 @@ def as_torsor(action: GroupAction) -> Torsor:
 
 
 def transporter(torsor: Torsor, x: int, y: int) -> int:
-    """The unique g with g.x = y, found by exhaustive search."""
+    """The unique g with g.x = y: the inverse of the trivialization g -> g.x at x, read at y."""
     _check_point(torsor.action, x)
     _check_point(torsor.action, y)
-    hits = [g for g in torsor.group.elements() if torsor.act[g][x] == y]
-    if len(hits) != 1:
-        raise InternalError(f"transport from {x} to {y} is not unique: {hits}")
-    return hits[0]
+    return trivialization(torsor, x).to_group[y]
 
 
 def trivialization(torsor: Torsor, x0: int) -> Trivialization:
@@ -204,10 +203,10 @@ def trivialization(torsor: Torsor, x0: int) -> Trivialization:
 def basepoint_change(torsor: Torsor, x0: int, x1: int) -> BasepointChange:
     """h = tr(x0,x1), with an exhaustive check that g.x1 = (g*h).x0 for all g."""
     h = transporter(torsor, x0, x1)
-    cay = torsor.group.cayley
-    for g in torsor.group.elements():
-        if torsor.act[g][x1] != torsor.act[cay[g][h]][x0]:
-            raise InternalError(f"g.x1 != (g*h).x0 at g={g}")
+    act = torsor.action.array
+    bad = _first(act[:, x1] != act[torsor.group.array[:, h], x0])
+    if bad is not None:
+        raise InternalError(f"g.x1 != (g*h).x0 at g={bad[0]}")
     report = passing("basepoint-change", counts={"elements_checked": torsor.group.order})
     return BasepointChange(element=h, report=report)
 

@@ -223,8 +223,7 @@ def _query_report(args) -> Report:
         return passing("holonomy", counts={"element": g, "path": path_indices})
     if name == "global-sections":
         want(0)
-        t = _sheaf_torsor_from_file(path)
-        n = len(sections(t, t.space.whole_index))
+        n = len(global_sections(_sheaf_torsor_from_file(path)))
         return passing("global-sections", counts={"global_sections": n})
     if name == "sections":
         want(1)
@@ -275,7 +274,7 @@ def _generate(args) -> int:
         jsonio.dump_json(
             args.out, jsonio.descent_to_obj(datum.groups.space, group, datum)
         )
-        n = len(sections(glue_from_cocycle(datum), datum.groups.space.whole_index))
+        n = len(global_sections(glue_from_cocycle(datum)))
         print(f"generated pseudocircle descent datum ({params[0]}): {n} global sections")
         return 0
     if family in ("affine", "bases"):

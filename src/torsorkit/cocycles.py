@@ -24,13 +24,12 @@ galoisienne*, I §5).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .constructions import _codes, _digits
+from .constructions import _codes, _digits, _guard_count
 from .errors import (
     InternalError,
     MalformedTable,
@@ -42,7 +41,7 @@ from .errors import (
     TripleViolation,
     TripleWithoutEdge,
 )
-from .groups import FiniteGroup, _is_int
+from .groups import FiniteGroup, _is_index, _is_int
 
 # Bounds |G|^edges, the edge assignments. equivalence_classes lists every valid one
 # and finds them by gauge fixing, with less work than trying each assignment.
@@ -125,8 +124,8 @@ def _ints(values, size: int, what: str, **where) -> list[int]:
 
 
 def build_nerve(num_opens: int, edges, triples=()) -> Nerve:
-    if num_opens < 1:
-        raise MalformedTable(f"num_opens must be positive, got {num_opens}")
+    if not _is_int(num_opens) or num_opens < 1:
+        raise MalformedTable(f"num_opens must be a positive integer, got {num_opens!r}", num_opens=num_opens)
     edge_set = set()
     for idx, e in enumerate(edges):
         i, j = sorted(_ints(e, 2, "edge", edge=idx))
@@ -173,10 +172,8 @@ def check_cocycle(nerve: Nerve, group: FiniteGroup, assignments) -> NerveCocycle
             raise Mismatch(f"edge key ({i},{j}) must satisfy i < j", i=i, j=j)
         if (i, j) not in edge_set:
             raise Mismatch(f"assignment on non-edge ({i},{j})", i=i, j=j)
-        if not _is_int(val):
-            raise MalformedTable(f"value {val!r} on edge ({i},{j}) is not an integer", i=i, j=j)
-        if not 0 <= val < group.order:
-            raise MalformedTable(f"value {val} out of range on edge ({i},{j})", i=i, j=j)
+        if not _is_index(val, group.order):
+            raise MalformedTable(f"value {val!r} on edge ({i},{j}) is not an element", i=i, j=j)
         values[(i, j)] = int(val)
     for e in nerve.edges:
         if e not in values:
@@ -198,8 +195,9 @@ def make_cochain(nerve: Nerve, group: FiniteGroup, h) -> Cochain:
         raise MalformedTable(
             f"cochain length {len(h)} != {nerve.num_opens} opens", got=len(h)
         )
-    if any(not 0 <= v < group.order for v in h):
-        raise MalformedTable("cochain value out of range")
+    for pos, v in enumerate(h):
+        if not 0 <= v < group.order:
+            raise MalformedTable(f"cochain entry {pos} = {v} out of range", position=pos)
     return Cochain(nerve=nerve, group=group, h=h)
 
 
@@ -239,31 +237,26 @@ def _spanning_forest(nerve: Nerve) -> tuple[_Component, ...]:
     for i, j in nerve.edges:  # sorted edges leave every list ascending
         adj.setdefault(i, []).append(j)
         adj.setdefault(j, []).append(i)
-    comp_of, tree_edges = {}, set()
-    found = []
+    comp_of, parent, found = {}, {}, []
     for root, _ in nerve.edges:  # sorted edges reach each component first at its least open
         if root in comp_of:
             continue
         comp = comp_of[root] = len(found)
-        opens, tree = [], []
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            opens.append(u)
+        opens = [root]
+        for u in opens:  # the list grows as it is read: a breadth-first search
             for v in adj[u]:
                 if v not in comp_of:
-                    comp_of[v] = comp
-                    tree.append((u, v))
-                    tree_edges.add((u, v) if u < v else (v, u))
-                    queue.append(v)
-        found.append((root, opens, tree))
+                    comp_of[v], parent[v] = comp, u
+                    opens.append(v)
+        found.append(opens)
+    # an edge is a tree edge when one end is the other's parent
     cotrees = [[] for _ in found]
-    for e in nerve.edges:
-        if e not in tree_edges:
-            cotrees[comp_of[e[0]]].append(e)
+    for i, j in nerve.edges:
+        if parent.get(j) != i and parent.get(i) != j:
+            cotrees[comp_of[i]].append((i, j))
     return tuple(
-        _Component(root, tuple(opens), tuple(tree), tuple(cotree))
-        for (root, opens, tree), cotree in zip(found, cotrees)
+        _Component(opens[0], tuple(opens), tuple((parent[v], v) for v in opens[1:]), tuple(cotree))
+        for opens, cotree in zip(found, cotrees)
     )
 
 
@@ -328,10 +321,8 @@ def holonomy(c: NerveCocycle, cycle_path) -> int:
     if not path:
         raise NotAPath("empty path")
     for pos, v in enumerate(path):
-        if not _is_int(v):
-            raise NotAPath(f"path entry {pos} = {v!r} is not an integer", position=pos)
-        if not 0 <= v < c.nerve.num_opens:
-            raise NotAPath(f"path entry {pos} = {v} out of range", position=pos)
+        if not _is_index(v, c.nerve.num_opens):
+            raise NotAPath(f"path entry {pos} = {v!r} is not an open", position=pos)
     path = [int(v) for v in path]
     if path[0] != path[-1]:
         raise PathNotClosed(
@@ -349,9 +340,7 @@ def holonomy(c: NerveCocycle, cycle_path) -> int:
 
 
 def _guard_candidates(nerve: Nerve, group: FiniteGroup) -> None:
-    total = group.order ** len(nerve.edges)
-    if total > CLASS_ENUM_MAX:
-        raise TooLarge(f"{total} cocycle candidates exceed {CLASS_ENUM_MAX}", size=total)
+    _guard_count(group.order, len(nerve.edges), CLASS_ENUM_MAX, "cocycle candidates", "edges")
 
 
 def _gauge_fixed_cocycles(nerve: Nerve, group: FiniteGroup, pos, free) -> list[tuple[int, ...]]:

@@ -40,7 +40,7 @@ from .groups import (
 
 AFFINE_MAX_POINTS = 256
 SOLUTION_MAX_VECTORS = 4096
-BASIS_SUPPORTED = {(2, 2), (3, 2), (2, 3)}
+BASIS_MAX_MATRICES = 512  # the n x n matrices over F_p that general_linear_group enumerates
 
 # The first 13 primes, and the least odd composite that passes the strong probable-prime test to
 # every one of them as a base (Sorenson & Webster, Math. Comp. 86, 2017): below it the test is exact.
@@ -90,6 +90,11 @@ def _require_prime(p: int):
         raise NotPrime(f"{p} is not prime", p=p)
 
 
+def _require_dimension(n: int):
+    if not _is_int(n) or n < 1:
+        raise MalformedTable(f"dimension must be a positive integer, got {n!r}", n=n)
+
+
 def _guard_power(p: int, n: int, bound: int, what: str) -> int:
     """p^n within ``bound``, else TooLarge; past n = bound.bit_length() it names p and n, never forming p^n."""
     if n > bound.bit_length():
@@ -97,6 +102,22 @@ def _guard_power(p: int, n: int, bound: int, what: str) -> int:
     if p**n > bound:
         raise TooLarge(f"{what} = {p ** n} exceeds {bound}", size=p**n)
     return p**n
+
+
+# Below 2^_PRINTABLE_BITS a number has at most 617 digits, which Python prints under any
+# int_max_str_digits setting (the least it allows is 640).
+_PRINTABLE_BITS = 2048
+
+
+def _guard_count(base: int, count: int, bound: int, what: str, count_name: str) -> int:
+    """base^count within ``bound``, else TooLarge naming its size, or, decided from the exponent first
+    where that size would not print, naming ``base`` as ``order`` and ``count`` as ``count_name``."""
+    if base > 1 and count * base.bit_length() > _PRINTABLE_BITS:
+        raise TooLarge(f"{base}^{count} {what} exceed {bound}", order=base, **{count_name: count})
+    size = base**count
+    if size > bound:
+        raise TooLarge(f"{size} {what} exceed {bound}", size=size)
+    return size
 
 
 @dataclass(frozen=True)
@@ -141,8 +162,9 @@ def prime_field_matrix(p: int, entries) -> PrimeFieldMatrix:
     if not rows or not rows[0]:
         raise MalformedTable("matrix must have at least one row and column")
     cols = len(rows[0])
-    if any(len(r) != cols for r in rows):
-        raise MalformedTable("ragged matrix rows")
+    ragged = next((i for i, r in enumerate(rows) if len(r) != cols), None)
+    if ragged is not None:
+        raise MalformedTable(f"matrix row {ragged} has length {len(rows[ragged])}, expected {cols}", row=ragged)
     reduced = tuple(_residues(r, p, f"row {i}", row=i) for i, r in enumerate(rows))
     return PrimeFieldMatrix(p=p, rows=len(rows), cols=cols, entries=reduced)
 
@@ -152,6 +174,8 @@ def encode_vector(vec, p: int) -> int:
 
 
 def decode_vector(idx: int, p: int, n: int) -> tuple[int, ...]:
+    if not _is_index(idx, p**n):
+        raise MalformedTable(f"vector code {idx!r} out of range for F_{p}^{n}", code=idx)
     return tuple(_digits(idx, p, n).tolist())
 
 
@@ -244,8 +268,7 @@ def gaussian_solve(T: PrimeFieldMatrix, w) -> LinearSolveResult:
 def affine_torsor(p: int, n: int) -> Torsor:
     """F_p^n acting on itself by translation; points share the vector encoding."""
     _require_prime(p)
-    if n < 1:
-        raise MalformedTable(f"dimension must be positive, got {n}", n=n)
+    _require_dimension(n)
     size = _guard_power(p, n, AFFINE_MAX_POINTS, "p^n")
     vectors = np.arange(size)
     group = build_group(size, _sum_codes(vectors, vectors, p, n))
@@ -304,15 +327,14 @@ def basis_torsor(p: int, n: int) -> Torsor:
     their encoded entries; matrices act componentwise on basis vectors.
     A basis is the invertible matrix B whose rows are its vectors, and M
     sends B to B @ M^T, so the transposes (M @ B^T)^T make the action the
-    group acting on itself with M renamed the position of M^T.
+    group acting on itself with M renamed the position of M^T. The p^(n*n)
+    matrices enumerated are at most BASIS_MAX_MATRICES, decided from the
+    exponent first: (2,2), (3,2), (2,3), and (p,1) for p <= 509.
     """
     _require_prime(p)
-    if (p, n) not in BASIS_SUPPORTED:
-        raise TooLarge(
-            f"(p,n)=({p},{n}) not supported; exhaustive validation is desk-scale only",
-            p=p,
-            n=n,
-        )
+    _require_dimension(n)
+    if n * n > BASIS_MAX_MATRICES.bit_length() or p ** (n * n) > BASIS_MAX_MATRICES:
+        raise TooLarge(f"(p,n)=({p},{n}): p^(n*n) matrices exceed {BASIS_MAX_MATRICES}", p=p, n=n)
     group, mats = general_linear_group(p, n)
     mats = np.array(mats)
     codes = _codes(mats.reshape(len(mats), -1), p)

@@ -22,7 +22,6 @@ so every action of it is decided without searching again.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -259,8 +258,8 @@ def build_group(order: int, cayley) -> FiniteGroup:
     Checks run in order: shape/range, identity existence, associativity,
     inverse existence. The first violated axiom is reported with a witness.
     """
-    if order < 1:
-        raise MalformedTable(f"cayley: order must be positive, got {order}", order=order)
+    if not _is_int(order) or order < 1:
+        raise MalformedTable(f"cayley: order must be a positive integer, got {order!r}", order=order)
     arr = _index_table(cayley, order, order, order, "cayley: ")
     points = np.arange(order)
     two_sided = (arr == points).all(axis=1) & (arr == points[:, None]).all(axis=0)
@@ -292,41 +291,31 @@ def _cyclic_table(n: int):
 
 
 def _symmetric_table(n: int):
-    # elements are one-line tuples in lexicographic order; (g*h)(x) = g(h(x))
-    perms = list(itertools.permutations(range(n)))
+    # elements are one-line tuples in catalog order (symmetric_elements); (g*h)(x) = g(h(x))
+    perms = symmetric_elements(n)
     index = {p: i for i, p in enumerate(perms)}
-    table = [
+    return [
         [index[tuple(g[h[x]] for x in range(n))] for h in perms]
         for g in perms
     ]
-    return table, perms
 
 
 def symmetric_elements(n: int) -> list[tuple[int, ...]]:
     """One-line notation for the elements of symmetric(n), in catalog order."""
-    if not 1 <= n <= 4:
-        raise UnknownName(f"symmetric({n}) is out of catalog range", name=f"symmetric({n})")
+    if f"symmetric({n})" not in catalog_names():
+        raise UnknownName(f"symmetric({n}) is not a catalog name", name=f"symmetric({n})")
     return list(itertools.permutations(range(n)))
 
 
 def catalog_group(name: str) -> FiniteGroup:
-    """Builtin catalog: cyclic(n) for n<=12, symmetric(n) for n<=4, klein_four."""
-    m = re.fullmatch(r"cyclic\((\d+)\)", name)
-    if m:
-        n = int(m.group(1))
-        if not 1 <= n <= 12:
-            raise UnknownName(f"cyclic({n}) is out of catalog range", name=name)
-        return build_group(n, _cyclic_table(n))
-    m = re.fullmatch(r"symmetric\((\d+)\)", name)
-    if m:
-        n = int(m.group(1))
-        if not 1 <= n <= 4:
-            raise UnknownName(f"symmetric({n}) is out of catalog range", name=name)
-        table, perms = _symmetric_table(n)
-        return build_group(len(perms), table)
+    """Builtin catalog: the names of ``catalog_names``, matched exactly."""
+    if name not in catalog_names():
+        raise UnknownName(f"unknown catalog name {name!r}", name=name)
     if name == "klein_four":
         return build_group(4, [[a ^ b for b in range(4)] for a in range(4)])
-    raise UnknownName(f"unknown catalog name {name!r}", name=name)
+    family, n = name[:-1].split("(")
+    table = (_cyclic_table if family == "cyclic" else _symmetric_table)(int(n))
+    return build_group(len(table), table)
 
 
 def catalog_names() -> list[str]:

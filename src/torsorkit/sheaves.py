@@ -41,7 +41,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .actions import GroupAction, Torsor, _transports
-from .constructions import _codes, _digits
+from .constructions import _codes, _digits, _guard_count
 from .errors import (
     CoverIncomplete,
     InternalError,
@@ -58,6 +58,7 @@ from .groups import (
     _compatibility_witness,
     _first,
     _index_array,
+    _is_index,
     _is_int,
     _positions,
     _tuples,
@@ -185,20 +186,23 @@ def _proper_pairs(space: FiniteSpace):
 def _guard_sections(group: FiniteGroup, count: int) -> int:
     """|G|^count, the sections of an open with ``count`` components, within the guard from 2 components
     on: G^0 and G^1 build no table, so a group of any order has a constant sheaf on a connected space."""
-    size = group.order ** count
-    if count >= 2 and size > CONSTANT_SECTIONS_MAX:
-        raise TooLarge(f"{size} sections on one open exceed {CONSTANT_SECTIONS_MAX}", size=size)
-    return size
+    if count < 2:
+        return group.order**count
+    return _guard_count(group.order, count, CONSTANT_SECTIONS_MAX, "sections on one open", "components")
 
 
 def constant_section_id(group: FiniteGroup, values) -> int:
     """Index of a component-value tuple in the constant sheaf's enumeration."""
     _guard_sections(group, len(values))
+    for pos, v in enumerate(values):
+        if not _is_index(v, group.order):
+            raise MalformedTable(f"component value {pos} = {v!r} is not an element", position=pos)
     return int(_codes(np.asarray(values, dtype=np.intp), group.order))
 
 
 def constant_section_tuple(group: FiniteGroup, count: int, idx: int) -> tuple[int, ...]:
-    _guard_sections(group, count)
+    if not _is_index(idx, _guard_sections(group, count)):
+        raise MalformedTable(f"section {idx!r} out of range for {count} components", section=idx)
     return tuple(_digits(idx, group.order, count).tolist())
 
 
@@ -484,8 +488,8 @@ def as_sheaf_torsor(action: SheafAction) -> SheafTorsor:
 def sections(torsor: SheafTorsor, u: int) -> list[int]:
     """The stored section list over the open with index u."""
     space = torsor.space
-    if not 0 <= u < len(space.opens):
-        raise UnknownOpen(f"open index {u} out of range", open=u)
+    if not _is_index(u, len(space.opens)):
+        raise UnknownOpen(f"open index {u!r} out of range", open=u)
     return list(torsor.sets.sections(u))
 
 
@@ -504,7 +508,7 @@ def _cover(space: FiniteSpace, cover) -> tuple[int, ...]:
     cover = tuple(int(c) for c in cover)
     missed = set(range(space.num_points)).difference(*(space.opens[c] for c in cover))
     if missed:
-        raise CoverIncomplete(f"cover misses points {sorted(missed)}")
+        raise CoverIncomplete(f"cover misses points {sorted(missed)}", points=sorted(missed))
     return cover
 
 
@@ -522,10 +526,8 @@ def build_descent_datum(gs: SheafOfGroups, cover, transition) -> DescentDatum:
         if not 0 <= i < j < k:
             raise Mismatch(f"transition key ({i},{j}) must satisfy 0 <= i < j < {k}", i=i, j=j)
         w = space.intersection_index(cover[i], cover[j])
-        if not _is_int(val):
-            raise MalformedTable(f"transition value {val!r} on pair ({i},{j}) is not an integer", i=i, j=j)
-        if not 0 <= val < gs.sets.sizes[w]:
-            raise MalformedTable(f"transition value {val} out of range on pair ({i},{j})", i=i, j=j)
+        if not _is_index(val, gs.sets.sizes[w]):
+            raise MalformedTable(f"transition value {val!r} on pair ({i},{j}) is not a section", i=i, j=j)
         values[(i, j)] = int(val)
     for i in range(k):
         for j in range(i + 1, k):
@@ -629,14 +631,12 @@ def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
     cover = _cover(space, cover)
     chosen = tuple(chosen)
     if len(chosen) != len(cover):
-        raise Mismatch(f"{len(chosen)} sections for {len(cover)} cover opens")
+        raise Mismatch(f"{len(chosen)} sections for {len(cover)} cover opens", got=len(chosen), expected=len(cover))
     for i, c in enumerate(cover):
         if fs.sizes[c] == 0:
             raise NoLocalSection(f"no local section over cover open {i}", index=i)
-        if not _is_int(chosen[i]):
-            raise MalformedTable(f"chosen section {chosen[i]!r} at {i} is not an integer", index=i)
-        if not 0 <= chosen[i] < fs.sizes[c]:
-            raise MalformedTable(f"chosen section {chosen[i]} out of range at {i}", index=i)
+        if not _is_index(chosen[i], fs.sizes[c]):
+            raise MalformedTable(f"chosen section {chosen[i]!r} at {i} is not a section", index=i)
     chosen = tuple(int(s) for s in chosen)
     transition = {}
     for i in range(len(cover)):

@@ -66,7 +66,7 @@ class FiniteSpace:
     def index_of(self, points) -> int:
         key = frozenset(points)
         if key not in self.open_index:
-            raise PointOutOfRange(f"{sorted(key)} is not an open of this space")
+            raise PointOutOfRange(f"{sorted(key)} is not an open of this space", points=sorted(key))
         return self.open_index[key]
 
     def intersection_index(self, u: int, v: int) -> int:
@@ -97,8 +97,8 @@ def _canonical(opens) -> list[tuple[int, ...]]:
 
 def build_space(num_points: int, opens) -> FiniteSpace:
     """Validate an explicit finite topology: empty, whole, unions, intersections."""
-    if num_points < 1:
-        raise MalformedTable(f"num_points must be positive, got {num_points}")
+    if not _is_int(num_points) or num_points < 1:
+        raise MalformedTable(f"num_points must be a positive integer, got {num_points!r}", num_points=num_points)
     canon = _canonical(opens)
     for o in canon:
         for p in o:

@@ -249,6 +249,31 @@ def test_basepoint_change(z3, s3):
     assert ch.report.passed
 
 
+def test_transporter_is_the_unique_element_a_scan_finds(s3):
+    torsors = [
+        tk.affine_torsor(3, 2),
+        tk.basis_torsor(2, 2),
+        tk.coset_torsor(s3, tk.build_subgroup(s3, [0, 3, 4]), 1),
+        tk.as_torsor(tk.right_action_as_left(s3, 6, s3.cayley)),  # right multiplication
+    ]
+    for torsor in torsors:
+        for x in range(torsor.set_size):
+            for y in range(torsor.set_size):
+                hits = [g for g in torsor.group.elements() if torsor.act[g][x] == y]
+                assert [tk.transporter(torsor, x, y)] == hits
+
+
+def test_basepoint_change_names_the_least_element_that_breaks_the_identity():
+    # unvalidated: column 0 is a bijection, so h = tr(0, 1) = 1, but 1.1 and 3.1 are corrupted,
+    # so g.1 != (g*1).0 at g = 1 and g = 3
+    z4 = tk.catalog_group("cyclic(4)")
+    act = ((0, 1, 2, 3), (1, 3, 3, 0), (2, 3, 0, 1), (3, 2, 1, 2))
+    torsor = tk.actions.Torsor(GroupAction(group=z4, set_size=4, act=act))
+    assert tk.transporter(torsor, 0, 1) == 1
+    with pytest.raises(tk.errors.InternalError, match=r"g.x1 != \(g\*h\).x0 at g=1$"):
+        tk.basepoint_change(torsor, 0, 1)
+
+
 def test_transported_group_law(z3):
     torsor = tk.as_torsor(translation(z3))
     g1 = tk.transported_group(torsor, 1)

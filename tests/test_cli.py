@@ -430,7 +430,7 @@ def test_json_booleans_are_not_integers(tmp_path, verb, build, message):
 
 
 def test_generate_bases_with_a_large_prime_fails_at_once_on_the_size_guard(tmp_path):
-    # primality of 10^18 + 3 is decided before BASIS_SUPPORTED; trial division took over 30 s
+    # primality of 10^18 + 3 is decided before the basis bound; trial division took over 30 s
     start = time.perf_counter()
     code, out, err = run_cli(["generate", "bases", "1000000000000000003", "2", "-o", str(tmp_path / "x.json")])
     assert time.perf_counter() - start < 1

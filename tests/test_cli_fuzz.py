@@ -18,8 +18,8 @@ from test_cli import DATA, GENERATE_CASES, REPORT_CASES, run_cli
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
-    # small: the guards bound inputs, not work, so a huge "p" in a solution
-    # problem can spend minutes in trial division before any guard fails
+    # small, so each example stays cheap; a huge "p" would cost little too:
+    # primality is decided by a strong probable-prime test, in microseconds
     | st.integers(-3, 12)
     | st.floats(-3, 12, allow_nan=False)
     | st.text(max_size=3),

@@ -1,6 +1,7 @@
 """Prime-field solving and the four example torsor families."""
 
 import itertools
+import time
 
 import pytest
 
@@ -288,6 +289,23 @@ def test_basis_torsor_2_3_boundary():
 
 def test_affine_torsor_guard_boundary():
     assert tk.affine_torsor(2, 8).set_size == 256
+
+
+@pytest.mark.parametrize("p,n,order", [(2, 3, 168), (2, 1, 1), (5, 1, 4), (509, 1, 508)])
+def test_basis_torsor_within_the_matrix_bound(p, n, order):
+    # p^(n*n) <= BASIS_MAX_MATRICES = 512; for n = 1, GL_1(F_p) = F_p^* acting on the nonzero scalars
+    t = tk.basis_torsor(p, n)
+    assert t.group.order == t.set_size == order == tk.count_ordered_bases(p, n)
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (2, 4), (521, 1), (3, 3), (2, 10**9), (1000000007, 500)])
+def test_basis_torsor_past_the_matrix_bound_names_p_and_n(p, n):
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as exc:
+        tk.basis_torsor(p, n)
+    assert time.perf_counter() - start < 1
+    assert exc.value.data == {"p": p, "n": n}
+    assert "exceed 512" in str(exc.value)
 
 
 def test_basis_torsor_guards():

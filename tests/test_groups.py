@@ -92,6 +92,23 @@ def test_catalog_unknown(name):
         tk.catalog_group(name)
 
 
+@pytest.mark.parametrize("name", ["cyclic(05)", "symmetric(004)", "cyclic(0012)", "cyclic( 5)", "klein_four "])
+def test_catalog_names_match_exactly(name):
+    # a name is in the catalog exactly when catalog_names() lists it; leading zeros once built cyclic(5)
+    with pytest.raises(UnknownName) as exc:
+        tk.catalog_group(name)
+    assert exc.value.witness() == {"axiom": "catalog-name", "name": name}
+
+
+def test_symmetric_elements_reads_the_catalog():
+    assert [tk.symmetric_elements(n) for n in (1, 2)] == [[(0,)], [(0, 1), (1, 0)]]
+    assert len(tk.symmetric_elements(4)) == tk.catalog_group("symmetric(4)").order
+    for n in (0, 5, True):
+        with pytest.raises(UnknownName) as exc:
+            tk.symmetric_elements(n)
+        assert exc.value.witness() == {"axiom": "catalog-name", "name": f"symmetric({n})"}
+
+
 def test_catalog_groups_pass_independent_oracle():
     for name in tk.catalog_names():
         brute_force_group_axioms(tk.catalog_group(name))

@@ -560,7 +560,8 @@ def test_solution_tables_match_reference(p, data):
     assert t.act == tuple(map(tuple, ref[1]))
 
 
-@pytest.mark.parametrize("p,n", sorted(tk.constructions.BASIS_SUPPORTED))
+# the three pairs with n >= 2 within BASIS_MAX_MATRICES, and two with n = 1, where GL_1(F_p) = F_p^*
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (2, 1), (5, 1)])
 def test_general_linear_and_basis_tables_match_reference(p, n):
     table, mats = ref_general_linear(p, n)
     group, got = tk.general_linear_group(p, n)

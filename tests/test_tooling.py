@@ -43,3 +43,40 @@ def test_every_public_layer_function_stays_a_plain_function():
                 assert inspect.isfunction(getattr(module, node.name)), f"{layer}.{node.name}"
                 checked += 1
     assert checked > 50
+
+
+# failures with nothing to name: each is one fact about the whole input, not about a position in it
+WITNESSLESS_RAISES = {
+    ("actions.py", "EmptySet", "a torsor must have at least one point"),
+    ("cocycles.py", "Mismatch", "nerve or group differs"),
+    ("cocycles.py", "NotAPath", "empty path"),
+    ("constructions.py", "MalformedTable", "matrix must have at least one row and column"),
+    ("constructions.py", "EmptySolutionSet", "the system T(v)=w has no solution"),
+    ("constructions.py", "Mismatch", "the subgroup is not a subgroup of this group"),
+    ("groups.py", "NoIdentity", "no two-sided identity element"),
+    ("groups.py", "MalformedTable", "subgroup must be nonempty"),
+    ("spaces.py", "MissingEmpty", "the empty set is not an open"),
+    ("spaces.py", "MissingWhole", "the whole point set is not an open"),
+}
+
+
+def test_every_torsor_error_raised_in_the_library_names_a_witness_field():
+    """The ``errors`` promise: a failure names the offending indices, as keyword witness fields."""
+    from torsorkit import errors
+
+    kinds = {
+        name for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.TorsorError)
+    }
+    raised, bare = 0, set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in kinds):
+                continue
+            raised += 1
+            if not call.keywords:
+                message = call.args[0].value if call.args and isinstance(call.args[0], ast.Constant) else None
+                bare.add((path.name, call.func.id, message))
+    assert raised > 80
+    assert bare == WITNESSLESS_RAISES
