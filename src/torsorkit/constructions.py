@@ -41,6 +41,7 @@ from .groups import (
 AFFINE_MAX_POINTS = 256
 SOLUTION_MAX_VECTORS = 4096
 BASIS_MAX_MATRICES = 512  # the n x n matrices over F_p that general_linear_group enumerates
+CODE_MAX = 2**63 - 1  # vector codes are int64, so p^n must fit in one
 
 # The first 13 primes, and the least odd composite that passes the strong probable-prime test to
 # every one of them as a base (Sorenson & Webster, Math. Comp. 86, 2017): below it the test is exact.
@@ -169,12 +170,23 @@ def prime_field_matrix(p: int, entries) -> PrimeFieldMatrix:
     return PrimeFieldMatrix(p=p, rows=len(rows), cols=cols, entries=reduced)
 
 
+def _require_codes(p: int, n: int) -> int:
+    _require_prime(p)
+    _require_dimension(n)
+    return _guard_power(p, n, CODE_MAX, "p^n")
+
+
 def encode_vector(vec, p: int) -> int:
+    vec = tuple(vec)
+    _require_codes(p, len(vec))
+    for pos, v in enumerate(vec):
+        if not _is_index(v, p):
+            raise MalformedTable(f"vector entry {pos} = {v!r} is not a digit mod {p}", position=pos)
     return int(_codes(np.asarray(vec, dtype=np.int64), p))
 
 
 def decode_vector(idx: int, p: int, n: int) -> tuple[int, ...]:
-    if not _is_index(idx, p**n):
+    if not _is_index(idx, _require_codes(p, n)):
         raise MalformedTable(f"vector code {idx!r} out of range for F_{p}^{n}", code=idx)
     return tuple(_digits(idx, p, n).tolist())
 
@@ -310,7 +322,12 @@ def coset_torsor(group: FiniteGroup, H: Subgroup, g: int) -> Torsor:
 
 
 def general_linear_group(p: int, n: int):
-    """All invertible n x n matrices over F_p in lexicographic (row-major) order."""
+    """All invertible n x n matrices over F_p in lexicographic (row-major) order. The p^(n*n) enumerated
+    are at most BASIS_MAX_MATRICES, decided from the exponent first: (2,2), (3,2), (2,3), (p,1) for p <= 509."""
+    _require_prime(p)
+    _require_dimension(n)
+    if n * n > BASIS_MAX_MATRICES.bit_length() or p ** (n * n) > BASIS_MAX_MATRICES:
+        raise TooLarge(f"(p,n)=({p},{n}): p^(n*n) matrices exceed {BASIS_MAX_MATRICES}", p=p, n=n)
     size = p ** (n * n)
     everything = _digits(np.arange(size), p, n * n).reshape(size, n, n)
     codes = np.flatnonzero(_row_reduce(everything, p)[1].all(axis=1))
@@ -327,14 +344,9 @@ def basis_torsor(p: int, n: int) -> Torsor:
     their encoded entries; matrices act componentwise on basis vectors.
     A basis is the invertible matrix B whose rows are its vectors, and M
     sends B to B @ M^T, so the transposes (M @ B^T)^T make the action the
-    group acting on itself with M renamed the position of M^T. The p^(n*n)
-    matrices enumerated are at most BASIS_MAX_MATRICES, decided from the
-    exponent first: (2,2), (3,2), (2,3), and (p,1) for p <= 509.
+    group acting on itself with M renamed the position of M^T. p, n and
+    the BASIS_MAX_MATRICES bound are checked by general_linear_group.
     """
-    _require_prime(p)
-    _require_dimension(n)
-    if n * n > BASIS_MAX_MATRICES.bit_length() or p ** (n * n) > BASIS_MAX_MATRICES:
-        raise TooLarge(f"(p,n)=({p},{n}): p^(n*n) matrices exceed {BASIS_MAX_MATRICES}", p=p, n=n)
     group, mats = general_linear_group(p, n)
     mats = np.array(mats)
     codes = _codes(mats.reshape(len(mats), -1), p)

@@ -21,7 +21,10 @@ jsonio writes and callers read; the work runs on int arrays. Sheaves are
 read-only once built and keep what is computed from them: a sheaf of
 sets reads its restriction tables once, checking the type and range of
 every cell, and a sheaf of groups is decided at most once for gluing and
-as_sheaf_torsor. The constant sheaf builds G^c with the mixed-radix
+as_sheaf_torsor. Glue hands is_sheaf_torsor the act tables it built,
+as int32 arrays read with the dtype, shape and range checks; lift hands
+over none, as GroupAction.array casts a cell of 1.0 or True to the int
+the tuple read rejects. The constant sheaf builds G^c with the mixed-radix
 codec of ``constructions``; each axiom is one gather-and-compare per
 inclusion or per open, whose first mismatch in row-major order is the
 least witness; compatible families are enumerated one cover member at a
@@ -131,11 +134,21 @@ class SheafOfGroups:
 
 @dataclass(frozen=True)
 class SheafAction:
-    """Per open U, a table act[u][g][s] for the action of G(U) on F(U)."""
+    """Per open U, a table act[u][g][s] for the action of G(U) on F(U). ``_tables`` holds what
+    is_sheaf_torsor reads: ``act`` itself, or the read-only arrays glue_from_cocycle built it from.
+    It is no field, so equality, repr and ``dataclasses.replace`` ignore it, and pickles drop it
+    (numpy would restore the arrays writable)."""
 
     groups: SheafOfGroups
     sets: SheafOfSets
     act: tuple
+
+    @cached_property
+    def _tables(self) -> tuple:
+        return self.act
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_tables"}
 
 
 @dataclass(frozen=True)
@@ -334,6 +347,8 @@ def is_sheaf(sheaf: SheafOfSets) -> Report:
                 )
             continue
         cover = _minimal_cover(space, u)
+        if cover == (u,):
+            continue  # each section is the only family it glues
         sizes = [sheaf.sizes[m] for m in cover]
         agree = {}
         for i, j in itertools.combinations(range(len(cover)), 2):
@@ -398,8 +413,8 @@ def _action_structure_witnesses(action: SheafAction) -> tuple[list[dict], list]:
     space = fs.space
     for u in range(len(space.opens)):
         grp, size = gs.groups[u], fs.sizes[u]
-        table = action.act[u]
-        if len(table) != grp.order or any(len(r) != size for r in table):
+        table = action._tables[u]
+        if not isinstance(table, np.ndarray) and (len(table) != grp.order or any(len(r) != size for r in table)):
             out.append({"axiom": "action-table", "open": u})
             continue
         arr = _index_array(table, grp.order, size, size)
@@ -597,6 +612,7 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
         found = _locate(lookups[u], [sizes[c] for c in charts[u]], columns)
         if (found < 0).any():
             raise InternalError(f"a chart family on open {u} has no image family")
+        found.flags.writeable = False
         return found
 
     restrict = {}
@@ -609,7 +625,7 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
         space=space, sizes=tuple(len(f) for f in families), restrict=restrict
     )
 
-    act = []
+    act, act_arrays = [], []
     for u, chart in enumerate(charts):
         fams = families[u]
         columns = []
@@ -617,9 +633,11 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
             grp = gs.groups[c]
             inverse = np.asarray(grp.inverse)[_table(arrays, sizes, u, c)]
             columns.append(grp.array[fams[:, i], inverse[:, None]])  # [a, f] -> f_i * (a|c)^-1
-        act.append(_tuples(locate(u, columns), len(fams)))
+        act_arrays.append(locate(u, columns))
+        act.append(_tuples(act_arrays[-1], len(fams)))
 
     action = SheafAction(groups=gs, sets=sets, act=tuple(act))
+    vars(action)["_tables"] = tuple(act_arrays)  # the tables act was made from
     return as_sheaf_torsor(action)
 
 

@@ -4,6 +4,7 @@ import itertools
 from dataclasses import replace
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 
 import torsorkit as tk
@@ -16,7 +17,7 @@ from torsorkit.errors import (
     TripleViolation,
     UnknownOpen,
 )
-from torsorkit.sheaves import SheafOfSets
+from torsorkit.sheaves import SheafAction, SheafOfSets
 
 
 @pytest.fixture(scope="module")
@@ -736,3 +737,120 @@ def test_is_sheaf_torsor_witnesses_a_group_of_the_wrong_order(psc, z2):
     with pytest.raises(NotASheafTorsor) as err:
         tk.as_sheaf_torsor(action)
     assert err.value.report.check == "sheaf-of-groups"
+
+
+# ---------------------------------------------------------------- act tables handed over by glue
+
+BENCH_GROUPS = [name for name in tk.catalog_names() if tk.catalog_group(name).order <= 12]
+
+
+def _glued(psc, name):
+    """The benchmark's glues of one group: the trivial and a twisted datum, and for symmetric(3) and
+    cyclic(6) a descent round trip through extract_cocycle."""
+    group = tk.catalog_group(name)
+    torsors = [tk.glue_from_cocycle(tk.pseudocircle_descent_datum(group, t))
+               for t in sorted({group.identity, group.order - 1})]
+    if name in ("symmetric(3)", "cyclic(6)"):
+        cover = (psc.index_of((0, 1, 2)), psc.index_of((0, 1, 3)))
+        torsors.append(tk.glue_from_cocycle(tk.extract_cocycle(torsors[-1], cover, (1, 2))))
+    return torsors
+
+
+@pytest.mark.parametrize("name", BENCH_GROUPS)
+def test_glue_hands_over_read_only_int32_act_tables_equal_to_act(psc, name):
+    for torsor in _glued(psc, name):
+        tables = vars(torsor.action)["_tables"]  # set by glue, not the default read of act
+        assert len(tables) == len(torsor.action.act) == len(psc.opens)
+        for table, act in zip(tables, torsor.action.act):
+            assert table.dtype == np.int32 and not table.flags.writeable
+            assert table.shape == (len(act), len(act[0])) and np.array_equal(table, np.array(act))
+
+
+def _corrupt(act, u, edit):
+    rows = [list(r) for r in act[u]]
+    edit(rows)
+    return act[:u] + (tuple(map(tuple, rows)),) + act[u + 1:]
+
+
+@pytest.mark.parametrize("edit,axiom", [
+    (lambda rows: rows[1].reverse(), "action-compatibility"),
+    (lambda rows: rows[1].__setitem__(0, 1.0), "action-range"),
+    (lambda rows: rows[2].pop(), "action-table"),
+    (lambda rows: rows.reverse(), "action-identity"),
+], ids=["reversed-row", "float-cell", "short-row", "reversed-rows"])
+def test_a_replaced_glued_action_reads_its_own_tuples(psc, z3, edit, axiom):
+    glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z3, 1)).action
+    corrupted = _corrupt(glued.act, psc.index_of((0, 1, 2)), edit)
+    replaced = replace(glued, act=corrupted)
+    fresh = SheafAction(groups=glued.groups, sets=glued.sets, act=corrupted)
+    assert replaced == fresh and replaced != glued and replaced._tables is corrupted
+    rep = tk.is_sheaf_torsor(replaced)
+    assert rep == tk.is_sheaf_torsor(fresh) and rep.witnesses[0]["axiom"] == axiom
+    # the cache is no field: equality, repr and replace ignore it
+    plain = SheafAction(groups=glued.groups, sets=glued.sets, act=glued.act)
+    assert plain == glued and repr(plain) == repr(glued) and replace(glued)._tables is glued.act
+
+
+def _arrays(obj, seen):
+    """Every numpy array reachable from ``obj`` through attributes and containers."""
+    if id(obj) in seen or isinstance(obj, (int, str, float)):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, (dict, MappingProxyType)):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        items = obj
+    else:
+        items = vars(obj).values() if hasattr(obj, "__dict__") else ()
+    for item in items:
+        yield from _arrays(item, seen)
+
+
+def test_a_copied_glued_action_keeps_its_verdict_and_no_writable_array():
+    import copy
+    import pickle
+
+    group = tk.catalog_group("symmetric(3)")
+    torsor = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(group, 3))
+    assert list(_arrays(torsor, set()))  # the handed-over tables, among others
+    want = tk.is_sheaf_torsor(torsor.action)
+    for clone in (pickle.loads(pickle.dumps(torsor)), copy.deepcopy(torsor)):
+        assert "_tables" not in vars(clone.action)
+        assert tk.is_sheaf_torsor(clone.action) == want and tk.as_sheaf_torsor(clone.action) == torsor
+        assert clone.action._tables is clone.action.act
+        assert not [arr for arr in _arrays(clone, set()) if arr.flags.writeable]
+
+
+def test_glue_never_reads_the_act_tuples_back(monkeypatch):
+    datum = tk.pseudocircle_descent_datum(tk.catalog_group("cyclic(12)"), 5)
+    calls = _counting(monkeypatch, "_index_array")
+    act = tk.glue_from_cocycle(datum).action.act
+    assert not [args for args in calls if any(args[0] is table for table in act)]
+    assert [type(args[0]) for args in calls if not isinstance(args[0], list)] == [np.ndarray] * len(act)
+
+
+@pytest.mark.parametrize("cell", [1.0, True], ids=["float", "bool"])
+def test_a_lifted_action_is_read_from_its_tuples_not_its_array(z2, cell):
+    # GroupAction.array holds this cell as the int 1; the tuple read refuses it
+    action = tk.GroupAction(group=z2, set_size=2, act=((0, 1), (cell, 0)))
+    lifted = tk.lift_point_action(action)
+    assert lifted._tables is lifted.act
+    assert tk.is_sheaf_torsor(lifted).witnesses == ({"axiom": "action-range", "open": 1},)
+
+
+@pytest.mark.parametrize("space,calls", [
+    (tk.pseudocircle(), 2),
+    (tk.close_under_ops(4, [(0,), (0, 1), (0, 1, 2)]), 0),                 # chain4
+    (tk.close_under_ops(4, [(0,), (1,), (2,), (3,)]), 11),                 # discrete4
+], ids=["pseudocircle", "chain4", "discrete4"])
+def test_is_sheaf_enumerates_families_only_on_covers_of_two_or_more_opens(z2, monkeypatch, space, calls):
+    from torsorkit.sheaves import _minimal_cover
+
+    sheaf = tk.constant_group_sheaf(space, z2).sets
+    enumerated = _counting(monkeypatch, "_compatible_families")
+    assert tk.is_sheaf(sheaf).passed
+    assert len(enumerated) == calls
+    assert calls == sum(len(_minimal_cover(space, u)) > 1 for u in range(len(space.opens)))

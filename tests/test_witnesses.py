@@ -141,6 +141,44 @@ def test_prime_field_matrix_rejects_an_empty_or_ragged_matrix(entries, fields):
     assert got == {"axiom": "malformed-table", **fields}
 
 
+@pytest.mark.parametrize("call,kind,fields", [
+    (lambda: tk.encode_vector([1] + [0] * 69, 2), errors.TooLarge, {"p": 2, "n": 70}),
+    (lambda: tk.encode_vector([1.5, 1], 2), errors.MalformedTable, {"position": 0}),
+    (lambda: tk.encode_vector([True, 1], 2), errors.MalformedTable, {"position": 0}),
+    (lambda: tk.encode_vector([0, 5], 2), errors.MalformedTable, {"position": 1}),
+    (lambda: tk.encode_vector([5], 2), errors.MalformedTable, {"position": 0}),
+    (lambda: tk.encode_vector([-1, 0], 3), errors.MalformedTable, {"position": 0}),
+    (lambda: tk.encode_vector([0, 1], 4), errors.NotPrime, {"p": 4}),
+    (lambda: tk.encode_vector([], 2), errors.MalformedTable, {"n": 0}),
+    (lambda: tk.decode_vector(5, 2, 70), errors.TooLarge, {"p": 2, "n": 70}),
+    (lambda: tk.decode_vector(2**70, 2, 71), errors.TooLarge, {"p": 2, "n": 71}),
+    (lambda: tk.decode_vector(0, 2, 63), errors.TooLarge, {"size": 2**63}),
+    (lambda: tk.decode_vector(0, 2.0, 1), errors.MalformedTable, {"p": 2.0}),
+    (lambda: tk.decode_vector(0, 2, True), errors.MalformedTable, {"n": True}),
+], ids=[
+    "encode-70-digits", "encode-float", "encode-bool", "encode-second-digit", "encode-digit-past-p",
+    "encode-negative", "encode-not-prime", "encode-empty", "decode-70-digits", "decode-71-digits",
+    "decode-past-int64", "decode-float-p", "decode-bool-n",
+])
+def test_the_vector_codec_is_strict_and_bounded(call, kind, fields):
+    assert witness(kind, call) == {"axiom": kind.axiom, **fields}
+
+
+@pytest.mark.parametrize("p,n", [(2, 62), (3, 39), (5, 27), (2, 1)])
+def test_the_vector_codec_is_exact_up_to_its_bound(p, n):
+    top = (p - 1,) * n
+    assert tk.encode_vector(top, p) == p**n - 1 and tk.decode_vector(p**n - 1, p, n) == top
+    assert tk.decode_vector(tk.encode_vector((1,) + (0,) * (n - 1), p), p, n) == (1,) + (0,) * (n - 1)
+
+
+def test_general_linear_group_checks_its_own_input():
+    start = time.perf_counter()
+    assert witness(errors.TooLarge, lambda: tk.general_linear_group(7, 2)) == {"axiom": "size-guard", "p": 7, "n": 2}
+    assert time.perf_counter() - start < 1
+    assert witness(errors.NotPrime, lambda: tk.general_linear_group(4, 2)) == {"axiom": "prime-modulus", "p": 4}
+    assert witness(errors.MalformedTable, lambda: tk.general_linear_group(2, 0)) == {"axiom": "malformed-table", "n": 0}
+
+
 def test_affine_torsor_names_a_dimension_below_one():
     assert witness(errors.MalformedTable, lambda: tk.affine_torsor(2, 0)) == {"axiom": "malformed-table", "n": 0}
 
