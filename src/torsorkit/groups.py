@@ -39,7 +39,6 @@ from .errors import (
     UnknownName,
 )
 
-CATALOG_MAX_ORDER = 24  # the catalog stops at symmetric(4); all checks are exhaustive
 # Below this order the full scan is cheaper than finding generators for Light's test.
 LIGHT_MIN_ORDER = 24
 

@@ -18,13 +18,12 @@ action axioms for nonabelian groups.
 Arrays inside, tuples outside: the public fields (section counts,
 restriction and action tables) are tuples of Python ints, which is what
 jsonio writes and callers read; the work runs on int arrays. Sheaves are
-read-only once built and keep what is computed from them: a sheaf of
-sets reads its restriction tables once, checking the type and range of
-every cell, and a sheaf of groups is decided at most once for gluing and
-as_sheaf_torsor. Glue hands is_sheaf_torsor the act tables it built,
-as int32 arrays read with the dtype, shape and range checks; lift hands
-over none, as GroupAction.array casts a cell of 1.0 or True to the int
-the tuple read rejects. The constant sheaf builds G^c with the mixed-radix
+read-only once built and keep what is computed from them: each sheaf of
+sets or action reads its tables once, in ``_read``, checking the type
+and range of every cell, and a producer that built a table as an int
+array passes that array to the same reader instead of its tuples. A
+sheaf of groups is decided at most once for gluing and as_sheaf_torsor.
+The constant sheaf builds G^c with the mixed-radix
 codec of ``constructions``; each axiom is one gather-and-compare per
 inclusion or per open, whose first mismatch in row-major order is the
 least witness; compatible families are enumerated one cover member at a
@@ -134,21 +133,22 @@ class SheafOfGroups:
 
 @dataclass(frozen=True)
 class SheafAction:
-    """Per open U, a table act[u][g][s] for the action of G(U) on F(U). ``_tables`` holds what
-    is_sheaf_torsor reads: ``act`` itself, or the read-only arrays glue_from_cocycle built it from.
-    It is no field, so equality, repr and ``dataclasses.replace`` ignore it, and pickles drop it
-    (numpy would restore the arrays writable)."""
+    """Per open U, a table act[u][g][s] of G(U) on F(U), kept as nested tuples so that ``_read`` stays true."""
 
     groups: SheafOfGroups
     sets: SheafOfSets
     act: tuple
 
-    @cached_property
-    def _tables(self) -> tuple:
-        return self.act
+    def __post_init__(self):
+        object.__setattr__(self, "act", tuple(tuple(map(tuple, t)) for t in self.act))
 
-    def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k != "_tables"}
+    @cached_property
+    def _read(self) -> tuple:
+        return _act_read(self.act, self.groups, self.sets)
+
+    def __reduce__(self):
+        # numpy would restore a read's arrays writable; the copy reads its tables again
+        return SheafAction, (self.groups, self.sets, self.act)
 
 
 @dataclass(frozen=True)
@@ -252,11 +252,13 @@ def _constant_group_sheaf(space: FiniteSpace, group: FiniteGroup) -> SheafOfGrou
         k: group if k == 1 else build_group(n ** k, _codes(group.array[v[:, None], v[None, :]], n))
         for k, v in values.items()
     }
-    restrict = {}
+    arrays = {}
     for u, v in _proper_pairs(space):
         holder = [next(i for i, cu in enumerate(comps[u]) if cv[0] in cu) for cv in comps[v]]
-        restrict[(u, v)] = tuple(_codes(values[len(comps[u])][:, holder], n).tolist())
+        arrays[(u, v)] = _codes(values[len(comps[u])][:, holder], n)
+    restrict = {key: tuple(arr.tolist()) for key, arr in arrays.items()}
     sets = SheafOfSets(space=space, sizes=tuple(sizes), restrict=restrict)
+    vars(sets)["_read"] = _structure(space, arrays, sizes)
     return SheafOfGroups(sets=sets, groups=tuple(powers[len(c)] for c in comps))
 
 
@@ -275,7 +277,8 @@ def _structure(space: FiniteSpace, restrict, sizes) -> tuple[tuple[dict, ...], d
         if not hasattr(table, "__len__") or len(table) != sizes[u]:
             out.append({"axiom": "restriction-table", "u": u, "v": v})
             continue
-        arr = _index_array([table], 1, sizes[u], sizes[v])
+        rows = table[None] if isinstance(table, np.ndarray) else [table]  # a producer's array: dtype path
+        arr = _index_array(rows, 1, sizes[u], sizes[v])
         if arr is None:
             out.append({"axiom": "restriction-range", "u": u, "v": v})
             continue
@@ -406,27 +409,33 @@ def _require(rep: Report) -> None:
         raise NotASheafTorsor(f"{rep.check} failed: {rep.witnesses[0]}", report=rep)
 
 
-def _action_structure_witnesses(action: SheafAction) -> tuple[list[dict], list]:
-    """Witnesses of the action axioms per open and along restrictions, and the act tables as int arrays."""
-    out, tables = [], []
-    gs, fs = action.groups, action.sets
-    space = fs.space
-    for u in range(len(space.opens)):
-        grp, size = gs.groups[u], fs.sizes[u]
-        table = action._tables[u]
-        if not isinstance(table, np.ndarray) and (len(table) != grp.order or any(len(r) != size for r in table)):
-            out.append({"axiom": "action-table", "open": u})
-            continue
-        arr = _index_array(table, grp.order, size, size)
+def _act_read(act, gs: SheafOfGroups, fs: SheafOfSets) -> tuple:
+    """Per open, its act table as a read-only int32 array, else its action-table or action-range witness."""
+    out = []
+    for u in range(len(fs.space.opens)):
+        table, order, size = act[u], gs.groups[u].order, fs.sizes[u]
+        arr = _index_array(table, order, size, size)
         if arr is None:
-            out.append({"axiom": "action-range", "open": u})
+            misshapen = len(table) != order or any(len(r) != size for r in table)
+            arr = {"axiom": "action-table" if misshapen else "action-range", "open": u}
+        out.append(arr)
+    return tuple(out)
+
+
+def _action_structure_witnesses(action: SheafAction) -> list[dict]:
+    """Witnesses of the action axioms per open and along restrictions."""
+    out = []
+    gs, fs = action.groups, action.sets
+    for u, arr in enumerate(action._read):
+        if isinstance(arr, dict):
+            out.append(arr)
             continue
-        tables.append(arr)
-        moved = _first(arr[grp.identity] != np.arange(size))
+        grp = gs.groups[u]
+        moved = _first(arr[grp.identity] != np.arange(fs.sizes[u]))
         if moved is not None:
             out.append({"axiom": "action-identity", "open": u, "x": moved[0]})
             continue
-        if size:
+        if fs.sizes[u]:
             bad = _compatibility_witness(arr, grp.array, grp.generators)
             if bad is not None:
                 g, h, x = bad
@@ -434,15 +443,12 @@ def _action_structure_witnesses(action: SheafAction) -> tuple[list[dict], list]:
                     {"axiom": "action-compatibility", "open": u, "g": g, "h": h, "x": x}
                 )
     if out:
-        return out, tables
+        return out
     # G's tables are read against its section counts, the action tables against its group orders
     tagged = (("groups", _group_orders(gs) + list(gs.sets._read[0])), ("sets", fs._read[0]))
     out = [{"axiom": w["axiom"], "sheaf": name, **w} for name, bad in tagged for w in bad]
-    if out:
-        return out, tables
-    for u, v, a, s in _restriction_failures(space, tables, gs.sets._read[1], fs._read[1]):
-        out.append({"axiom": "action-restriction", "u": u, "v": v, "g": a, "s": s})
-    return out, tables
+    bad = _restriction_failures(fs.space, action._read, gs.sets._read[1], fs._read[1])
+    return out or [{"axiom": "action-restriction", "u": u, "v": v, "g": a, "s": s} for u, v, a, s in bad]
 
 
 def is_sheaf_torsor(action: SheafAction) -> Report:
@@ -457,7 +463,7 @@ def is_sheaf_torsor(action: SheafAction) -> Report:
     pair on m, so condition 2 is decided once per minimal open m, with s
     and t ranging over F(m).
     """
-    witnesses, tables = _action_structure_witnesses(action)
+    witnesses = _action_structure_witnesses(action)
     if witnesses:
         return failing("sheaf-torsor", witnesses)
     fs = action.sets
@@ -466,7 +472,7 @@ def is_sheaf_torsor(action: SheafAction) -> Report:
         if fs.sizes[m] < 1:
             witnesses.append({"axiom": "locally-nonempty", "point": x, "open": m})
     for m in sorted(set(space.minimal_open)):
-        transports = _transports(tables[m])  # [s, t] -> the number of a in G(m) with a.s = t
+        transports = _transports(action._read[m])  # [s, t] -> the number of a in G(m) with a.s = t
         bad = _first(transports != 1)
         if bad is not None:
             s, t = bad
@@ -544,10 +550,9 @@ def build_descent_datum(gs: SheafOfGroups, cover, transition) -> DescentDatum:
         if not _is_index(val, gs.sets.sizes[w]):
             raise MalformedTable(f"transition value {val!r} on pair ({i},{j}) is not a section", i=i, j=j)
         values[(i, j)] = int(val)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if (i, j) not in values:
-                raise Mismatch(f"missing transition for pair ({i},{j})", i=i, j=j)
+    for i, j in itertools.combinations(range(k), 2):
+        if (i, j) not in values:
+            raise Mismatch(f"missing transition for pair ({i},{j})", i=i, j=j)
     # with a < b < c, g_ab * g_bc = g_ac is the triple identity in every ordering
     for a, b, c in itertools.combinations(range(k), 3):
         w_ab = space.intersection_index(cover[a], cover[b])
@@ -612,38 +617,35 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
         found = _locate(lookups[u], [sizes[c] for c in charts[u]], columns)
         if (found < 0).any():
             raise InternalError(f"a chart family on open {u} has no image family")
-        found.flags.writeable = False
         return found
 
-    restrict = {}
+    glued = {}
     for u, v in _proper_pairs(space):
         columns = [
             _table(arrays, sizes, charts[u][i], charts[v][i])[families[u][:, i]] for i in range(k)
         ]
-        restrict[(u, v)] = tuple(locate(v, columns).tolist())
-    sets = SheafOfSets(
-        space=space, sizes=tuple(len(f) for f in families), restrict=restrict
-    )
+        glued[(u, v)] = locate(v, columns)
+    restrict = {key: tuple(arr.tolist()) for key, arr in glued.items()}
+    sets = SheafOfSets(space=space, sizes=tuple(len(f) for f in families), restrict=restrict)
+    vars(sets)["_read"] = _structure(space, glued, sets.sizes)
 
-    act, act_arrays = [], []
+    act_arrays = []
     for u, chart in enumerate(charts):
-        fams = families[u]
         columns = []
         for i, c in enumerate(chart):
             grp = gs.groups[c]
             inverse = np.asarray(grp.inverse)[_table(arrays, sizes, u, c)]
-            columns.append(grp.array[fams[:, i], inverse[:, None]])  # [a, f] -> f_i * (a|c)^-1
+            columns.append(grp.array[families[u][:, i], inverse[:, None]])  # [a, f] -> f_i * (a|c)^-1
         act_arrays.append(locate(u, columns))
-        act.append(_tuples(act_arrays[-1], len(fams)))
 
-    action = SheafAction(groups=gs, sets=sets, act=tuple(act))
-    vars(action)["_tables"] = tuple(act_arrays)  # the tables act was made from
+    act = tuple(_tuples(arr, n) for arr, n in zip(act_arrays, sets.sizes))
+    action = SheafAction(groups=gs, sets=sets, act=act)
+    vars(action)["_read"] = _act_read(act_arrays, gs, sets)
     return as_sheaf_torsor(action)
 
 
 def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
     """Transition data from chosen local sections: the unique g with g.s_j = s_i."""
-    gs = torsor.groups
     fs = torsor.sets
     space = torsor.space
     cover = _cover(space, cover)
@@ -657,16 +659,15 @@ def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
             raise MalformedTable(f"chosen section {chosen[i]!r} at {i} is not a section", index=i)
     chosen = tuple(int(s) for s in chosen)
     transition = {}
-    for i in range(len(cover)):
-        for j in range(i + 1, len(cover)):
-            w = space.intersection_index(cover[i], cover[j])
-            si = fs.restrict_section(cover[i], chosen[i], w)
-            sj = fs.restrict_section(cover[j], chosen[j], w)
-            hits = [g for g in gs.sections(w) if torsor.action.act[w][g][sj] == si]
-            if len(hits) != 1:
-                raise InternalError(f"local transporter not unique on pair ({i},{j})")
-            transition[(i, j)] = hits[0]
-    return build_descent_datum(gs, cover, transition)
+    for i, j in itertools.combinations(range(len(cover)), 2):
+        w = space.intersection_index(cover[i], cover[j])
+        si = fs.restrict_section(cover[i], chosen[i], w)
+        sj = fs.restrict_section(cover[j], chosen[j], w)
+        hits = np.flatnonzero(torsor.action._read[w][:, sj] == si)
+        if len(hits) != 1:
+            raise InternalError(f"local transporter not unique on pair ({i},{j})")
+        transition[(i, j)] = int(hits[0])
+    return build_descent_datum(torsor.groups, cover, transition)
 
 
 def lift_point_action(action: GroupAction) -> SheafAction:

@@ -115,10 +115,9 @@ def test_catalog_groups_pass_independent_oracle():
 
 
 def test_every_catalog_group_within_cap():
-    from torsorkit.groups import CATALOG_MAX_ORDER
-
+    # the catalog stops at symmetric(4), so every check on a catalog group is exhaustive
     orders = [tk.catalog_group(n).order for n in tk.catalog_names()]
-    assert max(orders) == CATALOG_MAX_ORDER == 24
+    assert max(orders) == 24
 
 
 def test_subgroup_of_order_two(s3):

@@ -489,6 +489,11 @@ def _hand_built(gs, restrict=None):
     return tk.SheafOfGroups(sets=SheafOfSets(space=gs.space, sizes=gs.sets.sizes, restrict=restrict), groups=gs.groups)
 
 
+def _as_lists(restrict):
+    """Restriction tables, tuples or arrays, as lists: a value to compare, whichever they are."""
+    return {key: np.asarray(table).tolist() for key, table in restrict.items()}
+
+
 def _counting(monkeypatch, name):
     """Replace a sheaves function with one that records its calls; returns the record."""
     import torsorkit.sheaves as sheaves
@@ -708,8 +713,9 @@ def test_glue_over_a_cached_constant_sheaf_reads_only_the_glued_tables(z2, monke
     reads = _counting(monkeypatch, "_structure")
     torsor = tk.glue_from_cocycle(datum)
     assert torsor.groups is datum.groups
-    # is_sheaf and is_sheaf_torsor share one read of F; nothing reads G's tables again
-    assert [args[1] for args in reads] == [torsor.sets.restrict]
+    # glue reads F once, from the arrays it made its tuples of; is_sheaf and is_sheaf_torsor share that
+    # read, and nothing reads G's tables again
+    assert len(reads) == 1 and _as_lists(reads[0][1]) == _as_lists(torsor.sets.restrict)
 
 
 def test_a_lift_reads_each_of_its_two_sheaves_once(monkeypatch):
@@ -720,7 +726,9 @@ def test_a_lift_reads_each_of_its_two_sheaves_once(monkeypatch):
     decided = _counting(monkeypatch, "is_sheaf_of_groups")
     first, second = tk.lift_point_torsor(torsor), tk.lift_point_torsor(torsor)
     assert second.groups is first.groups is tk.constant_group_sheaf(tk.point_space(), z3)
-    assert [args[1] for args in reads] == [first.groups.sets.restrict, first.sets.restrict, second.sets.restrict]
+    # G is read from the arrays its tuples were made of, each F from its tuples
+    assert _as_lists(reads[0][1]) == _as_lists(first.groups.sets.restrict)
+    assert [args[1] for args in reads[1:]] == [first.sets.restrict, second.sets.restrict]
     assert decided == [(first.groups,)]
 
 
@@ -739,7 +747,7 @@ def test_is_sheaf_torsor_witnesses_a_group_of_the_wrong_order(psc, z2):
     assert err.value.report.check == "sheaf-of-groups"
 
 
-# ---------------------------------------------------------------- act tables handed over by glue
+# ---------------------------------------------------------------- reads handed over by producers
 
 BENCH_GROUPS = [name for name in tk.catalog_names() if tk.catalog_group(name).order <= 12]
 
@@ -756,14 +764,43 @@ def _glued(psc, name):
     return torsors
 
 
+def _check_handed_over(obj):
+    """The read a producer stored on ``obj`` equals a fresh read of obj's own tuple fields (its
+    ``replace``, which reads them again): equal witnesses, equal read-only int32 arrays."""
+    stored, fresh = vars(obj)["_read"], replace(obj)._read
+    if isinstance(obj, SheafOfSets):
+        assert stored[0] == fresh[0] == ()
+        stored, fresh = stored[1], fresh[1]
+    else:
+        stored, fresh = dict(enumerate(stored)), dict(enumerate(fresh))
+    assert stored.keys() == fresh.keys()
+    for key, arr in fresh.items():
+        assert stored[key].dtype == arr.dtype == np.int32 and np.array_equal(stored[key], arr)
+        assert not stored[key].flags.writeable and not arr.flags.writeable
+
+
 @pytest.mark.parametrize("name", BENCH_GROUPS)
 def test_glue_hands_over_read_only_int32_act_tables_equal_to_act(psc, name):
     for torsor in _glued(psc, name):
-        tables = vars(torsor.action)["_tables"]  # set by glue, not the default read of act
-        assert len(tables) == len(torsor.action.act) == len(psc.opens)
-        for table, act in zip(tables, torsor.action.act):
-            assert table.dtype == np.int32 and not table.flags.writeable
-            assert table.shape == (len(act), len(act[0])) and np.array_equal(table, np.array(act))
+        _check_handed_over(torsor.action)
+        _check_handed_over(torsor.sets)
+        assert len(torsor.action._read) == len(torsor.action.act) == len(psc.opens)
+
+
+@pytest.mark.parametrize("points,gens,name", [
+    (4, [(0,), (1,), (2,), (3,)], "cyclic(2)"),
+    (4, [(0,), (1,), (0, 1, 2), (0, 1, 3)], "cyclic(3)"),
+    (4, [(0,), (0, 1), (0, 1, 2)], "cyclic(3)"),
+    (3, [(0,), (1,)], "cyclic(3)"),
+    (4, [(0, 1), (2, 3)], "cyclic(4)"),
+], ids=["discrete4", "pseudocircle", "chain4", "vee3", "split4"])
+def test_the_constant_sheaf_hands_over_its_restriction_arrays(points, gens, name, monkeypatch):
+    reads = _counting(monkeypatch, "_structure")
+    gs = tk.constant_group_sheaf(tk.close_under_ops(points, gens), tk.catalog_group(name))  # a fresh group
+    # one read, of the arrays the tuples were made of; deciding G reads nothing again
+    assert len(reads) == 1 and _as_lists(reads[0][1]) == _as_lists(gs.sets.restrict)
+    assert all(isinstance(table, np.ndarray) for table in reads[0][1].values())
+    _check_handed_over(gs.sets)
 
 
 def _corrupt(act, u, edit):
@@ -783,12 +820,32 @@ def test_a_replaced_glued_action_reads_its_own_tuples(psc, z3, edit, axiom):
     corrupted = _corrupt(glued.act, psc.index_of((0, 1, 2)), edit)
     replaced = replace(glued, act=corrupted)
     fresh = SheafAction(groups=glued.groups, sets=glued.sets, act=corrupted)
-    assert replaced == fresh and replaced != glued and replaced._tables is corrupted
+    assert replaced == fresh and replaced != glued and "_read" not in vars(replaced)
     rep = tk.is_sheaf_torsor(replaced)
     assert rep == tk.is_sheaf_torsor(fresh) and rep.witnesses[0]["axiom"] == axiom
-    # the cache is no field: equality, repr and replace ignore it
+    # the read is no field: equality, repr and replace ignore it
     plain = SheafAction(groups=glued.groups, sets=glued.sets, act=glued.act)
-    assert plain == glued and repr(plain) == repr(glued) and replace(glued)._tables is glued.act
+    assert plain == glued and repr(plain) == repr(glued) and "_read" not in vars(replace(glued))
+
+
+def test_a_hand_built_action_keeps_nested_tuples_so_its_read_stays_true(z2):
+    glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1)).action
+    act = [[list(row) for row in table] for table in glued.act]
+    hand = SheafAction(groups=glued.groups, sets=glued.sets, act=act)
+    assert hand == glued and tk.is_sheaf_torsor(hand).passed
+    act[1][0][0] = 1.5  # the action keeps a copy: changing the lists it was built from changes nothing
+    assert hand == glued and tk.is_sheaf_torsor(hand).passed
+    assert all(type(row) is tuple for table in hand.act for row in table)
+
+
+def test_is_sheaf_torsor_keeps_witnesses_in_open_order_and_reads_act_once(z3, monkeypatch):
+    glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z3, 0)).action
+    act = _corrupt(glued.act, 1, lambda rows: rows.reverse())
+    action = replace(glued, act=_corrupt(act, 4, lambda rows: rows[1].__setitem__(0, 1.0)))
+    want = ({"axiom": "action-identity", "open": 1, "x": 0}, {"axiom": "action-range", "open": 4})
+    assert tk.is_sheaf_torsor(action).witnesses == want
+    reads = _counting(monkeypatch, "_index_array")
+    assert tk.is_sheaf_torsor(action).witnesses == want and reads == []
 
 
 def _arrays(obj, seen):
@@ -809,27 +866,33 @@ def _arrays(obj, seen):
         yield from _arrays(item, seen)
 
 
-def test_a_copied_glued_action_keeps_its_verdict_and_no_writable_array():
+def test_a_copied_glued_action_keeps_its_verdict_and_no_writable_array(monkeypatch):
     import copy
     import pickle
 
     group = tk.catalog_group("symmetric(3)")
     torsor = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(group, 3))
-    assert list(_arrays(torsor, set()))  # the handed-over tables, among others
+    assert list(_arrays(torsor, set()))  # the handed-over reads, among others
     want = tk.is_sheaf_torsor(torsor.action)
     for clone in (pickle.loads(pickle.dumps(torsor)), copy.deepcopy(torsor)):
-        assert "_tables" not in vars(clone.action)
-        assert tk.is_sheaf_torsor(clone.action) == want and tk.as_sheaf_torsor(clone.action) == torsor
-        assert clone.action._tables is clone.action.act
+        held = (clone.sets, clone.groups.sets, clone.action)
+        assert [obj for obj in held if "_read" in vars(obj)] == []
+        structure, acts = _counting(monkeypatch, "_structure"), _counting(monkeypatch, "_act_read")
+        for _ in range(2):
+            assert tk.is_sheaf_torsor(clone.action) == want and tk.as_sheaf_torsor(clone.action) == torsor
+        # each is read once, from its own tuples
+        assert sorted(id(args[1]) for args in structure) == sorted(id(s.restrict) for s in held[:2])
+        assert len(acts) == 1 and acts[0][0] is clone.action.act
         assert not [arr for arr in _arrays(clone, set()) if arr.flags.writeable]
+        monkeypatch.undo()
 
 
 def test_glue_never_reads_the_act_tuples_back(monkeypatch):
     datum = tk.pseudocircle_descent_datum(tk.catalog_group("cyclic(12)"), 5)
     calls = _counting(monkeypatch, "_index_array")
-    act = tk.glue_from_cocycle(datum).action.act
-    assert not [args for args in calls if any(args[0] is table for table in act)]
-    assert [type(args[0]) for args in calls if not isinstance(args[0], list)] == [np.ndarray] * len(act)
+    torsor = tk.glue_from_cocycle(datum)
+    # F's restriction tables and the act tables reach the reader as the arrays glue built
+    assert [type(args[0]) for args in calls] == [np.ndarray] * (len(torsor.sets.restrict) + len(torsor.action.act))
 
 
 @pytest.mark.parametrize("cell", [1.0, True], ids=["float", "bool"])
@@ -837,8 +900,9 @@ def test_a_lifted_action_is_read_from_its_tuples_not_its_array(z2, cell):
     # GroupAction.array holds this cell as the int 1; the tuple read refuses it
     action = tk.GroupAction(group=z2, set_size=2, act=((0, 1), (cell, 0)))
     lifted = tk.lift_point_action(action)
-    assert lifted._tables is lifted.act
+    assert "_read" not in vars(lifted)
     assert tk.is_sheaf_torsor(lifted).witnesses == ({"axiom": "action-range", "open": 1},)
+    assert lifted._read[1] == {"axiom": "action-range", "open": 1}
 
 
 @pytest.mark.parametrize("space,calls", [

@@ -80,3 +80,30 @@ def test_every_torsor_error_raised_in_the_library_names_a_witness_field():
                 bare.add((path.name, call.func.id, message))
     assert raised > 80
     assert bare == WITNESSLESS_RAISES
+
+
+def test_every_stored_read_names_a_cached_property():
+    """``vars(obj)["name"] = value`` hands a producer's work to a cached property of a library class.
+    A misspelt name would be stored and never read, and the object would silently read its tables again."""
+    import functools
+    import importlib
+    import inspect
+
+    cached = set()
+    for path in SRC.glob("*.py"):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module(f"torsorkit.{path.stem}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                cached |= {name for name, attr in vars(cls).items() if isinstance(attr, functools.cached_property)}
+    written = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                call = target.value if isinstance(target, ast.Subscript) else None
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "vars":
+                    key = target.slice
+                    written.append(key.value if isinstance(key, ast.Constant) else ast.unparse(key))
+    assert {"generators", "_read"} <= set(written)
+    assert [name for name in written if name not in cached] == []
