@@ -23,7 +23,6 @@ from .errors import (
     EmptySet,
     IdentityAxiomViolated,
     InternalError,
-    MalformedTable,
     NotFree,
     NotTransitive,
     PointOutOfRange,
@@ -38,8 +37,8 @@ from .groups import (
     _frozen_array,
     _index_table,
     _is_index,
-    _is_int,
     _positions,
+    _positive,
     _read_only_on_load,
     _transport,
     _tuples,
@@ -107,8 +106,7 @@ class BasepointChange:
 
 def build_action(group: FiniteGroup, set_size: int, act) -> GroupAction:
     """Validate an action table exhaustively (identity and compatibility axioms)."""
-    if not _is_int(set_size) or set_size < 1:
-        raise MalformedTable(f"set_size must be a positive integer, got {set_size!r}", set_size=set_size)
+    _positive(set_size, "set_size")
     arr = _index_table(act, group.order, set_size, set_size)
     moved = _first(arr[group.identity] != np.arange(set_size))
     if moved is not None:

@@ -41,7 +41,7 @@ from .errors import (
     TripleViolation,
     TripleWithoutEdge,
 )
-from .groups import FiniteGroup, _is_index, _is_int
+from .groups import FiniteGroup, _entries, _is_index, _positive
 
 # Bounds |G|^edges, the edge assignments. equivalence_classes lists every valid one
 # and finds them by gauge fixing, with less work than trying each assignment.
@@ -115,17 +115,11 @@ def _ints(values, size: int, what: str, **where) -> list[int]:
     values = list(values)
     if len(values) != size:
         raise MalformedTable(f"{what} {values!r} needs {size} entries", **where)
-    for pos, v in enumerate(values):
-        if not _is_int(v):
-            raise MalformedTable(
-                f"{what} {values!r}: entry {pos} = {v!r} is not an integer", position=pos, **where
-            )
-    return [int(v) for v in values]
+    return _entries(values, what, **where)
 
 
 def build_nerve(num_opens: int, edges, triples=()) -> Nerve:
-    if not _is_int(num_opens) or num_opens < 1:
-        raise MalformedTable(f"num_opens must be a positive integer, got {num_opens!r}", num_opens=num_opens)
+    _positive(num_opens, "num_opens")
     edge_set = set()
     for idx, e in enumerate(edges):
         i, j = sorted(_ints(e, 2, "edge", edge=idx))
@@ -186,19 +180,13 @@ def check_cocycle(nerve: Nerve, group: FiniteGroup, assignments) -> NerveCocycle
 
 
 def make_cochain(nerve: Nerve, group: FiniteGroup, h) -> Cochain:
-    h = tuple(h)
-    for pos, v in enumerate(h):
-        if not _is_int(v):
-            raise MalformedTable(f"cochain entry {pos} = {v!r} is not an integer", position=pos)
-    h = tuple(int(v) for v in h)
+    # every entry an integer, then the length, then the range
+    h = _entries(h, "cochain")
     if len(h) != nerve.num_opens:
         raise MalformedTable(
             f"cochain length {len(h)} != {nerve.num_opens} opens", got=len(h)
         )
-    for pos, v in enumerate(h):
-        if not 0 <= v < group.order:
-            raise MalformedTable(f"cochain entry {pos} = {v} out of range", position=pos)
-    return Cochain(nerve=nerve, group=group, h=h)
+    return Cochain(nerve=nerve, group=group, h=tuple(_entries(h, "cochain", group.order)))
 
 
 def _require_same(c: NerveCocycle, other_nerve: Nerve, other_group: FiniteGroup):

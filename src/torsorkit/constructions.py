@@ -29,10 +29,12 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _entries,
     _first,
     _is_index,
     _is_int,
     _positions,
+    _positive,
     build_group,
     opposite_group,
     subgroup_as_group,
@@ -91,11 +93,6 @@ def _require_prime(p: int):
         raise NotPrime(f"{p} is not prime", p=p)
 
 
-def _require_dimension(n: int):
-    if not _is_int(n) or n < 1:
-        raise MalformedTable(f"dimension must be a positive integer, got {n!r}", n=n)
-
-
 def _guard_power(p: int, n: int, bound: int, what: str) -> int:
     """p^n within ``bound``, else TooLarge; past n = bound.bit_length() it names p and n, never forming p^n."""
     if n > bound.bit_length():
@@ -140,11 +137,7 @@ class LinearSolveResult:
 
 def _residues(values, p: int, what: str, **where) -> tuple[int, ...]:
     """Integer entries reduced mod p; MalformedTable names the first non-integer."""
-    values = tuple(values)
-    for i, v in enumerate(values):
-        if not _is_int(v):
-            raise MalformedTable(f"{what} entry {i} = {v!r} is not an integer", **where, index=i)
-    return tuple(int(v) % p for v in values)
+    return tuple(v % p for v in _entries(values, what, **where))
 
 
 def _rhs(T: PrimeFieldMatrix, w) -> tuple[int, ...]:
@@ -172,17 +165,14 @@ def prime_field_matrix(p: int, entries) -> PrimeFieldMatrix:
 
 def _require_codes(p: int, n: int) -> int:
     _require_prime(p)
-    _require_dimension(n)
+    _positive(n, "n")
     return _guard_power(p, n, CODE_MAX, "p^n")
 
 
 def encode_vector(vec, p: int) -> int:
     vec = tuple(vec)
     _require_codes(p, len(vec))
-    for pos, v in enumerate(vec):
-        if not _is_index(v, p):
-            raise MalformedTable(f"vector entry {pos} = {v!r} is not a digit mod {p}", position=pos)
-    return int(_codes(np.asarray(vec, dtype=np.int64), p))
+    return int(_codes(np.asarray(_entries(vec, "vector", p), dtype=np.int64), p))
 
 
 def decode_vector(idx: int, p: int, n: int) -> tuple[int, ...]:
@@ -280,7 +270,7 @@ def gaussian_solve(T: PrimeFieldMatrix, w) -> LinearSolveResult:
 def affine_torsor(p: int, n: int) -> Torsor:
     """F_p^n acting on itself by translation; points share the vector encoding."""
     _require_prime(p)
-    _require_dimension(n)
+    _positive(n, "n")
     size = _guard_power(p, n, AFFINE_MAX_POINTS, "p^n")
     vectors = np.arange(size)
     group = build_group(size, _sum_codes(vectors, vectors, p, n))
@@ -325,7 +315,7 @@ def general_linear_group(p: int, n: int):
     """All invertible n x n matrices over F_p in lexicographic (row-major) order. The p^(n*n) enumerated
     are at most BASIS_MAX_MATRICES, decided from the exponent first: (2,2), (3,2), (2,3), (p,1) for p <= 509."""
     _require_prime(p)
-    _require_dimension(n)
+    _positive(n, "n")
     if n * n > BASIS_MAX_MATRICES.bit_length() or p ** (n * n) > BASIS_MAX_MATRICES:
         raise TooLarge(f"(p,n)=({p},{n}): p^(n*n) matrices exceed {BASIS_MAX_MATRICES}", p=p, n=n)
     size = p ** (n * n)

@@ -112,11 +112,35 @@ def _first(bad: np.ndarray):
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    # a plain int answers on the first test: every caller entry is read through here
+    return type(v) is int or isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _is_index(v, bound: int) -> bool:
     return _is_int(v) and 0 <= v < bound
+
+
+def _positive(value, name: str) -> None:
+    """A caller's count must be a positive int; MalformedTable names it by ``name``."""
+    if not _is_int(value) or value < 1:
+        raise MalformedTable(f"{name} must be a positive integer, got {value!r}", **{name: value})
+
+
+def _entries(values, what: str, bound=None, **where) -> list[int]:
+    """The entries of a caller's sequence as Python ints, in order; the one reader of caller integers.
+
+    MalformedTable names the ``position`` of the first entry that is not an int or, given ``bound``
+    (one int, or a list or tuple of one per entry), not in [0, bound); ``where`` names the place of
+    the sequence itself, such as its ``row`` in a table.
+    """
+    out = []
+    for pos, v in enumerate(values):
+        b = bound[pos] if isinstance(bound, (list, tuple)) else bound
+        if not _is_int(v) or b is not None and not 0 <= v < b:
+            span = "" if b is None else f" in [0, {b})"
+            raise MalformedTable(f"{what}: entry {pos} = {v!r} is not an integer{span}", **where, position=pos)
+        out.append(int(v))
+    return out
 
 
 def _index_array(rows, height: int, width: int, bound: int) -> np.ndarray | None:
@@ -166,9 +190,7 @@ def _index_table(rows, height: int, width: int, bound: int, prefix: str = "") ->
     for i, row in enumerate(rows):
         if len(row) != width:
             raise MalformedTable(f"{prefix}row {i} has length {len(row)}, expected {width}", row=i)
-        for j, v in enumerate(row):
-            if not _is_index(v, bound):
-                raise MalformedTable(f"{prefix}entry [{i}][{j}] = {v!r} out of range", row=i, col=j)
+        _entries(row, f"{prefix}row {i}", bound, row=i)
     raise InternalError("the fast index check rejected a table the scan accepts")
 
 
@@ -257,8 +279,7 @@ def build_group(order: int, cayley) -> FiniteGroup:
     Checks run in order: shape/range, identity existence, associativity,
     inverse existence. The first violated axiom is reported with a witness.
     """
-    if not _is_int(order) or order < 1:
-        raise MalformedTable(f"cayley: order must be a positive integer, got {order!r}", order=order)
+    _positive(order, "order")
     arr = _index_table(cayley, order, order, order, "cayley: ")
     points = np.arange(order)
     two_sided = (arr == points).all(axis=1) & (arr == points[:, None]).all(axis=0)
@@ -326,13 +347,9 @@ def catalog_names() -> list[str]:
 
 def build_subgroup(parent: FiniteGroup, members) -> Subgroup:
     """Validate a member list as a subgroup of ``parent``."""
-    members = list(members)
+    members = sorted(set(_entries(members, "subgroup member", parent.order)))
     if not members:
         raise MalformedTable("subgroup must be nonempty")
-    if _index_array([members], 1, len(members), parent.order) is None:
-        i, m = next((i, m) for i, m in enumerate(members) if not _is_index(m, parent.order))
-        raise MalformedTable(f"member [{i}] = {m!r} out of range", index=i, element=m)
-    members = sorted({int(m) for m in members})
     member_set = set(members)
     if parent.identity not in member_set:
         raise MissingIdentity("identity element is not a member", identity=parent.identity)
@@ -365,7 +382,7 @@ def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
     """Members renamed 0..|H|-1 by ``_transport``, after build_subgroup's checks and one for repeats."""
     if len(build_subgroup(sub.parent, sub.members).members) < len(sub.members):
         i, m = next((i, m) for i, m in enumerate(sub.members) if m in sub.members[:i])
-        raise MalformedTable(f"member [{i}] = {m!r} is repeated", index=i, element=m)
+        raise MalformedTable(f"member [{i}] = {m!r} is repeated", position=i, element=m)
     return _transport(sub.parent, sub.members)
 
 

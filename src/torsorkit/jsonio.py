@@ -13,7 +13,7 @@ import json
 from .actions import GroupAction, build_action
 from .cocycles import Nerve, NerveCocycle, build_nerve, check_cocycle
 from .errors import MalformedTable
-from .groups import FiniteGroup, Subgroup, _is_int, build_group, build_subgroup, catalog_group
+from .groups import FiniteGroup, Subgroup, _entries, _is_int, build_group, build_subgroup, catalog_group
 from .sheaves import (
     DescentDatum,
     SheafAction,
@@ -46,11 +46,7 @@ def _int_cells(cells, what, **where) -> tuple[int, ...]:
     """Table cells as ints, else MalformedTable; the sheaf checks witness their range."""
     if not isinstance(cells, list):
         raise MalformedTable(f"{what} {where}: {cells!r} is not a list", **where)
-    for col, x in enumerate(cells):
-        if not _is_int(x):
-            where["col"] = col
-            raise MalformedTable(f"{what} {where}: {x!r} is not an integer", **where)
-    return tuple(int(x) for x in cells)
+    return tuple(_entries(cells, what, **where))
 
 
 def _int_list_list(val, what):

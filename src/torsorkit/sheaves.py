@@ -58,6 +58,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     _compatibility_witness,
+    _entries,
     _first,
     _index_array,
     _is_index,
@@ -79,14 +80,17 @@ _CONSTANT_SHEAVES_LOCK = threading.Lock()
 @dataclass(frozen=True)
 class SheafOfSets:
     """sections(U) = range(sizes[u]); restrict maps stored for proper inclusions, kept read-only
-    (list tables become tuples) so that the one strict read of the tables, ``_read``, stays true."""
+    (list and array tables become tuples) so that the one strict read of the tables, ``_read``, stays true."""
 
     space: FiniteSpace
     sizes: tuple[int, ...]
     restrict: Mapping
 
     def __post_init__(self):
-        tables = {key: tuple(t) if isinstance(t, list) else t for key, t in self.restrict.items()}
+        tables = {
+            key: tuple(t.tolist()) if isinstance(t, np.ndarray) else tuple(t) if isinstance(t, list) else t
+            for key, t in self.restrict.items()
+        }
         object.__setattr__(self, "sizes", tuple(self.sizes))
         object.__setattr__(self, "restrict", MappingProxyType(tables))
 
@@ -207,10 +211,7 @@ def _guard_sections(group: FiniteGroup, count: int) -> int:
 def constant_section_id(group: FiniteGroup, values) -> int:
     """Index of a component-value tuple in the constant sheaf's enumeration."""
     _guard_sections(group, len(values))
-    for pos, v in enumerate(values):
-        if not _is_index(v, group.order):
-            raise MalformedTable(f"component value {pos} = {v!r} is not an element", position=pos)
-    return int(_codes(np.asarray(values, dtype=np.intp), group.order))
+    return int(_codes(np.asarray(_entries(values, "component value", group.order), dtype=np.intp), group.order))
 
 
 def constant_section_tuple(group: FiniteGroup, count: int, idx: int) -> tuple[int, ...]:
@@ -519,14 +520,16 @@ def global_sections(torsor: SheafTorsor) -> list[int]:
 
 
 def _cover(space: FiniteSpace, cover) -> tuple[int, ...]:
-    """Cover open indices, strictly: MalformedTable names a non-integer entry, CoverIncomplete missed points."""
+    """Cover open indices, strictly: the first bad entry is UnknownOpen when it is an integer and
+    MalformedTable otherwise; then CoverIncomplete names the missed points."""
     cover = tuple(cover)
-    for pos, c in enumerate(cover):
+    try:
+        cover = tuple(_entries(cover, "cover", len(space.opens)))
+    except MalformedTable as err:
+        c = cover[err.data["position"]]
         if not _is_int(c):
-            raise MalformedTable(f"cover entry {pos} = {c!r} is not an integer", index=pos)
-        if not 0 <= c < len(space.opens):
-            raise UnknownOpen(f"cover open {c} out of range", open=int(c))
-    cover = tuple(int(c) for c in cover)
+            raise
+        raise UnknownOpen(f"cover open {c} out of range", open=int(c)) from None
     missed = set(range(space.num_points)).difference(*(space.opens[c] for c in cover))
     if missed:
         raise CoverIncomplete(f"cover misses points {sorted(missed)}", points=sorted(missed))
@@ -652,12 +655,15 @@ def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
     chosen = tuple(chosen)
     if len(chosen) != len(cover):
         raise Mismatch(f"{len(chosen)} sections for {len(cover)} cover opens", got=len(chosen), expected=len(cover))
-    for i, c in enumerate(cover):
-        if fs.sizes[c] == 0:
-            raise NoLocalSection(f"no local section over cover open {i}", index=i)
-        if not _is_index(chosen[i], fs.sizes[c]):
-            raise MalformedTable(f"chosen section {chosen[i]!r} at {i} is not a section", index=i)
-    chosen = tuple(int(s) for s in chosen)
+    sizes = [fs.sizes[c] for c in cover]
+    try:
+        chosen = _entries(chosen, "chosen section", sizes)
+    except MalformedTable as err:
+        # the first bad position wins; over an open with no sections every choice is bad
+        i = err.data["position"]
+        if sizes[i] == 0:
+            raise NoLocalSection(f"no local section over cover open {i}", position=i) from None
+        raise
     transition = {}
     for i, j in itertools.combinations(range(len(cover)), 2):
         w = space.intersection_index(cover[i], cover[j])

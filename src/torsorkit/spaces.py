@@ -23,7 +23,7 @@ from .errors import (
     PointOutOfRange,
     TooLarge,
 )
-from .groups import _is_int
+from .groups import _is_int, _positive
 
 MAX_OPENS = 64  # desk scale: sheaf functoriality checks every chain of three opens
 
@@ -64,7 +64,7 @@ class FiniteSpace:
         return tuple(tuple(v for v, ov in enumerate(sets) if ov < ou) for ou in sets)
 
     def index_of(self, points) -> int:
-        key = frozenset(points)
+        key = frozenset(_int_points(points, "open"))
         if key not in self.open_index:
             raise PointOutOfRange(f"{sorted(key)} is not an open of this space", points=sorted(key))
         return self.open_index[key]
@@ -81,29 +81,58 @@ class FiniteSpace:
         return len(self.opens) - 1
 
 
-def _int_points(points, where: str) -> set[int]:
-    """The points as Python ints; MalformedTable names the first one that is not an integer."""
+def _int_points(points, where: str, num_points: int | None = None) -> tuple[int, ...]:
+    """The distinct points ascending, as Python ints. MalformedTable names the first point that is not
+    an integer, then, given ``num_points``, PointOutOfRange the least one outside range(num_points)."""
     points = list(points)
     for p in points:
         if not _is_int(p):
             raise MalformedTable(f"{where}: point {p!r} is not an integer", point=p)
-    return {int(p) for p in points}
+    points = sorted({int(p) for p in points})
+    bad = [p for p in points if not 0 <= p < num_points] if num_points is not None else ()
+    if bad:
+        raise PointOutOfRange(f"point {bad[0]} out of range", point=bad[0])
+    return tuple(points)
 
 
-def _canonical(opens) -> list[tuple[int, ...]]:
-    dedup = {tuple(sorted(_int_points(o, f"open {i}"))) for i, o in enumerate(opens)}
-    return sorted(dedup, key=lambda o: (len(o), o))
+def _canonical(num_points: int, opens) -> list[tuple[int, ...]]:
+    """The distinct opens in canonical order, checked in this order: ``num_points``, every point an
+    integer, then PointOutOfRange at the least bad point of the first open in that order holding one."""
+    _positive(num_points, "num_points")
+    canon = sorted({_int_points(o, f"open {i}") for i, o in enumerate(opens)}, key=lambda o: (len(o), o))
+    for o in canon:
+        _int_points(o, "open", num_points)
+    return canon
+
+
+def _open_count(meets) -> int:
+    """The number of unions of ``meets``, the distinct minimal opens U_x, without listing them.
+
+    The unions are the down-sets of the U_x under inclusion, and with x maximal among the U_x left,
+    D(P) = D(P - {x}) + D(P - {y <= x}): the down-sets without x, and those holding all below x.
+    Memoised on the U_x left, as a bit mask; the longest U_x left is maximal. An explicit stack, not
+    recursion: a chain of k U_x goes k levels deep.
+    """
+    meets = sorted(meets, key=len)
+    below = [sum(1 << j for j, n in enumerate(meets) if n <= m) for m in meets]
+    whole = (1 << len(meets)) - 1
+    counts, todo = {0: 1}, [whole]
+    while todo:
+        left = todo[-1]
+        top = left.bit_length() - 1
+        parts = (left & ~(1 << top), left & ~below[top])
+        missing = [p for p in parts if p not in counts]
+        if missing:
+            todo += missing
+        else:
+            counts[left] = counts[parts[0]] + counts[parts[1]]
+            todo.pop()
+    return counts[whole]
 
 
 def build_space(num_points: int, opens) -> FiniteSpace:
     """Validate an explicit finite topology: empty, whole, unions, intersections."""
-    if not _is_int(num_points) or num_points < 1:
-        raise MalformedTable(f"num_points must be a positive integer, got {num_points!r}", num_points=num_points)
-    canon = _canonical(opens)
-    for o in canon:
-        for p in o:
-            if not 0 <= p < num_points:
-                raise PointOutOfRange(f"point {p} out of range", point=p)
+    canon = _canonical(num_points, opens)
     if len(canon) > MAX_OPENS:
         raise TooLarge(f"{len(canon)} opens exceed {MAX_OPENS}", size=len(canon))
     present = {frozenset(o) for o in canon}
@@ -135,6 +164,10 @@ def close_under_ops(num_points: int, generators) -> FiniteSpace:
     # points in the same members share their meet: take it once per membership pattern
     patterns = {tuple(x in s for s in family) for x in frozenset().union(*family)}
     meets = {frozenset.intersection(*(s for s, inside in zip(family, p) if inside)) for p in patterns}
+    _canonical(num_points, meets)  # the first open holding a point out of range is a meet
+    count = _open_count(meets)
+    if count > MAX_OPENS:
+        raise TooLarge(f"{count} opens exceed {MAX_OPENS}", size=count)
     opens = {frozenset()}
     for m in meets:
         opens |= {o | m for o in opens}
@@ -148,10 +181,7 @@ def connected_components(space: FiniteSpace, subset) -> tuple[tuple[int, ...], .
     (y in U_x or x in U_y); in a finite space that closure is exactly
     topological connectivity.
     """
-    points = sorted(_int_points(subset, "subset"))
-    for p in points:
-        if not 0 <= p < space.num_points:
-            raise PointOutOfRange(f"point {p} out of range", point=p)
+    points = _int_points(subset, "subset", space.num_points)
     minimal, left, out = space.minimal, set(points), []
     for x in points:
         if x in left:

@@ -159,9 +159,9 @@ def test_failing_sheaf_torsor_check_reports_as_sheaf_torsor_witnesses(tmp_path, 
 
 
 @pytest.mark.parametrize("cell,witness", [
-    (0.9, {"axiom": "malformed-table", "key": "1,0", "col": 0}),
-    ("0", {"axiom": "malformed-table", "key": "1,0", "col": 0}),
-    (True, {"axiom": "malformed-table", "key": "1,0", "col": 0}),
+    (0.9, {"axiom": "malformed-table", "key": "1,0", "position": 0}),
+    ("0", {"axiom": "malformed-table", "key": "1,0", "position": 0}),
+    (True, {"axiom": "malformed-table", "key": "1,0", "position": 0}),
     (-1, {"axiom": "restriction-range", "u": 1, "v": 0}),
 ])
 def test_restriction_cells_must_be_integers(tmp_path, cell, witness):
@@ -186,7 +186,7 @@ def test_sheaf_action_cells_must_be_integers(tmp_path, z3, cell):
     code, out, _ = run_cli(["check", "sheaf-torsor", str(path), "--json"])
     assert code == 1
     assert json.loads(out)["witnesses"] == [
-        {"axiom": "malformed-table", "key": "1", "row": 2, "col": 1}
+        {"axiom": "malformed-table", "key": "1", "row": 2, "position": 1}
     ]
 
 
@@ -291,7 +291,7 @@ def test_descent_file_entries_must_be_integers(tmp_path, z2, field, value, axiom
         assert code == 2 and out == "" and "transition value" in err
         return
     assert code == 1
-    assert json.loads(out)["witnesses"] == [{"axiom": axiom, "index": 0}]
+    assert json.loads(out)["witnesses"] == [{"axiom": axiom, "position": 0}]
 
 
 @pytest.mark.parametrize("g", [2.9, "2", True])

@@ -353,7 +353,7 @@ def test_prime_must_be_an_integer(p):
 def test_matrix_entries_must_be_integers(entry):
     with pytest.raises(MalformedTable) as exc:
         tk.prime_field_matrix(3, [[1, 1], [0, entry]])
-    assert exc.value.data == {"row": 1, "index": 1}
+    assert exc.value.data == {"row": 1, "position": 1}
 
 
 @pytest.mark.parametrize("solve", [tk.gaussian_solve, tk.solution_torsor])
@@ -361,7 +361,7 @@ def test_matrix_entries_must_be_integers(entry):
 def test_rhs_entries_must_be_integers(solve, rhs):
     with pytest.raises(MalformedTable) as exc:
         solve(tk.prime_field_matrix(3, [[1, 1]]), rhs)
-    assert exc.value.data == {"index": 0}
+    assert exc.value.data == {"position": 0}
 
 
 def _trial_division(p):

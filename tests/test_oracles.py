@@ -38,6 +38,7 @@ import torsorkit as tk
 from torsorkit import errors
 from torsorkit.groups import LIGHT_MIN_ORDER, _transport
 from torsorkit.sheaves import SheafOfSets
+from torsorkit.spaces import MAX_OPENS, _open_count
 
 from cocycle_oracles import all_cochains, enumerate_cocycles
 
@@ -61,7 +62,7 @@ def ref_malformed(rows, height, width, bound):
             return {"row": i}
         for j, v in enumerate(row):
             if not _is_index(v, bound):
-                return {"row": i, "col": j}
+                return {"row": i, "position": j}
     return None
 
 
@@ -317,9 +318,9 @@ def test_fast_path_rejects_every_non_index_cell(cell):
     # each bad value stands in an otherwise valid cyclic(3) table, also as the only bad cell
     rows = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
     rows[1][2] = cell
-    assert group_verdict(3, rows) == (errors.MalformedTable, {"row": 1, "col": 2})
+    assert group_verdict(3, rows) == (errors.MalformedTable, {"row": 1, "position": 2})
     assert action_verdict(tk.catalog_group("cyclic(3)"), 3, rows) == (
-        errors.MalformedTable, {"row": 1, "col": 2}
+        errors.MalformedTable, {"row": 1, "position": 2}
     )
 
 
@@ -651,6 +652,28 @@ def test_close_under_ops_matches_the_fixed_point_closure(case):
     # a relation on the points may generate up to 2^7 opens: TooLarge names the exact count
     n, gens = case
     assert outcome(tk.close_under_ops, n, gens) == outcome(ref_close_under_ops, n, gens)
+
+
+@st.composite
+def families(draw):
+    """Generators on at most 8 points: up to 2^8 opens, on either side of MAX_OPENS."""
+    n = draw(st.integers(1, 8))
+    return n, draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=8))
+
+
+@ORACLE
+@given(families())
+def test_the_open_count_is_the_number_of_listed_unions(case):
+    n, gens = case
+    meets = {frozenset(range(n)).intersection(*(g for g in gens if x in g)) for x in range(n)}
+    unions = {frozenset()}
+    for m in meets:
+        unions |= {u | m for u in unions}
+    assert _open_count(meets) == len(unions)
+    if len(unions) <= MAX_OPENS:
+        assert len(tk.close_under_ops(n, gens).opens) == len(unions)
+    else:
+        assert outcome(tk.close_under_ops, n, gens) == (errors.TooLarge, {"size": len(unions)})
 
 
 def ref_is_connected(space, subset):

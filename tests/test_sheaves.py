@@ -330,8 +330,8 @@ def test_glued_action_axioms_nonabelian(three_arm, s3):
 
 
 @pytest.mark.parametrize("cover,transition,data", [
-    ([4.7, 5], {(0, 1): 0}, {"index": 0}),
-    ([4, True], {(0, 1): 0}, {"index": 1}),
+    ([4.7, 5], {(0, 1): 0}, {"position": 0}),
+    ([4, True], {(0, 1): 0}, {"position": 1}),
     ([4, 5], {(0, 1.2): 0}, {"key": "(0, 1.2)"}),
     ([4, 5], {(0, 1): 3.9}, {"i": 0, "j": 1}),
     ([4, 5], {(0, 1): True}, {"i": 0, "j": 1}),
@@ -353,10 +353,10 @@ def test_descent_datum_accepts_numpy_integers(psc, z2):
 
 
 @pytest.mark.parametrize("cover,chosen,data", [
-    ([4, 5], [0.5, 1], {"index": 0}),
-    ([4, 5], [0, 1.7], {"index": 1}),
-    ([4, 5], [0, False], {"index": 1}),
-    ([4.0, 5], [0, 1], {"index": 0}),
+    ([4, 5], [0.5, 1], {"position": 0}),
+    ([4, 5], [0, 1.7], {"position": 1}),
+    ([4, 5], [0, False], {"position": 1}),
+    ([4.0, 5], [0, 1], {"position": 0}),
 ])
 def test_extract_cocycle_inputs_must_be_integers(psc, z2, cover, chosen, data):
     torsor = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1))
@@ -561,6 +561,24 @@ def test_every_sheaf_is_read_only(psc, z2):
     copy = tk.SheafOfGroups(sets=hand, groups=groups)
     groups.pop()
     assert copy == gs and tk.is_sheaf_of_groups(copy).passed
+
+
+@pytest.mark.parametrize("dtype,witnesses", [
+    (np.int64, ()),
+    (np.float64, ({"axiom": "restriction-range", "u": 1, "v": 0},)),
+    (np.bool_, ({"axiom": "restriction-range", "u": 1, "v": 0},)),
+], ids=["int", "float", "bool"])
+def test_an_array_restriction_table_is_copied_so_a_later_edit_cannot_reach_it(dtype, witnesses):
+    point = tk.point_space()
+    table = np.zeros(3, dtype=dtype)
+    sheaf = SheafOfSets(space=point, sizes=(1, 3), restrict={(1, 0): table})
+    fresh = SheafOfSets(space=point, sizes=(1, 3), restrict={(1, 0): table.copy()})
+    assert tk.is_sheaf(sheaf).witnesses == witnesses
+    table[0] = 7
+    assert tk.is_sheaf(sheaf) == tk.is_sheaf(fresh)
+    assert tk.is_sheaf(sheaf).witnesses == witnesses
+    assert sheaf.restrict_section(1, 0, 0) == fresh.restrict_section(1, 0, 0) == 0
+    assert sheaf == fresh and sheaf.restrict[(1, 0)] == tuple(fresh.restrict[(1, 0)])
 
 
 def test_cached_sheaves_pickle_and_copy_read_only(psc, monkeypatch):

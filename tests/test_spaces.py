@@ -93,6 +93,29 @@ def test_thirteen_discrete_points_give_their_exact_open_count_at_once():
     assert time.perf_counter() - start < 10
 
 
+def test_twenty_five_discrete_points_are_counted_without_listing_an_open():
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as exc:
+        tk.close_under_ops(25, [(i,) for i in range(25)])
+    assert exc.value.data == {"size": 2**25}
+    assert time.perf_counter() - start < 1
+
+
+def test_the_open_bound_lies_between_six_and_seven_discrete_points():
+    assert len(tk.close_under_ops(6, [(i,) for i in range(6)]).opens) == 64
+    with pytest.raises(TooLarge) as exc:
+        tk.close_under_ops(7, [(i,) for i in range(7)])
+    assert exc.value.data == {"size": 128}
+
+
+def test_the_torus_model_has_430_opens(psc):
+    # pseudocircle x pseudocircle: U_(x,y) = U_x x U_y, with point (x, y) numbered 4x + y
+    minimal = [[4 * a + b for a in psc.minimal[x] for b in psc.minimal[y]] for x in range(4) for y in range(4)]
+    with pytest.raises(TooLarge) as exc:
+        tk.close_under_ops(16, minimal)
+    assert exc.value.data == {"size": 430}
+
+
 def test_components_overlap(psc):
     assert tk.connected_components(psc, (0, 1)) == ((0,), (1,))
 

@@ -60,26 +60,43 @@ WITNESSLESS_RAISES = {
 }
 
 
-def test_every_torsor_error_raised_in_the_library_names_a_witness_field():
-    """The ``errors`` promise: a failure names the offending indices, as keyword witness fields."""
+def _torsor_errors_raised():
+    """(file name, call) for each ``raise SomeTorsorError(...)`` in the library."""
     from torsorkit import errors
 
     kinds = {
         name for name, cls in vars(errors).items()
         if isinstance(cls, type) and issubclass(cls, errors.TorsorError)
     }
-    raised, bare = 0, set()
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             call = node.exc if isinstance(node, ast.Raise) else None
-            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in kinds):
-                continue
-            raised += 1
-            if not call.keywords:
-                message = call.args[0].value if call.args and isinstance(call.args[0], ast.Constant) else None
-                bare.add((path.name, call.func.id, message))
-    assert raised > 80
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in kinds:
+                yield path.name, call
+
+
+def test_every_torsor_error_raised_in_the_library_names_a_witness_field():
+    """The ``errors`` promise: a failure names the offending indices, as keyword witness fields."""
+    raised, bare = 0, set()
+    for name, call in _torsor_errors_raised():
+        raised += 1
+        if not call.keywords:
+            message = call.args[0].value if call.args and isinstance(call.args[0], ast.Constant) else None
+            bare.add((name, call.func.id, message))
+    assert raised >= 77
     assert bare == WITNESSLESS_RAISES
+
+
+def test_a_bad_entry_is_placed_by_position_and_row_only():
+    """One place vocabulary: ``position`` is an entry's place in its sequence and ``row`` that sequence's
+    place in a table; the retired names ``index`` and ``col`` are passed by no raise."""
+    found = [
+        f"{name}:{call.lineno} {kw.arg}"
+        for name, call in _torsor_errors_raised()
+        for kw in call.keywords
+        if kw.arg in ("index", "col")
+    ]
+    assert found == []
 
 
 def test_every_stored_read_names_a_cached_property():

@@ -50,16 +50,92 @@ def witness(kind, call):
     (lambda: tk.constant_section_tuple(Z2, 2, 9), errors.MalformedTable, {"section": 9}),
     (lambda: tk.decode_vector(9, 2, 2), errors.MalformedTable, {"code": 9}),
     (lambda: tk.symmetric_elements(3.0), errors.UnknownName, {"name": "symmetric(3.0)"}),
+    (lambda: tk.pseudocircle().index_of([0.0, 1.0, 2.0]), errors.MalformedTable, {"point": 0.0}),
+    (lambda: tk.pseudocircle().index_of([True]), errors.MalformedTable, {"point": True}),
 ], ids=[
     "build_space-float", "build_space-bool", "build_nerve", "affine_torsor", "basis_torsor", "orbit",
     "build_group-bool", "build_group-float", "build_action-float", "build_action-bool", "sections",
     "transporter", "trivialization", "constant_section_id-range", "constant_section_id-float",
-    "constant_section_tuple", "decode_vector", "symmetric_elements",
+    "constant_section_tuple", "decode_vector", "symmetric_elements", "index_of-float", "index_of-bool",
 ])
 def test_a_non_integer_or_out_of_range_index_is_rejected_not_coerced(call, kind, fields):
     got = witness(kind, call)
     assert got == {"axiom": kind.axiom, **fields}
     assert [type(v) for v in got.values()] == [str, *map(type, fields.values())]
+
+
+# ---------------------------------------------------------------- the place of a bad entry
+
+def _sheaf_obj(edit):
+    obj = json.loads(jsonio.canonical_json(jsonio.sheaf_action_to_obj(POINT_TORSOR.action)))
+    edit(obj)
+    return obj
+
+
+# ``position`` is an entry's place in its sequence, ``row`` that sequence's place in a table,
+# and a sequence's own name (``edge``, ``triple``, ``key``) comes first, then the place inside it
+@pytest.mark.parametrize("call,kind,fields", [
+    (lambda: tk.build_group(2, [[0, 1], [1, 2.0]]), errors.MalformedTable, {"row": 1, "position": 1}),
+    (lambda: tk.build_group(2, [[0, 1], [1]]), errors.MalformedTable, {"row": 1}),
+    (lambda: tk.build_group(2, [[0, 1]]), errors.MalformedTable, {"rows": 1}),
+    (lambda: tk.build_action(Z2, 2, [[0, 1], [True, 0]]), errors.MalformedTable, {"row": 1, "position": 0}),
+    (lambda: tk.right_action_as_left(Z2, 2, [[0, 1], [1, 2]]), errors.MalformedTable, {"row": 1, "position": 1}),
+    (lambda: tk.build_subgroup(Z2, [0, 1, 2]), errors.MalformedTable, {"position": 2}),
+    (lambda: tk.build_subgroup(Z2, [0.0]), errors.MalformedTable, {"position": 0}),
+    (lambda: tk.subgroup_as_group(tk.Subgroup(Z2, (0, 1, 1))), errors.MalformedTable, {"position": 2, "element": 1}),
+    (lambda: tk.prime_field_matrix(3, [[1, 1], [0, 1.5]]), errors.MalformedTable, {"row": 1, "position": 1}),
+    (lambda: tk.gaussian_solve(tk.prime_field_matrix(3, [[1, 1]]), [False]), errors.MalformedTable, {"position": 0}),
+    (lambda: tk.build_nerve(3, [(0, 1), (1, 2.0)]), errors.MalformedTable, {"edge": 1, "position": 1}),
+    (lambda: tk.build_nerve(3, [(0,)]), errors.MalformedTable, {"edge": 0}),
+    (lambda: tk.build_nerve(3, [(0, 1), (0, 2), (1, 2)], [(0, "1", 2)]), errors.MalformedTable,
+     {"triple": 0, "position": 1}),
+    (lambda: tk.check_cocycle(tk.build_nerve(2, [(0, 1)]), Z2, {(0, 1.0): 0}), errors.MalformedTable,
+     {"edge": "(0, 1.0)", "position": 1}),
+    (lambda: tk.make_cochain(tk.build_nerve(3, [(0, 1)]), Z2, (5, 0)), errors.MalformedTable, {"got": 2}),
+    (lambda: tk.make_cochain(tk.build_nerve(2, [(0, 1)]), Z2, (5, 0.5)), errors.MalformedTable, {"position": 1}),
+    (lambda: tk.build_descent_datum(tk.constant_group_sheaf(POINT, Z2), [1, 1.0], {}), errors.MalformedTable,
+     {"position": 1}),
+    (lambda: tk.build_descent_datum(tk.constant_group_sheaf(POINT, Z2), [2, 1.0], {}), errors.UnknownOpen,
+     {"open": 2}),
+    (lambda: tk.build_descent_datum(tk.constant_group_sheaf(POINT, Z2), [1.0, 2], {}), errors.MalformedTable,
+     {"position": 0}),
+    (lambda: tk.extract_cocycle(POINT_TORSOR, [1, 1], [0, 2.0]), errors.MalformedTable, {"position": 1}),
+    (lambda: tk.connected_components(tk.pseudocircle(), (7, 5, -1)), errors.PointOutOfRange, {"point": -1}),
+    (lambda: tk.connected_components(tk.pseudocircle(), (7, 0.5)), errors.MalformedTable, {"point": 0.5}),
+    (lambda: tk.build_space(2, [(), (0, 1), (0, 1, 7), (9,)]), errors.PointOutOfRange, {"point": 9}),
+    (lambda: tk.build_space(2, [(), (0, 1), (9,), ("0",)]), errors.MalformedTable, {"point": "0"}),
+    (lambda: tk.close_under_ops(2, [(0, 1, 7), (9,)]), errors.PointOutOfRange, {"point": 9}),
+    (lambda: jsonio.sets_sheaf_from_obj(_sheaf_obj(lambda o: o["sets"]["restrict"]["1,0"].__setitem__(3, 0.0))["sets"],
+                                        space=POINT), errors.MalformedTable, {"key": "1,0", "position": 3}),
+    (lambda: jsonio.sheaf_action_from_obj(_sheaf_obj(lambda o: o["act"]["1"][2].__setitem__(5, "5"))),
+     errors.MalformedTable, {"key": "1", "row": 2, "position": 5}),
+], ids=[
+    "cayley-cell", "cayley-row-length", "cayley-rows", "action-cell", "right-action-cell", "subgroup-range",
+    "subgroup-float", "subgroup-repeat", "matrix-cell", "rhs-entry", "nerve-edge", "nerve-edge-length",
+    "nerve-triple", "cocycle-edge-key", "cochain-length-first", "cochain-type-before-range", "cover-float",
+    "cover-range-first", "cover-float-first", "chosen-float", "subset-least-point", "subset-type-first",
+    "space-first-canonical-open", "space-type-first", "generated-first-canonical-open", "restriction-cell",
+    "action-table-cell",
+])
+def test_a_bad_entry_names_its_place_in_order(call, kind, fields):
+    got = witness(kind, call)
+    assert list(got.items()) == [("axiom", kind.axiom), *fields.items()]
+
+
+def test_extract_cocycle_names_the_first_failing_cover_position():
+    # the twisted pseudocircle torsor has no global section; the arc has two
+    torsor = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(Z2, 1))
+    whole, arc = torsor.space.whole_index, torsor.space.index_of((0, 1, 2))
+    cases = [
+        ([whole, arc], [0, 9], errors.NoLocalSection, 0),
+        ([arc, whole], [9, 0], errors.MalformedTable, 0),
+        ([arc, whole], [0.5, 0], errors.MalformedTable, 0),
+        ([arc, whole], [0, 0.5], errors.NoLocalSection, 1),
+        ([arc, arc, whole], [1, 2, 0], errors.MalformedTable, 1),
+    ]
+    for cover, chosen, kind, position in cases:
+        got = witness(kind, lambda: tk.extract_cocycle(torsor, cover, chosen))
+        assert list(got.items()) == [("axiom", kind.axiom), ("position", position)]
 
 
 # ---------------------------------------------------------------- guards past a printable size
@@ -232,7 +308,7 @@ def test_build_descent_datum_names_the_bad_pair(transition, kind, fields):
 
 
 @pytest.mark.parametrize("chosen,kind,fields", [
-    ([0, 8], errors.MalformedTable, {"index": 1}),
+    ([0, 8], errors.MalformedTable, {"position": 1}),
     ([0], errors.Mismatch, {"got": 1, "expected": 2}),
 ], ids=["section-range", "length"])
 def test_extract_cocycle_names_the_bad_chosen_section(chosen, kind, fields):
