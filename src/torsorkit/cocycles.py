@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constructions import _codes, _digits, _guard_count
+from .constructions import _codes, _digits
 from .errors import (
     InternalError,
     MalformedTable,
@@ -37,9 +37,9 @@ from .errors import (
     MissingEdgeValue,
     NotAPath,
     PathNotClosed,
-    TooLarge,
     TripleViolation,
     TripleWithoutEdge,
+    _guard,
 )
 from .groups import FiniteGroup, _entries, _is_index, _positive
 
@@ -161,7 +161,10 @@ def check_cocycle(nerve: Nerve, group: FiniteGroup, assignments) -> NerveCocycle
     edge_set = nerve.edge_set
     values = {}
     for key, val in dict(assignments).items():
-        i, j = _ints(key, 2, "edge key", edge=str(key))
+        try:
+            i, j = _ints(key, 2, "edge key")
+        except MalformedTable as exc:  # the key is named only once its read fails
+            raise MalformedTable(str(exc), edge=str(key), **exc.data) from None
         if i > j:
             raise Mismatch(f"edge key ({i},{j}) must satisfy i < j", i=i, j=j)
         if (i, j) not in edge_set:
@@ -327,10 +330,6 @@ def holonomy(c: NerveCocycle, cycle_path) -> int:
     return acc
 
 
-def _guard_candidates(nerve: Nerve, group: FiniteGroup) -> None:
-    _guard_count(group.order, len(nerve.edges), CLASS_ENUM_MAX, "cocycle candidates", "edges")
-
-
 def _gauge_fixed_cocycles(nerve: Nerve, group: FiniteGroup, pos, free) -> list[tuple[int, ...]]:
     """Edge-value tuples of the valid cocycles that are the identity off the positions ``free``."""
     cay, e = group.cayley, group.identity
@@ -359,8 +358,8 @@ def equivalence_classes(nerve: Nerve, group: FiniteGroup) -> list[CocycleClass]:
     come in the order of their representatives. Raises TooLarge when the
     |G|^edges candidates exceed CLASS_ENUM_MAX, which also bounds the work.
     """
-    _guard_candidates(nerve, group)
     cay, inv, n = group.cayley, group.inverse, group.order
+    _guard(n, len(nerve.edges), CLASS_ENUM_MAX, "cocycle candidates", order=n, edges=len(nerve.edges))
     comps = nerve.forest
     pos = {edge: p for p, edge in enumerate(nerve.edges)}
     # conjugation at a root changes only its component's non-tree edges

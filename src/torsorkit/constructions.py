@@ -25,6 +25,7 @@ from .errors import (
     Mismatch,
     NotPrime,
     TooLarge,
+    _guard,
 )
 from .groups import (
     FiniteGroup,
@@ -93,31 +94,6 @@ def _require_prime(p: int):
         raise NotPrime(f"{p} is not prime", p=p)
 
 
-def _guard_power(p: int, n: int, bound: int, what: str) -> int:
-    """p^n within ``bound``, else TooLarge; past n = bound.bit_length() it names p and n, never forming p^n."""
-    if n > bound.bit_length():
-        raise TooLarge(f"{what} = {p}^{n} exceeds {bound}", p=p, n=n)
-    if p**n > bound:
-        raise TooLarge(f"{what} = {p ** n} exceeds {bound}", size=p**n)
-    return p**n
-
-
-# Below 2^_PRINTABLE_BITS a number has at most 617 digits, which Python prints under any
-# int_max_str_digits setting (the least it allows is 640).
-_PRINTABLE_BITS = 2048
-
-
-def _guard_count(base: int, count: int, bound: int, what: str, count_name: str) -> int:
-    """base^count within ``bound``, else TooLarge naming its size, or, decided from the exponent first
-    where that size would not print, naming ``base`` as ``order`` and ``count`` as ``count_name``."""
-    if base > 1 and count * base.bit_length() > _PRINTABLE_BITS:
-        raise TooLarge(f"{base}^{count} {what} exceed {bound}", order=base, **{count_name: count})
-    size = base**count
-    if size > bound:
-        raise TooLarge(f"{size} {what} exceed {bound}", size=size)
-    return size
-
-
 @dataclass(frozen=True)
 class PrimeFieldMatrix:
     p: int
@@ -166,7 +142,7 @@ def prime_field_matrix(p: int, entries) -> PrimeFieldMatrix:
 def _require_codes(p: int, n: int) -> int:
     _require_prime(p)
     _positive(n, "n")
-    return _guard_power(p, n, CODE_MAX, "p^n")
+    return _guard(p, n, CODE_MAX, "p^n", p=p, n=n)
 
 
 def encode_vector(vec, p: int) -> int:
@@ -271,7 +247,7 @@ def affine_torsor(p: int, n: int) -> Torsor:
     """F_p^n acting on itself by translation; points share the vector encoding."""
     _require_prime(p)
     _positive(n, "n")
-    size = _guard_power(p, n, AFFINE_MAX_POINTS, "p^n")
+    size = _guard(p, n, AFFINE_MAX_POINTS, "p^n", p=p, n=n)
     vectors = np.arange(size)
     group = build_group(size, _sum_codes(vectors, vectors, p, n))
     return as_torsor(left_translation_action(group))
@@ -285,7 +261,7 @@ def solution_torsor(T: PrimeFieldMatrix, w) -> Torsor:
     """
     p = T.p
     w = _rhs(T, w)
-    size = _guard_power(p, T.cols, SOLUTION_MAX_VECTORS, "p^cols")
+    size = _guard(p, T.cols, SOLUTION_MAX_VECTORS, "p^cols", p=p, n=T.cols)
     images = _digits(np.arange(size), p, T.cols) @ np.array(T.entries).T % p
     solutions = np.flatnonzero((images == w).all(axis=1))
     kernel = np.flatnonzero((images == 0).all(axis=1))
@@ -316,9 +292,7 @@ def general_linear_group(p: int, n: int):
     are at most BASIS_MAX_MATRICES, decided from the exponent first: (2,2), (3,2), (2,3), (p,1) for p <= 509."""
     _require_prime(p)
     _positive(n, "n")
-    if n * n > BASIS_MAX_MATRICES.bit_length() or p ** (n * n) > BASIS_MAX_MATRICES:
-        raise TooLarge(f"(p,n)=({p},{n}): p^(n*n) matrices exceed {BASIS_MAX_MATRICES}", p=p, n=n)
-    size = p ** (n * n)
+    size = _guard(p, n * n, BASIS_MAX_MATRICES, "p^(n*n) matrices", p=p, n=n)
     everything = _digits(np.arange(size), p, n * n).reshape(size, n, n)
     codes = np.flatnonzero(_row_reduce(everything, p)[1].all(axis=1))
     mats = everything[codes]

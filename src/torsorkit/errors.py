@@ -105,6 +105,19 @@ class TooLarge(TorsorError):
     axiom = "size-guard"
 
 
+def _guard(base: int, exponent: int, budget: int, what: str, **operands) -> int:
+    """base^exponent within ``budget``, else TooLarge naming ``budget``: the one size guard. Decided from
+    the exponent first: past 2^2048 the power is never formed and the witness names the caller's
+    ``operands``; below it, the power as ``size`` (at most 617 digits, which print under any
+    int_max_str_digits setting: the least Python allows is 640)."""
+    if base > 1 and exponent * base.bit_length() > 2048:
+        raise TooLarge(f"{what}: {base}^{exponent} exceeds {budget}", **operands, budget=budget)
+    size = base**exponent
+    if size > budget:
+        raise TooLarge(f"{what}: {size} exceeds {budget}", size=size, budget=budget)
+    return size
+
+
 class EmptySolutionSet(TorsorError):
     axiom = "solvability"
 

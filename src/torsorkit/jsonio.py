@@ -108,6 +108,11 @@ def _parse_pair_key(key: str, what) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
+def _pair_map(raw: dict, what) -> dict:
+    """A ``{"i,j": value}`` object keyed by integer pairs; the reader it goes to checks each value."""
+    return {_parse_pair_key(key, what): val for key, val in raw.items()}
+
+
 def nerve_from_obj(obj) -> Nerve:
     opens = _expect(obj, "opens", int, "nerve")
     edges = _int_list_list(_expect(obj, "edges", list, "nerve"), "nerve.edges")
@@ -126,12 +131,7 @@ def nerve_to_obj(nerve: Nerve) -> dict:
 def cocycle_from_obj(obj) -> NerveCocycle:
     nerve = nerve_from_obj(_expect(obj, "nerve", dict, "cocycle"))
     group = group_from_obj(_expect(obj, "group", None, "cocycle"))
-    raw = _expect(obj, "g", dict, "cocycle")
-    assignments = {}
-    for key, val in raw.items():
-        if not isinstance(val, int):
-            raise SchemaError(f"cocycle: value on edge {key!r} must be an integer")
-        assignments[_parse_pair_key(key, "cocycle.g")] = val
+    assignments = _pair_map(_expect(obj, "g", dict, "cocycle"), "cocycle.g")
     return check_cocycle(nerve, group, assignments)
 
 
@@ -262,12 +262,7 @@ def descent_from_obj(obj) -> DescentDatum:
     space = space_from_obj(_expect(obj, "space", dict, "descent"))
     group = group_from_obj(_expect(obj, "group", None, "descent"))
     cover = _expect(obj, "cover", list, "descent")
-    raw = _expect(obj, "transition", dict, "descent")
-    transition = {}
-    for key, val in raw.items():
-        if not _is_int(val):
-            raise SchemaError(f"descent: transition value on {key!r} must be an integer")
-        transition[_parse_pair_key(key, "descent.transition")] = val
+    transition = _pair_map(_expect(obj, "transition", dict, "descent"), "descent.transition")
     gs = constant_group_sheaf(space, group)
     return build_descent_datum(gs, cover, transition)
 

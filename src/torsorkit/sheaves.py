@@ -34,6 +34,7 @@ and found again by code lookup.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .actions import GroupAction, Torsor, _transports
-from .constructions import _codes, _digits, _guard_count
+from .constructions import _codes, _digits
 from .errors import (
     CoverIncomplete,
     InternalError,
@@ -51,9 +52,9 @@ from .errors import (
     Mismatch,
     NoLocalSection,
     NotASheafTorsor,
-    TooLarge,
     TripleViolation,
     UnknownOpen,
+    _guard,
 )
 from .groups import (
     FiniteGroup,
@@ -203,9 +204,10 @@ def _proper_pairs(space: FiniteSpace):
 def _guard_sections(group: FiniteGroup, count: int) -> int:
     """|G|^count, the sections of an open with ``count`` components, within the guard from 2 components
     on: G^0 and G^1 build no table, so a group of any order has a constant sheaf on a connected space."""
+    n = group.order
     if count < 2:
-        return group.order**count
-    return _guard_count(group.order, count, CONSTANT_SECTIONS_MAX, "sections on one open", "components")
+        return n**count
+    return _guard(n, count, CONSTANT_SECTIONS_MAX, "sections on one open", order=n, components=count)
 
 
 def constant_section_id(group: FiniteGroup, values) -> int:
@@ -597,11 +599,7 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
 
     families, lookups = [], []
     for chart in charts:
-        total = 1
-        for c in chart:
-            total *= sizes[c]
-        if total > FAMILY_CANDIDATE_MAX:
-            raise TooLarge(f"{total} family candidates exceed {FAMILY_CANDIDATE_MAX}", size=total)
+        _guard(math.prod(sizes[c] for c in chart), 1, FAMILY_CANDIDATE_MAX, "family candidates")
         agree = {}
         for i, j in itertools.combinations(range(k), 2):
             w = space.intersection_index(chart[i], chart[j])

@@ -11,6 +11,7 @@ topology, connectivity and the sheaf-level decisions all read the U_x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,7 +22,7 @@ from .errors import (
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
     PointOutOfRange,
-    TooLarge,
+    _guard,
 )
 from .groups import _is_int, _positive
 
@@ -105,27 +106,46 @@ def _canonical(num_points: int, opens) -> list[tuple[int, ...]]:
     return canon
 
 
+def _overlap_groups(left: int, near) -> list[int]:
+    """The U_x in the bit mask ``left`` split into groups linked by overlap (``near[j]``: those meeting
+    the j-th). U_x and U_y that share a point z both hold U_z, so each group is connected by inclusion."""
+    out = []
+    while left:
+        group, todo = 0, left & -left
+        while todo:
+            low = todo & -todo
+            group |= low
+            todo = (todo | near[low.bit_length() - 1]) & left & ~group
+        out.append(group)
+        left &= ~group
+    return out
+
+
 def _open_count(meets) -> int:
     """The number of unions of ``meets``, the distinct minimal opens U_x, without listing them.
 
-    The unions are the down-sets of the U_x under inclusion, and with x maximal among the U_x left,
+    The unions are the down-sets of the U_x under inclusion: the product of those of each group of
+    overlapping U_x left (``_overlap_groups``), and within one group, with x maximal in it,
     D(P) = D(P - {x}) + D(P - {y <= x}): the down-sets without x, and those holding all below x.
     Memoised on the U_x left, as a bit mask; the longest U_x left is maximal. An explicit stack, not
     recursion: a chain of k U_x goes k levels deep.
     """
     meets = sorted(meets, key=len)
     below = [sum(1 << j for j, n in enumerate(meets) if n <= m) for m in meets]
+    near = [sum(1 << j for j, n in enumerate(meets) if n & m) for m in meets]
     whole = (1 << len(meets)) - 1
     counts, todo = {0: 1}, [whole]
     while todo:
         left = todo[-1]
-        top = left.bit_length() - 1
-        parts = (left & ~(1 << top), left & ~below[top])
+        parts, combine = _overlap_groups(left, near), math.prod
+        if len(parts) == 1:
+            top = left.bit_length() - 1
+            parts, combine = (left & ~(1 << top), left & ~below[top]), sum
         missing = [p for p in parts if p not in counts]
         if missing:
             todo += missing
         else:
-            counts[left] = counts[parts[0]] + counts[parts[1]]
+            counts[left] = combine(counts[p] for p in parts)
             todo.pop()
     return counts[whole]
 
@@ -133,8 +153,7 @@ def _open_count(meets) -> int:
 def build_space(num_points: int, opens) -> FiniteSpace:
     """Validate an explicit finite topology: empty, whole, unions, intersections."""
     canon = _canonical(num_points, opens)
-    if len(canon) > MAX_OPENS:
-        raise TooLarge(f"{len(canon)} opens exceed {MAX_OPENS}", size=len(canon))
+    _guard(len(canon), 1, MAX_OPENS, "opens")
     present = {frozenset(o) for o in canon}
     if frozenset() not in present:
         raise MissingEmpty("the empty set is not an open")
@@ -165,9 +184,7 @@ def close_under_ops(num_points: int, generators) -> FiniteSpace:
     patterns = {tuple(x in s for s in family) for x in frozenset().union(*family)}
     meets = {frozenset.intersection(*(s for s, inside in zip(family, p) if inside)) for p in patterns}
     _canonical(num_points, meets)  # the first open holding a point out of range is a meet
-    count = _open_count(meets)
-    if count > MAX_OPENS:
-        raise TooLarge(f"{count} opens exceed {MAX_OPENS}", size=count)
+    _guard(_open_count(meets), 1, MAX_OPENS, "opens", num_points=num_points)
     opens = {frozenset()}
     for m in meets:
         opens |= {o | m for o in opens}

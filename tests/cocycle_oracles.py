@@ -12,8 +12,8 @@ is also the oracle for the forest each nerve keeps.
 import itertools
 
 import torsorkit as tk
-from torsorkit.cocycles import NotEquivalent, NotTrivial, _Component, _guard_candidates, _require_same
-from torsorkit.errors import TripleViolation
+from torsorkit.cocycles import CLASS_ENUM_MAX, NotEquivalent, NotTrivial, _Component, _require_same
+from torsorkit.errors import TooLarge, TripleViolation
 
 
 def reference_forest(nerve):
@@ -59,8 +59,10 @@ def all_cochains(nerve, group):
 
 
 def enumerate_cocycles(nerve, group):
-    """All valid cocycles in lexicographic edge-value order."""
-    _guard_candidates(nerve, group)
+    """All valid cocycles in lexicographic edge-value order, within the library's |G|^edges bound."""
+    size = group.order ** len(nerve.edges)
+    if size > CLASS_ENUM_MAX:
+        raise TooLarge(f"{size} edge assignments exceed {CLASS_ENUM_MAX}", size=size, budget=CLASS_ENUM_MAX)
     out = []
     for combo in itertools.product(group.elements(), repeat=len(nerve.edges)):
         assignment = dict(zip(nerve.edges, combo))

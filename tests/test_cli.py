@@ -258,10 +258,15 @@ def _set_value(obj):
     obj["g"]["0,2"] = True
 
 
+def _set_float_value(obj):
+    obj["g"]["0,2"] = 1.5
+
+
 @pytest.mark.parametrize("corrupt,witness", [
     (_set_edge, {"axiom": "malformed-table", "edge": 1, "position": 1}),
     (_set_triple, {"axiom": "malformed-table", "triple": 0, "position": 2}),
     (_set_value, {"axiom": "malformed-table", "i": 0, "j": 2}),
+    (_set_float_value, {"axiom": "malformed-table", "i": 0, "j": 2}),
 ])
 def test_cocycle_file_entries_must_be_integers(tmp_path, corrupt, witness):
     obj = json.loads((DATA / "cocycle_c3_z2.json").read_text())
@@ -275,7 +280,7 @@ def test_cocycle_file_entries_must_be_integers(tmp_path, corrupt, witness):
 
 @pytest.mark.parametrize("field,value,axiom", [
     ("cover", [4.5, 5], "malformed-table"),
-    ("transition", {"0,1": True}, "schema"),
+    ("transition", {"0,1": True}, "malformed-table"),  # read as a cocycle file's values are
 ])
 def test_descent_file_entries_must_be_integers(tmp_path, z2, field, value, axiom):
     import torsorkit as tk
@@ -287,11 +292,9 @@ def test_descent_file_entries_must_be_integers(tmp_path, z2, field, value, axiom
     path = tmp_path / "descent.json"
     path.write_text(json.dumps(obj))
     code, out, err = run_cli(["check", "sheaf-torsor", str(path), "--json"])
-    if axiom == "schema":
-        assert code == 2 and out == "" and "transition value" in err
-        return
+    where = {"cover": {"position": 0}, "transition": {"i": 0, "j": 1}}[field]
     assert code == 1
-    assert json.loads(out)["witnesses"] == [{"axiom": axiom, "position": 0}]
+    assert json.loads(out)["witnesses"] == [{"axiom": axiom, **where}]
 
 
 @pytest.mark.parametrize("g", [2.9, "2", True])
@@ -315,7 +318,7 @@ def test_generate_reports_size_guard_without_traceback(tmp_path):
     )
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
-    assert res.stdout == "affine: FAIL\n  witness size-guard: size=512\n"
+    assert res.stdout == "affine: FAIL\n  witness size-guard: budget=256 size=512\n"
 
 
 @pytest.mark.parametrize("p,n", [("3", "1000000000"), ("1000000007", "500")])
@@ -324,7 +327,7 @@ def test_generate_affine_past_the_guard_fails_at_once(tmp_path, p, n):
     start = time.perf_counter()
     code, out, err = run_cli(["generate", "affine", p, n, "-o", str(tmp_path / "x.json")])
     assert time.perf_counter() - start < 1
-    assert (code, out, err) == (1, f"affine: FAIL\n  witness size-guard: n={n} p={p}\n", "")
+    assert (code, out, err) == (1, f"affine: FAIL\n  witness size-guard: budget=256 n={n} p={p}\n", "")
     assert not (tmp_path / "x.json").exists()
 
 
@@ -430,9 +433,10 @@ def test_json_booleans_are_not_integers(tmp_path, verb, build, message):
 
 
 def test_generate_bases_with_a_large_prime_fails_at_once_on_the_size_guard(tmp_path):
-    # primality of 10^18 + 3 is decided before the basis bound; trial division took over 30 s
+    # primality of 10^18 + 3 is decided before the basis bound; trial division took over 30 s.
+    # p^(n*n) has 240 bits, so the witness names it as the size
     start = time.perf_counter()
     code, out, err = run_cli(["generate", "bases", "1000000000000000003", "2", "-o", str(tmp_path / "x.json")])
     assert time.perf_counter() - start < 1
-    assert (code, out, err) == (1, "bases: FAIL\n  witness size-guard: n=2 p=1000000000000000003\n", "")
+    assert (code, out, err) == (1, f"bases: FAIL\n  witness size-guard: budget=512 size={(10**18 + 3) ** 4}\n", "")
     assert not (tmp_path / "x.json").exists()

@@ -146,9 +146,9 @@ def test_affine_torsor_guards():
 
 
 @pytest.mark.parametrize("p,n,data", [
-    (2, 9, {"size": 512}),  # n = AFFINE_MAX_POINTS.bit_length(): the power is formed and named
-    (3, 10**9, {"p": 3, "n": 10**9}),  # past it p^n >= 2^n is past the guard too, and is never formed
-    (1000000007, 500, {"p": 1000000007, "n": 500}),  # a 4500-digit p^n would not even print
+    (2, 9, {"size": 512, "budget": 256}),  # p^n below 2^2048 is formed and named
+    (3, 10**9, {"p": 3, "n": 10**9, "budget": 256}),  # past it p^n is never formed
+    (1000000007, 500, {"p": 1000000007, "n": 500, "budget": 256}),  # a 4500-digit p^n would not even print
 ])
 def test_affine_guard_decides_from_the_exponent_first(p, n, data):
     with pytest.raises(TooLarge) as exc:
@@ -191,9 +191,9 @@ def test_solution_torsor_too_large():
 
 
 @pytest.mark.parametrize("p,cols,data", [
-    (2, 13, {"size": 2**13}),
-    (2, 14, {"p": 2, "n": 14}),
-    (1000000007, 500, {"p": 1000000007, "n": 500}),
+    (2, 13, {"size": 2**13, "budget": 4096}),
+    (2, 14, {"size": 2**14, "budget": 4096}),
+    (1000000007, 500, {"p": 1000000007, "n": 500, "budget": 4096}),
 ])
 def test_solution_guard_decides_from_the_exponent_first(p, cols, data):
     with pytest.raises(TooLarge) as exc:
@@ -298,14 +298,22 @@ def test_basis_torsor_within_the_matrix_bound(p, n, order):
     assert t.group.order == t.set_size == order == tk.count_ordered_bases(p, n)
 
 
-@pytest.mark.parametrize("p,n", [(5, 2), (2, 4), (521, 1), (3, 3), (2, 10**9), (1000000007, 500)])
-def test_basis_torsor_past_the_matrix_bound_names_p_and_n(p, n):
+@pytest.mark.parametrize("p,n,fields", [
+    pytest.param(5, 2, {"size": 625}, id="5-2"),
+    pytest.param(2, 4, {"size": 2**16}, id="2-4"),
+    pytest.param(521, 1, {"size": 521}, id="521-1"),
+    pytest.param(3, 3, {"size": 3**9}, id="3-3"),
+    # p and n are named once p^(n*n) would pass 2^2048, and the power is never formed
+    pytest.param(2, 10**9, {"p": 2, "n": 10**9}, id="2-1000000000"),
+    pytest.param(1000000007, 500, {"p": 1000000007, "n": 500}, id="1000000007-500"),
+])
+def test_basis_torsor_past_the_matrix_bound_names_p_and_n(p, n, fields):
     start = time.perf_counter()
     with pytest.raises(TooLarge) as exc:
         tk.basis_torsor(p, n)
     assert time.perf_counter() - start < 1
-    assert exc.value.data == {"p": p, "n": n}
-    assert "exceed 512" in str(exc.value)
+    assert exc.value.data == {**fields, "budget": 512}
+    assert "exceeds 512" in str(exc.value)
 
 
 def test_basis_torsor_guards():

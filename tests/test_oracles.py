@@ -31,7 +31,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import torsorkit as tk
@@ -663,6 +663,9 @@ def families(draw):
 
 @ORACLE
 @given(families())
+# drawn families seldom pass MAX_OPENS: 7 discrete points and 4 disjoint two-point chains do (128, 81 opens)
+@example((7, [frozenset({i}) for i in range(7)]))
+@example((8, [frozenset({2 * i}) for i in range(4)] + [frozenset({2 * i, 2 * i + 1}) for i in range(4)]))
 def test_the_open_count_is_the_number_of_listed_unions(case):
     n, gens = case
     meets = {frozenset(range(n)).intersection(*(g for g in gens if x in g)) for x in range(n)}
@@ -673,7 +676,7 @@ def test_the_open_count_is_the_number_of_listed_unions(case):
     if len(unions) <= MAX_OPENS:
         assert len(tk.close_under_ops(n, gens).opens) == len(unions)
     else:
-        assert outcome(tk.close_under_ops, n, gens) == (errors.TooLarge, {"size": len(unions)})
+        assert outcome(tk.close_under_ops, n, gens) == (errors.TooLarge, {"size": len(unions), "budget": MAX_OPENS})
 
 
 def ref_is_connected(space, subset):

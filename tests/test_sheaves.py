@@ -464,7 +464,7 @@ def test_a_second_constant_sheaf_reject_on_one_space_finds_no_components(monkeyp
     for _ in range(2):
         with pytest.raises(TooLarge) as exc:
             tk.constant_group_sheaf(discrete3, big)
-        assert exc.value.data == {"size": 9**3}
+        assert exc.value.data == {"size": 9**3, "budget": 512}
         assert len(calls) == len(discrete3.opens)  # found once, kept on the space
 
 
@@ -479,7 +479,7 @@ def test_the_pseudocircle_reject_finds_no_components_again(monkeypatch):
             monkeypatch.setattr(spaces, "connected_components", lambda *args: calls.append(args) or real(*args))
         with pytest.raises(TooLarge) as exc:
             tk.pseudocircle_descent_datum(s4, s4.identity)
-        assert exc.value.data == {"size": 24**2}
+        assert exc.value.data == {"size": 24**2, "budget": 512}
     assert calls == []  # the first reject found them on the shared space
 
 

@@ -88,7 +88,7 @@ def test_thirteen_discrete_points_give_their_exact_open_count_at_once():
     start = time.perf_counter()
     with pytest.raises(TooLarge) as exc:
         tk.close_under_ops(13, [(i,) for i in range(13)])
-    assert exc.value.data == {"size": 2**13}
+    assert exc.value.data == {"size": 2**13, "budget": 64}
     # unions of the 13 minimal opens: well under 1 s, where a union/intersection fixed point took 87 s
     assert time.perf_counter() - start < 10
 
@@ -97,7 +97,16 @@ def test_twenty_five_discrete_points_are_counted_without_listing_an_open():
     start = time.perf_counter()
     with pytest.raises(TooLarge) as exc:
         tk.close_under_ops(25, [(i,) for i in range(25)])
-    assert exc.value.data == {"size": 2**25}
+    assert exc.value.data == {"size": 2**25, "budget": 64}
+    assert time.perf_counter() - start < 1
+
+
+def test_disjoint_two_point_chains_are_counted_one_chain_at_a_time():
+    # each chain {2i} <= {2i, 2i+1} has three down-sets, and the count of a disjoint union is their product
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as exc:
+        tk.close_under_ops(48, [g for i in range(24) for g in ((2 * i,), (2 * i, 2 * i + 1))])
+    assert exc.value.data == {"size": 3**24, "budget": 64}
     assert time.perf_counter() - start < 1
 
 
@@ -105,7 +114,7 @@ def test_the_open_bound_lies_between_six_and_seven_discrete_points():
     assert len(tk.close_under_ops(6, [(i,) for i in range(6)]).opens) == 64
     with pytest.raises(TooLarge) as exc:
         tk.close_under_ops(7, [(i,) for i in range(7)])
-    assert exc.value.data == {"size": 128}
+    assert exc.value.data == {"size": 128, "budget": 64}
 
 
 def test_the_torus_model_has_430_opens(psc):
@@ -113,7 +122,7 @@ def test_the_torus_model_has_430_opens(psc):
     minimal = [[4 * a + b for a in psc.minimal[x] for b in psc.minimal[y]] for x in range(4) for y in range(4)]
     with pytest.raises(TooLarge) as exc:
         tk.close_under_ops(16, minimal)
-    assert exc.value.data == {"size": 430}
+    assert exc.value.data == {"size": 430, "budget": 64}
 
 
 def test_components_overlap(psc):

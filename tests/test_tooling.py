@@ -83,7 +83,7 @@ def test_every_torsor_error_raised_in_the_library_names_a_witness_field():
         if not call.keywords:
             message = call.args[0].value if call.args and isinstance(call.args[0], ast.Constant) else None
             bare.add((name, call.func.id, message))
-    assert raised >= 77
+    assert raised >= 72
     assert bare == WITNESSLESS_RAISES
 
 
@@ -97,6 +97,24 @@ def test_a_bad_entry_is_placed_by_position_and_row_only():
         if kw.arg in ("index", "col")
     ]
     assert found == []
+
+
+def test_every_size_guard_is_the_one_helper():
+    """``TooLarge`` is built in ``errors._guard``, the one rule for a budget, and in ``is_prime``, whose
+    bound is where its test stops being exact; any other size check would be a second copy of the rule."""
+    built = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {}  # each node's innermost enclosing function: ast.walk visits outer functions first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        built |= {
+            (path.name, owner.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "TooLarge"
+        }
+    assert built == {("errors.py", "_guard"), ("constructions.py", "is_prime")}
 
 
 def test_every_stored_read_names_a_cached_property():

@@ -138,6 +138,57 @@ def test_extract_cocycle_names_the_first_failing_cover_position():
         assert list(got.items()) == [("axiom", kind.axiom), ("position", position)]
 
 
+# ---------------------------------------------------------------- every budget at its boundary
+
+def _solve(p, cols):
+    """The identity system over F_p: one solution among the p^cols vectors enumerated."""
+    eye = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    return tk.solution_torsor(tk.prime_field_matrix(p, eye), [0] * cols)
+
+
+def _glue(order, charts):
+    """The trivial descent datum of Z/order on ``charts`` copies of the point: order^charts candidates."""
+    group = tk.build_group(order, [[(a + b) % order for b in range(order)] for a in range(order)])
+    gs = tk.constant_group_sheaf(POINT, group)
+    transition = {pair: 0 for pair in itertools.combinations(range(charts), 2)}
+    return tk.glue_from_cocycle(tk.build_descent_datum(gs, [1] * charts, transition))
+
+
+def _discrete(points):
+    return tk.close_under_ops(points, [(i,) for i in range(points)])
+
+
+def _subsets(points, count):
+    """The first ``count`` subsets of range(points), by size: distinct opens, whatever else they fail."""
+    return [s for r in range(points + 1) for s in itertools.combinations(range(points), r)][:count]
+
+
+@pytest.mark.parametrize("budget,value,at,past,size", [
+    ("constructions.AFFINE_MAX_POINTS", 256, lambda: tk.affine_torsor(2, 8), lambda: tk.affine_torsor(2, 9), 512),
+    ("constructions.SOLUTION_MAX_VECTORS", 4096, lambda: _solve(2, 12), lambda: _solve(2, 13), 2**13),
+    # 2^9 = 512 is the boundary itself; the least p^(n*n) past it is 521^1
+    ("constructions.BASIS_MAX_MATRICES", 512,
+     lambda: tk.general_linear_group(2, 3), lambda: tk.general_linear_group(521, 1), 521),
+    ("constructions.CODE_MAX", 2**63 - 1,
+     lambda: tk.decode_vector(2**62 - 1, 2, 62), lambda: tk.decode_vector(0, 2, 63), 2**63),
+    ("cocycles.CLASS_ENUM_MAX", 4096,
+     lambda: tk.equivalence_classes(_matching(12), Z2), lambda: tk.equivalence_classes(_matching(13), Z2), 2**13),
+    ("sheaves.CONSTANT_SECTIONS_MAX", 512,
+     lambda: tk.constant_section_id(Z2, [0] * 9), lambda: tk.constant_section_id(Z2, [0] * 10), 2**10),
+    ("sheaves.FAMILY_CANDIDATE_MAX", 65536, lambda: _glue(16, 4), lambda: _glue(17, 4), 17**4),
+    ("spaces.MAX_OPENS", 64, lambda: _discrete(6), lambda: _discrete(7), 128),
+    ("spaces.MAX_OPENS", 64,
+     lambda: tk.build_space(6, _subsets(6, 64)), lambda: tk.build_space(7, _subsets(7, 65)), 65),
+], ids=[
+    "affine", "solution", "basis", "vector-code", "classes", "sections", "families", "close_under_ops", "build_space",
+])
+def test_every_budget_admits_its_boundary_and_names_itself_one_step_past(budget, value, at, past, size):
+    module, name = budget.split(".")
+    assert getattr(getattr(tk, module), name) == value
+    at()
+    assert witness(errors.TooLarge, past) == {"axiom": "size-guard", "size": size, "budget": value}
+
+
 # ---------------------------------------------------------------- guards past a printable size
 
 def _matching(k):
@@ -145,8 +196,8 @@ def _matching(k):
 
 
 @pytest.mark.parametrize("edges,fields", [
-    (1024, {"size": 2**1024}),  # 1025 bits: the size prints under any int_max_str_digits
-    (1025, {"order": 2, "edges": 1025}),
+    (1024, {"size": 2**1024, "budget": 4096}),  # 1025 bits: the size prints under any int_max_str_digits
+    (1025, {"order": 2, "edges": 1025, "budget": 4096}),
 ])
 def test_the_class_guard_names_the_operands_once_the_size_would_not_print(edges, fields):
     assert witness(errors.TooLarge, lambda: tk.equivalence_classes(_matching(edges), Z2)) == {
@@ -155,14 +206,20 @@ def test_the_class_guard_names_the_operands_once_the_size_would_not_print(edges,
 
 
 @pytest.mark.parametrize("count,fields", [
-    (1024, {"size": 2**1024}),
-    (1025, {"order": 2, "components": 1025}),
-    (20000, {"order": 2, "components": 20000}),  # 2^20000 has 6021 digits, past Python's default 4300
+    (1024, {"size": 2**1024, "budget": 512}),
+    (1025, {"order": 2, "components": 1025, "budget": 512}),
+    (20000, {"order": 2, "components": 20000, "budget": 512}),  # 2^20000 has 6021 digits, past Python's default 4300
 ])
 def test_the_section_guard_names_the_operands_once_the_size_would_not_print(count, fields):
     assert witness(errors.TooLarge, lambda: tk.constant_section_id(Z2, [0] * count)) == {
         "axiom": "size-guard", **fields
     }
+
+
+def test_a_trivial_group_passes_the_guard_on_any_number_of_components():
+    # a group of order 1 has one section however many components: 1^3000 = 1 is formed, not refused
+    assert tk.constant_section_id(Z1, [0] * 3000) == 0
+    assert tk.constant_section_tuple(Z1, 3000, 0) == (0,) * 3000
 
 
 def test_query_classes_on_k90_fails_at_once_on_the_size_guard(tmp_path):
@@ -175,7 +232,7 @@ def test_query_classes_on_k90_fails_at_once_on_the_size_guard(tmp_path):
     start = time.perf_counter()
     code, out, err = run_cli(["query", "classes", str(path)])
     assert time.perf_counter() - start < 1
-    assert (code, out, err) == (1, "classes: FAIL\n  witness size-guard: edges=4005 order=12\n", "")
+    assert (code, out, err) == (1, "classes: FAIL\n  witness size-guard: budget=4096 edges=4005 order=12\n", "")
 
 
 # ---------------------------------------------------------------- nerves and cocycles
@@ -218,7 +275,7 @@ def test_prime_field_matrix_rejects_an_empty_or_ragged_matrix(entries, fields):
 
 
 @pytest.mark.parametrize("call,kind,fields", [
-    (lambda: tk.encode_vector([1] + [0] * 69, 2), errors.TooLarge, {"p": 2, "n": 70}),
+    (lambda: tk.encode_vector([1] + [0] * 69, 2), errors.TooLarge, {"size": 2**70, "budget": 2**63 - 1}),
     (lambda: tk.encode_vector([1.5, 1], 2), errors.MalformedTable, {"position": 0}),
     (lambda: tk.encode_vector([True, 1], 2), errors.MalformedTable, {"position": 0}),
     (lambda: tk.encode_vector([0, 5], 2), errors.MalformedTable, {"position": 1}),
@@ -226,9 +283,9 @@ def test_prime_field_matrix_rejects_an_empty_or_ragged_matrix(entries, fields):
     (lambda: tk.encode_vector([-1, 0], 3), errors.MalformedTable, {"position": 0}),
     (lambda: tk.encode_vector([0, 1], 4), errors.NotPrime, {"p": 4}),
     (lambda: tk.encode_vector([], 2), errors.MalformedTable, {"n": 0}),
-    (lambda: tk.decode_vector(5, 2, 70), errors.TooLarge, {"p": 2, "n": 70}),
-    (lambda: tk.decode_vector(2**70, 2, 71), errors.TooLarge, {"p": 2, "n": 71}),
-    (lambda: tk.decode_vector(0, 2, 63), errors.TooLarge, {"size": 2**63}),
+    (lambda: tk.decode_vector(5, 2, 70), errors.TooLarge, {"size": 2**70, "budget": 2**63 - 1}),
+    (lambda: tk.decode_vector(2**70, 2, 71), errors.TooLarge, {"size": 2**71, "budget": 2**63 - 1}),
+    (lambda: tk.decode_vector(0, 2, 63), errors.TooLarge, {"size": 2**63, "budget": 2**63 - 1}),
     (lambda: tk.decode_vector(0, 2.0, 1), errors.MalformedTable, {"p": 2.0}),
     (lambda: tk.decode_vector(0, 2, True), errors.MalformedTable, {"n": True}),
 ], ids=[
@@ -249,7 +306,8 @@ def test_the_vector_codec_is_exact_up_to_its_bound(p, n):
 
 def test_general_linear_group_checks_its_own_input():
     start = time.perf_counter()
-    assert witness(errors.TooLarge, lambda: tk.general_linear_group(7, 2)) == {"axiom": "size-guard", "p": 7, "n": 2}
+    got = witness(errors.TooLarge, lambda: tk.general_linear_group(7, 2))
+    assert got == {"axiom": "size-guard", "size": 7**4, "budget": 512}
     assert time.perf_counter() - start < 1
     assert witness(errors.NotPrime, lambda: tk.general_linear_group(4, 2)) == {"axiom": "prime-modulus", "p": 4}
     assert witness(errors.MalformedTable, lambda: tk.general_linear_group(2, 0)) == {"axiom": "malformed-table", "n": 0}
@@ -282,7 +340,8 @@ def test_gluing_refuses_past_the_family_candidate_bound():
     z41 = tk.build_group(41, [[(a + b) % 41 for b in range(41)] for a in range(41)])
     gs = tk.constant_group_sheaf(POINT, z41)
     datum = tk.build_descent_datum(gs, [1, 1, 1], {(0, 1): 0, (0, 2): 0, (1, 2): 0})
-    assert witness(errors.TooLarge, lambda: tk.glue_from_cocycle(datum)) == {"axiom": "size-guard", "size": 68921}
+    got = witness(errors.TooLarge, lambda: tk.glue_from_cocycle(datum))
+    assert got == {"axiom": "size-guard", "size": 68921, "budget": 65536}
 
 
 @pytest.mark.parametrize("cover,kind,fields", [
