@@ -7,6 +7,8 @@ a bare message.
 
 from __future__ import annotations
 
+import operator
+
 
 class TorsorError(Exception):
     """Base class; ``data`` holds the witness fields for the violation."""
@@ -110,8 +112,10 @@ def _guard(base: int, exponent: int, budget: int, what: str, **operands) -> int:
     the exponent first: past 2^2048 the power is never formed and the witness names the caller's
     ``operands``; below it, the power as ``size`` (at most 617 digits, which print under any
     int_max_str_digits setting: the least Python allows is 640)."""
+    base, exponent = operator.index(base), operator.index(exponent)  # numpy ints would wrap
     if base > 1 and exponent * base.bit_length() > 2048:
-        raise TooLarge(f"{what}: {base}^{exponent} exceeds {budget}", **operands, budget=budget)
+        named = ", ".join(f"{k}={v}" for k, v in operands.items())
+        raise TooLarge(f"{what} ({named}) exceeds {budget}", **operands, budget=budget)
     size = base**exponent
     if size > budget:
         raise TooLarge(f"{what}: {size} exceeds {budget}", size=size, budget=budget)

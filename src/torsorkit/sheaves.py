@@ -599,7 +599,7 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
 
     families, lookups = [], []
     for chart in charts:
-        _guard(math.prod(sizes[c] for c in chart), 1, FAMILY_CANDIDATE_MAX, "family candidates")
+        _guard(math.prod(int(sizes[c]) for c in chart), 1, FAMILY_CANDIDATE_MAX, "family candidates", charts=k)
         agree = {}
         for i, j in itertools.combinations(range(k), 2):
             w = space.intersection_index(chart[i], chart[j])

@@ -125,7 +125,7 @@ def _open_count(meets) -> int:
     """The number of unions of ``meets``, the distinct minimal opens U_x, without listing them.
 
     The unions are the down-sets of the U_x under inclusion: the product of those of each group of
-    overlapping U_x left (``_overlap_groups``), and within one group, with x maximal in it,
+    overlapping U_x (``_overlap_groups``), and within one group, with x maximal among the U_x left,
     D(P) = D(P - {x}) + D(P - {y <= x}): the down-sets without x, and those holding all below x.
     Memoised on the U_x left, as a bit mask; the longest U_x left is maximal. An explicit stack, not
     recursion: a chain of k U_x goes k levels deep.
@@ -133,21 +133,19 @@ def _open_count(meets) -> int:
     meets = sorted(meets, key=len)
     below = [sum(1 << j for j, n in enumerate(meets) if n <= m) for m in meets]
     near = [sum(1 << j for j, n in enumerate(meets) if n & m) for m in meets]
-    whole = (1 << len(meets)) - 1
-    counts, todo = {0: 1}, [whole]
+    groups = _overlap_groups((1 << len(meets)) - 1, near)
+    counts, todo = {0: 1}, list(groups)
     while todo:
         left = todo[-1]
-        parts, combine = _overlap_groups(left, near), math.prod
-        if len(parts) == 1:
-            top = left.bit_length() - 1
-            parts, combine = (left & ~(1 << top), left & ~below[top]), sum
+        top = left.bit_length() - 1
+        parts = (left & ~(1 << top), left & ~below[top])
         missing = [p for p in parts if p not in counts]
         if missing:
             todo += missing
         else:
-            counts[left] = combine(counts[p] for p in parts)
+            counts[left] = counts[parts[0]] + counts[parts[1]]
             todo.pop()
-    return counts[whole]
+    return math.prod(counts[g] for g in groups)
 
 
 def build_space(num_points: int, opens) -> FiniteSpace:

@@ -6,6 +6,7 @@ import itertools
 import json
 import time
 
+import numpy as np
 import pytest
 
 import torsorkit as tk
@@ -146,10 +147,14 @@ def _solve(p, cols):
     return tk.solution_torsor(tk.prime_field_matrix(p, eye), [0] * cols)
 
 
-def _glue(order, charts):
-    """The trivial descent datum of Z/order on ``charts`` copies of the point: order^charts candidates."""
+def _glue(order, charts, read=None):
+    """The trivial descent datum of Z/order on ``charts`` copies of the point: order^charts candidates.
+    ``read``, if given, turns each section count into the integer type a caller's own sheaf holds."""
     group = tk.build_group(order, [[(a + b) % order for b in range(order)] for a in range(order)])
     gs = tk.constant_group_sheaf(POINT, group)
+    if read is not None:
+        sets = SheafOfSets(space=POINT, sizes=tuple(map(read, gs.sets.sizes)), restrict=gs.sets.restrict)
+        gs = tk.SheafOfGroups(sets=sets, groups=gs.groups)
     transition = {pair: 0 for pair in itertools.combinations(range(charts), 2)}
     return tk.glue_from_cocycle(tk.build_descent_datum(gs, [1] * charts, transition))
 
@@ -189,6 +194,18 @@ def test_every_budget_admits_its_boundary_and_names_itself_one_step_past(budget,
     assert witness(errors.TooLarge, past) == {"axiom": "size-guard", "size": size, "budget": value}
 
 
+@pytest.mark.parametrize("call,size,budget", [
+    (lambda: tk.affine_torsor(np.int64(2), 9), 512, 256),
+    (lambda: tk.affine_torsor(3, np.int64(41)), 3**41, 256),  # wraps negative in int64
+    (lambda: tk.general_linear_group(2, np.int64(8)), 2**64, 512),  # wraps to 0 in int64
+    (lambda: tk.encode_vector([1] + [0] * 69, np.int64(2)), 2**70, 2**63 - 1),
+    (lambda: tk.decode_vector(0, np.int64(2), np.int64(63)), 2**63, 2**63 - 1),
+    (lambda: _glue(2, 64, np.int64), 2**64, 65536),  # a product of int64 section counts wraps to 0
+], ids=["affine-p", "affine-n", "basis", "encode", "decode", "families"])
+def test_numpy_integers_meet_each_guard_as_python_integers_do(call, size, budget):
+    assert witness(errors.TooLarge, call) == {"axiom": "size-guard", "size": size, "budget": budget}
+
+
 # ---------------------------------------------------------------- guards past a printable size
 
 def _matching(k):
@@ -214,6 +231,14 @@ def test_the_section_guard_names_the_operands_once_the_size_would_not_print(coun
     assert witness(errors.TooLarge, lambda: tk.constant_section_id(Z2, [0] * count)) == {
         "axiom": "size-guard", **fields
     }
+
+
+def test_a_count_formed_past_the_printable_size_is_named_by_its_operands():
+    # glue forms its candidate count as a product; past 2^2048 the witness and message name the charts
+    with pytest.raises(errors.TooLarge) as exc:
+        errors._guard(2**2100, 1, 65536, "family candidates", charts=228)
+    assert exc.value.witness() == {"axiom": "size-guard", "charts": 228, "budget": 65536}
+    assert str(exc.value) == "family candidates (charts=228) exceeds 65536"
 
 
 def test_a_trivial_group_passes_the_guard_on_any_number_of_components():
