@@ -85,11 +85,14 @@ def _emit(report: Report, as_json: bool) -> int:
 
 
 def _int_param(value: str, name: str) -> int:
-    """A command-line parameter as an int, else SchemaError naming the parameter."""
+    """A command-line parameter as an int, read only as ``str(int)`` spells it; else SchemaError naming it."""
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
-        raise SchemaError(f"parameter {name}: {value!r} is not an integer") from None
+        number = None
+    if number is None or str(number) != value:
+        raise SchemaError(f"parameter {name}: {value!r} is not an integer")
+    return number
 
 
 def _check_report(kind: str, obj) -> Report:

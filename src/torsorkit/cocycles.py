@@ -396,14 +396,17 @@ def equivalence_classes(nerve: Nerve, group: FiniteGroup) -> list[CocycleClass]:
         values = np.concatenate([group.array[group.array[left, g], right] for g in orbit])
         code = _codes(values, n)
         codes.append(code)
-        members = tuple(map(tuple, values[np.argsort(code)].tolist()))
+        # the columns of the sorted rows, zipped into member tuples; no columns zip to nothing
+        columns = values[np.argsort(code)].T.tolist()
+        members = tuple(zip(*columns)) if columns else ((),) * len(values)
         rep = check_cocycle(nerve, group, dict(zip(nerve.edges, members[0])))
         classes.append(CocycleClass(representative=rep, size=len(members), members=members))
 
     total = sum(c.size for c in classes)
     if len(seen) != len(gauge_fixed) or total != len(gauge_fixed) * len(h):
         raise InternalError("conjugation orbits leave the gauge-fixed cocycles")
-    if len(np.unique(np.concatenate(codes))) != total:
+    # every code is below n^edges <= CLASS_ENUM_MAX, so counting each code decides it in that many cells
+    if (np.bincount(np.concatenate(codes)) > 1).any():
         raise InternalError("two coboundary classes share a cocycle")
     classes.sort(key=lambda c: c.members[0])
     return classes

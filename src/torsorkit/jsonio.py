@@ -1,9 +1,11 @@
 """JSON interchange for every checkable object.
 
-All indices are 0-based; serialization is canonical (sorted keys, fixed
-separators, trailing newline) so identical inputs produce byte-identical
-files. Schema problems raise SchemaError; semantic problems raise the
-domain errors of the owning module.
+All indices are 0-based. Serialization is canonical: the text is the bytes
+of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, so
+identical inputs produce byte-identical files. Reading is strict: a key
+given twice in one object, or a pair key not spelled as ``"i,j"`` writes
+it, is rejected rather than read one way or another. Schema problems raise
+SchemaError; semantic problems raise the domain errors of the owning module.
 """
 
 from __future__ import annotations
@@ -30,7 +32,37 @@ class SchemaError(Exception):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With ``indent`` set, json.dumps runs its pure-Python encoder. Here only keys and
+    scalars go through json.dumps (its C encoder), and a list of plain ints is one join.
+    """
+    return _text(obj, "\n") + "\n"
+
+
+def _text(obj, newline: str) -> str:
+    """The text json.dumps indents ``obj`` to; ``newline`` is a line break and the indent of ``obj``."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        # json sorts the items, then reads each key just before its value
+        body = sep.join([f"{json.dumps(_key(k))}: {_text(v, inner)}" for k, v in sorted(obj.items())])
+        return f"{{{inner}{body}{newline}}}"
+    body = sep.join(map(str, obj) if set(map(type, obj)) == {int} else [_text(v, inner) for v in obj])
+    return f"[{inner}{body}{newline}]"
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a str as itself, an int, float, bool or None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _expect(obj, key, kind, what):
@@ -99,13 +131,14 @@ def _pair_key(i: int, j: int) -> str:
 
 
 def _parse_pair_key(key: str, what) -> tuple[int, int]:
+    """The pair that ``_pair_key`` writes as ``key``; any other spelling is a SchemaError."""
     try:
-        parts = [int(v) for v in key.split(",")]
+        pair = tuple(map(int, key.split(",")))
     except ValueError:
-        raise SchemaError(f"{what}: bad pair key {key!r}") from None
-    if len(parts) != 2:
+        pair = ()
+    if len(pair) != 2 or _pair_key(*pair) != key:
         raise SchemaError(f"{what}: bad pair key {key!r}")
-    return parts[0], parts[1]
+    return pair
 
 
 def _pair_map(raw: dict, what) -> dict:
@@ -267,9 +300,18 @@ def descent_from_obj(obj) -> DescentDatum:
     return build_descent_datum(gs, cover, transition)
 
 
+def _unique_keys(items: list) -> dict:
+    """A JSON object as a dict, else SchemaError naming a key it gives twice."""
+    obj = dict(items)
+    if len(obj) != len(items):
+        keys = [k for k, _ in items]
+        raise SchemaError(f"key {next(k for k in keys if keys.count(k) > 1)!r} is given twice in one object")
+    return obj
+
+
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def dump_json(path: str, obj) -> None:

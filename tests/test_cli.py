@@ -440,3 +440,55 @@ def test_generate_bases_with_a_large_prime_fails_at_once_on_the_size_guard(tmp_p
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (1, f"bases: FAIL\n  witness size-guard: budget=512 size={(10**18 + 3) ** 4}\n", "")
     assert not (tmp_path / "x.json").exists()
+
+
+def _cocycle_file(tmp_path, text):
+    path = tmp_path / "cocycle.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _c3_z2_text(g):
+    obj = json.loads((DATA / "cocycle_c3_z2.json").read_text())
+    return json.dumps({**obj, "g": g})
+
+
+@pytest.mark.parametrize("key", [" 0,1", "+0,1", "٠,١"])
+def test_a_pair_key_spelled_otherwise_than_i_comma_j_is_a_schema_error(tmp_path, key):
+    # int() reads each of these as 0 and 1, and the cocycle would pass
+    path = _cocycle_file(tmp_path, _c3_z2_text({key: 0, "0,2": 1, "1,2": 0}))
+    assert run_cli(["check", "cocycle", path, "--json"]) == (2, "", f"error: cocycle.g: bad pair key {key!r}\n")
+
+
+def test_a_pair_key_with_a_digit_separator_is_a_schema_error(tmp_path):
+    # int("1_0") is 10, so "0,1_0" was read as the edge (0, 10) and the cocycle passed
+    text = json.dumps({"nerve": {"opens": 11, "edges": [[0, 10]]}, "group": "cyclic(2)", "g": {"0,1_0": 1}})
+    path = _cocycle_file(tmp_path, text)
+    assert run_cli(["check", "cocycle", path, "--json"]) == (2, "", "error: cocycle.g: bad pair key '0,1_0'\n")
+
+
+def test_two_spellings_of_one_pair_are_a_schema_error(tmp_path):
+    # read as one pair, the second value overwrote the first and the triple failed on it
+    obj = json.loads((DATA / "cocycle_triangle_bad.json").read_text())
+    text = json.dumps({**obj, "g": {"0,1": 1, "0, 1": 0, "0,2": 1, "1,2": 0}})
+    path = _cocycle_file(tmp_path, text)
+    assert run_cli(["check", "cocycle", path, "--json"]) == (2, "", "error: cocycle.g: bad pair key '0, 1'\n")
+
+
+def test_a_key_given_twice_in_one_object_is_a_schema_error(tmp_path):
+    # json would keep the last value, so the first would be read by nothing
+    text = _c3_z2_text({"0,1": 0, "0,2": 1, "1,2": 0}).replace('"0,1": 0', '"0,1": 1, "0,1": 0')
+    path = _cocycle_file(tmp_path, text)
+    assert run_cli(["check", "cocycle", path, "--json"]) == (2, "", "error: key '0,1' is given twice in one object\n")
+
+
+@pytest.mark.parametrize("x,y,name,value", [
+    ("1_0", "1", "x", "1_0"),             # int() reads 10
+    ("1", "٣", "y", "٣"),       # an Arabic-Indic three
+    ("+1", "2", "x", "+1"),
+    ("1", " 2", "y", " 2"),
+    ("-0", "2", "x", "-0"),
+])
+def test_an_integer_parameter_must_be_spelled_as_its_int(gen_dir, x, y, name, value):
+    code, out, err = run_cli(["query", "transporter", x, y, f"{gen_dir}/affine_3_1.json"])
+    assert (code, out, err) == (2, "", f"error: parameter {name}: {value!r} is not an integer\n")

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import torsorkit as tk
 from torsorkit.cocycles import NotEquivalent, NotTrivial
 from torsorkit.errors import (
+    InternalError,
     MalformedTable,
     Mismatch,
     MissingEdgeValue,
@@ -662,3 +664,46 @@ def test_a_nerve_with_warm_caches_survives_pickle_and_deepcopy(s3):
         assert tk.equivalence_classes(clone, tk.catalog_group("cyclic(2)")) == tk.equivalence_classes(
             nerve, tk.catalog_group("cyclic(2)")
         )
+
+
+# ---------------------------------------------------------------- class assembly
+
+
+def test_a_duplicate_code_across_classes_raises_internal_error(monkeypatch, c3, z2):
+    import torsorkit.cocycles as cocycles
+
+    # every member gets code 0, so the count of code 0 is the number of cocycles
+    monkeypatch.setattr(cocycles, "_codes", lambda values, n: np.zeros(len(values), dtype=np.intp))
+    with pytest.raises(InternalError, match="two coboundary classes share a cocycle"):
+        tk.equivalence_classes(c3, z2)
+
+
+def test_a_lost_orbit_member_raises_internal_error(monkeypatch, c3, s3):
+    import torsorkit.cocycles as cocycles
+
+    # the last gauge-fixed value on the one cotree edge is not central, so its orbit brings it back
+    real = cocycles._gauge_fixed_cocycles
+    monkeypatch.setattr(cocycles, "_gauge_fixed_cocycles", lambda *args: real(*args)[:-1])
+    with pytest.raises(InternalError, match="conjugation orbits leave the gauge-fixed cocycles"):
+        tk.equivalence_classes(c3, s3)
+
+
+@pytest.mark.parametrize("opens", [1, 4])
+@pytest.mark.parametrize("name", ["cyclic(2)", "symmetric(3)"])
+def test_a_nerve_without_edges_has_one_class_of_the_empty_cocycle(opens, name):
+    nerve, group = tk.build_nerve(opens, []), tk.catalog_group(name)
+    (cls,) = tk.equivalence_classes(nerve, group)
+    assert (cls.size, cls.members, cls.representative.edge_values()) == (1, ((),), ())
+
+
+@settings(max_examples=150, deadline=None)
+@given(nerve=nerves(), name=st.sampled_from(ORACLE_GROUPS))
+def test_class_members_are_sorted_tuples_of_plain_ints(nerve, name):
+    group = tk.catalog_group(name)
+    if group.order ** len(nerve.edges) > tk.cocycles.CLASS_ENUM_MAX:
+        return
+    for cls in tk.equivalence_classes(nerve, group):
+        rows = np.array(cls.members, dtype=np.intp).reshape(cls.size, len(nerve.edges))
+        assert cls.members == tuple(map(tuple, rows.tolist()))
+        assert all(type(m) is tuple and all(type(x) is int for x in m) for m in cls.members)
+        assert list(cls.members) == sorted(set(cls.members))

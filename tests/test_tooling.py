@@ -117,6 +117,24 @@ def test_every_size_guard_is_the_one_helper():
     assert built == {("errors.py", "_guard"), ("constructions.py", "is_prime")}
 
 
+def test_every_json_text_is_written_by_canonical_json():
+    """Only ``jsonio`` calls ``json.dump``/``json.dumps``, and it passes no ``indent=``: its one writer,
+    ``canonical_json``, spells out the indented text itself, so a second writer could drift from it."""
+    callers, indents = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                callers += [path.name for alias in node.names if alias.name in ("dump", "dumps")]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "attr", None) in ("dump", "dumps") and getattr(func.value, "id", None) == "json":
+                    callers.append(path.name)
+                if path.name == "jsonio.py":
+                    indents += [node.lineno for kw in node.keywords if kw.arg == "indent"]
+    assert set(callers) == {"jsonio.py"}
+    assert indents == []
+
+
 def test_every_stored_read_names_a_cached_property():
     """``vars(obj)["name"] = value`` hands a producer's work to a cached property of a library class.
     A misspelt name would be stored and never read, and the object would silently read its tables again."""
