@@ -14,16 +14,16 @@ for exactly one cochain h that is the identity at each root and one
 cocycle g0 = h_i^-1 * g_ij * h_j that is the identity on every tree
 edge. A cocycle is trivial when its g0 is the identity everywhere, and
 two cocycles are equivalent when one root element per component
-conjugates the g0 of one into that of the other. Classification
-enumerates the gauge-fixed g0 over the non-tree edges alone and splits
-them into orbits under conjugation at the roots (for a nerve without
-triples that quotient is Hom(pi_1, G)/G, Serre, *Cohomologie
-galoisienne*, I §5).
+conjugates the g0 of one into that of the other (``_conjugates``).
+Classification lists the gauge-fixed g0 as the rows of one array and
+labels each by its least root conjugate: one label is one orbit under
+conjugation at the roots (for a nerve without triples that quotient is
+Hom(pi_1, G)/G, Serre, *Cohomologie galoisienne*, I §5).
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,7 +41,7 @@ from .errors import (
     TripleWithoutEdge,
     _guard,
 )
-from .groups import FiniteGroup, _entries, _is_index, _positive
+from .groups import FiniteGroup, _entries, _first, _is_index, _positive
 
 # Bounds |G|^edges, the edge assignments. equivalence_classes lists every valid one
 # and finds them by gauge fixing, with less work than trying each assignment.
@@ -112,6 +112,8 @@ class CocycleClass:
 
 def _ints(values, size: int, what: str, **where) -> list[int]:
     """``values`` as ints, in order, else MalformedTable naming ``where`` (no bools, no floats)."""
+    if not isinstance(values, Iterable):  # one integer, or None, is no sequence
+        raise MalformedTable(f"{what} {values!r} is not a sequence", **where)
     values = list(values)
     if len(values) != size:
         raise MalformedTable(f"{what} {values!r} needs {size} entries", **where)
@@ -277,6 +279,13 @@ def find_trivialization(c: NerveCocycle):
     return make_cochain(c.nerve, grp, h)
 
 
+def _conjugates(group: FiniteGroup, f) -> np.ndarray:
+    """``[r, ...] -> r * f * r^-1`` for every element r: the root conjugates of the values ``f``."""
+    f = np.asarray(f, dtype=np.intp)  # an empty list reads as floats otherwise
+    r_inv = np.asarray(group.inverse).reshape((-1,) + (1,) * f.ndim)
+    return group.array[group.array[:, f], r_inv]
+
+
 def are_equivalent(c1: NerveCocycle, c2: NerveCocycle):
     """A cochain h with c2_ij = h_i * c1_ij * h_j^-1, or NotEquivalent.
 
@@ -295,12 +304,10 @@ def are_equivalent(c1: NerveCocycle, c2: NerveCocycle):
     for comp in forest:
         f1 = [mul(mul(inv(h1[i]), c1.g[(i, j)]), h1[j]) for i, j in comp.cotree]
         f2 = [mul(mul(inv(h2[i]), c2.g[(i, j)]), h2[j]) for i, j in comp.cotree]
-        for r in grp.elements():
-            r_inv = inv(r)
-            if all(mul(mul(r, a), r_inv) == b for a, b in zip(f1, f2)):
-                break
-        else:
+        hit = _first((_conjugates(grp, f1) == f2).all(axis=1))
+        if hit is None:
             return NotEquivalent()
+        (r,) = hit
         for v in comp.opens:
             h[v] = mul(mul(h2[v], r), inv(h1[v]))
     return make_cochain(c1.nerve, grp, h)
@@ -330,41 +337,38 @@ def holonomy(c: NerveCocycle, cycle_path) -> int:
     return acc
 
 
-def _gauge_fixed_cocycles(nerve: Nerve, group: FiniteGroup, pos, free) -> list[tuple[int, ...]]:
-    """Edge-value tuples of the valid cocycles that are the identity off the positions ``free``."""
-    cay, e = group.cayley, group.identity
-    # with i < j < k, g_ij * g_jk = g_ik is the triple identity in every ordering
-    triples = [(pos[(i, j)], pos[(j, k)], pos[(i, k)]) for i, j, k in nerve.triples]
-    out = []
-    g = [e] * len(nerve.edges)
-    for combo in itertools.product(group.elements(), repeat=len(free)):
-        for p, x in zip(free, combo):
-            g[p] = x
-        if all(cay[g[ij]][g[jk]] == g[ik] for ij, jk, ik in triples):
-            out.append(tuple(g))
-    return out
-
-
 def equivalence_classes(nerve: Nerve, group: FiniteGroup) -> list[CocycleClass]:
     """Partition all valid cocycles into coboundary-equivalence classes.
 
     Gauge fixing on the spanning forest: the map (g0, h) -> h . g0 is a
     bijection from (valid cocycles that are the identity on tree edges)
     x (cochains that are the identity at every root) onto the valid
-    cocycles. The gauge-fixed cocycles split into orbits under
-    conjugation by one root element per component, and each orbit times
-    all root-fixed cochains is one class, applied by Cayley-table lookups.
-    Members are sorted; the representative is the least one, and classes
-    come in the order of their representatives. Raises TooLarge when the
-    |G|^edges candidates exceed CLASS_ENUM_MAX, which also bounds the work.
+    cocycles. Each g0 is labelled by its least conjugate under one root
+    element per component, so one label is one conjugation orbit, and an
+    orbit times all root-fixed cochains is one class. Members are sorted;
+    the representative is the least one, and classes come in the order of
+    their representatives. Raises TooLarge when the |G|^edges candidates
+    exceed CLASS_ENUM_MAX, which also bounds the work.
     """
-    cay, inv, n = group.cayley, group.inverse, group.order
+    arr, n = group.array, group.order
     _guard(n, len(nerve.edges), CLASS_ENUM_MAX, "cocycle candidates", order=n, edges=len(nerve.edges))
     comps = nerve.forest
     pos = {edge: p for p, edge in enumerate(nerve.edges)}
     # conjugation at a root changes only its component's non-tree edges
     conj_positions = [[pos[x] for x in c.cotree] for c in comps if c.cotree]
-    gauge_fixed = _gauge_fixed_cocycles(nerve, group, pos, sum(conj_positions, []))
+    cotree = sum(conj_positions, [])
+
+    # the gauge-fixed cocycles: the identity on tree edges and the digits of the row number off them,
+    # kept where every triple closes (with i < j < k, g_ij * g_jk = g_ik in every ordering)
+    g0 = np.full((n ** len(cotree), len(nerve.edges)), group.identity)
+    g0[:, cotree] = _digits(np.arange(len(g0)), n, len(cotree))
+    for i, j, k in nerve.triples:
+        ij, jk, ik = pos[(i, j)], pos[(j, k)], pos[(i, k)]
+        g0 = g0[arr[g0[:, ij], g0[:, jk]] == g0[:, ik]]
+    # the least code of each component's conjugates, in mixed radix: below n^edges, one per orbit
+    label = np.zeros(len(g0), dtype=np.intp)
+    for positions in conj_positions:
+        label = label * n ** len(positions) + _codes(_conjugates(group, g0[:, positions]), n).min(axis=0)
 
     # every cochain that is the identity at the roots, one row each and one column per open
     # on an edge (the others never enter a class): h_i and h_j^-1 per edge
@@ -374,39 +378,24 @@ def equivalence_classes(nerve: Nerve, group: FiniteGroup) -> list[CocycleClass]:
     h[:, free] = _digits(np.arange(len(h)), n, len(free))
     tails, heads = np.array([(column[i], column[j]) for i, j in nerve.edges], dtype=np.intp).reshape(-1, 2).T
     left = h[:, tails]
-    right = np.asarray(inv)[h[:, heads]]
-
-    seen = set()
-    classes, codes = [], []
-    for g0 in gauge_fixed:
-        if g0 in seen:
-            continue
-        orbit = {g0}
-        for positions in conj_positions:
-            moved = set()
-            for g in orbit:
-                for r in group.elements():
-                    row, r_inv = cay[r], inv[r]
-                    x = list(g)
-                    for p in positions:
-                        x[p] = cay[row[g[p]]][r_inv]
-                    moved.add(tuple(x))
-            orbit = moved
-        seen |= orbit
-        values = np.concatenate([group.array[group.array[left, g], right] for g in orbit])
-        code = _codes(values, n)
-        codes.append(code)
-        # the columns of the sorted rows, zipped into member tuples; no columns zip to nothing
-        columns = values[np.argsort(code)].T.tolist()
-        members = tuple(zip(*columns)) if columns else ((),) * len(values)
-        rep = check_cocycle(nerve, group, dict(zip(nerve.edges, members[0])))
-        classes.append(CocycleClass(representative=rep, size=len(members), members=members))
-
-    total = sum(c.size for c in classes)
-    if len(seen) != len(gauge_fixed) or total != len(gauge_fixed) * len(h):
-        raise InternalError("conjugation orbits leave the gauge-fixed cocycles")
+    right = np.asarray(group.inverse)[h[:, heads]]
+    # h . g0 for every gauge-fixed row and every cochain, one member per row
+    values = arr[arr[left, g0[:, None]], right].reshape(len(g0) * len(h), len(nerve.edges))
+    code = _codes(values, n)
     # every code is below n^edges <= CLASS_ENUM_MAX, so counting each code decides it in that many cells
-    if (np.bincount(np.concatenate(codes)) > 1).any():
+    if (np.bincount(code) > 1).any():
         raise InternalError("two coboundary classes share a cocycle")
+    # sorted by label, then by code: both are below n^edges
+    label = np.repeat(label, len(h))
+    order = np.argsort(label * n ** len(nerve.edges) + code)
+    label = label[order]
+    # the columns of the sorted rows, zipped into member tuples; no columns zip to nothing
+    columns = values[order].T.tolist()
+    members = tuple(zip(*columns)) if columns else ((),) * len(values)
+    cuts = [0, *(np.flatnonzero(label[1:] != label[:-1]) + 1).tolist(), len(members)]
+    classes = []
+    for a, b in zip(cuts, cuts[1:]):
+        rep = check_cocycle(nerve, group, dict(zip(nerve.edges, members[a])))
+        classes.append(CocycleClass(representative=rep, size=b - a, members=members[a:b]))
     classes.sort(key=lambda c: c.members[0])
     return classes

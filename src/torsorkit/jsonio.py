@@ -3,9 +3,10 @@
 All indices are 0-based. Serialization is canonical: the text is the bytes
 of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, so
 identical inputs produce byte-identical files. Reading is strict: a key
-given twice in one object, or a pair key not spelled as ``"i,j"`` writes
-it, is rejected rather than read one way or another. Schema problems raise
-SchemaError; semantic problems raise the domain errors of the owning module.
+given twice in one object, a pair key not spelled as ``"i,j"`` writes it,
+or a per-open key other than ``"0"`` ... ``"k-1"``, is rejected rather than
+read one way or another, or not at all. Schema problems raise SchemaError;
+semantic problems raise the domain errors of the owning module.
 """
 
 from __future__ import annotations
@@ -188,14 +189,25 @@ def space_from_obj(obj) -> FiniteSpace:
     return build_space(points, opens)
 
 
+def _per_open(obj, key: str, num_opens: int, what) -> list:
+    """The values of the per-open object at ``key`` in open order, None where one is missing.
+
+    Its keys are exactly the open indices as ``str`` writes them; any other key is a SchemaError
+    naming the first one, so no entry is left unread.
+    """
+    raw = _expect(obj, key, dict, what)
+    keys = dict.fromkeys(map(str, range(num_opens)))
+    stray = next((k for k in raw if k not in keys), None)
+    if stray is not None:
+        raise SchemaError(f"{what}.{key}: stray key {stray!r}")
+    return [raw.get(k) for k in keys]
+
+
 def _sizes_from_obj(obj, num_opens: int, what) -> tuple[int, ...]:
-    raw = _expect(obj, "sections", dict, what)
-    sizes = []
-    for u in range(num_opens):
-        val = raw.get(str(u))
+    sizes = _per_open(obj, "sections", num_opens, what)
+    for u, val in enumerate(sizes):
         if not _is_int(val) or val < 0:
             raise SchemaError(f"{what}: bad section count for open {u}")
-        sizes.append(val)
     return tuple(sizes)
 
 
@@ -236,19 +248,15 @@ def sheaf_action_from_obj(obj) -> SheafAction:
     space = space_from_obj(_expect(obj, "space", dict, "sheaf-action"))
     graw = _expect(obj, "groups", dict, "sheaf-action")
     g_sets = sets_sheaf_from_obj(graw, space=space)
-    cayley_raw = _expect(graw, "cayley", dict, "sheaf-action.groups")
     groups = []
-    for u in range(len(space.opens)):
-        table = cayley_raw.get(str(u))
+    for u, table in enumerate(_per_open(graw, "cayley", len(space.opens), "sheaf-action.groups")):
         if table is None:
             raise SchemaError(f"sheaf-action: missing group table for open {u}")
         groups.append(build_group(g_sets.sizes[u], _int_list_list(table, f"sheaf-action.groups.cayley.{u}")))
     sraw = _expect(obj, "sets", dict, "sheaf-action")
     f_sets = sets_sheaf_from_obj(sraw, space=space)
-    act_raw = _expect(obj, "act", dict, "sheaf-action")
     act = []
-    for u in range(len(space.opens)):
-        table = act_raw.get(str(u))
+    for u, table in enumerate(_per_open(obj, "act", len(space.opens), "sheaf-action")):
         if table is None:
             raise SchemaError(f"sheaf-action: missing action table for open {u}")
         if not isinstance(table, list):

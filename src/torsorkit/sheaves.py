@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -545,10 +545,10 @@ def build_descent_datum(gs: SheafOfGroups, cover, transition) -> DescentDatum:
     k = len(cover)
     values = {}
     for key, val in dict(transition).items():
-        key = tuple(key)
-        if len(key) != 2 or not all(map(_is_int, key)):
+        pair = tuple(key) if isinstance(key, Iterable) else ()  # one integer, or None, is no pair
+        if len(pair) != 2 or not all(map(_is_int, pair)):
             raise MalformedTable(f"transition key {key!r} is not a pair of integers", key=str(key))
-        i, j = (int(v) for v in key)
+        i, j = (int(v) for v in pair)
         if not 0 <= i < j < k:
             raise Mismatch(f"transition key ({i},{j}) must satisfy 0 <= i < j < {k}", i=i, j=j)
         w = space.intersection_index(cover[i], cover[j])

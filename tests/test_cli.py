@@ -402,6 +402,29 @@ def test_non_integer_parameters_are_schema_errors(gen_dir, argv, name):
     assert err.startswith(f"error: parameter {name}: ")
 
 
+def _stray(path, edit):
+    obj = json.loads((DATA / path).read_text())
+    edit(obj)
+    return obj
+
+
+# per-open maps are read at exactly "0" ... "k-1": any other key is refused, not left unread
+@pytest.mark.parametrize("verb,obj,message", [
+    ("sheaf", _stray("sheaf_const_z2.json", lambda o: o["sections"].update({"01": 99, "x": "junk"})),
+     "sheaf.sections: stray key '01'"),
+    ("sheaf-torsor", _stray("sheaf_action_psc_twisted.json", lambda o: o["act"].update({"x": [[0]]})),
+     "sheaf-action.act: stray key 'x'"),
+    ("sheaf-torsor", _stray("sheaf_action_psc_twisted.json", lambda o: o["groups"]["cayley"].update({"00": [[0]]})),
+     "sheaf-action.groups.cayley: stray key '00'"),
+    ("sheaf-torsor", _stray("sheaf_action_psc_twisted.json", lambda o: o["sets"]["sections"].update({" 1": 1})),
+     "sheaf.sections: stray key ' 1'"),
+], ids=["sections", "act", "cayley", "sets-sections"])
+def test_a_stray_per_open_key_is_a_schema_error_naming_it(tmp_path, verb, obj, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(["check", verb, str(path)]) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("table", [5, [[0, 1], 1], "01"])
 def test_sheaf_action_group_tables_must_be_lists_of_lists(tmp_path, table):
     obj = json.loads((DATA / "sheaf_action_psc_twisted.json").read_text())

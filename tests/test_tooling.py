@@ -135,6 +135,19 @@ def test_every_json_text_is_written_by_canonical_json():
     assert indents == []
 
 
+def test_jsonio_reads_per_open_maps_only_through_its_one_reader():
+    """A ``.get(str(u))`` reads a per-open map at its expected keys and ignores every other key;
+    ``jsonio._per_open`` refuses the others, so it is the one place such a map is read."""
+    path = SRC / "jsonio.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get" and node.args
+        and isinstance(node.args[0], ast.Call) and getattr(node.args[0].func, "id", None) == "str"
+    ]
+    assert found == []
+
+
 def test_every_stored_read_names_a_cached_property():
     """``vars(obj)["name"] = value`` hands a producer's work to a cached property of a library class.
     A misspelt name would be stored and never read, and the object would silently read its tables again."""

@@ -92,6 +92,12 @@ def _sheaf_obj(edit):
      {"triple": 0, "position": 1}),
     (lambda: tk.check_cocycle(tk.build_nerve(2, [(0, 1)]), Z2, {(0, 1.0): 0}), errors.MalformedTable,
      {"edge": "(0, 1.0)", "position": 1}),
+    # an edge or a key given as one integer, or None, is no sequence: not a TypeError
+    (lambda: tk.check_cocycle(tk.build_nerve(2, [(0, 1)]), Z2, {5: 0}), errors.MalformedTable, {"edge": "5"}),
+    (lambda: tk.check_cocycle(tk.build_nerve(2, [(0, 1)]), Z2, {None: 0}), errors.MalformedTable, {"edge": "None"}),
+    (lambda: tk.build_nerve(2, [5]), errors.MalformedTable, {"edge": 0}),
+    (lambda: tk.build_descent_datum(tk.constant_group_sheaf(POINT, Z2), [1, 1], {7: 0}), errors.MalformedTable,
+     {"key": "7"}),
     (lambda: tk.make_cochain(tk.build_nerve(3, [(0, 1)]), Z2, (5, 0)), errors.MalformedTable, {"got": 2}),
     (lambda: tk.make_cochain(tk.build_nerve(2, [(0, 1)]), Z2, (5, 0.5)), errors.MalformedTable, {"position": 1}),
     (lambda: tk.build_descent_datum(tk.constant_group_sheaf(POINT, Z2), [1, 1.0], {}), errors.MalformedTable,
@@ -113,7 +119,8 @@ def _sheaf_obj(edit):
 ], ids=[
     "cayley-cell", "cayley-row-length", "cayley-rows", "action-cell", "right-action-cell", "subgroup-range",
     "subgroup-float", "subgroup-repeat", "matrix-cell", "rhs-entry", "nerve-edge", "nerve-edge-length",
-    "nerve-triple", "cocycle-edge-key", "cochain-length-first", "cochain-type-before-range", "cover-float",
+    "nerve-triple", "cocycle-edge-key", "cocycle-int-key", "cocycle-none-key", "nerve-int-edge",
+    "transition-int-key", "cochain-length-first", "cochain-type-before-range", "cover-float",
     "cover-range-first", "cover-float-first", "chosen-float", "subset-least-point", "subset-type-first",
     "space-first-canonical-open", "space-type-first", "generated-first-canonical-open", "restriction-cell",
     "action-table-cell",
