@@ -216,7 +216,7 @@ def _query_report(args) -> Report:
             counts={
                 "identity": grp.identity,
                 "order": grp.order,
-                "cayley": [list(r) for r in grp.cayley],
+                "cayley": grp.array.tolist(),
             },
         )
     if name == "holonomy":
@@ -235,7 +235,7 @@ def _query_report(args) -> Report:
         return passing("sections", counts={"open": u, "sections": n})
     if name == "classes":
         want(0)
-        obj = jsonio.load_json(path)
+        obj = jsonio._only(jsonio.load_json(path), "classes", "nerve", "group", "g")
         nerve = jsonio.nerve_from_obj(jsonio._expect(obj, "nerve", dict, "classes"))
         group = jsonio.group_from_obj(jsonio._expect(obj, "group", None, "classes"))
         classes = equivalence_classes(nerve, group)
@@ -290,11 +290,12 @@ def _generate(args) -> int:
             raise SchemaError(f"generate {family} takes: problem-file")
         obj = jsonio.load_json(params[0])
         if family == "solution":
+            jsonio._only(obj, "solution", "p", "T", "w")
             p = jsonio._expect(obj, "p", int, "solution")
             rows = jsonio._int_list_list(jsonio._expect(obj, "T", list, "solution"), "solution.T")
             torsor = solution_torsor(prime_field_matrix(p, rows), jsonio._expect(obj, "w", list, "solution"))
         else:
-            sub = jsonio.subgroup_from_obj(obj)
+            sub = jsonio.subgroup_from_obj(obj, "g")
             torsor = coset_torsor(sub.parent, sub, obj.get("g", sub.parent.identity))
     else:
         raise SchemaError(f"unknown family {family!r}")

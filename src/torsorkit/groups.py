@@ -2,7 +2,8 @@
 
 Elements are dense indices 0..order-1; cayley[g][h] is the product g*h
 (row acts on the left). Names exist only in pretty-printing, never in
-the core data.
+the core data. A group stores its table once, as a read-only int32
+array; ``cayley`` is a nested-tuple view of it, built on first read.
 
 Validation is exact, never sampled. Associativity is decided by Light's
 test (Clifford & Preston, *The Algebraic Theory of Semigroups* I, §1.2):
@@ -49,34 +50,67 @@ def _frozen_array(rows) -> np.ndarray:
     return arr
 
 
-def _read_only_on_load(self, state: dict) -> None:
-    """``__setstate__`` of a class with an ``array`` field: pickle and deepcopy drop its read-only flag."""
-    self.__dict__.update(state)
-    self.array.flags.writeable = False
+class _StoredTable:
+    """A table stored once, as the read-only int32 ``array``, with a nested-tuple view that a subclass
+    builds on first read. Equality and hashing read the fields named by ``_compared`` and the array,
+    never the view; pickle and deepcopy keep the array read-only."""
+
+    _compared: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        # as a dataclass __init__ does: filling vars(self) first leaves an unshared instance dict, which
+        # slows every later method call on the object (FiniteGroup.mul took half as long again)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key() and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((*self._key(), self.array.tobytes()))
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self.array.flags.writeable = False  # numpy restores it writable
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class FiniteGroup(_StoredTable):
     """A group of given order with precomputed identity and inverse tables.
 
-    ``array`` is ``cayley`` as a read-only int array, kept for the
-    vectorized checks. ``constant_sheaves`` holds the decided constant
-    sheaves of this group by space, filled by
+    ``array`` holds the table, cayley[g][h] at ``array[g, h]``; ``cayley``
+    is its tuple view, for the Python loops that read one cell at a time.
+    A producer passes its validated ``array``; a hand-built group passes
+    ``cayley``, which is kept as given. ``constant_sheaves`` holds the
+    decided constant sheaves of this group by space, filled by
     ``sheaves.constant_group_sheaf``; it dies with the group.
     """
 
     order: int
-    cayley: tuple[tuple[int, ...], ...]
     identity: int
     inverse: tuple[int, ...]
-    array: np.ndarray = field(default=None, repr=False, compare=False)
-    constant_sheaves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    array: np.ndarray
+    constant_sheaves: dict = field(init=False)
+    _compared = ("order", "identity", "inverse")
 
-    def __post_init__(self):
-        if self.array is None:
-            object.__setattr__(self, "array", _frozen_array(self.cayley))
+    def __init__(self, order: int, cayley=None, identity=None, inverse=None, array=None):
+        array = _frozen_array(cayley) if array is None else array
+        self._set(order=order, identity=identity, inverse=inverse, array=array, constant_sheaves={})
+        if cayley is not None:
+            vars(self)["cayley"] = cayley
 
-    __setstate__ = _read_only_on_load
+    @cached_property
+    def cayley(self) -> tuple[tuple[int, ...], ...]:
+        return _tuples(self.array, self.order)
+
+    def __repr__(self):
+        shown = f"order={self.order!r}, cayley={self.cayley!r}, identity={self.identity!r}, inverse={self.inverse!r}"
+        return f"FiniteGroup({shown})"
 
     @cached_property
     def generators(self) -> tuple[int, ...] | None:
@@ -202,10 +236,9 @@ def _positions(codes: np.ndarray, size: int) -> np.ndarray:
 
 
 def _tuples(arr: np.ndarray, bound: int) -> tuple[tuple[int, ...], ...]:
-    """A validated table as nested tuples, sharing one int object per value, not one per cell.
-
-    Built only once every check has passed, so a rejected table never pays for it.
-    """
+    """A table as nested tuples, sharing one int object per value, not one per cell: the tuple view
+    of a group or action, built on its first read, so neither a rejected table nor one only ever
+    checked on its array pays for it."""
     return tuple(map(tuple, np.array(range(bound), dtype=object)[arr].tolist()))
 
 
@@ -299,9 +332,7 @@ def build_group(order: int, cayley) -> FiniteGroup:
     if missing is not None:
         raise NoInverse(f"element {missing[0]} has no inverse", element=missing[0])
     inverse = tuple(np.argmax(hits, axis=1).tolist())
-    group = FiniteGroup(
-        order=order, cayley=_tuples(arr, order), identity=identity, inverse=inverse, array=arr
-    )
+    group = FiniteGroup(order=order, identity=identity, inverse=inverse, array=arr)
     vars(group)["generators"] = gens  # the group's table is the one just searched
     return group
 
@@ -356,7 +387,7 @@ def build_subgroup(parent: FiniteGroup, members) -> Subgroup:
     bad = _first(~np.isin(parent.array[np.ix_(members, members)], members))
     if bad is not None:
         a, b = members[bad[0]], members[bad[1]]
-        product = parent.cayley[a][b]
+        product = int(parent.array[a, b])
         raise NotClosed(f"product of ({a},{b}) = {product} is not a member", a=a, b=b, product=product)
     # unreachable once closure holds on a finite group; kept as defense
     for a in members:
@@ -375,7 +406,7 @@ def _transport(group: FiniteGroup, members) -> FiniteGroup:
         raise InternalError("a renaming repeats a member or leaves the members")
     arr.flags.writeable = False
     identity, inverse = int(pos[group.identity]), tuple(pos[np.take(group.inverse, members)].tolist())
-    return FiniteGroup(order=n, cayley=_tuples(arr, n), identity=identity, inverse=inverse, array=arr)
+    return FiniteGroup(order=n, identity=identity, inverse=inverse, array=arr)
 
 
 def subgroup_as_group(sub: Subgroup) -> FiniteGroup:

@@ -66,6 +66,15 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+def _only(obj, what, *keys):
+    """``obj``, once no key of it is outside ``keys``; else SchemaError naming the first such key, so no
+    entry of a JSON object is left unread. A value that is no object is left for ``_expect`` to refuse."""
+    stray = next((k for k in obj if k not in keys), None) if isinstance(obj, dict) else None
+    if stray is not None:
+        raise SchemaError(f"{what}: stray key {stray!r}")
+    return obj
+
+
 def _expect(obj, key, kind, what):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{what}: missing key {key!r}")
@@ -91,18 +100,21 @@ def _int_list_list(val, what):
 # groups
 
 def group_to_obj(g: FiniteGroup) -> dict:
-    return {"order": g.order, "cayley": [list(r) for r in g.cayley]}
+    return {"order": g.order, "cayley": g.array.tolist()}
 
 
 def group_from_obj(obj) -> FiniteGroup:
     if isinstance(obj, str):
         return catalog_group(obj)
+    _only(obj, "group", "order", "cayley")
     order = _expect(obj, "order", int, "group")
     cayley = _int_list_list(_expect(obj, "cayley", list, "group"), "group.cayley")
     return build_group(order, cayley)
 
 
-def subgroup_from_obj(obj) -> Subgroup:
+def subgroup_from_obj(obj, *optional: str) -> Subgroup:
+    """A subgroup object; ``optional`` names keys beyond its own that the caller reads itself."""
+    _only(obj, "subgroup", "group", "members", *optional)
     parent = group_from_obj(_expect(obj, "group", None, "subgroup"))
     members = _expect(obj, "members", list, "subgroup")
     return build_subgroup(parent, members)
@@ -114,11 +126,12 @@ def action_to_obj(action: GroupAction) -> dict:
     return {
         "group": group_to_obj(action.group),
         "set_size": action.set_size,
-        "act": [list(r) for r in action.act],
+        "act": action.array.tolist(),
     }
 
 
 def action_from_obj(obj) -> GroupAction:
+    _only(obj, "action", "group", "set_size", "act")
     group = group_from_obj(_expect(obj, "group", None, "action"))
     set_size = _expect(obj, "set_size", int, "action")
     act = _int_list_list(_expect(obj, "act", list, "action"), "action.act")
@@ -148,6 +161,7 @@ def _pair_map(raw: dict, what) -> dict:
 
 
 def nerve_from_obj(obj) -> Nerve:
+    _only(obj, "nerve", "opens", "edges", "triples")
     opens = _expect(obj, "opens", int, "nerve")
     edges = _int_list_list(_expect(obj, "edges", list, "nerve"), "nerve.edges")
     triples = _int_list_list(obj.get("triples", []), "nerve.triples")
@@ -163,6 +177,7 @@ def nerve_to_obj(nerve: Nerve) -> dict:
 
 
 def cocycle_from_obj(obj) -> NerveCocycle:
+    _only(obj, "cocycle", "nerve", "group", "g")
     nerve = nerve_from_obj(_expect(obj, "nerve", dict, "cocycle"))
     group = group_from_obj(_expect(obj, "group", None, "cocycle"))
     assignments = _pair_map(_expect(obj, "g", dict, "cocycle"), "cocycle.g")
@@ -184,6 +199,7 @@ def space_to_obj(space: FiniteSpace) -> dict:
 
 
 def space_from_obj(obj) -> FiniteSpace:
+    _only(obj, "space", "points", "opens")
     points = _expect(obj, "points", int, "space")
     opens = _int_list_list(_expect(obj, "opens", list, "space"), "space.opens")
     return build_space(points, opens)
@@ -195,11 +211,8 @@ def _per_open(obj, key: str, num_opens: int, what) -> list:
     Its keys are exactly the open indices as ``str`` writes them; any other key is a SchemaError
     naming the first one, so no entry is left unread.
     """
-    raw = _expect(obj, key, dict, what)
     keys = dict.fromkeys(map(str, range(num_opens)))
-    stray = next((k for k in raw if k not in keys), None)
-    if stray is not None:
-        raise SchemaError(f"{what}.{key}: stray key {stray!r}")
+    raw = _only(_expect(obj, key, dict, what), f"{what}.{key}", *keys)
     return [raw.get(k) for k in keys]
 
 
@@ -226,7 +239,11 @@ def _restrict_to_obj(restrict: dict) -> dict:
     return {_pair_key(u, v): list(t) for (u, v), t in sorted(restrict.items())}
 
 
-def sets_sheaf_from_obj(obj, space: FiniteSpace | None = None) -> SheafOfSets:
+def sets_sheaf_from_obj(obj, space: FiniteSpace | None = None, *optional: str) -> SheafOfSets:
+    """A sheaf object, over ``space`` when given and else over its own; ``optional`` names keys beyond
+    its own that the caller reads itself."""
+    own = ("space", "sections", "restrict") if space is None else ("sections", "restrict")
+    _only(obj, "sheaf", *own, *optional)
     if space is None:
         space = space_from_obj(_expect(obj, "space", dict, "sheaf"))
     sizes = _sizes_from_obj(obj, len(space.opens), "sheaf")
@@ -245,9 +262,10 @@ def sets_sheaf_to_obj(sheaf: SheafOfSets, include_space: bool = True) -> dict:
 
 
 def sheaf_action_from_obj(obj) -> SheafAction:
+    _only(obj, "sheaf-action", "space", "groups", "sets", "act")
     space = space_from_obj(_expect(obj, "space", dict, "sheaf-action"))
     graw = _expect(obj, "groups", dict, "sheaf-action")
-    g_sets = sets_sheaf_from_obj(graw, space=space)
+    g_sets = sets_sheaf_from_obj(graw, space, "cayley")
     groups = []
     for u, table in enumerate(_per_open(graw, "cayley", len(space.opens), "sheaf-action.groups")):
         if table is None:
@@ -275,7 +293,7 @@ def sheaf_action_from_obj(obj) -> SheafAction:
 def sheaf_action_to_obj(action: SheafAction) -> dict:
     groups_obj = sets_sheaf_to_obj(action.groups.sets, include_space=False)
     groups_obj["cayley"] = {
-        str(u): [list(r) for r in grp.cayley]
+        str(u): grp.array.tolist()
         for u, grp in enumerate(action.groups.groups)
     }
     return {
@@ -300,6 +318,7 @@ def descent_to_obj(space: FiniteSpace, group: FiniteGroup, datum: DescentDatum) 
 
 
 def descent_from_obj(obj) -> DescentDatum:
+    _only(obj, "descent", "space", "group", "cover", "transition")
     space = space_from_obj(_expect(obj, "space", dict, "descent"))
     group = group_from_obj(_expect(obj, "group", None, "descent"))
     cover = _expect(obj, "cover", list, "descent")

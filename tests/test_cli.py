@@ -515,3 +515,30 @@ def test_a_key_given_twice_in_one_object_is_a_schema_error(tmp_path):
 def test_an_integer_parameter_must_be_spelled_as_its_int(gen_dir, x, y, name, value):
     code, out, err = run_cli(["query", "transporter", x, y, f"{gen_dir}/affine_3_1.json"])
     assert (code, out, err) == (2, "", f"error: parameter {name}: {value!r} is not an integer\n")
+
+
+def test_a_misspelt_optional_key_is_refused_not_passed_over(tmp_path):
+    # read past, the misspelt key left the nerve without its triple and the bad cocycle passed
+    text = (DATA / "cocycle_triangle_bad.json").read_text().replace('"triples"', '"tripels"')
+    path = _cocycle_file(tmp_path, text)
+    assert run_cli(["check", "cocycle", path, "--json"]) == (2, "", "error: nerve: stray key 'tripels'\n")
+
+
+@pytest.mark.parametrize("argv,source,what", [
+    (["check", "group"], "group_z3.json", "group"),
+    (["check", "subgroup"], "subgroup_s3.json", "subgroup"),
+    (["check", "space"], "space_pseudocircle.json", "space"),
+    (["check", "sheaf"], "sheaf_const_z2.json", "sheaf"),
+    (["check", "sheaf-torsor"], "sheaf_action_psc_twisted.json", "sheaf-action"),
+    (["query", "holonomy", "0,1,2,0"], "cocycle_c3_z2.json", "cocycle"),
+    (["query", "classes"], "cocycle_c3_z2.json", "classes"),
+    (["generate", "solution"], "solution_problem.json", "solution"),
+    (["generate", "coset"], "coset_problem.json", "subgroup"),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+def test_every_verb_refuses_a_stray_top_level_key(tmp_path, argv, source, what):
+    obj = json.loads((DATA / source).read_text())
+    path = tmp_path / source
+    path.write_text(json.dumps({**obj, "stray": 0}))
+    out = ["-o", str(tmp_path / "out.json")] if argv[0] == "generate" else []
+    assert run_cli([*argv, str(path), *out]) == (2, "", f"error: {what}: stray key 'stray'\n")
+    assert not (tmp_path / "out.json").exists()

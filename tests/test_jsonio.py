@@ -180,3 +180,45 @@ def test_the_affine_2_8_generate_object_is_written_byte_for_byte():
     obj = jsonio.action_to_obj(tk.affine_torsor(2, 8).action)
     assert jsonio.canonical_json(obj) == stdlib_canonical(obj)
 
+
+
+def _valid_objects():
+    """(reader, a valid object it reads, the path of each JSON object within it)."""
+    z2, psc = tk.catalog_group("cyclic(2)"), tk.pseudocircle()
+    nerve = tk.build_nerve(3, [(0, 1), (0, 2), (1, 2)])
+    datum = tk.pseudocircle_descent_datum(z2, 1)
+    lifted = tk.lift_point_action(tk.left_translation_action(z2))
+    return [
+        (jsonio.group_from_obj, jsonio.group_to_obj(z2), [()]),
+        (jsonio.subgroup_from_obj, {"group": jsonio.group_to_obj(z2), "members": [0]}, [(), ("group",)]),
+        (jsonio.action_from_obj, jsonio.action_to_obj(tk.left_translation_action(z2)), [(), ("group",)]),
+        (jsonio.nerve_from_obj, jsonio.nerve_to_obj(nerve), [()]),
+        (jsonio.cocycle_from_obj, jsonio.cocycle_to_obj(tk.check_cocycle(nerve, z2, {(0, 1): 0, (0, 2): 1, (1, 2): 1})),
+         [(), ("nerve",), ("group",)]),
+        (jsonio.space_from_obj, jsonio.space_to_obj(psc), [()]),
+        (jsonio.sets_sheaf_from_obj, jsonio.sets_sheaf_to_obj(tk.constant_group_sheaf(psc, z2).sets), [(), ("space",)]),
+        (jsonio.sheaf_action_from_obj, jsonio.sheaf_action_to_obj(lifted), [(), ("space",), ("groups",), ("sets",)]),
+        (jsonio.descent_from_obj, jsonio.descent_to_obj(psc, z2, datum), [(), ("space",), ("group",)]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_valid_objects())))
+def test_a_stray_key_in_any_object_is_a_schema_error_naming_it(case):
+    read, obj, places = _valid_objects()[case]
+    read(json.loads(jsonio.canonical_json(obj)))
+    for place in places:
+        spoiled = json.loads(jsonio.canonical_json(obj))
+        target = spoiled
+        for key in place:
+            target = target[key]
+        target["stray"] = 0
+        with pytest.raises(SchemaError, match="stray key 'stray'$"):
+            read(spoiled)
+
+
+def test_optional_keys_are_read_or_passed_over_by_name():
+    assert jsonio.nerve_from_obj({"opens": 2, "edges": [[0, 1]]}).triples == ()
+    obj = {"group": "cyclic(2)", "members": [0], "g": 1}
+    with pytest.raises(SchemaError, match="subgroup: stray key 'g'$"):
+        jsonio.subgroup_from_obj(obj)
+    assert jsonio.subgroup_from_obj(obj, "g").members == (0,)

@@ -1,0 +1,227 @@
+"""The one stored form of groups and actions: a read-only int32 array, with tuple views built on first read.
+
+Oracles: every producer's ``cayley`` or ``act`` view is its array cell for cell, as tuples of ints;
+``orbit``, ``stabilizer`` and ``is_transitive`` agree with plain loops over the table; equality and
+hashing agree with tuple equality. Counts: building and deciding torsors builds no view, and the first
+read of a view builds it once per object.
+"""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import torsorkit as tk
+from torsorkit import actions, groups, jsonio
+from torsorkit.actions import GroupAction, _regular_at
+from torsorkit.groups import FiniteGroup, _transport
+
+ORACLE = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+CATALOG = [tk.catalog_group(name) for name in tk.catalog_names()]  # orders up to 24
+
+
+def assert_view(view, arr):
+    """``view`` is ``arr`` as nested tuples of plain ints, and ``arr`` is a read-only int32 table."""
+    assert arr.dtype == np.int32 and not arr.flags.writeable
+    assert type(view) is tuple and all(type(row) is tuple for row in view)
+    assert all(type(v) is int for row in view for v in row)
+    assert view == tuple(map(tuple, arr.tolist()))
+
+
+def regular_copies(group, copies, perm):
+    """Left multiplication on ``copies`` copies of the group, points renamed by ``perm``: transitive
+    exactly when there is one copy."""
+    n = group.order
+    table = [[0] * (n * copies) for _ in range(n)]
+    for g in range(n):
+        for pt in range(n * copies):
+            table[g][perm[pt]] = perm[group.cayley[g][pt % n] + n * (pt // n)]
+    return table
+
+
+def cyclic_subgroup(group, x):
+    """The members of the subgroup generated by x, in ascending order."""
+    members, power = {group.identity}, x
+    while power not in members:
+        members.add(power)
+        power = int(group.array[power, x])
+    return tuple(sorted(members))
+
+
+# ---------------------------------------------------------------- the views of every producer
+
+
+@ORACLE
+@given(st.sampled_from(CATALOG), st.data())
+def test_every_group_producer_views_its_array(group, data):
+    perm = data.draw(st.permutations(range(group.order)))
+    torsor = tk.as_torsor(tk.left_translation_action(group))
+    members = cyclic_subgroup(group, data.draw(st.integers(0, group.order - 1)))
+    for out in (
+        tk.build_group(group.order, _transport(group, perm).array.tolist()),
+        _transport(group, perm),
+        tk.subgroup_as_group(tk.Subgroup(group, members)),
+        tk.opposite_group(group),
+        tk.transported_group(torsor, data.draw(st.integers(0, group.order - 1))),
+    ):
+        assert_view(out.cayley, out.array)
+
+
+@ORACLE
+@given(st.sampled_from(CATALOG), st.integers(1, 2), st.data())
+def test_every_action_producer_views_its_array(group, copies, data):
+    perm = data.draw(st.permutations(range(group.order * copies)))
+    points = data.draw(st.permutations(range(group.order)))
+    for out in (
+        tk.build_action(group, group.order * copies, regular_copies(group, copies, perm)),
+        _regular_at(group, points),
+        tk.left_translation_action(group),
+    ):
+        assert_view(out.act, out.array)
+
+
+# ---------------------------------------------------------------- queries on the array
+
+
+def ref_orbit(act, x):
+    return tuple(sorted({row[x] for row in act}))
+
+
+def ref_stabilizer(act, x):
+    return tuple(g for g, row in enumerate(act) if row[x] == x)
+
+
+def ref_is_transitive(act, size):
+    reached = set(ref_orbit(act, 0))
+    missing = [y for y in range(size) if y not in reached]
+    return (True, None) if not missing else (False, (0, missing[0]))
+
+
+@st.composite
+def queried_actions(draw):
+    """A regular action on one or two copies, or a hand-built table of in-range cells, never decided."""
+    group = draw(st.sampled_from([g for g in CATALOG if g.order <= 8]))
+    if draw(st.booleans()):
+        copies = draw(st.integers(1, 2))
+        perm = draw(st.permutations(range(group.order * copies)))
+        return tk.build_action(group, group.order * copies, regular_copies(group, copies, perm))
+    size = draw(st.integers(1, 6))
+    row = st.tuples(*[st.integers(0, size - 1)] * size)
+    return GroupAction(group=group, set_size=size, act=tuple(draw(row) for _ in range(group.order)))
+
+
+@ORACLE
+@given(queried_actions(), st.data())
+def test_orbit_stabilizer_and_transitivity_match_loops_over_the_table(action, data):
+    act = action.act
+    x = data.draw(st.integers(0, action.set_size - 1))
+    assert tk.orbit(action, x) == ref_orbit(act, x)
+    assert tk.stabilizer(action, x) == ref_stabilizer(act, x)
+    assert tk.is_transitive(action) == ref_is_transitive(act, action.set_size)
+    assert all(type(v) is int for v in tk.orbit(action, x) + tk.stabilizer(action, x))
+
+
+# ---------------------------------------------------------------- equality, hashing, copies
+
+
+def group_key(g):
+    return g.order, g.cayley, g.identity, g.inverse
+
+
+@ORACLE
+@given(st.sampled_from(CATALOG), st.sampled_from(CATALOG), st.data())
+def test_group_equality_and_hash_agree_with_tuple_equality(a, b, data):
+    if data.draw(st.booleans()):  # an equal copy, or a relabeling that may or may not change the table
+        b = _transport(a, data.draw(st.permutations(range(a.order))))
+    hand = FiniteGroup(order=b.order, cayley=b.cayley, identity=b.identity, inverse=b.inverse)
+    for other in (b, hand):
+        assert (a == other) == (group_key(a) == group_key(other))
+        if a == other:
+            assert hash(a) == hash(other)
+    assert hand == b and hash(hand) == hash(b)
+
+
+@ORACLE
+@given(st.sampled_from(CATALOG), st.data())
+def test_action_equality_and_hash_agree_with_tuple_equality(group, data):
+    a = _regular_at(group, data.draw(st.permutations(range(group.order))))
+    b = _regular_at(group, data.draw(st.permutations(range(group.order))))
+    hand = GroupAction(group=b.group, set_size=b.set_size, act=b.act)
+    for other in (b, hand):
+        assert (a == other) == ((a.group, a.set_size, a.act) == (other.group, other.set_size, other.act))
+        if a == other:
+            assert hash(a) == hash(other)
+    assert hand == b and hash(hand) == hash(b)
+    other_group = tk.catalog_group("cyclic(1)") if group.order > 1 else tk.catalog_group("cyclic(2)")
+    assert tk.left_translation_action(group) != tk.left_translation_action(other_group)
+
+
+def test_an_equal_copy_of_a_group_compares_on_its_array_without_building_views(tuple_builds):
+    a, b = tk.affine_torsor(2, 6).group, tk.affine_torsor(2, 6).group
+    assert a is not b and a.array is not b.array
+    assert a == b and hash(a) == hash(b) and a != tk.opposite_group(tk.catalog_group("symmetric(3)"))
+    assert tuple_builds == []
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["cold", "viewed"])
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_copies_keep_equality_and_read_only_arrays(clone, read_first):
+    torsor = tk.solution_torsor(tk.prime_field_matrix(3, [[1, 2, 0]]), [1])
+    action = torsor.action
+    if read_first:
+        action.act, action.group.cayley
+    copied = clone(action)
+    assert copied == action and copied.group == action.group
+    for obj in (copied, copied.group):
+        assert not obj.array.flags.writeable
+    assert copied.act == action.act and copied.group.cayley == action.group.cayley
+
+
+# ---------------------------------------------------------------- when views are built
+
+
+@pytest.fixture
+def tuple_builds(monkeypatch):
+    """The arrays each call of ``_tuples`` reads, in order, from either module that calls it."""
+    calls, real = [], groups._tuples
+    for module in (groups, actions):
+        monkeypatch.setattr(module, "_tuples", lambda arr, bound: calls.append(arr) or real(arr, bound))
+    return calls
+
+
+def test_building_and_deciding_torsors_builds_no_view(tuple_builds):
+    s4 = tk.catalog_group("symmetric(4)")
+    sub = tk.build_subgroup(tk.catalog_group("symmetric(4)"), [0, 1])  # its parent is an equal copy of s4
+    tk.coset_list(s4, sub), tk.coset_action(s4, sub), jsonio.group_to_obj(s4)
+    with pytest.raises(tk.errors.NotClosed):
+        tk.build_subgroup(s4, [0, 3])  # a 3-cycle: its witness names the product read off the array
+    torsors = [
+        tk.affine_torsor(3, 3),
+        tk.solution_torsor(tk.prime_field_matrix(2, [[1] * 8]), [1]),
+        tk.basis_torsor(2, 2),
+        tk.coset_torsor(s4, sub, 5),
+        tk.as_torsor(tk.build_action(s4, 24, s4.array)),
+    ]
+    for torsor in torsors:
+        tk.transported_group(torsor, torsor.set_size - 1)
+        tk.orbit(torsor.action, 0), tk.stabilizer(torsor.action, 0), tk.is_transitive(torsor.action)
+        jsonio.action_to_obj(torsor.action)
+    assert tuple_builds == []
+    assert not any("act" in vars(t.action) or "cayley" in vars(t.group) for t in torsors)
+
+
+def test_the_first_read_of_a_view_builds_it_once_per_object(tuple_builds):
+    torsor = tk.affine_torsor(2, 4)
+    group, action = torsor.group, torsor.action
+    assert group.cayley is group.cayley and len(tuple_builds) == 1
+    assert group.mul(3, 5) == group.cayley[3][5] and len(tuple_builds) == 1
+    assert torsor.act is action.act and len(tuple_builds) == 2
+    assert tuple_builds[0] is group.array and tuple_builds[1] is action.array
+    # a hand-built object keeps the tuples it was given and never builds them
+    hand = FiniteGroup(order=group.order, cayley=group.cayley, identity=group.identity, inverse=group.inverse)
+    assert hand.cayley is group.cayley and GroupAction(group, 16, act=action.act).act is action.act
+    assert len(tuple_builds) == 2

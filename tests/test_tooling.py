@@ -173,3 +173,27 @@ def test_every_stored_read_names_a_cached_property():
                     written.append(key.value if isinstance(key, ast.Constant) else ast.unparse(key))
     assert {"generators", "_read"} <= set(written)
     assert [name for name in written if name not in cached] == []
+
+
+def _qualified_calls(path: Path, name: str):
+    """(enclosing qualified name, line) of each call to ``name`` in ``path``, as a bare or dotted name."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) == name:
+                yield scope, child.lineno
+            yield from visit(child, inner)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+
+
+def test_tuple_views_are_built_only_by_the_two_cached_views():
+    """Groups and actions store their tables as arrays; ``_tuples`` builds their nested-tuple views on
+    first read. A producer that called it eagerly would make every table pay for a form nothing may read.
+    Sheaf gluing still hands its action tables over as tuples."""
+    callers = {
+        f"{path.name}:{scope}" for path in sorted(SRC.rglob("*.py")) for scope, _ in _qualified_calls(path, "_tuples")
+    }
+    assert callers == {"groups.py:FiniteGroup.cayley", "actions.py:GroupAction.act", "sheaves.py:glue_from_cocycle"}
