@@ -75,9 +75,6 @@ class GroupAction(_StoredTable):
     def act(self) -> tuple[tuple[int, ...], ...]:
         return _tuples(self.array, self.set_size)
 
-    def __repr__(self):
-        return f"GroupAction(group={self.group!r}, set_size={self.set_size!r}, act={self.act!r})"
-
 
 @dataclass(frozen=True)
 class Torsor:

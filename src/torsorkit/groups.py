@@ -14,9 +14,10 @@ under the whole table, which assumes nothing about associativity, and a
 group of order n needs at most log2(n) such generators, so the check
 costs O(n^2 log n) instead of O(n^3). The same argument, with h in
 place of a, reduces action compatibility (g*h).x = g.(h.x) to generators
-h. When the test fails, or the table is too small for it to save work,
-the full lexicographic scan runs, so every reported witness is the
-least one. A group keeps its generating set (``FiniteGroup.generators``),
+h. The argument holds in any table with an identity, so the test runs at
+every order; when it fails, or the table needs more generators than a
+group could, the full lexicographic scan runs, so every reported witness
+is the least one. A group keeps its generating set (``FiniteGroup.generators``),
 so every action of it is decided without searching again.
 """
 
@@ -40,22 +41,38 @@ from .errors import (
     UnknownName,
 )
 
-# Below this order the full scan is cheaper than finding generators for Light's test.
-LIGHT_MIN_ORDER = 24
-
-
 def _frozen_array(rows) -> np.ndarray:
     arr = np.array(rows, dtype=np.int32)
     arr.flags.writeable = False
     return arr
 
 
+def _arrays_in(stored):
+    """The arrays of a stored form: the form itself, or those held in its dicts and tuples."""
+    if isinstance(stored, np.ndarray):
+        yield stored
+    elif isinstance(stored, (dict, tuple)):
+        for item in stored.values() if isinstance(stored, dict) else stored:
+            yield from _arrays_in(item)
+
+
+def _same(a, b) -> bool:
+    """Equality of two stored forms: arrays by shape and value, dicts and tuples item by item, in order."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and np.array_equal(a, b)
+    if isinstance(a, (dict, tuple)) and type(a) is type(b) and len(a) == len(b):
+        return all(map(_same, *(x.items() if isinstance(x, dict) else x for x in (a, b))))
+    return a == b
+
+
 class _StoredTable:
-    """A table stored once, as the read-only int32 ``array``, with a nested-tuple view that a subclass
-    builds on first read. Equality and hashing read the fields named by ``_compared`` and the array,
-    never the view; pickle and deepcopy keep the array read-only."""
+    """Tables stored once, as read-only int32 arrays in the attribute named by ``_stored`` (one array,
+    or a dict or tuple holding them), with nested-tuple views that a subclass builds on first read.
+    Equality and hashing read the fields named by ``_compared`` and the stored form, never a view;
+    ``repr`` prints the same, through numpy's repr; pickle and deepcopy keep the arrays read-only."""
 
     _compared: tuple[str, ...] = ()
+    _stored = "array"
 
     def _set(self, **fields) -> None:
         # as a dataclass __init__ does: filling vars(self) first leaves an unshared instance dict, which
@@ -69,14 +86,20 @@ class _StoredTable:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self is other or self._key() == other._key() and np.array_equal(self.array, other.array)
+        stored = self._stored
+        return self is other or self._key() == other._key() and _same(getattr(self, stored), getattr(other, stored))
 
     def __hash__(self):
-        return hash((*self._key(), self.array.tobytes()))
+        return hash((*self._key(), *(arr.tobytes() for arr in _arrays_in(getattr(self, self._stored)))))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in (*self._compared, self._stored))
+        return f"{type(self).__name__}({shown})"
 
     def __setstate__(self, state: dict) -> None:
         vars(self).update(state)
-        self.array.flags.writeable = False  # numpy restores it writable
+        for arr in _arrays_in(state.get(self._stored)):
+            arr.flags.writeable = False  # numpy restores it writable
 
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
@@ -108,15 +131,11 @@ class FiniteGroup(_StoredTable):
     def cayley(self) -> tuple[tuple[int, ...], ...]:
         return _tuples(self.array, self.order)
 
-    def __repr__(self):
-        shown = f"order={self.order!r}, cayley={self.cayley!r}, identity={self.identity!r}, inverse={self.inverse!r}"
-        return f"FiniteGroup({shown})"
-
     @cached_property
     def generators(self) -> tuple[int, ...] | None:
-        """The generating set of Light's test (``_light_generators``), found once per group;
+        """The generating set of Light's test (``_generators``), found once per group;
         ``build_group`` hands over the set it found while deciding associativity."""
-        return _light_generators(self.array, self.identity)
+        return _generators(self.array, self.identity)
 
     def mul(self, g: int, h: int) -> int:
         return self.cayley[g][h]
@@ -237,8 +256,8 @@ def _positions(codes: np.ndarray, size: int) -> np.ndarray:
 
 def _tuples(arr: np.ndarray, bound: int) -> tuple[tuple[int, ...], ...]:
     """A table as nested tuples, sharing one int object per value, not one per cell: the tuple view
-    of a group or action, built on its first read, so neither a rejected table nor one only ever
-    checked on its array pays for it."""
+    of a group, action or sheaf action table, built on its first read, so neither a rejected table
+    nor one only ever checked on its array pays for it."""
     return tuple(map(tuple, np.array(range(bound), dtype=object)[arr].tolist()))
 
 
@@ -272,18 +291,13 @@ def _generators(cayley: np.ndarray, identity: int) -> tuple[int, ...] | None:
     return tuple(gens)
 
 
-def _light_generators(cayley: np.ndarray, identity: int) -> tuple[int, ...] | None:
-    """``_generators`` from LIGHT_MIN_ORDER on; None below it, where the scan is cheaper than the search."""
-    return _generators(cayley, identity) if len(cayley) >= LIGHT_MIN_ORDER else None
-
-
 def _compatibility_witness(act: np.ndarray, cayley: np.ndarray, gens: tuple[int, ...] | None):
     """Least (g, h, x) with (g*h).x != g.(h.x), or None.
 
     With ``act = cayley`` this is the associativity witness (g*h)*k !=
     g*(h*k): associativity is the compatibility of the regular action.
     The identity must already act trivially. ``gens`` is the table's
-    ``_light_generators``: Light's test checks h over them only, and the
+    ``_generators``: Light's test checks h over them only, and the
     row-at-a-time lexicographic scan runs when they are None and whenever
     the test fails.
     """
@@ -320,7 +334,7 @@ def build_group(order: int, cayley) -> FiniteGroup:
     if found is None:
         raise NoIdentity("no two-sided identity element")
     identity = found[0]
-    gens = _light_generators(arr, identity)
+    gens = _generators(arr, identity)
     bad = _compatibility_witness(arr, arr, gens)
     if bad is not None:
         g, h, k = bad

@@ -235,8 +235,11 @@ def _restrict_from_obj(obj, what) -> dict:
     return out
 
 
-def _restrict_to_obj(restrict: dict) -> dict:
-    return {_pair_key(u, v): list(t) for (u, v), t in sorted(restrict.items())}
+def _restrict_to_obj(sheaf: SheafOfSets) -> dict:
+    """The stored arrays; the tables as given where one fails the read (a hand-built sheaf)."""
+    witnesses, arrays = sheaf._read
+    tables = sheaf.restrict if witnesses else {key: arr.tolist() for key, arr in arrays.items()}
+    return {_pair_key(u, v): list(t) for (u, v), t in sorted(tables.items())}
 
 
 def sets_sheaf_from_obj(obj, space: FiniteSpace | None = None, *optional: str) -> SheafOfSets:
@@ -254,7 +257,7 @@ def sets_sheaf_from_obj(obj, space: FiniteSpace | None = None, *optional: str) -
 def sets_sheaf_to_obj(sheaf: SheafOfSets, include_space: bool = True) -> dict:
     out = {
         "sections": {str(u): n for u, n in enumerate(sheaf.sizes)},
-        "restrict": _restrict_to_obj(sheaf.restrict),
+        "restrict": _restrict_to_obj(sheaf),
     }
     if include_space:
         out["space"] = space_to_obj(sheaf.space)
@@ -300,8 +303,9 @@ def sheaf_action_to_obj(action: SheafAction) -> dict:
         "space": space_to_obj(action.sets.space),
         "groups": groups_obj,
         "sets": sets_sheaf_to_obj(action.sets, include_space=False),
-        "act": {
-            str(u): [list(r) for r in table] for u, table in enumerate(action.act)
+        "act": {  # the stored arrays; the table as given where one fails the read
+            str(u): [list(r) for r in action.act[u]] if isinstance(arr, dict) else arr.tolist()
+            for u, arr in enumerate(action._read)
         },
     }
 

@@ -15,16 +15,16 @@ on the right through inversion (a . (s_i) = (s_i . a^-1)), the unique
 choice that commutes with the transitions and still satisfies the left
 action axioms for nonabelian groups.
 
-Arrays inside, tuples outside: the public fields (section counts,
-restriction and action tables) are tuples of Python ints, which is what
-jsonio writes and callers read; the work runs on int arrays. Sheaves are
-read-only once built and keep what is computed from them: each sheaf of
-sets or action reads its tables once, in ``_read``, checking the type
-and range of every cell, and a producer that built a table as an int
-array passes that array to the same reader instead of its tuples. A
-sheaf of groups is decided at most once for gluing and as_sheaf_torsor.
-The constant sheaf builds G^c with the mixed-radix
-codec of ``constructions``; each axiom is one gather-and-compare per
+One stored form, as for groups and actions: a sheaf of sets or action
+stores its tables once, in ``_read``, as read-only int32 arrays, and its
+public ``restrict`` and ``act`` are tuple views of them built on first
+read. A producer (gluing, the constant sheaf, the lift of a produced
+action) passes its arrays, which are the read; a hand-built sheaf or
+action keeps the tables it was given and reads them strictly once, on
+first use, checking the type and range of every cell. A sheaf of groups
+is decided at most once for gluing and as_sheaf_torsor. The constant
+sheaf carries G^c from G with the mixed-radix codec of ``constructions``,
+without deciding it again; each axiom is one gather-and-compare per
 inclusion or per open, whose first mismatch in row-major order is the
 least witness; compatible families are enumerated one cover member at a
 time as a boolean mask over (prefix, section), in lexicographic order,
@@ -61,12 +61,14 @@ from .groups import (
     _compatibility_witness,
     _entries,
     _first,
+    _frozen_array,
     _index_array,
     _is_index,
     _is_int,
     _positions,
+    _StoredTable,
     _tuples,
-    build_group,
+    build_group,  # not called here since G^c is carried; bench/test_bench.py still reads sheaves.build_group
 )
 from .report import Report, failing, passing
 from .spaces import FiniteSpace, point_space, pseudocircle
@@ -78,36 +80,49 @@ FAMILY_CANDIDATE_MAX = 65536   # descent family candidates per open
 _CONSTANT_SHEAVES_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
-class SheafOfSets:
-    """sections(U) = range(sizes[u]); restrict maps stored for proper inclusions, kept read-only
-    (list and array tables become tuples) so that the one strict read of the tables, ``_read``, stays true."""
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class SheafOfSets(_StoredTable):
+    """sections(U) = range(sizes[u]); ``_read`` holds the witnesses of the restriction tables that fail
+    the read and, by proper inclusion, those that pass as read-only int32 arrays. A producer passes its
+    ``arrays``, which are the read; a hand-built sheaf passes ``restrict`` (a list or array table becomes
+    a tuple), read once, on first use. ``restrict`` is a read-only mapping, of views for a producer."""
 
     space: FiniteSpace
     sizes: tuple[int, ...]
     restrict: Mapping
+    _compared = ("space", "sizes")
+    _stored = "_read"
 
-    def __post_init__(self):
-        tables = {
-            key: tuple(t.tolist()) if isinstance(t, np.ndarray) else tuple(t) if isinstance(t, list) else t
-            for key, t in self.restrict.items()
-        }
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        object.__setattr__(self, "restrict", MappingProxyType(tables))
+    def __init__(self, space: FiniteSpace, sizes, restrict=None, arrays=None):
+        self._set(space=space, sizes=tuple(sizes))
+        if restrict is None:
+            vars(self)["_read"] = ((), arrays)
+        else:
+            vars(self)["_tables"] = {
+                key: tuple(t) if isinstance(t, (list, np.ndarray)) else t for key, t in restrict.items()
+            }
 
     @cached_property
     def _read(self) -> tuple[tuple[dict, ...], dict]:
-        return _structure(self.space, self.restrict, self.sizes)
+        return _structure(self.space, self._tables, self.sizes)
+
+    @cached_property
+    def _tables(self) -> dict:
+        return {key: tuple(arr.tolist()) for key, arr in self._read[1].items()}
+
+    @property
+    def restrict(self) -> Mapping:
+        return MappingProxyType(self._tables)
 
     def sections(self, u: int) -> range:
         return range(self.sizes[u])
 
     def restrict_section(self, u: int, s: int, v: int) -> int:
-        return s if u == v else self.restrict[(u, v)][s]
-
-    def __reduce__(self):
-        # a read-only mapping does not pickle; the copy reads its tables again
-        return SheafOfSets, (self.space, self.sizes, dict(self.restrict))
+        """s|v, off the stored array; off the table as given where it failed the read."""
+        if u == v:
+            return s
+        arr = self._read[1].get((u, v))
+        return self.restrict[(u, v)][s] if arr is None else int(arr[s])
 
 
 @dataclass(frozen=True)
@@ -136,24 +151,32 @@ class SheafOfGroups:
         return self.sets.restrict_section(u, s, v)
 
 
-@dataclass(frozen=True)
-class SheafAction:
-    """Per open U, a table act[u][g][s] of G(U) on F(U), kept as nested tuples so that ``_read`` stays true."""
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class SheafAction(_StoredTable):
+    """Per open U, a table act[u][g][s] of G(U) on F(U); ``_read`` holds each as a read-only int32 array,
+    or the witness of one that fails the read. A producer passes its ``arrays``, which are the read; a
+    hand-built action passes ``act``, kept as given and read once, on first use."""
 
     groups: SheafOfGroups
     sets: SheafOfSets
     act: tuple
+    _compared = ("groups", "sets")
+    _stored = "_read"
 
-    def __post_init__(self):
-        object.__setattr__(self, "act", tuple(tuple(map(tuple, t)) for t in self.act))
+    def __init__(self, groups: SheafOfGroups, sets: SheafOfSets, act=None, arrays=None):
+        self._set(groups=groups, sets=sets)
+        if act is None:
+            vars(self)["_read"] = tuple(arrays)
+        else:
+            vars(self)["act"] = act
+
+    @cached_property
+    def act(self) -> tuple:
+        return tuple(_tuples(arr, size) for arr, size in zip(self._read, self.sets.sizes))
 
     @cached_property
     def _read(self) -> tuple:
         return _act_read(self.act, self.groups, self.sets)
-
-    def __reduce__(self):
-        # numpy would restore a read's arrays writable; the copy reads its tables again
-        return SheafAction, (self.groups, self.sets, self.act)
 
 
 @dataclass(frozen=True)
@@ -228,7 +251,8 @@ def constant_group_sheaf(space: FiniteSpace, group: FiniteGroup) -> SheafOfGroup
     G(U) is the set of functions from the components of U to the group,
     enumerated lexicographically; restriction refines components. A
     section is the mixed-radix code of its component values, so G(U) is
-    G^c for c components, built once per c; G^1 is the group itself.
+    G^c for c components, carried from the group once per c (``_direct_power``);
+    G^1 is the group itself.
 
     Each sheaf is built and decided once per space and group object, then
     kept in ``group.constant_sheaves``: equal spaces get the same sheaf,
@@ -251,18 +275,22 @@ def _constant_group_sheaf(space: FiniteSpace, group: FiniteGroup) -> SheafOfGrou
     n = group.order
     # component count -> the value tuple of every section, one row each
     values = {k: _digits(np.arange(n ** k), n, k) for k in {len(c) for c in comps}}
-    powers = {
-        k: group if k == 1 else build_group(n ** k, _codes(group.array[v[:, None], v[None, :]], n))
-        for k, v in values.items()
-    }
+    powers = {k: group if k == 1 else _direct_power(group, v) for k, v in values.items()}
     arrays = {}
     for u, v in _proper_pairs(space):
         holder = [next(i for i, cu in enumerate(comps[u]) if cv[0] in cu) for cv in comps[v]]
-        arrays[(u, v)] = _codes(values[len(comps[u])][:, holder], n)
-    restrict = {key: tuple(arr.tolist()) for key, arr in arrays.items()}
-    sets = SheafOfSets(space=space, sizes=tuple(sizes), restrict=restrict)
-    vars(sets)["_read"] = _structure(space, arrays, sizes)
+        arrays[(u, v)] = _frozen_array(_codes(values[len(comps[u])][:, holder], n))
+    sets = SheafOfSets(space=space, sizes=sizes, arrays=arrays)
     return SheafOfGroups(sets=sets, groups=tuple(powers[len(c)] for c in comps))
+
+
+def _direct_power(group: FiniteGroup, values: np.ndarray) -> FiniteGroup:
+    """G^k, each row of ``values`` (a k-tuple of elements) renamed to its code: carried from G, not decided."""
+    n = group.order
+    identity = int(_codes(np.full(values.shape[1], group.identity), n))
+    inverse = tuple(_codes(np.take(group.inverse, values), n).tolist())
+    array = _frozen_array(_codes(group.array[values[:, None], values[None, :]], n))
+    return FiniteGroup(order=len(values), identity=identity, inverse=inverse, array=array)
 
 
 def _table(arrays: dict, sizes, u: int, v: int) -> np.ndarray:
@@ -272,16 +300,15 @@ def _table(arrays: dict, sizes, u: int, v: int) -> np.ndarray:
 
 def _structure(space: FiniteSpace, restrict, sizes) -> tuple[tuple[dict, ...], dict]:
     """Witnesses of missing, misshapen, ill-typed or out-of-range restriction tables, and the
-    passing tables as read-only int arrays. The one reader of restriction tables, run once per
-    sheaf by ``SheafOfSets._read``: it reads the proper inclusions only, never a key no check reads."""
+    passing tables as read-only int arrays. The one reader of a hand-built sheaf's tables, run once
+    by ``SheafOfSets._read``: it reads the proper inclusions only, never a key no check reads."""
     out, arrays = [], {}
     for u, v in _proper_pairs(space):
         table = restrict.get((u, v))
         if not hasattr(table, "__len__") or len(table) != sizes[u]:
             out.append({"axiom": "restriction-table", "u": u, "v": v})
             continue
-        rows = table[None] if isinstance(table, np.ndarray) else [table]  # a producer's array: dtype path
-        arr = _index_array(rows, 1, sizes[u], sizes[v])
+        arr = _index_array([table], 1, sizes[u], sizes[v])
         if arr is None:
             out.append({"axiom": "restriction-range", "u": u, "v": v})
             continue
@@ -413,7 +440,7 @@ def _require(rep: Report) -> None:
 
 
 def _act_read(act, gs: SheafOfGroups, fs: SheafOfSets) -> tuple:
-    """Per open, its act table as a read-only int32 array, else its action-table or action-range witness."""
+    """Per open of a hand-built action, its table as a read-only int32 array, else its witness."""
     out = []
     for u in range(len(fs.space.opens)):
         table, order, size = act[u], gs.groups[u].order, fs.sizes[u]
@@ -564,10 +591,10 @@ def build_descent_datum(gs: SheafOfGroups, cover, transition) -> DescentDatum:
         w_bc = space.intersection_index(cover[b], cover[c])
         w_ac = space.intersection_index(cover[a], cover[c])
         w = space.intersection_index(w_ab, cover[c])
-        lhs = gs.groups[w].mul(
+        lhs = gs.groups[w].array[  # one cell: no tuple view of G(w)
             gs.restrict_section(w_ab, values[(a, b)], w),
             gs.restrict_section(w_bc, values[(b, c)], w),
-        )
+        ]
         if lhs != gs.restrict_section(w_ac, values[(a, c)], w):
             raise TripleViolation(
                 f"cocycle identity fails on cover triple ({a},{b},{c})", i=a, j=b, k=c
@@ -583,7 +610,8 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
     group acts through the right of the chart coordinate by a^-1.
     Families are numbered in lexicographic order. G is decided first
     (NotASheafTorsor when it fails; its verdict is kept on it), and the
-    torsor keeps G itself; gluing reads the tables G was decided on.
+    torsor keeps G itself; gluing reads the tables G was decided on, and
+    hands F and the action over as the arrays it built, checked once.
     """
     gs = datum.groups
     _require(gs._verdict)
@@ -616,8 +644,10 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
 
     def locate(u, columns):
         found = _locate(lookups[u], [sizes[c] for c in charts[u]], columns)
-        if (found < 0).any():
+        # unsigned, a miss (-1) is past every family too
+        if (found.view(np.uint32) >= len(families[u])).any():
             raise InternalError(f"a chart family on open {u} has no image family")
+        found.flags.writeable = False
         return found
 
     glued = {}
@@ -626,9 +656,7 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
             _table(arrays, sizes, charts[u][i], charts[v][i])[families[u][:, i]] for i in range(k)
         ]
         glued[(u, v)] = locate(v, columns)
-    restrict = {key: tuple(arr.tolist()) for key, arr in glued.items()}
-    sets = SheafOfSets(space=space, sizes=tuple(len(f) for f in families), restrict=restrict)
-    vars(sets)["_read"] = _structure(space, glued, sets.sizes)
+    sets = SheafOfSets(space=space, sizes=[len(f) for f in families], arrays=glued)
 
     act_arrays = []
     for u, chart in enumerate(charts):
@@ -639,10 +667,7 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
             columns.append(grp.array[families[u][:, i], inverse[:, None]])  # [a, f] -> f_i * (a|c)^-1
         act_arrays.append(locate(u, columns))
 
-    act = tuple(_tuples(arr, n) for arr, n in zip(act_arrays, sets.sizes))
-    action = SheafAction(groups=gs, sets=sets, act=act)
-    vars(action)["_read"] = _act_read(act_arrays, gs, sets)
-    return as_sheaf_torsor(action)
+    return as_sheaf_torsor(SheafAction(groups=gs, sets=sets, arrays=act_arrays))
 
 
 def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
@@ -676,11 +701,15 @@ def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
 
 def lift_point_action(action: GroupAction) -> SheafAction:
     """Present an ordinary action as a sheaf action on the one-point space, for a group of any order;
-    G is the group's constant sheaf there, built and decided once per group."""
+    G is the group's constant sheaf there, built and decided once per group. A produced action hands
+    over its array; a hand-built one is read from the ``act`` it keeps."""
     space, size = point_space(), action.set_size
     # one section on the empty open (index 0), ``size`` on the point (index 1)
-    sets = SheafOfSets(space=space, sizes=(1, size), restrict={(1, 0): (0,) * size})
-    return SheafAction(groups=constant_group_sheaf(space, action.group), sets=sets, act=(((0,),), action.act))
+    sets = SheafOfSets(space=space, sizes=(1, size), arrays={(1, 0): _frozen_array([0] * size)})
+    groups = constant_group_sheaf(space, action.group)
+    if "act" in vars(action):
+        return SheafAction(groups=groups, sets=sets, act=(((0,),), action.act))
+    return SheafAction(groups=groups, sets=sets, arrays=(_frozen_array([[0]]), action.array))
 
 
 def lift_point_torsor(torsor: Torsor) -> SheafTorsor:

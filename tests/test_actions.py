@@ -436,10 +436,13 @@ def test_a_second_build_action_on_one_group_does_not_search_for_generators(monke
     tk.build_action(built, built.order, built.cayley)
     tk.build_action(built, 1, [[0]] * built.order)
     assert len(calls) == 2 and built.generators == s4.generators
-    # below LIGHT_MIN_ORDER no group searches: the scan is cheaper
-    s3 = tk.build_group(6, tk.catalog_group("symmetric(3)").cayley)
+    # Light's test runs at every order: symmetric(3) searches once, in build_group, and keeps the set
+    cayley = tk.catalog_group("symmetric(3)").cayley
+    calls.clear()
+    s3 = tk.build_group(6, cayley)
     tk.build_action(s3, 6, s3.cayley)
-    assert len(calls) == 2 and s3.generators is None
+    tk.build_action(s3, 1, [[0]] * s3.order)
+    assert len(calls) == 1 and s3.generators == (1, 2)
 
 
 def test_a_group_with_a_warm_generating_set_survives_pickle_and_deepcopy():

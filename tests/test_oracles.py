@@ -6,8 +6,9 @@ lexicographic scan. The plain loops here decide the same axioms cell by
 cell, in the same order, and must give the same verdict with the same
 witness: the first bad row or cell, the least identity-axiom point, the
 lexicographically least (g, h, k) or (g, h, x), the least element without
-an inverse, the least (g, x) fixed by a non-identity element. Orders from
-LIGHT_MIN_ORDER on take the Light path; smaller ones take the scan.
+an inverse, the least (g, x) fixed by a non-identity element. Light's
+test runs at every order; the scan runs where it fails, and where the
+greedy search needs more generators than a group could (the monoids).
 
 The pure-Python table builders below are the reference for the
 vectorized mixed-radix codec in ``constructions``; they must agree cell
@@ -36,7 +37,7 @@ from hypothesis import strategies as st
 
 import torsorkit as tk
 from torsorkit import errors
-from torsorkit.groups import LIGHT_MIN_ORDER, _transport
+from torsorkit.groups import _transport
 from torsorkit.sheaves import SheafOfSets
 from torsorkit.spaces import MAX_OPENS, _open_count
 
@@ -182,10 +183,11 @@ BASES = GROUPS + [max_monoid(2), max_monoid(3)]
 def associative_tables(draw, bases=BASES, max_order=48):
     """A relabeled product of up to four catalog groups or max-monoids.
 
-    Half of the draws aim at order LIGHT_MIN_ORDER or more, so both the
-    Light path and the plain scan are sampled.
+    Half of the draws aim at order 24 or more, so large tables are sampled
+    too. The max-monoids give tables where ``_generators`` returns None, and
+    ``corrupted_tables`` tables where Light's test fails: both take the scan.
     """
-    target = draw(st.sampled_from([1, LIGHT_MIN_ORDER]))
+    target = draw(st.sampled_from([1, 24]))
     table = draw(st.sampled_from(bases))
     for _ in range(3):
         fits = [b for b in bases if len(table) * len(b) <= max_order]
@@ -309,7 +311,7 @@ def _elementary_abelian(k):
     swap(product(tk.catalog_group("symmetric(4)").cayley, max_monoid(3)), 70, 1, 2),
 ])
 def test_verdicts_past_the_light_threshold(table):
-    assert len(table) >= LIGHT_MIN_ORDER
+    assert len(table) >= 24  # larger than every catalog group but symmetric(4)
     assert group_verdict(len(table), table) == ref_group_verdict(len(table), table)
 
 

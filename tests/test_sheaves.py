@@ -441,13 +441,13 @@ def test_constant_sheaf_reuses_the_group_on_one_component_opens(psc, monkeypatch
 
     z2 = tk.catalog_group("cyclic(2)")  # fresh: the session fixture's sheaves are cached already
     built = []
-    real = sheaves.build_group
+    real = sheaves._direct_power
 
-    def counting(order, table):
-        built.append(order)
-        return real(order, table)
+    def counting(group, values):
+        built.append(len(values))
+        return real(group, values)
 
-    monkeypatch.setattr(sheaves, "build_group", counting)
+    monkeypatch.setattr(sheaves, "_direct_power", counting)
     gs = tk.constant_group_sheaf(psc, z2)
     assert sorted(built) == [1, 4]  # the empty open (no components) and the two-point open
     one = [u for u, o in enumerate(psc.opens) if len(tk.connected_components(psc, o)) == 1]
@@ -588,15 +588,17 @@ def test_cached_sheaves_pickle_and_copy_read_only(psc, monkeypatch):
     group = tk.catalog_group("cyclic(2)")
     torsor = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(group, 1))
     for clone in (pickle.loads(pickle.dumps(torsor)), copy.deepcopy(torsor)):
+        reads = _counting(monkeypatch, "_structure")
         assert clone == torsor
         for sheaf in (clone.sets, clone.groups.sets):
-            # a copy reads its tables again, once
-            assert isinstance(sheaf.restrict, MappingProxyType) and "_read" not in vars(sheaf)
+            # a copy keeps its stored arrays, read-only, and builds no view of them
+            assert "_tables" not in vars(sheaf) and [a for a in sheaf._read[1].values() if a.flags.writeable] == []
+            assert isinstance(sheaf.restrict, MappingProxyType)
         assert clone.groups is next(iter(clone.groups.groups[-1].constant_sheaves.values()))
-        reads = _counting(monkeypatch, "_structure")
         for _ in range(2):
             assert tk.as_sheaf_torsor(clone.action) == torsor
-        assert [args[1] for args in reads] == [clone.sets.restrict, clone.groups.sets.restrict]
+        assert reads == []  # nor reads its tables again
+        monkeypatch.undo()
     for clone in (pickle.loads(pickle.dumps(group)), copy.deepcopy(group)):
         assert clone == group and tk.constant_group_sheaf(psc, clone).groups[-1] is clone
 
@@ -716,7 +718,7 @@ def test_a_sheaf_reads_its_tables_once_as_read_only_arrays_equal_to_them(psc, z3
         reads.clear()
         for _ in range(2):
             assert tk.is_sheaf_of_groups(kept).passed
-        assert len(reads) == (kept is not gs)  # the cached sheaf was read when it was decided
+        assert len(reads) == (kept is hand)  # the others keep the arrays the constant sheaf was built with
         witnesses, arrays = kept.sets._read
         assert witnesses == () and set(arrays) == set(kept.sets.restrict)
         for pair, arr in arrays.items():
@@ -731,23 +733,23 @@ def test_glue_over_a_cached_constant_sheaf_reads_only_the_glued_tables(z2, monke
     reads = _counting(monkeypatch, "_structure")
     torsor = tk.glue_from_cocycle(datum)
     assert torsor.groups is datum.groups
-    # glue reads F once, from the arrays it made its tuples of; is_sheaf and is_sheaf_torsor share that
-    # read, and nothing reads G's tables again
-    assert len(reads) == 1 and _as_lists(reads[0][1]) == _as_lists(torsor.sets.restrict)
+    # glue hands F over as the arrays it built, which is_sheaf and is_sheaf_torsor read; nothing reads
+    # a table again, G's or F's
+    assert reads == [] and _as_lists(torsor.sets._read[1]) == _as_lists(torsor.sets.restrict)
 
 
-def test_a_lift_reads_each_of_its_two_sheaves_once(monkeypatch):
-    # F is read once per lift; G is the group's constant sheaf on the point, read and decided once per group
+def test_a_lift_reads_neither_of_its_two_sheaves(monkeypatch):
+    # F and the action are handed over as arrays; G is the group's constant sheaf on the point, built from
+    # arrays and decided once per group
     z3 = tk.catalog_group("cyclic(3)")  # fresh: the session fixture's sheaves are cached already
     torsor = tk.as_torsor(tk.left_translation_action(z3))
-    reads = _counting(monkeypatch, "_structure")
+    reads, acts = _counting(monkeypatch, "_structure"), _counting(monkeypatch, "_act_read")
     decided = _counting(monkeypatch, "is_sheaf_of_groups")
     first, second = tk.lift_point_torsor(torsor), tk.lift_point_torsor(torsor)
     assert second.groups is first.groups is tk.constant_group_sheaf(tk.point_space(), z3)
-    # G is read from the arrays its tuples were made of, each F from its tuples
-    assert _as_lists(reads[0][1]) == _as_lists(first.groups.sets.restrict)
-    assert [args[1] for args in reads[1:]] == [first.sets.restrict, second.sets.restrict]
-    assert decided == [(first.groups,)]
+    assert reads == acts == [] and decided == [(first.groups,)]
+    assert first.action._read[1] is second.action._read[1] is torsor.action.array
+    assert first.sets == second.sets == SheafOfSets(space=tk.point_space(), sizes=(1, 3), restrict={(1, 0): (0,) * 3})
 
 
 def test_is_sheaf_torsor_witnesses_a_group_of_the_wrong_order(psc, z2):
@@ -815,9 +817,9 @@ def test_glue_hands_over_read_only_int32_act_tables_equal_to_act(psc, name):
 def test_the_constant_sheaf_hands_over_its_restriction_arrays(points, gens, name, monkeypatch):
     reads = _counting(monkeypatch, "_structure")
     gs = tk.constant_group_sheaf(tk.close_under_ops(points, gens), tk.catalog_group(name))  # a fresh group
-    # one read, of the arrays the tuples were made of; deciding G reads nothing again
-    assert len(reads) == 1 and _as_lists(reads[0][1]) == _as_lists(gs.sets.restrict)
-    assert all(isinstance(table, np.ndarray) for table in reads[0][1].values())
+    # no read: the arrays it was built from are its stored form, and deciding G reads nothing again
+    assert reads == [] and "_tables" not in vars(gs.sets)
+    assert _as_lists(gs.sets._read[1]) == _as_lists(gs.sets.restrict)
     _check_handed_over(gs.sets)
 
 
@@ -838,22 +840,26 @@ def test_a_replaced_glued_action_reads_its_own_tuples(psc, z3, edit, axiom):
     corrupted = _corrupt(glued.act, psc.index_of((0, 1, 2)), edit)
     replaced = replace(glued, act=corrupted)
     fresh = SheafAction(groups=glued.groups, sets=glued.sets, act=corrupted)
-    assert replaced == fresh and replaced != glued and "_read" not in vars(replaced)
+    assert "_read" not in vars(replaced) and replaced.act is corrupted  # kept as given, read on first use
+    assert replaced == fresh and replaced != glued
     rep = tk.is_sheaf_torsor(replaced)
     assert rep == tk.is_sheaf_torsor(fresh) and rep.witnesses[0]["axiom"] == axiom
-    # the read is no field: equality, repr and replace ignore it
+    # equality and repr read the stored arrays, a producer's and a hand-built copy's alike; replace reads
+    # the view, so its copy reads its tables again
     plain = SheafAction(groups=glued.groups, sets=glued.sets, act=glued.act)
     assert plain == glued and repr(plain) == repr(glued) and "_read" not in vars(replace(glued))
 
 
-def test_a_hand_built_action_keeps_nested_tuples_so_its_read_stays_true(z2):
+def test_a_hand_built_action_keeps_its_tables_as_given_and_its_first_read(z2, monkeypatch):
     glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1)).action
     act = [[list(row) for row in table] for table in glued.act]
     hand = SheafAction(groups=glued.groups, sets=glued.sets, act=act)
+    assert hand.act is act and "_read" not in vars(hand)
     assert hand == glued and tk.is_sheaf_torsor(hand).passed
-    act[1][0][0] = 1.5  # the action keeps a copy: changing the lists it was built from changes nothing
-    assert hand == glued and tk.is_sheaf_torsor(hand).passed
-    assert all(type(row) is tuple for table in hand.act for row in table)
+    reads = _counting(monkeypatch, "_act_read")
+    act[1][0][0] = 1.5  # after the read, changing the lists it was built from changes no verdict
+    assert hand == glued and tk.is_sheaf_torsor(hand).passed and reads == []
+    assert all(not arr.flags.writeable for arr in hand._read)
 
 
 def test_is_sheaf_torsor_keeps_witnesses_in_open_order_and_reads_act_once(z3, monkeypatch):
@@ -890,27 +896,32 @@ def test_a_copied_glued_action_keeps_its_verdict_and_no_writable_array(monkeypat
 
     group = tk.catalog_group("symmetric(3)")
     torsor = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(group, 3))
-    assert list(_arrays(torsor, set()))  # the handed-over reads, among others
+    assert list(_arrays(torsor, set()))  # the handed-over arrays, among others
     want = tk.is_sheaf_torsor(torsor.action)
     for clone in (pickle.loads(pickle.dumps(torsor)), copy.deepcopy(torsor)):
         held = (clone.sets, clone.groups.sets, clone.action)
-        assert [obj for obj in held if "_read" in vars(obj)] == []
+        # each keeps the arrays it was handed, read-only, and no view of them
+        assert [type(obj).__name__ for obj in held if "_read" not in vars(obj)] == []
+        assert not [view for obj in held for view in ("_tables", "act") if view in vars(obj)]
+        assert not [arr for arr in _arrays(clone, set()) if arr.flags.writeable]
         structure, acts = _counting(monkeypatch, "_structure"), _counting(monkeypatch, "_act_read")
+        views = _counting(monkeypatch, "_tuples")
         for _ in range(2):
             assert tk.is_sheaf_torsor(clone.action) == want and tk.as_sheaf_torsor(clone.action) == torsor
-        # each is read once, from its own tuples
-        assert sorted(id(args[1]) for args in structure) == sorted(id(s.restrict) for s in held[:2])
-        assert len(acts) == 1 and acts[0][0] is clone.action.act
-        assert not [arr for arr in _arrays(clone, set()) if arr.flags.writeable]
+        # and nothing is read again or viewed
+        assert structure == acts == views == []
         monkeypatch.undo()
 
 
 def test_glue_never_reads_the_act_tuples_back(monkeypatch):
     datum = tk.pseudocircle_descent_datum(tk.catalog_group("cyclic(12)"), 5)
-    calls = _counting(monkeypatch, "_index_array")
+    calls = {name: _counting(monkeypatch, name) for name in ("_index_array", "_structure", "_act_read", "_tuples")}
     torsor = tk.glue_from_cocycle(datum)
-    # F's restriction tables and the act tables reach the reader as the arrays glue built
-    assert [type(args[0]) for args in calls] == [np.ndarray] * (len(torsor.sets.restrict) + len(torsor.action.act))
+    # F's restriction tables and the act tables are handed over as the arrays glue built: no reader runs
+    assert calls == dict.fromkeys(calls, [])
+    assert "act" not in vars(torsor.action) and "_tables" not in vars(torsor.sets)
+    arrays = [*torsor.sets._read[1].values(), *torsor.action._read]
+    assert len(arrays) == 26 and all(a.dtype == np.int32 and not a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("cell", [1.0, True], ids=["float", "bool"])

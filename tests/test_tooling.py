@@ -189,11 +189,11 @@ def _qualified_calls(path: Path, name: str):
     yield from visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
 
 
-def test_tuple_views_are_built_only_by_the_two_cached_views():
-    """Groups and actions store their tables as arrays; ``_tuples`` builds their nested-tuple views on
-    first read. A producer that called it eagerly would make every table pay for a form nothing may read.
-    Sheaf gluing still hands its action tables over as tuples."""
+def test_tuple_views_are_built_only_by_the_cached_views():
+    """Groups, actions and sheaf actions store their tables as arrays; ``_tuples`` builds their nested-tuple
+    views on first read. A producer that called it eagerly would make every table pay for a form nothing
+    may read."""
     callers = {
         f"{path.name}:{scope}" for path in sorted(SRC.rglob("*.py")) for scope, _ in _qualified_calls(path, "_tuples")
     }
-    assert callers == {"groups.py:FiniteGroup.cayley", "actions.py:GroupAction.act", "sheaves.py:glue_from_cocycle"}
+    assert callers == {"groups.py:FiniteGroup.cayley", "actions.py:GroupAction.act", "sheaves.py:SheafAction.act"}
