@@ -22,26 +22,13 @@ from .actions import (
     transporter,
     trivialization,
 )
-from .cocycles import equivalence_classes, holonomy
-from .constructions import (
-    affine_torsor,
-    basis_torsor,
-    coset_torsor,
-    prime_field_matrix,
-    solution_torsor,
-)
 from .errors import NotASheafTorsor, TorsorError
 from .groups import catalog_group
 from .jsonio import SchemaError, canonical_json
 from .report import Report, failing, passing
-from .sheaves import (
-    as_sheaf_torsor,
-    global_sections,
-    glue_from_cocycle,
-    is_sheaf,
-    pseudocircle_descent_datum,
-    sections,
-)
+
+# cocycles, constructions, sheaves and spaces are imported by the verbs that run them, so a child
+# loads only the layers its verb needs
 
 CHECK_KINDS = (
     "group",
@@ -125,12 +112,16 @@ def _check_report(kind: str, obj) -> Report:
             "space", counts={"opens": len(space.opens), "points": space.num_points}
         )
     if kind == "sheaf":
+        from .sheaves import is_sheaf
+
         sheaf = jsonio.sets_sheaf_from_obj(obj)
         rep = is_sheaf(sheaf)
         counts = dict(rep.counts)
         counts["global_sections"] = sheaf.sizes[sheaf.space.whole_index]
         return Report("sheaf", rep.verdict, rep.witnesses, counts)
     if kind == "sheaf-torsor":
+        from .sheaves import global_sections
+
         try:
             torsor, counts = _sheaf_torsor_from_obj(obj)
         except NotASheafTorsor as err:
@@ -159,6 +150,8 @@ def _sheaf_torsor_from_obj(obj):
 
     Both paths end in as_sheaf_torsor, which raises NotASheafTorsor with the failing report.
     """
+    from .sheaves import as_sheaf_torsor, glue_from_cocycle
+
     if isinstance(obj, dict) and "transition" in obj:
         datum = jsonio.descent_from_obj(obj)
         return glue_from_cocycle(datum), {"cover": len(datum.cover)}
@@ -220,20 +213,28 @@ def _query_report(args) -> Report:
             },
         )
     if name == "holonomy":
+        from .cocycles import holonomy
+
         want(1)
         path_indices = [_int_param(v, "path") for v in params[0].split(",")]
         g = holonomy(jsonio.cocycle_from_obj(jsonio.load_json(path)), path_indices)
         return passing("holonomy", counts={"element": g, "path": path_indices})
     if name == "global-sections":
+        from .sheaves import global_sections
+
         want(0)
         n = len(global_sections(_sheaf_torsor_from_file(path)))
         return passing("global-sections", counts={"global_sections": n})
     if name == "sections":
+        from .sheaves import sections
+
         want(1)
         u = _int_param(params[0], "open")
         n = len(sections(_sheaf_torsor_from_file(path), u))
         return passing("sections", counts={"open": u, "sections": n})
     if name == "classes":
+        from .cocycles import equivalence_classes
+
         want(0)
         obj = jsonio._only(jsonio.load_json(path), "classes", "nerve", "group", "g")
         nerve = jsonio.nerve_from_obj(jsonio._expect(obj, "nerve", dict, "classes"))
@@ -269,6 +270,8 @@ def _generate(args) -> int:
     family = args.family
     params = args.params
     if family == "pseudocircle-torsor":
+        from .sheaves import global_sections, glue_from_cocycle, pseudocircle_descent_datum
+
         if len(params) != 1 or params[0] not in ("trivial", "twisted"):
             raise SchemaError("generate pseudocircle-torsor takes: trivial|twisted")
         group = catalog_group("cyclic(2)")
@@ -280,6 +283,8 @@ def _generate(args) -> int:
         n = len(global_sections(glue_from_cocycle(datum)))
         print(f"generated pseudocircle descent datum ({params[0]}): {n} global sections")
         return 0
+    from .constructions import affine_torsor, basis_torsor, coset_torsor, prime_field_matrix, solution_torsor
+
     if family in ("affine", "bases"):
         if len(params) != 2:
             raise SchemaError(f"generate {family} takes: p n")

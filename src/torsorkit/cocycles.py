@@ -29,7 +29,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .constructions import _codes, _digits
 from .errors import (
     InternalError,
     MalformedTable,
@@ -41,7 +40,7 @@ from .errors import (
     TripleWithoutEdge,
     _guard,
 )
-from .groups import FiniteGroup, _entries, _first, _is_index, _positive
+from .groups import FiniteGroup, _codes, _digits, _entries, _first, _is_index, _positive
 
 # Bounds |G|^edges, the edge assignments. equivalence_classes lists every valid one
 # and finds them by gauge fixing, with less work than trying each assignment.

@@ -6,7 +6,8 @@ general-linear torsors. A group built from scratch (F_p^n, a kernel, GL_n)
 is decided once; every other law and action is carried from it, the action
 as the group acting on itself renamed by k -> k.x0, and as_torsor re-checks
 each output. Vectors over F_p are base-p integers, so lexicographic order
-is numeric order; one codec (``_digits`` / ``_codes``) builds every table.
+is numeric order; one codec (``groups._digits`` / ``_codes``) builds every
+table.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _codes,
+    _digits,
     _entries,
     _first,
     _is_index,
@@ -155,16 +158,6 @@ def decode_vector(idx: int, p: int, n: int) -> tuple[int, ...]:
     if not _is_index(idx, _require_codes(p, n)):
         raise MalformedTable(f"vector code {idx!r} out of range for F_{p}^{n}", code=idx)
     return tuple(_digits(idx, p, n).tolist())
-
-
-def _digits(codes, p: int, width: int) -> np.ndarray:
-    """Base-p digits of each code along a new last axis, most significant first."""
-    return np.asarray(codes)[..., None] // p ** np.arange(width - 1, -1, -1) % p
-
-
-def _codes(digits: np.ndarray, p: int) -> np.ndarray:
-    """The inverse of ``_digits``: base-p value of the last axis."""
-    return digits @ p ** np.arange(digits.shape[-1] - 1, -1, -1)
 
 
 def _sum_codes(a: np.ndarray, b: np.ndarray, p: int, width: int) -> np.ndarray:

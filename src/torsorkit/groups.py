@@ -254,6 +254,16 @@ def _positions(codes: np.ndarray, size: int) -> np.ndarray:
     return pos
 
 
+def _digits(codes, p: int, width: int) -> np.ndarray:
+    """Base-p digits of each code along a new last axis, most significant first."""
+    return np.asarray(codes)[..., None] // p ** np.arange(width - 1, -1, -1) % p
+
+
+def _codes(digits: np.ndarray, p: int) -> np.ndarray:
+    """The inverse of ``_digits``: base-p value of the last axis."""
+    return digits @ p ** np.arange(digits.shape[-1] - 1, -1, -1)
+
+
 def _tuples(arr: np.ndarray, bound: int) -> tuple[tuple[int, ...], ...]:
     """A table as nested tuples, sharing one int object per value, not one per cell: the tuple view
     of a group, action or sheaf action table, built on its first read, so neither a rejected table

@@ -12,20 +12,18 @@ semantic problems raise the domain errors of the owning module.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .actions import GroupAction, build_action
-from .cocycles import Nerve, NerveCocycle, build_nerve, check_cocycle
 from .errors import MalformedTable
 from .groups import FiniteGroup, Subgroup, _entries, _is_int, build_group, build_subgroup, catalog_group
-from .sheaves import (
-    DescentDatum,
-    SheafAction,
-    SheafOfGroups,
-    SheafOfSets,
-    build_descent_datum,
-    constant_group_sheaf,
-)
-from .spaces import FiniteSpace, build_space
+
+# the readers of cocycles, spaces and sheaves import those layers themselves, so reading a group or
+# an action loads none of them; the writers only read attributes
+if TYPE_CHECKING:
+    from .cocycles import Nerve, NerveCocycle
+    from .sheaves import DescentDatum, SheafAction, SheafOfSets
+    from .spaces import FiniteSpace
 
 
 class SchemaError(Exception):
@@ -161,6 +159,8 @@ def _pair_map(raw: dict, what) -> dict:
 
 
 def nerve_from_obj(obj) -> Nerve:
+    from .cocycles import build_nerve
+
     _only(obj, "nerve", "opens", "edges", "triples")
     opens = _expect(obj, "opens", int, "nerve")
     edges = _int_list_list(_expect(obj, "edges", list, "nerve"), "nerve.edges")
@@ -177,6 +177,8 @@ def nerve_to_obj(nerve: Nerve) -> dict:
 
 
 def cocycle_from_obj(obj) -> NerveCocycle:
+    from .cocycles import check_cocycle
+
     _only(obj, "cocycle", "nerve", "group", "g")
     nerve = nerve_from_obj(_expect(obj, "nerve", dict, "cocycle"))
     group = group_from_obj(_expect(obj, "group", None, "cocycle"))
@@ -199,6 +201,8 @@ def space_to_obj(space: FiniteSpace) -> dict:
 
 
 def space_from_obj(obj) -> FiniteSpace:
+    from .spaces import build_space
+
     _only(obj, "space", "points", "opens")
     points = _expect(obj, "points", int, "space")
     opens = _int_list_list(_expect(obj, "opens", list, "space"), "space.opens")
@@ -245,6 +249,8 @@ def _restrict_to_obj(sheaf: SheafOfSets) -> dict:
 def sets_sheaf_from_obj(obj, space: FiniteSpace | None = None, *optional: str) -> SheafOfSets:
     """A sheaf object, over ``space`` when given and else over its own; ``optional`` names keys beyond
     its own that the caller reads itself."""
+    from .sheaves import SheafOfSets
+
     own = ("space", "sections", "restrict") if space is None else ("sections", "restrict")
     _only(obj, "sheaf", *own, *optional)
     if space is None:
@@ -265,6 +271,8 @@ def sets_sheaf_to_obj(sheaf: SheafOfSets, include_space: bool = True) -> dict:
 
 
 def sheaf_action_from_obj(obj) -> SheafAction:
+    from .sheaves import SheafAction, SheafOfGroups
+
     _only(obj, "sheaf-action", "space", "groups", "sets", "act")
     space = space_from_obj(_expect(obj, "space", dict, "sheaf-action"))
     graw = _expect(obj, "groups", dict, "sheaf-action")
@@ -303,10 +311,19 @@ def sheaf_action_to_obj(action: SheafAction) -> dict:
         "space": space_to_obj(action.sets.space),
         "groups": groups_obj,
         "sets": sets_sheaf_to_obj(action.sets, include_space=False),
-        "act": {  # the stored arrays; the table as given where one fails the read
-            str(u): [list(r) for r in action.act[u]] if isinstance(arr, dict) else arr.tolist()
-            for u, arr in enumerate(action._read)
-        },
+        "act": _act_to_obj(action),
+    }
+
+
+def _act_to_obj(action: SheafAction) -> dict:
+    """The stored arrays; the tables of a hand-built action as given where one fails the read, or where
+    the read stops short of it (a count of tables, groups or section counts that is not the open count)."""
+    read = action._read
+    if len(read) == len(action.sets.space.opens) and not any(isinstance(arr, dict) for arr in read):
+        return {str(u): arr.tolist() for u, arr in enumerate(read)}
+    return {
+        str(u): [list(r) for r in table] if u >= len(read) or isinstance(read[u], dict) else read[u].tolist()
+        for u, table in enumerate(action.act)
     }
 
 
@@ -322,6 +339,8 @@ def descent_to_obj(space: FiniteSpace, group: FiniteGroup, datum: DescentDatum) 
 
 
 def descent_from_obj(obj) -> DescentDatum:
+    from .sheaves import build_descent_datum, constant_group_sheaf
+
     _only(obj, "descent", "space", "group", "cover", "transition")
     space = space_from_obj(_expect(obj, "space", dict, "descent"))
     group = group_from_obj(_expect(obj, "group", None, "descent"))

@@ -23,7 +23,7 @@ action) passes its arrays, which are the read; a hand-built sheaf or
 action keeps the tables it was given and reads them strictly once, on
 first use, checking the type and range of every cell. A sheaf of groups
 is decided at most once for gluing and as_sheaf_torsor. The constant
-sheaf carries G^c from G with the mixed-radix codec of ``constructions``,
+sheaf carries G^c from G with the mixed-radix codec of ``groups``,
 without deciding it again; each axiom is one gather-and-compare per
 inclusion or per open, whose first mismatch in row-major order is the
 least witness; compatible families are enumerated one cover member at a
@@ -44,7 +44,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .actions import GroupAction, Torsor, _transports
-from .constructions import _codes, _digits
 from .errors import (
     CoverIncomplete,
     InternalError,
@@ -58,7 +57,9 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    _codes,
     _compatibility_witness,
+    _digits,
     _entries,
     _first,
     _frozen_array,
@@ -298,10 +299,18 @@ def _table(arrays: dict, sizes, u: int, v: int) -> np.ndarray:
     return np.arange(sizes[u]) if u == v else arrays[(u, v)]
 
 
+def _open_count(table: str, space: FiniteSpace, given) -> dict:
+    """The witness of a per-open ``table`` whose count of entries is not the count of opens."""
+    return {"axiom": "open-count", "table": table, "opens": len(space.opens), "given": len(given)}
+
+
 def _structure(space: FiniteSpace, restrict, sizes) -> tuple[tuple[dict, ...], dict]:
     """Witnesses of missing, misshapen, ill-typed or out-of-range restriction tables, and the
     passing tables as read-only int arrays. The one reader of a hand-built sheaf's tables, run once
-    by ``SheafOfSets._read``: it reads the proper inclusions only, never a key no check reads."""
+    by ``SheafOfSets._read``: it reads the proper inclusions only, never a key no check reads. A count
+    of section counts other than the count of opens is the one witness, as no open can be read."""
+    if len(sizes) != len(space.opens):
+        return (_open_count("sizes", space, sizes),), {}
     out, arrays = [], {}
     for u, v in _proper_pairs(space):
         table = restrict.get((u, v))
@@ -416,8 +425,14 @@ def _restriction_failures(space: FiniteSpace, tables, g_arrays: dict, f_arrays: 
 
 
 def _group_orders(gs: SheafOfGroups) -> list[dict]:
-    """A witness for each open whose group's order is not its section count."""
-    sizes = gs.sets.sizes
+    """A witness for each open whose group's order is not its section count, or the one witness of a
+    count of groups other than the count of opens; none where the section counts are miscounted, as
+    the read of the sheaf of sets names that."""
+    space, sizes = gs.space, gs.sets.sizes
+    if len(gs.groups) != len(space.opens):
+        return [_open_count("groups", space, gs.groups)]
+    if len(sizes) != len(space.opens):
+        return []
     return [{"axiom": "group-order", "open": u} for u, g in enumerate(gs.groups) if g.order != sizes[u]]
 
 
@@ -440,10 +455,13 @@ def _require(rep: Report) -> None:
 
 
 def _act_read(act, gs: SheafOfGroups, fs: SheafOfSets) -> tuple:
-    """Per open of a hand-built action, its table as a read-only int32 array, else its witness."""
+    """Per open of a hand-built action, its table as a read-only int32 array, else its witness; the one
+    witness of a count of tables other than the count of opens. Opens past the count of groups or of
+    section counts are left to the witnesses of those."""
+    if len(act) != len(fs.space.opens):
+        return (_open_count("act", fs.space, act),)
     out = []
-    for u in range(len(fs.space.opens)):
-        table, order, size = act[u], gs.groups[u].order, fs.sizes[u]
+    for u, (table, order, size) in enumerate(zip(act, [g.order for g in gs.groups], fs.sizes)):
         arr = _index_array(table, order, size, size)
         if arr is None:
             misshapen = len(table) != order or any(len(r) != size for r in table)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import torsorkit as tk
+from torsorkit import jsonio
 from torsorkit.errors import (
     CoverIncomplete,
     MalformedTable,
@@ -421,6 +422,50 @@ def test_as_sheaf_torsor_stops_at_the_first_failing_check(psc):
         tk.as_sheaf_torsor(_glued_action_with("sets", key, None))
     assert err.value.report.check == "sheaf"
     assert err.value.report.witnesses == ({"axiom": "restriction-table", "u": key[0], "v": key[1]},)
+
+
+def _open_count(table, given, **sheaf):
+    """The witness of a per-open table with ``given`` entries on the pseudocircle's 7 opens."""
+    return {"axiom": "open-count", **sheaf, "table": table, "opens": 7, "given": given}
+
+
+@pytest.mark.parametrize("count", [6, 8], ids=["short", "long"])
+def test_a_miscounted_action_is_one_open_count_witness(z3, count):
+    glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z3, 1)).action
+    act = (glued.act + glued.act)[:count]
+    bad = SheafAction(groups=glued.groups, sets=glued.sets, act=act)
+    assert tk.is_sheaf_torsor(bad).witnesses == (_open_count("act", count),)
+    with pytest.raises(NotASheafTorsor) as err:
+        tk.as_sheaf_torsor(bad)
+    assert err.value.report.witnesses == (_open_count("act", count),)
+    # no open was read, so the writer writes every table as given
+    assert jsonio.sheaf_action_to_obj(bad)["act"] == {str(u): [list(r) for r in t] for u, t in enumerate(act)}
+
+
+@pytest.mark.parametrize("count", [6, 8], ids=["short", "long"])
+def test_miscounted_section_counts_are_one_open_count_witness(z2, count):
+    glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1)).action
+    sizes = (glued.sets.sizes + (3,))[:count]
+    bad = SheafOfSets(space=glued.sets.space, sizes=sizes, restrict=glued.sets.restrict)
+    assert tk.is_sheaf(bad).witnesses == (_open_count("sizes", count),)
+    # a sheaf of groups names only its sets' miscount, and no group order against a miscounted size
+    bad_groups = tk.SheafOfGroups(sets=bad, groups=glued.groups.groups)
+    assert tk.is_sheaf_of_groups(bad_groups).witnesses == (_open_count("sizes", count),)
+    for sheaf, action in (("sets", replace(glued, sets=bad)), ("groups", replace(glued, groups=bad_groups))):
+        assert tk.is_sheaf_torsor(action).witnesses == (_open_count("sizes", count, sheaf=sheaf),)
+    assert jsonio.sets_sheaf_to_obj(bad)["sections"] == {str(u): n for u, n in enumerate(sizes)}
+
+
+def test_a_miscounted_group_list_is_one_open_count_witness(z2):
+    glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1)).action
+    bad = tk.SheafOfGroups(sets=glued.groups.sets, groups=glued.groups.groups[:-1])
+    assert tk.is_sheaf_of_groups(bad).witnesses == (_open_count("groups", 6),)
+    action = replace(glued, groups=bad)
+    assert tk.is_sheaf_torsor(action).witnesses == (_open_count("groups", 6, sheaf="groups"),)
+    # the read stops at the sixth open; the writer still writes all seven tables
+    assert len(action._read) == 6
+    written = jsonio.sheaf_action_to_obj(action)["act"]
+    assert written == {str(u): [list(r) for r in t] for u, t in enumerate(glued.act)}
 
 
 def test_glue_rejects_a_hand_built_group_sheaf_with_a_corrupted_restriction(psc, z2):

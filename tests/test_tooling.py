@@ -197,3 +197,39 @@ def test_tuple_views_are_built_only_by_the_cached_views():
         f"{path.name}:{scope}" for path in sorted(SRC.rglob("*.py")) for scope, _ in _qualified_calls(path, "_tuples")
     }
     assert callers == {"groups.py:FiniteGroup.cayley", "actions.py:GroupAction.act", "sheaves.py:SheafAction.act"}
+
+
+def _module_level_imports(path: Path) -> set[str]:
+    """The torsorkit modules ``path`` imports when it loads: its top-level import statements and those
+    in top-level blocks, leaving out ``if TYPE_CHECKING:``, which never runs."""
+    def statements(body):
+        for node in body:
+            if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+                yield from statements(node.orelse)
+            elif isinstance(node, (ast.If, ast.Try, ast.With)):
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    yield from statements(getattr(node, field, []))
+            elif isinstance(node, ast.ExceptHandler):
+                yield from statements(node.body)
+            else:
+                yield node
+
+    found = set()
+    for node in statements(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("torsorkit"):
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names if alias.name.startswith("torsorkit")}
+    return found
+
+
+def test_a_command_line_child_loads_only_the_layers_its_verb_runs():
+    """``cli.py`` and ``jsonio.py`` import ``cocycles``, ``constructions``, ``sheaves`` and ``spaces`` inside
+    the verb or reader that runs them, and the package imports no layer until a public name is read; an
+    import moved back to the top would make every child compile those layers again."""
+    base = {"errors", "groups", "report", "actions", "jsonio"}
+    assert _module_level_imports(SRC / "cli.py") <= base
+    assert _module_level_imports(SRC / "jsonio.py") <= base
+    assert _module_level_imports(SRC / "__init__.py") == {"errors"}
