@@ -11,7 +11,8 @@ Light's test over a generating set of at most log2(|G|) elements h, with
 the full lexicographic scan giving the least witness on failure (see
 ``groups``). Tables are checked as int arrays, once each. An action
 stores its table once, as a read-only int32 array; ``act`` is a
-nested-tuple view of it, built on first read.
+nested-tuple view of it, built on first read. A hand-built action's
+table is read strictly when it is built, as a hand-built group's is.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     EmptySet,
     IdentityAxiomViolated,
     InternalError,
+    Mismatch,
     NotFree,
     NotTransitive,
     PointOutOfRange,
@@ -37,7 +39,6 @@ from .groups import (
     Subgroup,
     _compatibility_witness,
     _first,
-    _frozen_array,
     _index_table,
     _is_index,
     _positions,
@@ -57,7 +58,7 @@ class GroupAction(_StoredTable):
     ``array`` holds the table, act[g][x] at ``array[g, x]``; ``act`` is its
     tuple view, built on first read. As for ``FiniteGroup``, a producer
     passes its validated ``array`` and a hand-built action passes ``act``,
-    kept as given.
+    read strictly here (its shape and cells, not the axioms).
     """
 
     group: FiniteGroup
@@ -66,10 +67,8 @@ class GroupAction(_StoredTable):
     _compared = ("group", "set_size")
 
     def __init__(self, group: FiniteGroup, set_size: int, act=None, array=None):
-        array = _frozen_array(act).reshape(group.order, set_size) if array is None else array
+        array = array if act is None else _index_table(act, group.order, set_size, set_size)
         self._set(group=group, set_size=set_size, array=array)
-        if act is not None:
-            vars(self)["act"] = act
 
     @cached_property
     def act(self) -> tuple[tuple[int, ...], ...]:
@@ -153,8 +152,8 @@ def is_free(action: GroupAction):
 
 
 def is_transitive(action: GroupAction):
-    """(True, None) or (False, (x, y)) for points in distinct orbits."""
-    reached = set(orbit(action, 0))
+    """(True, None) or (False, (x, y)) for points in distinct orbits; (True, None) with no points."""
+    reached = set(orbit(action, 0)) if action.set_size else set()
     missing = next((y for y in range(action.set_size) if y not in reached), None)
     return (True, None) if missing is None else (False, (0, missing))
 
@@ -285,6 +284,8 @@ def coset_list(group: FiniteGroup, sub: Subgroup) -> list[tuple[int, ...]]:
 
     Coset 0 always contains the smallest element of the identity coset.
     """
+    if sub.parent != group:
+        raise Mismatch("the subgroup is not a subgroup of this group")
     rows = np.sort(group.array[:, list(sub.members)], axis=1)  # g -> the sorted coset gH
     # ascending g, each coset read at its least member: the first g that meets it, as gH holds g
     return list(map(tuple, rows[rows[:, 0] == np.arange(group.order)].tolist()))

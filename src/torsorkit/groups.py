@@ -4,6 +4,10 @@ Elements are dense indices 0..order-1; cayley[g][h] is the product g*h
 (row acts on the left). Names exist only in pretty-printing, never in
 the core data. A group stores its table once, as a read-only int32
 array; ``cayley`` is a nested-tuple view of it, built on first read.
+Every table a caller passes in, to ``build_group`` or to a class, is
+read once, when its object is built, by one strict reader
+(``_index_table``): a bad row or cell raises MalformedTable naming its
+place, and nothing is cast or kept as given.
 
 Validation is exact, never sampled. Associativity is decided by Light's
 test (Clifford & Preston, *The Algebraic Theory of Semigroups* I, §1.2):
@@ -23,7 +27,9 @@ so every action of it is decided without searching again.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,27 +53,24 @@ def _frozen_array(rows) -> np.ndarray:
     return arr
 
 
-def _arrays_in(stored):
-    """The arrays of a stored form: the form itself, or those held in its dicts and tuples."""
+def _arrays_in(stored) -> list:
+    """The arrays of a stored form: one array, or the values of a dict or tuple of them."""
     if isinstance(stored, np.ndarray):
-        yield stored
-    elif isinstance(stored, (dict, tuple)):
-        for item in stored.values() if isinstance(stored, dict) else stored:
-            yield from _arrays_in(item)
+        return [stored]
+    return list(stored.values() if isinstance(stored, dict) else stored)
 
 
 def _same(a, b) -> bool:
-    """Equality of two stored forms: arrays by shape and value, dicts and tuples item by item, in order."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return type(a) is type(b) and np.array_equal(a, b)
-    if isinstance(a, (dict, tuple)) and type(a) is type(b) and len(a) == len(b):
-        return all(map(_same, *(x.items() if isinstance(x, dict) else x for x in (a, b))))
-    return a == b
+    """Equality of two stored forms of one class: a dict's keys in order, then the arrays by shape and value."""
+    if isinstance(a, dict) and list(a) != list(b):
+        return False
+    a, b = _arrays_in(a), _arrays_in(b)
+    return len(a) == len(b) and all(map(np.array_equal, a, b))
 
 
 class _StoredTable:
     """Tables stored once, as read-only int32 arrays in the attribute named by ``_stored`` (one array,
-    or a dict or tuple holding them), with nested-tuple views that a subclass builds on first read.
+    or a dict or tuple of them), with nested-tuple views that a subclass builds on first read.
     Equality and hashing read the fields named by ``_compared`` and the stored form, never a view;
     ``repr`` prints the same, through numpy's repr; pickle and deepcopy keep the arrays read-only."""
 
@@ -109,7 +112,8 @@ class FiniteGroup(_StoredTable):
     ``array`` holds the table, cayley[g][h] at ``array[g, h]``; ``cayley``
     is its tuple view, for the Python loops that read one cell at a time.
     A producer passes its validated ``array``; a hand-built group passes
-    ``cayley``, which is kept as given. ``constant_sheaves`` holds the
+    ``cayley``, read strictly here by ``_index_table`` (its shape and the
+    type and range of every cell, not the axioms). ``constant_sheaves`` holds the
     decided constant sheaves of this group by space, filled by
     ``sheaves.constant_group_sheaf``; it dies with the group.
     """
@@ -122,10 +126,8 @@ class FiniteGroup(_StoredTable):
     _compared = ("order", "identity", "inverse")
 
     def __init__(self, order: int, cayley=None, identity=None, inverse=None, array=None):
-        array = _frozen_array(cayley) if array is None else array
+        array = array if cayley is None else _index_table(cayley, order, order, order, "cayley: ")
         self._set(order=order, identity=identity, inverse=inverse, array=array, constant_sheaves={})
-        if cayley is not None:
-            vars(self)["cayley"] = cayley
 
     @cached_property
     def cayley(self) -> tuple[tuple[int, ...], ...]:
@@ -196,54 +198,45 @@ def _entries(values, what: str, bound=None, **where) -> list[int]:
     return out
 
 
-def _index_array(rows, height: int, width: int, bound: int) -> np.ndarray | None:
-    """A height x width table of indices in [0, bound) as a read-only int32 array, else None.
+def _is_sequence(obj) -> bool:
+    # a list or tuple answers on the first test; a str or bytes, like a 0-d array, holds no cells
+    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray) and obj.ndim:
+        return True
+    return isinstance(obj, Sequence) and not isinstance(obj, (str, bytes))
 
-    The fast path of strict index validation: cell types are checked at C
-    speed, then the range on the array. Indices fit in int32, which halves
-    the memory of every stored table and check buffer.
+
+def _index_table(rows, height, width: int, bound: int, prefix: str = "", **where) -> np.ndarray:
+    """A caller's table of indices in [0, bound) as a read-only int32 array: ``height`` rows of ``width``
+    cells, or one row of ``width`` cells when ``height`` is None. The one reader of a caller's table.
+
+    Cell types are checked at C speed, then the range on the array. On any bad row or cell the
+    row-major scan runs and raises MalformedTable at the first one, named by ``where``, its ``row``
+    (in a table of rows) and its ``position``, so the witness does not depend on the fast path.
+    Indices fit in int32, which halves the memory of every stored table and check buffer.
     """
-    if isinstance(rows, np.ndarray):
-        if rows.dtype.kind not in "iu" or rows.shape != (height, width):
-            return None
-        arr = rows
-    else:
-        if len(rows) != height or any(len(r) != width for r in rows):
-            return None
-        types = set(map(type, itertools.chain.from_iterable(rows)))
-        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
-            return None
-        try:
-            arr = np.array(rows, dtype=np.intp).reshape(height, width)
-        except OverflowError:
-            return None
-    if arr.size and (arr.min() < 0 or arr.max() >= bound):
-        return None
-    arr = np.array(arr, dtype=np.int32, order="C")
-    arr.flags.writeable = False
-    return arr
-
-
-def _index_table(rows, height: int, width: int, bound: int, prefix: str = "") -> np.ndarray:
-    """Validate a table of indices in [0, bound) and return it as a read-only int array.
-
-    On any bad row or cell the row-major scan reruns and raises
-    MalformedTable at the first one, so the witness does not depend on
-    the fast path.
-    """
-    if not isinstance(rows, np.ndarray):
-        rows = [r if isinstance(r, (list, tuple)) else list(r) for r in rows]
-    arr = _index_array(rows, height, width, bound)
-    if arr is not None:
+    shape = (width,) if height is None else (height, width)
+    arr = rows if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" else None
+    if arr is None and _is_sequence(rows) and len(rows) == shape[0]:
+        if height is None or all(_is_sequence(r) and len(r) == width for r in rows):
+            cells = rows if height is None else itertools.chain.from_iterable(rows)
+            if all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, cells))):
+                with contextlib.suppress(OverflowError):
+                    arr = np.array(rows, dtype=np.intp)
+    if arr is not None and arr.shape == shape and not (arr.size and (arr.min() < 0 or arr.max() >= bound)):
+        arr = np.array(arr, dtype=np.int32, order="C")
+        arr.flags.writeable = False
         return arr
-    if isinstance(rows, np.ndarray):
-        rows = [list(r) for r in rows]
-    if len(rows) != height:
-        raise MalformedTable(f"{prefix}expected {height} rows, got {len(rows)}", rows=len(rows))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise MalformedTable(f"{prefix}row {i} has length {len(row)}, expected {width}", row=i)
-        _entries(row, f"{prefix}row {i}", bound, row=i)
+    if not _is_sequence(rows):
+        raise MalformedTable(f"{prefix}table of type {type(rows).__name__} is not a sequence", **where)
+    listed = [(rows, f"{prefix}table", where)]
+    if height is not None:
+        if len(rows) != height:
+            raise MalformedTable(f"{prefix}expected {height} rows, got {len(rows)}", **where, rows=len(rows))
+        listed = [(row, f"{prefix}row {i}", {**where, "row": i}) for i, row in enumerate(rows)]
+    for row, what, place in listed:
+        if not _is_sequence(row) or len(row) != width:
+            raise MalformedTable(f"{what} is not a sequence of {width} entries", **place)
+        _entries(row, what, bound, **place)
     raise InternalError("the fast index check rejected a table the scan accepts")
 
 

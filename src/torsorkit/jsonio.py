@@ -15,8 +15,7 @@ import json
 from typing import TYPE_CHECKING
 
 from .actions import GroupAction, build_action
-from .errors import MalformedTable
-from .groups import FiniteGroup, Subgroup, _entries, _is_int, build_group, build_subgroup, catalog_group
+from .groups import FiniteGroup, Subgroup, _is_int, build_group, build_subgroup, catalog_group
 
 # the readers of cocycles, spaces and sheaves import those layers themselves, so reading a group or
 # an action loads none of them; the writers only read attributes
@@ -80,13 +79,6 @@ def _expect(obj, key, kind, what):
     if kind is not None and not (_is_int(val) if kind is int else isinstance(val, kind)):
         raise SchemaError(f"{what}: key {key!r} has wrong type")
     return val
-
-
-def _int_cells(cells, what, **where) -> tuple[int, ...]:
-    """Table cells as ints, else MalformedTable; the sheaf checks witness their range."""
-    if not isinstance(cells, list):
-        raise MalformedTable(f"{what} {where}: {cells!r} is not a list", **where)
-    return tuple(_entries(cells, what, **where))
 
 
 def _int_list_list(val, what):
@@ -235,15 +227,12 @@ def _restrict_from_obj(obj, what) -> dict:
         u, v = _parse_pair_key(key, f"{what}.restrict")
         if not isinstance(table, list):
             raise SchemaError(f"{what}: restriction {key!r} must be a list")
-        out[(u, v)] = _int_cells(table, f"{what}.restrict", key=key)
+        out[(u, v)] = table
     return out
 
 
 def _restrict_to_obj(sheaf: SheafOfSets) -> dict:
-    """The stored arrays; the tables as given where one fails the read (a hand-built sheaf)."""
-    witnesses, arrays = sheaf._read
-    tables = sheaf.restrict if witnesses else {key: arr.tolist() for key, arr in arrays.items()}
-    return {_pair_key(u, v): list(t) for (u, v), t in sorted(tables.items())}
+    return {_pair_key(u, v): arr.tolist() for (u, v), arr in sorted(sheaf.arrays.items())}
 
 
 def sets_sheaf_from_obj(obj, space: FiniteSpace | None = None, *optional: str) -> SheafOfSets:
@@ -290,15 +279,8 @@ def sheaf_action_from_obj(obj) -> SheafAction:
             raise SchemaError(f"sheaf-action: missing action table for open {u}")
         if not isinstance(table, list):
             raise SchemaError(f"sheaf-action: action table for open {u} must be a list")
-        act.append(tuple(
-            _int_cells(cells, "sheaf-action.act", key=str(u), row=r)
-            for r, cells in enumerate(table)
-        ))
-    return SheafAction(
-        groups=SheafOfGroups(sets=g_sets, groups=tuple(groups)),
-        sets=f_sets,
-        act=tuple(act),
-    )
+        act.append(table)
+    return SheafAction(groups=SheafOfGroups(sets=g_sets, groups=tuple(groups)), sets=f_sets, act=act)
 
 
 def sheaf_action_to_obj(action: SheafAction) -> dict:
@@ -316,15 +298,7 @@ def sheaf_action_to_obj(action: SheafAction) -> dict:
 
 
 def _act_to_obj(action: SheafAction) -> dict:
-    """The stored arrays; the tables of a hand-built action as given where one fails the read, or where
-    the read stops short of it (a count of tables, groups or section counts that is not the open count)."""
-    read = action._read
-    if len(read) == len(action.sets.space.opens) and not any(isinstance(arr, dict) for arr in read):
-        return {str(u): arr.tolist() for u, arr in enumerate(read)}
-    return {
-        str(u): [list(r) for r in table] if u >= len(read) or isinstance(read[u], dict) else read[u].tolist()
-        for u, table in enumerate(action.act)
-    }
+    return {str(u): arr.tolist() for u, arr in enumerate(action.arrays)}
 
 
 # descent data (always over the constant sheaf of the named group)

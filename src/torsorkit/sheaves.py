@@ -16,13 +16,13 @@ choice that commutes with the transitions and still satisfies the left
 action axioms for nonabelian groups.
 
 One stored form, as for groups and actions: a sheaf of sets or action
-stores its tables once, in ``_read``, as read-only int32 arrays, and its
+stores its tables once, in ``arrays``, as read-only int32 arrays, and its
 public ``restrict`` and ``act`` are tuple views of them built on first
-read. A producer (gluing, the constant sheaf, the lift of a produced
-action) passes its arrays, which are the read; a hand-built sheaf or
-action keeps the tables it was given and reads them strictly once, on
-first use, checking the type and range of every cell. A sheaf of groups
-is decided at most once for gluing and as_sheaf_torsor. The constant
+read. A producer (gluing, the constant sheaf, the lift) passes its
+arrays; a hand-built sheaf or action passes its tables, read strictly
+when it is built by ``groups._index_table``, which raises MalformedTable
+at the first missing, misshapen, ill-typed or out-of-range one. A sheaf
+of groups is decided at most once for gluing and as_sheaf_torsor. The constant
 sheaf carries G^c from G with the mixed-radix codec of ``groups``,
 without deciding it again; each axiom is one gather-and-compare per
 inclusion or per open, whose first mismatch in row-major order is the
@@ -63,7 +63,7 @@ from .groups import (
     _entries,
     _first,
     _frozen_array,
-    _index_array,
+    _index_table,
     _is_index,
     _is_int,
     _positions,
@@ -83,33 +83,31 @@ _CONSTANT_SHEAVES_LOCK = threading.Lock()
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class SheafOfSets(_StoredTable):
-    """sections(U) = range(sizes[u]); ``_read`` holds the witnesses of the restriction tables that fail
-    the read and, by proper inclusion, those that pass as read-only int32 arrays. A producer passes its
-    ``arrays``, which are the read; a hand-built sheaf passes ``restrict`` (a list or array table becomes
-    a tuple), read once, on first use. ``restrict`` is a read-only mapping, of views for a producer."""
+    """sections(U) = range(sizes[u]); ``arrays`` holds the restriction table of each proper inclusion
+    (u, v) as a read-only int32 array. A producer passes its ``arrays``; a hand-built sheaf passes
+    ``sizes`` and ``restrict``, read here in place of any ``arrays``: MalformedTable names a bad table by
+    u and v, and a bad cell by its position too. Keys that are no proper inclusion are never read.
+    ``restrict`` is a read-only mapping of tuple views."""
 
     space: FiniteSpace
     sizes: tuple[int, ...]
-    restrict: Mapping
+    arrays: dict
     _compared = ("space", "sizes")
-    _stored = "_read"
+    _stored = "arrays"
 
     def __init__(self, space: FiniteSpace, sizes, restrict=None, arrays=None):
-        self._set(space=space, sizes=tuple(sizes))
-        if restrict is None:
-            vars(self)["_read"] = ((), arrays)
-        else:
-            vars(self)["_tables"] = {
-                key: tuple(t) if isinstance(t, (list, np.ndarray)) else t for key, t in restrict.items()
+        if restrict is not None:
+            sizes = _per_open(_entries(sizes, "sizes", np.iinfo(np.int32).max), space, "sizes")
+            tables = {(u, v): restrict.get((u, v)) for u, v in _proper_pairs(space)}
+            arrays = {
+                (u, v): _index_table(t, None, sizes[u], sizes[v], f"restrict[{u}, {v}]: ", u=u, v=v)
+                for (u, v), t in tables.items()
             }
-
-    @cached_property
-    def _read(self) -> tuple[tuple[dict, ...], dict]:
-        return _structure(self.space, self._tables, self.sizes)
+        self._set(space=space, sizes=tuple(sizes), arrays=arrays)
 
     @cached_property
     def _tables(self) -> dict:
-        return {key: tuple(arr.tolist()) for key, arr in self._read[1].items()}
+        return {key: tuple(arr.tolist()) for key, arr in self.arrays.items()}
 
     @property
     def restrict(self) -> Mapping:
@@ -119,11 +117,8 @@ class SheafOfSets(_StoredTable):
         return range(self.sizes[u])
 
     def restrict_section(self, u: int, s: int, v: int) -> int:
-        """s|v, off the stored array; off the table as given where it failed the read."""
-        if u == v:
-            return s
-        arr = self._read[1].get((u, v))
-        return self.restrict[(u, v)][s] if arr is None else int(arr[s])
+        """s|v, off the stored array."""
+        return s if u == v else int(self.arrays[(u, v)][s])
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,7 @@ class SheafOfGroups:
     groups: tuple[FiniteGroup, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(self.groups))
+        object.__setattr__(self, "groups", _per_open(self.groups, self.sets.space, "groups"))
 
     @property
     def space(self) -> FiniteSpace:
@@ -154,30 +149,26 @@ class SheafOfGroups:
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class SheafAction(_StoredTable):
-    """Per open U, a table act[u][g][s] of G(U) on F(U); ``_read`` holds each as a read-only int32 array,
-    or the witness of one that fails the read. A producer passes its ``arrays``, which are the read; a
-    hand-built action passes ``act``, kept as given and read once, on first use."""
+    """Per open U, a table act[u][g][s] of G(U) on F(U); ``arrays`` holds each, by open, as a read-only
+    int32 array. A producer passes its ``arrays``; a hand-built action passes ``act``, read here in place
+    of any ``arrays``, against the group orders and section counts: MalformedTable names a bad table by
+    its open, row and position."""
 
     groups: SheafOfGroups
     sets: SheafOfSets
-    act: tuple
+    arrays: tuple
     _compared = ("groups", "sets")
-    _stored = "_read"
+    _stored = "arrays"
 
     def __init__(self, groups: SheafOfGroups, sets: SheafOfSets, act=None, arrays=None):
-        self._set(groups=groups, sets=sets)
-        if act is None:
-            vars(self)["_read"] = tuple(arrays)
-        else:
-            vars(self)["act"] = act
+        if act is not None:
+            tables = zip(_per_open(act, sets.space, "act"), groups.groups, sets.sizes)
+            arrays = [_index_table(t, g.order, n, n, f"act[{u}]: ", open=u) for u, (t, g, n) in enumerate(tables)]
+        self._set(groups=groups, sets=sets, arrays=tuple(arrays))
 
     @cached_property
     def act(self) -> tuple:
-        return tuple(_tuples(arr, size) for arr, size in zip(self._read, self.sets.sizes))
-
-    @cached_property
-    def _read(self) -> tuple:
-        return _act_read(self.act, self.groups, self.sets)
+        return tuple(_tuples(arr, size) for arr, size in zip(self.arrays, self.sets.sizes))
 
 
 @dataclass(frozen=True)
@@ -299,30 +290,12 @@ def _table(arrays: dict, sizes, u: int, v: int) -> np.ndarray:
     return np.arange(sizes[u]) if u == v else arrays[(u, v)]
 
 
-def _open_count(table: str, space: FiniteSpace, given) -> dict:
-    """The witness of a per-open ``table`` whose count of entries is not the count of opens."""
-    return {"axiom": "open-count", "table": table, "opens": len(space.opens), "given": len(given)}
-
-
-def _structure(space: FiniteSpace, restrict, sizes) -> tuple[tuple[dict, ...], dict]:
-    """Witnesses of missing, misshapen, ill-typed or out-of-range restriction tables, and the
-    passing tables as read-only int arrays. The one reader of a hand-built sheaf's tables, run once
-    by ``SheafOfSets._read``: it reads the proper inclusions only, never a key no check reads. A count
-    of section counts other than the count of opens is the one witness, as no open can be read."""
-    if len(sizes) != len(space.opens):
-        return (_open_count("sizes", space, sizes),), {}
-    out, arrays = [], {}
-    for u, v in _proper_pairs(space):
-        table = restrict.get((u, v))
-        if not hasattr(table, "__len__") or len(table) != sizes[u]:
-            out.append({"axiom": "restriction-table", "u": u, "v": v})
-            continue
-        arr = _index_array([table], 1, sizes[u], sizes[v])
-        if arr is None:
-            out.append({"axiom": "restriction-range", "u": u, "v": v})
-            continue
-        arrays[(u, v)] = arr[0]
-    return tuple(out), arrays
+def _per_open(values, space: FiniteSpace, what: str) -> tuple:
+    """A caller's list of one entry per open as a tuple; MalformedTable where the counts differ."""
+    values, opens = tuple(values), len(space.opens)
+    if len(values) != opens:
+        raise MalformedTable(f"{what}: {len(values)} entries for {opens} opens", table=what, given=len(values))
+    return values
 
 
 def _minimal_cover(space: FiniteSpace, u: int) -> tuple[int, ...]:
@@ -370,10 +343,7 @@ def _locate(lookups, sizes, columns) -> np.ndarray:
 
 def is_sheaf(sheaf: SheafOfSets) -> Report:
     """Exact functoriality, locality, and gluing check on minimal covers, with witnesses."""
-    witnesses, arrays = sheaf._read
-    if witnesses:
-        return failing("sheaf", witnesses)
-    witnesses, space = [], sheaf.space
+    witnesses, space, arrays = [], sheaf.space, sheaf.arrays
     for u, v in _proper_pairs(space):
         for w in space.subopens[v]:
             bad = _first(arrays[(v, w)][arrays[(u, v)]] != arrays[(u, w)])
@@ -424,16 +394,10 @@ def _restriction_failures(space: FiniteSpace, tables, g_arrays: dict, f_arrays: 
             yield u, v, *bad
 
 
-def _group_orders(gs: SheafOfGroups) -> list[dict]:
-    """A witness for each open whose group's order is not its section count, or the one witness of a
-    count of groups other than the count of opens; none where the section counts are miscounted, as
-    the read of the sheaf of sets names that."""
-    space, sizes = gs.space, gs.sets.sizes
-    if len(gs.groups) != len(space.opens):
-        return [_open_count("groups", space, gs.groups)]
-    if len(sizes) != len(space.opens):
-        return []
-    return [{"axiom": "group-order", "open": u} for u, g in enumerate(gs.groups) if g.order != sizes[u]]
+def _group_orders(gs: SheafOfGroups, **tag) -> list[dict]:
+    """A witness for each open whose group's order is not its section count."""
+    sizes = gs.sets.sizes
+    return [{"axiom": "group-order", **tag, "open": u} for u, g in enumerate(gs.groups) if g.order != sizes[u]]
 
 
 def is_sheaf_of_groups(gs: SheafOfGroups) -> Report:
@@ -441,7 +405,7 @@ def is_sheaf_of_groups(gs: SheafOfGroups) -> Report:
     witnesses = list(is_sheaf(gs.sets).witnesses) + _group_orders(gs)
     if not witnesses:
         # restriction is a homomorphism: the regular actions of the G(U) commute with it
-        arrays = gs.sets._read[1]
+        arrays = gs.sets.arrays
         for u, v, s, t in _restriction_failures(gs.space, [g.array for g in gs.groups], arrays, arrays):
             witnesses.append({"axiom": "restriction-hom", "u": u, "v": v, "s": s, "t": t})
     if witnesses:
@@ -454,30 +418,11 @@ def _require(rep: Report) -> None:
         raise NotASheafTorsor(f"{rep.check} failed: {rep.witnesses[0]}", report=rep)
 
 
-def _act_read(act, gs: SheafOfGroups, fs: SheafOfSets) -> tuple:
-    """Per open of a hand-built action, its table as a read-only int32 array, else its witness; the one
-    witness of a count of tables other than the count of opens. Opens past the count of groups or of
-    section counts are left to the witnesses of those."""
-    if len(act) != len(fs.space.opens):
-        return (_open_count("act", fs.space, act),)
-    out = []
-    for u, (table, order, size) in enumerate(zip(act, [g.order for g in gs.groups], fs.sizes)):
-        arr = _index_array(table, order, size, size)
-        if arr is None:
-            misshapen = len(table) != order or any(len(r) != size for r in table)
-            arr = {"axiom": "action-table" if misshapen else "action-range", "open": u}
-        out.append(arr)
-    return tuple(out)
-
-
 def _action_structure_witnesses(action: SheafAction) -> list[dict]:
     """Witnesses of the action axioms per open and along restrictions."""
     out = []
     gs, fs = action.groups, action.sets
-    for u, arr in enumerate(action._read):
-        if isinstance(arr, dict):
-            out.append(arr)
-            continue
+    for u, arr in enumerate(action.arrays):
         grp = gs.groups[u]
         moved = _first(arr[grp.identity] != np.arange(fs.sizes[u]))
         if moved is not None:
@@ -492,10 +437,9 @@ def _action_structure_witnesses(action: SheafAction) -> list[dict]:
                 )
     if out:
         return out
-    # G's tables are read against its section counts, the action tables against its group orders
-    tagged = (("groups", _group_orders(gs) + list(gs.sets._read[0])), ("sets", fs._read[0]))
-    out = [{"axiom": w["axiom"], "sheaf": name, **w} for name, bad in tagged for w in bad]
-    bad = _restriction_failures(fs.space, action._read, gs.sets._read[1], fs._read[1])
+    # G's restriction tables are read against its section counts, the action tables against its group orders
+    out = _group_orders(gs, sheaf="groups")
+    bad = _restriction_failures(fs.space, action.arrays, gs.sets.arrays, fs.arrays)
     return out or [{"axiom": "action-restriction", "u": u, "v": v, "g": a, "s": s} for u, v, a, s in bad]
 
 
@@ -520,7 +464,7 @@ def is_sheaf_torsor(action: SheafAction) -> Report:
         if fs.sizes[m] < 1:
             witnesses.append({"axiom": "locally-nonempty", "point": x, "open": m})
     for m in sorted(set(space.minimal_open)):
-        transports = _transports(action._read[m])  # [s, t] -> the number of a in G(m) with a.s = t
+        transports = _transports(action.arrays[m])  # [s, t] -> the number of a in G(m) with a.s = t
         bad = _first(transports != 1)
         if bad is not None:
             s, t = bad
@@ -635,7 +579,7 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
     _require(gs._verdict)
     space = gs.space
     sizes = gs.sets.sizes
-    arrays = gs.sets._read[1]
+    arrays = gs.sets.arrays
     cover = datum.cover
     k = len(cover)
     charts = [
@@ -710,7 +654,7 @@ def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
         w = space.intersection_index(cover[i], cover[j])
         si = fs.restrict_section(cover[i], chosen[i], w)
         sj = fs.restrict_section(cover[j], chosen[j], w)
-        hits = np.flatnonzero(torsor.action._read[w][:, sj] == si)
+        hits = np.flatnonzero(torsor.action.arrays[w][:, sj] == si)
         if len(hits) != 1:
             raise InternalError(f"local transporter not unique on pair ({i},{j})")
         transition[(i, j)] = int(hits[0])
@@ -719,14 +663,11 @@ def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
 
 def lift_point_action(action: GroupAction) -> SheafAction:
     """Present an ordinary action as a sheaf action on the one-point space, for a group of any order;
-    G is the group's constant sheaf there, built and decided once per group. A produced action hands
-    over its array; a hand-built one is read from the ``act`` it keeps."""
+    G is the group's constant sheaf there, built and decided once per group. The action hands over its array."""
     space, size = point_space(), action.set_size
     # one section on the empty open (index 0), ``size`` on the point (index 1)
     sets = SheafOfSets(space=space, sizes=(1, size), arrays={(1, 0): _frozen_array([0] * size)})
     groups = constant_group_sheaf(space, action.group)
-    if "act" in vars(action):
-        return SheafAction(groups=groups, sets=sets, act=(((0,),), action.act))
     return SheafAction(groups=groups, sets=sets, arrays=(_frozen_array([[0]]), action.array))
 
 

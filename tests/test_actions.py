@@ -16,6 +16,7 @@ from torsorkit.errors import (
     EmptySet,
     IdentityAxiomViolated,
     MalformedTable,
+    Mismatch,
     NotFree,
     NotTransitive,
     PointOutOfRange,
@@ -458,3 +459,22 @@ def test_a_group_with_a_warm_generating_set_survives_pickle_and_deepcopy():
         assert clone == group and vars(clone)["generators"] == group.generators
         assert tk.build_action(clone, 256, group.cayley).act == group.cayley
         assert _witness(clone, 256, broken) == want
+
+
+def test_coset_list_and_coset_action_refuse_a_subgroup_of_another_group():
+    c4, c6 = tk.catalog_group("cyclic(4)"), tk.catalog_group("cyclic(6)")
+    in_c6 = tk.build_subgroup(c6, [0, 3])
+    in_s3 = tk.build_subgroup(tk.catalog_group("symmetric(3)"), [0, 1])
+    with pytest.raises(Mismatch):
+        tk.coset_list(c4, in_c6)  # read on c4's table, {0, 3} gave one coset, [(0, 3)]
+    with pytest.raises(Mismatch):
+        tk.coset_action(c4, in_s3)  # decided on c4's table, it gave a false compatibility witness
+    # an equal copy of the parent is the same group
+    assert tk.coset_list(tk.catalog_group("cyclic(6)"), in_c6) == [(0, 3), (1, 4), (2, 5)]
+
+
+def test_an_empty_action_is_transitive_and_free_but_no_torsor(z2):
+    empty = tk.GroupAction(z2, 0, act=[[], []])
+    assert tk.is_transitive(empty) == tk.is_free(empty) == (True, None)
+    with pytest.raises(EmptySet):
+        tk.as_torsor(empty)

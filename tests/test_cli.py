@@ -158,11 +158,12 @@ def test_failing_sheaf_torsor_check_reports_as_sheaf_torsor_witnesses(tmp_path, 
     assert json.loads(out)["witnesses"] == [dict(w) for w in err.value.report.witnesses]
 
 
+# the sheaf reads its tables when it is built: a cell of the wrong type or out of range is one fault
 @pytest.mark.parametrize("cell,witness", [
-    (0.9, {"axiom": "malformed-table", "key": "1,0", "position": 0}),
-    ("0", {"axiom": "malformed-table", "key": "1,0", "position": 0}),
-    (True, {"axiom": "malformed-table", "key": "1,0", "position": 0}),
-    (-1, {"axiom": "restriction-range", "u": 1, "v": 0}),
+    (0.9, {"axiom": "malformed-table", "u": 1, "v": 0, "position": 0}),
+    ("0", {"axiom": "malformed-table", "u": 1, "v": 0, "position": 0}),
+    (True, {"axiom": "malformed-table", "u": 1, "v": 0, "position": 0}),
+    (-1, {"axiom": "malformed-table", "u": 1, "v": 0, "position": 0}),
 ])
 def test_restriction_cells_must_be_integers(tmp_path, cell, witness):
     obj = json.loads((DATA / "sheaf_const_z2.json").read_text())
@@ -186,7 +187,7 @@ def test_sheaf_action_cells_must_be_integers(tmp_path, z3, cell):
     code, out, _ = run_cli(["check", "sheaf-torsor", str(path), "--json"])
     assert code == 1
     assert json.loads(out)["witnesses"] == [
-        {"axiom": "malformed-table", "key": "1", "row": 2, "position": 1}
+        {"axiom": "malformed-table", "open": 1, "row": 2, "position": 1}
     ]
 
 
@@ -242,7 +243,7 @@ def test_sheaf_action_rows_must_be_lists(tmp_path, z3):
     path.write_text(json.dumps(obj))
     code, out, err = run_cli(["check", "sheaf-torsor", str(path), "--json"])
     assert code == 1
-    assert json.loads(out)["witnesses"] == [{"axiom": "malformed-table", "key": "1", "row": 2}]
+    assert json.loads(out)["witnesses"] == [{"axiom": "malformed-table", "open": 1, "row": 2}]
     assert err == ""
 
 
@@ -331,13 +332,14 @@ def test_generate_affine_past_the_guard_fails_at_once(tmp_path, p, n):
     assert not (tmp_path / "x.json").exists()
 
 
-@pytest.mark.parametrize("sheaf,table,axiom", [
+# a missing table is named by its inclusion, a cell out of range by its position too
+@pytest.mark.parametrize("sheaf,table,fault", [
     ("sets", None, "restriction-table"),
     ("groups", None, "restriction-table"),
     ("sets", [0, 2], "restriction-range"),
     ("groups", [0, 2], "restriction-range"),
 ])
-def test_check_sheaf_torsor_reports_a_bad_restriction_table(tmp_path, sheaf, table, axiom):
+def test_check_sheaf_torsor_reports_a_bad_restriction_table(tmp_path, sheaf, table, fault):
     obj = json.loads((DATA / "sheaf_action_psc_twisted.json").read_text())
     key = "4,1"  # the arc {0,1,2} onto the point {0}
     if table is None:
@@ -350,7 +352,8 @@ def test_check_sheaf_torsor_reports_a_bad_restriction_table(tmp_path, sheaf, tab
     assert (code, err) == (1, "")
     rep = json.loads(out)
     assert rep["check"] == "sheaf-torsor"
-    assert rep["witnesses"] == [{"axiom": axiom, "u": 4, "v": 1}]
+    place = {"position": 1} if fault == "restriction-range" else {}
+    assert rep["witnesses"] == [{"axiom": "malformed-table", "u": 4, "v": 1, **place}]
 
 
 def test_query_classes_rejects_a_file_that_is_not_an_object(tmp_path):

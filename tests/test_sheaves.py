@@ -396,7 +396,9 @@ def _glued_action_with(restrict_of, key, table):
     return replace(action, sets=changed)
 
 
-@pytest.mark.parametrize("restrict_of,table,axiom", [
+# a sheaf reads its tables when it is built: a missing or misshapen table (the first four "restriction-table"
+# cases) is named by its inclusion, a bad cell ("restriction-range") by its position in the table too
+@pytest.mark.parametrize("restrict_of,table,fault", [
     ("sets", None, "restriction-table"),
     ("groups", None, "restriction-table"),
     ("sets", (0,), "restriction-table"),
@@ -409,63 +411,57 @@ def _glued_action_with(restrict_of, key, table):
     ("sets", (0, True), "restriction-range"),
     ("groups", (0, True), "restriction-range"),
 ])
-def test_is_sheaf_torsor_witnesses_bad_restriction_tables(psc, restrict_of, table, axiom):
+def test_is_sheaf_torsor_witnesses_bad_restriction_tables(psc, restrict_of, table, fault):
     key = (psc.index_of((0, 1, 2)), psc.index_of((0,)))
-    rep = tk.is_sheaf_torsor(_glued_action_with(restrict_of, key, table))
-    assert not rep.passed
-    assert rep.witnesses == ({"axiom": axiom, "sheaf": restrict_of, "u": key[0], "v": key[1]},)
+    with pytest.raises(MalformedTable) as err:
+        _glued_action_with(restrict_of, key, table)
+    place = {}
+    if fault == "restriction-range":
+        place["position"] = next(p for p, c in enumerate(table) if type(c) is not int or c not in (0, 1))
+    assert err.value.witness() == {"axiom": "malformed-table", "u": key[0], "v": key[1], **place}
 
 
 def test_as_sheaf_torsor_stops_at_the_first_failing_check(psc):
+    # the arc's section 1 restricts to the point as section 0, so F fails and G is never decided
     key = (psc.index_of((0, 1, 2)), psc.index_of((0,)))
     with pytest.raises(NotASheafTorsor) as err:
-        tk.as_sheaf_torsor(_glued_action_with("sets", key, None))
+        tk.as_sheaf_torsor(_glued_action_with("sets", key, (0, 0)))
     assert err.value.report.check == "sheaf"
-    assert err.value.report.witnesses == ({"axiom": "restriction-table", "u": key[0], "v": key[1]},)
+    assert err.value.report.witnesses[0]["axiom"] == "functoriality"
 
 
-def _open_count(table, given, **sheaf):
-    """The witness of a per-open table with ``given`` entries on the pseudocircle's 7 opens."""
-    return {"axiom": "open-count", **sheaf, "table": table, "opens": 7, "given": given}
+def _open_count(table, given):
+    """The data of the MalformedTable of a per-open table with ``given`` entries on the pseudocircle's 7 opens."""
+    return {"table": table, "given": given}
 
 
 @pytest.mark.parametrize("count", [6, 8], ids=["short", "long"])
 def test_a_miscounted_action_is_one_open_count_witness(z3, count):
     glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z3, 1)).action
     act = (glued.act + glued.act)[:count]
-    bad = SheafAction(groups=glued.groups, sets=glued.sets, act=act)
-    assert tk.is_sheaf_torsor(bad).witnesses == (_open_count("act", count),)
-    with pytest.raises(NotASheafTorsor) as err:
-        tk.as_sheaf_torsor(bad)
-    assert err.value.report.witnesses == (_open_count("act", count),)
-    # no open was read, so the writer writes every table as given
-    assert jsonio.sheaf_action_to_obj(bad)["act"] == {str(u): [list(r) for r in t] for u, t in enumerate(act)}
+    with pytest.raises(MalformedTable) as err:
+        SheafAction(groups=glued.groups, sets=glued.sets, act=act)
+    assert err.value.data == _open_count("act", count)
+    with pytest.raises(MalformedTable) as err:
+        replace(glued, act=act)
+    assert err.value.data == _open_count("act", count)
 
 
 @pytest.mark.parametrize("count", [6, 8], ids=["short", "long"])
 def test_miscounted_section_counts_are_one_open_count_witness(z2, count):
     glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1)).action
     sizes = (glued.sets.sizes + (3,))[:count]
-    bad = SheafOfSets(space=glued.sets.space, sizes=sizes, restrict=glued.sets.restrict)
-    assert tk.is_sheaf(bad).witnesses == (_open_count("sizes", count),)
-    # a sheaf of groups names only its sets' miscount, and no group order against a miscounted size
-    bad_groups = tk.SheafOfGroups(sets=bad, groups=glued.groups.groups)
-    assert tk.is_sheaf_of_groups(bad_groups).witnesses == (_open_count("sizes", count),)
-    for sheaf, action in (("sets", replace(glued, sets=bad)), ("groups", replace(glued, groups=bad_groups))):
-        assert tk.is_sheaf_torsor(action).witnesses == (_open_count("sizes", count, sheaf=sheaf),)
-    assert jsonio.sets_sheaf_to_obj(bad)["sections"] == {str(u): n for u, n in enumerate(sizes)}
+    # counted before any table is read against them
+    with pytest.raises(MalformedTable) as err:
+        SheafOfSets(space=glued.sets.space, sizes=sizes, restrict=glued.sets.restrict)
+    assert err.value.data == _open_count("sizes", count)
 
 
 def test_a_miscounted_group_list_is_one_open_count_witness(z2):
     glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1)).action
-    bad = tk.SheafOfGroups(sets=glued.groups.sets, groups=glued.groups.groups[:-1])
-    assert tk.is_sheaf_of_groups(bad).witnesses == (_open_count("groups", 6),)
-    action = replace(glued, groups=bad)
-    assert tk.is_sheaf_torsor(action).witnesses == (_open_count("groups", 6, sheaf="groups"),)
-    # the read stops at the sixth open; the writer still writes all seven tables
-    assert len(action._read) == 6
-    written = jsonio.sheaf_action_to_obj(action)["act"]
-    assert written == {str(u): [list(r) for r in t] for u, t in enumerate(glued.act)}
+    with pytest.raises(MalformedTable) as err:
+        tk.SheafOfGroups(sets=glued.groups.sets, groups=glued.groups.groups[:-1])
+    assert err.value.data == _open_count("groups", 6)
 
 
 def test_glue_rejects_a_hand_built_group_sheaf_with_a_corrupted_restriction(psc, z2):
@@ -608,20 +604,23 @@ def test_every_sheaf_is_read_only(psc, z2):
     assert copy == gs and tk.is_sheaf_of_groups(copy).passed
 
 
-@pytest.mark.parametrize("dtype,witnesses", [
-    (np.int64, ()),
-    (np.float64, ({"axiom": "restriction-range", "u": 1, "v": 0},)),
-    (np.bool_, ({"axiom": "restriction-range", "u": 1, "v": 0},)),
+@pytest.mark.parametrize("dtype,place", [
+    (np.int64, None),
+    (np.float64, {"u": 1, "v": 0, "position": 0}),
+    (np.bool_, {"u": 1, "v": 0, "position": 0}),
 ], ids=["int", "float", "bool"])
-def test_an_array_restriction_table_is_copied_so_a_later_edit_cannot_reach_it(dtype, witnesses):
+def test_an_array_restriction_table_is_copied_so_a_later_edit_cannot_reach_it(dtype, place):
     point = tk.point_space()
     table = np.zeros(3, dtype=dtype)
+    if place is not None:  # an array of another kind is refused, not cast
+        with pytest.raises(MalformedTable) as err:
+            SheafOfSets(space=point, sizes=(1, 3), restrict={(1, 0): table})
+        assert err.value.data == place
+        return
     sheaf = SheafOfSets(space=point, sizes=(1, 3), restrict={(1, 0): table})
     fresh = SheafOfSets(space=point, sizes=(1, 3), restrict={(1, 0): table.copy()})
-    assert tk.is_sheaf(sheaf).witnesses == witnesses
     table[0] = 7
-    assert tk.is_sheaf(sheaf) == tk.is_sheaf(fresh)
-    assert tk.is_sheaf(sheaf).witnesses == witnesses
+    assert tk.is_sheaf(sheaf) == tk.is_sheaf(fresh) and tk.is_sheaf(sheaf).passed
     assert sheaf.restrict_section(1, 0, 0) == fresh.restrict_section(1, 0, 0) == 0
     assert sheaf == fresh and sheaf.restrict[(1, 0)] == tuple(fresh.restrict[(1, 0)])
 
@@ -633,11 +632,11 @@ def test_cached_sheaves_pickle_and_copy_read_only(psc, monkeypatch):
     group = tk.catalog_group("cyclic(2)")
     torsor = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(group, 1))
     for clone in (pickle.loads(pickle.dumps(torsor)), copy.deepcopy(torsor)):
-        reads = _counting(monkeypatch, "_structure")
+        reads = _counting(monkeypatch, "_index_table")
         assert clone == torsor
         for sheaf in (clone.sets, clone.groups.sets):
             # a copy keeps its stored arrays, read-only, and builds no view of them
-            assert "_tables" not in vars(sheaf) and [a for a in sheaf._read[1].values() if a.flags.writeable] == []
+            assert "_tables" not in vars(sheaf) and [a for a in sheaf.arrays.values() if a.flags.writeable] == []
             assert isinstance(sheaf.restrict, MappingProxyType)
         assert clone.groups is next(iter(clone.groups.groups[-1].constant_sheaves.values()))
         for _ in range(2):
@@ -740,16 +739,15 @@ def test_a_restriction_key_no_check_reads_is_ignored(psc, z2):
     cover = (psc.index_of((0, 1, 2)), psc.index_of((0, 1, 3)))
     transition = {(0, 1): tk.constant_section_id(z2, (0, 1))}
     torsor = tk.glue_from_cocycle(tk.build_descent_datum(extra, cover, transition))
-    assert torsor.groups is extra and "note" in torsor.groups.sets.restrict
+    assert torsor.groups is extra and "note" not in torsor.groups.sets.restrict and extra == gs
     plain = tk.glue_from_cocycle(tk.build_descent_datum(gs, cover, transition))
     assert (torsor.sets, torsor.action.act) == (plain.sets, plain.action.act)
     assert tk.is_sheaf_torsor(replace(torsor.action, groups=extra)).passed
     # the extra key does not hide a bad table either
     key = (psc.whole_index, psc.index_of((0, 1)))
-    corrupt = _hand_built(gs, {**gs.sets.restrict, "note": None, key: (0.5,) * len(gs.sets.restrict[key])})
-    witness = {"axiom": "restriction-range", "u": key[0], "v": key[1]}
-    assert tk.is_sheaf_of_groups(corrupt).witnesses == (witness,)
-    assert tk.is_sheaf_torsor(replace(torsor.action, groups=corrupt)).witnesses == ({**witness, "sheaf": "groups"},)
+    with pytest.raises(MalformedTable) as err:
+        _hand_built(gs, {**gs.sets.restrict, "note": None, key: (0.5,) * len(gs.sets.restrict[key])})
+    assert err.value.data == {"u": key[0], "v": key[1], "position": 0}
 
 
 def test_a_sheaf_reads_its_tables_once_as_read_only_arrays_equal_to_them(psc, z3, monkeypatch):
@@ -757,15 +755,16 @@ def test_a_sheaf_reads_its_tables_once_as_read_only_arrays_equal_to_them(psc, z3
     import pickle
 
     gs = tk.constant_group_sheaf(psc, z3)
+    reads = _counting(monkeypatch, "_index_table")
     hand = _hand_built(gs, {key: list(table) for key, table in gs.sets.restrict.items()})
-    reads = _counting(monkeypatch, "_structure")
+    assert len(reads) == len(gs.sets.arrays)  # one read per inclusion, when the sheaf is built
     for kept in (gs, hand, pickle.loads(pickle.dumps(gs)), copy.deepcopy(gs)):
         reads.clear()
         for _ in range(2):
             assert tk.is_sheaf_of_groups(kept).passed
-        assert len(reads) == (kept is hand)  # the others keep the arrays the constant sheaf was built with
-        witnesses, arrays = kept.sets._read
-        assert witnesses == () and set(arrays) == set(kept.sets.restrict)
+        assert reads == []  # each keeps its arrays: the constant sheaf's, or the ones read when built
+        arrays = kept.sets.arrays
+        assert set(arrays) == set(kept.sets.restrict)
         for pair, arr in arrays.items():
             assert arr.tolist() == list(kept.sets.restrict[pair])
             assert all(type(c) is int for c in kept.sets.restrict[pair])
@@ -775,12 +774,12 @@ def test_a_sheaf_reads_its_tables_once_as_read_only_arrays_equal_to_them(psc, z3
 
 def test_glue_over_a_cached_constant_sheaf_reads_only_the_glued_tables(z2, monkeypatch):
     datum = tk.pseudocircle_descent_datum(z2, 1)
-    reads = _counting(monkeypatch, "_structure")
+    reads = _counting(monkeypatch, "_index_table")
     torsor = tk.glue_from_cocycle(datum)
     assert torsor.groups is datum.groups
     # glue hands F over as the arrays it built, which is_sheaf and is_sheaf_torsor read; nothing reads
     # a table again, G's or F's
-    assert reads == [] and _as_lists(torsor.sets._read[1]) == _as_lists(torsor.sets.restrict)
+    assert reads == [] and _as_lists(torsor.sets.arrays) == _as_lists(torsor.sets.restrict)
 
 
 def test_a_lift_reads_neither_of_its_two_sheaves(monkeypatch):
@@ -788,12 +787,12 @@ def test_a_lift_reads_neither_of_its_two_sheaves(monkeypatch):
     # arrays and decided once per group
     z3 = tk.catalog_group("cyclic(3)")  # fresh: the session fixture's sheaves are cached already
     torsor = tk.as_torsor(tk.left_translation_action(z3))
-    reads, acts = _counting(monkeypatch, "_structure"), _counting(monkeypatch, "_act_read")
+    reads = _counting(monkeypatch, "_index_table")
     decided = _counting(monkeypatch, "is_sheaf_of_groups")
     first, second = tk.lift_point_torsor(torsor), tk.lift_point_torsor(torsor)
     assert second.groups is first.groups is tk.constant_group_sheaf(tk.point_space(), z3)
-    assert reads == acts == [] and decided == [(first.groups,)]
-    assert first.action._read[1] is second.action._read[1] is torsor.action.array
+    assert reads == [] and decided == [(first.groups,)]
+    assert first.action.arrays[1] is second.action.arrays[1] is torsor.action.array
     assert first.sets == second.sets == SheafOfSets(space=tk.point_space(), sizes=(1, 3), restrict={(1, 0): (0,) * 3})
 
 
@@ -830,14 +829,13 @@ def _glued(psc, name):
 
 
 def _check_handed_over(obj):
-    """The read a producer stored on ``obj`` equals a fresh read of obj's own tuple fields (its
-    ``replace``, which reads them again): equal witnesses, equal read-only int32 arrays."""
-    stored, fresh = vars(obj)["_read"], replace(obj)._read
+    """The arrays a producer stored on ``obj`` equal a fresh read of obj's own tuple views (its ``replace``
+    with the views given as the caller's tables, which reads them): equal read-only int32 arrays."""
+    stored = vars(obj)["arrays"]
     if isinstance(obj, SheafOfSets):
-        assert stored[0] == fresh[0] == ()
-        stored, fresh = stored[1], fresh[1]
+        fresh = replace(obj, restrict=obj.restrict).arrays
     else:
-        stored, fresh = dict(enumerate(stored)), dict(enumerate(fresh))
+        stored, fresh = dict(enumerate(stored)), dict(enumerate(replace(obj, act=obj.act).arrays))
     assert stored.keys() == fresh.keys()
     for key, arr in fresh.items():
         assert stored[key].dtype == arr.dtype == np.int32 and np.array_equal(stored[key], arr)
@@ -849,7 +847,7 @@ def test_glue_hands_over_read_only_int32_act_tables_equal_to_act(psc, name):
     for torsor in _glued(psc, name):
         _check_handed_over(torsor.action)
         _check_handed_over(torsor.sets)
-        assert len(torsor.action._read) == len(torsor.action.act) == len(psc.opens)
+        assert len(torsor.action.arrays) == len(torsor.action.act) == len(psc.opens)
 
 
 @pytest.mark.parametrize("points,gens,name", [
@@ -860,11 +858,11 @@ def test_glue_hands_over_read_only_int32_act_tables_equal_to_act(psc, name):
     (4, [(0, 1), (2, 3)], "cyclic(4)"),
 ], ids=["discrete4", "pseudocircle", "chain4", "vee3", "split4"])
 def test_the_constant_sheaf_hands_over_its_restriction_arrays(points, gens, name, monkeypatch):
-    reads = _counting(monkeypatch, "_structure")
+    reads = _counting(monkeypatch, "_index_table")
     gs = tk.constant_group_sheaf(tk.close_under_ops(points, gens), tk.catalog_group(name))  # a fresh group
     # no read: the arrays it was built from are its stored form, and deciding G reads nothing again
     assert reads == [] and "_tables" not in vars(gs.sets)
-    assert _as_lists(gs.sets._read[1]) == _as_lists(gs.sets.restrict)
+    assert _as_lists(gs.sets.arrays) == _as_lists(gs.sets.restrict)
     _check_handed_over(gs.sets)
 
 
@@ -874,47 +872,57 @@ def _corrupt(act, u, edit):
     return act[:u] + (tuple(map(tuple, rows)),) + act[u + 1:]
 
 
-@pytest.mark.parametrize("edit,axiom", [
+@pytest.mark.parametrize("edit,want", [
     (lambda rows: rows[1].reverse(), "action-compatibility"),
-    (lambda rows: rows[1].__setitem__(0, 1.0), "action-range"),
-    (lambda rows: rows[2].pop(), "action-table"),
+    (lambda rows: rows[1].__setitem__(0, 1.0), {"row": 1, "position": 0}),
+    (lambda rows: rows[2].pop(), {"row": 2}),
     (lambda rows: rows.reverse(), "action-identity"),
 ], ids=["reversed-row", "float-cell", "short-row", "reversed-rows"])
-def test_a_replaced_glued_action_reads_its_own_tuples(psc, z3, edit, axiom):
+def test_a_replaced_glued_action_reads_its_own_tuples(psc, z3, edit, want):
     glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z3, 1)).action
-    corrupted = _corrupt(glued.act, psc.index_of((0, 1, 2)), edit)
-    replaced = replace(glued, act=corrupted)
+    u = psc.index_of((0, 1, 2))
+    corrupted = _corrupt(glued.act, u, edit)
+    if isinstance(want, dict):  # a malformed table raises where it enters, named by open, row and position
+        with pytest.raises(MalformedTable) as err:
+            replace(glued, act=corrupted)
+        assert err.value.data == {"open": u, **want}
+        return
+    replaced = replace(glued, act=corrupted)  # read when built, in place of the glue's arrays
     fresh = SheafAction(groups=glued.groups, sets=glued.sets, act=corrupted)
-    assert "_read" not in vars(replaced) and replaced.act is corrupted  # kept as given, read on first use
+    assert "act" not in vars(replaced) and replaced.act == corrupted
     assert replaced == fresh and replaced != glued
     rep = tk.is_sheaf_torsor(replaced)
-    assert rep == tk.is_sheaf_torsor(fresh) and rep.witnesses[0]["axiom"] == axiom
-    # equality and repr read the stored arrays, a producer's and a hand-built copy's alike; replace reads
-    # the view, so its copy reads its tables again
+    assert rep == tk.is_sheaf_torsor(fresh) and rep.witnesses[0]["axiom"] == want
+    # equality and repr read the stored arrays, a producer's and a hand-built copy's alike; a replace that
+    # gives no table keeps the arrays and reads nothing
     plain = SheafAction(groups=glued.groups, sets=glued.sets, act=glued.act)
-    assert plain == glued and repr(plain) == repr(glued) and "_read" not in vars(replace(glued))
+    assert plain == glued and repr(plain) == repr(glued) and replace(glued).arrays is glued.arrays
 
 
-def test_a_hand_built_action_keeps_its_tables_as_given_and_its_first_read(z2, monkeypatch):
+def test_a_hand_built_action_is_read_when_built_and_later_edits_change_nothing(z2, monkeypatch):
     glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1)).action
     act = [[list(row) for row in table] for table in glued.act]
+    reads = _counting(monkeypatch, "_index_table")
     hand = SheafAction(groups=glued.groups, sets=glued.sets, act=act)
-    assert hand.act is act and "_read" not in vars(hand)
+    assert len(reads) == len(act) and "act" not in vars(hand)
     assert hand == glued and tk.is_sheaf_torsor(hand).passed
-    reads = _counting(monkeypatch, "_act_read")
     act[1][0][0] = 1.5  # after the read, changing the lists it was built from changes no verdict
-    assert hand == glued and tk.is_sheaf_torsor(hand).passed and reads == []
-    assert all(not arr.flags.writeable for arr in hand._read)
+    assert hand == glued and tk.is_sheaf_torsor(hand).passed and len(reads) == len(act)
+    assert all(not arr.flags.writeable for arr in hand.arrays)
 
 
 def test_is_sheaf_torsor_keeps_witnesses_in_open_order_and_reads_act_once(z3, monkeypatch):
     glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z3, 0)).action
     act = _corrupt(glued.act, 1, lambda rows: rows.reverse())
-    action = replace(glued, act=_corrupt(act, 4, lambda rows: rows[1].__setitem__(0, 1.0)))
-    want = ({"axiom": "action-identity", "open": 1, "x": 0}, {"axiom": "action-range", "open": 4})
-    assert tk.is_sheaf_torsor(action).witnesses == want
-    reads = _counting(monkeypatch, "_index_array")
-    assert tk.is_sheaf_torsor(action).witnesses == want and reads == []
+    reads = _counting(monkeypatch, "_index_table")
+    action = replace(glued, act=_corrupt(act, 4, lambda rows: rows[1].reverse()))
+    assert len(reads) == len(act)  # once, when built
+    want = (
+        {"axiom": "action-identity", "open": 1, "x": 0},
+        {"axiom": "action-compatibility", "open": 4, "g": 1, "h": 1, "x": 0},
+    )
+    for _ in range(2):
+        assert tk.is_sheaf_torsor(action).witnesses == want and len(reads) == len(act)
 
 
 def _arrays(obj, seen):
@@ -946,37 +954,34 @@ def test_a_copied_glued_action_keeps_its_verdict_and_no_writable_array(monkeypat
     for clone in (pickle.loads(pickle.dumps(torsor)), copy.deepcopy(torsor)):
         held = (clone.sets, clone.groups.sets, clone.action)
         # each keeps the arrays it was handed, read-only, and no view of them
-        assert [type(obj).__name__ for obj in held if "_read" not in vars(obj)] == []
+        assert [type(obj).__name__ for obj in held if "arrays" not in vars(obj)] == []
         assert not [view for obj in held for view in ("_tables", "act") if view in vars(obj)]
         assert not [arr for arr in _arrays(clone, set()) if arr.flags.writeable]
-        structure, acts = _counting(monkeypatch, "_structure"), _counting(monkeypatch, "_act_read")
-        views = _counting(monkeypatch, "_tuples")
+        reads, views = _counting(monkeypatch, "_index_table"), _counting(monkeypatch, "_tuples")
         for _ in range(2):
             assert tk.is_sheaf_torsor(clone.action) == want and tk.as_sheaf_torsor(clone.action) == torsor
         # and nothing is read again or viewed
-        assert structure == acts == views == []
+        assert reads == views == []
         monkeypatch.undo()
 
 
 def test_glue_never_reads_the_act_tuples_back(monkeypatch):
     datum = tk.pseudocircle_descent_datum(tk.catalog_group("cyclic(12)"), 5)
-    calls = {name: _counting(monkeypatch, name) for name in ("_index_array", "_structure", "_act_read", "_tuples")}
+    calls = {name: _counting(monkeypatch, name) for name in ("_index_table", "_tuples")}
     torsor = tk.glue_from_cocycle(datum)
     # F's restriction tables and the act tables are handed over as the arrays glue built: no reader runs
     assert calls == dict.fromkeys(calls, [])
     assert "act" not in vars(torsor.action) and "_tables" not in vars(torsor.sets)
-    arrays = [*torsor.sets._read[1].values(), *torsor.action._read]
+    arrays = [*torsor.sets.arrays.values(), *torsor.action.arrays]
     assert len(arrays) == 26 and all(a.dtype == np.int32 and not a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("cell", [1.0, True], ids=["float", "bool"])
-def test_a_lifted_action_is_read_from_its_tuples_not_its_array(z2, cell):
-    # GroupAction.array holds this cell as the int 1; the tuple read refuses it
-    action = tk.GroupAction(group=z2, set_size=2, act=((0, 1), (cell, 0)))
-    lifted = tk.lift_point_action(action)
-    assert "_read" not in vars(lifted)
-    assert tk.is_sheaf_torsor(lifted).witnesses == ({"axiom": "action-range", "open": 1},)
-    assert lifted._read[1] == {"axiom": "action-range", "open": 1}
+def test_a_hand_built_action_refuses_a_cell_a_cast_would_read_as_an_index(z2, cell):
+    # a cast would hold this cell as the int 1; the read refuses it before any lift could hand it over
+    with pytest.raises(MalformedTable) as err:
+        tk.GroupAction(group=z2, set_size=2, act=((0, 1), (cell, 0)))
+    assert err.value.data == {"row": 1, "position": 0}
 
 
 @pytest.mark.parametrize("space,calls", [

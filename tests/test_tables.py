@@ -19,6 +19,8 @@ from torsorkit import actions, groups, jsonio
 from torsorkit.actions import GroupAction, _regular_at
 from torsorkit.groups import FiniteGroup, _transport
 
+from test_oracles import malformed_rows, ref_malformed
+
 ORACLE = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 CATALOG = [tk.catalog_group(name) for name in tk.catalog_names()]  # orders up to 24
@@ -221,7 +223,77 @@ def test_the_first_read_of_a_view_builds_it_once_per_object(tuple_builds):
     assert group.mul(3, 5) == group.cayley[3][5] and len(tuple_builds) == 1
     assert torsor.act is action.act and len(tuple_builds) == 2
     assert tuple_builds[0] is group.array and tuple_builds[1] is action.array
-    # a hand-built object keeps the tuples it was given and never builds them
+    # a hand-built object reads the tuples it was given into its own array and builds its view on first read
     hand = FiniteGroup(order=group.order, cayley=group.cayley, identity=group.identity, inverse=group.inverse)
-    assert hand.cayley is group.cayley and GroupAction(group, 16, act=action.act).act is action.act
-    assert len(tuple_builds) == 2
+    hand_action = GroupAction(group, 16, act=action.act)
+    assert len(tuple_builds) == 2 and "cayley" not in vars(hand) and "act" not in vars(hand_action)
+    assert hand == group and hand.cayley == group.cayley and hand_action.act == action.act
+    assert tuple_builds[2:] == [hand.array, hand_action.array] and tuple_builds[2] is hand.array
+
+
+# ---------------------------------------------------------------- a caller's table, read when its object is built
+
+
+def _cyclic3_with(cell):
+    """cyclic(3)'s table as lists, with row 1 position 2 set to ``cell``, or row 1 cut short for None."""
+    rows = [list(r) for r in tk.catalog_group("cyclic(3)").cayley]
+    if cell is None:
+        rows[1].pop()
+    else:
+        rows[1][2] = cell
+    return rows
+
+
+@pytest.mark.parametrize("cell,place", [
+    (1.5, {"row": 1, "position": 2}),   # a cast truncates it to 1
+    (True, {"row": 1, "position": 2}),  # a cast reads it as 1
+    (-1, {"row": 1, "position": 2}),    # a cast keeps it: is_free passed and orbit(action, 0) gave (-1, 0)
+    (None, {"row": 1}),
+], ids=["float", "bool", "negative", "ragged"])
+def test_a_hand_built_group_or_action_refuses_a_bad_cell_where_it_is_built(cell, place):
+    z3, rows = tk.catalog_group("cyclic(3)"), _cyclic3_with(cell)
+    for build in (lambda: FiniteGroup(3, cayley=rows, identity=0, inverse=(0, 2, 1)), lambda: GroupAction(z3, 3, act=rows)):
+        with pytest.raises(tk.errors.MalformedTable) as err:
+            build()
+        assert err.value.data == place
+
+
+@pytest.mark.parametrize("table,place", [
+    (5, {}),
+    ("012", {}),
+    ([[0, 1, 2], 5, [2, 0, 1]], {"row": 1}),
+    ([[0, 1, 2], "120", [2, 0, 1]], {"row": 1}),
+    (np.zeros(3, dtype=np.int32), {"row": 0}),
+    (np.zeros((3, 3)), {"row": 0, "position": 0}),
+], ids=["int", "str", "int-row", "str-row", "flat-array", "float-array"])
+def test_a_table_that_is_no_sequence_of_rows_is_malformed_not_a_type_error(table, place):
+    with pytest.raises(tk.errors.MalformedTable) as err:
+        GroupAction(tk.catalog_group("cyclic(3)"), 3, act=table)
+    assert err.value.data == place
+    with pytest.raises(tk.errors.MalformedTable) as err:
+        FiniteGroup(3, cayley=table, identity=0, inverse=(0, 2, 1))
+    assert err.value.data == place
+
+
+@ORACLE
+@given(st.sampled_from([g for g in CATALOG if g.order <= 6]), st.data())
+def test_a_hand_built_table_reads_as_the_reference_scan_says(group, data):
+    """A drawn table raises MalformedTable at the first bad place a plain row-major scan finds, as a
+    group's table and as an action's; a table that reads is stored as its cells, and the producer's own
+    table reads to an object equal to the producer."""
+    n = group.order
+    rows = data.draw(st.one_of(st.just([list(r) for r in group.cayley]), malformed_rows(n, n)))
+    rows = data.draw(st.sampled_from([rows, tuple(map(tuple, rows))]))
+    want = ref_malformed(rows, n, n, n)
+    for make, producer in (
+        (lambda: FiniteGroup(n, cayley=rows, identity=group.identity, inverse=group.inverse), group),
+        (lambda: GroupAction(group, n, act=rows), tk.left_translation_action(group)),
+    ):
+        try:
+            made = make()
+        except tk.errors.MalformedTable as err:
+            assert err.data == want
+            continue
+        assert want is None and made.array.tolist() == [list(r) for r in rows]
+        assert_view(made.cayley if isinstance(made, FiniteGroup) else made.act, made.array)
+        assert (made == producer) == (made.array.tolist() == producer.array.tolist())

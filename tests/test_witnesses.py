@@ -113,9 +113,9 @@ def _sheaf_obj(edit):
     (lambda: tk.build_space(2, [(), (0, 1), (9,), ("0",)]), errors.MalformedTable, {"point": "0"}),
     (lambda: tk.close_under_ops(2, [(0, 1, 7), (9,)]), errors.PointOutOfRange, {"point": 9}),
     (lambda: jsonio.sets_sheaf_from_obj(_sheaf_obj(lambda o: o["sets"]["restrict"]["1,0"].__setitem__(3, 0.0))["sets"],
-                                        space=POINT), errors.MalformedTable, {"key": "1,0", "position": 3}),
+                                        space=POINT), errors.MalformedTable, {"u": 1, "v": 0, "position": 3}),
     (lambda: jsonio.sheaf_action_from_obj(_sheaf_obj(lambda o: o["act"]["1"][2].__setitem__(5, "5"))),
-     errors.MalformedTable, {"key": "1", "row": 2, "position": 5}),
+     errors.MalformedTable, {"open": 1, "row": 2, "position": 5}),
 ], ids=[
     "cayley-cell", "cayley-row-length", "cayley-rows", "action-cell", "right-action-cell", "subgroup-range",
     "subgroup-float", "subgroup-repeat", "matrix-cell", "rhs-entry", "nerve-edge", "nerve-edge-length",
