@@ -113,7 +113,9 @@ class FiniteGroup(_StoredTable):
     is its tuple view, for the Python loops that read one cell at a time.
     A producer passes its validated ``array``; a hand-built group passes
     ``cayley``, read strictly here by ``_index_table`` (its shape and the
-    type and range of every cell, not the axioms). ``constant_sheaves`` holds the
+    type and range of every cell, not the axioms), then its ``identity``
+    and its ``inverse``, read as a row of ``order`` indices by the same reader.
+    ``constant_sheaves`` holds the
     decided constant sheaves of this group by space, filled by
     ``sheaves.constant_group_sheaf``; it dies with the group.
     """
@@ -126,7 +128,12 @@ class FiniteGroup(_StoredTable):
     _compared = ("order", "identity", "inverse")
 
     def __init__(self, order: int, cayley=None, identity=None, inverse=None, array=None):
-        array = array if cayley is None else _index_table(cayley, order, order, order, "cayley: ")
+        if cayley is not None:
+            array = _index_table(cayley, order, order, order, "cayley: ")
+            if not _is_index(identity, order):
+                raise MalformedTable(f"identity {identity!r} is not an element in [0, {order})", identity=identity)
+            inverse = tuple(_index_table(inverse, None, order, order, "inverse: ", table="inverse").tolist())
+            identity = int(identity)
         self._set(order=order, identity=identity, inverse=inverse, array=array, constant_sheaves={})
 
     @cached_property

@@ -24,11 +24,12 @@ when it is built by ``groups._index_table``, which raises MalformedTable
 at the first missing, misshapen, ill-typed or out-of-range one. A sheaf
 of groups is decided at most once for gluing and as_sheaf_torsor. The constant
 sheaf carries G^c from G with the mixed-radix codec of ``groups``,
-without deciding it again; each axiom is one gather-and-compare per
-inclusion or per open, whose first mismatch in row-major order is the
-least witness; compatible families are enumerated one cover member at a
-time as a boolean mask over (prefix, section), in lexicographic order,
-and found again by code lookup.
+without deciding it again. Functoriality is one gather over all chains;
+each other axiom is one gather-and-compare per inclusion or per open.
+The first mismatch in row-major order is the least witness. Compatible
+families are enumerated one cover member at a time as a boolean mask
+over (prefix, section), in lexicographic order, from the first member's
+sections, and found again by code lookup, in gluing once per open.
 """
 
 from __future__ import annotations
@@ -84,10 +85,10 @@ _CONSTANT_SHEAVES_LOCK = threading.Lock()
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class SheafOfSets(_StoredTable):
     """sections(U) = range(sizes[u]); ``arrays`` holds the restriction table of each proper inclusion
-    (u, v) as a read-only int32 array. A producer passes its ``arrays``; a hand-built sheaf passes
-    ``sizes`` and ``restrict``, read here in place of any ``arrays``: MalformedTable names a bad table by
-    u and v, and a bad cell by its position too. Keys that are no proper inclusion are never read.
-    ``restrict`` is a read-only mapping of tuple views."""
+    (u, v) as a read-only int32 array. A producer passes its ``arrays``, of lengths sizes[u]; a sheaf built
+    by hand passes ``sizes`` and ``restrict``, read here in place of any ``arrays``: MalformedTable names
+    a bad table by u and v, and a bad cell by its position too. Keys that are no proper inclusion are
+    never read. ``restrict`` is a read-only mapping of tuple views."""
 
     space: FiniteSpace
     sizes: tuple[int, ...]
@@ -103,6 +104,12 @@ class SheafOfSets(_StoredTable):
                 (u, v): _index_table(t, None, sizes[u], sizes[v], f"restrict[{u}, {v}]: ", u=u, v=v)
                 for (u, v), t in tables.items()
             }
+        else:
+            # with a producer's cells in range, and each sizes[v] pinned too by the pair (v, empty), every
+            # entry of (u, v) indexes inside the table of (v, w): is_sheaf's one gather over all chains needs it
+            sizes = _per_open(sizes, space, "sizes")
+            for u, v in _proper_pairs(space):
+                _shaped(arrays.get((u, v)), (sizes[u],), f"arrays[{u}, {v}]", u=u, v=v)
         self._set(space=space, sizes=tuple(sizes), arrays=arrays)
 
     @cached_property
@@ -150,9 +157,9 @@ class SheafOfGroups:
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class SheafAction(_StoredTable):
     """Per open U, a table act[u][g][s] of G(U) on F(U); ``arrays`` holds each, by open, as a read-only
-    int32 array. A producer passes its ``arrays``; a hand-built action passes ``act``, read here in place
-    of any ``arrays``, against the group orders and section counts: MalformedTable names a bad table by
-    its open, row and position."""
+    int32 array. A producer passes its ``arrays``, each |G(u)| x |F(u)|; a hand-built action passes ``act``,
+    read here in place of any ``arrays``, against the group orders and section counts: MalformedTable
+    names a bad table by its open, row and position. G and F on two spaces are a Mismatch."""
 
     groups: SheafOfGroups
     sets: SheafOfSets
@@ -161,9 +168,15 @@ class SheafAction(_StoredTable):
     _stored = "arrays"
 
     def __init__(self, groups: SheafOfGroups, sets: SheafOfSets, act=None, arrays=None):
+        if groups.space != sets.space:
+            raise Mismatch("the sheaves of groups and of sets lie on different spaces", sheaf="sets")
         if act is not None:
             tables = zip(_per_open(act, sets.space, "act"), groups.groups, sets.sizes)
             arrays = [_index_table(t, g.order, n, n, f"act[{u}]: ", open=u) for u, (t, g, n) in enumerate(tables)]
+        else:
+            tables = zip(_per_open(arrays, sets.space, "arrays"), groups.groups, sets.sizes)
+            for u, (arr, g, n) in enumerate(tables):
+                _shaped(arr, (g.order, n), f"arrays[{u}]", open=u)
         self._set(groups=groups, sets=sets, arrays=tuple(arrays))
 
     @cached_property
@@ -290,6 +303,13 @@ def _table(arrays: dict, sizes, u: int, v: int) -> np.ndarray:
     return np.arange(sizes[u]) if u == v else arrays[(u, v)]
 
 
+def _shaped(arr, shape: tuple, what: str, **where) -> None:
+    """A producer's array, checked by its shape alone; MalformedTable names ``where`` and the shape given."""
+    given = np.shape(arr)
+    if given != shape:
+        raise MalformedTable(f"{what}: shape {given}, expected {shape}", **where, given=list(given))
+
+
 def _per_open(values, space: FiniteSpace, what: str) -> tuple:
     """A caller's list of one entry per open as a tuple; MalformedTable where the counts differ."""
     values, opens = tuple(values), len(space.opens)
@@ -298,27 +318,22 @@ def _per_open(values, space: FiniteSpace, what: str) -> tuple:
     return values
 
 
-def _minimal_cover(space: FiniteSpace, u: int) -> tuple[int, ...]:
-    """U_x for the maximal points x of open u (no y in u has U_x < U_y), as open indices ascending."""
-    points, minimal = space.opens[u], space.minimal
-    # a U_x inside another U_y adds nothing: compatibility already fixes its section
-    maximal = [x for x in points if not any(minimal[x] < minimal[y] for y in points)]
-    return tuple(sorted({space.minimal_open[x] for x in maximal}))
-
-
 def _compatible_families(sizes, agree: dict):
     """Families (f_0, ..., f_k-1) with left[f_i] == right[f_j] for each agree[(i, j)] = (left, right).
 
     Returns the families as rows in lexicographic order, and per member
-    the lookup from (prefix row, section) code to the extended family's
-    row, for ``_locate``. Built one member at a time like backtracking, so
+    after the first the lookup from (prefix row, section) code to the
+    extended family's row, for ``_locate``; the first member's families
+    are its sections. Built one member at a time like backtracking, so
     the work is that of the compatible prefixes, not of the whole product.
     """
-    rows = np.zeros((1, 0), dtype=np.intp)
+    rows = np.arange(sizes[0])[:, None]
     lookups = []
-    for j, n in enumerate(sizes):
-        ok = np.ones((len(rows), n), dtype=bool)
-        for i in range(j):
+    for j in range(1, len(sizes)):
+        n = sizes[j]
+        left, right = agree[(0, j)]
+        ok = left[rows[:, 0], None] == right
+        for i in range(1, j):
             left, right = agree[(i, j)]
             ok &= left[rows[:, i], None] == right
         kept = np.flatnonzero(ok)  # C order: prefixes ascending, then sections
@@ -333,24 +348,40 @@ def _locate(lookups, sizes, columns) -> np.ndarray:
 
     The columns hold the family entries and share one shape, which the result takes.
     """
-    found = np.zeros(np.shape(columns[0]), dtype=np.int32)
-    for pos, n, col in zip(lookups, sizes, columns):
+    found = np.array(columns[0], dtype=np.int32)  # the first member's section is its family row
+    for pos, n, col in zip(lookups, sizes[1:], columns[1:]):
         found *= n
         found += col
         np.take(pos, found, out=found)
     return found
 
 
+def _functoriality_witnesses(space: FiniteSpace, sizes, arrays: dict) -> list[dict]:
+    """A witness for each chain w < v < u whose restrictions do not compose, at its least section s with
+    (s|v)|w != s|w, in pair order. One gather for all chains, with the tables end to end in ``buf``:
+    SheafOfSets pins each table's length, so every entry of (u, v) indexes inside the table of (v, w)."""
+    pairs = list(_proper_pairs(space))
+    at = {pair: i for i, pair in enumerate(pairs)}
+    chains = [(at[u, v], at[v, w], at[u, w], u, v, w) for u, v in pairs for w in space.subopens[v]]
+    lengths = np.array([sizes[u] for u, _ in pairs])
+    buf = np.concatenate([arrays[pair] for pair in pairs])
+    table = np.array(chains, dtype=np.intp).reshape(-1, 6)
+    cells = lengths[table[:, 0]]
+    seg = np.repeat(np.arange(len(chains)), cells)  # the chain of each cell, and its section s
+    place = np.arange(len(seg)) - (np.cumsum(cells) - cells)[seg]
+    uv, vw, uw = (np.cumsum(lengths) - lengths)[table[seg, :3]].T
+    hits = np.flatnonzero(buf[vw + buf[uv + place]] != buf[uw + place])
+    failed, first = np.unique(seg[hits], return_index=True)
+    return [
+        {"axiom": "functoriality", "u": u, "v": v, "w": w, "section": s}
+        for (*_, u, v, w), s in zip(table[failed].tolist(), place[hits[first]].tolist())
+    ]
+
+
 def is_sheaf(sheaf: SheafOfSets) -> Report:
     """Exact functoriality, locality, and gluing check on minimal covers, with witnesses."""
-    witnesses, space, arrays = [], sheaf.space, sheaf.arrays
-    for u, v in _proper_pairs(space):
-        for w in space.subopens[v]:
-            bad = _first(arrays[(v, w)][arrays[(u, v)]] != arrays[(u, w)])
-            if bad is not None:
-                witnesses.append(
-                    {"axiom": "functoriality", "u": u, "v": v, "w": w, "section": bad[0]}
-                )
+    space, arrays = sheaf.space, sheaf.arrays
+    witnesses = _functoriality_witnesses(space, sheaf.sizes, arrays)
     for u, target in enumerate(space.opens):
         if not target:
             if sheaf.sizes[u] != 1:
@@ -358,13 +389,13 @@ def is_sheaf(sheaf: SheafOfSets) -> Report:
                     {"axiom": "empty-sections", "open": u, "sections": sheaf.sizes[u]}
                 )
             continue
-        cover = _minimal_cover(space, u)
+        cover = space.minimal_covers[u]
         if cover == (u,):
             continue  # each section is the only family it glues
         sizes = [sheaf.sizes[m] for m in cover]
         agree = {}
         for i, j in itertools.combinations(range(len(cover)), 2):
-            w = space.intersection_index(cover[i], cover[j])
+            w = space.meets[cover[i]][cover[j]]
             agree[(i, j)] = (arrays[(cover[i], w)], arrays[(cover[j], w)])
         families, lookups = _compatible_families(sizes, agree)
         found = _locate(lookups, sizes, [_table(arrays, sheaf.sizes, u, m) for m in cover])
@@ -580,20 +611,17 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
     space = gs.space
     sizes = gs.sets.sizes
     arrays = gs.sets.arrays
-    cover = datum.cover
+    cover, meets = datum.cover, space.meets
     k = len(cover)
-    charts = [
-        [space.intersection_index(u, cover[i]) for i in range(k)]
-        for u in range(len(space.opens))
-    ]
+    charts = [[meets[u][c] for c in cover] for u in range(len(space.opens))]
 
     families, lookups = [], []
     for chart in charts:
         _guard(math.prod(int(sizes[c]) for c in chart), 1, FAMILY_CANDIDATE_MAX, "family candidates", charts=k)
         agree = {}
         for i, j in itertools.combinations(range(k), 2):
-            w = space.intersection_index(chart[i], chart[j])
-            pair = space.intersection_index(cover[i], cover[j])
+            w = meets[chart[i]][chart[j]]
+            pair = meets[cover[i]][cover[j]]
             g_ij = _table(arrays, sizes, pair, w)[datum.value(i, j)]
             # s_i|w = g_ij * s_j|w
             agree[(i, j)] = (
@@ -604,31 +632,29 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
         families.append(rows)
         lookups.append(lookup)
 
-    def locate(u, columns):
-        found = _locate(lookups[u], [sizes[c] for c in charts[u]], columns)
-        # unsigned, a miss (-1) is past every family too
-        if (found.view(np.uint32) >= len(families[u])).any():
-            raise InternalError(f"a chart family on open {u} has no image family")
-        found.flags.writeable = False
-        return found
-
-    glued = {}
-    for u, v in _proper_pairs(space):
-        columns = [
-            _table(arrays, sizes, charts[u][i], charts[v][i])[families[u][:, i]] for i in range(k)
-        ]
-        glued[(u, v)] = locate(v, columns)
-    sets = SheafOfSets(space=space, sizes=[len(f) for f in families], arrays=glued)
-
-    act_arrays = []
-    for u, chart in enumerate(charts):
-        columns = []
+    # one lookup per open v finds the images in F(v): of F(u) for each u > v, then of the action on F(v)
+    located = []
+    for v, chart in enumerate(charts):
+        above, columns = [u for u, below in enumerate(space.subopens) if v in below], []
         for i, c in enumerate(chart):
             grp = gs.groups[c]
-            inverse = np.asarray(grp.inverse)[_table(arrays, sizes, u, c)]
-            columns.append(grp.array[families[u][:, i], inverse[:, None]])  # [a, f] -> f_i * (a|c)^-1
-        act_arrays.append(locate(u, columns))
+            inverse = np.asarray(grp.inverse)[_table(arrays, sizes, v, c)]
+            parts = [_table(arrays, sizes, charts[u][i], c)[families[u][:, i]] for u in above]
+            parts.append(grp.array[families[v][:, i], inverse[:, None]].ravel())  # [a, f] -> f_i * (a|c)^-1
+            columns.append(np.concatenate(parts))
+        found = _locate(lookups[v], [sizes[c] for c in chart], columns)
+        # unsigned, a miss (-1) is past every family too
+        if (found.view(np.uint32) >= len(families[v])).any():
+            raise InternalError(f"a chart family on open {v} has no image family")
+        found.flags.writeable = False
+        located.append(found)
 
+    glued, start = {}, [0] * len(charts)
+    for u, v in _proper_pairs(space):
+        glued[(u, v)] = located[v][start[v] : start[v] + len(families[u])]
+        start[v] += len(families[u])
+    sets = SheafOfSets(space=space, sizes=[len(f) for f in families], arrays=glued)
+    act_arrays = [f[s:].reshape(sizes[v], len(families[v])) for v, (f, s) in enumerate(zip(located, start))]
     return as_sheaf_torsor(SheafAction(groups=gs, sets=sets, arrays=act_arrays))
 
 

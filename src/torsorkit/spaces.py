@@ -61,8 +61,20 @@ class FiniteSpace:
     @cached_property
     def subopens(self) -> tuple[tuple[int, ...], ...]:
         """For each open, the indices of the opens strictly inside it, ascending."""
-        sets = [frozenset(o) for o in self.opens]
-        return tuple(tuple(v for v, ov in enumerate(sets) if ov < ou) for ou in sets)
+        return tuple(tuple(v for v, m in enumerate(row) if m == v != u) for u, row in enumerate(self.meets))
+
+    @cached_property
+    def meets(self) -> tuple[tuple[int, ...], ...]:
+        """meets[u][v]: the index of the open u n v, for every pair of opens."""
+        index, sets = self.open_index, list(self.open_index)
+        return tuple(tuple(index[a & b] for b in sets) for a in sets)
+
+    @cached_property
+    def minimal_covers(self) -> tuple[tuple[int, ...], ...]:
+        """For each open u, its minimal cover, which refines every cover of u: the U_x of its points x inside no
+        larger U_y of its points (that adds nothing: compatibility fixes its section), open indices ascending."""
+        members = [sorted({self.minimal_open[x] for x in o}) for o in self.opens]
+        return tuple(tuple(m for m in ms if not any(self.meets[m][n] == m != n for n in ms)) for ms in members)
 
     def index_of(self, points) -> int:
         key = frozenset(_int_points(points, "open"))
@@ -71,7 +83,7 @@ class FiniteSpace:
         return self.open_index[key]
 
     def intersection_index(self, u: int, v: int) -> int:
-        return self.open_index[frozenset(self.opens[u]) & frozenset(self.opens[v])]
+        return self.meets[u][v]
 
     @property
     def empty_index(self) -> int:

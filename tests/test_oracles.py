@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 import torsorkit as tk
 from torsorkit import errors
 from torsorkit.groups import _transport
-from torsorkit.sheaves import SheafOfSets
+from torsorkit.sheaves import SheafOfSets, _compatible_families, _locate
 from torsorkit.spaces import MAX_OPENS, _open_count
 
 from cocycle_oracles import all_cochains, enumerate_cocycles
@@ -1381,6 +1381,60 @@ def test_is_sheaf_matches_reference_on_corrupted_restrictions(space, name, data)
 def test_is_sheaf_matches_reference_on_presheaves(sheaf):
     want = ref_sheaf_witnesses(sheaf)
     assert _report(tk.is_sheaf(sheaf)) == (not want, want)
+
+
+# ---------------------------------------------------------------- one pass per open, one for all chains
+
+
+@st.composite
+def agreements(draw):
+    """Section counts of a cover of 1-3 members and, for each pair i < j, the two tables whose equal
+    entries make f_i and f_j agree, over few values, so that many pairs agree and many do not."""
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    values = draw(st.integers(1, 3))
+    table = lambda n: np.array(draw(st.lists(st.integers(0, values - 1), min_size=n, max_size=n)), dtype=np.int32)  # noqa: E731
+    agree = {(i, j): (table(sizes[i]), table(sizes[j])) for i, j in itertools.combinations(range(len(sizes)), 2)}
+    return sizes, agree
+
+
+@settings(max_examples=200, deadline=None)
+@given(agreements())
+def test_compatible_families_are_the_product_filtered_and_locate_finds_each_candidate(case):
+    sizes, agree = case
+    product = list(itertools.product(*map(range, sizes)))
+    want = [f for f in product if all(left[f[i]] == right[f[j]] for (i, j), (left, right) in agree.items())]
+    rows, lookups = _compatible_families(sizes, agree)
+    assert rows.tolist() == [list(f) for f in want]
+    # every tuple of the product, a miss included, is found at its family's row, or at -1
+    columns = [np.array([f[i] for f in product], dtype=np.intp) for i in range(len(sizes))]
+    row_of = {f: r for r, f in enumerate(want)}
+    assert _locate(lookups, sizes, columns).tolist() == [row_of.get(f, -1) for f in product]
+
+
+MANY_CHAINS = {
+    "discrete4": tk.close_under_ops(4, [(0,), (1,), (2,), (3,)]),
+    "chain4": tk.close_under_ops(4, [(0,), (0, 1), (0, 1, 2)]),
+    "pseudocircle": tk.pseudocircle(),
+    "pseudocircle+point": tk.close_under_ops(5, [(0,), (1,), (0, 1, 2), (0, 1, 3), (4,)]),  # 138 chains
+}
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.sampled_from(sorted(MANY_CHAINS)), st.sampled_from(["cyclic(2)", "cyclic(3)"]), st.data())
+def test_many_failing_chains_are_witnessed_in_the_reference_order(shape, name, data):
+    space = MANY_CHAINS[shape]
+    sets = tk.constant_group_sheaf(space, tk.catalog_group(name)).sets
+    restrict = dict(sets.restrict)
+    keys = [(u, v) for u, v in restrict if sets.sizes[v] >= 2]  # a cell there can take another value
+    for key in data.draw(st.lists(st.sampled_from(keys), min_size=2, max_size=5)):
+        table, n = list(restrict[key]), sets.sizes[key[1]]
+        s = data.draw(st.integers(0, len(table) - 1))
+        table[s] = (table[s] + data.draw(st.integers(1, n - 1))) % n
+        restrict[key] = tuple(table)
+    sheaf = SheafOfSets(space=space, sizes=sets.sizes, restrict=restrict)
+    want = ref_sheaf_witnesses(sheaf)
+    assume(sum(w["axiom"] == "functoriality" for w in want) >= 2)
+    assert _report(tk.is_sheaf(sheaf)) == (False, want)
 
 
 def _cyclic_subgroup(group, g):

@@ -12,6 +12,7 @@ from torsorkit import jsonio
 from torsorkit.errors import (
     CoverIncomplete,
     MalformedTable,
+    Mismatch,
     NoLocalSection,
     NotASheafTorsor,
     TooLarge,
@@ -990,10 +991,58 @@ def test_a_hand_built_action_refuses_a_cell_a_cast_would_read_as_an_index(z2, ce
     (tk.close_under_ops(4, [(0,), (1,), (2,), (3,)]), 11),                 # discrete4
 ], ids=["pseudocircle", "chain4", "discrete4"])
 def test_is_sheaf_enumerates_families_only_on_covers_of_two_or_more_opens(z2, monkeypatch, space, calls):
-    from torsorkit.sheaves import _minimal_cover
-
     sheaf = tk.constant_group_sheaf(space, z2).sets
     enumerated = _counting(monkeypatch, "_compatible_families")
     assert tk.is_sheaf(sheaf).passed
     assert len(enumerated) == calls
-    assert calls == sum(len(_minimal_cover(space, u)) > 1 for u in range(len(space.opens)))
+    assert calls == sum(len(cover) > 1 for cover in space.minimal_covers)
+
+
+def test_a_pseudocircle_glue_locates_once_per_open(monkeypatch):
+    datum = tk.pseudocircle_descent_datum(tk.catalog_group("cyclic(4)"), 3)  # G is decided here
+    located = _counting(monkeypatch, "_locate")
+    tk.glue_from_cocycle(datum)
+    # glue: one per open, for F's restrictions into it and the action on it; is_sheaf on F: one per
+    # cover of two opens. One per inclusion and one per open made 19 + 7 + 2.
+    assert len(located) == 7 + 2
+
+
+def test_handed_arrays_must_match_the_section_counts(z2):
+    sets = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1)).sets
+    # the probe that failed is_sheaf with IndexError: new counts, the old arrays
+    with pytest.raises(MalformedTable) as err:
+        replace(sets, sizes=tuple(n + 1 for n in sets.sizes))
+    assert err.value.data == {"u": 1, "v": 0, "given": [2]}
+    sets = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 0)).sets  # two global sections
+    key = (sets.space.whole_index, 4)
+    for table, given in ((None, []), (sets.arrays[key][:-1], [1]), (sets.arrays[key][:, None], [2, 1])):
+        with pytest.raises(MalformedTable) as err:
+            replace(sets, arrays={**sets.arrays, key: table})
+        assert err.value.data == {"u": key[0], "v": key[1], "given": given}
+    with pytest.raises(MalformedTable) as err:
+        replace(sets, sizes=sets.sizes[:-1])
+    assert err.value.data == {"table": "sizes", "given": 6}
+
+
+def test_an_action_refuses_groups_and_sets_on_different_spaces(z2, monkeypatch):
+    # the probe that passed is_sheaf_torsor with global_sections=2
+    glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1)).action
+    lifted = tk.lift_point_torsor(tk.affine_torsor(2, 1)).action
+    reads = _counting(monkeypatch, "_index_table")
+    for act, arrays in ((lifted.act, None), (None, lifted.arrays)):
+        with pytest.raises(Mismatch) as err:
+            SheafAction(groups=glued.groups, sets=lifted.sets, act=act, arrays=arrays)
+        assert err.value.data == {"sheaf": "sets"}
+    assert reads == []  # refused before any table is read
+
+
+def test_handed_action_arrays_must_have_the_shape_of_their_open(z2):
+    glued = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1)).action
+    arrays = glued.arrays
+    # open 3, {0, 1}, has a group of order 4 acting on 4 sections; open 2's table is 2 x 2
+    with pytest.raises(MalformedTable) as err:
+        replace(glued, arrays=arrays[:3] + (arrays[2],) + arrays[4:])
+    assert err.value.data == {"open": 3, "given": [2, 2]}
+    with pytest.raises(MalformedTable) as err:
+        replace(glued, arrays=arrays[:-1])
+    assert err.value.data == {"table": "arrays", "given": 6}

@@ -275,6 +275,26 @@ def test_a_table_that_is_no_sequence_of_rows_is_malformed_not_a_type_error(table
     assert err.value.data == place
 
 
+@pytest.mark.parametrize("identity,inverse,place", [
+    (5, (0, 1.5), {"identity": 5}),  # built, and then build_action and as_torsor raised IndexError
+    (True, (0, 1), {"identity": True}),
+    (0, (0, 1.5), {"table": "inverse", "position": 1}),
+    (0, (0, 2), {"table": "inverse", "position": 1}),
+    (0, (0,), {"table": "inverse"}),
+    (0, None, {"table": "inverse"}),
+], ids=["identity-range", "identity-bool", "inverse-float", "inverse-range", "inverse-short", "inverse-none"])
+def test_a_hand_built_group_reads_its_identity_and_inverse_strictly(identity, inverse, place):
+    with pytest.raises(tk.errors.MalformedTable) as err:
+        FiniteGroup(2, cayley=[[0, 1], [1, 0]], identity=identity, inverse=inverse)
+    assert err.value.data == place
+
+
+def test_a_hand_built_group_keeps_its_identity_and_inverse_as_python_ints():
+    hand = FiniteGroup(2, cayley=[[0, 1], [1, 0]], identity=np.int64(0), inverse=np.array([0, 1]))
+    assert type(hand.identity) is int and hand.inverse == (0, 1) and all(type(g) is int for g in hand.inverse)
+    assert hand == tk.catalog_group("cyclic(2)")
+
+
 @ORACLE
 @given(st.sampled_from([g for g in CATALOG if g.order <= 6]), st.data())
 def test_a_hand_built_table_reads_as_the_reference_scan_says(group, data):
