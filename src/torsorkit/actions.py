@@ -38,11 +38,13 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _compatibility_witness,
+    _decide_subgroup,
     _first,
     _index_table,
     _is_index,
     _positions,
     _positive,
+    _shaped,
     _StoredTable,
     _transport,
     _tuples,
@@ -57,8 +59,8 @@ class GroupAction(_StoredTable):
 
     ``array`` holds the table, act[g][x] at ``array[g, x]``; ``act`` is its
     tuple view, built on first read. As for ``FiniteGroup``, a producer
-    passes its validated ``array`` and a hand-built action passes ``act``,
-    read strictly here (its shape and cells, not the axioms).
+    passes its validated ``array``, checked by shape alone, and a hand-built
+    action passes ``act``, read strictly here (its shape and cells, not the axioms).
     """
 
     group: FiniteGroup
@@ -67,7 +69,10 @@ class GroupAction(_StoredTable):
     _compared = ("group", "set_size")
 
     def __init__(self, group: FiniteGroup, set_size: int, act=None, array=None):
-        array = array if act is None else _index_table(act, group.order, set_size, set_size)
+        if act is None:
+            _shaped(array, (group.order, set_size), "array", table="array")
+        else:
+            array = _index_table(act, group.order, set_size, set_size)
         self._set(group=group, set_size=set_size, array=array)
 
     @cached_property
@@ -282,10 +287,12 @@ def coset_action(group: FiniteGroup, sub: Subgroup) -> GroupAction:
 def coset_list(group: FiniteGroup, sub: Subgroup) -> list[tuple[int, ...]]:
     """The left cosets, sorted, in discovery order over ascending representatives.
 
-    Coset 0 always contains the smallest element of the identity coset.
+    Coset 0 always contains the smallest element of the identity coset. A hand-built subgroup is
+    decided first, as subgroup_as_group decides it.
     """
     if sub.parent != group:
         raise Mismatch("the subgroup is not a subgroup of this group")
+    _decide_subgroup(sub)
     rows = np.sort(group.array[:, list(sub.members)], axis=1)  # g -> the sorted coset gH
     # ascending g, each coset read at its least member: the first g that meets it, as gH holds g
     return list(map(tuple, rows[rows[:, 0] == np.arange(group.order)].tolist()))

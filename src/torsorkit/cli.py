@@ -2,9 +2,13 @@
 
 Three verbs: ``check`` validates a JSON-described object and reports
 witnesses, ``generate`` writes the example torsor families as JSON, and
-``query`` answers transport/section/classification questions. Human
-summaries go to stdout; ``--json`` switches to the canonical machine
-report. Exit codes: 0 pass, 1 semantic fail, 2 I/O or schema error.
+``query`` answers transport/section/classification questions. Each verb is
+one table keyed by name, whose keys argparse offers; ``READERS`` holds one
+reader per file kind, shared by every verb that reads the kind. A family or
+query entry lists its parameters with their parsers: the count is checked,
+then each parameter, before any file is read. Human summaries go to stdout;
+``--json`` switches to the canonical machine report. Exit codes: 0 pass,
+1 semantic fail, 2 I/O or schema error.
 """
 
 from __future__ import annotations
@@ -27,33 +31,7 @@ from .groups import catalog_group
 from .jsonio import SchemaError, canonical_json
 from .report import Report, failing, passing
 
-# cocycles, constructions, sheaves and spaces are imported by the verbs that run them, so a child
-# loads only the layers its verb needs
-
-CHECK_KINDS = (
-    "group",
-    "subgroup",
-    "action",
-    "torsor",
-    "cocycle",
-    "space",
-    "sheaf",
-    "sheaf-torsor",
-)
-
-GENERATE_FAMILIES = ("affine", "solution", "coset", "bases", "pseudocircle-torsor")
-
-QUERIES = (
-    "transporter",
-    "orbit",
-    "stabilizer",
-    "trivialize",
-    "transported-group",
-    "holonomy",
-    "global-sections",
-    "sections",
-    "classes",
-)
+# cocycles, constructions, sheaves and spaces are imported by the entries that run them (``_layer``)
 
 
 def _emit(report: Report, as_json: bool) -> int:
@@ -82,231 +60,200 @@ def _int_param(value: str, name: str) -> int:
     return number
 
 
-def _check_report(kind: str, obj) -> Report:
-    if kind == "group":
-        g = jsonio.group_from_obj(obj)
-        return passing("group", counts={"order": g.order})
-    if kind == "subgroup":
-        sub = jsonio.subgroup_from_obj(obj)
-        return passing(
-            "subgroup",
-            counts={"order": len(sub.members), "parent_order": sub.parent.order},
-        )
-    if kind == "action":
-        action = jsonio.action_from_obj(obj)
-        return passing(
-            "action", counts={"order": action.group.order, "points": action.set_size}
-        )
-    if kind == "torsor":
-        torsor = as_torsor(jsonio.action_from_obj(obj))
-        return passing("torsor", counts={"points": torsor.set_size})
-    if kind == "cocycle":
-        c = jsonio.cocycle_from_obj(obj)
-        return passing(
-            "cocycle",
-            counts={"edges": len(c.nerve.edges), "opens": c.nerve.num_opens},
-        )
-    if kind == "space":
-        space = jsonio.space_from_obj(obj)
-        return passing(
-            "space", counts={"opens": len(space.opens), "points": space.num_points}
-        )
-    if kind == "sheaf":
-        from .sheaves import is_sheaf
+def _path_param(value: str, name: str) -> list[int]:
+    return [_int_param(v, name) for v in value.split(",")]
 
-        sheaf = jsonio.sets_sheaf_from_obj(obj)
-        rep = is_sheaf(sheaf)
-        counts = dict(rep.counts)
-        counts["global_sections"] = sheaf.sizes[sheaf.space.whole_index]
-        return Report("sheaf", rep.verdict, rep.witnesses, counts)
-    if kind == "sheaf-torsor":
-        from .sheaves import global_sections
 
-        try:
-            torsor, counts = _sheaf_torsor_from_obj(obj)
-        except NotASheafTorsor as err:
-            rep = err.report
-            return Report("sheaf-torsor", "fail", rep.witnesses, rep.counts)
-        counts["global_sections"] = len(global_sections(torsor))
-        return passing("sheaf-torsor", counts=counts)
-    raise SchemaError(f"unknown check kind {kind!r}")
+def _twist_param(value: str, name: str) -> str:
+    """One of the words ``name`` lists; any other is refused as a wrong count is."""
+    if value not in name.split("|"):
+        raise SchemaError(f"generate pseudocircle-torsor takes: {name}")
+    return value
+
+
+def _file_param(kind: str):
+    """The parser of a parameter that names a file: the file, read by the reader of its ``kind``."""
+    return lambda path, name: READERS[kind](jsonio.load_json(path))
+
+
+def _parsed(params: dict, values: list, usage: str) -> list:
+    """``values`` read by the parsers of ``params`` in order, once there are as many; else SchemaError(usage)."""
+    if len(values) != len(params):
+        raise SchemaError(usage)
+    return [parse(value, name) for (name, parse), value in zip(params.items(), values)]
+
+
+def _layer(name: str):
+    """``from . import name``, run at the layer's first use: a child loads only the layers its verb runs."""
+    return getattr(__import__(__package__, globals(), None, [name]), name)
+
+
+# file kind -> its one reader, shared by every verb that reads the kind: it reads a JSON object and decides
+# it. Each entry looks its functions up when it runs, so they may be imported then, or traced.
+
+def _sheaf_torsor(obj):
+    """A sheaf torsor glued from a descent datum or read as a sheaf action; when either fails to be one,
+    as_sheaf_torsor raises NotASheafTorsor with the failing report."""
+    sheaves = _layer("sheaves")
+    if isinstance(obj, dict) and "transition" in obj:
+        return sheaves.glue_from_cocycle(jsonio.descent_from_obj(obj))
+    return sheaves.as_sheaf_torsor(jsonio.sheaf_action_from_obj(obj))
+
+
+READERS = {
+    "group": lambda obj: jsonio.group_from_obj(obj),
+    "subgroup": lambda obj: jsonio.subgroup_from_obj(obj),
+    "action": lambda obj: jsonio.action_from_obj(obj),
+    "torsor": lambda obj: as_torsor(jsonio.action_from_obj(obj)),
+    "cocycle": lambda obj: jsonio.cocycle_from_obj(obj),
+    "space": lambda obj: jsonio.space_from_obj(obj),
+    "sheaf": lambda obj: jsonio.sets_sheaf_from_obj(obj),
+    "sheaf-torsor": _sheaf_torsor,
+    "classes": lambda obj: jsonio.classes_from_obj(obj),
+    "solution": lambda obj: jsonio.solution_from_obj(obj),
+    "coset": lambda obj: jsonio.coset_from_obj(obj),
+}
+
+
+# check: kind -> its report on what READERS[kind] read, given the JSON object read
+
+def _sheaf_report(sheaf, obj) -> Report:
+    rep = _layer("sheaves").is_sheaf(sheaf)
+    counts = {**rep.counts, "global_sections": sheaf.sizes[sheaf.space.whole_index]}
+    return Report("sheaf", rep.verdict, rep.witnesses, counts)
+
+
+def _sheaf_torsor_report(torsor, obj) -> Report:
+    # only a descent datum has a cover: a sheaf action's reader refuses the key
+    counts = {"cover": len(obj["cover"])} if "cover" in obj else {}
+    counts["global_sections"] = len(_layer("sheaves").global_sections(torsor))
+    return passing("sheaf-torsor", counts=counts)
+
+
+CHECKS = {
+    "group": lambda g, obj: passing("group", counts={"order": g.order}),
+    "subgroup": lambda s, obj: passing("subgroup", counts={"order": s.order, "parent_order": s.parent.order}),
+    "action": lambda a, obj: passing("action", counts={"order": a.group.order, "points": a.set_size}),
+    "torsor": lambda t, obj: passing("torsor", counts={"points": t.set_size}),
+    "cocycle": lambda c, obj: passing("cocycle", counts={"edges": len(c.nerve.edges), "opens": c.nerve.num_opens}),
+    "space": lambda s, obj: passing("space", counts={"opens": len(s.opens), "points": s.num_points}),
+    "sheaf": _sheaf_report,
+    "sheaf-torsor": _sheaf_torsor_report,
+}
 
 
 def cmd_check(args) -> int:
     obj = jsonio.load_json(args.file)
     try:
-        report = _check_report(args.kind, obj)
+        report = CHECKS[args.kind](READERS[args.kind](obj), obj)
+    except NotASheafTorsor as err:
+        report = failing(args.kind, err.report.witnesses, err.report.counts)
     except TorsorError as err:
         report = failing(args.kind, [err.witness()])
     return _emit(report, args.json)
 
 
-def _torsor_from_file(path):
-    return as_torsor(jsonio.action_from_obj(jsonio.load_json(path)))
+# generate: family -> ({parameter: parser}, (*parameters) -> (the JSON object written, the line printed))
+
+def _torsor_written(label: str, torsor):
+    return jsonio.action_to_obj(torsor.action), f"generated {label} torsor: {torsor.set_size} points"
 
 
-def _sheaf_torsor_from_obj(obj):
-    """A validated sheaf torsor from a descent datum or a sheaf action, plus its extra counts.
-
-    Both paths end in as_sheaf_torsor, which raises NotASheafTorsor with the failing report.
-    """
-    from .sheaves import as_sheaf_torsor, glue_from_cocycle
-
-    if isinstance(obj, dict) and "transition" in obj:
-        datum = jsonio.descent_from_obj(obj)
-        return glue_from_cocycle(datum), {"cover": len(datum.cover)}
-    return as_sheaf_torsor(jsonio.sheaf_action_from_obj(obj)), {}
+def _pseudocircle_written(twist: str):
+    sheaves, group = _layer("sheaves"), catalog_group("cyclic(2)")
+    datum = sheaves.pseudocircle_descent_datum(group, ("trivial", "twisted").index(twist))
+    n = len(sheaves.global_sections(sheaves.glue_from_cocycle(datum)))
+    written = jsonio.descent_to_obj(datum.groups.space, group, datum)
+    return written, f"generated pseudocircle descent datum ({twist}): {n} global sections"
 
 
-def _sheaf_torsor_from_file(path):
-    return _sheaf_torsor_from_obj(jsonio.load_json(path))[0]
-
-
-def _query_report(args) -> Report:
-    name = args.query
-    params = args.params[:-1]
-    path = args.params[-1] if args.params else None
-    if path is None:
-        raise SchemaError("query needs an input file")
-
-    def want(n):
-        if len(params) != n:
-            raise SchemaError(f"query {name} takes {n} parameter(s) before the file")
-
-    if name == "transporter":
-        want(2)
-        x, y = _int_param(params[0], "x"), _int_param(params[1], "y")
-        g = transporter(_torsor_from_file(path), x, y)
-        return passing("transporter", counts={"element": g, "x": x, "y": y})
-    if name == "orbit":
-        want(1)
-        x = _int_param(params[0], "x")
-        orb = orbit(jsonio.action_from_obj(jsonio.load_json(path)), x)
-        return passing("orbit", counts={"x": x, "orbit": list(orb), "size": len(orb)})
-    if name == "stabilizer":
-        want(1)
-        x = _int_param(params[0], "x")
-        stab = stabilizer(jsonio.action_from_obj(jsonio.load_json(path)), x)
-        return passing("stabilizer", counts={"x": x, "stabilizer": list(stab), "size": len(stab)})
-    if name == "trivialize":
-        want(1)
-        x0 = _int_param(params[0], "basepoint")
-        triv = trivialization(_torsor_from_file(path), x0)
-        return passing(
-            "trivialize",
-            counts={
-                "basepoint": triv.basepoint,
-                "to_points": list(triv.to_points),
-                "to_group": list(triv.to_group),
-            },
-        )
-    if name == "transported-group":
-        want(1)
-        x0 = _int_param(params[0], "basepoint")
-        grp = transported_group(_torsor_from_file(path), x0)
-        return passing(
-            "transported-group",
-            counts={
-                "identity": grp.identity,
-                "order": grp.order,
-                "cayley": grp.array.tolist(),
-            },
-        )
-    if name == "holonomy":
-        from .cocycles import holonomy
-
-        want(1)
-        path_indices = [_int_param(v, "path") for v in params[0].split(",")]
-        g = holonomy(jsonio.cocycle_from_obj(jsonio.load_json(path)), path_indices)
-        return passing("holonomy", counts={"element": g, "path": path_indices})
-    if name == "global-sections":
-        from .sheaves import global_sections
-
-        want(0)
-        n = len(global_sections(_sheaf_torsor_from_file(path)))
-        return passing("global-sections", counts={"global_sections": n})
-    if name == "sections":
-        from .sheaves import sections
-
-        want(1)
-        u = _int_param(params[0], "open")
-        n = len(sections(_sheaf_torsor_from_file(path), u))
-        return passing("sections", counts={"open": u, "sections": n})
-    if name == "classes":
-        from .cocycles import equivalence_classes
-
-        want(0)
-        obj = jsonio._only(jsonio.load_json(path), "classes", "nerve", "group", "g")
-        nerve = jsonio.nerve_from_obj(jsonio._expect(obj, "nerve", dict, "classes"))
-        group = jsonio.group_from_obj(jsonio._expect(obj, "group", None, "classes"))
-        classes = equivalence_classes(nerve, group)
-        return passing(
-            "classes",
-            counts={
-                "classes": len(classes),
-                "sizes": [c.size for c in classes],
-                "representatives": [list(c.representative.edge_values()) for c in classes],
-            },
-        )
-    raise SchemaError(f"unknown query {name!r}")
-
-
-def cmd_query(args) -> int:
-    try:
-        report = _query_report(args)
-    except TorsorError as err:
-        report = failing(args.query, [err.witness()])
-    return _emit(report, args.json)
+FAMILIES = {
+    "affine": (
+        {"p": _int_param, "n": _int_param},
+        lambda p, n: _torsor_written("affine", _layer("constructions").affine_torsor(p, n)),
+    ),
+    "solution": ({"problem-file": _file_param("solution")}, lambda t: _torsor_written("solution", t)),
+    "coset": ({"problem-file": _file_param("coset")}, lambda t: _torsor_written("coset", t)),
+    "bases": (
+        {"p": _int_param, "n": _int_param},
+        lambda p, n: _torsor_written("basis", _layer("constructions").basis_torsor(p, n)),
+    ),
+    "pseudocircle-torsor": ({"trivial|twisted": _twist_param}, _pseudocircle_written),
+}
 
 
 def cmd_generate(args) -> int:
+    params, write = FAMILIES[args.family]
+    usage = f"generate {args.family} takes: {' '.join(params)}"
     try:
-        return _generate(args)
+        written, line = write(*_parsed(params, args.params, usage))
     except TorsorError as err:
         return _emit(failing(args.family, [err.witness()]), False)
-
-
-def _generate(args) -> int:
-    family = args.family
-    params = args.params
-    if family == "pseudocircle-torsor":
-        from .sheaves import global_sections, glue_from_cocycle, pseudocircle_descent_datum
-
-        if len(params) != 1 or params[0] not in ("trivial", "twisted"):
-            raise SchemaError("generate pseudocircle-torsor takes: trivial|twisted")
-        group = catalog_group("cyclic(2)")
-        twist = 0 if params[0] == "trivial" else 1
-        datum = pseudocircle_descent_datum(group, twist)
-        jsonio.dump_json(
-            args.out, jsonio.descent_to_obj(datum.groups.space, group, datum)
-        )
-        n = len(global_sections(glue_from_cocycle(datum)))
-        print(f"generated pseudocircle descent datum ({params[0]}): {n} global sections")
-        return 0
-    from .constructions import affine_torsor, basis_torsor, coset_torsor, prime_field_matrix, solution_torsor
-
-    if family in ("affine", "bases"):
-        if len(params) != 2:
-            raise SchemaError(f"generate {family} takes: p n")
-        build = affine_torsor if family == "affine" else basis_torsor
-        torsor = build(_int_param(params[0], "p"), _int_param(params[1], "n"))
-    elif family in ("solution", "coset"):
-        if len(params) != 1:
-            raise SchemaError(f"generate {family} takes: problem-file")
-        obj = jsonio.load_json(params[0])
-        if family == "solution":
-            jsonio._only(obj, "solution", "p", "T", "w")
-            p = jsonio._expect(obj, "p", int, "solution")
-            rows = jsonio._int_list_list(jsonio._expect(obj, "T", list, "solution"), "solution.T")
-            torsor = solution_torsor(prime_field_matrix(p, rows), jsonio._expect(obj, "w", list, "solution"))
-        else:
-            sub = jsonio.subgroup_from_obj(obj, "g")
-            torsor = coset_torsor(sub.parent, sub, obj.get("g", sub.parent.identity))
-    else:
-        raise SchemaError(f"unknown family {family!r}")
-    jsonio.dump_json(args.out, jsonio.action_to_obj(torsor.action))
-    print(f"generated {'basis' if family == 'bases' else family} torsor: {torsor.set_size} points")
+    jsonio.dump_json(args.out, written)
+    print(line)
     return 0
+
+
+# query: name -> (the file kind read, {parameter before the file: parser}, (object, *parameters) -> counts)
+
+def _listed(key: str, x: int, members) -> dict:
+    return {"x": x, key: list(members), "size": len(members)}
+
+
+def _trivialized(triv) -> dict:
+    return {"basepoint": triv.basepoint, "to_points": list(triv.to_points), "to_group": list(triv.to_group)}
+
+
+def _group_counts(g) -> dict:
+    return {"identity": g.identity, "order": g.order, "cayley": g.array.tolist()}
+
+
+def _classes(problem) -> dict:
+    classes = _layer("cocycles").equivalence_classes(*problem)
+    return {
+        "classes": len(classes),
+        "sizes": [c.size for c in classes],
+        "representatives": [list(c.representative.edge_values()) for c in classes],
+    }
+
+
+QUERIES = {
+    "transporter": (
+        "torsor", {"x": _int_param, "y": _int_param},
+        lambda t, x, y: {"element": transporter(t, x, y), "x": x, "y": y},
+    ),
+    "orbit": ("action", {"x": _int_param}, lambda a, x: _listed("orbit", x, orbit(a, x))),
+    "stabilizer": ("action", {"x": _int_param}, lambda a, x: _listed("stabilizer", x, stabilizer(a, x))),
+    "trivialize": ("torsor", {"basepoint": _int_param}, lambda t, x0: _trivialized(trivialization(t, x0))),
+    "transported-group": (
+        "torsor", {"basepoint": _int_param}, lambda t, x0: _group_counts(transported_group(t, x0))
+    ),
+    "holonomy": (
+        "cocycle", {"path": _path_param},
+        lambda c, path: {"element": _layer("cocycles").holonomy(c, path), "path": path},
+    ),
+    "global-sections": (
+        "sheaf-torsor", {},
+        lambda t: {"global_sections": len(_layer("sheaves").global_sections(t))},
+    ),
+    "sections": (
+        "sheaf-torsor", {"open": _int_param},
+        lambda t, u: {"open": u, "sections": len(_layer("sheaves").sections(t, u))},
+    ),
+    "classes": ("classes", {}, _classes),
+}
+
+
+def cmd_query(args) -> int:
+    reads, params, counts = QUERIES[args.query]
+    *values, path = args.params
+    usage = f"query {args.query} takes {len(params)} parameter(s) before the file"
+    try:
+        parsed = _parsed(params, values, usage)  # before the file is read: a bad parameter is named first
+        report = passing(args.query, counts=counts(READERS[reads](jsonio.load_json(path)), *parsed))
+    except TorsorError as err:
+        report = failing(args.query, [err.witness()])
+    return _emit(report, args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,13 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="validate a JSON-described object")
-    p_check.add_argument("kind", choices=CHECK_KINDS)
+    p_check.add_argument("kind", choices=CHECKS)
     p_check.add_argument("file")
     p_check.add_argument("--json", action="store_true", help="machine-readable report")
     p_check.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("generate", help="write an example torsor family as JSON")
-    p_gen.add_argument("family", choices=GENERATE_FAMILIES)
+    p_gen.add_argument("family", choices=FAMILIES)
     p_gen.add_argument("params", nargs="*")
     p_gen.add_argument("-o", "--out", required=True)
     p_gen.set_defaults(func=cmd_generate)

@@ -115,6 +115,7 @@ class FiniteGroup(_StoredTable):
     ``cayley``, read strictly here by ``_index_table`` (its shape and the
     type and range of every cell, not the axioms), then its ``identity``
     and its ``inverse``, read as a row of ``order`` indices by the same reader.
+    A handed ``array`` and ``inverse`` are checked by shape and length alone.
     ``constant_sheaves`` holds the
     decided constant sheaves of this group by space, filled by
     ``sheaves.constant_group_sheaf``; it dies with the group.
@@ -134,6 +135,10 @@ class FiniteGroup(_StoredTable):
                 raise MalformedTable(f"identity {identity!r} is not an element in [0, {order})", identity=identity)
             inverse = tuple(_index_table(inverse, None, order, order, "inverse: ", table="inverse").tolist())
             identity = int(identity)
+        else:
+            _shaped(array, (order, order), "array", table="array")
+            if len(inverse) != order:
+                raise MalformedTable(f"inverse: {len(inverse)} entries", table="inverse", given=len(inverse))
         self._set(order=order, identity=identity, inverse=inverse, array=array, constant_sheaves={})
 
     @cached_property
@@ -171,6 +176,13 @@ def _first(bad: np.ndarray):
     if not bad.any():
         return None
     return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+
+
+def _shaped(arr, shape: tuple, what: str, **where) -> None:
+    """A producer's array, checked by its shape alone; MalformedTable names ``where`` and the shape given."""
+    given = np.shape(arr)
+    if given != shape:
+        raise MalformedTable(f"{what}: shape {given}, expected {shape}", **where, given=list(given))
 
 
 def _is_int(v) -> bool:
@@ -433,11 +445,16 @@ def _transport(group: FiniteGroup, members) -> FiniteGroup:
     return FiniteGroup(order=n, identity=identity, inverse=inverse, array=arr)
 
 
-def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
-    """Members renamed 0..|H|-1 by ``_transport``, after build_subgroup's checks and one for repeats."""
+def _decide_subgroup(sub: Subgroup) -> None:
+    """A hand-built subgroup decided by build_subgroup's checks and one for repeated members."""
     if len(build_subgroup(sub.parent, sub.members).members) < len(sub.members):
         i, m = next((i, m) for i, m in enumerate(sub.members) if m in sub.members[:i])
         raise MalformedTable(f"member [{i}] = {m!r} is repeated", position=i, element=m)
+
+
+def subgroup_as_group(sub: Subgroup) -> FiniteGroup:
+    """Members renamed 0..|H|-1 by ``_transport``, once ``_decide_subgroup`` passes."""
+    _decide_subgroup(sub)
     return _transport(sub.parent, sub.members)
 
 

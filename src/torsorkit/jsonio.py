@@ -2,11 +2,13 @@
 
 All indices are 0-based. Serialization is canonical: the text is the bytes
 of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, so
-identical inputs produce byte-identical files. Reading is strict: a key
-given twice in one object, a pair key not spelled as ``"i,j"`` writes it,
-or a per-open key other than ``"0"`` ... ``"k-1"``, is rejected rather than
-read one way or another, or not at all. Schema problems raise SchemaError;
-semantic problems raise the domain errors of the owning module.
+identical inputs produce byte-identical files. Every schema the command
+line reads is read here. Reading is strict: a key given twice in one
+object, a pair key not spelled as ``"i,j"`` writes it, a per-open key other
+than ``"0"`` ... ``"k-1"``, or a restriction key that is no proper
+inclusion of the space, is rejected rather than read one way or another,
+or not at all. Schema problems raise SchemaError; semantic problems raise
+the domain errors of the owning module.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from .actions import GroupAction, build_action
+from .actions import GroupAction, Torsor, build_action
 from .groups import FiniteGroup, Subgroup, _is_int, build_group, build_subgroup, catalog_group
 
-# the readers of cocycles, spaces and sheaves import those layers themselves, so reading a group or
-# an action loads none of them; the writers only read attributes
+# the readers of cocycles, spaces, sheaves and problems import those layers themselves, so reading a
+# group or an action loads none of them; the writers only read attributes
 if TYPE_CHECKING:
     from .cocycles import Nerve, NerveCocycle
     from .sheaves import DescentDatum, SheafAction, SheafOfSets
@@ -220,14 +222,18 @@ def _sizes_from_obj(obj, num_opens: int, what) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def _restrict_from_obj(obj, what) -> dict:
+def _restrict_from_obj(obj, space: FiniteSpace, what) -> dict:
+    """The restriction tables by pair; a key that is no proper inclusion of ``space`` is a stray key."""
     raw = _expect(obj, "restrict", dict, what)
+    proper = {(u, v) for u, below in enumerate(space.subopens) for v in below}
     out = {}
     for key, table in raw.items():
-        u, v = _parse_pair_key(key, f"{what}.restrict")
+        pair = _parse_pair_key(key, f"{what}.restrict")
+        if pair not in proper:
+            raise SchemaError(f"{what}.restrict: stray key {key!r}")
         if not isinstance(table, list):
             raise SchemaError(f"{what}: restriction {key!r} must be a list")
-        out[(u, v)] = table
+        out[pair] = table
     return out
 
 
@@ -245,7 +251,7 @@ def sets_sheaf_from_obj(obj, space: FiniteSpace | None = None, *optional: str) -
     if space is None:
         space = space_from_obj(_expect(obj, "space", dict, "sheaf"))
     sizes = _sizes_from_obj(obj, len(space.opens), "sheaf")
-    restrict = _restrict_from_obj(obj, "sheaf")
+    restrict = _restrict_from_obj(obj, space, "sheaf")
     return SheafOfSets(space=space, sizes=sizes, restrict=restrict)
 
 
@@ -322,6 +328,33 @@ def descent_from_obj(obj) -> DescentDatum:
     transition = _pair_map(_expect(obj, "transition", dict, "descent"), "descent.transition")
     gs = constant_group_sheaf(space, group)
     return build_descent_datum(gs, cover, transition)
+
+
+# the problems that query classes and generate solution and coset read
+
+def classes_from_obj(obj) -> tuple[Nerve, FiniteGroup]:
+    """The nerve and group whose cocycle classes are counted; a cocycle's ``g`` is passed over."""
+    _only(obj, "classes", "nerve", "group", "g")
+    nerve = nerve_from_obj(_expect(obj, "nerve", dict, "classes"))
+    return nerve, group_from_obj(_expect(obj, "group", None, "classes"))
+
+
+def solution_from_obj(obj) -> Torsor:
+    """The solutions of T(v) = w over F_p, as the torsor solution_torsor makes of them."""
+    from .constructions import prime_field_matrix, solution_torsor
+
+    _only(obj, "solution", "p", "T", "w")
+    p = _expect(obj, "p", int, "solution")
+    matrix = prime_field_matrix(p, _int_list_list(_expect(obj, "T", list, "solution"), "solution.T"))
+    return solution_torsor(matrix, _expect(obj, "w", list, "solution"))
+
+
+def coset_from_obj(obj) -> Torsor:
+    """The coset gH of a subgroup object H and its optional ``g`` (else the identity), as coset_torsor makes it."""
+    from .constructions import coset_torsor
+
+    sub = subgroup_from_obj(obj, "g")
+    return coset_torsor(sub.parent, sub, obj.get("g", sub.parent.identity))
 
 
 def _unique_keys(items: list) -> dict:

@@ -68,6 +68,7 @@ from .groups import (
     _is_index,
     _is_int,
     _positions,
+    _shaped,
     _StoredTable,
     _tuples,
     build_group,  # not called here since G^c is carried; bench/test_bench.py still reads sheaves.build_group
@@ -301,13 +302,6 @@ def _direct_power(group: FiniteGroup, values: np.ndarray) -> FiniteGroup:
 def _table(arrays: dict, sizes, u: int, v: int) -> np.ndarray:
     """The restriction from open u to open v as an int array; the identity when u == v."""
     return np.arange(sizes[u]) if u == v else arrays[(u, v)]
-
-
-def _shaped(arr, shape: tuple, what: str, **where) -> None:
-    """A producer's array, checked by its shape alone; MalformedTable names ``where`` and the shape given."""
-    given = np.shape(arr)
-    if given != shape:
-        raise MalformedTable(f"{what}: shape {given}, expected {shape}", **where, given=list(given))
 
 
 def _per_open(values, space: FiniteSpace, what: str) -> tuple:

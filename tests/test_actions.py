@@ -22,6 +22,7 @@ from torsorkit.errors import (
     PointOutOfRange,
     RightCompatibilityViolated,
     RightIdentityViolated,
+    TorsorError,
 )
 
 
@@ -471,6 +472,21 @@ def test_coset_list_and_coset_action_refuse_a_subgroup_of_another_group():
         tk.coset_action(c4, in_s3)  # decided on c4's table, it gave a false compatibility witness
     # an equal copy of the parent is the same group
     assert tk.coset_list(tk.catalog_group("cyclic(6)"), in_c6) == [(0, 3), (1, 4), (2, 5)]
+
+
+@pytest.mark.parametrize("members,witness", [
+    ((0, 1), {"axiom": "subgroup-closure", "a": 1, "b": 1, "product": 2}),  # gave overlapping "cosets"
+    ((1, 3), {"axiom": "subgroup-identity", "identity": 0}),                # gave no coset at all
+    ((0, 2, 2), {"axiom": "malformed-table", "position": 2, "element": 2}),  # gave repeated members
+    ((0, 7), {"axiom": "malformed-table", "position": 1}),                  # raised a bare IndexError
+], ids=["not-closed", "no-identity", "repeated", "out-of-range"])
+def test_coset_list_and_coset_action_decide_a_hand_built_subgroup_as_coset_torsor_does(members, witness):
+    c4 = tk.catalog_group("cyclic(4)")
+    sub = tk.Subgroup(c4, members)
+    for build in (tk.coset_torsor, tk.coset_list, tk.coset_action):
+        with pytest.raises(TorsorError) as err:
+            build(c4, sub, 0) if build is tk.coset_torsor else build(c4, sub)
+        assert err.value.witness() == witness
 
 
 def test_an_empty_action_is_transitive_and_free_but_no_torsor(z2):

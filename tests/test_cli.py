@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -545,3 +546,90 @@ def test_every_verb_refuses_a_stray_top_level_key(tmp_path, argv, source, what):
     out = ["-o", str(tmp_path / "out.json")] if argv[0] == "generate" else []
     assert run_cli([*argv, str(path), *out]) == (2, "", f"error: {what}: stray key 'stray'\n")
     assert not (tmp_path / "out.json").exists()
+
+
+# the usage errors of the front end, each worded as it has always been: the parameter count a query
+# or family takes, a bad parameter before a missing file, and argparse's list of the verbs
+QUERY_ARITY = {
+    "transporter": 2, "orbit": 1, "stabilizer": 1, "trivialize": 1, "transported-group": 1,
+    "holonomy": 1, "global-sections": 0, "sections": 1, "classes": 0,
+}
+
+GENERATE_USAGE = {
+    "affine": "p n", "solution": "problem-file", "coset": "problem-file", "bases": "p n",
+    "pseudocircle-torsor": "trivial|twisted",
+}
+
+
+@pytest.mark.parametrize("query,arity", QUERY_ARITY.items())
+def test_each_query_names_the_count_of_parameters_it_takes(tmp_path, query, arity):
+    # the count is decided before the file is opened, so a missing file is not what is reported
+    missing = str(tmp_path / "missing.json")
+    for count in sorted({max(arity - 1, 0), arity + 1} - {arity}):
+        argv = ["query", query, *["0"] * count, missing]
+        assert run_cli(argv) == (2, "", f"error: query {query} takes {arity} parameter(s) before the file\n")
+
+
+@pytest.mark.parametrize("family,usage", GENERATE_USAGE.items())
+def test_each_generate_family_names_the_parameters_it_takes(tmp_path, family, usage):
+    out = tmp_path / "out.json"
+    for params in ([], ["1", "2", "3"]):
+        argv = ["generate", family, *params, "-o", str(out)]
+        assert run_cli(argv) == (2, "", f"error: generate {family} takes: {usage}\n")
+    assert not out.exists()
+
+
+def test_a_pseudocircle_twist_outside_its_two_names_is_a_usage_error(tmp_path):
+    out = tmp_path / "out.json"
+    argv = ["generate", "pseudocircle-torsor", "twisted2", "-o", str(out)]
+    assert run_cli(argv) == (2, "", "error: generate pseudocircle-torsor takes: trivial|twisted\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("query,params,name", [
+    ("transporter", ["x", "2"], "x"),
+    ("transporter", ["1", "y"], "y"),
+    ("orbit", ["x"], "x"),
+    ("stabilizer", ["x"], "x"),
+    ("trivialize", ["b"], "basepoint"),
+    ("transported-group", ["b"], "basepoint"),
+    ("holonomy", ["0,a"], "path"),
+    ("sections", ["u"], "open"),
+])
+def test_a_bad_parameter_is_reported_before_a_missing_file(tmp_path, query, params, name):
+    code, out, err = run_cli(["query", query, *params, str(tmp_path / "missing.json")])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: parameter {name}: ")
+
+
+@pytest.mark.parametrize("verb,choices", [
+    ("check", ["group", "subgroup", "action", "torsor", "cocycle", "space", "sheaf", "sheaf-torsor"]),
+    ("query", list(QUERY_ARITY)),
+    ("generate", list(GENERATE_USAGE)),
+])
+def test_an_unknown_verb_name_is_refused_by_argparse_listing_the_names_in_order(capsys, verb, choices):
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, "nope", "x.json", "-o", "out.json"] if verb == "generate" else [verb, "nope", "x.json"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith(f"torsorkit {verb}: error: argument ")
+    assert "invalid choice: 'nope' (choose from " in last
+    assert re.findall(r"[\w-]+", last.split("(choose from ", 1)[1]) == choices
+
+
+def _stray_restrictions(restrict):
+    restrict.update({"0,0": [0], "3,4": ["junk", 9.5]})  # no proper inclusion: read by nothing, and passed
+
+
+# a restriction table is read at exactly the proper inclusions of the space: any other pair is refused
+@pytest.mark.parametrize("verb,obj", [
+    ("sheaf", _stray("sheaf_const_z2.json", lambda o: _stray_restrictions(o["restrict"]))),
+    ("sheaf-torsor", _stray("sheaf_action_psc_twisted.json", lambda o: _stray_restrictions(o["sets"]["restrict"]))),
+    ("sheaf-torsor", _stray("sheaf_action_psc_twisted.json", lambda o: _stray_restrictions(o["groups"]["restrict"]))),
+], ids=["sheaf", "sets", "groups"])
+def test_a_restriction_key_that_is_no_proper_inclusion_is_a_stray_key(tmp_path, verb, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(["check", verb, str(path)]) == (2, "", "error: sheaf.restrict: stray key '0,0'\n")

@@ -7,6 +7,7 @@ read of a view builds it once per object.
 """
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -317,3 +318,26 @@ def test_a_hand_built_table_reads_as_the_reference_scan_says(group, data):
         assert want is None and made.array.tolist() == [list(r) for r in rows]
         assert_view(made.cayley if isinstance(made, FiniteGroup) else made.act, made.array)
         assert (made == producer) == (made.array.tolist() == producer.array.tolist())
+
+
+def test_a_handed_group_array_or_inverse_of_the_wrong_shape_is_malformed():
+    z3 = tk.catalog_group("cyclic(3)")
+    with pytest.raises(tk.errors.MalformedTable) as err:
+        dataclasses.replace(z3, order=4)  # built, with a 3 x 3 table for four elements
+    assert err.value.data == {"table": "array", "given": [3, 3]}
+    with pytest.raises(tk.errors.MalformedTable) as err:
+        FiniteGroup(order=3, identity=0, inverse=(0, 2), array=z3.array)
+    assert err.value.data == {"table": "inverse", "given": 2}
+    assert dataclasses.replace(z3) == z3
+
+
+def test_a_handed_action_array_of_the_wrong_shape_is_malformed():
+    action = tk.left_translation_action(tk.catalog_group("cyclic(3)"))
+    # built, it was called not transitive at point 3, and as_torsor and is_free raised a bare ValueError
+    with pytest.raises(tk.errors.MalformedTable) as err:
+        dataclasses.replace(action, set_size=5)
+    assert err.value.data == {"table": "array", "given": [3, 3]}
+    with pytest.raises(tk.errors.MalformedTable) as err:
+        GroupAction(action.group, 3, array=action.array[:2])
+    assert err.value.data == {"table": "array", "given": [2, 3]}
+    assert dataclasses.replace(action) == action

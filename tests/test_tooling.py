@@ -248,3 +248,40 @@ def test_a_command_line_child_loads_only_the_layers_its_verb_runs():
     assert _module_level_imports(SRC / "cli.py") <= base
     assert _module_level_imports(SRC / "jsonio.py") <= base
     assert _module_level_imports(SRC / "__init__.py") == {"errors"}
+
+
+def test_the_command_line_reads_no_private_jsonio_name():
+    """Every JSON schema lives in ``jsonio`` behind a public reader; ``cli`` reaches none of its helpers."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.lineno}: {node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "jsonio"
+        and node.attr.startswith("_")
+    ]
+    imported = [
+        f"{node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "jsonio"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == imported == []
+    assert any(isinstance(node, ast.Attribute) and node.attr == "group_from_obj" for node in ast.walk(tree))
+
+
+def test_argparse_offers_exactly_the_keys_of_each_verb_table():
+    """The verb tables are the one list of names: argparse reads each as its choices, in table order."""
+    import argparse
+
+    from torsorkit import cli
+
+    verbs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    tables = {"check": cli.CHECKS, "generate": cli.FAMILIES, "query": cli.QUERIES}
+    assert list(verbs) == ["check", "generate", "query"]
+    for verb, table in tables.items():
+        (named,) = [a for a in verbs[verb]._actions if a.choices is not None]
+        assert named.choices is table
+    # every file kind a verb reads has its one reader, and every check kind is a file kind
+    assert set(cli.CHECKS) <= set(cli.READERS)
+    assert {reads for reads, _, _ in cli.QUERIES.values()} <= set(cli.READERS)
