@@ -4,7 +4,8 @@ A nerve records which pairwise and triple overlaps of an abstract cover
 are nonempty; a cocycle assigns one group element to each edge (the
 values for reversed edges and self-pairs are derived, so only the triple
 identity carries content). Holonomy around closed paths is the
-obstruction diagnostic on cycle nerves.
+obstruction diagnostic on cycle nerves. Each producer hands its result
+over unread, and ``_closed`` decides only the triple identity again.
 
 Triviality, equivalence and classification rest on one propagation
 along one breadth-first spanning forest, computed once per nerve and
@@ -111,7 +112,7 @@ class CocycleClass:
 
 def _ints(values, size: int, what: str, **where) -> list[int]:
     """``values`` as ints, in order, else MalformedTable naming ``where`` (no bools, no floats)."""
-    if not isinstance(values, Iterable):  # one integer, or None, is no sequence
+    if not isinstance(values, (list, tuple)) and not isinstance(values, Iterable):  # one integer, or None
         raise MalformedTable(f"{what} {values!r} is not a sequence", **where)
     values = list(values)
     if len(values) != size:
@@ -176,6 +177,11 @@ def check_cocycle(nerve: Nerve, group: FiniteGroup, assignments) -> NerveCocycle
     for e in nerve.edges:
         if e not in values:
             raise MissingEdgeValue(f"no value on edge {e}", i=e[0], j=e[1])
+    return _closed(nerve, group, values)
+
+
+def _closed(nerve: Nerve, group: FiniteGroup, values: dict) -> NerveCocycle:
+    """The cocycle of ``values``, one element per edge (i, j) with i < j, once every triple closes."""
     cay = group.cayley
     for i, j, k in nerve.triples:
         if cay[values[(i, j)]][values[(j, k)]] != values[(i, k)]:
@@ -199,14 +205,10 @@ def _require_same(c: NerveCocycle, other_nerve: Nerve, other_group: FiniteGroup)
 
 
 def apply_coboundary(c: NerveCocycle, h: Cochain) -> NerveCocycle:
-    """g'_ij = h_i * g_ij * h_j^-1, re-validated as a cocycle."""
+    """g'_ij = h_i * g_ij * h_j^-1, its triples decided again."""
     _require_same(c, h.nerve, h.group)
-    grp = c.group
-    new = {
-        (i, j): grp.mul(grp.mul(h.h[i], c.g[(i, j)]), grp.inv(h.h[j]))
-        for (i, j) in c.nerve.edges
-    }
-    return check_cocycle(c.nerve, grp, new)
+    cay, inv, g, h = c.group.cayley, c.group.inverse, c.g, h.h
+    return _closed(c.nerve, c.group, {(i, j): cay[cay[h[i]][g[(i, j)]]][inv[h[j]]] for i, j in c.nerve.edges})
 
 
 @dataclass(frozen=True)
@@ -254,11 +256,11 @@ def _spanning_forest(nerve: Nerve) -> tuple[_Component, ...]:
 
 def _propagate(c: NerveCocycle, forest: tuple[_Component, ...]) -> list[int]:
     """h with h = e at each root and g_uv = h_u * h_v^-1 on every tree edge (u, v)."""
-    grp = c.group
-    h = [grp.identity] * c.nerve.num_opens
+    cay, inv, g = c.group.cayley, c.group.inverse, c.g
+    h = [c.group.identity] * c.nerve.num_opens
     for comp in forest:
-        for u, v in comp.tree:
-            h[v] = grp.mul(c.value(v, u), h[u])
+        for u, v in comp.tree:  # h_v = g_vu * h_u
+            h[v] = cay[g[(v, u)] if v < u else inv[g[(u, v)]]][h[u]]
     return h
 
 
@@ -270,18 +272,18 @@ def find_trivialization(c: NerveCocycle):
     non-tree edge is verified; any other root choice differs by a global
     right translation, which does not affect solvability.
     """
-    grp = c.group
+    cay, inv, g = c.group.cayley, c.group.inverse, c.g
     h = _propagate(c, c.nerve.forest)
     for i, j in c.nerve.edges:
-        if c.g[(i, j)] != grp.mul(h[i], grp.inv(h[j])):
+        if g[(i, j)] != cay[h[i]][inv[h[j]]]:
             return NotTrivial(violating_edge=(i, j))
-    return make_cochain(c.nerve, grp, h)
+    return Cochain(c.nerve, c.group, tuple(h))
 
 
 def _conjugates(group: FiniteGroup, f) -> np.ndarray:
     """``[r, ...] -> r * f * r^-1`` for every element r: the root conjugates of the values ``f``."""
     f = np.asarray(f, dtype=np.intp)  # an empty list reads as floats otherwise
-    r_inv = np.asarray(group.inverse).reshape((-1,) + (1,) * f.ndim)
+    r_inv = group.inverse_array.reshape((-1,) + (1,) * f.ndim)
     return group.array[group.array[:, f], r_inv]
 
 
@@ -296,20 +298,20 @@ def are_equivalent(c1: NerveCocycle, c2: NerveCocycle):
     """
     _require_same(c1, c2.nerve, c2.group)
     grp = c1.group
-    mul, inv = grp.mul, grp.inv
+    cay, inv, g1, g2 = grp.cayley, grp.inverse, c1.g, c2.g
     forest = c1.nerve.forest
     h1, h2 = _propagate(c1, forest), _propagate(c2, forest)
     h = [grp.identity] * c1.nerve.num_opens
     for comp in forest:
-        f1 = [mul(mul(inv(h1[i]), c1.g[(i, j)]), h1[j]) for i, j in comp.cotree]
-        f2 = [mul(mul(inv(h2[i]), c2.g[(i, j)]), h2[j]) for i, j in comp.cotree]
+        f1 = [cay[cay[inv[h1[i]]][g1[(i, j)]]][h1[j]] for i, j in comp.cotree]
+        f2 = [cay[cay[inv[h2[i]]][g2[(i, j)]]][h2[j]] for i, j in comp.cotree]
         hit = _first((_conjugates(grp, f1) == f2).all(axis=1))
         if hit is None:
             return NotEquivalent()
         (r,) = hit
         for v in comp.opens:
-            h[v] = mul(mul(h2[v], r), inv(h1[v]))
-    return make_cochain(c1.nerve, grp, h)
+            h[v] = cay[cay[h2[v]][r]][inv[h1[v]]]
+    return Cochain(c1.nerve, grp, tuple(h))
 
 
 def holonomy(c: NerveCocycle, cycle_path) -> int:
@@ -327,12 +329,13 @@ def holonomy(c: NerveCocycle, cycle_path) -> int:
             start=path[0],
             end=path[-1],
         )
-    edge_set = c.nerve.edge_set
+    edge_set, cay, inv, g = c.nerve.edge_set, c.group.cayley, c.group.inverse, c.g
     acc = c.group.identity
     for a, b in zip(path, path[1:]):
-        if a == b or tuple(sorted((a, b))) not in edge_set:
+        edge = (a, b) if a < b else (b, a)
+        if a == b or edge not in edge_set:
             raise NotAPath(f"({a},{b}) is not an edge", i=a, j=b)
-        acc = c.group.mul(acc, c.value(a, b))
+        acc = cay[acc][g[edge] if a < b else inv[g[edge]]]
     return acc
 
 
@@ -377,7 +380,7 @@ def equivalence_classes(nerve: Nerve, group: FiniteGroup) -> list[CocycleClass]:
     h[:, free] = _digits(np.arange(len(h)), n, len(free))
     tails, heads = np.array([(column[i], column[j]) for i, j in nerve.edges], dtype=np.intp).reshape(-1, 2).T
     left = h[:, tails]
-    right = np.asarray(group.inverse)[h[:, heads]]
+    right = group.inverse_array[h[:, heads]]
     # h . g0 for every gauge-fixed row and every cochain, one member per row
     values = arr[arr[left, g0[:, None]], right].reshape(len(g0) * len(h), len(nerve.edges))
     code = _codes(values, n)
@@ -394,7 +397,7 @@ def equivalence_classes(nerve: Nerve, group: FiniteGroup) -> list[CocycleClass]:
     cuts = [0, *(np.flatnonzero(label[1:] != label[:-1]) + 1).tolist(), len(members)]
     classes = []
     for a, b in zip(cuts, cuts[1:]):
-        rep = check_cocycle(nerve, group, dict(zip(nerve.edges, members[a])))
+        rep = _closed(nerve, group, dict(zip(nerve.edges, members[a])))
         classes.append(CocycleClass(representative=rep, size=b - a, members=members[a:b]))
     classes.sort(key=lambda c: c.members[0])
     return classes

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -101,24 +102,23 @@ class _StoredTable:
 
     def __setstate__(self, state: dict) -> None:
         vars(self).update(state)
-        for arr in _arrays_in(state.get(self._stored)):
-            arr.flags.writeable = False  # numpy restores it writable
+        for arr in (*_arrays_in(state.get(self._stored)), *state.values()):  # stored, then cached arrays
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False  # numpy restores it writable
 
 
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class FiniteGroup(_StoredTable):
     """A group of given order with precomputed identity and inverse tables.
 
-    ``array`` holds the table, cayley[g][h] at ``array[g, h]``; ``cayley``
-    is its tuple view, for the Python loops that read one cell at a time.
-    A producer passes its validated ``array``; a hand-built group passes
-    ``cayley``, read strictly here by ``_index_table`` (its shape and the
-    type and range of every cell, not the axioms), then its ``identity``
-    and its ``inverse``, read as a row of ``order`` indices by the same reader.
-    A handed ``array`` and ``inverse`` are checked by shape and length alone.
-    ``constant_sheaves`` holds the
-    decided constant sheaves of this group by space, filled by
-    ``sheaves.constant_group_sheaf``; it dies with the group.
+    ``array`` holds the table, cayley[g][h] at ``array[g, h]``; ``cayley`` is its tuple view, for the
+    Python loops that read one cell at a time, and ``inverse_array`` is ``inverse`` as a read-only int32
+    array, for the gathers. A producer passes its validated ``array``; a hand-built group passes ``cayley``,
+    read strictly here by ``_index_table`` (its shape and the type and range of every cell, not the axioms),
+    then its ``identity`` and its ``inverse``, read as a row of ``order`` indices by the same reader. A
+    handed ``array`` and ``inverse`` are checked by shape and length alone. ``constant_sheaves`` holds the
+    decided constant sheaves of this group by space, filled by ``sheaves.constant_group_sheaf``; it dies
+    with the group.
     """
 
     order: int
@@ -144,6 +144,10 @@ class FiniteGroup(_StoredTable):
     @cached_property
     def cayley(self) -> tuple[tuple[int, ...], ...]:
         return _tuples(self.array, self.order)
+
+    @cached_property
+    def inverse_array(self) -> np.ndarray:
+        return _frozen_array(self.inverse)
 
     @cached_property
     def generators(self) -> tuple[int, ...] | None:
@@ -186,7 +190,7 @@ def _shaped(arr, shape: tuple, what: str, **where) -> None:
 
 
 def _is_int(v) -> bool:
-    # a plain int answers on the first test: every caller entry is read through here
+    # a plain int answers on the first test: most callers pass plain ints
     return type(v) is int or isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
@@ -203,13 +207,18 @@ def _positive(value, name: str) -> None:
 def _entries(values, what: str, bound=None, **where) -> list[int]:
     """The entries of a caller's sequence as Python ints, in order; the one reader of caller integers.
 
-    MalformedTable names the ``position`` of the first entry that is not an int or, given ``bound``
-    (one int, or a list or tuple of one per entry), not in [0, bound); ``where`` names the place of
-    the sequence itself, such as its ``row`` in a table.
+    Plain ints in range pass at C speed (their types, then min and max or per-entry bounds); else a scan
+    converts other integers or names, in MalformedTable, the ``position`` of the first entry that is not an
+    int or not in [0, bound), given ``bound``: one int, or a list or tuple of one per entry. ``where`` names
+    the place of the sequence itself, such as its ``row`` in a table.
     """
+    values, each = list(values), isinstance(bound, (list, tuple))
+    if set(map(type, values)) <= {int} and (bound is None or not values or min(values) >= 0 and (
+            all(map(operator.lt, values, bound)) if each else max(values) < bound)):
+        return values
     out = []
     for pos, v in enumerate(values):
-        b = bound[pos] if isinstance(bound, (list, tuple)) else bound
+        b = bound[pos] if each else bound
         if not _is_int(v) or b is not None and not 0 <= v < b:
             span = "" if b is None else f" in [0, {b})"
             raise MalformedTable(f"{what}: entry {pos} = {v!r} is not an integer{span}", **where, position=pos)
@@ -441,7 +450,7 @@ def _transport(group: FiniteGroup, members) -> FiniteGroup:
     if (pos[members] != np.arange(n)).any() or (arr < 0).any():
         raise InternalError("a renaming repeats a member or leaves the members")
     arr.flags.writeable = False
-    identity, inverse = int(pos[group.identity]), tuple(pos[np.take(group.inverse, members)].tolist())
+    identity, inverse = int(pos[group.identity]), tuple(pos[group.inverse_array[members]].tolist())
     return FiniteGroup(order=n, identity=identity, inverse=inverse, array=arr)
 
 
@@ -464,7 +473,7 @@ def trivial_subgroup(parent: FiniteGroup) -> Subgroup:
 
 def opposite_group(g: FiniteGroup) -> FiniteGroup:
     """The transpose, carried along the isomorphism a -> a^-1 from G^op to G; identity and inverses stay."""
-    out = _transport(g, g.inverse)
+    out = _transport(g, g.inverse_array)
     if out.identity != g.identity or out.inverse != g.inverse:
         raise InternalError("the opposite group changed the identity or inverses")
     return out

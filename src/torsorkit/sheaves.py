@@ -88,8 +88,8 @@ class SheafOfSets(_StoredTable):
     """sections(U) = range(sizes[u]); ``arrays`` holds the restriction table of each proper inclusion
     (u, v) as a read-only int32 array. A producer passes its ``arrays``, of lengths sizes[u]; a sheaf built
     by hand passes ``sizes`` and ``restrict``, read here in place of any ``arrays``: MalformedTable names
-    a bad table by u and v, and a bad cell by its position too. Keys that are no proper inclusion are
-    never read. ``restrict`` is a read-only mapping of tuple views."""
+    a bad table by u and v, and a bad cell by its position too, and a key that is no proper inclusion by
+    ``key``. ``restrict`` is a read-only mapping of tuple views."""
 
     space: FiniteSpace
     sizes: tuple[int, ...]
@@ -101,6 +101,9 @@ class SheafOfSets(_StoredTable):
         if restrict is not None:
             sizes = _per_open(_entries(sizes, "sizes", np.iinfo(np.int32).max), space, "sizes")
             tables = {(u, v): restrict.get((u, v)) for u, v in _proper_pairs(space)}
+            stray = next((key for key in restrict if key not in tables), None)
+            if stray is not None:
+                raise MalformedTable(f"restrict: stray key {stray!r}", key=str(stray))
             arrays = {
                 (u, v): _index_table(t, None, sizes[u], sizes[v], f"restrict[{u}, {v}]: ", u=u, v=v)
                 for (u, v), t in tables.items()
@@ -294,7 +297,7 @@ def _direct_power(group: FiniteGroup, values: np.ndarray) -> FiniteGroup:
     """G^k, each row of ``values`` (a k-tuple of elements) renamed to its code: carried from G, not decided."""
     n = group.order
     identity = int(_codes(np.full(values.shape[1], group.identity), n))
-    inverse = tuple(_codes(np.take(group.inverse, values), n).tolist())
+    inverse = tuple(_codes(group.inverse_array[values], n).tolist())
     array = _frozen_array(_codes(group.array[values[:, None], values[None, :]], n))
     return FiniteGroup(order=len(values), identity=identity, inverse=inverse, array=array)
 
@@ -632,7 +635,7 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
         above, columns = [u for u, below in enumerate(space.subopens) if v in below], []
         for i, c in enumerate(chart):
             grp = gs.groups[c]
-            inverse = np.asarray(grp.inverse)[_table(arrays, sizes, v, c)]
+            inverse = grp.inverse_array[_table(arrays, sizes, v, c)]
             parts = [_table(arrays, sizes, charts[u][i], c)[families[u][:, i]] for u in above]
             parts.append(grp.array[families[v][:, i], inverse[:, None]].ravel())  # [a, f] -> f_i * (a|c)^-1
             columns.append(np.concatenate(parts))

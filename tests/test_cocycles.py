@@ -732,3 +732,76 @@ def test_two_members_share_a_class_exactly_when_are_equivalent_finds_a_cochain(d
     # each member is equivalent to its own class's representative and to no other
     for k, cls in enumerate(classes):
         assert isinstance(tk.are_equivalent(cls.representative, c1), tk.Cochain) == (k == k1)
+
+
+# ---------------------------------------------------------------- results handed over unread
+
+
+def _as_read(obj):
+    """``obj`` read back through its public reader, which must give an equal object of plain ints, with
+    the values of a cocycle in the same order."""
+    if isinstance(obj, tk.Cochain):
+        read = tk.make_cochain(obj.nerve, obj.group, obj.h)
+        assert type(obj.h) is tuple and all(type(v) is int for v in obj.h)
+    else:
+        read = tk.check_cocycle(obj.nerve, obj.group, obj.g)
+        assert list(obj.g.items()) == list(read.g.items()) and all(type(v) is int for v in obj.g.values())
+    assert obj == read
+    return read
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=cocycle_pairs(), data=st.data())
+def test_handed_over_cochains_and_cocycles_equal_what_the_readers_build(pair, data):
+    c1, c2 = pair
+    for found in (tk.find_trivialization(c1), tk.find_trivialization(c2), tk.are_equivalent(c1, c2),
+                  tk.are_equivalent(c2, c1)):
+        if isinstance(found, tk.Cochain):
+            _as_read(found)
+    h = data.draw(st.lists(st.integers(0, c1.group.order - 1), min_size=c1.nerve.num_opens,
+                           max_size=c1.nerve.num_opens))
+    _as_read(tk.apply_coboundary(c1, tk.make_cochain(c1.nerve, c1.group, h)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(classified_members())
+def test_every_class_representative_equals_the_read_of_its_least_member(drawn):
+    nerve, group, classes, _ = drawn
+    for cls in classes:
+        assert _as_read(cls.representative).edge_values() == cls.members[0]
+        for member in cls.members:  # every member closes on every triple
+            tk.check_cocycle(nerve, group, dict(zip(nerve.edges, member)))
+
+
+@pytest.fixture
+def reader_calls(monkeypatch):
+    """The calls, by name, of the two public readers and of the triple decision ``_closed``."""
+    import torsorkit.cocycles as cocycles
+
+    calls = {}
+    for name in ("check_cocycle", "make_cochain", "_closed"):
+        seen, real = calls.setdefault(name, []), getattr(cocycles, name)
+        monkeypatch.setattr(cocycles, name, lambda *args, seen=seen, real=real: seen.append(args) or real(*args))
+    return calls
+
+
+def test_the_queries_run_no_reader_and_each_class_decides_its_triples_once(s3, reader_calls):
+    cycle = tk.build_nerve(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c = tk.cocycles.NerveCocycle(cycle, s3, {(0, 1): 3, (1, 2): 0, (2, 3): 0, (0, 3): 0})  # holonomy 3
+    h = tk.Cochain(cycle, s3, (0, 3, 2, 5))
+    for name in reader_calls:
+        assert reader_calls[name] == []
+    moved = tk.apply_coboundary(c, h)
+    assert reader_calls["_closed"] == [(cycle, s3, moved.g)]
+    reader_calls["_closed"].clear()
+    identity = tk.cocycles.NerveCocycle(cycle, s3, dict.fromkeys(cycle.edges, s3.identity))
+    outcomes = [tk.find_trivialization(c), tk.find_trivialization(identity), tk.are_equivalent(c, moved),
+                tk.are_equivalent(c, identity)]
+    assert [type(out).__name__ for out in outcomes] == ["NotTrivial", "Cochain", "Cochain", "NotEquivalent"]
+    assert reader_calls == {"check_cocycle": [], "make_cochain": [], "_closed": []}
+    triangle = tk.build_nerve(3, C3_EDGES, [(0, 1, 2)])
+    for nerve in (cycle, triangle):
+        classes = tk.equivalence_classes(nerve, s3)
+        assert [args[2] for args in reader_calls["_closed"]] == [cls.representative.g for cls in classes]
+        reader_calls["_closed"].clear()
+    assert reader_calls["check_cocycle"] == reader_calls["make_cochain"] == []

@@ -733,21 +733,19 @@ def test_threads_gluing_on_one_group_share_one_decided_sheaf(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_a_restriction_key_no_check_reads_is_ignored(psc, z2):
+def test_a_restriction_key_that_is_no_proper_inclusion_is_refused(psc, z2):
     gs = tk.constant_group_sheaf(psc, z2)
-    extra = _hand_built(gs, {**gs.sets.restrict, "note": None})
-    assert tk.is_sheaf_of_groups(extra).passed
-    cover = (psc.index_of((0, 1, 2)), psc.index_of((0, 1, 3)))
-    transition = {(0, 1): tk.constant_section_id(z2, (0, 1))}
-    torsor = tk.glue_from_cocycle(tk.build_descent_datum(extra, cover, transition))
-    assert torsor.groups is extra and "note" not in torsor.groups.sets.restrict and extra == gs
-    plain = tk.glue_from_cocycle(tk.build_descent_datum(gs, cover, transition))
-    assert (torsor.sets, torsor.action.act) == (plain.sets, plain.action.act)
-    assert tk.is_sheaf_torsor(replace(torsor.action, groups=extra)).passed
-    # the extra key does not hide a bad table either
     key = (psc.whole_index, psc.index_of((0, 1)))
+    bad = (0.5,) * len(gs.sets.restrict[key])
+    # (0, 0) is the probe that built and equalled the clean sheaf; a stray key is named before any table is read
+    for stray in ((0, 0), (0, psc.whole_index), "note"):
+        for restrict in ({**gs.sets.restrict, stray: ["junk"]}, {**gs.sets.restrict, stray: None, key: bad}):
+            with pytest.raises(MalformedTable) as err:
+                _hand_built(gs, restrict)
+            assert err.value.data == {"key": str(stray)} and repr(stray) in str(err.value)
+    assert _hand_built(gs, dict(gs.sets.restrict)) == gs
     with pytest.raises(MalformedTable) as err:
-        _hand_built(gs, {**gs.sets.restrict, "note": None, key: (0.5,) * len(gs.sets.restrict[key])})
+        _hand_built(gs, {**gs.sets.restrict, key: bad})
     assert err.value.data == {"u": key[0], "v": key[1], "position": 0}
 
 

@@ -341,3 +341,64 @@ def test_a_handed_action_array_of_the_wrong_shape_is_malformed():
         GroupAction(action.group, 3, array=action.array[:2])
     assert err.value.data == {"table": "array", "given": [2, 3]}
     assert dataclasses.replace(action) == action
+
+
+# ---------------------------------------------------------------- the one reader of a caller's integers
+
+
+class Small(int):
+    """An int subclass: read as the plain int it equals."""
+
+
+def ref_entries(values, what, bound=None, **where):
+    """The plain per-entry scan: each entry an integer that is no bool and, given a bound, in range."""
+    out = []
+    for pos, v in enumerate(values):
+        b = bound[pos] if isinstance(bound, (list, tuple)) else bound
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or b is not None and not 0 <= v < b:
+            span = "" if b is None else f" in [0, {b})"
+            raise tk.errors.MalformedTable(f"{what}: entry {pos} = {v!r} is not an integer{span}", **where,
+                                           position=pos)
+        out.append(int(v))
+    return out
+
+
+def _read(reader, values, bound, form):
+    """The entries ``reader`` returns, with their types, or the message and data of its MalformedTable."""
+    try:
+        out = reader(form(values), "entries", bound, row=2)
+    except tk.errors.MalformedTable as err:
+        return str(err), err.data
+    return out, [type(v) for v in out]
+
+
+ENTRY = st.one_of(  # small ints twice over, so that many drawn sequences read
+    st.integers(-2, 9), st.integers(-2, 9), st.integers(), st.booleans(), st.floats(allow_nan=False),
+    st.integers(-2, 9).map(np.int64), st.integers(0, 9).map(np.uint8), st.integers(-2, 9).map(Small),
+    st.none(), st.text(max_size=1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ENTRY, max_size=8), st.data())
+def test_entries_read_as_the_plain_per_entry_scan_says(values, data):
+    """The whole-sequence check of ``_entries`` gives the entries, as Python ints, or the error of the
+    first bad one, exactly as the scan does, with no bound, one bound or one bound per entry."""
+    bound = data.draw(st.one_of(
+        st.none(), st.integers(0, 10),
+        st.lists(st.integers(0, 10), min_size=len(values), max_size=len(values)),
+        st.lists(st.integers(0, 10), min_size=len(values), max_size=len(values)).map(tuple),
+    ))
+    form = data.draw(st.sampled_from([list, tuple, iter, lambda v: (x for x in v)]))
+    assert _read(groups._entries, values, bound, form) == _read(ref_entries, values, bound, form)
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_the_inverse_array_is_the_inverse_read_only_also_in_a_copy(clone):
+    group = tk.catalog_group("symmetric(3)")
+    arr = group.inverse_array
+    assert arr is group.inverse_array and arr.dtype == np.int32 and not arr.flags.writeable
+    assert arr.tolist() == list(group.inverse)
+    copied = clone(group)
+    assert "inverse_array" in vars(copied) and not copied.inverse_array.flags.writeable
+    assert copied == group and copied.inverse_array.tolist() == list(group.inverse)

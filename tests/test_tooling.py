@@ -285,3 +285,23 @@ def test_argparse_offers_exactly_the_keys_of_each_verb_table():
     # every file kind a verb reads has its one reader, and every check kind is a file kind
     assert set(cli.CHECKS) <= set(cli.READERS)
     assert {reads for reads, _, _ in cli.QUERIES.values()} <= set(cli.READERS)
+
+
+def test_cocycle_producers_run_no_reader_and_no_inverse_tuple_is_converted():
+    """A producer in ``cocycles`` hands its cochain or cocycle over unread: only ``_closed``, the triple
+    decision, runs on its values, never the caller-facing ``make_cochain`` or ``check_cocycle``. A gather
+    reads a group's inverses as ``FiniteGroup.inverse_array``, cached once, not a fresh array of the tuple."""
+    path = SRC / "cocycles.py"
+    readers = [f"{scope}:{line}" for name in ("make_cochain", "check_cocycle") for scope, line in _qualified_calls(path, name)]
+    assert readers == []
+    assert {scope for scope, _ in _qualified_calls(path, "_closed")} == {
+        "check_cocycle", "apply_coboundary", "equivalence_classes"
+    }
+    converted = [
+        f"{module.name}:{node.lineno}"
+        for module in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"), filename=str(module)))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("asarray", "array", "take")
+        and node.args and getattr(node.args[0], "attr", None) == "inverse"
+    ]
+    assert converted == []
