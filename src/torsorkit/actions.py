@@ -122,7 +122,7 @@ def build_action(group: FiniteGroup, set_size: int, act) -> GroupAction:
     moved = _first(arr[group.identity] != np.arange(set_size))
     if moved is not None:
         raise IdentityAxiomViolated(f"identity moves point {moved[0]}", x=moved[0])
-    bad = _compatibility_witness(arr, group.array, group.generators)
+    bad = _compatibility_witness(arr, group.array, group.identity, group.generators)
     if bad is not None:
         g, h, x = bad
         raise CompatibilityViolated(

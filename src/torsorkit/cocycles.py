@@ -7,18 +7,18 @@ identity carries content). Holonomy around closed paths is the
 obstruction diagnostic on cycle nerves. Each producer hands its result
 over unread, and ``_closed`` decides only the triple identity again.
 
-Triviality, equivalence and classification rest on one propagation
-along one breadth-first spanning forest, computed once per nerve and
-kept on it (``Nerve.forest``): from the identity at each root,
-h_v = g_vu * h_u down every tree edge (u, v). So every cocycle is h . g0
-for exactly one cochain h that is the identity at each root and one
-cocycle g0 = h_i^-1 * g_ij * h_j that is the identity on every tree
-edge. A cocycle is trivial when its g0 is the identity everywhere, and
-two cocycles are equivalent when one root element per component
-conjugates the g0 of one into that of the other (``_conjugates``).
-Classification lists the gauge-fixed g0 as the rows of one array and
-labels each by its least root conjugate: one label is one orbit under
-conjugation at the roots (for a nerve without triples that quotient is
+Triviality, equivalence and classification rest on one propagation along one
+breadth-first spanning forest, computed once per nerve and kept on it
+(``Nerve.forest``, walked as ``Nerve.steps``): from the identity at each root,
+h_v = g_vu * h_u down every tree edge (u, v), which then holds, so triviality is
+decided on the non-tree edges alone (``Nerve.cotree``). Every cocycle is h . g0
+for exactly one cochain h that is the identity at each root and one cocycle
+g0 = h_i^-1 * g_ij * h_j that is the identity on every tree edge. A cocycle is
+trivial when its g0 is the identity everywhere, and two cocycles are equivalent
+when one root element per component conjugates the g0 of one into that of the
+other (``_conjugates``). Classification lists the gauge-fixed g0 as the rows of
+one array and labels each by its least root conjugate: one label is one orbit
+under conjugation at the roots (for a nerve without triples that quotient is
 Hom(pi_1, G)/G, Serre, *Cohomologie galoisienne*, I §5).
 """
 
@@ -64,6 +64,16 @@ class Nerve:
     def forest(self) -> tuple[_Component, ...]:
         """The breadth-first spanning forest (``_spanning_forest``), found once per nerve."""
         return _spanning_forest(self)
+
+    @cached_property
+    def cotree(self) -> tuple[tuple[int, int], ...]:  # every component's non-tree edges, in edge order
+        return tuple(sorted(e for comp in self.forest for e in comp.cotree))
+
+    @cached_property
+    def steps(self) -> tuple[tuple[int, int, tuple[int, int], bool], ...]:
+        # (parent u, child v, the nerve's own edge tuple of {u, v}, v < u) per tree edge, in the forest's order
+        key = {e: e for e in self.edges}
+        return tuple((u, v, key[min(u, v), max(u, v)], v < u) for comp in self.forest for u, v in comp.tree)
 
 
 @dataclass(frozen=True)
@@ -163,17 +173,18 @@ def check_cocycle(nerve: Nerve, group: FiniteGroup, assignments) -> NerveCocycle
     edge_set = nerve.edge_set
     values = {}
     for key, val in dict(assignments).items():
-        try:
-            i, j = _ints(key, 2, "edge key")
+        plain = type(key) is tuple and len(key) == 2 and type(key[0]) is int and type(key[1]) is int
+        try:  # a 2-tuple of plain ints, the common key, is kept as it is: not read again, not copied
+            i, j = key = key if plain else tuple(_ints(key, 2, "edge key"))
         except MalformedTable as exc:  # the key is named only once its read fails
             raise MalformedTable(str(exc), edge=str(key), **exc.data) from None
         if i > j:
             raise Mismatch(f"edge key ({i},{j}) must satisfy i < j", i=i, j=j)
-        if (i, j) not in edge_set:
+        if key not in edge_set:
             raise Mismatch(f"assignment on non-edge ({i},{j})", i=i, j=j)
         if not _is_index(val, group.order):
             raise MalformedTable(f"value {val!r} on edge ({i},{j}) is not an element", i=i, j=j)
-        values[(i, j)] = int(val)
+        values[key] = int(val)
     for e in nerve.edges:
         if e not in values:
             raise MissingEdgeValue(f"no value on edge {e}", i=e[0], j=e[1])
@@ -254,27 +265,26 @@ def _spanning_forest(nerve: Nerve) -> tuple[_Component, ...]:
     )
 
 
-def _propagate(c: NerveCocycle, forest: tuple[_Component, ...]) -> list[int]:
-    """h with h = e at each root and g_uv = h_u * h_v^-1 on every tree edge (u, v)."""
+def _propagate(c: NerveCocycle) -> list[int]:
+    """h with h = e at each root and g_uv = h_u * h_v^-1 on every tree edge (u, v), along ``Nerve.steps``."""
     cay, inv, g = c.group.cayley, c.group.inverse, c.g
     h = [c.group.identity] * c.nerve.num_opens
-    for comp in forest:
-        for u, v in comp.tree:  # h_v = g_vu * h_u
-            h[v] = cay[g[(v, u)] if v < u else inv[g[(u, v)]]][h[u]]
+    for u, v, edge, below in c.nerve.steps:  # h_v = g_vu * h_u
+        h[v] = cay[g[edge] if below else inv[g[edge]]][h[u]]
     return h
 
 
 def find_trivialization(c: NerveCocycle):
-    """A cochain h with g_ij = h_i * h_j^-1 on every edge, or NotTrivial.
+    """A cochain h with g_ij = h_i * h_j^-1 on every edge, or NotTrivial at the first edge that fails.
 
     Per connected component, h is propagated from the smallest open index
-    (set to the identity) along a breadth-first spanning tree, then every
-    non-tree edge is verified; any other root choice differs by a global
-    right translation, which does not affect solvability.
+    (set to the identity) along a breadth-first spanning tree, where it then
+    holds, so only the non-tree edges (``Nerve.cotree``) are checked, in edge
+    order; any other root choice differs by a global right translation.
     """
     cay, inv, g = c.group.cayley, c.group.inverse, c.g
-    h = _propagate(c, c.nerve.forest)
-    for i, j in c.nerve.edges:
+    h = _propagate(c)
+    for i, j in c.nerve.cotree:
         if g[(i, j)] != cay[h[i]][inv[h[j]]]:
             return NotTrivial(violating_edge=(i, j))
     return Cochain(c.nerve, c.group, tuple(h))
@@ -299,10 +309,9 @@ def are_equivalent(c1: NerveCocycle, c2: NerveCocycle):
     _require_same(c1, c2.nerve, c2.group)
     grp = c1.group
     cay, inv, g1, g2 = grp.cayley, grp.inverse, c1.g, c2.g
-    forest = c1.nerve.forest
-    h1, h2 = _propagate(c1, forest), _propagate(c2, forest)
+    h1, h2 = _propagate(c1), _propagate(c2)
     h = [grp.identity] * c1.nerve.num_opens
-    for comp in forest:
+    for comp in c1.nerve.forest:
         f1 = [cay[cay[inv[h1[i]]][g1[(i, j)]]][h1[j]] for i, j in comp.cotree]
         f2 = [cay[cay[inv[h2[i]]][g2[(i, j)]]][h2[j]] for i, j in comp.cotree]
         hit = _first((_conjugates(grp, f1) == f2).all(axis=1))
@@ -319,10 +328,11 @@ def holonomy(c: NerveCocycle, cycle_path) -> int:
     path = list(cycle_path)
     if not path:
         raise NotAPath("empty path")
-    for pos, v in enumerate(path):
-        if not _is_index(v, c.nerve.num_opens):
-            raise NotAPath(f"path entry {pos} = {v!r} is not an open", position=pos)
-    path = [int(v) for v in path]
+    try:
+        path = _entries(path, "path", c.nerve.num_opens)
+    except MalformedTable as exc:  # renamed, naming the entry as given
+        pos = exc.data["position"]
+        raise NotAPath(f"path entry {pos} = {path[pos]!r} is not an open", position=pos) from None
     if path[0] != path[-1]:
         raise PathNotClosed(
             f"path starts at {path[0]} and ends at {path[-1]}",

@@ -115,39 +115,45 @@ class FiniteGroup(_StoredTable):
     Python loops that read one cell at a time, and ``inverse_array`` is ``inverse`` as a read-only int32
     array, for the gathers. A producer passes its validated ``array``; a hand-built group passes ``cayley``,
     read strictly here by ``_index_table`` (its shape and the type and range of every cell, not the axioms),
-    then its ``identity`` and its ``inverse``, read as a row of ``order`` indices by the same reader. A
-    handed ``array`` and ``inverse`` are checked by shape and length alone. ``constant_sheaves`` holds the
-    decided constant sheaves of this group by space, filled by ``sheaves.constant_group_sheaf``; it dies
-    with the group.
+    then its ``identity`` and its ``inverse``, read as a row of ``order`` indices by the same reader. A handed
+    ``array`` is checked by its shape, and its ``identity`` and ``inverse`` by O(n) gathers that read no cell
+    type: e * g = g * e = g and g * inverse[g] = inverse[g] * g = e. ``constant_sheaves`` holds the decided
+    constant sheaves of this group by space, filled by ``sheaves.constant_group_sheaf``; it dies with it.
     """
 
     order: int
     identity: int
     inverse: tuple[int, ...]
     array: np.ndarray
+    inverse_array: np.ndarray = field(init=False)
     constant_sheaves: dict = field(init=False)
     _compared = ("order", "identity", "inverse")
 
     def __init__(self, order: int, cayley=None, identity=None, inverse=None, array=None):
         if cayley is not None:
             array = _index_table(cayley, order, order, order, "cayley: ")
-            if not _is_index(identity, order):
-                raise MalformedTable(f"identity {identity!r} is not an element in [0, {order})", identity=identity)
-            inverse = tuple(_index_table(inverse, None, order, order, "inverse: ", table="inverse").tolist())
-            identity = int(identity)
         else:
             _shaped(array, (order, order), "array", table="array")
             if len(inverse) != order:
                 raise MalformedTable(f"inverse: {len(inverse)} entries", table="inverse", given=len(inverse))
-        self._set(order=order, identity=identity, inverse=inverse, array=array, constant_sheaves={})
+        if not _is_index(identity, order):
+            raise MalformedTable(f"identity {identity!r} is not an element in [0, {order})", identity=identity)
+        identity, inv = int(identity), np.asarray(inverse) if cayley is None else None
+        if inv is None or inv.shape != (order,) or inv.dtype.kind not in "iu" or inv.min() < 0 or inv.max() >= order:
+            inv = _index_table(inverse, None, order, order, "inverse: ", table="inverse")  # names a bad entry
+        if cayley is None:  # a handed array: O(n) gathers that read no cell type decide the identity and inverses
+            points = np.arange(order)
+            unit = (array[identity] != points) | (array[:, identity] != points)
+            if (bad := unit | (array[points, inv] != identity) | (array[inv, points] != identity)).any():
+                name, (g,) = ("identity", _first(unit)) if unit.any() else ("inverse", _first(bad))
+                raise MalformedTable(f"{name} is not two-sided at element {g}", table=name, position=g)
+        inv, inverse = inv.astype(np.int32), tuple(inv.tolist())  # a copy: a caller's array is never kept
+        inv.flags.writeable = False
+        self._set(order=order, identity=identity, inverse=inverse, array=array, inverse_array=inv, constant_sheaves={})
 
     @cached_property
     def cayley(self) -> tuple[tuple[int, ...], ...]:
         return _tuples(self.array, self.order)
-
-    @cached_property
-    def inverse_array(self) -> np.ndarray:
-        return _frozen_array(self.inverse)
 
     @cached_property
     def generators(self) -> tuple[int, ...] | None:
@@ -322,15 +328,15 @@ def _generators(cayley: np.ndarray, identity: int) -> tuple[int, ...] | None:
     return tuple(gens)
 
 
-def _compatibility_witness(act: np.ndarray, cayley: np.ndarray, gens: tuple[int, ...] | None):
+def _compatibility_witness(act: np.ndarray, cayley: np.ndarray, identity: int, gens: tuple[int, ...] | None):
     """Least (g, h, x) with (g*h).x != g.(h.x), or None.
 
     With ``act = cayley`` this is the associativity witness (g*h)*k !=
     g*(h*k): associativity is the compatibility of the regular action.
-    The identity must already act trivially. ``gens`` is the table's
-    ``_generators``: Light's test checks h over them only, and the
-    row-at-a-time lexicographic scan runs when they are None and whenever
-    the test fails.
+    The identity must already be two-sided and act trivially, so the scan
+    skips its row. ``gens`` is the table's ``_generators``: Light's test
+    checks h over them only, and the row-at-a-time lexicographic scan runs
+    when they are None and whenever the test fails.
     """
     if gens is not None:
         # reused buffers: two fresh n x m arrays per generator cost more than the gathers
@@ -342,7 +348,7 @@ def _compatibility_witness(act: np.ndarray, cayley: np.ndarray, gens: tuple[int,
                 break
         else:
             return None
-    for g in range(len(cayley)):
+    for g in itertools.chain(range(identity), range(identity + 1, len(cayley))):
         lhs = act[cayley[g], :]  # [h,x] -> (g*h).x
         rhs = act[g][act]        # [h,x] -> g.(h.x)
         bad = _first(lhs != rhs)
@@ -366,7 +372,7 @@ def build_group(order: int, cayley) -> FiniteGroup:
         raise NoIdentity("no two-sided identity element")
     identity = found[0]
     gens = _generators(arr, identity)
-    bad = _compatibility_witness(arr, arr, gens)
+    bad = _compatibility_witness(arr, arr, identity, gens)
     if bad is not None:
         g, h, k = bad
         raise NonAssociative(
@@ -376,8 +382,7 @@ def build_group(order: int, cayley) -> FiniteGroup:
     missing = _first(~hits.any(axis=1))
     if missing is not None:
         raise NoInverse(f"element {missing[0]} has no inverse", element=missing[0])
-    inverse = tuple(np.argmax(hits, axis=1).tolist())
-    group = FiniteGroup(order=order, identity=identity, inverse=inverse, array=arr)
+    group = FiniteGroup(order=order, identity=identity, inverse=np.argmax(hits, axis=1), array=arr)
     vars(group)["generators"] = gens  # the group's table is the one just searched
     return group
 
@@ -450,7 +455,7 @@ def _transport(group: FiniteGroup, members) -> FiniteGroup:
     if (pos[members] != np.arange(n)).any() or (arr < 0).any():
         raise InternalError("a renaming repeats a member or leaves the members")
     arr.flags.writeable = False
-    identity, inverse = int(pos[group.identity]), tuple(pos[group.inverse_array[members]].tolist())
+    identity, inverse = int(pos[group.identity]), pos[group.inverse_array[members]]
     return FiniteGroup(order=n, identity=identity, inverse=inverse, array=arr)
 
 

@@ -297,7 +297,7 @@ def _direct_power(group: FiniteGroup, values: np.ndarray) -> FiniteGroup:
     """G^k, each row of ``values`` (a k-tuple of elements) renamed to its code: carried from G, not decided."""
     n = group.order
     identity = int(_codes(np.full(values.shape[1], group.identity), n))
-    inverse = tuple(_codes(group.inverse_array[values], n).tolist())
+    inverse = _codes(group.inverse_array[values], n)
     array = _frozen_array(_codes(group.array[values[:, None], values[None, :]], n))
     return FiniteGroup(order=len(values), identity=identity, inverse=inverse, array=array)
 
@@ -457,7 +457,7 @@ def _action_structure_witnesses(action: SheafAction) -> list[dict]:
             out.append({"axiom": "action-identity", "open": u, "x": moved[0]})
             continue
         if fs.sizes[u]:
-            bad = _compatibility_witness(arr, grp.array, grp.generators)
+            bad = _compatibility_witness(arr, grp.array, grp.identity, grp.generators)
             if bad is not None:
                 g, h, x = bad
                 out.append(

@@ -416,7 +416,7 @@ def test_corrupted_order_256_actions_get_the_least_witness_cold_and_warm(seed):
         g = rng.choice([g for g in range(256) if g != warm.identity])
         x1, x2 = rng.sample(range(size), 2)
         table[g][x1], table[g][x2] = table[g][x2], table[g][x1]
-    scan = _compatibility_witness(np.array(table), warm.array, None)
+    scan = _compatibility_witness(np.array(table), warm.array, warm.identity, None)
     want = None if scan is None else dict(zip("ghx", scan))
     cold = _cold(warm)
     assert _witness(cold, size, table) == want

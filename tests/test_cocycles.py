@@ -476,12 +476,15 @@ def test_check_cocycle_witness_matches_every_ordering(name, n, data):
     ([0, 1, 2, 0.0], 3),
     (["0", 1, 2, 0], 0),
     ([0, 1, 5, 0], 2),
+    ([0, None, 0], 1),
+    ([0, -1, 0], 1),
 ])
 def test_holonomy_rejects_non_integer_path_entries(c3, s3, path, position):
     c = cocycle(c3, s3, 3, 5, 2)
     with pytest.raises(NotAPath) as exc:
-        tk.holonomy(c, path)
+        tk.holonomy(c, iter(path))
     assert exc.value.data == {"position": position}
+    assert str(exc.value) == f"path entry {position} = {path[position]!r} is not an open"  # the entry as given
 
 
 def test_holonomy_accepts_numpy_integers(c3, s3):
@@ -574,8 +577,13 @@ def nerves(draw):
 @settings(max_examples=200, deadline=None)
 @given(nerves())
 def test_the_kept_forest_is_the_breadth_first_forest(nerve):
-    assert nerve.forest == cocycle_oracles.reference_forest(nerve)
+    forest = cocycle_oracles.reference_forest(nerve)
+    assert nerve.forest == forest
     assert nerve.edge_set == frozenset(nerve.edges)
+    # the walk down each tree, and the non-tree edges merged into edge order
+    assert nerve.steps == tuple((u, v, (min(u, v), max(u, v)), v < u) for comp in forest for u, v in comp.tree)
+    assert {id(edge) for _, _, edge, _ in nerve.steps} <= {id(edge) for edge in nerve.edges}  # shared, not copied
+    assert nerve.cotree == tuple(e for e in nerve.edges if any(e in comp.cotree for comp in forest))
 
 
 def _fresh(c, nerve):
@@ -805,3 +813,125 @@ def test_the_queries_run_no_reader_and_each_class_decides_its_triples_once(s3, r
         assert [args[2] for args in reader_calls["_closed"]] == [cls.representative.g for cls in classes]
         reader_calls["_closed"].clear()
     assert reader_calls["check_cocycle"] == reader_calls["make_cochain"] == []
+
+
+# ---------------------------------------------------------------- only the work the answer needs
+
+
+@st.composite
+def interleaved_pairs(draw):
+    """Two cocycles on a nerve of 2 or 3 components whose opens interleave (open v lies in component
+    v % k), each holding a triangle, so the non-tree edges of different components alternate in edge order.
+
+    Most edge values are h_i * h_j^-1 for a drawn cochain h and up to two are free draws, so a
+    cocycle fails, if at all, on any of its non-tree edges. Half the pairs are related by a coboundary.
+    """
+    group = tk.catalog_group(draw(st.sampled_from(ORACLE_GROUPS)))
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(3 * k, 3 * k + 4))
+    triangles = {e for c in range(k) for e in ((c, c + k), (c, c + 2 * k), (c + k, c + 2 * k))}
+    same = [(i, j) for i, j in itertools.combinations(range(n), 2) if (j - i) % k == 0]
+    edges = sorted(triangles | {e for e in same if draw(st.booleans())})
+    element = st.integers(0, group.order - 1)
+
+    def values():
+        h = [draw(element) for _ in range(n)]
+        free = draw(st.sets(st.sampled_from(edges), max_size=2))
+        return {(i, j): draw(element) if (i, j) in free else group.mul(h[i], group.inv(h[j])) for i, j in edges}
+
+    nerve = tk.build_nerve(n, edges)
+    c1 = tk.check_cocycle(nerve, group, values())
+    if draw(st.booleans()):
+        return c1, tk.apply_coboundary(c1, tk.make_cochain(nerve, group, [draw(element) for _ in range(n)]))
+    return c1, tk.check_cocycle(nerve, group, values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=interleaved_pairs())
+def test_checking_only_the_cotree_answers_as_checking_every_edge(pair):
+    c1, c2 = pair
+    nerve = c1.nerve
+    assert len(nerve.forest) >= 2 and len(nerve.cotree) >= len(nerve.forest)
+    for c in (c1, c2):
+        out = tk.find_trivialization(c)
+        assert out == cocycle_oracles.find_trivialization(c)  # propagated on its own, checked on every edge
+        if isinstance(out, NotTrivial):
+            assert out.violating_edge in nerve.cotree
+    for a, b in ((c1, c2), (c2, c1)):
+        out = tk.are_equivalent(a, b)
+        assert out == cocycle_oracles.are_equivalent(a, b)
+        if isinstance(out, tk.Cochain):
+            h, grp = out.h, a.group
+            assert all(b.g[(i, j)] == grp.mul(grp.mul(h[i], a.g[(i, j)]), grp.inv(h[j])) for i, j in nerve.edges)
+
+
+class _CountingDict(dict):
+    """A dict that counts its reads by key."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_find_trivialization_reads_each_tree_edge_once_and_the_cotree_up_to_the_failure(s3):
+    from torsorkit.cocycles import NerveCocycle
+
+    cycle = tk.build_nerve(400, [(i, i + 1) for i in range(399)] + [(0, 399)])
+    (closing,) = cycle.cotree
+    for value, want in ((s3.identity, tk.Cochain), (3, NotTrivial)):
+        g = _CountingDict(dict.fromkeys(cycle.edges, s3.identity))
+        g[closing] = value
+        assert isinstance(tk.find_trivialization(NerveCocycle(cycle, s3, g)), want)
+        assert g.reads == 399 + 1
+    k6 = tk.build_nerve(6, list(itertools.combinations(range(6), 2)))
+    assert len(k6.cotree) == 10
+    for failing in range(len(k6.cotree)):
+        g = _CountingDict(dict.fromkeys(k6.edges, s3.identity))
+        g[k6.cotree[failing]] = 3
+        c = NerveCocycle(k6, s3, g)
+        assert tk.find_trivialization(c) == NotTrivial(k6.cotree[failing])
+        assert g.reads == 5 + failing + 1
+        assert cocycle_oracles.find_trivialization(c) == NotTrivial(k6.cotree[failing])
+
+
+def test_plain_edge_keys_are_taken_as_they_are(monkeypatch, s3):
+    import torsorkit.cocycles as cocycles
+
+    k12 = tk.build_nerve(12, list(itertools.combinations(range(12), 2)), list(itertools.combinations(range(12), 3)))
+    calls, real = [], cocycles._ints
+    monkeypatch.setattr(cocycles, "_ints", lambda key, *args, **kw: calls.append(key) or real(key, *args, **kw))
+    values = {(i, j): s3.identity for i, j in k12.edges}  # key objects of the caller's own
+    g = tk.check_cocycle(k12, s3, values).g
+    assert g == values and all(kept is given for kept, given in zip(g, values))  # kept, not copied
+    assert calls == []
+    numpy_key = (np.int64(0), 1)
+    c = tk.check_cocycle(k12, s3, {numpy_key if e == (0, 1) else e: v for e, v in values.items()})
+    assert calls == [numpy_key] and c.g == values and all(type(i) is int for e in c.g for i in e)
+
+
+@pytest.mark.parametrize("key,message,place", [
+    (np.int64(1), "edge key {key!r} is not a sequence", {"edge": "1"}),
+    (True, "edge key True is not a sequence", {"edge": "True"}),
+    ((0, 1, 2), "edge key [0, 1, 2] needs 2 entries", {"edge": "(0, 1, 2)"}),
+    ("01", "edge key: entry 0 = '0' is not an integer", {"edge": "01", "position": 0}),
+    (("0", 1), "edge key: entry 0 = '0' is not an integer", {"edge": "('0', 1)", "position": 0}),
+    ((0, 2.5), "edge key: entry 1 = 2.5 is not an integer", {"edge": "(0, 2.5)", "position": 1}),
+], ids=["numpy-int", "bool", "3-tuple", "str", "str-entry", "float-entry"])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+def test_a_key_that_is_not_a_plain_pair_is_read_and_named_as_before(c3, z2, key, message, place, first):
+    rest = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
+    with pytest.raises(MalformedTable) as exc:
+        tk.check_cocycle(c3, z2, {key: 0, **rest} if first else {**rest, key: 0})
+    assert str(exc.value) == message.format(key=key) and exc.value.data == place
+
+
+def test_the_first_bad_entry_in_dict_order_wins_between_a_value_and_a_key(c3, z2):
+    with pytest.raises(MalformedTable) as exc:
+        tk.check_cocycle(c3, z2, {(0, 1): 1.5, "x": 0, (0, 2): 0, (1, 2): 0})
+    assert exc.value.data == {"i": 0, "j": 1}
+    with pytest.raises(MalformedTable) as exc:
+        tk.check_cocycle(c3, z2, {"x": 0, (0, 1): 1.5, (0, 2): 0, (1, 2): 0})
+    assert exc.value.data == {"edge": "x"}
+

@@ -331,6 +331,40 @@ def test_a_handed_group_array_or_inverse_of_the_wrong_shape_is_malformed():
     assert dataclasses.replace(z3) == z3
 
 
+@pytest.mark.parametrize("change,place", [
+    ({"identity": 1}, {"table": "identity", "position": 0}),  # built; build_action then said the identity moves 0
+    ({"inverse": (0, 1, 2)}, {"table": "inverse", "position": 1}),  # built
+    ({"inverse": (0, 2.0, 1)}, {"table": "inverse", "position": 1}),
+    ({"inverse": (0, 2, 3)}, {"table": "inverse", "position": 2}),
+    ({"inverse": (0, -1, 1)}, {"table": "inverse", "position": 1}),
+], ids=["identity", "inverse", "inverse-float", "inverse-range", "inverse-negative"])
+def test_a_handed_group_array_decides_its_identity_and_inverse(change, place):
+    with pytest.raises(tk.errors.MalformedTable) as err:
+        dataclasses.replace(tk.catalog_group("cyclic(3)"), **change)
+    assert err.value.data == place
+
+
+@ORACLE
+@given(st.sampled_from([g for g in CATALOG if g.order <= 8]), st.data())
+def test_a_handed_group_array_accepts_exactly_its_own_identity_and_inverses(group, data):
+    """A plain scan: the least g where e * g or g * e is not g, then the least g where inverse[g] is no
+    two-sided inverse. A group has one identity and one inverse per element, so only its own pass."""
+    n, table = group.order, group.cayley
+    e = data.draw(st.sampled_from([group.identity, data.draw(st.integers(0, n - 1))]))
+    inverse = data.draw(st.sampled_from([group.inverse, tuple(data.draw(st.permutations(range(n))))]))
+    bad_e = next((g for g in range(n) if table[e][g] != g or table[g][e] != g), None)
+    bad_inv = next((g for g in range(n) if not table[g][inverse[g]] == table[inverse[g]][g] == e), None)
+    want = {"table": "identity", "position": bad_e} if bad_e is not None else (
+        None if bad_inv is None else {"table": "inverse", "position": bad_inv})
+    assert (want is None) == (e == group.identity and inverse == group.inverse)
+    try:
+        made = dataclasses.replace(group, identity=e, inverse=inverse)
+    except tk.errors.MalformedTable as err:
+        assert err.data == want
+    else:
+        assert want is None and made == group
+
+
 def test_a_handed_action_array_of_the_wrong_shape_is_malformed():
     action = tk.left_translation_action(tk.catalog_group("cyclic(3)"))
     # built, it was called not transitive at point 3, and as_torsor and is_free raised a bare ValueError
