@@ -246,6 +246,7 @@ def right_action_as_left(group: FiniteGroup, set_size: int, right_table) -> Grou
     left action, so build_action decides it once; only a failure pays for
     the scan that finds the least right witness.
     """
+    _positive(set_size, "set_size")
     right = _index_table(right_table, set_size, group.order, set_size)
     moved = _first(right[:, group.identity] != np.arange(set_size))
     if moved is not None:

@@ -41,7 +41,7 @@ from .errors import (
     TripleWithoutEdge,
     _guard,
 )
-from .groups import FiniteGroup, _codes, _digits, _entries, _first, _is_index, _positive
+from .groups import FiniteGroup, _codes, _digits, _entries, _first, _is_index, _iterable, _positive
 
 # Bounds |G|^edges, the edge assignments. equivalence_classes lists every valid one
 # and finds them by gauge fixing, with less work than trying each assignment.
@@ -133,7 +133,7 @@ def _ints(values, size: int, what: str, **where) -> list[int]:
 def build_nerve(num_opens: int, edges, triples=()) -> Nerve:
     _positive(num_opens, "num_opens")
     edge_set = set()
-    for idx, e in enumerate(edges):
+    for idx, e in enumerate(_iterable(edges, "edges")):
         i, j = sorted(_ints(e, 2, "edge", edge=idx))
         if i == j:
             raise MalformedTable(f"self-pair ({i},{j}) is not an edge", i=i, j=j)
@@ -141,7 +141,7 @@ def build_nerve(num_opens: int, edges, triples=()) -> Nerve:
             raise MalformedTable(f"edge ({i},{j}) out of range", i=i, j=j)
         edge_set.add((i, j))
     triple_set = set()
-    for idx, t in enumerate(triples):
+    for idx, t in enumerate(_iterable(triples, "triples")):
         i, j, k = sorted(_ints(t, 3, "triple", triple=idx))
         if len({i, j, k}) != 3:
             raise MalformedTable(f"triple ({i},{j},{k}) has repeats", i=i, j=j, k=k)
@@ -172,7 +172,7 @@ def check_cocycle(nerve: Nerve, group: FiniteGroup, assignments) -> NerveCocycle
     """
     edge_set = nerve.edge_set
     values = {}
-    for key, val in dict(assignments).items():
+    for key, val in dict(_iterable(assignments, "assignments")).items():
         plain = type(key) is tuple and len(key) == 2 and type(key[0]) is int and type(key[1]) is int
         try:  # a 2-tuple of plain ints, the common key, is kept as it is: not read again, not copied
             i, j = key = key if plain else tuple(_ints(key, 2, "edge key"))
@@ -325,7 +325,7 @@ def are_equivalent(c1: NerveCocycle, c2: NerveCocycle):
 
 def holonomy(c: NerveCocycle, cycle_path) -> int:
     """Ordered product of edge values along a closed path in the nerve."""
-    path = list(cycle_path)
+    path = list(_iterable(cycle_path, "path"))
     if not path:
         raise NotAPath("empty path")
     try:

@@ -37,6 +37,7 @@ from .groups import (
     _first,
     _is_index,
     _is_int,
+    _iterable,
     _positions,
     _positive,
     build_group,
@@ -131,7 +132,7 @@ def _rhs(T: PrimeFieldMatrix, w) -> tuple[int, ...]:
 def prime_field_matrix(p: int, entries) -> PrimeFieldMatrix:
     """Reduce the integer entries mod a validated prime and fix the shape."""
     _require_prime(p)
-    rows = [list(r) for r in entries]
+    rows = [list(_iterable(r, f"row {i}", row=i)) for i, r in enumerate(_iterable(entries, "matrix"))]
     if not rows or not rows[0]:
         raise MalformedTable("matrix must have at least one row and column")
     cols = len(rows[0])
@@ -149,7 +150,7 @@ def _require_codes(p: int, n: int) -> int:
 
 
 def encode_vector(vec, p: int) -> int:
-    vec = tuple(vec)
+    vec = tuple(_iterable(vec, "vector"))
     _require_codes(p, len(vec))
     return int(_codes(np.asarray(_entries(vec, "vector", p), dtype=np.int64), p))
 
@@ -205,9 +206,11 @@ def gaussian_solve(T: PrimeFieldMatrix, w) -> LinearSolveResult:
     The particular solution sets all free variables to zero; the kernel
     basis has one vector per free column, ordered by ascending column, so
     the pivot pattern is strictly increasing. A pivot in the w column
-    means the system is inconsistent.
+    means the system is inconsistent. Rows of cols products of residues
+    are summed in int64: (p-1)^2 * cols above CODE_MAX is TooLarge.
     """
     p = T.p
+    _guard(p - 1, 2, CODE_MAX // T.cols, "(p-1)^2", p=p, cols=T.cols)
     w = _rhs(T, w)
     entries = np.array(T.entries)
     aug, pivots = _row_reduce(np.column_stack([entries, w]), p)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -116,9 +116,10 @@ class FiniteGroup(_StoredTable):
     array, for the gathers. A producer passes its validated ``array``; a hand-built group passes ``cayley``,
     read strictly here by ``_index_table`` (its shape and the type and range of every cell, not the axioms),
     then its ``identity`` and its ``inverse``, read as a row of ``order`` indices by the same reader. A handed
-    ``array`` is checked by its shape, and its ``identity`` and ``inverse`` by O(n) gathers that read no cell
-    type: e * g = g * e = g and g * inverse[g] = inverse[g] * g = e. ``constant_sheaves`` holds the decided
-    constant sheaves of this group by space, filled by ``sheaves.constant_group_sheaf``; it dies with it.
+    int ``array`` is checked by its shape, an ``inverse`` that is no int array is read first, and the identity
+    and inverses are decided by O(n) gathers: e * g = g * e = g and g * inverse[g] = inverse[g] * g = e.
+    ``constant_sheaves`` holds the decided constant sheaves of this group by space, filled by
+    ``sheaves.constant_group_sheaf``; it dies with it.
     """
 
     order: int
@@ -134,11 +135,11 @@ class FiniteGroup(_StoredTable):
             array = _index_table(cayley, order, order, order, "cayley: ")
         else:
             _shaped(array, (order, order), "array", table="array")
-            if len(inverse) != order:
+            if _is_sequence(inverse) and len(inverse) != order:
                 raise MalformedTable(f"inverse: {len(inverse)} entries", table="inverse", given=len(inverse))
         if not _is_index(identity, order):
             raise MalformedTable(f"identity {identity!r} is not an element in [0, {order})", identity=identity)
-        identity, inv = int(identity), np.asarray(inverse) if cayley is None else None
+        identity, inv = int(identity), inverse if cayley is None and isinstance(inverse, np.ndarray) else None
         if inv is None or inv.shape != (order,) or inv.dtype.kind not in "iu" or inv.min() < 0 or inv.max() >= order:
             inv = _index_table(inverse, None, order, order, "inverse: ", table="inverse")  # names a bad entry
         if cayley is None:  # a handed array: O(n) gathers that read no cell type decide the identity and inverses
@@ -189,8 +190,8 @@ def _first(bad: np.ndarray):
 
 
 def _shaped(arr, shape: tuple, what: str, **where) -> None:
-    """A producer's array, checked by its shape alone; MalformedTable names ``where`` and the shape given."""
-    given = np.shape(arr)
+    """A producer's int array, checked by type and shape alone; MalformedTable names ``where`` and the shape given."""
+    given = arr.shape if isinstance(arr, np.ndarray) and arr.dtype.kind in "iu" else ()  # a shape no table has
     if given != shape:
         raise MalformedTable(f"{what}: shape {given}, expected {shape}", **where, given=list(given))
 
@@ -218,7 +219,7 @@ def _entries(values, what: str, bound=None, **where) -> list[int]:
     int or not in [0, bound), given ``bound``: one int, or a list or tuple of one per entry. ``where`` names
     the place of the sequence itself, such as its ``row`` in a table.
     """
-    values, each = list(values), isinstance(bound, (list, tuple))
+    values, each = list(_iterable(values, what, **where)), isinstance(bound, (list, tuple))
     if set(map(type, values)) <= {int} and (bound is None or not values or min(values) >= 0 and (
             all(map(operator.lt, values, bound)) if each else max(values) < bound)):
         return values
@@ -230,6 +231,14 @@ def _entries(values, what: str, bound=None, **where) -> list[int]:
             raise MalformedTable(f"{what}: entry {pos} = {v!r} is not an integer{span}", **where, position=pos)
         out.append(int(v))
     return out
+
+
+def _iterable(values, what: str, **where):
+    """A caller's sequence, refused before anything loops over it: MalformedTable names ``where``, or else
+    ``what`` as the ``table``, where a value that is no iterable would raise a bare TypeError."""
+    if not isinstance(values, Iterable):
+        raise MalformedTable(f"{what}: {values!r} is not a sequence", **(where or {"table": what}))
+    return values
 
 
 def _is_sequence(obj) -> bool:
@@ -254,8 +263,8 @@ def _index_table(rows, height, width: int, bound: int, prefix: str = "", **where
         if height is None or all(_is_sequence(r) and len(r) == width for r in rows):
             cells = rows if height is None else itertools.chain.from_iterable(rows)
             if all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, cells))):
-                with contextlib.suppress(OverflowError):
-                    arr = np.array(rows, dtype=np.intp)
+                with contextlib.suppress(OverflowError):  # an empty table takes its full shape too
+                    arr = np.array(rows, dtype=np.intp).reshape(shape)
     if arr is not None and arr.shape == shape and not (arr.size and (arr.min() < 0 or arr.max() >= bound)):
         arr = np.array(arr, dtype=np.int32, order="C")
         arr.flags.writeable = False

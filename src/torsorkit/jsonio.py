@@ -3,9 +3,11 @@
 All indices are 0-based. Serialization is canonical: the text is the bytes
 of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline, so
 identical inputs produce byte-identical files. Every schema the command
-line reads is read here. Reading is strict: a key given twice in one
-object, a pair key not spelled as ``"i,j"`` writes it, a per-open key other
-than ``"0"`` ... ``"k-1"``, or a restriction key that is no proper
+line reads is read here, each object's keys once, by one ``_fields`` call
+that checks for a stray key, then each key's presence and type in order,
+before any nested object is read. Reading is strict: a key given twice in
+one object, a pair key not spelled as ``"i,j"`` writes it, a per-open key
+other than ``"0"`` ... ``"k-1"``, or a restriction key that is no proper
 inclusion of the space, is rejected rather than read one way or another,
 or not at all. Schema problems raise SchemaError; semantic problems raise
 the domain errors of the owning module.
@@ -14,6 +16,7 @@ the domain errors of the owning module.
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .actions import GroupAction, Torsor, build_action
@@ -65,22 +68,28 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _only(obj, what, *keys):
-    """``obj``, once no key of it is outside ``keys``; else SchemaError naming the first such key, so no
-    entry of a JSON object is left unread. A value that is no object is left for ``_expect`` to refuse."""
-    stray = next((k for k in obj if k not in keys), None) if isinstance(obj, dict) else None
+_ROWS = list[list]  # the kind of a table's rows
+_MISSING = object()  # the default of an optional key whose reader tells it from a given null
+
+
+def _fields(obj, what, kinds: dict, optional=MappingProxyType({})) -> list:
+    """The values of ``obj`` at the keys of ``kinds``, then of ``optional``, else its default: an object's keys, each
+    named once. SchemaError names the first key in neither, so no entry is left unread; then the first key
+    of ``kinds``, in order, missing or not of its kind: ``int`` (no bool), ``list``, ``dict``, ``_ROWS``, or
+    None for any. An optional key's reader checks it; the caller reads nested objects after every key."""
+    stray = next((k for k in obj if k not in kinds and k not in optional), None) if isinstance(obj, dict) else None
     if stray is not None:
         raise SchemaError(f"{what}: stray key {stray!r}")
-    return obj
-
-
-def _expect(obj, key, kind, what):
-    if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"{what}: missing key {key!r}")
-    val = obj[key]
-    if kind is not None and not (_is_int(val) if kind is int else isinstance(val, kind)):
-        raise SchemaError(f"{what}: key {key!r} has wrong type")
-    return val
+    values = []
+    for key, kind in kinds.items():
+        if not isinstance(obj, dict) or key not in obj:
+            raise SchemaError(f"{what}: missing key {key!r}")
+        val = obj[key]
+        if kind is not None and not (
+                _is_int(val) if kind is int else isinstance(val, list if kind is _ROWS else kind)):
+            raise SchemaError(f"{what}: key {key!r} has wrong type")
+        values.append(_int_list_list(val, f"{what}.{key}") if kind is _ROWS else val)
+    return values + [obj.get(key, default) for key, default in optional.items()]
 
 
 def _int_list_list(val, what):
@@ -98,18 +107,19 @@ def group_to_obj(g: FiniteGroup) -> dict:
 def group_from_obj(obj) -> FiniteGroup:
     if isinstance(obj, str):
         return catalog_group(obj)
-    _only(obj, "group", "order", "cayley")
-    order = _expect(obj, "order", int, "group")
-    cayley = _int_list_list(_expect(obj, "cayley", list, "group"), "group.cayley")
+    order, cayley = _fields(obj, "group", {"order": int, "cayley": _ROWS})
     return build_group(order, cayley)
 
 
 def subgroup_from_obj(obj, *optional: str) -> Subgroup:
     """A subgroup object; ``optional`` names keys beyond its own that the caller reads itself."""
-    _only(obj, "subgroup", "group", "members", *optional)
-    parent = group_from_obj(_expect(obj, "group", None, "subgroup"))
-    members = _expect(obj, "members", list, "subgroup")
-    return build_subgroup(parent, members)
+    return _subgroup(obj, dict.fromkeys(optional))[0]
+
+
+def _subgroup(obj, optional: dict) -> list:
+    """A subgroup object, then the values of its ``optional`` keys (see ``_fields``)."""
+    group, members, *rest = _fields(obj, "subgroup", {"group": None, "members": list}, optional)
+    return [build_subgroup(group_from_obj(group), members), *rest]
 
 
 # actions
@@ -123,11 +133,8 @@ def action_to_obj(action: GroupAction) -> dict:
 
 
 def action_from_obj(obj) -> GroupAction:
-    _only(obj, "action", "group", "set_size", "act")
-    group = group_from_obj(_expect(obj, "group", None, "action"))
-    set_size = _expect(obj, "set_size", int, "action")
-    act = _int_list_list(_expect(obj, "act", list, "action"), "action.act")
-    return build_action(group, set_size, act)
+    group, set_size, act = _fields(obj, "action", {"group": None, "set_size": int, "act": _ROWS})
+    return build_action(group_from_obj(group), set_size, act)
 
 
 # nerves and cocycles
@@ -155,11 +162,8 @@ def _pair_map(raw: dict, what) -> dict:
 def nerve_from_obj(obj) -> Nerve:
     from .cocycles import build_nerve
 
-    _only(obj, "nerve", "opens", "edges", "triples")
-    opens = _expect(obj, "opens", int, "nerve")
-    edges = _int_list_list(_expect(obj, "edges", list, "nerve"), "nerve.edges")
-    triples = _int_list_list(obj.get("triples", []), "nerve.triples")
-    return build_nerve(opens, edges, triples)
+    opens, edges, triples = _fields(obj, "nerve", {"opens": int, "edges": _ROWS}, {"triples": []})
+    return build_nerve(opens, edges, _int_list_list(triples, "nerve.triples"))
 
 
 def nerve_to_obj(nerve: Nerve) -> dict:
@@ -173,11 +177,8 @@ def nerve_to_obj(nerve: Nerve) -> dict:
 def cocycle_from_obj(obj) -> NerveCocycle:
     from .cocycles import check_cocycle
 
-    _only(obj, "cocycle", "nerve", "group", "g")
-    nerve = nerve_from_obj(_expect(obj, "nerve", dict, "cocycle"))
-    group = group_from_obj(_expect(obj, "group", None, "cocycle"))
-    assignments = _pair_map(_expect(obj, "g", dict, "cocycle"), "cocycle.g")
-    return check_cocycle(nerve, group, assignments)
+    nerve, group, g = _fields(obj, "cocycle", {"nerve": dict, "group": None, "g": dict})
+    return check_cocycle(nerve_from_obj(nerve), group_from_obj(group), _pair_map(g, "cocycle.g"))
 
 
 def cocycle_to_obj(c: NerveCocycle) -> dict:
@@ -197,68 +198,51 @@ def space_to_obj(space: FiniteSpace) -> dict:
 def space_from_obj(obj) -> FiniteSpace:
     from .spaces import build_space
 
-    _only(obj, "space", "points", "opens")
-    points = _expect(obj, "points", int, "space")
-    opens = _int_list_list(_expect(obj, "opens", list, "space"), "space.opens")
+    points, opens = _fields(obj, "space", {"points": int, "opens": _ROWS})
     return build_space(points, opens)
 
 
-def _per_open(obj, key: str, num_opens: int, what) -> list:
-    """The values of the per-open object at ``key`` in open order, None where one is missing.
-
-    Its keys are exactly the open indices as ``str`` writes them; any other key is a SchemaError
-    naming the first one, so no entry is left unread.
-    """
-    keys = dict.fromkeys(map(str, range(num_opens)))
-    raw = _only(_expect(obj, key, dict, what), f"{what}.{key}", *keys)
-    return [raw.get(k) for k in keys]
+def _per_open(raw: dict, num_opens: int, what) -> list:
+    """The values of a per-open object in open order, None where one is missing. Its keys are exactly the
+    open indices as ``str`` writes them, so any other key is a stray key and no entry is left unread."""
+    return _fields(raw, what, {}, dict.fromkeys(map(str, range(num_opens))))
 
 
-def _sizes_from_obj(obj, num_opens: int, what) -> tuple[int, ...]:
-    sizes = _per_open(obj, "sections", num_opens, what)
-    for u, val in enumerate(sizes):
-        if not _is_int(val) or val < 0:
-            raise SchemaError(f"{what}: bad section count for open {u}")
-    return tuple(sizes)
-
-
-def _restrict_from_obj(obj, space: FiniteSpace, what) -> dict:
-    """The restriction tables by pair; a key that is no proper inclusion of ``space`` is a stray key."""
-    raw = _expect(obj, "restrict", dict, what)
-    proper = {(u, v) for u, below in enumerate(space.subopens) for v in below}
-    out = {}
-    for key, table in raw.items():
-        pair = _parse_pair_key(key, f"{what}.restrict")
-        if pair not in proper:
-            raise SchemaError(f"{what}.restrict: stray key {key!r}")
-        if not isinstance(table, list):
-            raise SchemaError(f"{what}: restriction {key!r} must be a list")
-        out[pair] = table
-    return out
-
-
-def _restrict_to_obj(sheaf: SheafOfSets) -> dict:
-    return {_pair_key(u, v): arr.tolist() for (u, v), arr in sorted(sheaf.arrays.items())}
-
-
-def sets_sheaf_from_obj(obj, space: FiniteSpace | None = None, *optional: str) -> SheafOfSets:
-    """A sheaf object, over ``space`` when given and else over its own; ``optional`` names keys beyond
-    its own that the caller reads itself."""
+def _sheaf(obj, space: FiniteSpace | None, extra=MappingProxyType({})) -> list:
+    """A sheaf object over ``space``, or over its own when None, then the values of the ``extra`` keys that
+    its caller reads, checked with its own keys (see ``_fields``). A restriction key that is no proper
+    inclusion of the space is a stray key."""
     from .sheaves import SheafOfSets
 
-    own = ("space", "sections", "restrict") if space is None else ("sections", "restrict")
-    _only(obj, "sheaf", *own, *optional)
+    own = {"sections": dict, "restrict": dict, **extra}
+    values = _fields(obj, "sheaf", own if space is not None else {"space": dict, **own})
     if space is None:
-        space = space_from_obj(_expect(obj, "space", dict, "sheaf"))
-    sizes = _sizes_from_obj(obj, len(space.opens), "sheaf")
-    restrict = _restrict_from_obj(obj, space, "sheaf")
-    return SheafOfSets(space=space, sizes=sizes, restrict=restrict)
+        space = space_from_obj(values.pop(0))
+    sections, raw, *rest = values
+    sizes = _per_open(sections, len(space.opens), "sheaf.sections")
+    for u, val in enumerate(sizes):
+        if not _is_int(val) or val < 0:
+            raise SchemaError(f"sheaf: bad section count for open {u}")
+    restrict = {}
+    for key, table in raw.items():
+        pair = _parse_pair_key(key, "sheaf.restrict")
+        if pair not in space.inclusions:
+            raise SchemaError(f"sheaf.restrict: stray key {key!r}")
+        if not isinstance(table, list):
+            raise SchemaError(f"sheaf: restriction {key!r} must be a list")
+        restrict[pair] = table
+    return [SheafOfSets(space=space, sizes=tuple(sizes), restrict=restrict), *rest]
+
+
+def sets_sheaf_from_obj(obj, space: FiniteSpace | None = None) -> SheafOfSets:
+    """A sheaf object, over ``space`` when given and else over its own."""
+    return _sheaf(obj, space)[0]
 
 
 def sets_sheaf_to_obj(sheaf: SheafOfSets, include_space: bool = True) -> dict:
     out = {
         "sections": {str(u): n for u, n in enumerate(sheaf.sizes)},
-        "restrict": _restrict_to_obj(sheaf),
+        "restrict": {_pair_key(u, v): arr.tolist() for (u, v), arr in sorted(sheaf.arrays.items())},
     }
     if include_space:
         out["space"] = space_to_obj(sheaf.space)
@@ -268,25 +252,24 @@ def sets_sheaf_to_obj(sheaf: SheafOfSets, include_space: bool = True) -> dict:
 def sheaf_action_from_obj(obj) -> SheafAction:
     from .sheaves import SheafAction, SheafOfGroups
 
-    _only(obj, "sheaf-action", "space", "groups", "sets", "act")
-    space = space_from_obj(_expect(obj, "space", dict, "sheaf-action"))
-    graw = _expect(obj, "groups", dict, "sheaf-action")
-    g_sets = sets_sheaf_from_obj(graw, space, "cayley")
+    kinds = {"space": dict, "groups": dict, "sets": dict, "act": dict}
+    space, graw, sraw, act = _fields(obj, "sheaf-action", kinds)
+    space = space_from_obj(space)
+    g_sets, cayley = _sheaf(graw, space, {"cayley": dict})
     groups = []
-    for u, table in enumerate(_per_open(graw, "cayley", len(space.opens), "sheaf-action.groups")):
+    for u, table in enumerate(_per_open(cayley, len(space.opens), "sheaf-action.groups.cayley")):
         if table is None:
             raise SchemaError(f"sheaf-action: missing group table for open {u}")
         groups.append(build_group(g_sets.sizes[u], _int_list_list(table, f"sheaf-action.groups.cayley.{u}")))
-    sraw = _expect(obj, "sets", dict, "sheaf-action")
     f_sets = sets_sheaf_from_obj(sraw, space=space)
-    act = []
-    for u, table in enumerate(_per_open(obj, "act", len(space.opens), "sheaf-action")):
+    tables = []
+    for u, table in enumerate(_per_open(act, len(space.opens), "sheaf-action.act")):
         if table is None:
             raise SchemaError(f"sheaf-action: missing action table for open {u}")
         if not isinstance(table, list):
             raise SchemaError(f"sheaf-action: action table for open {u} must be a list")
-        act.append(table)
-    return SheafAction(groups=SheafOfGroups(sets=g_sets, groups=tuple(groups)), sets=f_sets, act=act)
+        tables.append(table)
+    return SheafAction(groups=SheafOfGroups(sets=g_sets, groups=tuple(groups)), sets=f_sets, act=tables)
 
 
 def sheaf_action_to_obj(action: SheafAction) -> dict:
@@ -299,12 +282,8 @@ def sheaf_action_to_obj(action: SheafAction) -> dict:
         "space": space_to_obj(action.sets.space),
         "groups": groups_obj,
         "sets": sets_sheaf_to_obj(action.sets, include_space=False),
-        "act": _act_to_obj(action),
+        "act": {str(u): arr.tolist() for u, arr in enumerate(action.arrays)},
     }
-
-
-def _act_to_obj(action: SheafAction) -> dict:
-    return {str(u): arr.tolist() for u, arr in enumerate(action.arrays)}
 
 
 # descent data (always over the constant sheaf of the named group)
@@ -321,40 +300,35 @@ def descent_to_obj(space: FiniteSpace, group: FiniteGroup, datum: DescentDatum) 
 def descent_from_obj(obj) -> DescentDatum:
     from .sheaves import build_descent_datum, constant_group_sheaf
 
-    _only(obj, "descent", "space", "group", "cover", "transition")
-    space = space_from_obj(_expect(obj, "space", dict, "descent"))
-    group = group_from_obj(_expect(obj, "group", None, "descent"))
-    cover = _expect(obj, "cover", list, "descent")
-    transition = _pair_map(_expect(obj, "transition", dict, "descent"), "descent.transition")
-    gs = constant_group_sheaf(space, group)
-    return build_descent_datum(gs, cover, transition)
+    kinds = {"space": dict, "group": None, "cover": list, "transition": dict}
+    space, group, cover, transition = _fields(obj, "descent", kinds)
+    space, group = space_from_obj(space), group_from_obj(group)
+    transition = _pair_map(transition, "descent.transition")
+    return build_descent_datum(constant_group_sheaf(space, group), cover, transition)
 
 
 # the problems that query classes and generate solution and coset read
 
 def classes_from_obj(obj) -> tuple[Nerve, FiniteGroup]:
     """The nerve and group whose cocycle classes are counted; a cocycle's ``g`` is passed over."""
-    _only(obj, "classes", "nerve", "group", "g")
-    nerve = nerve_from_obj(_expect(obj, "nerve", dict, "classes"))
-    return nerve, group_from_obj(_expect(obj, "group", None, "classes"))
+    nerve, group, _ = _fields(obj, "classes", {"nerve": dict, "group": None}, {"g": None})
+    return nerve_from_obj(nerve), group_from_obj(group)
 
 
 def solution_from_obj(obj) -> Torsor:
     """The solutions of T(v) = w over F_p, as the torsor solution_torsor makes of them."""
     from .constructions import prime_field_matrix, solution_torsor
 
-    _only(obj, "solution", "p", "T", "w")
-    p = _expect(obj, "p", int, "solution")
-    matrix = prime_field_matrix(p, _int_list_list(_expect(obj, "T", list, "solution"), "solution.T"))
-    return solution_torsor(matrix, _expect(obj, "w", list, "solution"))
+    p, rows, w = _fields(obj, "solution", {"p": int, "T": _ROWS, "w": list})
+    return solution_torsor(prime_field_matrix(p, rows), w)
 
 
 def coset_from_obj(obj) -> Torsor:
     """The coset gH of a subgroup object H and its optional ``g`` (else the identity), as coset_torsor makes it."""
     from .constructions import coset_torsor
 
-    sub = subgroup_from_obj(obj, "g")
-    return coset_torsor(sub.parent, sub, obj.get("g", sub.parent.identity))
+    sub, g = _subgroup(obj, {"g": _MISSING})
+    return coset_torsor(sub.parent, sub, sub.parent.identity if g is _MISSING else g)
 
 
 def _unique_keys(items: list) -> dict:

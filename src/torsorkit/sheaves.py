@@ -65,6 +65,7 @@ from .groups import (
     _first,
     _frozen_array,
     _index_table,
+    _iterable,
     _is_index,
     _is_int,
     _positions,
@@ -100,19 +101,18 @@ class SheafOfSets(_StoredTable):
     def __init__(self, space: FiniteSpace, sizes, restrict=None, arrays=None):
         if restrict is not None:
             sizes = _per_open(_entries(sizes, "sizes", np.iinfo(np.int32).max), space, "sizes")
-            tables = {(u, v): restrict.get((u, v)) for u, v in _proper_pairs(space)}
-            stray = next((key for key in restrict if key not in tables), None)
+            stray = next((key for key in restrict if key not in space.inclusions), None)
             if stray is not None:
                 raise MalformedTable(f"restrict: stray key {stray!r}", key=str(stray))
             arrays = {
-                (u, v): _index_table(t, None, sizes[u], sizes[v], f"restrict[{u}, {v}]: ", u=u, v=v)
-                for (u, v), t in tables.items()
+                (u, v): _index_table(restrict.get((u, v)), None, sizes[u], sizes[v], f"restrict[{u}, {v}]: ", u=u, v=v)
+                for u, v in space.inclusions
             }
         else:
             # with a producer's cells in range, and each sizes[v] pinned too by the pair (v, empty), every
             # entry of (u, v) indexes inside the table of (v, w): is_sheaf's one gather over all chains needs it
             sizes = _per_open(sizes, space, "sizes")
-            for u, v in _proper_pairs(space):
+            for u, v in space.inclusions:
                 _shaped(arrays.get((u, v)), (sizes[u],), f"arrays[{u}, {v}]", u=u, v=v)
         self._set(space=space, sizes=tuple(sizes), arrays=arrays)
 
@@ -141,7 +141,11 @@ class SheafOfGroups:
     groups: tuple[FiniteGroup, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", _per_open(self.groups, self.sets.space, "groups"))
+        groups = _per_open(self.groups, self.sets.space, "groups")
+        bad = next((u for u, g in enumerate(groups) if not isinstance(g, FiniteGroup)), None)
+        if bad is not None:
+            raise MalformedTable(f"groups: entry {bad} is no FiniteGroup", table="groups", position=bad)
+        object.__setattr__(self, "groups", groups)
 
     @property
     def space(self) -> FiniteSpace:
@@ -227,12 +231,6 @@ class DescentDatum:
         return grp.inv(self.transition[(j, i)])
 
 
-def _proper_pairs(space: FiniteSpace):
-    for u, below in enumerate(space.subopens):
-        for v in below:
-            yield u, v
-
-
 def _guard_sections(group: FiniteGroup, count: int) -> int:
     """|G|^count, the sections of an open with ``count`` components, within the guard from 2 components
     on: G^0 and G^1 build no table, so a group of any order has a constant sheaf on a connected space."""
@@ -244,6 +242,7 @@ def _guard_sections(group: FiniteGroup, count: int) -> int:
 
 def constant_section_id(group: FiniteGroup, values) -> int:
     """Index of a component-value tuple in the constant sheaf's enumeration."""
+    values = tuple(_iterable(values, "component value"))
     _guard_sections(group, len(values))
     return int(_codes(np.asarray(_entries(values, "component value", group.order), dtype=np.intp), group.order))
 
@@ -286,7 +285,7 @@ def _constant_group_sheaf(space: FiniteSpace, group: FiniteGroup) -> SheafOfGrou
     values = {k: _digits(np.arange(n ** k), n, k) for k in {len(c) for c in comps}}
     powers = {k: group if k == 1 else _direct_power(group, v) for k, v in values.items()}
     arrays = {}
-    for u, v in _proper_pairs(space):
+    for u, v in space.inclusions:
         holder = [next(i for i, cu in enumerate(comps[u]) if cv[0] in cu) for cv in comps[v]]
         arrays[(u, v)] = _frozen_array(_codes(values[len(comps[u])][:, holder], n))
     sets = SheafOfSets(space=space, sizes=sizes, arrays=arrays)
@@ -357,11 +356,10 @@ def _functoriality_witnesses(space: FiniteSpace, sizes, arrays: dict) -> list[di
     """A witness for each chain w < v < u whose restrictions do not compose, at its least section s with
     (s|v)|w != s|w, in pair order. One gather for all chains, with the tables end to end in ``buf``:
     SheafOfSets pins each table's length, so every entry of (u, v) indexes inside the table of (v, w)."""
-    pairs = list(_proper_pairs(space))
-    at = {pair: i for i, pair in enumerate(pairs)}
-    chains = [(at[u, v], at[v, w], at[u, w], u, v, w) for u, v in pairs for w in space.subopens[v]]
-    lengths = np.array([sizes[u] for u, _ in pairs])
-    buf = np.concatenate([arrays[pair] for pair in pairs])
+    at = space.inclusions
+    chains = [(at[u, v], at[v, w], at[u, w], u, v, w) for u, v in at for w in space.subopens[v]]
+    lengths = np.array([sizes[u] for u, _ in at])
+    buf = np.concatenate([arrays[pair] for pair in at])
     table = np.array(chains, dtype=np.intp).reshape(-1, 6)
     cells = lengths[table[:, 0]]
     seg = np.repeat(np.arange(len(chains)), cells)  # the chain of each cell, and its section s
@@ -415,7 +413,7 @@ def is_sheaf(sheaf: SheafOfSets) -> Report:
 
 def _restriction_failures(space: FiniteSpace, tables, g_arrays: dict, f_arrays: dict):
     """(u, v, a, s) for each inclusion whose first [a, s] has (a.s)|v != a|v . s|v, in pair order."""
-    for u, v in _proper_pairs(space):
+    for u, v in space.inclusions:
         rg, rf = g_arrays[(u, v)], f_arrays[(u, v)]
         bad = _first(rf[tables[u]] != tables[v][rg[:, None], rf])
         if bad is not None:
@@ -541,7 +539,7 @@ def global_sections(torsor: SheafTorsor) -> list[int]:
 def _cover(space: FiniteSpace, cover) -> tuple[int, ...]:
     """Cover open indices, strictly: the first bad entry is UnknownOpen when it is an integer and
     MalformedTable otherwise; then CoverIncomplete names the missed points."""
-    cover = tuple(cover)
+    cover = tuple(_iterable(cover, "cover"))
     try:
         cover = tuple(_entries(cover, "cover", len(space.opens)))
     except MalformedTable as err:
@@ -632,7 +630,7 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
     # one lookup per open v finds the images in F(v): of F(u) for each u > v, then of the action on F(v)
     located = []
     for v, chart in enumerate(charts):
-        above, columns = [u for u, below in enumerate(space.subopens) if v in below], []
+        above, columns = [u for u, w in space.inclusions if w == v], []
         for i, c in enumerate(chart):
             grp = gs.groups[c]
             inverse = grp.inverse_array[_table(arrays, sizes, v, c)]
@@ -647,7 +645,7 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
         located.append(found)
 
     glued, start = {}, [0] * len(charts)
-    for u, v in _proper_pairs(space):
+    for u, v in space.inclusions:
         glued[(u, v)] = located[v][start[v] : start[v] + len(families[u])]
         start[v] += len(families[u])
     sets = SheafOfSets(space=space, sizes=[len(f) for f in families], arrays=glued)

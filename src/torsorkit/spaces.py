@@ -7,6 +7,7 @@ opens are exactly the unions of the U_x: a finite space is its
 specialisation preorder, y <= x iff y in U_x (Alexandroff 1937; Barmak,
 *Algebraic Topology of Finite Topological Spaces*, 2011). Generating a
 topology, connectivity and the sheaf-level decisions all read the U_x.
+Every table by proper inclusion follows the one order of ``inclusions``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     PointOutOfRange,
     _guard,
 )
-from .groups import _is_int, _positive
+from .groups import _is_int, _iterable, _positive
 
 MAX_OPENS = 64  # desk scale: sheaf functoriality checks every chain of three opens
 
@@ -64,6 +65,12 @@ class FiniteSpace:
         return tuple(tuple(v for v, m in enumerate(row) if m == v != u) for u, row in enumerate(self.meets))
 
     @cached_property
+    def inclusions(self) -> dict:
+        """Each proper inclusion v < u as the pair (u, v), mapped to its position in the one order every
+        table by inclusion follows: u ascending, then v. The one list of a space's proper inclusions."""
+        return {pair: i for i, pair in enumerate((u, v) for u, below in enumerate(self.subopens) for v in below)}
+
+    @cached_property
     def meets(self) -> tuple[tuple[int, ...], ...]:
         """meets[u][v]: the index of the open u n v, for every pair of opens."""
         index, sets = self.open_index, list(self.open_index)
@@ -97,7 +104,7 @@ class FiniteSpace:
 def _int_points(points, where: str, num_points: int | None = None) -> tuple[int, ...]:
     """The distinct points ascending, as Python ints. MalformedTable names the first point that is not
     an integer, then, given ``num_points``, PointOutOfRange the least one outside range(num_points)."""
-    points = list(points)
+    points = list(_iterable(points, where))
     for p in points:
         if not _is_int(p):
             raise MalformedTable(f"{where}: point {p!r} is not an integer", point=p)
@@ -112,6 +119,7 @@ def _canonical(num_points: int, opens) -> list[tuple[int, ...]]:
     """The distinct opens in canonical order, checked in this order: ``num_points``, every point an
     integer, then PointOutOfRange at the least bad point of the first open in that order holding one."""
     _positive(num_points, "num_points")
+    _iterable(opens, "opens")
     canon = sorted({_int_points(o, f"open {i}") for i, o in enumerate(opens)}, key=lambda o: (len(o), o))
     for o in canon:
         _int_points(o, "open", num_points)
@@ -189,7 +197,7 @@ def close_under_ops(num_points: int, generators) -> FiniteSpace:
     """The topology a family of opens generates: the unions of the meets U_x of the members of the family
     and the whole set that contain x, for each point x they hold (out of range too, for build_space)."""
     family = [frozenset(range(num_points))]
-    family += [frozenset(_int_points(g, f"generator {i}")) for i, g in enumerate(generators)]
+    family += [frozenset(_int_points(g, f"generator {i}")) for i, g in enumerate(_iterable(generators, "generators"))]
     # points in the same members share their meet: take it once per membership pattern
     patterns = {tuple(x in s for s in family) for x in frozenset().union(*family)}
     meets = {frozenset.intersection(*(s for s, inside in zip(family, p) if inside)) for p in patterns}

@@ -633,3 +633,14 @@ def test_a_restriction_key_that_is_no_proper_inclusion_is_a_stray_key(tmp_path, 
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
     assert run_cli(["check", verb, str(path)]) == (2, "", "error: sheaf.restrict: stray key '0,0'\n")
+
+
+def test_a_mistyped_key_is_named_before_a_nested_object_is_read(tmp_path):
+    """An action whose group is not associative and whose set_size is a string: every key of the action is
+    checked before its group is read, so the schema error (exit 2) is reported, not the axiom (exit 1)."""
+    path = tmp_path / "action.json"
+    group = {"order": 3, "cayley": [[0, 1, 2], [1, 0, 0], [2, 0, 1]]}
+    path.write_text(json.dumps({"group": group, "set_size": "3", "act": [[0, 1, 2]] * 3}))
+    assert run_cli(["check", "action", str(path)]) == (2, "", "error: action: key 'set_size' has wrong type\n")
+    path.write_text(json.dumps({"group": group, "set_size": 3, "act": [[0, 1, 2]] * 3}))
+    assert run_cli(["check", "action", str(path)])[0] == 1

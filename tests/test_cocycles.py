@@ -830,8 +830,9 @@ def interleaved_pairs(draw):
     k = draw(st.integers(2, 3))
     n = draw(st.integers(3 * k, 3 * k + 4))
     triangles = {e for c in range(k) for e in ((c, c + k), (c, c + 2 * k), (c + k, c + 2 * k))}
+    joins = {(v - k, v) for v in range(3 * k, n)}  # each open past the triangles joins its own component
     same = [(i, j) for i, j in itertools.combinations(range(n), 2) if (j - i) % k == 0]
-    edges = sorted(triangles | {e for e in same if draw(st.booleans())})
+    edges = sorted(triangles | joins | {e for e in same if draw(st.booleans())})
     element = st.integers(0, group.order - 1)
 
     def values():

@@ -222,3 +222,39 @@ def test_optional_keys_are_read_or_passed_over_by_name():
     with pytest.raises(SchemaError, match="subgroup: stray key 'g'$"):
         jsonio.subgroup_from_obj(obj)
     assert jsonio.subgroup_from_obj(obj, "g").members == (0,)
+
+
+NON_ASSOCIATIVE = {"order": 3, "cayley": [[0, 1, 2], [1, 0, 0], [2, 0, 1]]}  # an identity, then (1*1)*2 != 1*(1*2)
+NO_SPACE = {"points": 0, "opens": [[]]}  # keys of the right kinds; build_space refuses no points
+
+
+@pytest.mark.parametrize("read,obj,message", [
+    (jsonio.action_from_obj, {"group": NON_ASSOCIATIVE, "set_size": "3", "act": [[0]]},
+     "action: key 'set_size' has wrong type"),
+    (jsonio.cocycle_from_obj, {"nerve": {"opens": 0, "edges": []}, "group": "cyclic(2)", "g": []},
+     "cocycle: key 'g' has wrong type"),
+    (jsonio.classes_from_obj, {"nerve": {"opens": 2.5, "edges": []}}, "classes: missing key 'group'"),
+    (jsonio.descent_from_obj, {"space": NO_SPACE, "group": NON_ASSOCIATIVE, "cover": 0, "transition": {}},
+     "descent: key 'cover' has wrong type"),
+    (jsonio.solution_from_obj, {"p": 4, "T": [[1]]}, "solution: missing key 'w'"),
+    (jsonio.sets_sheaf_from_obj, {"space": NO_SPACE, "sections": [], "restrict": {}},
+     "sheaf: key 'sections' has wrong type"),
+    (jsonio.sheaf_action_from_obj, {"space": NO_SPACE, "groups": {}, "sets": {}, "act": 5},
+     "sheaf-action: key 'act' has wrong type"),
+    (jsonio.coset_from_obj, {"group": NON_ASSOCIATIVE, "members": 0}, "subgroup: key 'members' has wrong type"),
+], ids=["action", "cocycle", "classes", "descent", "solution", "sheaf", "sheaf-action", "coset"])
+def test_every_key_of_an_object_is_checked_before_a_nested_object_is_read(read, obj, message):
+    """Two faults: a key of the outer object is named before the fault in an earlier key's nested object."""
+    with pytest.raises(SchemaError) as err:
+        read(obj)
+    assert str(err.value) == message
+
+
+def test_an_optional_key_given_as_null_is_not_read_as_missing(z3):
+    """A missing ``g`` is the identity; a ``g`` given as null is read, and refused, as given."""
+    obj = {"group": "cyclic(3)", "members": [0, 1, 2]}
+    assert jsonio.coset_from_obj(obj) == tk.coset_torsor(z3, tk.build_subgroup(z3, [0, 1, 2]), z3.identity)
+    with pytest.raises(TorsorError, match="coset representative None"):
+        jsonio.coset_from_obj({**obj, "g": None})
+    with pytest.raises(SchemaError, match="^nerve.triples: expected a list of lists$"):
+        jsonio.nerve_from_obj({"opens": 2, "edges": [[0, 1]], "triples": None})

@@ -436,3 +436,44 @@ def test_the_inverse_array_is_the_inverse_read_only_also_in_a_copy(clone):
     copied = clone(group)
     assert "inverse_array" in vars(copied) and not copied.inverse_array.flags.writeable
     assert copied == group and copied.inverse_array.tolist() == list(group.inverse)
+
+
+@pytest.mark.parametrize("call,place", [
+    (lambda: tk.right_action_as_left(tk.catalog_group("cyclic(3)"), 0, []), {"set_size": 0}),
+    (lambda: tk.right_action_as_left(tk.catalog_group("cyclic(3)"), "x", [[0, 1, 2]]), {"set_size": "x"}),
+    (lambda: FiniteGroup(0, cayley=[], identity=0, inverse=()), {"identity": 0}),
+], ids=["right-action-no-points", "right-action-count-type", "empty-group"])
+def test_an_empty_table_reads_with_its_full_shape_and_a_bad_count_is_named(call, place):
+    """An empty table read as one row of none raised InternalError; the count comes first, as in build_action."""
+    with pytest.raises(tk.errors.MalformedTable) as err:
+        call()
+    assert err.value.data == place
+
+
+def test_an_empty_table_of_rows_reads_to_an_array_of_its_shape():
+    assert groups._index_table([], 0, 3, 3).shape == (0, 3)
+    assert groups._index_table([[], []], 2, 0, 1).shape == (2, 0)
+
+
+def _sheaf_of_strings():
+    gs = tk.constant_group_sheaf(tk.pseudocircle(), tk.catalog_group("cyclic(2)"))
+    return tk.is_sheaf_of_groups(tk.SheafOfGroups(sets=gs.sets, groups=("x",) * len(gs.groups)))
+
+
+Z3_ARRAY = tk.catalog_group("cyclic(3)").array
+
+
+@pytest.mark.parametrize("call,place", [
+    (lambda: dataclasses.replace(tk.catalog_group("cyclic(3)"), inverse=((0,), 1, 2)),
+     {"table": "inverse", "position": 0}),
+    (lambda: FiniteGroup(order=3, identity=0, inverse=None, array=Z3_ARRAY), {"table": "inverse"}),
+    (lambda: FiniteGroup(order=3, identity=0, inverse=(0, 2, 1), array=Z3_ARRAY.tolist()),
+     {"table": "array", "given": []}),
+    (_sheaf_of_strings, {"table": "groups", "position": 0}),
+], ids=["ragged-inverse", "no-inverse", "list-array", "no-groups"])
+def test_a_handed_part_of_the_wrong_kind_is_malformed_not_a_bare_error(call, place):
+    """A ragged inverse raised numpy's ValueError, a missing one or a nested list for the array TypeError,
+    and a sheaf of groups holding no groups AttributeError once decided."""
+    with pytest.raises(tk.errors.MalformedTable) as err:
+        call()
+    assert err.value.data == place

@@ -305,3 +305,36 @@ def test_cocycle_producers_run_no_reader_and_no_inverse_tuple_is_converted():
         and node.args and getattr(node.args[0], "attr", None) == "inverse"
     ]
     assert converted == []
+
+
+def test_each_jsonio_reader_names_its_keys_once_and_only_spaces_lists_the_inclusions():
+    """A reader states its object's keys once, with their kinds, in one ``jsonio._fields`` call: the per-key
+    readers ``_only`` and ``_expect``, which named each key a second time, are gone, no reader reads a key
+    with ``.get``, and no key a reader states is named again in it. A space's proper inclusions are listed
+    once, as ``FiniteSpace.inclusions``: ``sheaves._proper_pairs`` is gone, and no other module derives
+    them from ``subopens``."""
+    import importlib
+
+    jsonio, sheaves = (importlib.import_module(f"torsorkit.{name}") for name in ("jsonio", "sheaves"))
+    assert not any(hasattr(jsonio, name) for name in ("_only", "_expect", "_act_to_obj", "_restrict_to_obj"))
+    assert not hasattr(sheaves, "_proper_pairs")
+    tree = ast.parse((SRC / "jsonio.py").read_text(encoding="utf-8"))
+    readers = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.endswith("_from_obj")]
+    readers += [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in ("_subgroup", "_sheaf")]
+    assert len(readers) == 14
+    for func in readers:
+        body = func.body[1:] if ast.get_docstring(func) else func.body
+        nodes = [node for stmt in body for node in ast.walk(stmt)]
+        called = {getattr(n.func, "id", getattr(n.func, "attr", None)) for n in nodes if isinstance(n, ast.Call)}
+        assert not called & {"_only", "_expect", "get"}, func.name
+        words = [n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        keys = [k.value for n in nodes if isinstance(n, ast.Dict) for k in n.keys if isinstance(k, ast.Constant)]
+        assert [k for k in keys if words.count(k) != 1] == [], func.name
+    derived = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py")) if path.name != "spaces.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "enumerate" and node.args
+        and getattr(node.args[0], "attr", None) == "subopens"
+    ]
+    assert derived == []

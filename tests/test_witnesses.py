@@ -420,3 +420,51 @@ def test_a_sheaf_action_file_names_the_bad_table(edit, message):
     with pytest.raises(jsonio.SchemaError) as exc:
         jsonio.sheaf_action_from_obj(obj)
     assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------- a value that is no sequence
+
+Z3 = tk.catalog_group("cyclic(3)")
+TRIANGLE = tk.build_nerve(3, [(0, 1), (1, 2), (0, 2)], [(0, 1, 2)])
+
+
+@pytest.mark.parametrize("call,fields", [
+    (lambda: tk.make_cochain(TRIANGLE, Z3, 5), {"table": "cochain"}),
+    (lambda: tk.holonomy(tk.check_cocycle(TRIANGLE, Z3, dict.fromkeys(TRIANGLE.edges, 0)), 5), {"table": "path"}),
+    (lambda: tk.build_subgroup(Z3, 5), {"table": "subgroup member"}),
+    (lambda: tk.encode_vector(5, 3), {"table": "vector"}),
+    (lambda: tk.build_descent_datum(tk.constant_group_sheaf(POINT, Z3), 5, {}), {"table": "cover"}),
+    (lambda: tk.constant_section_id(Z3, 5), {"table": "component value"}),
+    (lambda: tk.build_nerve(2, 5), {"table": "edges"}),
+    (lambda: tk.check_cocycle(TRIANGLE, Z3, 5), {"table": "assignments"}),
+    (lambda: tk.build_space(2, 5), {"table": "opens"}),
+    (lambda: tk.close_under_ops(2, 5), {"table": "generators"}),
+    (lambda: tk.prime_field_matrix(3, 5), {"table": "matrix"}),
+    (lambda: tk.prime_field_matrix(3, [5]), {"row": 0}),
+    (lambda: tk.gaussian_solve(tk.prime_field_matrix(3, [[1, 1]]), 5), {"table": "rhs"}),
+    (lambda: tk.pseudocircle().index_of(5), {"table": "open"}),
+], ids=[
+    "make_cochain", "holonomy", "build_subgroup", "encode_vector", "build_descent_datum", "constant_section_id",
+    "build_nerve", "check_cocycle", "build_space", "close_under_ops", "prime_field_matrix", "prime_field_matrix-row",
+    "gaussian_solve", "index_of",
+])
+def test_a_value_that_is_no_sequence_is_malformed_not_a_type_error(call, fields):
+    assert witness(errors.MalformedTable, call) == {"axiom": "malformed-table", **fields}
+
+
+# ---------------------------------------------------------------- int64 elimination
+
+def test_gaussian_solve_admits_the_largest_prime_whose_row_sums_fit_in_int64():
+    """(p-1)^2 * cols must not pass CODE_MAX: with two columns the largest such prime is 2^31 - 1, and a
+    dense system over it solves as Python integers say; the next prime, 2^31 + 11, is refused."""
+    p = 2**31 - 1
+    T = tk.prime_field_matrix(p, [[p - 1, p - 2], [p - 3, p - 5]])
+    w = [p - 7, p - 11]
+    res = tk.gaussian_solve(T, w)
+    assert res.kernel_basis == () and res.kernel_size == 1
+    assert [sum(a * x for a, x in zip(row, res.particular)) % p for row in T.entries] == w
+    assert all(tk.is_prime(q) is (q == p) for q in range(p, 2**31 + 11))
+    budget = tk.constructions.CODE_MAX // 2
+    for q in (2**31 + 11, 2**61 - 1):  # 2^61 - 1 overflowed into a false InternalError
+        got = witness(errors.TooLarge, lambda: tk.gaussian_solve(tk.prime_field_matrix(q, [[3, 5], [7, 11]]), [1, 2]))
+        assert got == {"axiom": "size-guard", "size": (q - 1) ** 2, "budget": budget}
