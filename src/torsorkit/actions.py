@@ -11,8 +11,9 @@ Light's test over a generating set of at most log2(|G|) elements h, with
 the full lexicographic scan giving the least witness on failure (see
 ``groups``). Tables are checked as int arrays, once each. An action
 stores its table once, as a read-only int32 array; ``act`` is a
-nested-tuple view of it, built on first read. A hand-built action's
-table is read strictly when it is built, as a hand-built group's is.
+nested-tuple view of it, built on first read. A caller's table is read
+strictly when its action is built, as a group's is; a producer hands
+its own over unread.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .groups import (
     _is_index,
     _positions,
     _positive,
-    _shaped,
     _StoredTable,
     _transport,
     _tuples,
@@ -57,10 +57,9 @@ from .report import Report, passing
 class GroupAction(_StoredTable):
     """act[g][x] is the image of point x under element g.
 
-    ``array`` holds the table, act[g][x] at ``array[g, x]``; ``act`` is its
-    tuple view, built on first read. As for ``FiniteGroup``, a producer
-    passes its validated ``array``, checked by shape alone, and a hand-built
-    action passes ``act``, read strictly here (its shape and cells, not the axioms).
+    ``array`` holds the table, act[g][x] at ``array[g, x]``; ``act`` is its tuple view, built on first
+    read. As for ``FiniteGroup``, a caller's table, under ``act`` or ``array``, is read strictly here into
+    a read-only int32 copy (its shape and cells, not the axioms), and a producer hands its own over unread.
     """
 
     group: FiniteGroup
@@ -69,11 +68,8 @@ class GroupAction(_StoredTable):
     _compared = ("group", "set_size")
 
     def __init__(self, group: FiniteGroup, set_size: int, act=None, array=None):
-        if act is None:
-            _shaped(array, (group.order, set_size), "array", table="array")
-        else:
-            array = _index_table(act, group.order, set_size, set_size)
-        self._set(group=group, set_size=set_size, array=array)
+        array = _index_table(array if act is None else act, group.order, set_size, set_size)
+        self._set(group, set_size, array)
 
     @cached_property
     def act(self) -> tuple[tuple[int, ...], ...]:
@@ -128,7 +124,7 @@ def build_action(group: FiniteGroup, set_size: int, act) -> GroupAction:
         raise CompatibilityViolated(
             f"(g*h).x != g.(h.x) at (g,h,x)=({g},{h},{x})", g=g, h=h, x=x
         )
-    return GroupAction(group=group, set_size=set_size, array=arr)
+    return GroupAction._unread(group, set_size, arr)
 
 
 def _check_point(action: GroupAction, x: int):
@@ -263,7 +259,7 @@ def right_action_as_left(group: FiniteGroup, set_size: int, right_table) -> Grou
 def left_translation_action(group: FiniteGroup) -> GroupAction:
     """The group acting on itself by left multiplication."""
     # no second check: the identity row and compatibility are the group's identity and associativity
-    return GroupAction(group=group, set_size=group.order, array=group.array)
+    return GroupAction._unread(group, group.order, group.array)
 
 
 def _regular_at(group: FiniteGroup, points) -> GroupAction:
@@ -273,7 +269,7 @@ def _regular_at(group: FiniteGroup, points) -> GroupAction:
         raise InternalError("the points of a regular action are not a renaming of the group")
     arr = points[group.array[:, np.argsort(points)]]  # act[g][points[k]] = points[g*k]
     arr.flags.writeable = False
-    return GroupAction(group=group, set_size=group.order, array=arr)
+    return GroupAction._unread(group, group.order, arr)
 
 
 def coset_action(group: FiniteGroup, sub: Subgroup) -> GroupAction:

@@ -41,7 +41,7 @@ from .errors import (
     TripleWithoutEdge,
     _guard,
 )
-from .groups import FiniteGroup, _codes, _digits, _entries, _first, _is_index, _iterable, _positive
+from .groups import FiniteGroup, _codes, _digits, _entries, _first, _is_index, _iterable, _mapping, _positive
 
 # Bounds |G|^edges, the edge assignments. equivalence_classes lists every valid one
 # and finds them by gauge fixing, with less work than trying each assignment.
@@ -172,7 +172,7 @@ def check_cocycle(nerve: Nerve, group: FiniteGroup, assignments) -> NerveCocycle
     """
     edge_set = nerve.edge_set
     values = {}
-    for key, val in dict(_iterable(assignments, "assignments")).items():
+    for key, val in _mapping(assignments, "assignments").items():
         plain = type(key) is tuple and len(key) == 2 and type(key[0]) is int and type(key[1]) is int
         try:  # a 2-tuple of plain ints, the common key, is kept as it is: not read again, not copied
             i, j = key = key if plain else tuple(_ints(key, 2, "edge key"))

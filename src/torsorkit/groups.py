@@ -4,10 +4,13 @@ Elements are dense indices 0..order-1; cayley[g][h] is the product g*h
 (row acts on the left). Names exist only in pretty-printing, never in
 the core data. A group stores its table once, as a read-only int32
 array; ``cayley`` is a nested-tuple view of it, built on first read.
-Every table a caller passes in, to ``build_group`` or to a class, is
-read once, when its object is built, by one strict reader
-(``_index_table``): a bad row or cell raises MalformedTable naming its
-place, and nothing is cast or kept as given.
+Every table a caller passes in, to ``build_group`` or to a class under
+either of its keywords, is read once, when its object is built, by one
+strict reader (``_index_table``) into a read-only int32 copy: a bad row
+or cell raises MalformedTable naming its place, and nothing is cast or
+kept as given. A library producer hands over its fresh arrays, and the
+identity and inverses it derived, through ``_StoredTable._unread``,
+which reads nothing.
 
 Validation is exact, never sampled. Associativity is decided by Light's
 test (Clifford & Preston, *The Algebraic Theory of Semigroups* I, §1.2):
@@ -78,10 +81,19 @@ class _StoredTable:
     _compared: tuple[str, ...] = ()
     _stored = "array"
 
-    def _set(self, **fields) -> None:
+    @classmethod
+    def _unread(cls, *values):
+        """The producers' door: a library producer's fields, in the order of ``_set``, its arrays fresh,
+        read-only, int32 and in range, kept as handed with nothing read. A caller's door is ``__init__``."""
+        table = object.__new__(cls)
+        table._set(*values)
+        return table
+
+    def _set(self, *values, **derived) -> None:
+        """Store ``values``, the fields ``_compared`` and ``_stored`` name, in that order, then ``derived``."""
         # as a dataclass __init__ does: filling vars(self) first leaves an unshared instance dict, which
         # slows every later method call on the object (FiniteGroup.mul took half as long again)
-        for name, value in fields.items():
+        for name, value in (*zip((*self._compared, self._stored), values), *derived.items()):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
@@ -113,13 +125,13 @@ class FiniteGroup(_StoredTable):
 
     ``array`` holds the table, cayley[g][h] at ``array[g, h]``; ``cayley`` is its tuple view, for the
     Python loops that read one cell at a time, and ``inverse_array`` is ``inverse`` as a read-only int32
-    array, for the gathers. A producer passes its validated ``array``; a hand-built group passes ``cayley``,
-    read strictly here by ``_index_table`` (its shape and the type and range of every cell, not the axioms),
-    then its ``identity`` and its ``inverse``, read as a row of ``order`` indices by the same reader. A handed
-    int ``array`` is checked by its shape, an ``inverse`` that is no int array is read first, and the identity
-    and inverses are decided by O(n) gathers: e * g = g * e = g and g * inverse[g] = inverse[g] * g = e.
-    ``constant_sheaves`` holds the decided constant sheaves of this group by space, filled by
-    ``sheaves.constant_group_sheaf``; it dies with it.
+    array, for the gathers. A caller's table, under ``cayley`` or ``array`` (as ``dataclasses.replace``
+    passes it), is read strictly by ``_index_table`` into a read-only int32 copy (its shape and the type and
+    range of every cell, not the axioms), then its ``identity`` and its ``inverse``, read as a row of
+    ``order`` indices by the same reader, are decided by O(n) gathers: e * g = g * e = g and
+    g * inverse[g] = inverse[g] * g = e. A library producer hands over its table, identity and inverses
+    through ``_unread`` instead. ``constant_sheaves`` holds the decided constant sheaves of this group by
+    space, filled by ``sheaves.constant_group_sheaf``; it dies with it.
     """
 
     order: int
@@ -131,26 +143,20 @@ class FiniteGroup(_StoredTable):
     _compared = ("order", "identity", "inverse")
 
     def __init__(self, order: int, cayley=None, identity=None, inverse=None, array=None):
-        if cayley is not None:
-            array = _index_table(cayley, order, order, order, "cayley: ")
-        else:
-            _shaped(array, (order, order), "array", table="array")
-            if _is_sequence(inverse) and len(inverse) != order:
-                raise MalformedTable(f"inverse: {len(inverse)} entries", table="inverse", given=len(inverse))
+        array = _index_table(array if cayley is None else cayley, order, order, order, "cayley: ")
         if not _is_index(identity, order):
             raise MalformedTable(f"identity {identity!r} is not an element in [0, {order})", identity=identity)
-        identity, inv = int(identity), inverse if cayley is None and isinstance(inverse, np.ndarray) else None
-        if inv is None or inv.shape != (order,) or inv.dtype.kind not in "iu" or inv.min() < 0 or inv.max() >= order:
-            inv = _index_table(inverse, None, order, order, "inverse: ", table="inverse")  # names a bad entry
-        if cayley is None:  # a handed array: O(n) gathers that read no cell type decide the identity and inverses
-            points = np.arange(order)
-            unit = (array[identity] != points) | (array[:, identity] != points)
-            if (bad := unit | (array[points, inv] != identity) | (array[inv, points] != identity)).any():
-                name, (g,) = ("identity", _first(unit)) if unit.any() else ("inverse", _first(bad))
-                raise MalformedTable(f"{name} is not two-sided at element {g}", table=name, position=g)
-        inv, inverse = inv.astype(np.int32), tuple(inv.tolist())  # a copy: a caller's array is never kept
-        inv.flags.writeable = False
-        self._set(order=order, identity=identity, inverse=inverse, array=array, inverse_array=inv, constant_sheaves={})
+        inv = _index_table(inverse, None, order, order, "inverse: ", table="inverse")
+        points = np.arange(order)
+        unit = (array[identity] != points) | (array[:, identity] != points)
+        if (bad := unit | (array[points, inv] != identity) | (array[inv, points] != identity)).any():
+            name, (g,) = ("identity", _first(unit)) if unit.any() else ("inverse", _first(bad))
+            raise MalformedTable(f"{name} is not two-sided at element {g}", table=name, position=g)
+        self._set(order, int(identity), inv, array)
+
+    def _set(self, order, identity, inverse, array) -> None:
+        # the inverses twice over: the tuple compared and read by inv(), the array the gathers read
+        super()._set(order, identity, tuple(inverse.tolist()), array, inverse_array=inverse, constant_sheaves={})
 
     @cached_property
     def cayley(self) -> tuple[tuple[int, ...], ...]:
@@ -187,13 +193,6 @@ def _first(bad: np.ndarray):
     if not bad.any():
         return None
     return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-
-
-def _shaped(arr, shape: tuple, what: str, **where) -> None:
-    """A producer's int array, checked by type and shape alone; MalformedTable names ``where`` and the shape given."""
-    given = arr.shape if isinstance(arr, np.ndarray) and arr.dtype.kind in "iu" else ()  # a shape no table has
-    if given != shape:
-        raise MalformedTable(f"{what}: shape {given}, expected {shape}", **where, given=list(given))
 
 
 def _is_int(v) -> bool:
@@ -239,6 +238,15 @@ def _iterable(values, what: str, **where):
     if not isinstance(values, Iterable):
         raise MalformedTable(f"{what}: {values!r} is not a sequence", **(where or {"table": what}))
     return values
+
+
+def _mapping(pairs, what: str) -> dict:
+    """A caller's mapping, or sequence of key-value pairs, as a dict: MalformedTable names ``what`` as the
+    ``table`` where ``dict`` would raise a bare TypeError or ValueError."""
+    try:
+        return dict(pairs)
+    except (TypeError, ValueError):
+        raise MalformedTable(f"{what}: {pairs!r} is no mapping", table=what) from None
 
 
 def _is_sequence(obj) -> bool:
@@ -391,7 +399,7 @@ def build_group(order: int, cayley) -> FiniteGroup:
     missing = _first(~hits.any(axis=1))
     if missing is not None:
         raise NoInverse(f"element {missing[0]} has no inverse", element=missing[0])
-    group = FiniteGroup(order=order, identity=identity, inverse=np.argmax(hits, axis=1), array=arr)
+    group = FiniteGroup._unread(order, identity, _frozen_array(np.argmax(hits, axis=1)), arr)
     vars(group)["generators"] = gens  # the group's table is the one just searched
     return group
 
@@ -464,8 +472,8 @@ def _transport(group: FiniteGroup, members) -> FiniteGroup:
     if (pos[members] != np.arange(n)).any() or (arr < 0).any():
         raise InternalError("a renaming repeats a member or leaves the members")
     arr.flags.writeable = False
-    identity, inverse = int(pos[group.identity]), pos[group.inverse_array[members]]
-    return FiniteGroup(order=n, identity=identity, inverse=inverse, array=arr)
+    identity, inverse = int(pos[group.identity]), _frozen_array(pos[group.inverse_array[members]])
+    return FiniteGroup._unread(n, identity, inverse, arr)
 
 
 def _decide_subgroup(sub: Subgroup) -> None:

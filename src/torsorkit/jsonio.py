@@ -111,9 +111,9 @@ def group_from_obj(obj) -> FiniteGroup:
     return build_group(order, cayley)
 
 
-def subgroup_from_obj(obj, *optional: str) -> Subgroup:
-    """A subgroup object; ``optional`` names keys beyond its own that the caller reads itself."""
-    return _subgroup(obj, dict.fromkeys(optional))[0]
+def subgroup_from_obj(obj) -> Subgroup:
+    """A subgroup object."""
+    return _subgroup(obj, {})[0]
 
 
 def _subgroup(obj, optional: dict) -> list:

@@ -18,10 +18,11 @@ action axioms for nonabelian groups.
 One stored form, as for groups and actions: a sheaf of sets or action
 stores its tables once, in ``arrays``, as read-only int32 arrays, and its
 public ``restrict`` and ``act`` are tuple views of them built on first
-read. A producer (gluing, the constant sheaf, the lift) passes its
-arrays; a hand-built sheaf or action passes its tables, read strictly
-when it is built by ``groups._index_table``, which raises MalformedTable
-at the first missing, misshapen, ill-typed or out-of-range one. A sheaf
+read. A producer (gluing, the constant sheaf, the lift) hands its
+arrays over unread; a caller's tables, under either keyword, are read
+strictly when the object is built, by ``groups._index_table``, which
+raises MalformedTable at the first missing, misshapen, ill-typed or
+out-of-range one, into read-only int32 copies. A sheaf
 of groups is decided at most once for gluing and as_sheaf_torsor. The constant
 sheaf carries G^c from G with the mixed-radix codec of ``groups``,
 without deciding it again. Functoriality is one gather over all chains;
@@ -68,8 +69,8 @@ from .groups import (
     _iterable,
     _is_index,
     _is_int,
+    _mapping,
     _positions,
-    _shaped,
     _StoredTable,
     _tuples,
     build_group,  # not called here since G^c is carried; bench/test_bench.py still reads sheaves.build_group
@@ -87,10 +88,10 @@ _CONSTANT_SHEAVES_LOCK = threading.Lock()
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class SheafOfSets(_StoredTable):
     """sections(U) = range(sizes[u]); ``arrays`` holds the restriction table of each proper inclusion
-    (u, v) as a read-only int32 array. A producer passes its ``arrays``, of lengths sizes[u]; a sheaf built
-    by hand passes ``sizes`` and ``restrict``, read here in place of any ``arrays``: MalformedTable names
-    a bad table by u and v, and a bad cell by its position too, and a key that is no proper inclusion by
-    ``key``. ``restrict`` is a read-only mapping of tuple views."""
+    (u, v) as a read-only int32 array. A caller's tables, under ``restrict`` or ``arrays``, are read here
+    against ``sizes`` into read-only int32 copies: MalformedTable names a bad table by u and v, a bad cell
+    by its position too, and a key that is no proper inclusion by ``key``. A producer hands its arrays over
+    unread. ``restrict`` is a read-only mapping of tuple views."""
 
     space: FiniteSpace
     sizes: tuple[int, ...]
@@ -99,22 +100,18 @@ class SheafOfSets(_StoredTable):
     _stored = "arrays"
 
     def __init__(self, space: FiniteSpace, sizes, restrict=None, arrays=None):
-        if restrict is not None:
-            sizes = _per_open(_entries(sizes, "sizes", np.iinfo(np.int32).max), space, "sizes")
-            stray = next((key for key in restrict if key not in space.inclusions), None)
-            if stray is not None:
-                raise MalformedTable(f"restrict: stray key {stray!r}", key=str(stray))
-            arrays = {
-                (u, v): _index_table(restrict.get((u, v)), None, sizes[u], sizes[v], f"restrict[{u}, {v}]: ", u=u, v=v)
-                for u, v in space.inclusions
-            }
-        else:
-            # with a producer's cells in range, and each sizes[v] pinned too by the pair (v, empty), every
-            # entry of (u, v) indexes inside the table of (v, w): is_sheaf's one gather over all chains needs it
-            sizes = _per_open(sizes, space, "sizes")
-            for u, v in space.inclusions:
-                _shaped(arrays.get((u, v)), (sizes[u],), f"arrays[{u}, {v}]", u=u, v=v)
-        self._set(space=space, sizes=tuple(sizes), arrays=arrays)
+        sizes = _per_open(_entries(sizes, "sizes", np.iinfo(np.int32).max), space, "sizes")
+        tables = arrays if restrict is None else restrict
+        if not isinstance(tables, Mapping):
+            raise MalformedTable(f"restrict: {type(tables).__name__} is no mapping", table="restrict")
+        stray = next((key for key in tables if key not in space.inclusions), None)
+        if stray is not None:
+            raise MalformedTable(f"restrict: stray key {stray!r}", key=str(stray))
+        arrays = {
+            (u, v): _index_table(tables.get((u, v)), None, sizes[u], sizes[v], f"restrict[{u}, {v}]: ", u=u, v=v)
+            for u, v in space.inclusions
+        }
+        self._set(space, sizes, arrays)
 
     @cached_property
     def _tables(self) -> dict:
@@ -165,9 +162,9 @@ class SheafOfGroups:
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class SheafAction(_StoredTable):
     """Per open U, a table act[u][g][s] of G(U) on F(U); ``arrays`` holds each, by open, as a read-only
-    int32 array. A producer passes its ``arrays``, each |G(u)| x |F(u)|; a hand-built action passes ``act``,
-    read here in place of any ``arrays``, against the group orders and section counts: MalformedTable
-    names a bad table by its open, row and position. G and F on two spaces are a Mismatch."""
+    int32 array. A caller's tables, under ``act`` or ``arrays``, are read here against the group orders and
+    section counts into read-only int32 copies: MalformedTable names a bad table by its open, row and
+    position. A producer hands its arrays over unread. G and F on two spaces are a Mismatch."""
 
     groups: SheafOfGroups
     sets: SheafOfSets
@@ -178,14 +175,9 @@ class SheafAction(_StoredTable):
     def __init__(self, groups: SheafOfGroups, sets: SheafOfSets, act=None, arrays=None):
         if groups.space != sets.space:
             raise Mismatch("the sheaves of groups and of sets lie on different spaces", sheaf="sets")
-        if act is not None:
-            tables = zip(_per_open(act, sets.space, "act"), groups.groups, sets.sizes)
-            arrays = [_index_table(t, g.order, n, n, f"act[{u}]: ", open=u) for u, (t, g, n) in enumerate(tables)]
-        else:
-            tables = zip(_per_open(arrays, sets.space, "arrays"), groups.groups, sets.sizes)
-            for u, (arr, g, n) in enumerate(tables):
-                _shaped(arr, (g.order, n), f"arrays[{u}]", open=u)
-        self._set(groups=groups, sets=sets, arrays=tuple(arrays))
+        tables = zip(_per_open(arrays if act is None else act, sets.space, "act"), groups.groups, sets.sizes)
+        arrays = tuple(_index_table(t, g.order, n, n, f"act[{u}]: ", open=u) for u, (t, g, n) in enumerate(tables))
+        self._set(groups, sets, arrays)
 
     @cached_property
     def act(self) -> tuple:
@@ -288,7 +280,7 @@ def _constant_group_sheaf(space: FiniteSpace, group: FiniteGroup) -> SheafOfGrou
     for u, v in space.inclusions:
         holder = [next(i for i, cu in enumerate(comps[u]) if cv[0] in cu) for cv in comps[v]]
         arrays[(u, v)] = _frozen_array(_codes(values[len(comps[u])][:, holder], n))
-    sets = SheafOfSets(space=space, sizes=sizes, arrays=arrays)
+    sets = SheafOfSets._unread(space, tuple(sizes), arrays)
     return SheafOfGroups(sets=sets, groups=tuple(powers[len(c)] for c in comps))
 
 
@@ -296,9 +288,9 @@ def _direct_power(group: FiniteGroup, values: np.ndarray) -> FiniteGroup:
     """G^k, each row of ``values`` (a k-tuple of elements) renamed to its code: carried from G, not decided."""
     n = group.order
     identity = int(_codes(np.full(values.shape[1], group.identity), n))
-    inverse = _codes(group.inverse_array[values], n)
+    inverse = _frozen_array(_codes(group.inverse_array[values], n))
     array = _frozen_array(_codes(group.array[values[:, None], values[None, :]], n))
-    return FiniteGroup(order=len(values), identity=identity, inverse=inverse, array=array)
+    return FiniteGroup._unread(len(values), identity, inverse, array)
 
 
 def _table(arrays: dict, sizes, u: int, v: int) -> np.ndarray:
@@ -308,7 +300,7 @@ def _table(arrays: dict, sizes, u: int, v: int) -> np.ndarray:
 
 def _per_open(values, space: FiniteSpace, what: str) -> tuple:
     """A caller's list of one entry per open as a tuple; MalformedTable where the counts differ."""
-    values, opens = tuple(values), len(space.opens)
+    values, opens = tuple(_iterable(values, what)), len(space.opens)
     if len(values) != opens:
         raise MalformedTable(f"{what}: {len(values)} entries for {opens} opens", table=what, given=len(values))
     return values
@@ -354,8 +346,8 @@ def _locate(lookups, sizes, columns) -> np.ndarray:
 
 def _functoriality_witnesses(space: FiniteSpace, sizes, arrays: dict) -> list[dict]:
     """A witness for each chain w < v < u whose restrictions do not compose, at its least section s with
-    (s|v)|w != s|w, in pair order. One gather for all chains, with the tables end to end in ``buf``:
-    SheafOfSets pins each table's length, so every entry of (u, v) indexes inside the table of (v, w)."""
+    (s|v)|w != s|w, in pair order. One gather for all chains, with the tables end to end in ``buf``: SheafOfSets
+    pins each table's length and range, so every entry of (u, v) indexes inside the table of (v, w)."""
     at = space.inclusions
     chains = [(at[u, v], at[v, w], at[u, w], u, v, w) for u, v in at for w in space.subopens[v]]
     lengths = np.array([sizes[u] for u, _ in at])
@@ -559,7 +551,7 @@ def build_descent_datum(gs: SheafOfGroups, cover, transition) -> DescentDatum:
     cover = _cover(space, cover)
     k = len(cover)
     values = {}
-    for key, val in dict(transition).items():
+    for key, val in _mapping(transition, "transition").items():
         pair = tuple(key) if isinstance(key, Iterable) else ()  # one integer, or None, is no pair
         if len(pair) != 2 or not all(map(_is_int, pair)):
             raise MalformedTable(f"transition key {key!r} is not a pair of integers", key=str(key))
@@ -648,9 +640,9 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
     for u, v in space.inclusions:
         glued[(u, v)] = located[v][start[v] : start[v] + len(families[u])]
         start[v] += len(families[u])
-    sets = SheafOfSets(space=space, sizes=[len(f) for f in families], arrays=glued)
-    act_arrays = [f[s:].reshape(sizes[v], len(families[v])) for v, (f, s) in enumerate(zip(located, start))]
-    return as_sheaf_torsor(SheafAction(groups=gs, sets=sets, arrays=act_arrays))
+    sets = SheafOfSets._unread(space, tuple(len(f) for f in families), glued)
+    act_arrays = tuple(f[s:].reshape(sizes[v], len(families[v])) for v, (f, s) in enumerate(zip(located, start)))
+    return as_sheaf_torsor(SheafAction._unread(gs, sets, act_arrays))
 
 
 def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
@@ -658,7 +650,7 @@ def extract_cocycle(torsor: SheafTorsor, cover, chosen) -> DescentDatum:
     fs = torsor.sets
     space = torsor.space
     cover = _cover(space, cover)
-    chosen = tuple(chosen)
+    chosen = tuple(_iterable(chosen, "chosen section"))
     if len(chosen) != len(cover):
         raise Mismatch(f"{len(chosen)} sections for {len(cover)} cover opens", got=len(chosen), expected=len(cover))
     sizes = [fs.sizes[c] for c in cover]
@@ -687,9 +679,9 @@ def lift_point_action(action: GroupAction) -> SheafAction:
     G is the group's constant sheaf there, built and decided once per group. The action hands over its array."""
     space, size = point_space(), action.set_size
     # one section on the empty open (index 0), ``size`` on the point (index 1)
-    sets = SheafOfSets(space=space, sizes=(1, size), arrays={(1, 0): _frozen_array([0] * size)})
+    sets = SheafOfSets._unread(space, (1, size), {(1, 0): _frozen_array([0] * size)})
     groups = constant_group_sheaf(space, action.group)
-    return SheafAction(groups=groups, sets=sets, arrays=(_frozen_array([[0]]), action.array))
+    return SheafAction._unread(groups, sets, (_frozen_array([[0]]), action.array))
 
 
 def lift_point_torsor(torsor: Torsor) -> SheafTorsor:

@@ -737,12 +737,16 @@ def test_a_restriction_key_that_is_no_proper_inclusion_is_refused(psc, z2):
     gs = tk.constant_group_sheaf(psc, z2)
     key = (psc.whole_index, psc.index_of((0, 1)))
     bad = (0.5,) * len(gs.sets.restrict[key])
-    # (0, 0) is the probe that built and equalled the clean sheaf; a stray key is named before any table is read
+    # (0, 0) is the probe that built and equalled the clean sheaf; a stray key is named before any table is read,
+    # under arrays, the keyword of dataclasses.replace, as under restrict (under arrays it built unread)
+    builds = (lambda r: _hand_built(gs, r), lambda r: SheafOfSets(psc, gs.sets.sizes, arrays=r),
+              lambda r: replace(gs.sets, arrays=r))
     for stray in ((0, 0), (0, psc.whole_index), "note"):
         for restrict in ({**gs.sets.restrict, stray: ["junk"]}, {**gs.sets.restrict, stray: None, key: bad}):
-            with pytest.raises(MalformedTable) as err:
-                _hand_built(gs, restrict)
-            assert err.value.data == {"key": str(stray)} and repr(stray) in str(err.value)
+            for build in builds:
+                with pytest.raises(MalformedTable) as err:
+                    build(restrict)
+                assert err.value.data == {"key": str(stray)} and repr(stray) in str(err.value)
     assert _hand_built(gs, dict(gs.sets.restrict)) == gs
     with pytest.raises(MalformedTable) as err:
         _hand_built(gs, {**gs.sets.restrict, key: bad})
@@ -893,9 +897,9 @@ def test_a_replaced_glued_action_reads_its_own_tuples(psc, z3, edit, want):
     rep = tk.is_sheaf_torsor(replaced)
     assert rep == tk.is_sheaf_torsor(fresh) and rep.witnesses[0]["axiom"] == want
     # equality and repr read the stored arrays, a producer's and a hand-built copy's alike; a replace that
-    # gives no table keeps the arrays and reads nothing
+    # gives no table reads the glue's arrays into equal copies
     plain = SheafAction(groups=glued.groups, sets=glued.sets, act=glued.act)
-    assert plain == glued and repr(plain) == repr(glued) and replace(glued).arrays is glued.arrays
+    assert plain == glued and repr(plain) == repr(glued) and replace(glued) == glued
 
 
 def test_a_hand_built_action_is_read_when_built_and_later_edits_change_nothing(z2, monkeypatch):
@@ -1007,16 +1011,16 @@ def test_a_pseudocircle_glue_locates_once_per_open(monkeypatch):
 
 def test_handed_arrays_must_match_the_section_counts(z2):
     sets = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 1)).sets
-    # the probe that failed is_sheaf with IndexError: new counts, the old arrays
+    # the probe that failed is_sheaf with IndexError: new counts, the old arrays, read as restrict is
     with pytest.raises(MalformedTable) as err:
         replace(sets, sizes=tuple(n + 1 for n in sets.sizes))
-    assert err.value.data == {"u": 1, "v": 0, "given": [2]}
+    assert err.value.data == {"u": 1, "v": 0}
     sets = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(z2, 0)).sets  # two global sections
     key = (sets.space.whole_index, 4)
-    for table, given in ((None, []), (sets.arrays[key][:-1], [1]), (sets.arrays[key][:, None], [2, 1])):
+    for table, place in ((None, {}), (sets.arrays[key][:-1], {}), (sets.arrays[key][:, None], {"position": 0})):
         with pytest.raises(MalformedTable) as err:
             replace(sets, arrays={**sets.arrays, key: table})
-        assert err.value.data == {"u": key[0], "v": key[1], "given": given}
+        assert err.value.data == {"u": key[0], "v": key[1], **place}
     with pytest.raises(MalformedTable) as err:
         replace(sets, sizes=sets.sizes[:-1])
     assert err.value.data == {"table": "sizes", "given": 6}
@@ -1040,7 +1044,7 @@ def test_handed_action_arrays_must_have_the_shape_of_their_open(z2):
     # open 3, {0, 1}, has a group of order 4 acting on 4 sections; open 2's table is 2 x 2
     with pytest.raises(MalformedTable) as err:
         replace(glued, arrays=arrays[:3] + (arrays[2],) + arrays[4:])
-    assert err.value.data == {"open": 3, "given": [2, 2]}
+    assert err.value.data == {"open": 3, "rows": 2}  # read as act is
     with pytest.raises(MalformedTable) as err:
         replace(glued, arrays=arrays[:-1])
-    assert err.value.data == {"table": "arrays", "given": 6}
+    assert err.value.data == {"table": "act", "given": 6}

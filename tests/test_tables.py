@@ -283,7 +283,10 @@ def test_a_table_that_is_no_sequence_of_rows_is_malformed_not_a_type_error(table
     (0, (0, 2), {"table": "inverse", "position": 1}),
     (0, (0,), {"table": "inverse"}),
     (0, None, {"table": "inverse"}),
-], ids=["identity-range", "identity-bool", "inverse-float", "inverse-range", "inverse-short", "inverse-none"])
+    (1, (0, 1), {"table": "identity", "position": 0}),  # built, unread, as cyclic(2); under array it was refused
+    (0, (1, 0), {"table": "inverse", "position": 0}),   # built, as that
+], ids=["identity-range", "identity-bool", "inverse-float", "inverse-range", "inverse-short", "inverse-none",
+        "identity-wrong", "inverse-wrong"])
 def test_a_hand_built_group_reads_its_identity_and_inverse_strictly(identity, inverse, place):
     with pytest.raises(tk.errors.MalformedTable) as err:
         FiniteGroup(2, cayley=[[0, 1], [1, 0]], identity=identity, inverse=inverse)
@@ -296,26 +299,39 @@ def test_a_hand_built_group_keeps_its_identity_and_inverse_as_python_ints():
     assert hand == tk.catalog_group("cyclic(2)")
 
 
+def ref_unit_and_inverse(table, e, inverse):
+    """A plain scan: the least g where e * g or g * e is not g, then the least g where inverse[g] is no
+    two-sided inverse, as the witness data of FiniteGroup; None when neither is found."""
+    n = len(table)
+    bad_e = next((g for g in range(n) if table[e][g] != g or table[g][e] != g), None)
+    bad_inv = next((g for g in range(n) if not table[g][inverse[g]] == table[inverse[g]][g] == e), None)
+    if bad_e is not None:
+        return {"table": "identity", "position": bad_e}
+    return None if bad_inv is None else {"table": "inverse", "position": bad_inv}
+
+
 @ORACLE
 @given(st.sampled_from([g for g in CATALOG if g.order <= 6]), st.data())
 def test_a_hand_built_table_reads_as_the_reference_scan_says(group, data):
     """A drawn table raises MalformedTable at the first bad place a plain row-major scan finds, as a
-    group's table and as an action's; a table that reads is stored as its cells, and the producer's own
+    group's table and as an action's, and a group's table that reads then at the first element where the
+    given identity or inverses fail; a table that reads is stored as its cells, and the producer's own
     table reads to an object equal to the producer."""
     n = group.order
     rows = data.draw(st.one_of(st.just([list(r) for r in group.cayley]), malformed_rows(n, n)))
     rows = data.draw(st.sampled_from([rows, tuple(map(tuple, rows))]))
     want = ref_malformed(rows, n, n, n)
-    for make, producer in (
-        (lambda: FiniteGroup(n, cayley=rows, identity=group.identity, inverse=group.inverse), group),
-        (lambda: GroupAction(group, n, act=rows), tk.left_translation_action(group)),
+    for make, producer, unit in (
+        (lambda: FiniteGroup(n, cayley=rows, identity=group.identity, inverse=group.inverse), group, True),
+        (lambda: GroupAction(group, n, act=rows), tk.left_translation_action(group), False),
     ):
+        expected = want or unit and ref_unit_and_inverse(rows, group.identity, group.inverse) or None
         try:
             made = make()
         except tk.errors.MalformedTable as err:
-            assert err.data == want
+            assert err.data == expected
             continue
-        assert want is None and made.array.tolist() == [list(r) for r in rows]
+        assert expected is None and made.array.tolist() == [list(r) for r in rows]
         assert_view(made.cayley if isinstance(made, FiniteGroup) else made.act, made.array)
         assert (made == producer) == (made.array.tolist() == producer.array.tolist())
 
@@ -324,11 +340,13 @@ def test_a_handed_group_array_or_inverse_of_the_wrong_shape_is_malformed():
     z3 = tk.catalog_group("cyclic(3)")
     with pytest.raises(tk.errors.MalformedTable) as err:
         dataclasses.replace(z3, order=4)  # built, with a 3 x 3 table for four elements
-    assert err.value.data == {"table": "array", "given": [3, 3]}
+    assert err.value.data == {"rows": 3}  # read as a table handed under cayley is
     with pytest.raises(tk.errors.MalformedTable) as err:
         FiniteGroup(order=3, identity=0, inverse=(0, 2), array=z3.array)
-    assert err.value.data == {"table": "inverse", "given": 2}
+    assert err.value.data == {"table": "inverse"}
     assert dataclasses.replace(z3) == z3
+    # a nested list under array is read as under cayley: it was refused with a shape given as []
+    assert FiniteGroup(order=3, identity=0, inverse=(0, 2, 1), array=z3.array.tolist()) == z3
 
 
 @pytest.mark.parametrize("change,place", [
@@ -347,15 +365,12 @@ def test_a_handed_group_array_decides_its_identity_and_inverse(change, place):
 @ORACLE
 @given(st.sampled_from([g for g in CATALOG if g.order <= 8]), st.data())
 def test_a_handed_group_array_accepts_exactly_its_own_identity_and_inverses(group, data):
-    """A plain scan: the least g where e * g or g * e is not g, then the least g where inverse[g] is no
-    two-sided inverse. A group has one identity and one inverse per element, so only its own pass."""
-    n, table = group.order, group.cayley
+    """As ``ref_unit_and_inverse`` scans. A group has one identity and one inverse per element, so only its
+    own pass."""
+    n = group.order
     e = data.draw(st.sampled_from([group.identity, data.draw(st.integers(0, n - 1))]))
     inverse = data.draw(st.sampled_from([group.inverse, tuple(data.draw(st.permutations(range(n))))]))
-    bad_e = next((g for g in range(n) if table[e][g] != g or table[g][e] != g), None)
-    bad_inv = next((g for g in range(n) if not table[g][inverse[g]] == table[inverse[g]][g] == e), None)
-    want = {"table": "identity", "position": bad_e} if bad_e is not None else (
-        None if bad_inv is None else {"table": "inverse", "position": bad_inv})
+    want = ref_unit_and_inverse(group.cayley, e, inverse)
     assert (want is None) == (e == group.identity and inverse == group.inverse)
     try:
         made = dataclasses.replace(group, identity=e, inverse=inverse)
@@ -370,11 +385,77 @@ def test_a_handed_action_array_of_the_wrong_shape_is_malformed():
     # built, it was called not transitive at point 3, and as_torsor and is_free raised a bare ValueError
     with pytest.raises(tk.errors.MalformedTable) as err:
         dataclasses.replace(action, set_size=5)
-    assert err.value.data == {"table": "array", "given": [3, 3]}
+    assert err.value.data == {"row": 0}
     with pytest.raises(tk.errors.MalformedTable) as err:
         GroupAction(action.group, 3, array=action.array[:2])
-    assert err.value.data == {"table": "array", "given": [2, 3]}
+    assert err.value.data == {"rows": 2}
     assert dataclasses.replace(action) == action
+
+
+# ---------------------------------------------------------------- one door for a caller's table, under either keyword
+
+
+Z3 = tk.catalog_group("cyclic(3)")
+GLUED = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(Z3, Z3.identity)).action  # sections on every open
+
+DOORS = {  # each stored-table class: an object, and its constructor given a stored form under array or arrays
+    "group": (Z3, lambda g, a: FiniteGroup(g.order, identity=g.identity, inverse=g.inverse, array=a)),
+    "action": (tk.left_translation_action(Z3), lambda x, a: GroupAction(x.group, x.set_size, array=a)),
+    "sheaf": (GLUED.sets, lambda f, a: tk.SheafOfSets(f.space, f.sizes, arrays=a)),
+    "sheaf-action": (GLUED, lambda x, a: tk.SheafAction(x.groups, x.sets, arrays=a)),
+}
+
+
+def _hand_in(name, via, stored):
+    """The object of ``DOORS[name]`` built again from ``stored``, by its class or by dataclasses.replace."""
+    obj, build = DOORS[name]
+    return build(obj, stored) if via == "class" else dataclasses.replace(obj, **{obj._stored: stored})
+
+
+def _writable(name):
+    """A writable copy of the stored form of ``DOORS[name]``, of its kind: one array, or a dict or tuple."""
+    stored = getattr(DOORS[name][0], DOORS[name][0]._stored)
+    if isinstance(stored, dict):
+        return {key: arr.copy() for key, arr in stored.items()}
+    return stored.copy() if isinstance(stored, np.ndarray) else tuple(arr.copy() for arr in stored)
+
+
+@pytest.mark.parametrize("via", ["class", "replace"])
+@pytest.mark.parametrize("name", list(DOORS))
+def test_handed_arrays_are_read_into_copies_that_later_edits_leave_alone(name, via):
+    """A handed array was kept as given, writable: zeroing it afterwards changed the object."""
+    stored = _writable(name)
+    made = _hand_in(name, via, stored)
+    for arr in groups._arrays_in(stored):
+        arr.fill(0)
+    assert made == DOORS[name][0] and hash(made) == hash(DOORS[name][0])
+    for arr in groups._arrays_in(getattr(made, made._stored)):
+        assert arr.dtype == np.int32 and not arr.flags.writeable
+
+
+def _spoiled(name):
+    """``_writable(name)`` with 99 in the last cell of its last table, and the place MalformedTable names."""
+    stored = _writable(name)
+    if isinstance(stored, np.ndarray):
+        stored[-1, -1] = 99
+        return stored, {"row": stored.shape[0] - 1, "position": stored.shape[1] - 1}
+    if isinstance(stored, dict):
+        (u, v), arr = list(stored.items())[-1]
+        arr[-1] = 99
+        return stored, {"u": u, "v": v, "position": len(arr) - 1}
+    stored[-1][-1, -1] = 99
+    return stored, {"open": len(stored) - 1, "row": stored[-1].shape[0] - 1, "position": stored[-1].shape[1] - 1}
+
+
+@pytest.mark.parametrize("via", ["class", "replace"])
+@pytest.mark.parametrize("name", list(DOORS))
+def test_an_out_of_range_cell_under_array_or_arrays_is_refused_at_its_place(name, via):
+    """It built, and then ``cayley`` raised IndexError, or ``is_sheaf`` read another table's cells and named
+    false functoriality witnesses."""
+    stored, place = _spoiled(name)
+    with pytest.raises(tk.errors.MalformedTable) as err:
+        _hand_in(name, via, stored)
+    assert err.value.data == place
 
 
 # ---------------------------------------------------------------- the one reader of a caller's integers
@@ -467,13 +548,13 @@ Z3_ARRAY = tk.catalog_group("cyclic(3)").array
     (lambda: dataclasses.replace(tk.catalog_group("cyclic(3)"), inverse=((0,), 1, 2)),
      {"table": "inverse", "position": 0}),
     (lambda: FiniteGroup(order=3, identity=0, inverse=None, array=Z3_ARRAY), {"table": "inverse"}),
-    (lambda: FiniteGroup(order=3, identity=0, inverse=(0, 2, 1), array=Z3_ARRAY.tolist()),
-     {"table": "array", "given": []}),
+    (lambda: FiniteGroup(order=3, identity=0, inverse=(0, 2, 1), array=[*Z3_ARRAY.tolist()[:2], "201"]),
+     {"row": 2}),
     (_sheaf_of_strings, {"table": "groups", "position": 0}),
 ], ids=["ragged-inverse", "no-inverse", "list-array", "no-groups"])
 def test_a_handed_part_of_the_wrong_kind_is_malformed_not_a_bare_error(call, place):
-    """A ragged inverse raised numpy's ValueError, a missing one or a nested list for the array TypeError,
-    and a sheaf of groups holding no groups AttributeError once decided."""
+    """A ragged inverse raised numpy's ValueError, a missing one or an array given as lists TypeError, and
+    a sheaf of groups holding no groups AttributeError once decided."""
     with pytest.raises(tk.errors.MalformedTable) as err:
         call()
     assert err.value.data == place

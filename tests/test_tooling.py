@@ -338,3 +338,34 @@ def test_each_jsonio_reader_names_its_keys_once_and_only_spaces_lists_the_inclus
         and getattr(node.args[0], "attr", None) == "subopens"
     ]
     assert derived == []
+
+
+def test_a_table_enters_a_stored_table_class_by_one_of_two_doors():
+    """A caller's table enters through the class, which reads it whichever keyword holds it; a library
+    producer's through ``_StoredTable._unread``, which reads nothing. Outside ``jsonio``, whose readers are
+    callers, no module calls a class, no call passes ``array=`` or ``arrays=``, the keywords of
+    ``dataclasses.replace``, and the producers are the callers of ``_unread``. ``groups._shaped``, which
+    checked a handed array by its shape alone, is gone."""
+    import importlib
+
+    groups = importlib.import_module("torsorkit.groups")
+    classes = {"FiniteGroup", "GroupAction", "SheafOfSets", "SheafAction"}
+    importlib.import_module("torsorkit.sheaves")
+    assert {cls.__name__ for cls in groups._StoredTable.__subclasses__()} == classes
+    assert not hasattr(groups, "_shaped")
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call) and (
+            path.name != "jsonio.py" and getattr(node.func, "id", getattr(node.func, "attr", None)) in classes
+            or any(kw.arg in ("array", "arrays") for kw in node.keywords)
+        )
+    ]
+    assert found == []
+    producers = {f"{path.stem}.{scope}" for path in SRC.glob("*.py") for scope, _ in _qualified_calls(path, "_unread")}
+    assert producers == {
+        "groups.build_group", "groups._transport", "actions.build_action", "actions.left_translation_action",
+        "actions._regular_at", "sheaves._constant_group_sheaf", "sheaves._direct_power", "sheaves.glue_from_cocycle",
+        "sheaves.lift_point_action",
+    }

@@ -443,10 +443,20 @@ TRIANGLE = tk.build_nerve(3, [(0, 1), (1, 2), (0, 2)], [(0, 1, 2)])
     (lambda: tk.prime_field_matrix(3, [5]), {"row": 0}),
     (lambda: tk.gaussian_solve(tk.prime_field_matrix(3, [[1, 1]]), 5), {"table": "rhs"}),
     (lambda: tk.pseudocircle().index_of(5), {"table": "open"}),
+    (lambda: tk.check_cocycle(TRIANGLE, Z3, [1, 2]), {"table": "assignments"}),
+    (lambda: tk.build_descent_datum(tk.constant_group_sheaf(POINT, Z3), [1], 5), {"table": "transition"}),
+    (lambda: tk.build_descent_datum(tk.constant_group_sheaf(POINT, Z3), [1], [3]), {"table": "transition"}),
+    (lambda: tk.build_descent_datum(tk.constant_group_sheaf(POINT, Z3), [1], [(0, 1, 2)]), {"table": "transition"}),
+    (lambda: tk.extract_cocycle(POINT_TORSOR, [1], 5), {"table": "chosen section"}),
+    (lambda: SheafOfSets(space=POINT, sizes=(1, 2), restrict=5), {"table": "restrict"}),
+    (lambda: SheafAction(groups=POINT_TORSOR.groups, sets=POINT_TORSOR.sets, act=5), {"table": "act"}),
+    (lambda: tk.SheafOfGroups(sets=POINT_TORSOR.sets, groups=5), {"table": "groups"}),
 ], ids=[
     "make_cochain", "holonomy", "build_subgroup", "encode_vector", "build_descent_datum", "constant_section_id",
     "build_nerve", "check_cocycle", "build_space", "close_under_ops", "prime_field_matrix", "prime_field_matrix-row",
-    "gaussian_solve", "index_of",
+    "gaussian_solve", "index_of", "check_cocycle-items", "build_descent_datum-transition",
+    "build_descent_datum-transition-items", "build_descent_datum-transition-triples", "extract_cocycle",
+    "SheafOfSets", "SheafAction", "SheafOfGroups",
 ])
 def test_a_value_that_is_no_sequence_is_malformed_not_a_type_error(call, fields):
     assert witness(errors.MalformedTable, call) == {"axiom": "malformed-table", **fields}
