@@ -42,6 +42,7 @@ from .groups import (
     _decide_subgroup,
     _first,
     _index_table,
+    _integer,
     _is_index,
     _positions,
     _positive,
@@ -68,6 +69,7 @@ class GroupAction(_StoredTable):
     _compared = ("group", "set_size")
 
     def __init__(self, group: FiniteGroup, set_size: int, act=None, array=None):
+        set_size = _integer(set_size, "set_size")
         array = _index_table(array if act is None else act, group.order, set_size, set_size)
         self._set(group, set_size, array)
 
@@ -113,7 +115,7 @@ class BasepointChange:
 
 def build_action(group: FiniteGroup, set_size: int, act) -> GroupAction:
     """Validate an action table exhaustively (identity and compatibility axioms)."""
-    _positive(set_size, "set_size")
+    set_size = _positive(set_size, "set_size")
     arr = _index_table(act, group.order, set_size, set_size)
     moved = _first(arr[group.identity] != np.arange(set_size))
     if moved is not None:

@@ -8,9 +8,11 @@ Every table a caller passes in, to ``build_group`` or to a class under
 either of its keywords, is read once, when its object is built, by one
 strict reader (``_index_table``) into a read-only int32 copy: a bad row
 or cell raises MalformedTable naming its place, and nothing is cast or
-kept as given. A library producer hands over its fresh arrays, and the
-identity and inverses it derived, through ``_StoredTable._unread``,
-which reads nothing.
+kept as given. The reader gates the cell types of each row, packs the
+cells into one int32 array and checks their range on it; on any fault
+a row-major scan names the witness. A library producer hands over its
+fresh arrays, and the identity and inverses it derived, through
+``_StoredTable._unread``, which reads nothing.
 
 Validation is exact, never sampled. Associativity is decided by Light's
 test (Clifford & Preston, *The Algebraic Theory of Semigroups* I, §1.2):
@@ -33,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import operator
+import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -143,6 +146,7 @@ class FiniteGroup(_StoredTable):
     _compared = ("order", "identity", "inverse")
 
     def __init__(self, order: int, cayley=None, identity=None, inverse=None, array=None):
+        order = _integer(order, "order")
         array = _index_table(array if cayley is None else cayley, order, order, order, "cayley: ")
         if not _is_index(identity, order):
             raise MalformedTable(f"identity {identity!r} is not an element in [0, {order})", identity=identity)
@@ -204,10 +208,20 @@ def _is_index(v, bound: int) -> bool:
     return _is_int(v) and 0 <= v < bound
 
 
-def _positive(value, name: str) -> None:
-    """A caller's count must be a positive int; MalformedTable names it by ``name``."""
+def _integer(value, name: str) -> int:
+    """A caller's count as a Python int: it must be an int, not a bool, and MalformedTable names it by
+    ``name``. Its value is left to the reads that follow, which name their own witness
+    (``FiniteGroup(0, ...)`` its identity)."""
+    if not _is_int(value):
+        raise MalformedTable(f"{name} must be an integer, got {value!r}", **{name: value})
+    return int(value)
+
+
+def _positive(value, name: str) -> int:
+    """A caller's count as a Python int: it must be a positive int, and MalformedTable names it by ``name``."""
     if not _is_int(value) or value < 1:
         raise MalformedTable(f"{name} must be a positive integer, got {value!r}", **{name: value})
+    return int(value)
 
 
 def _entries(values, what: str, bound=None, **where) -> list[int]:
@@ -260,21 +274,29 @@ def _index_table(rows, height, width: int, bound: int, prefix: str = "", **where
     """A caller's table of indices in [0, bound) as a read-only int32 array: ``height`` rows of ``width``
     cells, or one row of ``width`` cells when ``height`` is None. The one reader of a caller's table.
 
-    Cell types are checked at C speed, then the range on the array. On any bad row or cell the
-    row-major scan runs and raises MalformedTable at the first one, named by ``where``, its ``row``
-    (in a table of rows) and its ``position``, so the witness does not depend on the fast path.
+    One type gate per row checks the cell types at C speed (a subclass of int or np.integer, not bool),
+    then ``struct`` packs the cells straight into the int32 array, and the range is checked on it: numpy's
+    conversion alone would read True or a 0-d array as 1, and ``struct`` alone any object with
+    ``__index__``. On any bad row or cell the row-major scan runs and raises MalformedTable at the first
+    one, named by ``where``, its ``row`` (in a table of rows) and its ``position``, so the witness does
+    not depend on the fast path.
     Indices fit in int32, which halves the memory of every stored table and check buffer.
     """
     shape = (width,) if height is None else (height, width)
-    arr = rows if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" else None
+    arr = rows if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape == shape else None
     if arr is None and _is_sequence(rows) and len(rows) == shape[0]:
+        as_rows = [rows] if height is None else rows
         if height is None or all(_is_sequence(r) and len(r) == width for r in rows):
-            cells = rows if height is None else itertools.chain.from_iterable(rows)
-            if all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, cells))):
-                with contextlib.suppress(OverflowError):  # an empty table takes its full shape too
-                    arr = np.array(rows, dtype=np.intp).reshape(shape)
-    if arr is not None and arr.shape == shape and not (arr.size and (arr.min() < 0 or arr.max() >= bound)):
-        arr = np.array(arr, dtype=np.int32, order="C")
+            types = set().union(*[map(type, r) for r in as_rows])
+            if all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+                cells = np.empty(shape, np.int32)
+                with contextlib.suppress(struct.error):  # a cell past int32 is out of range: the scan names it
+                    pack = struct.Struct(f"{width}i").pack_into
+                    for i, row in enumerate(as_rows):
+                        pack(cells, 4 * width * i, *row)
+                    arr = cells
+    if arr is not None and not (arr.size and (arr.min() < 0 or arr.max() >= bound)):
+        arr = np.array(arr, dtype=np.int32, order="C") if arr is rows else arr  # a caller's array is copied
         arr.flags.writeable = False
         return arr
     if not _is_sequence(rows):
@@ -380,7 +402,7 @@ def build_group(order: int, cayley) -> FiniteGroup:
     Checks run in order: shape/range, identity existence, associativity,
     inverse existence. The first violated axiom is reported with a witness.
     """
-    _positive(order, "order")
+    order = _positive(order, "order")
     arr = _index_table(cayley, order, order, order, "cayley: ")
     points = np.arange(order)
     two_sided = (arr == points).all(axis=1) & (arr == points[:, None]).all(axis=0)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsorkit as tk
-from torsorkit.actions import GroupAction
+from torsorkit.actions import GroupAction, _right_compatibility_witness
 from torsorkit.errors import (
     CompatibilityViolated,
     EmptySet,
@@ -328,6 +328,15 @@ def test_right_compatibility_violated(s3):
     right[1][2] = (right[1][2] + 1) % 6
     with pytest.raises((RightCompatibilityViolated, RightIdentityViolated)):
         tk.right_action_as_left(s3, 6, right)
+
+
+def test_the_right_compatibility_scan_finds_nothing_in_a_right_action(s3):
+    """``right_action_as_left`` runs the scan only once build_action has refused, so only a direct call
+    sees it come back empty: right multiplication, x*g = xg, is compatible."""
+    assert _right_compatibility_witness(s3.array, s3.array) is None
+    bad = s3.array.copy()
+    bad[1, 2] = (bad[1, 2] + 1) % 6
+    assert _right_compatibility_witness(bad, s3.array) is not None
 
 
 def test_right_torsor_status_preserved_both_ways(s3):

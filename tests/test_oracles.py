@@ -245,10 +245,29 @@ def identity_tables(draw):
     return table
 
 
+class Flag(int):
+    """An int subclass: read as the plain int it equals."""
+
+
+class OnlyIndex:
+    """An object with ``__index__`` and nothing else: no integer, though ``struct`` would pack it."""
+
+    def __index__(self):
+        return 1
+
+    def __repr__(self):
+        return "OnlyIndex()"
+
+
 CELLS = st.one_of(
     st.integers(-2, 6),
     st.integers(-2, 6).map(np.int64),
-    st.sampled_from([True, False, 1.0, 2.9, "0", None, 2**70]),
+    st.integers(0, 6).map(np.uint8),
+    st.integers(-2, 6).map(Flag),
+    # bool, np.True_ and a 0-d array would read as 1 under numpy's dtype inference, and OnlyIndex under
+    # struct; 2**31 and -2**63 - 1 lie just past int32 and int64
+    st.sampled_from([True, False, np.True_, np.array(1), np.float64(1.0), 1.0, 2.9, "0", None, OnlyIndex(),
+                     2**31, -2**63 - 1, 2**70]),
 )
 
 
@@ -315,7 +334,10 @@ def test_verdicts_past_the_light_threshold(table):
     assert group_verdict(len(table), table) == ref_group_verdict(len(table), table)
 
 
-@pytest.mark.parametrize("cell", [True, False, np.True_, 1.0, "1", None, 2**70, -1, 3])
+@pytest.mark.parametrize("cell", [
+    True, False, np.True_, 1.0, "1", None, 2**70, -1, 3,
+    *(pytest.param(cell, id=repr(cell)) for cell in (np.array(1), np.float64(1.0), OnlyIndex(), 2**31, -2**63 - 1)),
+])
 def test_fast_path_rejects_every_non_index_cell(cell):
     # each bad value stands in an otherwise valid cyclic(3) table, also as the only bad cell
     rows = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]

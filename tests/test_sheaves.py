@@ -132,6 +132,13 @@ def test_glue_pseudocircle_twisted_counts(psc, z2):
     assert len(tk.global_sections(torsor)) == 0
 
 
+def test_a_descent_datum_derives_its_diagonal_and_its_values_below_it():
+    """g_ii is the identity of G(U_i) and g_ji is g_ij^-1; ``glue_from_cocycle`` reads only g_ij with i < j."""
+    datum = tk.pseudocircle_descent_datum(tk.catalog_group("cyclic(3)"), 1)
+    assert datum.transition == {(0, 1): 1}
+    assert [[datum.value(i, j) for j in range(2)] for i in range(2)] == [[0, 1], [2, 0]]
+
+
 def test_glue_pseudocircle_trivial_counts(psc, z2):
     datum = tk.pseudocircle_descent_datum(z2, 0)
     torsor = tk.glue_from_cocycle(datum)

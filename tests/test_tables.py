@@ -20,7 +20,7 @@ from torsorkit import actions, groups, jsonio
 from torsorkit.actions import GroupAction, _regular_at
 from torsorkit.groups import FiniteGroup, _transport
 
-from test_oracles import malformed_rows, ref_malformed
+from test_oracles import CELLS, Flag, malformed_rows, ref_malformed
 
 ORACLE = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -168,6 +168,18 @@ def test_an_equal_copy_of_a_group_compares_on_its_array_without_building_views(t
     assert a is not b and a.array is not b.array
     assert a == b and hash(a) == hash(b) and a != tk.opposite_group(tk.catalog_group("symmetric(3)"))
     assert tuple_builds == []
+
+
+def test_a_stored_table_is_no_equal_of_another_type_and_compares_stored_keys_in_order():
+    """``__eq__`` leaves another type to Python, which finds the two unequal; two stored dicts of one set of
+    keys in two orders differ, as their hashes, which read the arrays in key order, would."""
+    z3 = tk.catalog_group("cyclic(3)")
+    assert z3.__eq__(z3.cayley) is NotImplemented and z3 != z3.cayley and z3 != tk.left_translation_action(z3)
+    sheaf = tk.constant_group_sheaf(tk.pseudocircle(), z3).sets
+    turned = dict(reversed(sheaf.arrays.items()))
+    assert list(turned) != list(sheaf.arrays) and turned == sheaf.arrays
+    assert not groups._same(turned, sheaf.arrays) and groups._same(dict(sheaf.arrays), sheaf.arrays)
+    assert type(sheaf)._unread(sheaf.space, sheaf.sizes, turned) != sheaf
 
 
 @pytest.mark.parametrize("read_first", [False, True], ids=["cold", "viewed"])
@@ -461,10 +473,6 @@ def test_an_out_of_range_cell_under_array_or_arrays_is_refused_at_its_place(name
 # ---------------------------------------------------------------- the one reader of a caller's integers
 
 
-class Small(int):
-    """An int subclass: read as the plain int it equals."""
-
-
 def ref_entries(values, what, bound=None, **where):
     """The plain per-entry scan: each entry an integer that is no bool and, given a bound, in range."""
     out = []
@@ -489,7 +497,7 @@ def _read(reader, values, bound, form):
 
 ENTRY = st.one_of(  # small ints twice over, so that many drawn sequences read
     st.integers(-2, 9), st.integers(-2, 9), st.integers(), st.booleans(), st.floats(allow_nan=False),
-    st.integers(-2, 9).map(np.int64), st.integers(0, 9).map(np.uint8), st.integers(-2, 9).map(Small),
+    st.integers(-2, 9).map(np.int64), st.integers(0, 9).map(np.uint8), st.integers(-2, 9).map(Flag),
     st.none(), st.text(max_size=1),
 )
 
@@ -523,7 +531,11 @@ def test_the_inverse_array_is_the_inverse_read_only_also_in_a_copy(clone):
     (lambda: tk.right_action_as_left(tk.catalog_group("cyclic(3)"), 0, []), {"set_size": 0}),
     (lambda: tk.right_action_as_left(tk.catalog_group("cyclic(3)"), "x", [[0, 1, 2]]), {"set_size": "x"}),
     (lambda: FiniteGroup(0, cayley=[], identity=0, inverse=()), {"identity": 0}),
-], ids=["right-action-no-points", "right-action-count-type", "empty-group"])
+    (lambda: FiniteGroup(2.0, cayley=[[0, 1], [1, 0]], identity=0, inverse=(0, 1)), {"order": 2.0}),
+    (lambda: FiniteGroup(True, cayley=[[0]], identity=0, inverse=(0,)), {"order": True}),
+    (lambda: GroupAction(tk.catalog_group("cyclic(2)"), 2.0, act=[[0, 1], [1, 0]]), {"set_size": 2.0}),
+], ids=["right-action-no-points", "right-action-count-type", "empty-group", "group-float-order",
+        "group-bool-order", "action-float-size"])
 def test_an_empty_table_reads_with_its_full_shape_and_a_bad_count_is_named(call, place):
     """An empty table read as one row of none raised InternalError; the count comes first, as in build_action."""
     with pytest.raises(tk.errors.MalformedTable) as err:
@@ -531,9 +543,91 @@ def test_an_empty_table_reads_with_its_full_shape_and_a_bad_count_is_named(call,
     assert err.value.data == place
 
 
+@pytest.mark.parametrize("count", [np.int64(3), np.uint8(3), Flag(3)], ids=["int64", "uint8", "int-subclass"])
+def test_a_count_of_another_integer_type_is_kept_as_a_python_int(count):
+    """A group's order and an action's set size are read into plain ints, by the builders and by the
+    classes, so the objects equal the catalog's and the JSON writers take them (an np.int64 order was
+    kept as given, and ``canonical_json`` then raised TypeError)."""
+    z3 = tk.catalog_group("cyclic(3)")
+    rows = [list(r) for r in z3.cayley]
+    groups_made = [tk.build_group(count, rows), FiniteGroup(count, cayley=rows, identity=0, inverse=z3.inverse)]
+    actions_made = [tk.build_action(z3, count, rows), GroupAction(z3, count, act=rows)]
+    assert [type(g.order) for g in groups_made] + [type(a.set_size) for a in actions_made] == [int] * 4
+    assert groups_made == [z3] * 2 and actions_made == [tk.left_translation_action(z3)] * 2
+    for obj in [*map(jsonio.group_to_obj, groups_made), *map(jsonio.action_to_obj, actions_made)]:
+        jsonio.canonical_json(obj)
+
+
 def test_an_empty_table_of_rows_reads_to_an_array_of_its_shape():
     assert groups._index_table([], 0, 3, 3).shape == (0, 3)
     assert groups._index_table([[], []], 2, 0, 1).shape == (2, 0)
+    # an empty integer array of another shape holds no rows, as [] holds none: it raised InternalError
+    assert groups._index_table(np.array([], dtype=np.int64), 0, 0, 1).shape == (0, 0)
+    assert groups._index_table(np.zeros((0, 2), dtype=np.int32), 0, 3, 3).shape == (0, 3)
+
+
+def ref_refusal(rows, height, width, bound):
+    """The message and data of the row-major scan's MalformedTable at the first bad row or cell of a table,
+    or of one row when ``height`` is None; None when every cell is an index."""
+    bad = ref_malformed([rows] if height is None else rows, 1 if height is None else height, width, bound)
+    if bad is None:
+        return None
+    if "rows" in bad:
+        return f"expected {height} rows, got {bad['rows']}", bad
+    row = rows if height is None else rows[bad["row"]]
+    what = "table" if height is None else f"row {bad['row']}"
+    if height is None:
+        del bad["row"]
+    if "position" not in bad:
+        return f"{what} is not a sequence of {width} entries", bad
+    return f"{what}: entry {bad['position']} = {row[bad['position']]!r} is not an integer in [0, {bound})", bad
+
+
+def _as_array(rows, dtype):
+    """``rows`` as an integer array of ``dtype``, or as given where numpy cannot make one."""
+    try:
+        return np.array(rows, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        return rows
+
+
+@st.composite
+def index_tables(draw):
+    """(rows, height, width, bound): a table of rows, or one row when height is None, of widths from 0,
+    mostly well shaped, of cells mostly in range, as lists, tuples, arrays of rows or an integer array."""
+    height, width, bound = draw(st.sampled_from([None, 0, 1, 2, 3])), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    cell = st.one_of(st.integers(0, bound - 1), st.integers(0, bound - 1), CELLS)
+
+    def row():
+        length = draw(st.sampled_from([width] * 4 + [width + 1, max(width - 1, 0)]))
+        return draw(st.lists(cell, min_size=length, max_size=length))
+
+    rows = row() if height is None else [row() for _ in range(draw(st.sampled_from([height] * 4 + [height + 1])))]
+    form = draw(st.sampled_from([
+        list, tuple, lambda r: [np.array(x) for x in r], lambda r: _as_array(r, np.int64),
+        lambda r: _as_array(r, np.int32), lambda r: _as_array(r, np.uint16),
+    ]))
+    return (form(rows) if height is None else form(list(map(form, rows)))), height, width, bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(index_tables())
+def test_a_table_is_read_or_refused_as_the_row_major_scan_says(case):
+    """``_index_table`` reads a table of rows, or one row, as lists, tuples, arrays of rows or an integer
+    array, to a read-only int32 copy of its cells exactly when the plain scan finds every cell an index,
+    and else refuses it with the scan's message and witness: no cell is cast, whatever its type."""
+    rows, height, width, bound = case
+    want = ref_refusal(rows, height, width, bound)
+    try:
+        got = groups._index_table(rows, height, width, bound)
+    except tk.errors.MalformedTable as err:
+        assert (str(err), err.data) == want
+        return
+    assert want is None
+    assert got.dtype == np.int32 and not got.flags.writeable
+    assert got.shape == ((width,) if height is None else (height, width))
+    cells = [rows] if height is None else rows
+    assert got.reshape(len(cells), width).tolist() == [[int(v) for v in r] for r in cells]
 
 
 def _sheaf_of_strings():

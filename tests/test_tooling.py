@@ -190,18 +190,43 @@ def test_no_constructor_casts_a_callers_table_unchecked():
     assert found == []
 
 
-def _qualified_calls(path: Path, name: str):
-    """(enclosing qualified name, line) of each call to ``name`` in ``path``, as a bare or dotted name."""
+def _scoped_nodes(path: Path, match):
+    """(enclosing qualified name, node) of each node in ``path`` that ``match`` accepts; "" at module level."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) == name:
-                yield scope, child.lineno
+            if match(child):
+                yield scope, child
             yield from visit(child, inner)
 
     yield from visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+
+
+def _qualified_calls(path: Path, name: str):
+    """(enclosing qualified name, line) of each call to ``name`` in ``path``, as a bare or dotted name."""
+    def call(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+    return ((scope, node.lineno) for scope, node in _scoped_nodes(path, call))
+
+
+def test_cells_are_packed_only_by_the_one_table_reader():
+    """``struct`` packs a caller's cells into a table only inside ``groups._index_table``, behind its type
+    gate, for ``struct`` alone would pack a bool or any object with ``__index__``, and no module reads packed
+    cells back through ``np.frombuffer``: a second fast path elsewhere would fork what a table accepts."""
+    def packing(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return "struct" in (node.module if isinstance(node, ast.ImportFrom) else None, *(a.name for a in node.names))
+        return isinstance(node, ast.Name) and node.id == "struct" or isinstance(node, ast.Attribute) and (
+            node.attr == "frombuffer")
+
+    found = {
+        (path.name, scope or ast.unparse(node)) for path in sorted(SRC.rglob("*.py"))
+        for scope, node in _scoped_nodes(path, packing)
+    }
+    assert found == {("groups.py", "import struct"), ("groups.py", "_index_table")}
 
 
 def test_tuple_views_are_built_only_by_the_cached_views():
