@@ -6,14 +6,14 @@ transporters, trivializations, basepoint change, the transported group
 law, and normalization of right actions to left actions of the opposite
 group.
 
-Validation is exact: compatibility (g*h).x = g.(h.x) is decided by
-Light's test over a generating set of at most log2(|G|) elements h, with
-the full lexicographic scan giving the least witness on failure (see
-``groups``). Tables are checked as int arrays, once each. An action
-stores its table once, as a read-only int32 array; ``act`` is a
-nested-tuple view of it, built on first read. A caller's table is read
-strictly when its action is built, as a group's is; a producer hands
-its own over unread.
+Validation is exact. One decider checks the identity, then
+compatibility (g*h).x = g.(h.x), for ``build_action`` and for each open
+of a sheaf action; compatibility is Light's test over a generating set
+of at most log2(|G|) elements h, with the full lexicographic scan giving
+the least witness on failure (see ``groups``). An action stores its
+table once, as a read-only int32 array; ``act`` is a nested-tuple view
+of it, built on first read. A caller's table is read strictly when its
+action is built, as a group's is; a producer hands its own over unread.
 """
 
 from __future__ import annotations
@@ -117,16 +117,24 @@ def build_action(group: FiniteGroup, set_size: int, act) -> GroupAction:
     """Validate an action table exhaustively (identity and compatibility axioms)."""
     set_size = _positive(set_size, "set_size")
     arr = _index_table(act, group.order, set_size, set_size)
-    moved = _first(arr[group.identity] != np.arange(set_size))
+    failure = _action_failure(group, arr)
+    if failure is not None:
+        raise failure
+    return GroupAction._unread(group, set_size, arr)
+
+
+def _action_failure(group: FiniteGroup, arr: np.ndarray):
+    """The least failing action axiom of the table ``arr``, unraised, or None: the identity, then compatibility."""
+    moved = _first(arr[group.identity] != np.arange(arr.shape[1]))
     if moved is not None:
-        raise IdentityAxiomViolated(f"identity moves point {moved[0]}", x=moved[0])
-    bad = _compatibility_witness(arr, group.array, group.identity, group.generators)
+        return IdentityAxiomViolated(f"identity moves point {moved[0]}", x=moved[0])
+    bad = _compatibility_witness(arr, group.array, group.identity, group.generators) if arr.size else None
     if bad is not None:
         g, h, x = bad
-        raise CompatibilityViolated(
+        return CompatibilityViolated(
             f"(g*h).x != g.(h.x) at (g,h,x)=({g},{h},{x})", g=g, h=h, x=x
         )
-    return GroupAction._unread(group, set_size, arr)
+    return None
 
 
 def _check_point(action: GroupAction, x: int):

@@ -131,7 +131,7 @@ def _ints(values, size: int, what: str, **where) -> list[int]:
 
 
 def build_nerve(num_opens: int, edges, triples=()) -> Nerve:
-    _positive(num_opens, "num_opens")
+    num_opens = _positive(num_opens, "num_opens")
     edge_set = set()
     for idx, e in enumerate(_iterable(edges, "edges")):
         i, j = sorted(_ints(e, 2, "edge", edge=idx))

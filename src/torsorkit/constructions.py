@@ -91,11 +91,12 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _require_prime(p: int):
+def _require_prime(p: int) -> int:
     if not _is_int(p):
         raise MalformedTable(f"p = {p!r} is not an integer", p=p)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime", p=p)
+    return int(p)
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def _rhs(T: PrimeFieldMatrix, w) -> tuple[int, ...]:
 
 def prime_field_matrix(p: int, entries) -> PrimeFieldMatrix:
     """Reduce the integer entries mod a validated prime and fix the shape."""
-    _require_prime(p)
+    p = _require_prime(p)
     rows = [list(_iterable(r, f"row {i}", row=i)) for i, r in enumerate(_iterable(entries, "matrix"))]
     if not rows or not rows[0]:
         raise MalformedTable("matrix must have at least one row and column")
@@ -144,8 +145,8 @@ def prime_field_matrix(p: int, entries) -> PrimeFieldMatrix:
 
 
 def _require_codes(p: int, n: int) -> int:
-    _require_prime(p)
-    _positive(n, "n")
+    p = _require_prime(p)
+    n = _positive(n, "n")
     return _guard(p, n, CODE_MAX, "p^n", p=p, n=n)
 
 
@@ -241,8 +242,8 @@ def gaussian_solve(T: PrimeFieldMatrix, w) -> LinearSolveResult:
 
 def affine_torsor(p: int, n: int) -> Torsor:
     """F_p^n acting on itself by translation; points share the vector encoding."""
-    _require_prime(p)
-    _positive(n, "n")
+    p = _require_prime(p)
+    n = _positive(n, "n")
     size = _guard(p, n, AFFINE_MAX_POINTS, "p^n", p=p, n=n)
     vectors = np.arange(size)
     group = build_group(size, _sum_codes(vectors, vectors, p, n))
@@ -286,8 +287,8 @@ def coset_torsor(group: FiniteGroup, H: Subgroup, g: int) -> Torsor:
 def general_linear_group(p: int, n: int):
     """All invertible n x n matrices over F_p in lexicographic (row-major) order. The p^(n*n) enumerated
     are at most BASIS_MAX_MATRICES, decided from the exponent first: (2,2), (3,2), (2,3), (p,1) for p <= 509."""
-    _require_prime(p)
-    _positive(n, "n")
+    p = _require_prime(p)
+    n = _positive(n, "n")
     size = _guard(p, n * n, BASIS_MAX_MATRICES, "p^(n*n) matrices", p=p, n=n)
     everything = _digits(np.arange(size), p, n * n).reshape(size, n, n)
     codes = np.flatnonzero(_row_reduce(everything, p)[1].all(axis=1))

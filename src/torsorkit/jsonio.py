@@ -202,10 +202,10 @@ def space_from_obj(obj) -> FiniteSpace:
     return build_space(points, opens)
 
 
-def _per_open(raw: dict, num_opens: int, what) -> list:
-    """The values of a per-open object in open order, None where one is missing. Its keys are exactly the
-    open indices as ``str`` writes them, so any other key is a stray key and no entry is left unread."""
-    return _fields(raw, what, {}, dict.fromkeys(map(str, range(num_opens))))
+def _per_open(raw: dict, num_opens: int, what, kind) -> list:
+    """The values of a per-open object in open order, each of ``kind`` (see ``_fields``). Its keys are exactly
+    the open indices as ``str`` writes them, each required, so any other key is a stray key."""
+    return _fields(raw, what, dict.fromkeys(map(str, range(num_opens)), kind))
 
 
 def _sheaf(obj, space: FiniteSpace | None, extra=MappingProxyType({})) -> list:
@@ -219,9 +219,9 @@ def _sheaf(obj, space: FiniteSpace | None, extra=MappingProxyType({})) -> list:
     if space is None:
         space = space_from_obj(values.pop(0))
     sections, raw, *rest = values
-    sizes = _per_open(sections, len(space.opens), "sheaf.sections")
+    sizes = _per_open(sections, len(space.opens), "sheaf.sections", int)
     for u, val in enumerate(sizes):
-        if not _is_int(val) or val < 0:
+        if val < 0:
             raise SchemaError(f"sheaf: bad section count for open {u}")
     restrict = {}
     for key, table in raw.items():
@@ -256,20 +256,11 @@ def sheaf_action_from_obj(obj) -> SheafAction:
     space, graw, sraw, act = _fields(obj, "sheaf-action", kinds)
     space = space_from_obj(space)
     g_sets, cayley = _sheaf(graw, space, {"cayley": dict})
-    groups = []
-    for u, table in enumerate(_per_open(cayley, len(space.opens), "sheaf-action.groups.cayley")):
-        if table is None:
-            raise SchemaError(f"sheaf-action: missing group table for open {u}")
-        groups.append(build_group(g_sets.sizes[u], _int_list_list(table, f"sheaf-action.groups.cayley.{u}")))
+    cayley = _per_open(cayley, len(space.opens), "sheaf-action.groups.cayley", _ROWS)
+    groups = tuple(map(build_group, g_sets.sizes, cayley))
     f_sets = sets_sheaf_from_obj(sraw, space=space)
-    tables = []
-    for u, table in enumerate(_per_open(act, len(space.opens), "sheaf-action.act")):
-        if table is None:
-            raise SchemaError(f"sheaf-action: missing action table for open {u}")
-        if not isinstance(table, list):
-            raise SchemaError(f"sheaf-action: action table for open {u} must be a list")
-        tables.append(table)
-    return SheafAction(groups=SheafOfGroups(sets=g_sets, groups=tuple(groups)), sets=f_sets, act=tables)
+    tables = _per_open(act, len(space.opens), "sheaf-action.act", list)
+    return SheafAction(groups=SheafOfGroups(sets=g_sets, groups=groups), sets=f_sets, act=tables)
 
 
 def sheaf_action_to_obj(action: SheafAction) -> dict:

@@ -16,21 +16,22 @@ choice that commutes with the transitions and still satisfies the left
 action axioms for nonabelian groups.
 
 One stored form, as for groups and actions: a sheaf of sets or action
-stores its tables once, in ``arrays``, as read-only int32 arrays, and its
-public ``restrict`` and ``act`` are tuple views of them built on first
-read. A producer (gluing, the constant sheaf, the lift) hands its
+stores its tables once, in ``arrays``, as read-only int32 arrays, and
+its public ``restrict`` and ``act`` are tuple views of them built on
+first read. A producer (gluing, the constant sheaf, the lift) hands its
 arrays over unread; a caller's tables, under either keyword, are read
 strictly when the object is built, by ``groups._index_table``, which
 raises MalformedTable at the first missing, misshapen, ill-typed or
-out-of-range one, into read-only int32 copies. A sheaf
-of groups is decided at most once for gluing and as_sheaf_torsor. The constant
-sheaf carries G^c from G with the mixed-radix codec of ``groups``,
-without deciding it again. Functoriality is one gather over all chains;
-each other axiom is one gather-and-compare per inclusion or per open.
-The first mismatch in row-major order is the least witness. Compatible
-families are enumerated one cover member at a time as a boolean mask
-over (prefix, section), in lexicographic order, from the first member's
-sections, and found again by code lookup, in gluing once per open.
+out-of-range one, into read-only int32 copies. A sheaf of groups is
+decided at most once for gluing and as_sheaf_torsor. The constant sheaf
+carries G^c from G with the mixed-radix codec of ``groups``, without
+deciding it again. Each open's action axioms are decided as any
+action's; functoriality is one gather over all chains; each other axiom
+is one gather-and-compare per inclusion or per open. The first mismatch
+in row-major order is the least witness. Compatible families are
+enumerated one cover member at a time as a boolean mask over (prefix,
+section), in lexicographic order, from the first member's sections, and
+found again by code lookup, in gluing once per open.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .actions import GroupAction, Torsor, _transports
+from .actions import GroupAction, Torsor, _action_failure, _transports
 from .errors import (
     CoverIncomplete,
     InternalError,
@@ -60,7 +61,6 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     _codes,
-    _compatibility_witness,
     _digits,
     _entries,
     _first,
@@ -437,22 +437,10 @@ def _require(rep: Report) -> None:
 
 
 def _action_structure_witnesses(action: SheafAction) -> list[dict]:
-    """Witnesses of the action axioms per open and along restrictions."""
-    out = []
+    """Witnesses of the action axioms per open, decided as for any action, then along restrictions."""
     gs, fs = action.groups, action.sets
-    for u, arr in enumerate(action.arrays):
-        grp = gs.groups[u]
-        moved = _first(arr[grp.identity] != np.arange(fs.sizes[u]))
-        if moved is not None:
-            out.append({"axiom": "action-identity", "open": u, "x": moved[0]})
-            continue
-        if fs.sizes[u]:
-            bad = _compatibility_witness(arr, grp.array, grp.identity, grp.generators)
-            if bad is not None:
-                g, h, x = bad
-                out.append(
-                    {"axiom": "action-compatibility", "open": u, "g": g, "h": h, "x": x}
-                )
+    failures = enumerate(map(_action_failure, gs.groups, action.arrays))
+    out = [{**err.witness(), "open": u} for u, err in failures if err is not None]
     if out:
         return out
     # G's restriction tables are read against its section counts, the action tables against its group orders

@@ -115,15 +115,15 @@ def _int_points(points, where: str, num_points: int | None = None) -> tuple[int,
     return tuple(points)
 
 
-def _canonical(num_points: int, opens) -> list[tuple[int, ...]]:
-    """The distinct opens in canonical order, checked in this order: ``num_points``, every point an
-    integer, then PointOutOfRange at the least bad point of the first open in that order holding one."""
-    _positive(num_points, "num_points")
+def _canonical(num_points: int, opens) -> tuple[int, list[tuple[int, ...]]]:
+    """``num_points`` as an int and the distinct opens in canonical order. Checked in order: ``num_points``,
+    every point an integer, then PointOutOfRange at the least bad point of the first open holding one."""
+    num_points = _positive(num_points, "num_points")
     _iterable(opens, "opens")
     canon = sorted({_int_points(o, f"open {i}") for i, o in enumerate(opens)}, key=lambda o: (len(o), o))
     for o in canon:
         _int_points(o, "open", num_points)
-    return canon
+    return num_points, canon
 
 
 def _overlap_groups(left: int, near) -> list[int]:
@@ -170,7 +170,7 @@ def _open_count(meets) -> int:
 
 def build_space(num_points: int, opens) -> FiniteSpace:
     """Validate an explicit finite topology: empty, whole, unions, intersections."""
-    canon = _canonical(num_points, opens)
+    num_points, canon = _canonical(num_points, opens)
     _guard(len(canon), 1, MAX_OPENS, "opens")
     present = {frozenset(o) for o in canon}
     if frozenset() not in present:

@@ -63,7 +63,7 @@ def test_sheaf_action_round_trip(z3):
 def test_a_sheaf_action_missing_the_group_table_of_one_open_is_a_schema_error(z3):
     obj = jsonio.sheaf_action_to_obj(tk.lift_point_action(tk.left_translation_action(z3)))
     del obj["groups"]["cayley"]["1"]
-    with pytest.raises(SchemaError, match=r"^sheaf-action: missing group table for open 1$"):
+    with pytest.raises(SchemaError, match=r"^sheaf-action\.groups\.cayley: missing key '1'$"):
         jsonio.sheaf_action_from_obj(obj)
 
 

@@ -122,6 +122,55 @@ def test_a_glued_torsor_equals_its_hand_built_copy_table_for_table(torsor):
     assert tk.as_sheaf_torsor(hand) == torsor
 
 
+@st.composite
+def corrupted_opens(draw):
+    """A twisted pseudocircle glue, whose whole space has no sections, with the action table of each open
+    that has sections kept, or corrupted in range: two cells of a row swapped, a cell changed, or its
+    points renamed, which leaves an action."""
+    group = SMALL[draw(st.sampled_from([name for name in sorted(SMALL) if SMALL[name].order > 1]))]
+    twist = draw(st.integers(0, group.order - 2).map(lambda g: g + (g >= group.identity)))
+    action = tk.glue_from_cocycle(tk.pseudocircle_descent_datum(group, twist)).action
+    assert action.sets.sizes[PSC.whole_index] == 0
+    act = [list(map(list, t)) for t in action.act]
+    for u, n in enumerate(action.sets.sizes):
+        how = draw(st.sampled_from(["keep", "swap", "cell", "rename"])) if n else "keep"
+        if how in ("swap", "cell"):
+            row = act[u][draw(st.integers(0, len(act[u]) - 1))]
+            x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if how == "swap":
+                row[x], row[y] = row[y], row[x]
+            else:
+                row[x] = y
+        elif how == "rename":
+            perm = draw(st.permutations(range(n)))
+            back = {p: i for i, p in enumerate(perm)}
+            act[u] = [[perm[r[back[z]]] for z in range(n)] for r in act[u]]
+    return SheafAction(groups=action.groups, sets=action.sets, act=act)
+
+
+@ORACLE
+@given(corrupted_opens())
+def test_each_open_of_a_sheaf_action_is_decided_as_build_action_decides_it(action):
+    """One decider, two callers: the per-open witness of an open with sections is what ``build_action``
+    raises on its group, section count and table, with the open added, and none when that builds; an open
+    with no sections has neither witness."""
+    kinds = {"action-identity", "action-compatibility"}
+    witnesses = [w for w in tk.is_sheaf_torsor(action).witnesses if w["axiom"] in kinds]
+    per_open = {w["open"]: w for w in witnesses}
+    assert len(per_open) == len(witnesses)
+    for u, (group, n, table) in enumerate(zip(action.groups.groups, action.sets.sizes, action.act)):
+        if not n:
+            assert u not in per_open
+            continue
+        try:
+            tk.build_action(group, n, table)
+        except (errors.IdentityAxiomViolated, errors.CompatibilityViolated) as err:
+            assert per_open.pop(u) == {**err.witness(), "open": u}
+        else:
+            assert u not in per_open
+    assert per_open == {}
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(corrupted_glues(), corrupted_actions().map(lambda case: lambda: SheafAction(*case))))
 def test_a_corrupted_action_and_its_hand_built_copy_get_the_same_reports(make):

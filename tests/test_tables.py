@@ -558,6 +558,28 @@ def test_a_count_of_another_integer_type_is_kept_as_a_python_int(count):
         jsonio.canonical_json(obj)
 
 
+@pytest.mark.parametrize("build,ints,text", [
+    (lambda n: tk.prime_field_matrix(n(1000003), [[0, 0, 0, 0]]), lambda m: [m.p], repr),
+    (lambda n: tk.gaussian_solve(tk.prime_field_matrix(n(1000003), [[0, 0, 0, 0]]), [0]),
+     lambda r: [r.kernel_size], repr),
+    (lambda n: tk.build_nerve(n(2), [(0, 1)]), lambda nerve: [nerve.num_opens],
+     lambda nerve: jsonio.canonical_json(jsonio.cocycle_to_obj(tk.check_cocycle(nerve, tk.catalog_group("cyclic(2)"), {(0, 1): 1})))),
+    (lambda n: tk.build_space(n(2), [(), (0,), (0, 1)]), lambda space: [space.num_points],
+     lambda space: jsonio.canonical_json(jsonio.space_to_obj(space))),
+    (lambda n: tk.affine_torsor(n(3), n(2)), lambda t: [t.set_size, t.group.order],
+     lambda t: jsonio.canonical_json(jsonio.action_to_obj(t.action))),
+    (lambda n: tk.general_linear_group(n(2), n(2)), lambda made: [made[0].order, *(c for m in made[1] for r in m for c in r)],
+     lambda made: jsonio.canonical_json(jsonio.group_to_obj(made[0]))),
+], ids=["prime_field_matrix", "gaussian_solve", "build_nerve", "build_space", "affine_torsor", "general_linear_group"])
+def test_a_numpy_integer_prime_or_count_is_kept_as_a_python_int(build, ints, text):
+    """Primes and counts are read into plain ints where they enter, as a group's order is: an np.int64 prime
+    wrapped ``kernel_size``, p ** 4, to -4442925868394654895 in silence, and a nerve or space that kept an
+    np.int64 count made ``canonical_json`` raise TypeError."""
+    made, plain = build(np.int64), build(int)
+    assert {type(v) for v in ints(made)} == {int}
+    assert made == plain and ints(made) == ints(plain) and text(made) == text(plain)
+
+
 def test_an_empty_table_of_rows_reads_to_an_array_of_its_shape():
     assert groups._index_table([], 0, 3, 3).shape == (0, 3)
     assert groups._index_table([[], []], 2, 0, 1).shape == (2, 0)

@@ -62,7 +62,8 @@ WITNESSLESS_RAISES = {
 
 
 def _torsor_errors_raised():
-    """(file name, call) for each ``raise SomeTorsorError(...)`` in the library."""
+    """(file name, call) for each ``raise SomeTorsorError(...)`` in the library, and each ``return`` of one
+    that its caller raises (``actions._action_failure``)."""
     from torsorkit import errors
 
     kinds = {
@@ -71,7 +72,7 @@ def _torsor_errors_raised():
     }
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            call = node.exc if isinstance(node, ast.Raise) else None
+            call = node.exc if isinstance(node, ast.Raise) else node.value if isinstance(node, ast.Return) else None
             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in kinds:
                 yield path.name, call
 
@@ -138,15 +139,57 @@ def test_every_json_text_is_written_by_canonical_json():
 
 def test_jsonio_reads_per_open_maps_only_through_its_one_reader():
     """A ``.get(str(u))`` reads a per-open map at its expected keys and ignores every other key;
-    ``jsonio._per_open`` refuses the others, so it is the one place such a map is read."""
+    ``jsonio._per_open`` refuses the others, so it is the one place such a map is read. It hands each map
+    to ``_fields`` with every open's key required and of one kind, so no caller tests a per-open value
+    against None for a missing entry: no name bound to its values, or looping over them, meets None."""
     path = SRC / "jsonio.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = [
         node.lineno
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get" and node.args
         and isinstance(node.args[0], ast.Call) and getattr(node.args[0].func, "id", None) == "str"
     ]
     assert found == []
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_per_open"]
+    assert len(calls) == 3 and all(len(call.args) == 4 for call in calls)
+    values = {
+        target.id
+        for node in ast.walk(tree) if isinstance(node, ast.Assign) and node.value in calls
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and any(
+            isinstance(n, ast.Name) and n.id in values or n in calls for n in ast.walk(node.iter)
+        ):
+            values |= {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+    assert len(values) > 3
+    compared = [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(c, ast.Constant) and c.value is None for c in node.comparators)
+        and any(isinstance(n, ast.Name) and n.id in values for n in ast.walk(node.left))
+    ]
+    assert compared == []
+
+
+def test_the_action_axioms_are_decided_once():
+    """``actions._action_failure`` decides an action's identity and compatibility axioms, for
+    ``build_action`` and for each open of a sheaf action: ``_compatibility_witness`` has no other caller
+    but ``build_group``, whose associativity is the compatibility of the regular action, and ``sheaves``
+    spells no action-axiom witness itself."""
+    callers = {
+        f"{path.stem}.{scope}" for path in SRC.glob("*.py") for scope, _ in _qualified_calls(path, "_compatibility_witness")
+    }
+    assert callers == {"groups.build_group", "actions._action_failure"}
+    path = SRC / "sheaves.py"
+    spelled = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value in ("action-identity", "action-compatibility")
+    ]
+    assert spelled == []
 
 
 def test_every_stored_read_names_a_cached_property():

@@ -410,8 +410,8 @@ def test_extract_cocycle_names_the_bad_chosen_section(chosen, kind, fields):
 # ---------------------------------------------------------------- JSON schema
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda obj: obj["act"].pop("1"), "sheaf-action: missing action table for open 1"),
-    (lambda obj: obj["act"].update({"1": 5}), "sheaf-action: action table for open 1 must be a list"),
+    (lambda obj: obj["act"].pop("1"), "sheaf-action.act: missing key '1'"),
+    (lambda obj: obj["act"].update({"1": 5}), "sheaf-action.act: key '1' has wrong type"),
     (lambda obj: obj["sets"]["restrict"].update({"1,0": 5}), "sheaf: restriction '1,0' must be a list"),
 ], ids=["action-missing", "action-not-a-list", "restriction-not-a-list"])
 def test_a_sheaf_action_file_names_the_bad_table(edit, message):
