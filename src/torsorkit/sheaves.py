@@ -577,12 +577,13 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
     s_i = g_ij . s_j on overlaps, with componentwise restriction; the
     group acts through the right of the chart coordinate by a^-1.
     Families are numbered in lexicographic order. G is decided first
-    (NotASheafTorsor when it fails; its verdict is kept on it), and the
-    torsor keeps G itself; gluing reads the tables G was decided on, and
-    hands F and the action over as the arrays it built, checked once.
+    (NotASheafTorsor when it fails; its verdict is kept on it), then the
+    datum, as build_descent_datum decides it. Gluing reads G's tables; the
+    torsor keeps G itself, and F and the action as the arrays built, checked once.
     """
     gs = datum.groups
     _require(gs._verdict)
+    datum = build_descent_datum(gs, datum.cover, datum.transition)
     space = gs.space
     sizes = gs.sets.sizes
     arrays = gs.sets.arrays

@@ -12,7 +12,6 @@ Every table by proper inclusion follows the one order of ``inclusions``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -126,48 +125,6 @@ def _canonical(num_points: int, opens) -> tuple[int, list[tuple[int, ...]]]:
     return num_points, canon
 
 
-def _overlap_groups(left: int, near) -> list[int]:
-    """The U_x in the bit mask ``left`` split into groups linked by overlap (``near[j]``: those meeting
-    the j-th). U_x and U_y that share a point z both hold U_z, so each group is connected by inclusion."""
-    out = []
-    while left:
-        group, todo = 0, left & -left
-        while todo:
-            low = todo & -todo
-            group |= low
-            todo = (todo | near[low.bit_length() - 1]) & left & ~group
-        out.append(group)
-        left &= ~group
-    return out
-
-
-def _open_count(meets) -> int:
-    """The number of unions of ``meets``, the distinct minimal opens U_x, without listing them.
-
-    The unions are the down-sets of the U_x under inclusion: the product of those of each group of
-    overlapping U_x (``_overlap_groups``), and within one group, with x maximal among the U_x left,
-    D(P) = D(P - {x}) + D(P - {y <= x}): the down-sets without x, and those holding all below x.
-    Memoised on the U_x left, as a bit mask; the longest U_x left is maximal. An explicit stack, not
-    recursion: a chain of k U_x goes k levels deep.
-    """
-    meets = sorted(meets, key=len)
-    below = [sum(1 << j for j, n in enumerate(meets) if n <= m) for m in meets]
-    near = [sum(1 << j for j, n in enumerate(meets) if n & m) for m in meets]
-    groups = _overlap_groups((1 << len(meets)) - 1, near)
-    counts, todo = {0: 1}, list(groups)
-    while todo:
-        left = todo[-1]
-        top = left.bit_length() - 1
-        parts = (left & ~(1 << top), left & ~below[top])
-        missing = [p for p in parts if p not in counts]
-        if missing:
-            todo += missing
-        else:
-            counts[left] = counts[parts[0]] + counts[parts[1]]
-            todo.pop()
-    return math.prod(counts[g] for g in groups)
-
-
 def build_space(num_points: int, opens) -> FiniteSpace:
     """Validate an explicit finite topology: empty, whole, unions, intersections."""
     num_points, canon = _canonical(num_points, opens)
@@ -195,17 +152,20 @@ def build_space(num_points: int, opens) -> FiniteSpace:
 
 def close_under_ops(num_points: int, generators) -> FiniteSpace:
     """The topology a family of opens generates: the unions of the meets U_x of the members of the family
-    and the whole set that contain x, for each point x they hold (out of range too, for build_space)."""
+    and the whole set that contain x, for each point x they hold (out of range too, for build_space). Listed
+    one U_x at a time in canonical order, each step at most doubling them: past MAX_OPENS, TooLarge names the
+    unions listed (at most 2 * MAX_OPENS), a lower bound, as an exact count is #P-complete (Provan & Ball 1983)."""
+    num_points = _positive(num_points, "num_points")
     family = [frozenset(range(num_points))]
     family += [frozenset(_int_points(g, f"generator {i}")) for i, g in enumerate(_iterable(generators, "generators"))]
     # points in the same members share their meet: take it once per membership pattern
     patterns = {tuple(x in s for s in family) for x in frozenset().union(*family)}
     meets = {frozenset.intersection(*(s for s, inside in zip(family, p) if inside)) for p in patterns}
-    _canonical(num_points, meets)  # the first open holding a point out of range is a meet
-    _guard(_open_count(meets), 1, MAX_OPENS, "opens", num_points=num_points)
+    canon = _canonical(num_points, meets)[1]  # the first open holding a point out of range is a meet
     opens = {frozenset()}
-    for m in meets:
+    for m in map(frozenset, canon):
         opens |= {o | m for o in opens}
+        _guard(len(opens), 1, MAX_OPENS, "opens")
     return build_space(num_points, [tuple(sorted(o)) for o in opens])
 
 

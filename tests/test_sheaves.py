@@ -193,6 +193,32 @@ def test_descent_datum_triple_violation(three_arm, s3):
         tk.build_descent_datum(gs, cov, {(0, 1): g01, (1, 2): g12, (0, 2): wrong})
 
 
+@pytest.mark.parametrize("transition,kind", [
+    ({(0, 1): -1}, MalformedTable),  # numpy would read -1 as the last section
+    ({(0, 1): 9}, MalformedTable),
+    ({(0, 1): 2.0}, MalformedTable),
+    ({(0, 1): True}, MalformedTable),
+    ({}, Mismatch),
+], ids=["negative", "past-the-sections", "float", "bool", "missing-pair"])
+def test_glue_decides_a_hand_built_datum_as_build_descent_datum_does(z3, transition, kind):
+    datum = tk.pseudocircle_descent_datum(z3, 1)
+    hand = tk.DescentDatum(datum.groups, datum.cover, transition)
+    for call in (lambda: tk.build_descent_datum(datum.groups, datum.cover, transition),
+                 lambda: tk.glue_from_cocycle(hand)):
+        with pytest.raises(kind) as exc:
+            call()
+        assert exc.value.witness() == {"axiom": kind.axiom, "i": 0, "j": 1}
+
+
+def test_glue_names_a_hand_built_triple_violation(three_arm, s3):
+    gs = tk.constant_group_sheaf(three_arm, s3)
+    cov = tuple(three_arm.index_of(o) for o in ((0, 1), (0, 2), (0, 3)))
+    hand = tk.DescentDatum(gs, cov, {(0, 1): 3, (1, 2): 5, (0, 2): s3.mul(5, 3)})  # g_12 g_01, not g_01 g_12
+    with pytest.raises(TripleViolation) as exc:
+        tk.glue_from_cocycle(hand)
+    assert exc.value.witness() == {"axiom": "cocycle-triple", "i": 0, "j": 1, "k": 2}
+
+
 def test_descent_datum_cover_incomplete(psc, z2):
     gs = tk.constant_group_sheaf(psc, z2)
     for cover in ([psc.index_of((0, 1, 2))], []):

@@ -35,6 +35,8 @@ def witness(kind, call):
 @pytest.mark.parametrize("call,kind,fields", [
     (lambda: tk.build_space(2.0, [(), (0, 1)]), errors.MalformedTable, {"num_points": 2.0}),
     (lambda: tk.build_space(True, [(), (0,)]), errors.MalformedTable, {"num_points": True}),
+    (lambda: tk.close_under_ops("3", [(0,)]), errors.MalformedTable, {"num_points": "3"}),
+    (lambda: tk.close_under_ops(2.0, [(0,)]), errors.MalformedTable, {"num_points": 2.0}),
     (lambda: tk.build_nerve(2.5, [(0, 1)]), errors.MalformedTable, {"num_opens": 2.5}),
     (lambda: tk.affine_torsor(2, True), errors.MalformedTable, {"n": True}),
     (lambda: tk.basis_torsor(2, 2.0), errors.MalformedTable, {"n": 2.0}),
@@ -54,8 +56,9 @@ def witness(kind, call):
     (lambda: tk.pseudocircle().index_of([0.0, 1.0, 2.0]), errors.MalformedTable, {"point": 0.0}),
     (lambda: tk.pseudocircle().index_of([True]), errors.MalformedTable, {"point": True}),
 ], ids=[
-    "build_space-float", "build_space-bool", "build_nerve", "affine_torsor", "basis_torsor", "orbit",
-    "build_group-bool", "build_group-float", "build_action-float", "build_action-bool", "sections",
+    "build_space-float", "build_space-bool", "close_under_ops-str", "close_under_ops-float", "build_nerve",
+    "affine_torsor", "basis_torsor", "orbit", "build_group-bool", "build_group-float", "build_action-float",
+    "build_action-bool", "sections",
     "transporter", "trivialization", "constant_section_id-range", "constant_section_id-float",
     "constant_section_tuple", "decode_vector", "symmetric_elements", "index_of-float", "index_of-bool",
 ])
