@@ -170,9 +170,11 @@ def is_transitive(action: GroupAction):
 
 
 def _transports(act: np.ndarray) -> np.ndarray:
-    """[x, y] -> the number of g with g.x = y, for an action table act[g][x]."""
-    n = act.shape[1]
-    return np.bincount((np.arange(n) * n + act).ravel(), minlength=n * n).reshape(n, n)
+    """[x, y] -> the number of g with g.x = y, for an action table act[g][x]. Each row sums to |G|, so
+    where |G| != |X| > 0 row 0 holds the least cell other than 1, and only it is counted."""
+    order, n = act.shape
+    rows = n if order == n else min(n, 1)
+    return np.bincount((np.arange(rows) * n + act[:, :rows]).ravel(), minlength=rows * n).reshape(rows, n)
 
 
 def as_torsor(action: GroupAction) -> Torsor:

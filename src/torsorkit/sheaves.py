@@ -30,14 +30,13 @@ action's; functoriality is one gather over all chains; each other axiom
 is one gather-and-compare per inclusion or per open. The first mismatch
 in row-major order is the least witness. Compatible families are
 enumerated one cover member at a time as a boolean mask over (prefix,
-section), in lexicographic order, from the first member's sections, and
-found again by code lookup, in gluing once per open.
+section), from no more prefixes than the sheaf read has sections, which
+no sheaf or decided glue exceeds, and found again by code lookup.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -79,7 +78,6 @@ from .report import Report, failing, passing
 from .spaces import FiniteSpace, point_space, pseudocircle
 
 CONSTANT_SECTIONS_MAX = 512    # per-open section count for constant sheaves
-FAMILY_CANDIDATE_MAX = 65536   # descent family candidates per open
 
 # held while a group's constant sheaf cache is read or filled, so each is decided once
 _CONSTANT_SHEAVES_LOCK = threading.Lock()
@@ -306,18 +304,19 @@ def _per_open(values, space: FiniteSpace, what: str) -> tuple:
     return values
 
 
-def _compatible_families(sizes, agree: dict):
+def _compatible_families(sizes, agree: dict, bound: int):
     """Families (f_0, ..., f_k-1) with left[f_i] == right[f_j] for each agree[(i, j)] = (left, right).
 
-    Returns the families as rows in lexicographic order, and per member
-    after the first the lookup from (prefix row, section) code to the
-    extended family's row, for ``_locate``; the first member's families
-    are its sections. Built one member at a time like backtracking, so
-    the work is that of the compatible prefixes, not of the whole product.
+    Returns the families as rows in lexicographic order, and per member after the first the lookup from
+    (prefix row, section) code to the extended family's row, for ``_locate``; the first member's families
+    are its sections. Built one member at a time like backtracking, from at most ``bound`` prefixes a step,
+    else TooLarge: ``bound`` is the section count of the sheaf read, and the prefixes over j members are
+    sections over their union, of a sheaf or of a decided glue's F (empty or a G-torsor there): none passes it.
     """
     rows = np.arange(sizes[0])[:, None]
     lookups = []
     for j in range(1, len(sizes)):
+        _guard(len(rows), 1, bound, "families")
         n = sizes[j]
         left, right = agree[(0, j)]
         ok = left[rows[:, 0], None] == right
@@ -369,6 +368,7 @@ def is_sheaf(sheaf: SheafOfSets) -> Report:
     """Exact functoriality, locality, and gluing check on minimal covers, with witnesses."""
     space, arrays = sheaf.space, sheaf.arrays
     witnesses = _functoriality_witnesses(space, sheaf.sizes, arrays)
+    bound = sum(sheaf.sizes)
     for u, target in enumerate(space.opens):
         if not target:
             if sheaf.sizes[u] != 1:
@@ -384,7 +384,7 @@ def is_sheaf(sheaf: SheafOfSets) -> Report:
         for i, j in itertools.combinations(range(len(cover)), 2):
             w = space.meets[cover[i]][cover[j]]
             agree[(i, j)] = (arrays[(cover[i], w)], arrays[(cover[j], w)])
-        families, lookups = _compatible_families(sizes, agree)
+        families, lookups = _compatible_families(sizes, agree, bound)
         found = _locate(lookups, sizes, [_table(arrays, sheaf.sizes, u, m) for m in cover])
         gluings = np.bincount(found[found >= 0], minlength=len(families))
         bad = _first(gluings != 1)
@@ -588,23 +588,20 @@ def glue_from_cocycle(datum: DescentDatum) -> SheafTorsor:
     sizes = gs.sets.sizes
     arrays = gs.sets.arrays
     cover, meets = datum.cover, space.meets
-    k = len(cover)
     charts = [[meets[u][c] for c in cover] for u in range(len(space.opens))]
 
-    families, lookups = [], []
+    families, lookups, bound = [], [], sum(sizes)
     for chart in charts:
-        _guard(math.prod(int(sizes[c]) for c in chart), 1, FAMILY_CANDIDATE_MAX, "family candidates", charts=k)
         agree = {}
-        for i, j in itertools.combinations(range(k), 2):
+        for i, j in itertools.combinations(range(len(cover)), 2):
             w = meets[chart[i]][chart[j]]
-            pair = meets[cover[i]][cover[j]]
-            g_ij = _table(arrays, sizes, pair, w)[datum.value(i, j)]
+            g_ij = _table(arrays, sizes, meets[cover[i]][cover[j]], w)[datum.value(i, j)]
             # s_i|w = g_ij * s_j|w
             agree[(i, j)] = (
                 _table(arrays, sizes, chart[i], w),
                 gs.groups[w].array[g_ij][_table(arrays, sizes, chart[j], w)],
             )
-        rows, lookup = _compatible_families([sizes[c] for c in chart], agree)
+        rows, lookup = _compatible_families([sizes[c] for c in chart], agree, bound)
         families.append(rows)
         lookups.append(lookup)
 

@@ -37,7 +37,8 @@ from hypothesis import strategies as st
 
 import torsorkit as tk
 from torsorkit import errors
-from torsorkit.groups import _transport
+from torsorkit.actions import _transports
+from torsorkit.groups import _first, _transport
 from torsorkit.sheaves import SheafOfSets, _compatible_families, _locate
 from torsorkit.spaces import MAX_OPENS
 
@@ -1090,25 +1091,24 @@ def ref_glue(datum):
     space = gs.space
     k = len(cover)
     charts = [[space.intersection_index(u, c) for c in cover] for u in range(len(space.opens))]
+
+    def agrees(chart, f, j, s):
+        """s_i|w == g_ij * s|w on w = chart[i] n chart[j], for each entry f[i] of the prefix f."""
+        for i in range(j):
+            w = space.intersection_index(chart[i], chart[j])
+            pair = space.intersection_index(cover[i], cover[j])
+            g_ij = _ref_restrict(gs.sets, pair, datum.value(i, j), w)
+            rhs = gs.groups[w].mul(g_ij, _ref_restrict(gs.sets, chart[j], s, w))
+            if _ref_restrict(gs.sets, chart[i], f[i], w) != rhs:
+                return False
+        return True
+
     families = []
     for chart in charts:
-        total = 1
-        for c in chart:
-            total *= gs.sets.sizes[c]
-        if total > tk.sheaves.FAMILY_CANDIDATE_MAX:
-            return errors.TooLarge
-        fams = []
-        for combo in itertools.product(*(range(gs.sets.sizes[c]) for c in chart)):
-            ok = True
-            for i, j in itertools.combinations(range(k), 2):
-                w = space.intersection_index(chart[i], chart[j])
-                pair = space.intersection_index(cover[i], cover[j])
-                g_ij = _ref_restrict(gs.sets, pair, datum.value(i, j), w)
-                lhs = _ref_restrict(gs.sets, chart[i], combo[i], w)
-                rhs = gs.groups[w].mul(g_ij, _ref_restrict(gs.sets, chart[j], combo[j], w))
-                ok = ok and lhs == rhs
-            if ok:
-                fams.append(combo)
+        # backtracking: a prefix grows only by the sections that agree with each of its entries
+        fams = [()]
+        for j, c in enumerate(chart):
+            fams = [f + (s,) for f in fams for s in range(gs.sets.sizes[c]) if agrees(chart, f, j, s)]
         families.append(fams)
     index = [{f: n for n, f in enumerate(fams)} for fams in families]
     restrict = {
@@ -1429,12 +1429,49 @@ def test_compatible_families_are_the_product_filtered_and_locate_finds_each_cand
     sizes, agree = case
     product = list(itertools.product(*map(range, sizes)))
     want = [f for f in product if all(left[f[i]] == right[f[j]] for (i, j), (left, right) in agree.items())]
-    rows, lookups = _compatible_families(sizes, agree)
+    rows, lookups = _compatible_families(sizes, agree, 4**3)  # no step starts from more prefixes
     assert rows.tolist() == [list(f) for f in want]
     # every tuple of the product, a miss included, is found at its family's row, or at -1
     columns = [np.array([f[i] for f in product], dtype=np.intp) for i in range(len(sizes))]
     row_of = {f: r for r, f in enumerate(want)}
     assert _locate(lookups, sizes, columns).tolist() == [row_of.get(f, -1) for f in product]
+
+
+@settings(max_examples=200, deadline=None)
+@given(agreements(), st.integers(0, 17))
+def test_compatible_families_refuse_at_the_first_step_from_more_prefixes_than_the_bound(case, bound):
+    sizes, agree = case
+    # the compatible prefixes over members 0..m-1 that the step adding member m starts from, by brute force
+    starts = [
+        sum(
+            all(left[f[i]] == right[f[j]] for (i, j), (left, right) in agree.items() if j < m)
+            for f in itertools.product(*map(range, sizes[:m]))
+        )
+        for m in range(1, len(sizes))
+    ]
+    over = next((n for n in starts if n > bound), None)
+    if over is None:
+        rows, _ = _compatible_families(sizes, agree, bound)
+        assert rows.tolist() == _compatible_families(sizes, agree, 4**3)[0].tolist()
+    else:
+        with pytest.raises(errors.TooLarge) as exc:
+            _compatible_families(sizes, agree, bound)
+        assert exc.value.witness() == {"axiom": "size-guard", "size": over, "budget": bound}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_transports_of_a_non_square_table_keep_the_least_cell_other_than_one(order, n, data):
+    assume(order != n)
+    rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=order, max_size=order))
+    full = np.zeros((n, n), dtype=np.intp)  # [x, y] -> the number of g with g.x = y, cell by cell
+    for row in rows:
+        for x, y in enumerate(row):
+            full[x, y] += 1
+    counts = _transports(np.array(rows, dtype=np.int32))
+    s, t = _first(counts != 1)
+    assert (s, t) == _first(full != 1)
+    assert counts[s, t] == full[s, t]
 
 
 MANY_CHAINS = {

@@ -437,3 +437,23 @@ def test_a_table_enters_a_stored_table_class_by_one_of_two_doors():
         "actions._regular_at", "sheaves._constant_group_sheaf", "sheaves._direct_power", "sheaves.glue_from_cocycle",
         "sheaves.lift_point_action",
     }
+
+
+def test_readme_scale_guards_name_exactly_the_budget_constants():
+    """Every public module-level constant whose name holds ``MAX`` is a budget, and README's
+    *Scale guards* section names each of them and no other, so a budget added or deleted shows."""
+    import re
+
+    constants = {
+        target.id
+        for path in SRC.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and not target.id.startswith("_") and "MAX" in target.id
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scale guards\n", 1)[1].split("\n## ", 1)[0]
+    named = {word for word in re.findall(r"\b[A-Z][A-Z0-9_]*\b", section) if "MAX" in word}
+    assert constants
+    assert named == constants

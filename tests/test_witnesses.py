@@ -5,6 +5,7 @@ exact witness."""
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from torsorkit import errors, jsonio
 from torsorkit.sheaves import SheafAction, SheafOfSets
 
 from test_cli import run_cli
+from test_oracles import ref_glue
 
 Z1 = tk.catalog_group("cyclic(1)")
 Z2 = tk.catalog_group("cyclic(2)")
@@ -157,16 +159,12 @@ def _solve(p, cols):
     return tk.solution_torsor(tk.prime_field_matrix(p, eye), [0] * cols)
 
 
-def _glue(order, charts, read=None):
-    """The trivial descent datum of Z/order on ``charts`` copies of the point: order^charts candidates.
-    ``read``, if given, turns each section count into the integer type a caller's own sheaf holds."""
+def _trivial_datum(order, charts):
+    """The trivial descent datum of Z/order on ``charts`` copies of the point: order^charts chart tuples."""
     group = tk.build_group(order, [[(a + b) % order for b in range(order)] for a in range(order)])
     gs = tk.constant_group_sheaf(POINT, group)
-    if read is not None:
-        sets = SheafOfSets(space=POINT, sizes=tuple(map(read, gs.sets.sizes)), restrict=gs.sets.restrict)
-        gs = tk.SheafOfGroups(sets=sets, groups=gs.groups)
     transition = {pair: 0 for pair in itertools.combinations(range(charts), 2)}
-    return tk.glue_from_cocycle(tk.build_descent_datum(gs, [1] * charts, transition))
+    return tk.build_descent_datum(gs, [1] * charts, transition)
 
 
 def _discrete(points):
@@ -190,12 +188,11 @@ def _subsets(points, count):
      lambda: tk.equivalence_classes(_matching(12), Z2), lambda: tk.equivalence_classes(_matching(13), Z2), 2**13),
     ("sheaves.CONSTANT_SECTIONS_MAX", 512,
      lambda: tk.constant_section_id(Z2, [0] * 9), lambda: tk.constant_section_id(Z2, [0] * 10), 2**10),
-    ("sheaves.FAMILY_CANDIDATE_MAX", 65536, lambda: _glue(16, 4), lambda: _glue(17, 4), 17**4),
     ("spaces.MAX_OPENS", 64, lambda: _discrete(6), lambda: _discrete(7), 128),
     ("spaces.MAX_OPENS", 64,
      lambda: tk.build_space(6, _subsets(6, 64)), lambda: tk.build_space(7, _subsets(7, 65)), 65),
 ], ids=[
-    "affine", "solution", "basis", "vector-code", "classes", "sections", "families", "close_under_ops", "build_space",
+    "affine", "solution", "basis", "vector-code", "classes", "sections", "close_under_ops", "build_space",
 ])
 def test_every_budget_admits_its_boundary_and_names_itself_one_step_past(budget, value, at, past, size):
     module, name = budget.split(".")
@@ -210,8 +207,7 @@ def test_every_budget_admits_its_boundary_and_names_itself_one_step_past(budget,
     (lambda: tk.general_linear_group(2, np.int64(8)), 2**64, 512),  # wraps to 0 in int64
     (lambda: tk.encode_vector([1] + [0] * 69, np.int64(2)), 2**70, 2**63 - 1),
     (lambda: tk.decode_vector(0, np.int64(2), np.int64(63)), 2**63, 2**63 - 1),
-    (lambda: _glue(2, 64, np.int64), 2**64, 65536),  # a product of int64 section counts wraps to 0
-], ids=["affine-p", "affine-n", "basis", "encode", "decode", "families"])
+], ids=["affine-p", "affine-n", "basis", "encode", "decode"])
 def test_numpy_integers_meet_each_guard_as_python_integers_do(call, size, budget):
     assert witness(errors.TooLarge, call) == {"axiom": "size-guard", "size": size, "budget": budget}
 
@@ -244,11 +240,11 @@ def test_the_section_guard_names_the_operands_once_the_size_would_not_print(coun
 
 
 def test_a_count_formed_past_the_printable_size_is_named_by_its_operands():
-    # glue forms its candidate count as a product; past 2^2048 the witness and message name the charts
+    # a count is its own first power: past 2^2048 the witness and message name the operands given
     with pytest.raises(errors.TooLarge) as exc:
-        errors._guard(2**2100, 1, 65536, "family candidates", charts=228)
-    assert exc.value.witness() == {"axiom": "size-guard", "charts": 228, "budget": 65536}
-    assert str(exc.value) == "family candidates (charts=228) exceeds 65536"
+        errors._guard(2**2100, 1, 65536, "families", bits=2101)
+    assert exc.value.witness() == {"axiom": "size-guard", "bits": 2101, "budget": 65536}
+    assert str(exc.value) == "families (bits=2101) exceeds 65536"
 
 
 def test_a_trivial_group_passes_the_guard_on_any_number_of_components():
@@ -363,6 +359,63 @@ def test_index_of_names_the_points_that_are_no_open(psc):
     assert got == {"axiom": "point-range", "points": [0, 2]}
 
 
+def _discrete_presheaf(points):
+    """30 sections on each one-point open and one on every other open, all restricting to section 0:
+    30^2 families over two points glue to one section, so the families outnumber all the sections."""
+    space = _discrete(points)
+    sizes = tuple(30 if len(o) == 1 else 1 for o in space.opens)
+    return SheafOfSets(space=space, sizes=sizes, restrict={(u, v): [0] * sizes[u] for u, v in space.inclusions})
+
+
+def _point_action(n):
+    """The trivial group fixing each of n sections on the point: one transport on the diagonal only."""
+    sets = SheafOfSets(space=POINT, sizes=(1, n), restrict={(1, 0): [0] * n})
+    return SheafAction(groups=tk.constant_group_sheaf(POINT, Z1), sets=sets, act=([[0]], [list(range(n))]))
+
+
+def _time_and_peak(call):
+    """The seconds one call takes, and the traced peak of the bytes another allocates."""
+    start = time.perf_counter()
+    call()
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        call()
+        return elapsed, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_is_sheaf_refuses_a_presheaf_whose_families_outnumber_its_sections():
+    # 6*30 + 58 = 238 sections; the step adding a third point would start from 900 families
+    sheaf = _discrete_presheaf(6)
+    assert witness(errors.TooLarge, lambda: tk.is_sheaf(sheaf)) == {"axiom": "size-guard", "size": 900, "budget": 238}
+    elapsed, peak = _time_and_peak(lambda: pytest.raises(errors.TooLarge, tk.is_sheaf, sheaf))
+    assert elapsed < 0.05 and peak < 16 * 2**20
+
+
+def test_local_transports_of_a_non_square_action_count_one_row():
+    # 20000 sections under the trivial group: the full 20000^2 count matrix would take 3.2 GB
+    action = _point_action(20000)
+    want = {"axiom": "local-transport", "open": 1, "s": 0, "t": 1, "min_open": 1, "transports": 0}
+    assert tk.is_sheaf_torsor(action).witnesses == (want,)
+    elapsed, peak = _time_and_peak(lambda: tk.is_sheaf_torsor(action))
+    assert elapsed < 0.05 and peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("kind,obj,line", [
+    ("sheaf", lambda: jsonio.sets_sheaf_to_obj(_discrete_presheaf(6)), "witness size-guard: budget=238 size=900"),
+    ("sheaf-torsor", lambda: jsonio.sheaf_action_to_obj(_point_action(20000)),
+     "witness local-transport: min_open=1 open=1 s=0 t=1 transports=0"),
+], ids=["sheaf", "sheaf-torsor"])
+def test_checking_a_crafted_file_fails_fast_in_little_memory(tmp_path, kind, obj, line):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(obj()))
+    elapsed, peak = _time_and_peak(lambda: run_cli(["check", kind, str(path)]))
+    assert run_cli(["check", kind, str(path)]) == (1, f"{kind}: FAIL\n  {line}\n", "")
+    assert elapsed < 0.5 and peak < 16 * 2**20
+
+
 def test_is_sheaf_torsor_names_a_point_without_local_sections():
     sets = SheafOfSets(space=POINT, sizes=(1, 0), restrict={(1, 0): ()})
     action = SheafAction(groups=tk.constant_group_sheaf(POINT, Z1), sets=sets, act=(((0,),), ((),)))
@@ -370,13 +423,17 @@ def test_is_sheaf_torsor_names_a_point_without_local_sections():
     assert rep.witnesses == ({"axiom": "locally-nonempty", "point": 0, "open": 1},)
 
 
-def test_gluing_refuses_past_the_family_candidate_bound():
-    # three charts of an order-41 group on the point: 41^3 = 68921 > FAMILY_CANDIDATE_MAX = 65536
-    z41 = tk.build_group(41, [[(a + b) % 41 for b in range(41)] for a in range(41)])
-    gs = tk.constant_group_sheaf(POINT, z41)
-    datum = tk.build_descent_datum(gs, [1, 1, 1], {(0, 1): 0, (0, 2): 0, (1, 2): 0})
-    got = witness(errors.TooLarge, lambda: tk.glue_from_cocycle(datum))
-    assert got == {"axiom": "size-guard", "size": 68921, "budget": 65536}
+@pytest.mark.parametrize("order,charts", [(17, 4), (41, 3), (256, 3), (2, 64)])
+def test_gluing_is_bounded_by_the_sections_of_g_not_by_the_chart_product(order, charts):
+    # 17^4, 41^3, 256^3 and 2^64 chart tuples: the glue lists at most |G| families a step
+    datum = _trivial_datum(order, charts)
+    start = time.perf_counter()
+    torsor = tk.glue_from_cocycle(datum)
+    elapsed = time.perf_counter() - start
+    assert len(tk.global_sections(torsor)) == order
+    assert (torsor.sets.sizes, torsor.sets.restrict, torsor.action.act) == ref_glue(datum)
+    if charts < 64:  # the 64-chart datum alone has 41664 triples, decided again by the glue
+        assert elapsed < 0.1
 
 
 @pytest.mark.parametrize("cover,kind,fields", [
